@@ -50,16 +50,6 @@ def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"scalar loss derivative undefined for kind {kind!r}")
 
 
-def loss_smoothness(kind: str, u_min: float = 0.05) -> tuple[float, float]:
-    """(M0, M1): Lipschitz constant of the derivative and bound on |l'|,
-    over [u_min, 1] for the log loss and [0, 1] for the squared loss."""
-    if kind == LOG:
-        return 1.0 / u_min**2, 1.0 / u_min
-    if kind == SQUARED:
-        return 2.0, 2.0
-    raise ValueError(f"smoothness constants undefined for kind {kind!r}")
-
-
 def softmax(h: np.ndarray) -> np.ndarray:
     shifted = h - np.max(h, axis=-1, keepdims=True)
     ex = np.exp(shifted)

@@ -7,6 +7,7 @@ The ATTNLAB_SEED environment variable overrides the default seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -138,26 +139,32 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    rows = []
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            rows.append([np.nan if c == "" else float(c) for c in cells])
-    arr = np.array(rows)
-    col = {name: i for i, name in enumerate(header)}
-    trace = attention.TrainTrace(
-        iters=arr[:, col["iter"]].astype(np.int64),
-        loss=arr[:, col["loss"]],
-        loss_bar=arr[:, col["loss_bar"]],
-        grad_norm=arr[:, col["grad_norm"]],
-        w_norm=arr[:, col["w_norm"]],
-        corr_svm=arr[:, col["corr_svm"]],
-        dist_fin=arr[:, col["dist_fin"]],
-        t_ms=np.zeros(len(arr)),
+def _read_trace(path: str) -> attention.TrainTrace:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    for name in attention.TrainTrace.csv_header():
+        if name not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: trace has no {name!r} column")
+    if not rows:
+        raise ValueError(f"{path}: trace has a header but no rows")
+    for line, row in enumerate(rows, start=2):
+        if None in row or None in row.values():
+            raise ValueError(f"{path}: line {line} does not match the header's "
+                             f"{len(reader.fieldnames)} columns")
+    cols = {
+        name: np.array([np.nan if row[name] == "" else float(row[name]) for row in rows])
+        for name in attention.TrainTrace.csv_header()
+    }
+    return attention.TrainTrace(
+        iters=cols.pop("iter").astype(np.int64),
+        t_ms=np.zeros(len(rows)),
+        **cols,
     )
-    write_json(args.out, analysis.convergence_report(trace))
+
+
+def _cmd_analyze(args) -> int:
+    write_json(args.out, analysis.convergence_report(_read_trace(args.trace)))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -316,6 +316,11 @@ def _require(cond: bool, where: str, detail: str) -> None:
         raise SchemaViolation(f"{where}: {detail}")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass, but true/false are not IDs."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_dataset(path: str) -> Dataset:
     """Load a dataset JSON file, validating the schema field by field.
 
@@ -327,8 +332,8 @@ def load_dataset(path: str) -> Dataset:
     for key in ("K", "d", "kind", "embeddings", "head", "samples", "seed"):
         _require(key in raw, key, "missing field")
     K, d = raw["K"], raw["d"]
-    _require(isinstance(K, int) and K >= 1, "K", f"expected positive int, got {K!r}")
-    _require(isinstance(d, int) and d >= 1, "d", f"expected positive int, got {d!r}")
+    _require(_is_int(K) and K >= 1, "K", f"expected positive int, got {K!r}")
+    _require(_is_int(d) and d >= 1, "d", f"expected positive int, got {d!r}")
     _require(raw["kind"] in (ORTHONORMAL, UNIT_SPHERE), "kind", f"unknown kind {raw['kind']!r}")
     e = np.asarray(raw["embeddings"], dtype=np.float64)
     _require(e.shape == (K, d), "embeddings", f"expected shape ({K}, {d}), got {e.shape}")
@@ -350,15 +355,15 @@ def load_dataset(path: str) -> Dataset:
         _require(isinstance(tokens, list) and tokens, f"{where}.tokens", "expected nonempty list")
         for t, tok in enumerate(tokens):
             _require(
-                isinstance(tok, int) and 0 <= tok < K,
+                _is_int(tok) and 0 <= tok < K,
                 f"{where}.tokens[{t}]",
-                f"token ID {tok!r} outside range(0, {K})",
+                f"expected a token ID in range(0, {K}), got {tok!r}",
             )
         label = s["label"]
         _require(
-            isinstance(label, int) and 0 <= label < K,
+            _is_int(label) and 0 <= label < K,
             f"{where}.label",
-            f"label {label!r} outside range(0, {K})",
+            f"expected a token ID in range(0, {K}), got {label!r}",
         )
         samples.append(Sample(tokens=tuple(tokens), label=label))
     ds = Dataset(embedding=table, head=head, samples=tuple(samples), seed=int(raw["seed"]))

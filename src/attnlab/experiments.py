@@ -8,10 +8,11 @@ violations surface as a nonzero exit through the CLI.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,14 +49,21 @@ class Pipeline:
     constraints: svm.ConstraintSet
     solution: svm.SvmSolution
     s_fin: svm.MatrixSubspace
-    s_active: svm.MatrixSubspace
-    s_svm: svm.MatrixSubspace
     split: graph.CyclicSplit
     w_fin: np.ndarray
 
     @property
     def w_svm(self) -> np.ndarray:
         return self.solution.w
+
+    # Built on first read: no experiment reads them.
+    @functools.cached_property
+    def s_active(self) -> svm.MatrixSubspace:
+        return svm.active_subspace(self.tpgs, self.dataset.embedding)
+
+    @functools.cached_property
+    def s_svm(self) -> svm.MatrixSubspace:
+        return svm.svm_subspace(self.s_active, self.s_fin)
 
     def refs(self) -> attention.TrainRefs:
         return attention.TrainRefs(
@@ -66,15 +74,13 @@ class Pipeline:
         )
 
 
-def build_pipeline(dataset: Dataset, solver_opts: Optional[svm.SolverOptions] = None) -> Pipeline:
+def build_pipeline(dataset: Dataset) -> Pipeline:
     tpgs = graph.build_tpgs(dataset)
     decomps = graph.decompose_all(tpgs)
     sets = index_sets(dataset, tpgs, decomps)
     constraints = svm.build_constraints(tpgs, decomps, dataset.embedding)
-    solution = svm.solve_graph_svm(constraints, opts=solver_opts)
+    solution = svm.solve_graph_svm(constraints)
     s_fin = svm.fin_subspace(constraints)
-    s_active = svm.active_subspace(tpgs, dataset.embedding)
-    s_svm = svm.svm_subspace(s_active, s_fin)
     split = graph.cyclic_split(dataset, tpgs, decomps, sets)
     w_fin = attention.train_wfin(split, s_fin)
     return Pipeline(
@@ -85,8 +91,6 @@ def build_pipeline(dataset: Dataset, solver_opts: Optional[svm.SolverOptions] = 
         constraints=constraints,
         solution=solution,
         s_fin=s_fin,
-        s_active=s_active,
-        s_svm=s_svm,
         split=split,
         w_fin=w_fin,
     )
@@ -166,13 +170,9 @@ def _local_trial(params: dict, tseed: int) -> dict:
     # Pseudo splits may minimize at infinity; take the capped iterate.
     p_wfin = attention.train_wfin(p_split, p_fin, grad_tol=1e-6, max_iters=20_000, strict=False)
 
-    def safe_corr(ref_w):
-        nw, nr = np.linalg.norm(w_gd), np.linalg.norm(ref_w)
-        return float(np.sum(w_gd * ref_w) / (nw * nr)) if nw > 0 and nr > 0 else np.nan
-
     return {
-        "corr_global": safe_corr(pipe.w_svm),
-        "corr_local": safe_corr(p_sol.w),
+        "corr_global": attention._safe_corr(w_gd, pipe.w_svm),
+        "corr_local": attention._safe_corr(w_gd, p_sol.w),
         "dist_global": float(np.linalg.norm(pipe.s_fin.project(w_gd) - pipe.w_fin)),
         "dist_local": float(np.linalg.norm(p_fin.project(w_gd) - p_wfin)),
         "trace": list(trace.rows()),
@@ -189,10 +189,7 @@ def _reg_path_trial(params: dict, tseed: int, mode: str) -> dict:
         eta=params["eta"], iters=params["iters"], loss=attention.LOG, init_seed=tseed
     )
     points = attention.reg_path(ds, radii, cfg)
-    corr = [
-        analysis.correlation(p.w, pipe.w_svm) if pipe.solution.norm > 0 and p.norm > 0 else np.nan
-        for p in points
-    ]
+    corr = [attention._safe_corr(p.w, pipe.w_svm) for p in points]
     dist = [float(np.linalg.norm(pipe.s_fin.project(p.w) - pipe.w_fin)) for p in points]
     return {"radii": radii, "corr": corr, "dist": dist}
 

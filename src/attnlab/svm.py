@@ -4,6 +4,10 @@ Constraints are triples (i, j, k): the matrix (e_i - e_j) e_k^T paired with
 either an equality (same-SCC pair) or a unit-margin inequality (strict
 priority pair).  The solver minimizes the Frobenius norm subject to those
 constraints by dual coordinate ascent after eliminating the equalities.
+
+Every subspace basis (S_fin, S_active, S_svm and the equality span the
+solver eliminates) comes from one routine: the right singular vectors of the
+stacked, flattened generators whose singular value exceeds BASIS_CUTOFF.
 """
 
 from __future__ import annotations
@@ -97,7 +101,6 @@ class MatrixSubspace:
 
     basis: np.ndarray  # (dim, d, d); dim may be 0
     d: int
-    description: str = ""
 
     @property
     def dim(self) -> int:
@@ -114,38 +117,32 @@ class MatrixSubspace:
         return w - self.project(w)
 
 
-def _mgs(vectors: np.ndarray, cutoff: float = BASIS_CUTOFF) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass; drops
-    generators whose residual falls below the cutoff."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = v.astype(np.float64).copy()
-        for _ in range(2):
-            for b in basis:
-                w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > cutoff:
-            basis.append(w / nrm)
-    if not basis:
-        return np.zeros((0, vectors.shape[1] if vectors.ndim == 2 else 0))
-    return np.array(basis)
+def _generators(triples: tuple[Triple, ...], e: np.ndarray) -> np.ndarray:
+    """Flattened (e_i - e_j) e_k^T rows, shape (len(triples), d * d)."""
+    t = np.array(triples, dtype=np.intp).reshape(-1, 3)
+    d = e.shape[1]
+    return ((e[t[:, 0]] - e[t[:, 1]])[:, :, None] * e[t[:, 2]][:, None, :]).reshape(-1, d * d)
 
 
-def span(triples: tuple[Triple, ...], embedding: EmbeddingTable, description: str = "") -> MatrixSubspace:
+def _orth(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the row span: the right singular vectors whose
+    singular value exceeds BASIS_CUTOFF."""
+    _, sv, vt = np.linalg.svd(vectors, full_matrices=False)
+    return vt[: int(np.sum(sv > BASIS_CUTOFF))]
+
+
+def _subspace(vectors: np.ndarray, d: int) -> MatrixSubspace:
+    return MatrixSubspace(basis=frozen(_orth(vectors).reshape(-1, d, d)), d=d)
+
+
+def span(triples: tuple[Triple, ...], embedding: EmbeddingTable) -> MatrixSubspace:
     """Orthonormalized span of the difference-outer-product generators."""
-    d = embedding.d
-    if not description:
-        description = f"span of {len(triples)} (e_i - e_j) e_k^T generators"
-    if not triples:
-        return MatrixSubspace(basis=np.zeros((0, d, d)), d=d, description=description)
-    gens = np.array([constraint_matrix(t, embedding.e).ravel() for t in triples])
-    basis = _mgs(gens)
-    return MatrixSubspace(basis=frozen(basis.reshape(-1, d, d)), d=d, description=description)
+    return _subspace(_generators(triples, embedding.e), embedding.d)
 
 
 def fin_subspace(constraints: ConstraintSet) -> MatrixSubspace:
     """Cyclic subspace: span over same-SCC pairs."""
-    return span(constraints.equalities, constraints.embedding, "fin")
+    return span(constraints.equalities, constraints.embedding)
 
 
 def active_subspace(tpgs: dict[int, TokenPriorityGraph], embedding: EmbeddingTable) -> MatrixSubspace:
@@ -153,22 +150,14 @@ def active_subspace(tpgs: dict[int, TokenPriorityGraph], embedding: EmbeddingTab
     triples = tuple(
         (i, j, k) for k in sorted(tpgs) for i, j in tpgs[k].edge_list()
     )
-    return span(triples, embedding, "active")
+    return span(triples, embedding)
 
 
 def svm_subspace(active: MatrixSubspace, fin: MatrixSubspace) -> MatrixSubspace:
     """Orthogonal complement of the cyclic subspace inside the active one."""
-    if active.dim == 0:
-        return MatrixSubspace(basis=np.zeros((0, active.d, active.d)), d=active.d, description="svm")
-    flat = active.basis.reshape(active.dim, -1)
-    residual = np.array([fin.project_out(b).ravel() for b in active.basis])
-    basis = _mgs(residual)
-    del flat
-    return MatrixSubspace(basis=frozen(basis.reshape(-1, active.d, active.d)), d=active.d, description="svm")
-
-
-def project(w: np.ndarray, subspace: MatrixSubspace) -> np.ndarray:
-    return subspace.project(w)
+    a = active.basis.reshape(active.dim, active.d * active.d)
+    f = fin.basis.reshape(fin.dim, fin.d * fin.d)
+    return _subspace(a - (a @ f.T) @ f, active.d)
 
 
 @dataclass(frozen=True)
@@ -221,14 +210,13 @@ def solve_graph_svm(
     d = emb.d
     e = emb.e
 
-    eq_vecs = np.array([constraint_matrix(t, e).ravel() for t in constraints.equalities]) \
-        if constraints.equalities else np.zeros((0, d * d))
+    eq_vecs = _generators(constraints.equalities, e)
     if not constraints.inequalities:
         return _empty_solution(d, len(constraints.equalities))
 
-    a_vecs = np.array([constraint_matrix(t, e).ravel() for t in constraints.inequalities])
-    eq_basis = _mgs(eq_vecs) if len(eq_vecs) else np.zeros((0, d * d))
-    a_proj = a_vecs - (a_vecs @ eq_basis.T) @ eq_basis if eq_basis.shape[0] else a_vecs.copy()
+    a_vecs = _generators(constraints.inequalities, e)
+    eq_basis = _orth(eq_vecs)
+    a_proj = a_vecs - (a_vecs @ eq_basis.T) @ eq_basis
 
     diag = np.einsum("ij,ij->i", a_proj, a_proj)
     if np.any(diag <= 1e-18):
@@ -290,7 +278,7 @@ def solve_graph_svm(
         mu = np.zeros(0)
     kkt_residual = float(np.linalg.norm(stationarity))
 
-    eq_vals = eq_vecs @ w_flat if len(eq_vecs) else np.zeros(0)
+    eq_vals = eq_vecs @ w_flat
     ineq_vals = a_vecs @ w_flat
     max_eq = float(np.max(np.abs(eq_vals))) if len(eq_vals) else 0.0
     min_ineq = float(np.min(ineq_vals)) if len(ineq_vals) else np.inf

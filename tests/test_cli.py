@@ -79,6 +79,18 @@ class TestSubcommands:
         assert rep["records"] == 6
         assert rep["final_loss"] is not None
 
+    def test_analyze_header_only_trace_is_config_error(self, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text("iter,loss,loss_bar,grad_norm,w_norm,corr_svm,dist_fin\n")
+        assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
+        assert "empty.csv" in capsys.readouterr().err
+
+    def test_analyze_missing_column_is_config_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iter,loss,loss_bar,grad_norm,w_norm,corr_svm\n0,1.0,,0.5,0.0,\n")
+        assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
+        assert "'dist_fin'" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_exp_writes_artifacts_and_passes(self, tmp_path):

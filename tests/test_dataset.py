@@ -228,3 +228,24 @@ class TestDatasetIO:
             back = dsm.load_dataset(str(path))
         assert back.n_unrealizable == 1
         assert not back.samples[0].realizable
+
+    @pytest.mark.parametrize("field, where", [
+        ("K", "^K:"),
+        ("d", "^d:"),
+        ("token", r"^samples\[0\]\.tokens\[1\]:"),
+        ("label", r"^samples\[0\]\.label:"),
+    ], ids=["K", "d", "token", "label"])
+    def test_json_booleans_are_not_ints(self, tmp_path, field, where):
+        ds = tiny_instance(1, K=3, d=4, n=2, T=3)
+        path = tmp_path / "ds.json"
+        dsm.save_dataset(ds, str(path))
+        raw = json.loads(path.read_text())
+        if field == "token":
+            raw["samples"][0]["tokens"][1] = True
+        elif field == "label":
+            raw["samples"][0]["label"] = False
+        else:
+            raw[field] = True
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaViolation, match=where):
+            dsm.load_dataset(str(path))

@@ -7,6 +7,7 @@ from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab import svm
 from attnlab.errors import NotOrthonormal
+from attnlab.experiments import build_pipeline
 from attnlab.util import seeded_rng
 
 from helpers import active_set_oracle, classify_pair, tiny_instance
@@ -124,6 +125,45 @@ class TestSubspaces:
             flat = sub.basis.reshape(sub.dim, -1)
             gram = flat @ flat.T
             assert np.max(np.abs(gram - np.eye(sub.dim))) <= 1e-10
+
+    def test_svm_dim_is_active_minus_fin(self):
+        def rank(gens):
+            return int(np.sum(np.linalg.svd(gens, compute_uv=False) > 1e-10)) if len(gens) else 0
+
+        for seed in range(10):
+            ds = tiny_instance(seed + 60, K=5, d=6, n=6, T=4)
+            cons, tpgs, _ = _constraints_for(ds)
+            e = ds.embedding.e
+            active = [svm.constraint_matrix((i, j, k), e).ravel()
+                      for k in sorted(tpgs) for i, j in tpgs[k].edge_list()]
+            fin = [svm.constraint_matrix(t, e).ravel() for t in cons.equalities]
+            # Same-SCC pairs are sums of edge generators: S_fin lies in S_active.
+            assert rank(np.array(active + fin)) == rank(np.array(active))
+            s_fin = svm.fin_subspace(cons)
+            s_active = svm.active_subspace(tpgs, ds.embedding)
+            s_svm = svm.svm_subspace(s_active, s_fin)
+            assert s_svm.dim == s_active.dim - s_fin.dim
+
+
+class TestLazyPipeline:
+    def test_active_and_svm_subspaces_built_on_first_read(self, monkeypatch):
+        originals = {name: getattr(svm, name) for name in ("active_subspace", "svm_subspace")}
+
+        def unexpected(*args):
+            raise AssertionError("built eagerly")
+
+        for name in originals:
+            monkeypatch.setattr(svm, name, unexpected)
+        pipe = build_pipeline(tiny_instance(44, K=5, d=6, n=6, T=4))
+
+        calls = []
+        for name, fn in originals.items():
+            monkeypatch.setattr(svm, name, lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+        first = pipe.s_svm
+        assert sorted(calls) == ["active_subspace", "svm_subspace"]
+        assert pipe.s_svm is first
+        assert pipe.s_active.dim >= first.dim
+        assert len(calls) == 2
 
 
 def _random_instance_constraints(seed, K=4, d=5, n=3, T=3):
