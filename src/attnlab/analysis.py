@@ -1,8 +1,7 @@
 """Convergence diagnostics, rate-bound evaluation, and pseudo-graphs.
 
 Everything here is a pure function over trained weights, traces, and the
-solved references; the two experiment sweeps (SCC counts vs n, feasibility
-vs d) run the full pipeline per grid point.
+solved references.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import attention, graph
-from .dataset import Dataset, IndexSets, UNIT_SPHERE, gen_dataset, index_sets, make_embeddings
+from .dataset import Dataset, IndexSets
 from .errors import ZeroMatrix
 
 
@@ -162,84 +161,3 @@ def convergence_report(trace: attention.TrainTrace, loss_inf: Optional[float] = 
         "iters": int(trace.iters[-1]),
         "records": int(len(trace.iters)),
     }
-
-
-def scc_count_experiment(
-    K: int,
-    d: int,
-    T: int,
-    n_grid: list[int],
-    trials: int,
-    seed: int,
-) -> list[dict]:
-    """Mean total SCC count across graphs as the sample count grows; the
-    count collapses toward one component per graph."""
-    rows = []
-    for n in n_grid:
-        counts = []
-        for trial in range(trials):
-            table = make_embeddings(K, d, UNIT_SPHERE, seed=seed * 1_000_003 + trial)
-            ds = gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed + 7919 * trial + n)
-            tpgs = graph.build_tpgs(ds)
-            counts.append(sum(graph.scc(g).n_components for g in tpgs.values()))
-        rows.append(
-            {
-                "n": n,
-                "mean": float(np.mean(counts)),
-                "std": float(np.std(counts)),
-                "trials": trials,
-            }
-        )
-    return rows
-
-
-def feasibility_experiment(
-    K: int,
-    T: int,
-    n: int,
-    d_grid: list[int],
-    trials: int,
-    seed: int,
-    eta: float = 0.05,
-    iters: int = 16000,
-    eps: Optional[float] = None,
-) -> list[dict]:
-    """Fraction of label-SCC tokens the trained attention retains, per d.
-
-    Runs the masked (head-free) path so d < K sweeps are well defined.  The
-    log loss never drives a label-SCC token's probability to exact zero, so
-    "selected" means clearing a fixed fraction of the uniform share 1/T
-    (default 0.15/T, mirroring the fixed 1e-3 cutoff the full-scale runs use
-    at T = 128).  When d is too small to equalize within-SCC logits some of
-    that mass collapses and the proportion dips; it reaches 1 at d = K,
-    where the graph constraints separate exactly.
-    """
-    if eps is None:
-        eps = 0.15 / T
-    rows = []
-    for d in d_grid:
-        props = []
-        for trial in range(trials):
-            table = make_embeddings(K, d, UNIT_SPHERE, seed=seed * 99991 + 31 * d + trial)
-            ds = gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed + 104729 * trial + d)
-            tpgs = graph.build_tpgs(ds)
-            decomps = graph.decompose_all(tpgs)
-            sets = index_sets(ds, tpgs, decomps)
-            cfg = attention.TrainConfig(eta=eta, iters=iters, normalized=True, record_every=max(1, iters))
-            trace = attention.train_gd(ds, cfg)
-            e = table.e
-            for i, s in enumerate(ds.samples):
-                x = e[list(s.tokens)]
-                probs, _ = attention.forward(x, trace.w_final, x[-1])
-                r_i = sets.r[i]
-                kept = sum(1 for t in r_i if probs[t] >= eps)
-                props.append(kept / len(r_i))
-        rows.append(
-            {
-                "d": d,
-                "proportion": float(np.mean(props)),
-                "std": float(np.std(props)),
-                "trials": trials,
-            }
-        )
-    return rows

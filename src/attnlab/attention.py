@@ -467,28 +467,6 @@ def loss_inf(split: CyclicSplit, w_fin: np.ndarray, kind: str = LOG) -> float:
     return base + loss_bar(w_fin, split, kind)
 
 
-def eval_masked(w: np.ndarray, dataset: Dataset) -> list[dict[int, float]]:
-    """Per-sample softmax mass aggregated by token ID (the mask trick).
-
-    Gives tied-head style scores without materializing a head, which is the
-    evaluation path for K > d vocabularies.
-    """
-    out: list[dict[int, float]] = [None] * dataset.n  # type: ignore[list-item]
-    for g in _pack(dataset).groups:
-        s = _group_probs(g, w)
-        for row, i in enumerate(g.idx):
-            agg: dict[int, float] = {}
-            for t, tok in enumerate(dataset.samples[i].tokens):
-                agg[tok] = agg.get(tok, 0.0) + float(s[row, t])
-            out[i] = agg
-    return out
-
-
-def masked_label_mass(w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    masses = eval_masked(w, dataset)
-    return np.array([masses[i].get(s.label, 0.0) for i, s in enumerate(dataset.samples)])
-
-
 @dataclass(frozen=True)
 class RegPathPoint:
     radius: float

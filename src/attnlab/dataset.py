@@ -33,6 +33,7 @@ CYCLIC = "cyclic"
 ACYCLIC = "acyclic"
 
 RANK_CUTOFF = 1e-10
+UNIT_NORM_TOL = 1e-9  # loaded unit_sphere / orthonormal rows
 ARGMAX_MARGIN = 1e-6
 
 
@@ -337,6 +338,12 @@ def load_dataset(path: str) -> Dataset:
     _require(raw["kind"] in (ORTHONORMAL, UNIT_SPHERE), "kind", f"unknown kind {raw['kind']!r}")
     e = np.asarray(raw["embeddings"], dtype=np.float64)
     _require(e.shape == (K, d), "embeddings", f"expected shape ({K}, {d}), got {e.shape}")
+    _require(np.all(np.isfinite(e)), "embeddings", "expected finite values")
+    norms = np.linalg.norm(e, axis=1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    if len(off):
+        k = int(off[0])
+        raise SchemaViolation(f"embeddings[{k}]: {raw['kind']} rows need unit norm, got {float(norms[k])!r}")
     table = EmbeddingTable(e=frozen(e), kind=raw["kind"], rank=_rank(e))
     head = None
     if raw["head"] is not None:
@@ -345,7 +352,9 @@ def load_dataset(path: str) -> Dataset:
         _require(h["kind"] in (TIED, GENERAL_ARGMAX), "head.kind", f"unknown kind {h['kind']!r}")
         c = np.asarray(h["C"], dtype=np.float64)
         _require(c.shape == (K, d), "head.C", f"expected shape ({K}, {d}), got {c.shape}")
+        _require(np.all(np.isfinite(c)), "head.C", "expected finite values")
         head = ClassifierHead(c=frozen(c), kind=h["kind"])
+    _require(_is_int(raw["seed"]), "seed", f"expected int, got {raw['seed']!r}")
     samples = []
     _require(isinstance(raw["samples"], list) and raw["samples"], "samples", "expected nonempty list")
     for i, s in enumerate(raw["samples"]):
@@ -366,7 +375,7 @@ def load_dataset(path: str) -> Dataset:
             f"expected a token ID in range(0, {K}), got {label!r}",
         )
         samples.append(Sample(tokens=tuple(tokens), label=label))
-    ds = Dataset(embedding=table, head=head, samples=tuple(samples), seed=int(raw["seed"]))
+    ds = Dataset(embedding=table, head=head, samples=tuple(samples), seed=raw["seed"])
     if ds.n_unrealizable:
         warnings.warn(
             f"{path}: {ds.n_unrealizable} non-realizable sample(s); "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -179,10 +179,10 @@ def _local_trial(params: dict, tseed: int) -> dict:
     }
 
 
-def _reg_path_trial(params: dict, tseed: int, mode: str) -> dict:
+def _reg_path_trial(params: dict, tseed: int) -> dict:
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED)
-    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
+    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
     pipe = build_pipeline(ds)
     radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
     cfg = attention.TrainConfig(
@@ -194,24 +194,71 @@ def _reg_path_trial(params: dict, tseed: int, mode: str) -> dict:
     return {"radii": radii, "corr": corr, "dist": dist}
 
 
+def _scc_count_trial(params: dict, seeds: tuple[int, int]) -> dict:
+    """Total SCC count over the graphs of one cyclic dataset of size n."""
+    table_seed, data_seed = seeds
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
+    ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
+    tpgs = graph.build_tpgs(ds)
+    return {"sccs": sum(graph.scc(g).n_components for g in tpgs.values())}
+
+
+def _feasibility_trial(params: dict, seeds: tuple[int, int]) -> dict:
+    """Per-sample fraction of label-SCC tokens the trained attention retains.
+
+    Trains headless, so d < K is well defined.  The log loss never drives a
+    label-SCC token's probability to exact zero, so "retained" means
+    clearing a fixed fraction of the uniform share 1/T (eps=None gives
+    0.15/T, mirroring the fixed 1e-3 cutoff the full-scale runs use at
+    T = 128).  When d is too small to equalize within-SCC logits some of
+    that mass collapses and the proportion dips; it reaches 1 at d = K,
+    where the graph constraints separate exactly.
+    """
+    table_seed, data_seed = seeds
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
+    ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
+    tpgs = graph.build_tpgs(ds)
+    sets = index_sets(ds, tpgs, graph.decompose_all(tpgs))
+    iters = params["iters"]
+    cfg = attention.TrainConfig(eta=params["eta"], iters=iters, normalized=True, record_every=max(1, iters))
+    w = attention.train_gd(ds, cfg).w_final
+    eps = params["eps"] if params["eps"] is not None else 0.15 / params["T"]
+    props = []
+    for i, s in enumerate(ds.samples):
+        x = table.e[list(s.tokens)]
+        probs, _ = attention.forward(x, w, x[-1])
+        props.append(sum(1 for t in sets.r[i] if probs[t] >= eps) / len(sets.r[i]))
+    return {"props": props}
+
+
+_TRIALS: dict[str, Callable[[dict, object], dict]] = {
+    "global": _global_trial,
+    "local": _local_trial,
+    "reg-path": _reg_path_trial,
+    "scc-count": _scc_count_trial,
+    "feasibility": _feasibility_trial,
+}
+
+
 def _trial_worker(args: tuple) -> dict:
-    kind, params, tseed = args
-    if kind == "global":
-        return _global_trial(params, tseed)
-    if kind == "local":
-        return _local_trial(params, tseed)
-    if kind == "reg-acyclic":
-        return _reg_path_trial(params, tseed, "acyclic")
-    if kind == "reg-cyclic":
-        return _reg_path_trial(params, tseed, "cyclic")
-    raise ValueError(f"unknown trial kind {kind!r}")
+    kind, params, seed = args
+    if kind not in _TRIALS:
+        raise ValueError(f"unknown trial kind {kind!r}")
+    return _TRIALS[kind](params, seed)
 
 
-def run_trials(kind: str, params: dict, seed: int, trials: int, workers: int) -> list[dict]:
-    args = [(kind, params, trial_seed(seed, t)) for t in range(trials)]
-    if workers <= 1 or trials <= 1:
+def seeded_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
+    """One (params, trial_seed(seed, t)) job per trial."""
+    return [(params, trial_seed(seed, t)) for t in range(trials)]
+
+
+def run_trials(kind: str, jobs: list[tuple[dict, object]], workers: int) -> list[dict]:
+    """Run one `kind` trial per (params, seed) job; results come back in job
+    order whatever the worker count."""
+    args = [(kind, params, seed) for params, seed in jobs]
+    if workers <= 1 or len(args) <= 1:
         return [_trial_worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         return list(pool.map(_trial_worker, args))
 
 
@@ -233,20 +280,11 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         spec = EXPERIMENTS[self.name]
-        params = dict(spec.params)
-        params.update(self.params)
-        thresholds = dict(spec.thresholds)
-        thresholds.update(self.thresholds)
-        trials = self.trials if self.trials > 0 else spec.trials
-        return ExperimentConfig(
-            name=self.name,
-            params=params,
-            thresholds=thresholds,
-            seed=self.seed,
-            trials=trials,
-            workers=self.workers,
-            output_dir=self.output_dir,
-            check=self.check,
+        return replace(
+            self,
+            params={**spec.params, **self.params},
+            thresholds={**spec.thresholds, **self.thresholds},
+            trials=self.trials if self.trials > 0 else spec.trials,
         )
 
 
@@ -276,7 +314,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _run_global(cfg: ExperimentConfig) -> ExperimentResult:
-    results = run_trials("global", cfg.params, cfg.seed, cfg.trials, cfg.workers)
+    results = run_trials("global", seeded_jobs(cfg.params, cfg.seed, cfg.trials), cfg.workers)
     corr_mean, corr_std = _mean_std([r["final_corr"] for r in results if r["final_corr"] is not None])
     dist_mean, dist_std = _mean_std([r["final_dist"] for r in results if r["final_dist"] is not None])
     summary = {
@@ -305,7 +343,7 @@ def _run_global(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
-    results = run_trials("local", cfg.params, cfg.seed, cfg.trials, cfg.workers)
+    results = run_trials("local", seeded_jobs(cfg.params, cfg.seed, cfg.trials), cfg.workers)
     cg, _ = _mean_std([r["corr_global"] for r in results])
     cl, _ = _mean_std([r["corr_local"] for r in results])
     dg, _ = _mean_std([r["dist_global"] for r in results])
@@ -336,39 +374,47 @@ def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _grid_trials(cfg: ExperimentConfig, key: str, seeds: Callable[[int, int], tuple]) -> list[list[dict]]:
+    """Run one trial per (grid point, trial) in a single fan-out, the trial
+    kind being the experiment's name; returns the results grouped by grid
+    point, each group in trial order."""
+    grid, trials = cfg.params[f"{key}_grid"], cfg.trials
+    if not grid:
+        raise ValueError(f"{key}_grid must list at least one point")
+    jobs = [({**cfg.params, key: g}, seeds(g, t)) for g in grid for t in range(trials)]
+    results = run_trials(cfg.name, jobs, cfg.workers)
+    return [results[i * trials:(i + 1) * trials] for i in range(len(grid))]
+
+
 def _run_scc_count(cfg: ExperimentConfig) -> ExperimentResult:
-    p = cfg.params
-    rows = analysis.scc_count_experiment(
-        K=p["K"], d=p["d"], T=p["T"], n_grid=p["n_grid"], trials=cfg.trials, seed=cfg.seed
-    )
-    summary = {"first_mean": rows[0]["mean"], "last_mean": rows[-1]["mean"], "trials": cfg.trials}
+    s = cfg.seed
+    groups = _grid_trials(cfg, "n", lambda n, t: (s * 1_000_003 + t, s + 7919 * t + n))
+    rows = []
+    for n, group in zip(cfg.params["n_grid"], groups):
+        counts = [r["sccs"] for r in group]
+        rows.append((n, float(np.mean(counts)), float(np.std(counts)), cfg.trials))
+    first, last = rows[0][1], rows[-1][1]
+    summary = {"first_mean": first, "last_mean": last, "trials": cfg.trials}
     violations = []
-    if not rows[-1]["mean"] <= rows[0]["mean"]:
-        violations.append(
-            f"SCC count did not collapse: first {rows[0]['mean']:.2f}, last {rows[-1]['mean']:.2f}"
-        )
+    if not last <= first:
+        violations.append(f"SCC count did not collapse: first {first:.2f}, last {last:.2f}")
     return ExperimentResult(
         summary=summary,
         aggregate_header=("n", "mean", "std", "trials"),
-        aggregate_rows=[(r["n"], r["mean"], r["std"], r["trials"]) for r in rows],
+        aggregate_rows=rows,
         violations=violations,
     )
 
 
 def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
-    p = cfg.params
-    rows = analysis.feasibility_experiment(
-        K=p["K"],
-        T=p["T"],
-        n=p["n"],
-        d_grid=p["d_grid"],
-        trials=cfg.trials,
-        seed=cfg.seed,
-        eta=p.get("eta", 0.05),
-        iters=p.get("iters", 16000),
-        eps=p.get("eps"),
-    )
-    at_k = next((r["proportion"] for r in rows if r["d"] >= p["K"]), None)
+    s = cfg.seed
+    groups = _grid_trials(cfg, "d", lambda d, t: (s * 99991 + 31 * d + t, s + 104729 * t + d))
+    rows = []
+    for d, group in zip(cfg.params["d_grid"], groups):
+        # Pooled over every sample of every trial, not a mean of trial means.
+        props = [v for r in group for v in r["props"]]
+        rows.append((d, float(np.mean(props)), float(np.std(props)), cfg.trials))
+    at_k = next((prop for d, prop, _, _ in rows if d >= cfg.params["K"]), None)
     summary = {"proportion_at_K": at_k, "trials": cfg.trials}
     violations = []
     tol = cfg.thresholds.get("proportion_tol", 0.02)
@@ -377,7 +423,7 @@ def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         summary=summary,
         aggregate_header=("d", "proportion", "std", "trials"),
-        aggregate_rows=[(r["d"], r["proportion"], r["std"], r["trials"]) for r in rows],
+        aggregate_rows=rows,
         violations=violations,
     )
 
@@ -430,10 +476,14 @@ def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
-    acyc = run_trials("reg-acyclic", p, cfg.seed, cfg.trials, cfg.workers)
-    cyc_params = dict(p)
-    cyc_params.update({"K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]})
-    cyc = run_trials("reg-cyclic", cyc_params, cfg.seed + 1, cfg.trials, cfg.workers)
+    acyc_params = {**p, "mode": "acyclic"}
+    cyc_params = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
+    results = run_trials(
+        "reg-path",
+        seeded_jobs(acyc_params, cfg.seed, cfg.trials) + seeded_jobs(cyc_params, cfg.seed + 1, cfg.trials),
+        cfg.workers,
+    )
+    acyc, cyc = results[:cfg.trials], results[cfg.trials:]
 
     violations = []
     finals = []

@@ -324,8 +324,9 @@ def test_criterion_14_local_convergence(tmp_path):
 
 
 def test_large_k_masked_path(tmp_path):
-    # Not a numbered criterion: the masked-scoring large-K path must be
-    # exercised at K = 1000 with the scaled correlation threshold.
+    # Not a numbered criterion: the headless large-K path (label-position
+    # mass in the packed kernel) must be exercised at K = 1000 with the
+    # scaled correlation threshold.
     code, summary = _exp(tmp_path, "large-k", seed=0, trials=1)
     ok = code == 0 and summary["mean_corr"] >= 0.95
     _report(0, "large-K masked scoring", ok,

@@ -1,13 +1,20 @@
-"""Correlation, rate bound, pseudo-graphs, reports, and the two sweeps."""
+"""Correlation, rate bound, pseudo-graphs, reports, and the two sweep experiments."""
 
 import numpy as np
 import pytest
 
-from attnlab import analysis, attention as att, dataset as dsm, graph as gm
+from attnlab import analysis, attention as att, dataset as dsm, experiments, graph as gm
 from attnlab.errors import ZeroMatrix
 from attnlab.util import seeded_rng
 
 from helpers import tiny_instance
+
+
+def sweep_rows(name, seed, trials, **params):
+    """Aggregate rows of a sweep experiment, one dict per grid point."""
+    cfg = experiments.ExperimentConfig(name, params, {}, seed, trials).resolved()
+    result = experiments.EXPERIMENTS[name].runner(cfg)
+    return [dict(zip(result.aggregate_header, row)) for row in result.aggregate_rows]
 
 
 class TestCorrelation:
@@ -135,20 +142,20 @@ class TestConvergenceReport:
 
 class TestSccCountExperiment:
     def test_trivial_single_token_sequences(self):
-        rows = analysis.scc_count_experiment(K=4, d=4, T=1, n_grid=[1], trials=10, seed=0)
+        rows = sweep_rows("scc-count", K=4, d=4, T=1, n_grid=[1], trials=10, seed=0)
         # T = 1: one singleton graph per distinct last token; with n = 1
         # exactly one graph exists.
         assert rows[0]["mean"] == 1.0
 
     def test_dense_data_collapses_to_one_scc_per_graph(self):
-        rows = analysis.scc_count_experiment(K=3, d=3, T=3, n_grid=[300], trials=5, seed=1)
+        rows = sweep_rows("scc-count", K=3, d=3, T=3, n_grid=[300], trials=5, seed=1)
         # Every ordered pair co-occurs eventually: one SCC per graph, and all
         # K = 3 last tokens appear.
         assert rows[0]["mean"] == 3.0
 
     def test_qualitative_collapse(self):
         # Past the small-n ramp-up the count falls toward one SCC per graph.
-        rows = analysis.scc_count_experiment(K=5, d=5, T=3, n_grid=[16, 64, 256], trials=10, seed=2)
+        rows = sweep_rows("scc-count", K=5, d=5, T=3, n_grid=[16, 64, 256], trials=10, seed=2)
         means = [r["mean"] for r in rows]
         assert means[-1] <= means[1] <= means[0]
         assert means[-1] <= 5.0 + 1.0
@@ -156,8 +163,8 @@ class TestSccCountExperiment:
 
 class TestFeasibilityExperiment:
     def test_retention_counting_matches_direct_recount(self):
-        rows = analysis.feasibility_experiment(
-            K=4, T=3, n=3, d_grid=[4], trials=1, seed=5, eta=0.01, iters=400, eps=1e-3
+        rows = sweep_rows(
+            "feasibility", K=4, T=3, n=3, d_grid=[4], trials=1, seed=5, eta=0.01, iters=400, eps=1e-3
         )
         # Re-run the identical pipeline to recount retention directly.
         table = dsm.make_embeddings(4, 4, dsm.UNIT_SPHERE, seed=5 * 99991 + 31 * 4 + 0)
@@ -175,7 +182,26 @@ class TestFeasibilityExperiment:
         assert abs(rows[0]["proportion"] - float(np.mean(props))) <= 1e-12
 
     def test_full_dimension_retains_everything(self):
-        rows = analysis.feasibility_experiment(
-            K=6, T=4, n=8, d_grid=[6], trials=3, seed=9, iters=4000
+        rows = sweep_rows(
+            "feasibility", K=6, T=4, n=8, d_grid=[6], trials=3, seed=9, iters=4000
         )
         assert abs(rows[0]["proportion"] - 1.0) <= 0.02
+
+
+class TestSweepFanOut:
+    # One _trial_worker call per (grid point, trial): 3 trials each.
+    @pytest.mark.parametrize("name, params, calls", [
+        ("scc-count", dict(K=4, d=4, T=3, n_grid=[4, 8]), 2 * 3),
+        ("feasibility", dict(K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4]), 3 * 3),
+    ], ids=["scc-count", "feasibility"])
+    def test_one_worker_call_per_trial(self, monkeypatch, name, params, calls):
+        seen = []
+        worker = experiments._trial_worker
+
+        def counting(args):
+            seen.append(args)
+            return worker(args)
+
+        monkeypatch.setattr(experiments, "_trial_worker", counting)
+        sweep_rows(name, seed=0, trials=3, **params)
+        assert len(seen) == calls

@@ -72,6 +72,11 @@ class TestLoss:
                          samples=(dsm.Sample(tokens=(1, 2, 3, 0), label=1),))
         val = att.loss(np.zeros((4, 4)), ds, att.LOG)
         assert abs(val - np.log(4.0)) <= 1e-12
+        # Headless, the label twice among T = 4: label-position mass 1/2.
+        ds = dsm.Dataset(embedding=table, head=None,
+                         samples=(dsm.Sample(tokens=(2, 3, 2, 1), label=2),))
+        val = att.loss(np.zeros((4, 4)), ds, att.LOG)
+        assert abs(val - np.log(2.0)) <= 1e-12
 
     def test_all_label_tokens_zero_loss(self):
         table = dsm.make_embeddings(3, 3, dsm.ORTHONORMAL, seed=0)
@@ -295,27 +300,6 @@ class TestCyclicLosses:
         val = att.loss(ray, pipe.dataset, att.LOG)
         assert abs(val - inf_val) <= 1e-4
         assert val >= inf_val - 1e-12
-
-
-class TestEvalMasked:
-    def test_matches_head_scores_for_tied(self):
-        rng = seeded_rng(18)
-        ds = tiny_instance(18, K=4, d=5, n=4, T=4, head_kind=dsm.TIED)
-        w = rng.standard_normal((5, 5))
-        masses = att.eval_masked(w, ds)
-        for i, s in enumerate(ds.samples):
-            x, xbar = att.embed_sample(ds, s)
-            probs, out = att.forward(x, w, xbar)
-            head_score = float(ds.head.c[s.label] @ out)
-            assert abs(masses[i].get(s.label, 0.0) - head_score) <= 1e-12
-
-    def test_repeated_token_aggregates(self):
-        table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
-        ds = dsm.Dataset(embedding=table, head=None,
-                         samples=(dsm.Sample(tokens=(2, 3, 2, 1), label=2),))
-        masses = att.eval_masked(np.zeros((4, 4)), ds)
-        assert abs(masses[0][2] - 0.5) <= 1e-12
-        assert abs(masses[0][3] - 0.25) <= 1e-12
 
 
 class TestRegPath:

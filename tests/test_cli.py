@@ -137,10 +137,17 @@ class TestExperimentCommand:
         assert summary["violations"]
 
     def test_workers_do_not_change_results(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_cli("exp", "cyclic-global", "--out", a, "--seed", 4, "--trials", 4, "--workers", 1)
-        run_cli("exp", "cyclic-global", "--out", b, "--seed", 4, "--trials", 4, "--workers", 4)
-        assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
+        runs = [
+            ("cyclic-global", 4, ["--trials", 4]),
+            ("scc-count", 2, ["--trials", 3, "--set", "n_grid=[8,16]"]),
+            ("feasibility", 2, ["--trials", 2, "--set", "d_grid=[2,4]", "--set", "K=4",
+                                "--set", "n=4", "--set", "iters=200"]),
+        ]
+        for name, workers, extra in runs:
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            run_cli("exp", name, "--out", a, "--seed", 4, "--workers", 1, *extra)
+            run_cli("exp", name, "--out", b, "--seed", 4, "--workers", workers, *extra)
+            assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes(), name
 
 
 class TestSelftest:
@@ -177,6 +184,19 @@ class TestExitCodes:
             code = run_cli("train", "--data", path, "--iters", 10, "--no-refs",
                            "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json")
         assert code == 4
+
+    def test_non_unit_embedding_row_is_config_error(self, dataset_file, tmp_path, capsys):
+        raw = json.loads(dataset_file.read_text())
+        raw["embeddings"][1] = [3.0] + [0.0] * (len(raw["embeddings"][1]) - 1)
+        dataset_file.write_text(json.dumps(raw))
+        assert run_cli("solve-svm", "--data", dataset_file, "--out", tmp_path / "o.json") == 2
+        assert "embeddings[1]" in capsys.readouterr().err
+
+    def test_empty_sweep_grid_is_config_error(self, tmp_path, capsys):
+        for name, grid in (("scc-count", "n_grid"), ("feasibility", "d_grid")):
+            assert run_cli("exp", name, "--out", tmp_path / name, "--trials", 1,
+                           "--workers", 1, "--set", f"{grid}=[]") == 2
+            assert grid in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ATTNLAB_SEED", "123")

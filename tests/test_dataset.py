@@ -249,3 +249,31 @@ class TestDatasetIO:
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaViolation, match=where):
             dsm.load_dataset(str(path))
+
+    @pytest.mark.parametrize("field, where", [
+        ("nan_embedding", "^embeddings:"),
+        ("inf_head", r"^head\.C:"),
+        ("long_row", r"^embeddings\[1\]:"),
+        ("orthonormal_row", r"^embeddings\[0\]:"),
+        ("float_seed", "^seed:"),
+    ], ids=["nan_embedding", "inf_head", "long_row", "orthonormal_row", "float_seed"])
+    def test_values_checked_at_load(self, tmp_path, field, where):
+        ds = tiny_instance(1, K=4, d=4, n=2, T=3)
+        path = tmp_path / "ds.json"
+        dsm.save_dataset(ds, str(path))
+        raw = json.loads(path.read_text())
+        if field == "nan_embedding":
+            raw["embeddings"][2][0] = float("nan")
+        elif field == "inf_head":
+            raw["head"]["C"][0][1] = float("inf")
+        elif field == "long_row":
+            raw["embeddings"][1] = [3.0, 0.0, 0.0, 0.0]
+        elif field == "orthonormal_row":
+            # Off unit norm by 1e-8, past the 1e-9 load tolerance.
+            raw["kind"] = dsm.ORTHONORMAL
+            raw["embeddings"][0] = [v * (1 + 1e-8) for v in raw["embeddings"][0]]
+        else:
+            raw["seed"] = 1.7
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaViolation, match=where):
+            dsm.load_dataset(str(path))
