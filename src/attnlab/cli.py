@@ -93,7 +93,7 @@ def _cmd_solve_svm(args) -> int:
     }
     write_json(args.out, payload)
     print(f"wrote {args.out}: status={sol.status.value} norm={sol.norm:.6f}")
-    return EXIT_OK
+    return EXIT_OK if sol.status is svm.SolveStatus.SOLVED else EXIT_NUMERIC
 
 
 def _parse_init(raw: str) -> tuple[str, float]:

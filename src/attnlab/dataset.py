@@ -322,6 +322,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _matrix(value, where: str, rows: int, cols: int) -> np.ndarray:
+    """A JSON list of ``rows`` rows of ``cols`` numbers; errors name the row."""
+    _require(isinstance(value, list) and len(value) == rows, where, f"expected shape ({rows}, {cols})")
+    for r, row in enumerate(value):
+        _require(
+            isinstance(row, list) and len(row) == cols
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row),
+            f"{where}[{r}]",
+            f"expected {cols} numbers, got {row!r}",
+        )
+    return np.array(value, dtype=np.float64)
+
+
 def load_dataset(path: str) -> Dataset:
     """Load a dataset JSON file, validating the schema field by field.
 
@@ -336,8 +349,7 @@ def load_dataset(path: str) -> Dataset:
     _require(_is_int(K) and K >= 1, "K", f"expected positive int, got {K!r}")
     _require(_is_int(d) and d >= 1, "d", f"expected positive int, got {d!r}")
     _require(raw["kind"] in (ORTHONORMAL, UNIT_SPHERE), "kind", f"unknown kind {raw['kind']!r}")
-    e = np.asarray(raw["embeddings"], dtype=np.float64)
-    _require(e.shape == (K, d), "embeddings", f"expected shape ({K}, {d}), got {e.shape}")
+    e = _matrix(raw["embeddings"], "embeddings", K, d)
     _require(np.all(np.isfinite(e)), "embeddings", "expected finite values")
     norms = np.linalg.norm(e, axis=1)
     off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
@@ -350,8 +362,7 @@ def load_dataset(path: str) -> Dataset:
         h = raw["head"]
         _require(isinstance(h, dict) and "kind" in h and "C" in h, "head", "expected {kind, C}")
         _require(h["kind"] in (TIED, GENERAL_ARGMAX), "head.kind", f"unknown kind {h['kind']!r}")
-        c = np.asarray(h["C"], dtype=np.float64)
-        _require(c.shape == (K, d), "head.C", f"expected shape ({K}, {d}), got {c.shape}")
+        c = _matrix(h["C"], "head.C", K, d)
         _require(np.all(np.isfinite(c)), "head.C", "expected finite values")
         head = ClassifierHead(c=frozen(c), kind=h["kind"])
     _require(_is_int(raw["seed"]), "seed", f"expected int, got {raw['seed']!r}")

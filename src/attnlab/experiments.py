@@ -28,6 +28,7 @@ from .dataset import (
     make_embeddings,
     make_head,
 )
+from .errors import NoConvergence
 from .util import seeded_rng, write_csv, write_json
 
 VERSION = "0.1.0"
@@ -66,6 +67,9 @@ class Pipeline:
         return svm.svm_subspace(self.s_active, self.s_fin)
 
     def refs(self) -> attention.TrainRefs:
+        """Training references; a W_svm the solver did not certify is never one."""
+        if self.solution.status is not svm.SolveStatus.SOLVED:
+            raise NoConvergence(f"graph-SVM solve returned {self.solution.status.value}; W_svm is undefined")
         return attention.TrainRefs(
             w_svm=self.w_svm if self.solution.norm > 0 else None,
             s_fin=self.s_fin,

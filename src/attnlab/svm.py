@@ -3,7 +3,9 @@
 Constraints are triples (i, j, k): the matrix (e_i - e_j) e_k^T paired with
 either an equality (same-SCC pair) or a unit-margin inequality (strict
 priority pair).  The solver minimizes the Frobenius norm subject to those
-constraints by dual coordinate ascent after eliminating the equalities.
+constraints exactly, by an active-set NNLS after eliminating the equalities;
+an INFEASIBLE verdict carries convex weights whose combination of the
+inequality matrices lies in the equality span (a Farkas certificate).
 
 Every subspace basis (S_fin, S_active, S_svm and the equality span the
 solver eliminates) comes from one routine: the right singular vectors of the
@@ -25,6 +27,7 @@ from .util import frozen
 
 BASIS_CUTOFF = 1e-10
 PRIMAL_TOL = 1e-6
+FARKAS_TOL = 1e-9
 KKT_TOL = 1e-5
 
 Triple = tuple[int, int, int]
@@ -162,11 +165,7 @@ def svm_subspace(active: MatrixSubspace, fin: MatrixSubspace) -> MatrixSubspace:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_sweeps: int = 200_000
-    dual_tol: float = 1e-10
     margin: float = 1.0
-    dual_blowup: float = 1e8
-    stagnation_window: int = 1000
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,57 @@ def _empty_solution(d: int, n_eq: int, status: SolveStatus = SolveStatus.SOLVED)
     )
 
 
+def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Lawson-Hanson NNLS, min ||E u - f|| over u >= 0, in Gram form.
+
+    Only gram = E^T E is needed, with E^T f = 1 (the all-ones vector), so
+    the dual gradient is 1 - gram u.  Returns (u, iterations, converged),
+    where an iteration is one passive-set solve and the cap is 3m.
+    """
+    m = len(gram)
+    cap = 3 * m
+    tol = 10.0 * m * np.finfo(float).eps * float(gram.diagonal().max())
+    u = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    grad = np.ones(m)
+    iters = 0
+
+    def solve() -> tuple[np.ndarray, np.ndarray]:
+        nonlocal iters
+        iters += 1
+        idx = np.flatnonzero(passive)
+        return idx, np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx)))
+
+    while iters < cap:
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            return u, iters, True
+        passive[j] = True
+        idx, z = solve()
+        if z[np.searchsorted(idx, j)] <= 0:
+            # Rounding let a non-improving index in; skip it until u moves.
+            passive[j] = False
+            grad[j] = 0.0
+            continue
+        while np.any(z <= 0):
+            if iters >= cap:
+                return u, iters, False
+            # Step from u toward z until the first passive weight hits zero.
+            cur = u[idx]
+            ratio = np.where(z <= 0, cur / (cur - z), np.inf)
+            k = int(np.argmin(ratio))
+            cur += ratio[k] * (z - cur)
+            cur[k] = 0.0
+            drop = cur <= 0.0
+            u[idx] = np.where(drop, 0.0, cur)
+            passive[idx[drop]] = False
+            idx, z = solve()
+        u[idx] = z
+        grad = 1.0 - gram @ u
+    return u, iters, False
+
+
 def solve_graph_svm(
     constraints: ConstraintSet,
     embedding: Optional[EmbeddingTable] = None,
@@ -200,13 +250,18 @@ def solve_graph_svm(
     """Min-Frobenius-norm W subject to the constraint set.
 
     Equalities are eliminated by projecting every inequality matrix onto the
-    orthogonal complement of their span (the optimum lives there); the
-    remaining problem is solved by cyclic nonnegative coordinate ascent on
-    the inequality duals (Hildreth).  Divergent duals or stagnating primal
-    residuals are reported as infeasible.
+    orthogonal complement of their span (the optimum lives there).  The
+    remaining least-distance program, min ||W|| s.t. <A~_a, W> >= margin, is
+    solved exactly as the NNLS min ||E u - e_{D+1}||, u >= 0, with
+    E = [A~^T; 1^T] (Lawson & Hanson, ch. 23).  With s = sum(u) and the
+    convex weights c = u / s, the point p = A~^T c is the nearest point of
+    the constraints' convex hull to the origin.  If ||p|| <= FARKAS_TOL the
+    weights are a Farkas certificate (a convex combination of the A_a lying
+    in the equality span) and the status is INFEASIBLE with W = 0;
+    otherwise W = margin p / ||p||^2.
     """
     emb = embedding if embedding is not None else constraints.embedding
-    opts = opts or SolverOptions()
+    target = (opts or SolverOptions()).margin
     d = emb.d
     e = emb.e
 
@@ -214,60 +269,32 @@ def solve_graph_svm(
     if not constraints.inequalities:
         return _empty_solution(d, len(constraints.equalities))
 
-    a_vecs = _generators(constraints.inequalities, e)
     eq_basis = _orth(eq_vecs)
-    a_proj = a_vecs - (a_vecs @ eq_basis.T) @ eq_basis
-
-    diag = np.einsum("ij,ij->i", a_proj, a_proj)
-    if np.any(diag <= 1e-18):
-        # An inequality generator collapsed into the equality span: its
-        # margin is identically zero, so the problem is infeasible.
-        bad = int(np.argmin(diag))
-        return SvmSolution(
-            w=frozen(np.zeros((d, d))),
-            status=SolveStatus.INFEASIBLE,
-            ineq_multipliers=np.zeros(len(a_vecs)),
-            eq_multipliers=np.zeros(len(eq_vecs)),
-            residuals={"reason": f"inequality {bad} lies in the equality span", "sweeps": 0},
-        )
+    a_proj = _generators(constraints.inequalities, e)
+    a_proj -= (a_proj @ eq_basis.T) @ eq_basis
 
     gram = a_proj @ a_proj.T
-    m = len(a_vecs)
-    lam = np.zeros(m)
-    margins = np.zeros(m)  # margins[a] = <A~_a, W>
-    target = opts.margin
+    gram += 1.0
+    u, iters, converged = _nnls_gram(gram)
+    weights = u / u.sum()
+    p = a_proj.T @ weights
+    del gram, a_proj  # the checks below regenerate A; keep one m x d^2 array alive
+    farkas = float(np.linalg.norm(p))
+    if farkas <= FARKAS_TOL:
+        return SvmSolution(
+            w=frozen(np.zeros((d, d))),
+            status=SolveStatus.INFEASIBLE if converged else SolveStatus.MAX_ITER,
+            ineq_multipliers=weights,
+            eq_multipliers=np.zeros(len(eq_vecs)),
+            residuals={"farkas_residual": farkas, "sweeps": iters},
+        )
 
-    status = SolveStatus.MAX_ITER
-    sweeps = 0
-    last_check_violation = np.inf
-    for sweep in range(1, opts.max_sweeps + 1):
-        sweeps = sweep
-        max_delta = 0.0
-        for a in range(m):
-            new = lam[a] + (target - margins[a]) / gram[a, a]
-            if new < 0.0:
-                new = 0.0
-            delta = new - lam[a]
-            if delta != 0.0:
-                lam[a] = new
-                margins += delta * gram[a]
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if max_delta < opts.dual_tol:
-            status = SolveStatus.SOLVED
-            break
-        if np.max(lam) > opts.dual_blowup:
-            status = SolveStatus.INFEASIBLE
-            break
-        if sweep % opts.stagnation_window == 0:
-            violation = max(0.0, target - float(np.min(margins)))
-            if violation > PRIMAL_TOL * max(1.0, target) and violation > 0.9999 * last_check_violation:
-                status = SolveStatus.INFEASIBLE
-                break
-            last_check_violation = violation
-
-    w_flat = a_proj.T @ lam
+    # At the NNLS optimum 1 - s = s ||p||^2, so lambda = margin u / (1 - s)
+    # is computed without the cancellation in 1 - s.
+    lam = (target / farkas**2) * weights
+    w_flat = target * p / farkas**2
     w = w_flat.reshape(d, d)
+    a_vecs = _generators(constraints.inequalities, e)
 
     # Equality multipliers via least squares on the residual, for KKT reporting.
     stationarity = w_flat - a_vecs.T @ lam
@@ -281,12 +308,11 @@ def solve_graph_svm(
     eq_vals = eq_vecs @ w_flat
     ineq_vals = a_vecs @ w_flat
     max_eq = float(np.max(np.abs(eq_vals))) if len(eq_vals) else 0.0
-    min_ineq = float(np.min(ineq_vals)) if len(ineq_vals) else np.inf
-    if status is SolveStatus.SOLVED:
-        tol = PRIMAL_TOL * max(1.0, target)
-        scale = max(1.0, target)
-        if max_eq > tol or min_ineq < target - tol or kkt_residual > KKT_TOL * scale:
-            status = SolveStatus.MAX_ITER
+    min_ineq = float(np.min(ineq_vals))
+    status = SolveStatus.MAX_ITER
+    tol = PRIMAL_TOL * max(1.0, target)
+    if converged and max_eq <= tol and min_ineq >= target - tol and kkt_residual <= KKT_TOL * max(1.0, target):
+        status = SolveStatus.SOLVED
 
     return SvmSolution(
         w=frozen(w),
@@ -297,7 +323,7 @@ def solve_graph_svm(
             "max_eq_violation": max_eq,
             "min_ineq_margin": min_ineq,
             "kkt_residual": kkt_residual,
-            "sweeps": sweeps,
+            "sweeps": iters,
         },
     )
 

@@ -109,6 +109,20 @@ def active_set_oracle(eq_vecs: np.ndarray, ineq_vecs: np.ndarray, margin: float 
     return best_w
 
 
+def generator_rows(triples, e: np.ndarray) -> np.ndarray:
+    """One flattened (e_i - e_j) e_k^T per triple, by direct outer products."""
+    d = e.shape[1]
+    return np.array([np.outer(e[i] - e[j], e[k]).ravel() for i, j, k in triples]).reshape(-1, d * d)
+
+
+def distance_to_row_span(v: np.ndarray, rows: np.ndarray) -> float:
+    """Euclidean distance from v to the span of the rows, by least squares."""
+    if len(rows) == 0:
+        return float(np.linalg.norm(v))
+    coef, *_ = np.linalg.lstsq(rows.T, v, rcond=None)
+    return float(np.linalg.norm(v - rows.T @ coef))
+
+
 def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the loss, entry by entry."""
     g = np.zeros_like(w)

@@ -185,6 +185,16 @@ class TestExitCodes:
                            "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json")
         assert code == 4
 
+    def test_unsolved_svm_is_numeric_failure(self, tmp_path):
+        path = tmp_path / "infeasible.json"
+        table = dsm.make_embeddings(6, 2, dsm.UNIT_SPHERE, seed=1)
+        dsm.save_dataset(dsm.gen_dataset(table, None, n=4, T=4, mode="cyclic", seed=1), str(path))
+        out = tmp_path / "svm.json"
+        assert run_cli("solve-svm", "--data", path, "--out", out) == 4
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "infeasible"
+        assert payload["residuals"]["farkas_residual"] <= 1e-9
+
     def test_non_unit_embedding_row_is_config_error(self, dataset_file, tmp_path, capsys):
         raw = json.loads(dataset_file.read_text())
         raw["embeddings"][1] = [3.0] + [0.0] * (len(raw["embeddings"][1]) - 1)

@@ -277,3 +277,33 @@ class TestDatasetIO:
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaViolation, match=where):
             dsm.load_dataset(str(path))
+
+    @pytest.mark.parametrize("field, row, value, where", [
+        ("embeddings", 1, [1.0], r"^embeddings\[1\]:"),
+        ("embeddings", 2, ["a", 0.0, 0.0, 1.0], r"^embeddings\[2\]:"),
+        ("embeddings", 1, [True, False, False, False], r"^embeddings\[1\]:"),
+        ("embeddings", 0, 1.0, r"^embeddings\[0\]:"),
+        ("C", 1, [1.0, 0.0], r"^head\.C\[1\]:"),
+        ("C", 0, [True, False, False, False], r"^head\.C\[0\]:"),
+    ], ids=["ragged_embedding", "string_embedding", "bool_embedding", "scalar_row",
+            "ragged_head", "bool_head"])
+    def test_matrix_rows_named_at_load(self, tmp_path, field, row, value, where):
+        # Booleans would load as 1.0 / 0.0 and pass the unit-norm check.
+        ds = tiny_instance(1, K=4, d=4, n=2, T=3)
+        path = tmp_path / "ds.json"
+        dsm.save_dataset(ds, str(path))
+        raw = json.loads(path.read_text())
+        (raw["head"] if field == "C" else raw)[field][row] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaViolation, match=where):
+            dsm.load_dataset(str(path))
+
+    def test_missing_embedding_row_names_field(self, tmp_path):
+        ds = tiny_instance(1, K=4, d=4, n=2, T=3)
+        path = tmp_path / "ds.json"
+        dsm.save_dataset(ds, str(path))
+        raw = json.loads(path.read_text())
+        del raw["embeddings"][3]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaViolation, match=r"^embeddings: expected shape \(4, 4\)"):
+            dsm.load_dataset(str(path))

@@ -6,17 +6,43 @@ import pytest
 from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab import svm
-from attnlab.errors import NotOrthonormal
+from attnlab.errors import NoConvergence, NotOrthonormal
 from attnlab.experiments import build_pipeline
 from attnlab.util import seeded_rng
 
-from helpers import active_set_oracle, classify_pair, tiny_instance
+from helpers import active_set_oracle, classify_pair, distance_to_row_span, generator_rows, tiny_instance
 
 
 def _constraints_for(ds):
     tpgs = gm.build_tpgs(ds)
     decomps = gm.decompose_all(tpgs)
     return svm.build_constraints(tpgs, decomps, ds.embedding), tpgs, decomps
+
+
+def assert_certified(cons, sol):
+    """Check a solver verdict by direct arithmetic on the triples: KKT
+    conditions for SOLVED, a Farkas certificate for INFEASIBLE."""
+    a = generator_rows(cons.inequalities, cons.embedding.e)
+    b = generator_rows(cons.equalities, cons.embedding.e)
+    if sol.status is svm.SolveStatus.INFEASIBLE:
+        # Convex weights whose combination of the A_a lies in the equality
+        # span: no W meets every margin.
+        c = sol.ineq_multipliers
+        assert np.all(c >= 0) and abs(np.sum(c) - 1.0) <= 1e-12
+        assert distance_to_row_span(c @ a, b) <= 1e-9
+        assert sol.norm == 0.0
+        return
+    assert sol.status is svm.SolveStatus.SOLVED
+    w = sol.w.ravel()
+    lam = sol.ineq_multipliers
+    margins = a @ w
+    assert np.max(np.abs(b @ w), initial=0.0) <= 1e-6
+    assert np.min(margins, initial=np.inf) >= 1 - 1e-6
+    assert np.all(lam >= 0)
+    # W = sum lam_a A~_a: W is orthogonal to the equality span (checked
+    # above) and differs from sum lam_a A_a by an element of it.
+    assert distance_to_row_span(w - lam @ a, b) <= 1e-6 * max(1.0, float(np.linalg.norm(w)))
+    assert np.all(np.abs(margins[lam > 0] - 1.0) <= 1e-6)
 
 
 def _manual_graph(nodes, edges, last_token=0):
@@ -238,6 +264,34 @@ class TestSolver:
         sol = svm.solve_graph_svm(cons)
         assert sol.norm == 0.0
 
+    def test_ill_conditioned_feasible_instance_is_solved(self):
+        # Feasible but ill-conditioned (||W_svm|| ~ 147 at unit margin): the
+        # kind of instance an early-stopping heuristic misreads as infeasible.
+        table = dsm.make_embeddings(8, 4, dsm.UNIT_SPHERE, seed=0)
+        ds = dsm.gen_dataset(table, None, n=16, T=6, mode="cyclic", seed=0)
+        cons, _, _ = _constraints_for(ds)
+        sol = svm.solve_graph_svm(cons)
+        assert sol.status is svm.SolveStatus.SOLVED
+        assert abs(sol.norm - 147.17) <= 0.01
+        assert_certified(cons, sol)
+
+    def test_every_verdict_is_certified(self):
+        rng = seeded_rng(31)
+        shapes = [(20, 10, 40, 8)] + [
+            (int(k), int(rng.integers(2, 11)), int(rng.integers(4, 41)), int(rng.integers(3, 9)))
+            for k in rng.integers(4, 21, size=39)
+        ]
+        seen = {status: 0 for status in svm.SolveStatus}
+        for index, (K, d, n, T) in enumerate(shapes):
+            table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=index)
+            ds = dsm.gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=index)
+            cons, _, _ = _constraints_for(ds)
+            sol = svm.solve_graph_svm(cons)
+            assert_certified(cons, sol)
+            seen[sol.status] += 1
+        assert seen[svm.SolveStatus.SOLVED] >= 5 and seen[svm.SolveStatus.INFEASIBLE] >= 5
+        assert sum(d < K for K, d, _, _ in shapes) >= 20
+
     def test_margin_scaling_homogeneity(self):
         ds, cons, _, _ = _random_instance_constraints(7)
         base = svm.solve_graph_svm(cons)
@@ -285,6 +339,7 @@ class TestFeasibility:
         result = svm.check_feasibility(cons)
         assert not result.feasible
         assert result.certificate is None
+        assert_certified(cons, svm.solve_graph_svm(cons))
 
     def test_solver_reports_infeasible_directly(self):
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=4)
@@ -295,6 +350,16 @@ class TestFeasibility:
         )
         sol = svm.solve_graph_svm(cons)
         assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+
+class TestStatusPropagation:
+    def test_refs_refuse_an_unsolved_w_svm(self):
+        table = dsm.make_embeddings(6, 2, dsm.UNIT_SPHERE, seed=1)
+        pipe = build_pipeline(dsm.gen_dataset(table, None, n=4, T=4, mode="cyclic", seed=1))
+        assert pipe.solution.status is svm.SolveStatus.INFEASIBLE
+        with pytest.raises(NoConvergence, match="infeasible"):
+            pipe.refs()
 
 
 class TestPerLastToken:
