@@ -12,12 +12,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .dataset import Dataset, Sample
-from .errors import DomainError, NoConvergence, NonFiniteLoss
+from .errors import DomainError, NonFiniteLoss
 from .graph import CyclicSplit
 from .svm import MatrixSubspace
 from .util import frozen, seeded_rng
@@ -394,58 +395,149 @@ def _finish(rec: dict, w: np.ndarray) -> TrainTrace:
     )
 
 
-GRAD_LEAK_TOL = 1e-10
+WFIN_DECREMENT_TOL = 1e-30  # lambda^2 / 2 at which a step is rounding-sized
+WFIN_REL_BOUND = 1e-9       # certified bound, relative to max(1, ||W_fin||)
+NEWTON_MAX_ITERS = 50       # safety net only: the certificate sets the status
+ARMIJO_ALPHA = 0.25
+ARMIJO_BETA = 0.5
+ARMIJO_MIN_STEP = 1e-12
 
 
-def reduced_lipschitz(split: CyclicSplit) -> float:
-    """Smoothness of the cyclic-subdataset log loss (scaled by |I|/n)."""
-    if split.empty:
-        return 1.0
-    sub = split.subdataset
-    t_bar = max(s.T for s in sub.samples)
-    return 2.0 * sub.embedding.e_max**4 * float(np.sqrt(t_bar)) * sub.n / split.n_total
+class WfinStatus(Enum):
+    CERTIFIED = "certified"
+    UNCERTIFIED = "uncertified"
 
 
-def train_wfin(
-    split: CyclicSplit,
-    s_fin: MatrixSubspace,
-    eta: Optional[float] = None,
-    grad_tol: float = 1e-9,
-    max_iters: int = 1_000_000,
-    init_w: Optional[np.ndarray] = None,
-    strict: bool = True,
-) -> np.ndarray:
-    """Finite component: minimize the cyclic-subdataset log loss over S_fin.
+@dataclass(frozen=True)
+class WfinResult:
+    """W_fin with its certificate: ||w - W_fin||_F <= bound when CERTIFIED.
 
-    Plain GD from zero (strict convexity on S_fin makes the minimizer
-    unique).  The gradient already lies in S_fin up to rounding; the
-    projection each step is a checked no-op.
-
-    For splits built from dataset graphs the finite minimizer exists and the
-    tolerance is reachable; pseudo-graph splits carry no such guarantee, so
-    callers on that path pass ``strict=False`` to accept the capped iterate
-    instead of an error.
+    ``grad_norm`` and ``mu`` are the gradient norm and the smallest Hessian
+    eigenvalue of the reduced loss at ``w``, in S_fin coordinates.
     """
-    d = split.subdataset.d
-    if split.empty:
-        return np.zeros((d, d))
+
+    w: np.ndarray
+    status: WfinStatus
+    iterations: int
+    grad_norm: float
+    mu: float
+    bound: float
+
+
+def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]:
+    """Per length group, dphi[g, t, j] = (x_t - e_y)^T B_j xbar_g, and n_total.
+
+    Every label position holds e_y, so with h = dphi z the loss of a sample
+    is log sum_t e^{h_t} - log |O|.  Measuring features from the label keeps
+    the gradient sum_t s_t dphi_t free of cancellation as the label mass
+    saturates.
+    """
     packed = _pack(split.subdataset, n_total=split.n_total, queries=split.queries,
                    force_tied=True)
-    step = eta if eta is not None else 1.0 / reduced_lipschitz(split)
-    w = np.zeros((d, d)) if init_w is None else init_w.copy()
-    for _ in range(max_iters):
-        g = _grad_packed(w, packed, LOG, reduced_log=True)
-        g_proj = s_fin.project(g)
-        leak = float(np.linalg.norm(g - g_proj))
-        if leak > GRAD_LEAK_TOL:
-            raise NoConvergence(f"cyclic gradient left S_fin: residual {leak:.3e}")
-        gn = float(np.linalg.norm(g_proj))
-        if gn < grad_tol:
-            return w
-        w = w - step * g_proj
-    if strict:
-        raise NoConvergence(f"train_wfin hit the iteration cap with grad norm {gn:.3e}")
-    return w
+    feats = []
+    for g in packed.groups:
+        if not np.all(np.any(g.omask, axis=1)):
+            raise DomainError("cyclic split holds a sample whose label is not among its tokens")
+        bx = np.matmul(s_fin.basis, g.xbar.T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
+        feats.append(np.matmul(g.x - packed.e[g.labels][:, None, :], bx))
+    return feats, packed.n
+
+
+def _fin_terms(feats: list, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Gradient E_s[dphi] and Hessian Cov_s(dphi) of the reduced loss,
+    averaged over n, with the softmax of each group."""
+    m = len(z)
+    grad, hess, probs = np.zeros(m), np.zeros((m, m)), []
+    for dphi in feats:
+        s = softmax(dphi @ z)
+        mean = np.matmul(s[:, None, :], dphi)[:, 0]
+        psi = (dphi - mean[:, None, :]).reshape(-1, m)
+        grad += np.sum(mean, axis=0)
+        hess += (psi * s.reshape(-1, 1)).T @ psi
+        probs.append(s)
+    return grad / n, hess / n, probs
+
+
+def _fin_change(feats: list, probs: list, dz: np.ndarray, n: int) -> float:
+    """f(z + dz) - f(z) = mean of log sum_t s_t e^{dh_t}, in a form that keeps
+    relative accuracy when the step is tiny."""
+    total = 0.0
+    for dphi, s in zip(feats, probs):
+        dh = dphi @ dz
+        top = np.max(dh, axis=1)
+        total += float(np.sum(top + np.log1p(np.sum(s * np.expm1(dh - top[:, None]), axis=1))))
+    return total / n
+
+
+def _hessian_lipschitz(feats: list, n: int) -> float:
+    """M = (1/n) sum_i R_i^3, R_i the largest distance between two of sample
+    i's feature rows: |third central moment| <= R^3 bounds each sample's
+    Hessian change, so ||H(z) - H(z')|| <= M ||z - z'||."""
+    total = 0.0
+    for dphi in feats:
+        r = np.zeros(len(dphi))
+        for t in range(dphi.shape[1]):
+            r = np.maximum(r, np.max(np.linalg.norm(dphi - dphi[:, t:t + 1], axis=2), axis=1))
+        total += float(np.sum(r**3))
+    return total / n
+
+
+def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
+    """Finite component: minimize the cyclic-subdataset log loss over S_fin.
+
+    Damped Newton over the coordinates z of S_fin's orthonormal basis
+    (W = sum_j z_j B_j), where the loss is strictly convex: Cholesky steps,
+    Armijo backtracking, and a stop when the Newton decrement lambda^2 / 2
+    reaches WFIN_DECREMENT_TOL or a full step no longer lowers lambda^2 (the
+    rounding floor).  The result is CERTIFIED when 8 M ||g|| <= mu^2, with M
+    the Hessian's Lipschitz constant: then H >= mu/2 on the ball of radius
+    bound = 4 ||g|| / mu around z, so W_fin lies in it; the bound must also
+    be at most WFIN_REL_BOUND * max(1, ||W||).  An empty split or S_fin
+    gives W = 0, certified.
+    """
+    d = split.subdataset.d
+    if split.empty or s_fin.dim == 0:
+        return WfinResult(w=frozen(np.zeros((d, d))), status=WfinStatus.CERTIFIED,
+                          iterations=0, grad_norm=0.0, mu=np.inf, bound=0.0)
+    feats, n = _fin_features(split, s_fin)
+    z = np.zeros(s_fin.dim)
+    lam2_prev, full_step, iterations = np.inf, False, 0
+    while True:
+        g, h, probs = _fin_terms(feats, z, n)
+        try:
+            chol = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            break  # H not positive definite: mu <= 0 fails the certificate
+        y = np.linalg.solve(chol, g)
+        lam2 = float(y @ y)
+        if (lam2 / 2.0 <= WFIN_DECREMENT_TOL or (full_step and lam2 >= lam2_prev)
+                or iterations == NEWTON_MAX_ITERS):
+            break
+        dz = -np.linalg.solve(chol.T, y)
+        t = 1.0
+        while t >= ARMIJO_MIN_STEP and _fin_change(feats, probs, t * dz, n) > -ARMIJO_ALPHA * t * lam2:
+            t *= ARMIJO_BETA
+        if t < ARMIJO_MIN_STEP:
+            break  # no decrease left to find
+        z = z + t * dz
+        lam2_prev, full_step = lam2, t == 1.0
+        iterations += 1
+    grad_norm = float(np.linalg.norm(g))
+    mu = float(np.linalg.eigvalsh(h)[0])
+    bound = 4.0 * grad_norm / mu if mu > 0.0 else np.inf
+    certified = (
+        mu > 0.0
+        and 8.0 * _hessian_lipschitz(feats, n) * grad_norm <= mu * mu
+        and bound <= WFIN_REL_BOUND * max(1.0, float(np.linalg.norm(z)))
+    )
+    return WfinResult(
+        w=frozen(np.tensordot(z, s_fin.basis, axes=1)),
+        status=WfinStatus.CERTIFIED if certified else WfinStatus.UNCERTIFIED,
+        iterations=iterations,
+        grad_norm=grad_norm,
+        mu=mu,
+        bound=bound,
+    )
 
 
 def loss_bar(w: np.ndarray, split: CyclicSplit, kind: str = LOG) -> float:

@@ -51,11 +51,15 @@ class Pipeline:
     solution: svm.SvmSolution
     s_fin: svm.MatrixSubspace
     split: graph.CyclicSplit
-    w_fin: np.ndarray
+    fin_result: attention.WfinResult
 
     @property
     def w_svm(self) -> np.ndarray:
         return self.solution.w
+
+    @property
+    def w_fin(self) -> np.ndarray:
+        return self.fin_result.w
 
     # Built on first read: no experiment reads them.
     @functools.cached_property
@@ -86,7 +90,12 @@ def build_pipeline(dataset: Dataset) -> Pipeline:
     solution = svm.solve_graph_svm(constraints)
     s_fin = svm.fin_subspace(constraints)
     split = graph.cyclic_split(dataset, tpgs, decomps, sets)
-    w_fin = attention.train_wfin(split, s_fin)
+    fin_result = attention.train_wfin(split, s_fin)
+    if fin_result.status is not attention.WfinStatus.CERTIFIED:
+        raise NoConvergence(
+            f"W_fin solve returned {fin_result.status.value} (grad norm {fin_result.grad_norm:.3e}, "
+            f"mu {fin_result.mu:.3e}); a split built from dataset graphs has a finite minimizer"
+        )
     return Pipeline(
         dataset=dataset,
         tpgs=tpgs,
@@ -96,7 +105,7 @@ def build_pipeline(dataset: Dataset) -> Pipeline:
         solution=solution,
         s_fin=s_fin,
         split=split,
-        w_fin=w_fin,
+        fin_result=fin_result,
     )
 
 
@@ -171,14 +180,17 @@ def _local_trial(params: dict, tseed: int) -> dict:
     p_sol = svm.solve_graph_svm(p_cons)
     p_fin = svm.fin_subspace(p_cons)
     p_split = graph.cyclic_split(ds, pseudo, p_decomps)
-    # Pseudo splits may minimize at infinity; take the capped iterate.
-    p_wfin = attention.train_wfin(p_split, p_fin, grad_tol=1e-6, max_iters=20_000, strict=False)
+    # Pseudo splits carry no finite-minimizer guarantee: an uncertified W_fin
+    # is recorded as such and gives no distance.
+    p_wfin = attention.train_wfin(p_split, p_fin)
+    certified = p_wfin.status is attention.WfinStatus.CERTIFIED
 
     return {
         "corr_global": attention._safe_corr(w_gd, pipe.w_svm),
         "corr_local": attention._safe_corr(w_gd, p_sol.w),
         "dist_global": float(np.linalg.norm(pipe.s_fin.project(w_gd) - pipe.w_fin)),
-        "dist_local": float(np.linalg.norm(p_fin.project(w_gd) - p_wfin)),
+        "dist_local": float(np.linalg.norm(p_fin.project(w_gd) - p_wfin.w)) if certified else np.nan,
+        "wfin_status": p_wfin.status.value,
         "trace": list(trace.rows()),
     }
 
@@ -366,12 +378,12 @@ def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
         if not dl <= dg:
             violations.append(f"mean dist_local {dl:.4f} > mean dist_global {dg:.4f}")
     rows = [
-        (t, r["corr_global"], r["corr_local"], r["dist_global"], r["dist_local"])
+        (t, r["corr_global"], r["corr_local"], r["dist_global"], r["dist_local"], r["wfin_status"])
         for t, r in enumerate(results)
     ]
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("trial", "corr_global", "corr_local", "dist_global", "dist_local"),
+        aggregate_header=("trial", "corr_global", "corr_local", "dist_global", "dist_local", "wfin_status"),
         aggregate_rows=rows,
         violations=violations,
         traces={t: r["trace"] for t, r in enumerate(results)},
@@ -671,6 +683,52 @@ def _small_instance(seed: int, K: int = 4, d: int = 5, n: int = 3, T: int = 3,
     return gen_dataset(table, head, n=n, T=T, mode=mode, seed=seed)
 
 
+def _wfin_certificate_terms(pipe: Pipeline) -> tuple[float, float, float]:
+    """Gradient norm, smallest Hessian eigenvalue and Hessian Lipschitz bound
+    M of the reduced log loss at pipe.w_fin, in S_fin coordinates, summed
+    sample by sample from the embeddings."""
+    split, basis = pipe.split, pipe.s_fin.basis
+    m, e = pipe.s_fin.dim, split.subdataset.embedding.e
+    z = basis.reshape(m, -1) @ pipe.w_fin.ravel()
+    grad, hess, lip = np.zeros(m), np.zeros((m, m)), 0.0
+    for sample, query in zip(split.subdataset.samples, split.queries):
+        # Features measured from the label's, so the gradient does not cancel.
+        phi = np.array([[(e[tok] - e[sample.label]) @ b @ e[query] for b in basis]
+                        for tok in sample.tokens])
+        probs = attention.softmax(phi @ z)
+        centered = phi - probs @ phi
+        grad += probs @ phi
+        hess += centered.T @ (probs[:, None] * centered)
+        lip += max(float(np.linalg.norm(a - b)) for a in phi for b in phi) ** 3
+    n = split.n_total
+    return float(np.linalg.norm(grad / n)), float(np.linalg.eigvalsh(hess / n)[0]), lip / n
+
+
+def wfin_certificate(seed: int = 0) -> SelftestResult:
+    """Re-derive W_fin's certificate: at every non-empty split of ten small
+    cyclic draws, 8 M ||g|| <= mu^2 and 4 ||g|| / mu <= WFIN_REL_BOUND * max(1, ||W_fin||)."""
+    checked, failures, worst = 0, [], 0.0
+    for j in range(10):
+        ds = _small_instance(seed + 400 + j, K=6, d=8, n=8, T=5)
+        try:
+            pipe = build_pipeline(ds)
+        except NoConvergence as exc:
+            failures.append(f"draw {j}: {exc}")
+            continue
+        if pipe.split.empty:
+            continue
+        checked += 1
+        gn, mu, lip = _wfin_certificate_terms(pipe)
+        scale = max(1.0, float(np.linalg.norm(pipe.w_fin)))
+        bound = 4.0 * gn / mu if mu > 0 else np.inf
+        worst = max(worst, bound / scale)
+        if not (8.0 * lip * gn <= mu * mu and bound <= attention.WFIN_REL_BOUND * scale):
+            failures.append(f"draw {j}: |g| {gn:.2e}, mu {mu:.2e}, M {lip:.2e}")
+    ok = checked > 0 and not failures
+    detail = f"{checked} splits, max relative bound {worst:.2e}" + (f"; {failures[0]}" if failures else "")
+    return SelftestResult(name="wfin_certificate", ok=ok, detail=detail)
+
+
 def selftest(seed: int = 0, flip_gradient_sign: bool = False) -> list[SelftestResult]:
     """Run the property suite at small sizes; the gradient-sign flip is a
     mutation canary for testing the harness itself."""
@@ -806,4 +864,5 @@ def selftest(seed: int = 0, flip_gradient_sign: bool = False) -> list[SelftestRe
     add("zero_svm_stasis", pipe.solution.norm == 0.0 and drift <= 1e-9,
         f"w_svm norm {pipe.solution.norm:.2e}, perp drift {drift:.2e}")
 
+    results.append(wfin_certificate(seed))
     return results

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import Dataset, IndexSets, Sample, index_sets
-from .errors import UnknownNode
+from .errors import SchemaViolation, UnknownNode
 
 
 class PairRelation(Enum):
@@ -221,7 +221,18 @@ def cyclic_split(
     decomps: dict[int, SccDecomposition] | None = None,
     sets: IndexSets | None = None,
 ) -> CyclicSplit:
-    """Reduce every sample to its label-SCC positions and split the indices."""
+    """Reduce every sample to its label-SCC positions and split the indices.
+
+    Every sample must be realizable: one whose label is missing from its
+    tokens has loss -log 0, not the saturated l(1) the split assumes, and
+    raises SchemaViolation naming it.
+    """
+    for i, s in enumerate(dataset.samples):
+        if not s.realizable:
+            raise SchemaViolation(
+                f"samples[{i}]: label {s.label} is not among its tokens {list(s.tokens)}; "
+                "the cyclic split needs realizable samples"
+            )
     if decomps is None:
         decomps = decompose_all(tpgs)
     if sets is None:

@@ -1,8 +1,8 @@
 """Test oracles, deliberately independent of the library's own code paths.
 
 Reachability goes through dense Floyd-Warshall closures, the QP oracle
-enumerates active sets exhaustively, and gradients come from central finite
-differences on the loss alone.
+enumerates active sets exhaustively, gradients come from central finite
+differences on the loss alone, and W_fin comes from plain gradient descent.
 """
 
 import numpy as np
@@ -133,6 +133,39 @@ def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np
             wm[a, b] -= step
             g[a, b] = (attention.loss(wp, ds, kind) - attention.loss(wm, ds, kind)) / (2 * step)
     return g
+
+
+def _split_packed(split: gm.CyclicSplit):
+    return attention._pack(split.subdataset, n_total=split.n_total, queries=split.queries,
+                           force_tied=True)
+
+
+def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, packed=None) -> np.ndarray:
+    """Gradient of the cyclic-subdataset log loss at w, projected onto S_fin."""
+    packed = packed if packed is not None else _split_packed(split)
+    return s_fin.project(attention._grad_packed(w, packed, attention.LOG, reduced_log=True))
+
+
+def wfin_gd_oracle(split: gm.CyclicSplit, s_fin, init_w=None, grad_tol: float = 1e-9,
+                   max_iters: int = 1_000_000) -> np.ndarray:
+    """W_fin by projected gradient descent at step 1/L-bar from init_w (zero
+    by default), stopped when the projected gradient norm drops below
+    grad_tol; L-bar = 2 e_max^4 sqrt(T-bar) |I| / n is the smoothness of the
+    reduced loss."""
+    d = split.subdataset.d
+    if split.empty:
+        return np.zeros((d, d))
+    sub = split.subdataset
+    t_bar = max(s.T for s in sub.samples)
+    step = split.n_total / (2.0 * sub.embedding.e_max**4 * np.sqrt(t_bar) * sub.n)
+    packed = _split_packed(split)
+    w = np.zeros((d, d)) if init_w is None else init_w.copy()
+    for _ in range(max_iters):
+        g = wfin_projected_grad(split, s_fin, w, packed)
+        if np.linalg.norm(g) < grad_tol:
+            return w
+        w = w - step * g
+    raise AssertionError(f"GD oracle hit {max_iters} iterations")
 
 
 def tiny_instance(seed: int, K: int = 4, d: int = 5, n: int = 3, T: int = 3,

@@ -205,3 +205,17 @@ class TestSweepFanOut:
         monkeypatch.setattr(experiments, "_trial_worker", counting)
         sweep_rows(name, seed=0, trials=3, **params)
         assert len(seen) == calls
+
+
+class TestLocalWfinStatus:
+    def test_certified_pseudo_split_has_a_distance(self):
+        (row,) = sweep_rows("local-squared", seed=0, trials=1)
+        assert row["wfin_status"] == "certified"
+        assert np.isfinite(row["dist_local"])
+
+    def test_uncertified_pseudo_split_has_no_distance(self):
+        # After 50 steps the pseudo graphs merge the labels into SCCs whose
+        # reduced loss only reaches its infimum at infinity.
+        for row in sweep_rows("local-squared", seed=0, trials=2, iters=50):
+            assert row["wfin_status"] == "uncertified"
+            assert np.isnan(row["dist_local"])

@@ -1,5 +1,7 @@
 """Forward pass, losses, gradients, smoothness bounds, and trainers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from attnlab import attention as att
 from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab import svm
-from attnlab.errors import DomainError
-from attnlab.experiments import build_pipeline, single_scc_dataset
+from attnlab.errors import DomainError, NoConvergence
+from attnlab.experiments import build_pipeline, single_scc_dataset, trial_seed
 from attnlab.util import seeded_rng
 
-from helpers import fd_grad, straight_line_loss, tiny_instance
+from helpers import fd_grad, straight_line_loss, tiny_instance, wfin_gd_oracle, wfin_projected_grad
 
 
 class TestForward:
@@ -240,15 +242,33 @@ class TestTrainGd:
         assert np.linalg.norm(resid) <= 1e-12
 
 
+def _split_and_fin(ds):
+    tpgs = gm.build_tpgs(ds)
+    decomps = gm.decompose_all(tpgs)
+    s_fin = svm.fin_subspace(svm.build_constraints(tpgs, decomps, ds.embedding))
+    return gm.cyclic_split(ds, tpgs, decomps), s_fin
+
+
+def _refs_instance(i):
+    """Instance i of the (20, 20, 60, 8) / (20, 10, 40, 8) cyclic corpus
+    that the refs benchmark workload runs."""
+    K, d, n, T = ((20, 20, 60, 8), (20, 10, 40, 8))[i % 2]
+    seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    return dsm.gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed)
+
+
+def _assert_certified(res):
+    assert res.status is att.WfinStatus.CERTIFIED
+    assert res.bound <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
+
+
 class TestTrainWfin:
     def test_acyclic_split_gives_zero(self):
         ds = tiny_instance(14, K=5, d=5, n=5, T=4, mode="acyclic")
-        tpgs = gm.build_tpgs(ds)
-        split = gm.cyclic_split(ds, tpgs)
-        cons, decomps = None, gm.decompose_all(tpgs)
-        s_fin = svm.fin_subspace(svm.build_constraints(tpgs, decomps, ds.embedding))
-        w = att.train_wfin(split, s_fin)
-        np.testing.assert_array_equal(w, np.zeros((5, 5)))
+        res = att.train_wfin(*_split_and_fin(ds))
+        np.testing.assert_array_equal(res.w, np.zeros((5, 5)))
+        assert res.status is att.WfinStatus.CERTIFIED and res.iterations == 0
 
     def test_symmetric_two_token_scc_gives_zero(self):
         # Labels 1 and 2 equally often with identical contexts: symmetry
@@ -258,13 +278,11 @@ class TestTrainWfin:
         ds = dsm.Dataset(embedding=table, head=head,
                          samples=(dsm.Sample(tokens=(1, 2), label=1),
                                   dsm.Sample(tokens=(1, 2), label=2)))
-        tpgs = gm.build_tpgs(ds)
-        decomps = gm.decompose_all(tpgs)
-        s_fin = svm.fin_subspace(svm.build_constraints(tpgs, decomps, ds.embedding))
-        split = gm.cyclic_split(ds, tpgs, decomps)
+        split, s_fin = _split_and_fin(ds)
         assert not split.empty
-        w = att.train_wfin(split, s_fin)
-        assert np.linalg.norm(w) <= 1e-8
+        res = att.train_wfin(split, s_fin)
+        _assert_certified(res)
+        assert np.linalg.norm(res.w) <= 1e-8
 
     def test_multistart_uniqueness(self, cyclic_pipeline):
         pipe = cyclic_pipeline
@@ -273,8 +291,76 @@ class TestTrainWfin:
         for _ in range(10):
             coefs = rng.standard_normal(pipe.s_fin.dim)
             w0 = np.tensordot(coefs, pipe.s_fin.basis, axes=1)
-            w = att.train_wfin(pipe.split, pipe.s_fin, init_w=w0)
+            w = wfin_gd_oracle(pipe.split, pipe.s_fin, init_w=w0, grad_tol=1e-9)
             assert np.linalg.norm(w - pipe.w_fin) <= 1e-6
+
+    def test_newton_beats_gd_oracle_on_refs_corpus(self):
+        for i in range(8):
+            split, s_fin = _split_and_fin(_refs_instance(i))
+            assert not split.empty
+            res = att.train_wfin(split, s_fin)
+            _assert_certified(res)
+            w_gd = wfin_gd_oracle(split, s_fin, grad_tol=1e-9)
+            newton_g = np.linalg.norm(wfin_projected_grad(split, s_fin, res.w))
+            gd_g = np.linalg.norm(wfin_projected_grad(split, s_fin, w_gd))
+            assert newton_g < gd_g, i
+            assert np.linalg.norm(w_gd - res.w) <= 1e-6 * np.linalg.norm(res.w), i
+
+    def test_rounding_floor_split_is_certified(self):
+        # cyclic-global trial 2 at seed 0: a dim-1 S_fin whose Newton
+        # decrement stops falling at the rounding floor.
+        tseed = trial_seed(0, 2)
+        table = dsm.make_embeddings(6, 8, dsm.UNIT_SPHERE, seed=tseed)
+        ds = dsm.gen_dataset(table, dsm.make_head(table, dsm.TIED), n=6, T=4, mode="cyclic", seed=tseed)
+        split, s_fin = _split_and_fin(ds)
+        assert s_fin.dim == 1 and not split.empty
+        _assert_certified(att.train_wfin(split, s_fin))
+
+    def test_no_finite_minimizer_is_not_certified(self):
+        # One sample (0, 1) -> 0 queried against token 1, over the span of
+        # (e_1 - e_0) e_1^T: the loss log(1 + exp(sqrt(2) z)) only reaches its
+        # infimum as z -> -inf.
+        table = dsm.make_embeddings(2, 2, dsm.ORTHONORMAL, seed=0)
+        sub = dsm.Dataset(embedding=table, head=None, samples=(dsm.Sample(tokens=(0, 1), label=0),))
+        split = gm.CyclicSplit(subdataset=sub, idx_i=(0,), idx_ibar=(), n_total=1, queries=(1,))
+        e = table.e
+        s_fin = svm.MatrixSubspace(basis=(np.outer(e[1] - e[0], e[1]) / np.sqrt(2.0))[None], d=2)
+        res = att.train_wfin(split, s_fin)
+        assert res.status is att.WfinStatus.UNCERTIFIED
+        assert not res.bound <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
+
+    def test_hessian_lipschitz_bound_holds(self, cyclic_pipeline):
+        # ||H(z) - H(z')||_2 <= M ||z - z'|| on random pairs, far and near.
+        feats, n = att._fin_features(cyclic_pipeline.split, cyclic_pipeline.s_fin)
+        lip = att._hessian_lipschitz(feats, n)
+        rng = seeded_rng(20)
+        for scale in (3.0, 0.01):
+            for _ in range(20):
+                z1, z2 = rng.standard_normal((2, cyclic_pipeline.s_fin.dim))
+                z2 = z1 + scale * z2
+                h1, h2 = att._fin_terms(feats, z1, n)[1], att._fin_terms(feats, z2, n)[1]
+                assert np.linalg.norm(h1 - h2, 2) <= lip * np.linalg.norm(z1 - z2)
+
+    def test_certificate_needs_the_curvature_condition(self, monkeypatch):
+        # M at which 8 M ||g|| is twice mu^2, then half of it.
+        split, s_fin = _split_and_fin(_refs_instance(1))
+        res = att.train_wfin(split, s_fin)
+        assert res.grad_norm > 0.0
+        _assert_certified(res)
+        for factor, status in ((4.0, att.WfinStatus.UNCERTIFIED), (16.0, att.WfinStatus.CERTIFIED)):
+            lip = res.mu**2 / (factor * res.grad_norm)
+            monkeypatch.setattr(att, "_hessian_lipschitz", lambda feats, n: lip)
+            assert att.train_wfin(split, s_fin).status is status
+
+    def test_build_pipeline_refuses_an_uncertified_w_fin(self, monkeypatch):
+        train_wfin = att.train_wfin
+
+        def uncertified(split, s_fin):
+            return dataclasses.replace(train_wfin(split, s_fin), status=att.WfinStatus.UNCERTIFIED)
+
+        monkeypatch.setattr(att, "train_wfin", uncertified)
+        with pytest.raises(NoConvergence, match="uncertified"):
+            build_pipeline(tiny_instance(3))
 
 
 class TestCyclicLosses:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, artifacts, determinism, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from attnlab import cli
+from attnlab import attention, cli, experiments
 from attnlab import dataset as dsm
 
 
@@ -157,10 +158,24 @@ class TestSelftest:
     def test_selftest_seed_variation(self, capsys):
         assert run_cli("selftest", "--seed", 1) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 8
+        assert out.count("[PASS]") == 9
 
     def test_gradient_canary_fails(self):
         assert run_cli("selftest", "--seed", 0, "--flip-gradient-sign") == 3
+
+    def test_wfin_shift_canary_fails(self, monkeypatch):
+        # W_fin moved by 1e-5 inside S_fin, still labelled certified.
+        train_wfin = attention.train_wfin
+
+        def shifted(split, s_fin):
+            res = train_wfin(split, s_fin)
+            if s_fin.dim == 0:
+                return res
+            return dataclasses.replace(res, w=res.w + 1e-5 * s_fin.basis[0])
+
+        assert experiments.wfin_certificate(0).ok
+        monkeypatch.setattr(attention, "train_wfin", shifted)
+        assert not experiments.wfin_certificate(0).ok
 
 
 class TestExitCodes:
@@ -184,6 +199,30 @@ class TestExitCodes:
             code = run_cli("train", "--data", path, "--iters", 10, "--no-refs",
                            "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json")
         assert code == 4
+
+    def test_uncertified_w_fin_is_numeric_failure(self, dataset_file, tmp_path, monkeypatch, capsys):
+        train_wfin = attention.train_wfin
+
+        def uncertified(split, s_fin):
+            return dataclasses.replace(train_wfin(split, s_fin), status=attention.WfinStatus.UNCERTIFIED)
+
+        monkeypatch.setattr(attention, "train_wfin", uncertified)
+        assert run_cli("train", "--data", dataset_file, "--iters", 10,
+                       "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json") == 4
+        assert "uncertified" in capsys.readouterr().err
+
+    def test_non_realizable_sample_is_config_error_with_refs(self, tmp_path, capsys):
+        path = tmp_path / "unrealizable.json"
+        table = dsm.make_embeddings(4, 4, dsm.UNIT_SPHERE, seed=0)
+        ds = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED), samples=(
+            dsm.Sample(tokens=(0, 1, 2), label=0), dsm.Sample(tokens=(1, 0, 2), label=1),
+            dsm.Sample(tokens=(2, 1, 2), label=3), dsm.Sample(tokens=(0, 2, 1), label=2)))
+        dsm.save_dataset(ds, str(path))
+        with pytest.warns(UserWarning, match="non-realizable"):
+            code = run_cli("train", "--data", path, "--iters", 10,
+                           "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json")
+        assert code == 2
+        assert "samples[2]" in capsys.readouterr().err
 
     def test_unsolved_svm_is_numeric_failure(self, tmp_path):
         path = tmp_path / "infeasible.json"

@@ -4,7 +4,7 @@ import pytest
 
 from attnlab import dataset as dsm
 from attnlab import graph as gm
-from attnlab.errors import UnknownNode
+from attnlab.errors import SchemaViolation, UnknownNode
 from attnlab.util import seeded_rng
 
 from helpers import classify_pair, partition_by_mutual_reachability, random_tpg, tiny_instance
@@ -243,6 +243,16 @@ class TestCyclicSplit:
                     assert list(kept[i].tokens) == expected
                 else:
                     assert i not in kept
+
+    def test_non_realizable_sample_is_rejected(self):
+        # samples[2] has label 3 outside its tokens: its loss is -log 0, which
+        # the split used to file under the saturated samples.
+        table = dsm.make_embeddings(4, 4, dsm.UNIT_SPHERE, seed=0)
+        ds = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED), samples=(
+            dsm.Sample(tokens=(0, 1, 2), label=0), dsm.Sample(tokens=(1, 0, 2), label=1),
+            dsm.Sample(tokens=(2, 1, 2), label=3), dsm.Sample(tokens=(0, 2, 1), label=2)))
+        with pytest.raises(SchemaViolation, match=r"samples\[2\]"):
+            gm.cyclic_split(ds, gm.build_tpgs(ds))
 
     def test_removed_positions_are_strictly_dominated(self):
         ds = tiny_instance(31, K=4, d=5, n=8, T=6)
