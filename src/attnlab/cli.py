@@ -208,7 +208,7 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = experiments.selftest(seed=args.seed, flip_gradient_sign=args.flip_gradient_sign)
+    results = experiments.selftest(seed=args.seed)
     failed = 0
     for r in results:
         mark = "PASS" if r.ok else "FAIL"
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the property suite at small sizes")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--flip-gradient-sign", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import EmbeddingTable
 from .errors import NotOrthonormal
-from .graph import PairRelation, SccDecomposition, TokenPriorityGraph, relation
+from .graph import PairRelation, SccDecomposition, TokenPriorityGraph, priority_assignment, relation, scc
 from .util import frozen
 
 BASIS_CUTOFF = 1e-10
@@ -336,59 +336,24 @@ class FeasibilityResult:
     detail: str = ""
 
 
-def _priority_levels_from_constraints(
-    constraints: ConstraintSet, k: int
-) -> Optional[dict[int, int]]:
-    """Rebuild integer priorities for one last token from the triples alone.
+def _priority_levels(constraints: ConstraintSet, k: int) -> dict[int, int]:
+    """Integer priorities for one last token, from the triples alone.
 
-    Same-SCC pairs are merged (union-find); strict pairs order the merged
-    groups.  Returns None when the implied order is cyclic, which cannot
-    happen for constraints built from a valid decomposition.
+    The graph is rebuilt with each equality as a two-way edge and each
+    inequality as a one-way edge, so its SCCs are the merged equality
+    classes.  A contradictory inequality lands inside one SCC, where its
+    priority gap is zero.
     """
-    eqs = [t for t in constraints.equalities if t[2] == k]
-    ineqs = [t for t in constraints.inequalities if t[2] == k]
-    nodes = {i for i, j, _ in eqs + ineqs} | {j for i, j, _ in eqs + ineqs}
-    parent = {v: v for v in nodes}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j, _ in eqs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    succ: dict[int, set[int]] = {find(v): set() for v in nodes}
-    indeg = {r: 0 for r in succ}
-    for i, j, _ in ineqs:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return None
-        if rj not in succ[ri]:
-            succ[ri].add(rj)
-            indeg[rj] += 1
-    # Kahn topological pass; longest-path levels with sinks at 1.
-    order = [r for r in succ if indeg[r] == 0]
-    seen = 0
-    topo = []
-    pending = dict(indeg)
-    queue = list(order)
-    while queue:
-        r = queue.pop()
-        topo.append(r)
-        seen += 1
-        for s in succ[r]:
-            pending[s] -= 1
-            if pending[s] == 0:
-                queue.append(s)
-    if seen != len(succ):
-        return None
-    level = {}
-    for r in reversed(topo):
-        level[r] = 1 + max((level[s] for s in succ[r]), default=0)
-    return {v: level[find(v)] for v in nodes}
+    sub = constraints.restrict_to_last_token(k)
+    edges: dict[int, set[int]] = {}
+    for i, j, _ in sub.equalities:
+        edges.setdefault(i, set()).add(j)
+        edges.setdefault(j, set()).add(i)
+    for i, j, _ in sub.inequalities:
+        edges.setdefault(i, set()).add(j)
+    nodes = frozenset(v for i, j, _ in sub.equalities + sub.inequalities for v in (i, j))
+    g = TokenPriorityGraph(last_token=k, nodes=nodes, edges={i: frozenset(o) for i, o in edges.items()})
+    return priority_assignment(scc(g))
 
 
 def check_feasibility(constraints: ConstraintSet, embedding: Optional[EmbeddingTable] = None) -> FeasibilityResult:
@@ -398,39 +363,32 @@ def check_feasibility(constraints: ConstraintSet, embedding: Optional[EmbeddingT
     if constraints.n_constraints == 0:
         return FeasibilityResult(True, np.zeros((emb.d, emb.d)), "certificate", "no constraints")
     if emb.full_row_rank:
-        levels_ok = True
         wbar = np.zeros((emb.K, emb.K))
         for k in constraints.last_tokens:
-            levels = _priority_levels_from_constraints(constraints, k)
-            if levels is None:
-                levels_ok = False
-                break
-            for node, m in levels.items():
+            for node, m in _priority_levels(constraints, k).items():
                 wbar[node, k] = float(m)
-        if levels_ok:
-            ebar = np.linalg.solve(emb.e @ emb.e.T, emb.e)  # Ebar E^T = I
-            w = ebar.T @ wbar @ ebar
-            gaps = [
-                float(wbar[i, k] - wbar[j, k]) for i, j, k in constraints.inequalities
-            ]
-            if gaps:
-                g = min(gaps)
-                if g <= 0:
-                    return _solver_fallback(constraints, emb)
-                w = w / g
-            # Verify against the actual embedding arithmetic.
-            max_eq = max(
-                (abs(float((emb.e[i] - emb.e[j]) @ w @ emb.e[k])) for i, j, k in constraints.equalities),
-                default=0.0,
-            )
-            min_ineq = min(
-                (float((emb.e[i] - emb.e[j]) @ w @ emb.e[k]) for i, j, k in constraints.inequalities),
-                default=np.inf,
-            )
-            if max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL:
-                return FeasibilityResult(True, frozen(w), "certificate",
-                                         f"max_eq={max_eq:.2e}, min_ineq={min_ineq:.6f}")
-        return _solver_fallback(constraints, emb)
+        ebar = np.linalg.solve(emb.e @ emb.e.T, emb.e)  # Ebar E^T = I
+        w = ebar.T @ wbar @ ebar
+        gaps = [
+            float(wbar[i, k] - wbar[j, k]) for i, j, k in constraints.inequalities
+        ]
+        if gaps:
+            g = min(gaps)
+            if g <= 0:
+                return _solver_fallback(constraints, emb)
+            w = w / g
+        # Verify against the actual embedding arithmetic.
+        max_eq = max(
+            (abs(float((emb.e[i] - emb.e[j]) @ w @ emb.e[k])) for i, j, k in constraints.equalities),
+            default=0.0,
+        )
+        min_ineq = min(
+            (float((emb.e[i] - emb.e[j]) @ w @ emb.e[k]) for i, j, k in constraints.inequalities),
+            default=np.inf,
+        )
+        if max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL:
+            return FeasibilityResult(True, frozen(w), "certificate",
+                                     f"max_eq={max_eq:.2e}, min_ineq={min_ineq:.6f}")
     return _solver_fallback(constraints, emb)
 
 

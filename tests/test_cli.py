@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from attnlab import attention, cli, experiments
+from attnlab import attention, cli, experiments, graph, svm
 from attnlab import dataset as dsm
 
 
@@ -151,6 +151,89 @@ class TestExperimentCommand:
             assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes(), name
 
 
+def _flipped_grad(grad):
+    return lambda w, ds, kind=attention.LOG: -grad(w, ds, kind)
+
+
+def _tripled_grad(grad):
+    return lambda w, ds, kind=attention.LOG: 3.0 * grad(w, ds, kind)
+
+
+def _negated_loss(loss):
+    return lambda w, ds, kind=attention.LOG: -loss(w, ds, kind)
+
+
+def _scc_without_first_out_edges(scc):
+    def mutated(g):
+        first = min(g.nodes)
+        return scc(dataclasses.replace(g, edges={i: o for i, o in g.edges.items() if i != first}))
+    return mutated
+
+
+def _svm_shifted_into_s_fin(solve):
+    def mutated(constraints, *args, **kwargs):
+        sol = solve(constraints, *args, **kwargs)
+        s_fin = svm.fin_subspace(constraints)
+        if s_fin.dim == 0:
+            return sol
+        return dataclasses.replace(sol, w=sol.w + 1e-3 * s_fin.basis[0])
+    return mutated
+
+
+def _svm_scaled_below_margin(solve):
+    # The solver's residuals are left as reported for the true W_svm.
+    def mutated(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, w=0.9 * sol.w)
+    return mutated
+
+
+def _svm_without_last_inequality(solve):
+    def mutated(constraints, *args, **kwargs):
+        kept = dataclasses.replace(constraints, inequalities=constraints.inequalities[:-1])
+        return solve(kept, *args, **kwargs)
+    return mutated
+
+
+def _per_token_skipping_last(solve_per_last_token):
+    def mutated(constraints, *args, **kwargs):
+        last = constraints.last_tokens[-1]
+        kept = dataclasses.replace(
+            constraints,
+            equalities=tuple(t for t in constraints.equalities if t[2] != last),
+            inequalities=tuple(t for t in constraints.inequalities if t[2] != last),
+        )
+        return solve_per_last_token(kept, *args, **kwargs)
+    return mutated
+
+
+def _wfin_shifted_in_s_fin(train_wfin):
+    # W_fin moved by 1e-5 inside S_fin, still labelled certified.
+    def mutated(split, s_fin):
+        res = train_wfin(split, s_fin)
+        if s_fin.dim == 0:
+            return res
+        return dataclasses.replace(res, w=res.w + 1e-5 * s_fin.basis[0])
+    return mutated
+
+
+# Mutation canaries: (property, module, attribute, wrapper).  Each row
+# replaces one library function with a faulty wrapper around it, and the
+# property must then report ok=False.
+CANARIES = [
+    ("gradient_check", attention, "grad", _flipped_grad),
+    ("descent", attention, "grad", _tripled_grad),
+    ("convexity_chords", attention, "loss", _negated_loss),
+    ("kkt", svm, "solve_graph_svm", _svm_scaled_below_margin),
+    ("kkt", svm, "solve_graph_svm", _svm_without_last_inequality),
+    ("scc_oracle", graph, "scc", _scc_without_first_out_edges),
+    ("orthogonality", svm, "solve_graph_svm", _svm_shifted_into_s_fin),
+    ("per_token_reduction", svm, "solve_per_last_token", _per_token_skipping_last),
+    ("zero_svm_stasis", graph, "scc", _scc_without_first_out_edges),
+    ("wfin_certificate", attention, "train_wfin", _wfin_shifted_in_s_fin),
+]
+
+
 class TestSelftest:
     def test_selftest_passes(self):
         assert run_cli("selftest", "--seed", 0) == 0
@@ -159,23 +242,19 @@ class TestSelftest:
         assert run_cli("selftest", "--seed", 1) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 9
+        names = [line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("[PASS]")]
+        assert names == [prop.__name__ for prop in experiments.PROPERTIES]
 
-    def test_gradient_canary_fails(self):
-        assert run_cli("selftest", "--seed", 0, "--flip-gradient-sign") == 3
+    @pytest.mark.parametrize(
+        "prop, module, name, mutate", CANARIES,
+        ids=[f"{row[0]}-{row[3].__name__.lstrip('_')}" for row in CANARIES],
+    )
+    def test_canary_fails_property(self, monkeypatch, prop, module, name, mutate):
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        assert not getattr(experiments, prop)(0).ok
 
-    def test_wfin_shift_canary_fails(self, monkeypatch):
-        # W_fin moved by 1e-5 inside S_fin, still labelled certified.
-        train_wfin = attention.train_wfin
-
-        def shifted(split, s_fin):
-            res = train_wfin(split, s_fin)
-            if s_fin.dim == 0:
-                return res
-            return dataclasses.replace(res, w=res.w + 1e-5 * s_fin.basis[0])
-
-        assert experiments.wfin_certificate(0).ok
-        monkeypatch.setattr(attention, "train_wfin", shifted)
-        assert not experiments.wfin_certificate(0).ok
+    def test_every_property_has_a_canary(self):
+        assert {prop.__name__ for prop in experiments.PROPERTIES} <= {row[0] for row in CANARIES}
 
 
 class TestExitCodes:
@@ -223,6 +302,29 @@ class TestExitCodes:
                            "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json")
         assert code == 2
         assert "samples[2]" in capsys.readouterr().err
+
+    def test_unsolved_pseudo_svm_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        # The first solve is the dataset's own W_svm; every later one is a
+        # pseudo-graph solve that reports an iteration cap.
+        solve, calls = svm.solve_graph_svm, []
+
+        def capped_after_first(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol)
+            return sol if len(calls) == 1 else dataclasses.replace(sol, status=svm.SolveStatus.MAX_ITER)
+
+        monkeypatch.setattr(svm, "solve_graph_svm", capped_after_first)
+        assert run_cli("exp", "local-squared", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
+                       "--workers", 1, "--set", "iters=50") == 4
+        assert "pseudo graph-SVM solve returned max_iter" in capsys.readouterr().err
+
+    def test_undefined_local_means_name_their_trials(self, tmp_path, capsys):
+        # After 50 steps both pseudo W_svm are zero and no pseudo W_fin is certified.
+        assert run_cli("exp", "local-squared", "--out", tmp_path / "x", "--seed", 0, "--trials", 2,
+                       "--workers", 1, "--set", "iters=50") == 3
+        out = capsys.readouterr().out
+        assert "mean corr_local undefined: 2 of 2 trials have a zero pseudo W_svm" in out
+        assert "mean dist_local undefined: 2 of 2 trials have no certified pseudo W_fin" in out
 
     def test_unsolved_svm_is_numeric_failure(self, tmp_path):
         path = tmp_path / "infeasible.json"

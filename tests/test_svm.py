@@ -331,15 +331,16 @@ class TestFeasibility:
 
     def test_contradictory_pair_is_infeasible(self):
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=4)
-        cons = svm.ConstraintSet(
-            equalities=(),
-            inequalities=((0, 1, 2), (1, 0, 2)),
-            embedding=table,
-        )
-        result = svm.check_feasibility(cons)
-        assert not result.feasible
-        assert result.certificate is None
-        assert_certified(cons, svm.solve_graph_svm(cons))
+        for equalities, inequalities in (
+            ((), ((0, 1, 2), (1, 0, 2))),
+            # The equality chain 0 = 1 = 3 contradicts 0 > 3.
+            (((0, 1, 2), (1, 3, 2)), ((0, 3, 2),)),
+        ):
+            cons = svm.ConstraintSet(equalities=equalities, inequalities=inequalities, embedding=table)
+            result = svm.check_feasibility(cons)
+            assert not result.feasible
+            assert result.certificate is None
+            assert_certified(cons, svm.solve_graph_svm(cons))
 
     def test_solver_reports_infeasible_directly(self):
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=4)
