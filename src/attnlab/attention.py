@@ -78,7 +78,7 @@ class _Group:
     xbar: np.ndarray     # (g, d)
     labels: np.ndarray   # (g,)
     omask: np.ndarray    # (g, T) True where token == label
-    gamma: Optional[np.ndarray]  # (g, T) head scores X c_y, None without a head
+    gamma: np.ndarray    # (g, T) score weights: omask when tied, else head scores X c_y
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class _Packed:
     d: int
     e: np.ndarray
     c: Optional[np.ndarray]
-    tied: bool
+    tied: bool           # scores are label-position mass
 
 
 def _pack(
@@ -106,6 +106,7 @@ def _pack(
     """
     e = dataset.embedding.e
     c = dataset.head.c if dataset.head is not None and not force_tied else None
+    tied = c is None or dataset.tied_head()
     by_len: dict[int, list[int]] = {}
     for i, s in enumerate(dataset.samples):
         by_len.setdefault(s.T, []).append(i)
@@ -119,17 +120,15 @@ def _pack(
             xbar = x[:, -1, :].copy()
         else:
             xbar = e[np.array([queries[i] for i in idx])]
-        gamma = None
-        if c is not None:
-            gamma = np.einsum("gtd,gd->gt", x, c[labels])
+        omask = toks == labels[:, None]
         groups.append(
             _Group(
                 idx=idx,
                 x=x,
                 xbar=xbar,
                 labels=labels,
-                omask=toks == labels[:, None],
-                gamma=gamma,
+                omask=omask,
+                gamma=omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels]),
             )
         )
     return _Packed(
@@ -138,86 +137,61 @@ def _pack(
         d=dataset.d,
         e=e,
         c=c,
-        tied=dataset.tied_head(),
+        tied=tied,
     )
 
 
-def _group_probs(g: _Group, w: np.ndarray) -> np.ndarray:
-    h = np.einsum("gtd,de,ge->gt", g.x, w, g.xbar)
-    return softmax(h)
+def _loss_and_grad(w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool) -> tuple[float, np.ndarray]:
+    """Loss and gradient from one softmax per length group.
 
-
-def _scores(g: _Group, s: np.ndarray, tied: bool) -> np.ndarray:
-    if tied or g.gamma is None:
-        return np.sum(s * g.omask, axis=1)
-    return np.sum(s * g.gamma, axis=1)
-
-
-def _loss_packed(w: np.ndarray, packed: _Packed, kind: str) -> float:
-    total = 0.0
+    ``reduced_log`` takes the tied log loss through its reduced form;
+    otherwise the generic softmax-chain formula applies.
+    """
+    total, grad = 0.0, np.zeros((packed.d, packed.d))
     for g in packed.groups:
-        s = _group_probs(g, w)
+        s = softmax(np.matmul(g.x, (g.xbar @ w.T)[:, :, None])[:, :, 0])
         if kind == CROSS_ENTROPY:
-            total += float(np.sum(_ce_per_sample(g, s, packed.c)))
-        else:
-            total += float(np.sum(loss_value(kind, _scores(g, s, packed.tied))))
-    return total / packed.n
-
-
-def _ce_per_sample(g: _Group, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    if c is None:
-        raise ValueError("cross-entropy loss requires a classifier head")
-    out = np.einsum("gt,gtd->gd", s, g.x)
-    logits = out @ c.T
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=1))
-    picked = shifted[np.arange(len(g.labels)), g.labels]
-    return logz - picked
-
-
-def _grad_packed(w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool) -> np.ndarray:
-    grad = np.zeros((packed.d, packed.d))
-    for g in packed.groups:
-        s = _group_probs(g, w)
-        if kind == CROSS_ENTROPY:
-            out = np.einsum("gt,gtd->gd", s, g.x)
-            logits = out @ packed.c.T
-            p = softmax(logits)
-            p[np.arange(len(g.labels)), g.labels] -= 1.0
-            back = np.einsum("gtd,gd->gt", g.x, p @ packed.c)  # dL/ds
+            if packed.c is None:
+                raise ValueError("cross-entropy loss requires a classifier head")
+            rows = np.arange(len(g.labels))
+            logits = np.matmul(s[:, None, :], g.x)[:, 0] @ packed.c.T
+            shifted = logits - np.max(logits, axis=1, keepdims=True)
+            ex = np.exp(shifted)
+            z = np.sum(ex, axis=1)
+            total += float(np.sum(np.log(z) - shifted[rows, g.labels]))
+            p = ex / z[:, None]
+            p[rows, g.labels] -= 1.0
+            back = np.matmul(g.x, (p @ packed.c)[:, :, None])[:, :, 0]  # dL/ds
             dh = s * (back - np.sum(s * back, axis=1, keepdims=True))
-            vec = np.einsum("gtd,gt->gd", g.x, dh)
-        elif kind == LOG and (packed.tied or g.gamma is None) and reduced_log:
-            # Tied log loss: (1/n) sum_i sum_{t not in O_i} s_t (x_t - e_y) xbar^T.
-            # The derivation divides by the label mass, so the same domain
-            # guard as the loss applies even though the formula hides it.
-            u = np.sum(s * g.omask, axis=1)
-            if np.any(u <= LOG_GUARD):
-                raise DomainError(f"log-loss argument underflow: min score {np.min(u):.3e}")
-            sbar = s * (~g.omask)
-            vec = np.einsum("gtd,gt->gd", g.x, sbar) - np.sum(sbar, axis=1)[:, None] * packed.e[g.labels]
+            vec = np.matmul(dh[:, None, :], g.x)[:, 0]
         else:
-            gamma = g.omask.astype(np.float64) if (packed.tied or g.gamma is None) else g.gamma
-            u = np.sum(s * gamma, axis=1)
-            coef = loss_deriv(kind, u)
-            v = s * (gamma - u[:, None])
-            vec = coef[:, None] * np.einsum("gtd,gt->gd", g.x, v)
-        grad += np.einsum("gd,ge->de", vec, g.xbar)
-    return grad / packed.n
+            u = np.sum(s * g.gamma, axis=1)
+            total += float(np.sum(loss_value(kind, u)))
+            if kind == LOG and packed.tied and reduced_log:
+                # Tied log loss: (1/n) sum_i sum_{t not in O_i} s_t (x_t - e_y) xbar^T.
+                # The derivation divides by the label mass, which loss_value
+                # has just guarded.
+                sbar = s * (~g.omask)
+                vec = np.matmul(sbar[:, None, :], g.x)[:, 0] - np.sum(sbar, axis=1)[:, None] * packed.e[g.labels]
+            else:
+                v = s * (g.gamma - u[:, None])
+                vec = loss_deriv(kind, u)[:, None] * np.matmul(v[:, None, :], g.x)[:, 0]
+        grad += vec.T @ g.xbar
+    return total / packed.n, grad / packed.n
 
 
 def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
-    return _loss_packed(w, _pack(dataset), kind)
+    return _loss_and_grad(w, _pack(dataset), kind, reduced_log=True)[0]
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Analytical gradient; uses the reduced tied-head form for the log loss."""
-    return _grad_packed(w, _pack(dataset), kind, reduced_log=True)
+    return _loss_and_grad(w, _pack(dataset), kind, reduced_log=True)[1]
 
 
 def grad_general(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Gradient via the generic softmax-chain formula, for cross-checking."""
-    return _grad_packed(w, _pack(dataset), kind, reduced_log=False)
+    return _loss_and_grad(w, _pack(dataset), kind, reduced_log=False)[1]
 
 
 def lipschitz_log(dataset: Dataset) -> float:
@@ -339,14 +313,13 @@ def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = 
     rec: dict[str, list[float]] = {k: [] for k in ("iters", "loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin", "t_ms")}
     t0 = time.perf_counter()
 
-    def record(tau: int, g: np.ndarray) -> None:
-        cur_loss = _loss_packed(w, packed, config.loss)
+    def record(tau: int, cur_loss: float, g: np.ndarray) -> None:
         if not np.isfinite(cur_loss):
             raise NonFiniteLoss(f"loss became non-finite at iteration {tau}", trace=_finish(rec, w))
         rec["iters"].append(tau)
         rec["loss"].append(cur_loss)
         if split_packed is not None:
-            rec["loss_bar"].append(_loss_packed(w, split_packed, config.loss))
+            rec["loss_bar"].append(_loss_and_grad(w, split_packed, config.loss, reduced_log=True)[0])
         elif refs.split is not None:
             rec["loss_bar"].append(0.0)
         else:
@@ -361,13 +334,13 @@ def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = 
         rec["t_ms"].append((time.perf_counter() - t0) * 1e3)
 
     for tau in range(config.iters + 1):
-        g = _grad_packed(w, packed, config.loss, reduced_log=True)
+        cur_loss, g = _loss_and_grad(w, packed, config.loss, reduced_log=True)
         if not np.all(np.isfinite(g)):
             raise NonFiniteLoss(f"gradient became non-finite at iteration {tau}", trace=_finish(rec, w))
         if config.projection is not None:
             g = config.projection.project(g)
         if tau % config.record_every == 0 or tau == config.iters:
-            record(tau, g)
+            record(tau, cur_loss, g)
         if tau == config.iters:
             break
         if config.normalized:
@@ -550,7 +523,7 @@ def loss_bar(w: np.ndarray, split: CyclicSplit, kind: str = LOG) -> float:
         return 0.0
     packed = _pack(split.subdataset, n_total=split.n_total, queries=split.queries,
                    force_tied=kind != CROSS_ENTROPY)
-    return _loss_packed(w, packed, kind)
+    return _loss_and_grad(w, packed, kind, reduced_log=True)[0]
 
 
 def loss_inf(split: CyclicSplit, w_fin: np.ndarray, kind: str = LOG) -> float:
@@ -583,7 +556,7 @@ def _projected_gd(
     if nrm > radius:
         w *= radius / nrm
     for _ in range(max_iters):
-        g = _grad_packed(w, packed, kind, reduced_log=True)
+        g = _loss_and_grad(w, packed, kind, reduced_log=True)[1]
         w_new = w - eta * g
         nrm = np.linalg.norm(w_new)
         if nrm > radius:
@@ -626,7 +599,7 @@ def reg_path(
         best_w, best_loss = None, np.inf
         for w0 in starts:
             w = _projected_gd(packed, config.loss, w0, radius, config.eta, config.iters)
-            cur = _loss_packed(w, packed, config.loss)
+            cur = _loss_and_grad(w, packed, config.loss, reduced_log=True)[0]
             if cur < best_loss:
                 best_loss, best_w = cur, w
         points.append(RegPathPoint(radius=float(radius), w=frozen(best_w)))

@@ -565,7 +565,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_global,
     ),
     "large-k": ExperimentSpec(
-        params=dict(K=1000, d=32, n=16, T=64, eta=0.01, iters=4000, mode="cyclic", head="none",
+        params=dict(K=1000, d=32, n=16, T=64, eta=0.01, iters=8000, mode="cyclic", head="none",
                     loss=attention.LOG, normalized=True, record_every=100),
         thresholds={"min_mean_corr": 0.95},
         trials=1,
@@ -893,11 +893,28 @@ def zero_svm_stasis(seed: int = 0) -> SelftestResult:
                           f"w_svm norm {pipe.solution.norm:.2e}, perp drift {drift:.2e}")
 
 
+def normalized_step(seed: int = 0) -> SelftestResult:
+    """Normalized GD from zero over 50 recorded steps: ||W_1|| = eta, no step
+    moves ||W|| by more than eta, and the loss falls over the first 5 steps."""
+    ds = _small_instance(seed + 500)
+    eta = 0.01
+    trace = attention.train_gd(ds, attention.TrainConfig(eta=eta, iters=50, normalized=True, record_every=1))
+    first = abs(float(trace.w_norm[1]) - eta)
+    widest = float(np.max(np.abs(np.diff(trace.w_norm))))
+    falls = bool(np.all(np.diff(trace.loss[:6]) < 0.0))
+    return SelftestResult(
+        "normalized_step",
+        first <= 1e-12 and widest <= eta * (1.0 + 1e-12) and falls,
+        f"|W_1| - eta {first:.2e}, max norm change {widest / eta:.6f} eta, "
+        f"loss {trace.loss[0]:.6f} -> {trace.loss[5]:.6f} over 5 steps",
+    )
+
+
 # The selftest suite, in report order.  Each property is failed by at least
 # one library mutation in tests/test_cli.py.
 PROPERTIES: tuple[Callable[[int], SelftestResult], ...] = (
     gradient_check, descent, convexity_chords, kkt, scc_oracle, orthogonality,
-    per_token_reduction, zero_svm_stasis, wfin_certificate,
+    per_token_reduction, zero_svm_stasis, wfin_certificate, normalized_step,
 )
 
 

@@ -2,7 +2,9 @@
 
 Reachability goes through dense Floyd-Warshall closures, the QP oracle
 enumerates active sets exhaustively, gradients come from central finite
-differences on the loss alone, and W_fin comes from plain gradient descent.
+differences on the loss alone, W_fin comes from plain gradient descent, and
+the packed loss and gradient have an einsum form beside the library's matmul
+kernel.
 """
 
 import numpy as np
@@ -143,7 +145,59 @@ def _split_packed(split: gm.CyclicSplit):
 def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, packed=None) -> np.ndarray:
     """Gradient of the cyclic-subdataset log loss at w, projected onto S_fin."""
     packed = packed if packed is not None else _split_packed(split)
-    return s_fin.project(attention._grad_packed(w, packed, attention.LOG, reduced_log=True))
+    return s_fin.project(attention._loss_and_grad(w, packed, attention.LOG, reduced_log=True)[1])
+
+
+def _einsum_probs(g, w: np.ndarray) -> np.ndarray:
+    return attention.softmax(np.einsum("gtd,de,ge->gt", g.x, w, g.xbar))
+
+
+def _einsum_head_scores(g, packed) -> np.ndarray:
+    """Per-position score weights: label indicator when tied, else X c_y."""
+    if packed.tied:
+        return g.omask.astype(np.float64)
+    return np.einsum("gtd,gd->gt", g.x, packed.c[g.labels])
+
+
+def einsum_loss(w: np.ndarray, packed, kind: str) -> float:
+    """The packed loss written with einsum contractions, one group at a time,
+    in the precision of w."""
+    total = 0.0
+    for g in packed.groups:
+        s = _einsum_probs(g, w)
+        if kind == attention.CROSS_ENTROPY:
+            logits = np.einsum("gt,gtd->gd", s, g.x) @ packed.c.T
+            shifted = logits - np.max(logits, axis=1, keepdims=True)
+            logz = np.log(np.sum(np.exp(shifted), axis=1))
+            total += np.sum(logz - shifted[np.arange(len(g.labels)), g.labels])
+        else:
+            u = np.sum(s * _einsum_head_scores(g, packed), axis=1)
+            total += np.sum(attention.loss_value(kind, u))
+    return total / packed.n
+
+
+def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarray:
+    """The packed gradient written with einsum contractions, in the precision
+    of w: the reduced tied-log form when reduced_log, else the softmax chain
+    rule."""
+    grad = np.zeros((packed.d, packed.d), dtype=w.dtype)
+    for g in packed.groups:
+        s = _einsum_probs(g, w)
+        if kind == attention.CROSS_ENTROPY:
+            p = attention.softmax(np.einsum("gt,gtd->gd", s, g.x) @ packed.c.T)
+            p[np.arange(len(g.labels)), g.labels] -= 1.0
+            back = np.einsum("gtd,gd->gt", g.x, p @ packed.c)
+            dh = s * (back - np.sum(s * back, axis=1, keepdims=True))
+            vec = np.einsum("gtd,gt->gd", g.x, dh)
+        elif kind == attention.LOG and packed.tied and reduced_log:
+            sbar = s * (~g.omask)
+            vec = np.einsum("gtd,gt->gd", g.x, sbar) - np.sum(sbar, axis=1)[:, None] * packed.e[g.labels]
+        else:
+            gamma = _einsum_head_scores(g, packed)
+            u = np.sum(s * gamma, axis=1)
+            vec = attention.loss_deriv(kind, u)[:, None] * np.einsum("gtd,gt->gd", g.x, s * (gamma - u[:, None]))
+        grad += np.einsum("gd,ge->de", vec, g.xbar)
+    return grad / packed.n
 
 
 def wfin_gd_oracle(split: gm.CyclicSplit, s_fin, init_w=None, grad_tol: float = 1e-9,

@@ -9,11 +9,45 @@ from attnlab import attention as att
 from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab import svm
-from attnlab.errors import DomainError, NoConvergence
+from attnlab.errors import DomainError, NoConvergence, NonFiniteLoss
 from attnlab.experiments import build_pipeline, single_scc_dataset, trial_seed
 from attnlab.util import seeded_rng
 
-from helpers import fd_grad, straight_line_loss, tiny_instance, wfin_gd_oracle, wfin_projected_grad
+from helpers import (
+    einsum_grad,
+    einsum_loss,
+    fd_grad,
+    straight_line_loss,
+    tiny_instance,
+    wfin_gd_oracle,
+    wfin_projected_grad,
+)
+
+# (K, d, n, T, head) of the cyclic-global defaults, large-k, a local-* general
+# head and the smaller refs corpus instance.
+SHAPES = {
+    "desk": (6, 8, 6, 4, dsm.TIED),
+    "large-K": (1000, 32, 16, 64, None),
+    "local": (8, 8, 4, 6, dsm.GENERAL_ARGMAX),
+    "refs": (20, 10, 40, 8, None),
+}
+
+
+def _shape_dataset(name, seed=0):
+    K, d, n, T, head_kind = SHAPES[name]
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    head = None if head_kind is None else dsm.make_head(table, head_kind, noise=0.1, seed=seed,
+                                                        unit_rows=True)
+    return dsm.gen_dataset(table, head, n=n, T=T, mode="cyclic", seed=seed)
+
+
+def _extended(packed):
+    """The packed arrays in long double, so the einsum oracle's own rounding
+    stays far below the kernel's."""
+    ld = np.longdouble
+    groups = tuple(dataclasses.replace(g, x=g.x.astype(ld), xbar=g.xbar.astype(ld)) for g in packed.groups)
+    return dataclasses.replace(packed, groups=groups, e=packed.e.astype(ld),
+                               c=None if packed.c is None else packed.c.astype(ld))
 
 
 class TestForward:
@@ -155,6 +189,32 @@ class TestGrad:
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
+# Log scores need a tied or absent head, and cross-entropy needs a head.
+ORACLE_CASES = [
+    (name, kind)
+    for name, (*_, head_kind) in SHAPES.items()
+    for kind in (att.LOG, att.SQUARED, att.CROSS_ENTROPY)
+    if not (kind == att.LOG and head_kind == dsm.GENERAL_ARGMAX)
+    and not (kind == att.CROSS_ENTROPY and head_kind is None)
+]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="the oracle needs an extended-precision long double")
+class TestKernelOracle:
+    @pytest.mark.parametrize("name,kind", ORACLE_CASES)
+    def test_matches_einsum_oracle(self, name, kind):
+        ds = _shape_dataset(name)
+        w = 0.5 * seeded_rng(14).standard_normal((ds.d, ds.d))
+        packed = _extended(att._pack(ds))
+        w_ext = w.astype(np.longdouble)
+        want = einsum_loss(w_ext, packed, kind)
+        assert abs(att.loss(w, ds, kind) - want) <= 1e-15 * abs(want)
+        for got, reduced_log in ((att.grad(w, ds, kind), True), (att.grad_general(w, ds, kind), False)):
+            want = einsum_grad(w_ext, packed, kind, reduced_log)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 class TestLipschitz:
     def test_log_constant_direct_values(self):
         ds = tiny_instance(8, K=4, d=4, n=4, T=4)
@@ -232,6 +292,33 @@ class TestTrainGd:
         assert np.all(np.isfinite(trace.dist_fin))
         assert np.all(np.isfinite(trace.loss_bar))
         assert trace.w_norm[-1] > 0
+
+    @pytest.mark.parametrize("name,kind", [("desk", att.LOG), ("desk", att.CROSS_ENTROPY),
+                                           ("large-K", att.LOG)])
+    def test_recorded_loss_is_the_loss_at_that_step(self, name, kind):
+        ds = _shape_dataset(name)
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, loss=kind, record_every=1)
+        trace = att.train_gd(ds, cfg)
+        assert list(trace.iters) == list(range(21))
+        for t in range(21):
+            w_t = att.train_gd(ds, dataclasses.replace(cfg, iters=t)).w_final
+            assert trace.loss[t] == att.loss(w_t, ds, kind)
+
+    def test_non_finite_loss_raises_at_its_record_step(self, monkeypatch):
+        # The loss turns infinite at step 7, between the records at 5 and 10.
+        fused, calls = att._loss_and_grad, []
+
+        def infinite_from_step_7(w, packed, kind, reduced_log):
+            value, g = fused(w, packed, kind, reduced_log)
+            calls.append(None)
+            return (np.inf if len(calls) > 7 else value), g
+
+        monkeypatch.setattr(att, "_loss_and_grad", infinite_from_step_7)
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
+            att.train_gd(_shape_dataset("desk"), cfg)
+        assert list(exc.value.trace.iters) == [0, 5]
+        assert np.all(np.isfinite(exc.value.trace.loss))
 
     def test_projection_confines_updates(self, cyclic_pipeline):
         pipe = cyclic_pipeline

@@ -217,6 +217,12 @@ def _wfin_shifted_in_s_fin(train_wfin):
     return mutated
 
 
+def _plain_gd(train_gd):
+    def mutated(dataset, config, refs=None):
+        return train_gd(dataset, dataclasses.replace(config, normalized=False), refs)
+    return mutated
+
+
 # Mutation canaries: (property, module, attribute, wrapper).  Each row
 # replaces one library function with a faulty wrapper around it, and the
 # property must then report ok=False.
@@ -231,6 +237,7 @@ CANARIES = [
     ("per_token_reduction", svm, "solve_per_last_token", _per_token_skipping_last),
     ("zero_svm_stasis", graph, "scc", _scc_without_first_out_edges),
     ("wfin_certificate", attention, "train_wfin", _wfin_shifted_in_s_fin),
+    ("normalized_step", attention, "train_gd", _plain_gd),
 ]
 
 
@@ -241,7 +248,7 @@ class TestSelftest:
     def test_selftest_seed_variation(self, capsys):
         assert run_cli("selftest", "--seed", 1) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 9
+        assert out.count("[PASS]") == 10
         names = [line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("[PASS]")]
         assert names == [prop.__name__ for prop in experiments.PROPERTIES]
 
