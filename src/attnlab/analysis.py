@@ -16,14 +16,6 @@ from .dataset import Dataset, IndexSets
 from .errors import ZeroMatrix
 
 
-def correlation(w: np.ndarray, w_ref: np.ndarray) -> float:
-    """Frobenius cosine between two matrices."""
-    nw, nr = np.linalg.norm(w), np.linalg.norm(w_ref)
-    if nw == 0.0 or nr == 0.0:
-        raise ZeroMatrix("correlation undefined for a zero matrix")
-    return float(np.sum(w * w_ref) / (nw * nr))
-
-
 @dataclass(frozen=True)
 class RateBoundInputs:
     """Quantities entering the optimality-gap bound for plain GD from zero."""
@@ -68,54 +60,36 @@ def rate_bound_inputs(
     )
 
 
-def rate_bound(inputs: RateBoundInputs, tau: int, eta) -> float:
-    """Optimality-gap bound at iteration tau for plain GD with zero init.
-
-    eta is either a constant step size or a per-step schedule indexed by j.
-    """
+def rate_bound(inputs: RateBoundInputs, tau: int, eta: float) -> float:
+    """Optimality-gap bound at iteration tau for plain GD with zero init and
+    constant step size eta."""
     if tau < 1:
         raise ValueError("the bound is defined for tau >= 1")
-    if np.isscalar(eta):
-        eta_sum = float(eta) * tau
-    else:
-        eta_sum = float(np.sum(np.asarray(eta)[:tau]))
+    eta_sum = float(eta) * tau
     term1 = inputs.t_max * np.exp(2.0 * inputs.w_fin_norm * inputs.e_max**2) / tau
     log_part = 0.0 if np.isinf(inputs.xi) else np.log(tau) ** 2 / inputs.xi**2
     term2 = (inputs.w_fin_norm**2 + log_part) / (2.0 * eta_sum)
     return float(term1 + term2)
 
 
-@dataclass(frozen=True)
-class PseudoTpgConfig:
-    """Threshold standing in for exact softmax positivity."""
-
-    eps: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-
-def pseudo_tpgs(
-    w_gd: np.ndarray,
-    dataset: Dataset,
-    config: Optional[PseudoTpgConfig] = None,
-) -> dict[int, graph.TokenPriorityGraph]:
+def pseudo_tpgs(w_gd: np.ndarray, dataset: Dataset, eps: float = 1e-3) -> dict[int, graph.TokenPriorityGraph]:
     """Graphs rebuilt from the tokens the trained weights actually retain.
 
-    For each sample, every position with softmax probability >= eps emits
-    edges to every token of the sequence (distinct IDs, no self-loops); the
-    graph index is the sample's last token.  If no position clears the
-    threshold the argmax position is kept, so every graph is nonempty.
+    For each sample, every position with softmax probability >= eps, the
+    threshold standing in for exact positivity, emits edges to every token
+    of the sequence (distinct IDs, no self-loops); the graph index is the
+    sample's last token.  If no position clears the threshold the argmax
+    position is kept, so every graph is nonempty.
     """
-    cfg = config or PseudoTpgConfig()
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     e = dataset.embedding.e
     nodes: dict[int, set[int]] = {}
     edges: dict[int, dict[int, set[int]]] = {}
     for s in dataset.samples:
         x = e[list(s.tokens)]
         probs, _ = attention.forward(x, w_gd, x[-1])
-        retained = [t for t in range(s.T) if probs[t] >= cfg.eps]
+        retained = [t for t in range(s.T) if probs[t] >= eps]
         if not retained:
             retained = [int(np.argmax(probs))]
         k = s.last_token

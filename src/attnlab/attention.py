@@ -225,7 +225,14 @@ class TrainConfig:
     init_seed: int = 0
     loss: str = LOG
     record_every: int = 10
-    projection: Optional[MatrixSubspace] = None
+
+    def __post_init__(self):
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be a finite number > 0, got {self.eta}")
+        if self.iters < 0:
+            raise ValueError(f"iters must be >= 0, got {self.iters}")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     def initial_w(self, d: int) -> np.ndarray:
         if self.init == "zero":
@@ -275,7 +282,9 @@ class TrainTrace:
         return ("iter", "loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
 
 
-def _safe_corr(w: np.ndarray, ref: Optional[np.ndarray]) -> float:
+def correlation(w: np.ndarray, ref: Optional[np.ndarray]) -> float:
+    """Frobenius cosine between two matrices; NaN when the reference is
+    absent or either matrix is zero."""
     if ref is None:
         return np.nan
     nw, nr = np.linalg.norm(w), np.linalg.norm(ref)
@@ -287,9 +296,8 @@ def _safe_corr(w: np.ndarray, ref: Optional[np.ndarray]) -> float:
 def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = None) -> TrainTrace:
     """Gradient descent (plain or Frobenius-normalized) with diagnostics.
 
-    When a projection subspace is set, the gradient is projected onto it
-    before each step.  Diagnostics that need references (corr_svm, dist_fin,
-    loss_bar) are NaN when the reference is absent.
+    Diagnostics that need references (corr_svm, dist_fin, loss_bar) are NaN
+    when the reference is absent.
     """
     refs = refs or TrainRefs()
     if not config.normalized and config.loss == LOG and dataset.tied_head():
@@ -326,7 +334,7 @@ def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = 
             rec["loss_bar"].append(np.nan)
         rec["grad_norm"].append(float(np.linalg.norm(g)))
         rec["w_norm"].append(float(np.linalg.norm(w)))
-        rec["corr_svm"].append(_safe_corr(w, refs.w_svm))
+        rec["corr_svm"].append(correlation(w, refs.w_svm))
         if refs.s_fin is not None and refs.w_fin is not None:
             rec["dist_fin"].append(float(np.linalg.norm(refs.s_fin.project(w) - refs.w_fin)))
         else:
@@ -337,8 +345,6 @@ def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = 
         cur_loss, g = _loss_and_grad(w, packed, config.loss, reduced_log=True)
         if not np.all(np.isfinite(g)):
             raise NonFiniteLoss(f"gradient became non-finite at iteration {tau}", trace=_finish(rec, w))
-        if config.projection is not None:
-            g = config.projection.project(g)
         if tau % config.record_every == 0 or tau == config.iters:
             record(tau, cur_loss, g)
         if tau == config.iters:
@@ -513,23 +519,19 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
     )
 
 
-def loss_bar(w: np.ndarray, split: CyclicSplit, kind: str = LOG) -> float:
-    """Cyclic-subdataset loss, normalized by the full dataset size.
-
-    Scalar kinds score tied-style (label-position mass) as in the theory;
-    cross-entropy falls back to the stored head.
-    """
+def loss_bar(w: np.ndarray, split: CyclicSplit) -> float:
+    """Cyclic-subdataset log loss, normalized by the full dataset size and
+    scored tied-style (label-position mass) as in the theory."""
     if split.empty:
         return 0.0
-    packed = _pack(split.subdataset, n_total=split.n_total, queries=split.queries,
-                   force_tied=kind != CROSS_ENTROPY)
-    return _loss_and_grad(w, packed, kind, reduced_log=True)[0]
+    packed = _pack(split.subdataset, n_total=split.n_total, queries=split.queries, force_tied=True)
+    return _loss_and_grad(w, packed, LOG, reduced_log=True)[0]
 
 
-def loss_inf(split: CyclicSplit, w_fin: np.ndarray, kind: str = LOG) -> float:
-    """Infimum of the full loss: saturated samples contribute l(1) each."""
-    base = float(len(split.idx_ibar)) / split.n_total * float(loss_value(kind, np.array([1.0]))[0])
-    return base + loss_bar(w_fin, split, kind)
+def loss_inf(split: CyclicSplit, w_fin: np.ndarray) -> float:
+    """Infimum of the full log loss: saturated samples contribute
+    -log 1 = 0 each, so only the cyclic subdataset's loss at W_fin remains."""
+    return loss_bar(w_fin, split)
 
 
 @dataclass(frozen=True)
@@ -542,66 +544,49 @@ class RegPathPoint:
         return float(np.linalg.norm(self.w))
 
 
-def _projected_gd(
-    packed: _Packed,
-    kind: str,
-    w0: np.ndarray,
-    radius: float,
-    eta: float,
-    max_iters: int,
-    map_tol: float = 1e-7,
-) -> np.ndarray:
+REG_PATH_MAP_TOL = 1e-7  # projected-gradient mapping norm at which a radius is done
+
+
+def _projected_gd(packed: _Packed, w0: np.ndarray, radius: float, eta: float, max_iters: int) -> np.ndarray:
     w = w0.copy()
     nrm = np.linalg.norm(w)
     if nrm > radius:
         w *= radius / nrm
     for _ in range(max_iters):
-        g = _loss_and_grad(w, packed, kind, reduced_log=True)[1]
+        g = _loss_and_grad(w, packed, LOG, reduced_log=True)[1]
         w_new = w - eta * g
         nrm = np.linalg.norm(w_new)
         if nrm > radius:
             w_new *= radius / nrm
         gap = float(np.linalg.norm(w - w_new)) / eta
         w = w_new
-        if gap < map_tol:
+        if gap < REG_PATH_MAP_TOL:
             break
     return w
 
 
-def reg_path(
-    dataset: Dataset,
-    radii: list[float],
-    config: TrainConfig,
-    restarts: int = 5,
-) -> list[RegPathPoint]:
-    """Norm-constrained minimizers along increasing radii.
+def reg_path(dataset: Dataset, radii: list[float], config: TrainConfig) -> list[RegPathPoint]:
+    """Minimizers of the log loss over balls of increasing radius.
 
-    Warm starts rescale the previous solution to the new ball.  Convex
-    instances (log loss, tied head) run once per radius; otherwise a few
-    random restarts keep the best loss, acknowledging local minima.
+    The loss must be convex (log loss on a tied or absent head), so one
+    projected-GD run per radius finds the minimizer; each run starts from
+    the previous solution rescaled to the new ball.
     """
+    if not radii:
+        raise ValueError("radii must list at least one radius")
     if list(radii) != sorted(radii):
         raise ValueError("radii must be increasing")
+    if config.loss != LOG:
+        raise ValueError(f"reg_path needs the log loss, got {config.loss!r}")
     packed = _pack(dataset)
-    convex = config.loss == LOG and packed.tied
+    if not packed.tied:
+        raise ValueError("reg_path needs a tied or absent head; under a general head the log loss is not convex")
     points: list[RegPathPoint] = []
-    prev: Optional[np.ndarray] = None
-    for r_idx, radius in enumerate(radii):
-        starts = []
-        if prev is None or np.linalg.norm(prev) == 0.0:
-            starts.append(np.zeros((dataset.d, dataset.d)))
-        else:
-            starts.append(prev * (radius / np.linalg.norm(prev)))
-        if not convex:
-            for j in range(max(0, restarts - 1)):
-                rng = seeded_rng(config.init_seed, 5, r_idx, j)
-                starts.append(radius * 0.1 * rng.standard_normal((dataset.d, dataset.d)))
-        best_w, best_loss = None, np.inf
-        for w0 in starts:
-            w = _projected_gd(packed, config.loss, w0, radius, config.eta, config.iters)
-            cur = _loss_and_grad(w, packed, config.loss, reduced_log=True)[0]
-            if cur < best_loss:
-                best_loss, best_w = cur, w
-        points.append(RegPathPoint(radius=float(radius), w=frozen(best_w)))
-        prev = best_w
+    w = np.zeros((dataset.d, dataset.d))
+    for radius in radii:
+        nrm = np.linalg.norm(w)
+        if nrm > 0.0:
+            w = w * (radius / nrm)
+        w = _projected_gd(packed, w, radius, config.eta, config.iters)
+        points.append(RegPathPoint(radius=float(radius), w=frozen(w)))
     return points

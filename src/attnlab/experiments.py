@@ -174,7 +174,7 @@ def _local_trial(params: dict, tseed: int) -> dict:
     trace = attention.train_gd(ds, cfg, refs=pipe.refs())
     w_gd = trace.w_final
 
-    pseudo = analysis.pseudo_tpgs(w_gd, ds, analysis.PseudoTpgConfig(eps=params.get("eps", 1e-3)))
+    pseudo = analysis.pseudo_tpgs(w_gd, ds, eps=params.get("eps", 1e-3))
     p_decomps = graph.decompose_all(pseudo)
     p_cons = svm.build_constraints(pseudo, p_decomps, ds.embedding)
     p_sol = svm.solve_graph_svm(p_cons)
@@ -188,8 +188,8 @@ def _local_trial(params: dict, tseed: int) -> dict:
     certified = p_wfin.status is attention.WfinStatus.CERTIFIED
 
     return {
-        "corr_global": attention._safe_corr(w_gd, pipe.w_svm),
-        "corr_local": attention._safe_corr(w_gd, p_sol.w),
+        "corr_global": attention.correlation(w_gd, pipe.w_svm),
+        "corr_local": attention.correlation(w_gd, p_sol.w),
         "dist_global": float(np.linalg.norm(pipe.s_fin.project(w_gd) - pipe.w_fin)),
         "dist_local": float(np.linalg.norm(p_fin.project(w_gd) - p_wfin.w)) if certified else np.nan,
         "wfin_status": p_wfin.status.value,
@@ -207,7 +207,7 @@ def _reg_path_trial(params: dict, tseed: int) -> dict:
         eta=params["eta"], iters=params["iters"], loss=attention.LOG, init_seed=tseed
     )
     points = attention.reg_path(ds, radii, cfg)
-    corr = [attention._safe_corr(p.w, pipe.w_svm) for p in points]
+    corr = [attention.correlation(p.w, pipe.w_svm) for p in points]
     dist = [float(np.linalg.norm(pipe.s_fin.project(p.w) - pipe.w_fin)) for p in points]
     return {"radii": radii, "corr": corr, "dist": dist}
 
@@ -297,6 +297,8 @@ class ExperimentConfig:
     check: bool = True
 
     def resolved(self) -> "ExperimentConfig":
+        if self.trials < 0:
+            raise ValueError(f"trials must be >= 0 (0 uses the experiment default), got {self.trials}")
         spec = EXPERIMENTS[self.name]
         return replace(
             self,

@@ -164,16 +164,10 @@ def svm_subspace(active: MatrixSubspace, fin: MatrixSubspace) -> MatrixSubspace:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    margin: float = 1.0
-
-
-@dataclass(frozen=True)
 class SvmSolution:
     w: np.ndarray
     status: SolveStatus
     ineq_multipliers: np.ndarray
-    eq_multipliers: np.ndarray
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -181,12 +175,11 @@ class SvmSolution:
         return float(np.linalg.norm(self.w))
 
 
-def _empty_solution(d: int, n_eq: int, status: SolveStatus = SolveStatus.SOLVED) -> SvmSolution:
+def _empty_solution(d: int) -> SvmSolution:
     return SvmSolution(
         w=frozen(np.zeros((d, d))),
-        status=status,
+        status=SolveStatus.SOLVED,
         ineq_multipliers=np.zeros(0),
-        eq_multipliers=np.zeros(n_eq),
         residuals={"max_eq_violation": 0.0, "min_ineq_margin": np.inf, "kkt_residual": 0.0, "sweeps": 0},
     )
 
@@ -242,32 +235,26 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return u, iters, False
 
 
-def solve_graph_svm(
-    constraints: ConstraintSet,
-    embedding: Optional[EmbeddingTable] = None,
-    opts: Optional[SolverOptions] = None,
-) -> SvmSolution:
-    """Min-Frobenius-norm W subject to the constraint set.
+def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
+    """Min-Frobenius-norm W subject to the constraint set, over its embedding.
 
     Equalities are eliminated by projecting every inequality matrix onto the
     orthogonal complement of their span (the optimum lives there).  The
-    remaining least-distance program, min ||W|| s.t. <A~_a, W> >= margin, is
+    remaining least-distance program, min ||W|| s.t. <A~_a, W> >= 1, is
     solved exactly as the NNLS min ||E u - e_{D+1}||, u >= 0, with
     E = [A~^T; 1^T] (Lawson & Hanson, ch. 23).  With s = sum(u) and the
     convex weights c = u / s, the point p = A~^T c is the nearest point of
     the constraints' convex hull to the origin.  If ||p|| <= FARKAS_TOL the
     weights are a Farkas certificate (a convex combination of the A_a lying
     in the equality span) and the status is INFEASIBLE with W = 0;
-    otherwise W = margin p / ||p||^2.
+    otherwise W = p / ||p||^2.
     """
-    emb = embedding if embedding is not None else constraints.embedding
-    target = (opts or SolverOptions()).margin
-    d = emb.d
-    e = emb.e
+    d = constraints.embedding.d
+    e = constraints.embedding.e
 
     eq_vecs = _generators(constraints.equalities, e)
     if not constraints.inequalities:
-        return _empty_solution(d, len(constraints.equalities))
+        return _empty_solution(d)
 
     eq_basis = _orth(eq_vecs)
     a_proj = _generators(constraints.inequalities, e)
@@ -285,24 +272,20 @@ def solve_graph_svm(
             w=frozen(np.zeros((d, d))),
             status=SolveStatus.INFEASIBLE if converged else SolveStatus.MAX_ITER,
             ineq_multipliers=weights,
-            eq_multipliers=np.zeros(len(eq_vecs)),
             residuals={"farkas_residual": farkas, "sweeps": iters},
         )
 
-    # At the NNLS optimum 1 - s = s ||p||^2, so lambda = margin u / (1 - s)
-    # is computed without the cancellation in 1 - s.
-    lam = (target / farkas**2) * weights
-    w_flat = target * p / farkas**2
+    # At the NNLS optimum 1 - s = s ||p||^2, so lambda = u / (1 - s) is
+    # computed without the cancellation in 1 - s.
+    lam = (1.0 / farkas**2) * weights
+    w_flat = p / farkas**2
     w = w_flat.reshape(d, d)
     a_vecs = _generators(constraints.inequalities, e)
 
-    # Equality multipliers via least squares on the residual, for KKT reporting.
+    # Stationarity up to the equality span: the part of W - A^T lambda that
+    # no choice of equality multipliers can cancel.
     stationarity = w_flat - a_vecs.T @ lam
-    if len(eq_vecs):
-        mu, *_ = np.linalg.lstsq(eq_vecs.T, stationarity, rcond=None)
-        stationarity = stationarity - eq_vecs.T @ mu
-    else:
-        mu = np.zeros(0)
+    stationarity -= (eq_basis @ stationarity) @ eq_basis
     kkt_residual = float(np.linalg.norm(stationarity))
 
     eq_vals = eq_vecs @ w_flat
@@ -310,15 +293,13 @@ def solve_graph_svm(
     max_eq = float(np.max(np.abs(eq_vals))) if len(eq_vals) else 0.0
     min_ineq = float(np.min(ineq_vals))
     status = SolveStatus.MAX_ITER
-    tol = PRIMAL_TOL * max(1.0, target)
-    if converged and max_eq <= tol and min_ineq >= target - tol and kkt_residual <= KKT_TOL * max(1.0, target):
+    if converged and max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL and kkt_residual <= KKT_TOL:
         status = SolveStatus.SOLVED
 
     return SvmSolution(
         w=frozen(w),
         status=status,
         ineq_multipliers=lam,
-        eq_multipliers=mu,
         residuals={
             "max_eq_violation": max_eq,
             "min_ineq_margin": min_ineq,
@@ -356,10 +337,10 @@ def _priority_levels(constraints: ConstraintSet, k: int) -> dict[int, int]:
     return priority_assignment(scc(g))
 
 
-def check_feasibility(constraints: ConstraintSet, embedding: Optional[EmbeddingTable] = None) -> FeasibilityResult:
+def check_feasibility(constraints: ConstraintSet) -> FeasibilityResult:
     """Certify feasibility for full-row-rank embeddings by explicit
     construction; otherwise report what the solver finds."""
-    emb = embedding if embedding is not None else constraints.embedding
+    emb = constraints.embedding
     if constraints.n_constraints == 0:
         return FeasibilityResult(True, np.zeros((emb.d, emb.d)), "certificate", "no constraints")
     if emb.full_row_rank:
@@ -375,7 +356,7 @@ def check_feasibility(constraints: ConstraintSet, embedding: Optional[EmbeddingT
         if gaps:
             g = min(gaps)
             if g <= 0:
-                return _solver_fallback(constraints, emb)
+                return _solver_fallback(constraints)
             w = w / g
         # Verify against the actual embedding arithmetic.
         max_eq = max(
@@ -389,24 +370,20 @@ def check_feasibility(constraints: ConstraintSet, embedding: Optional[EmbeddingT
         if max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL:
             return FeasibilityResult(True, frozen(w), "certificate",
                                      f"max_eq={max_eq:.2e}, min_ineq={min_ineq:.6f}")
-    return _solver_fallback(constraints, emb)
+    return _solver_fallback(constraints)
 
 
-def _solver_fallback(constraints: ConstraintSet, emb: EmbeddingTable) -> FeasibilityResult:
-    sol = solve_graph_svm(constraints, emb)
+def _solver_fallback(constraints: ConstraintSet) -> FeasibilityResult:
+    sol = solve_graph_svm(constraints)
     if sol.status is SolveStatus.SOLVED:
         return FeasibilityResult(True, sol.w, "solver", "solver found a feasible point")
     return FeasibilityResult(False, None, "solver", f"solver status: {sol.status.value}")
 
 
-def solve_per_last_token(
-    constraints: ConstraintSet,
-    embedding: Optional[EmbeddingTable] = None,
-    opts: Optional[SolverOptions] = None,
-) -> SvmSolution:
+def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
     """Solve one subproblem per last token and sum; valid for orthonormal
     embeddings, where each partial solution's row space is span(e_k)."""
-    emb = embedding if embedding is not None else constraints.embedding
+    emb = constraints.embedding
     if not emb.is_orthonormal():
         raise NotOrthonormal("per-last-token decomposition requires orthonormal embeddings")
     d = emb.d
@@ -415,7 +392,7 @@ def solve_per_last_token(
     sweeps = 0
     for k in constraints.last_tokens:
         sub = constraints.restrict_to_last_token(k)
-        sol = solve_graph_svm(sub, emb, opts)
+        sol = solve_graph_svm(sub)
         statuses.append(sol.status)
         sweeps += sol.residuals.get("sweeps", 0)
         wk = sol.w
@@ -435,6 +412,5 @@ def solve_per_last_token(
         w=frozen(total),
         status=worst,
         ineq_multipliers=np.zeros(0),
-        eq_multipliers=np.zeros(0),
         residuals={"sweeps": sweeps, "per_k": len(statuses)},
     )

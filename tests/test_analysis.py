@@ -20,20 +20,21 @@ def sweep_rows(name, seed, trials, **params):
 class TestCorrelation:
     def test_self_correlation_is_one(self, cyclic_pipeline):
         w = cyclic_pipeline.w_svm
-        assert abs(analysis.correlation(w, w) - 1.0) <= 1e-12
+        assert abs(att.correlation(w, w) - 1.0) <= 1e-12
 
     def test_negation_is_minus_one(self, cyclic_pipeline):
         w = cyclic_pipeline.w_svm
-        assert abs(analysis.correlation(-w, w) + 1.0) <= 1e-12
+        assert abs(att.correlation(-w, w) + 1.0) <= 1e-12
 
     def test_fin_basis_orthogonal_to_svm(self, cyclic_pipeline):
         pipe = cyclic_pipeline
         for b in pipe.s_fin.basis:
-            assert abs(analysis.correlation(b, pipe.w_svm)) <= 1e-8
+            assert abs(att.correlation(b, pipe.w_svm)) <= 1e-8
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(ZeroMatrix):
-            analysis.correlation(np.zeros((3, 3)), np.eye(3))
+        # A zero matrix has no direction, so the cosine is NaN.
+        assert np.isnan(att.correlation(np.zeros((3, 3)), np.eye(3)))
+        assert np.isnan(att.correlation(np.eye(3), np.zeros((3, 3))))
 
 
 class TestRateBound:
@@ -47,13 +48,6 @@ class TestRateBound:
         taus = np.unique(np.geomspace(100, 1_000_000, 200).astype(int))
         vals = [analysis.rate_bound(inputs, int(t), 0.25) for t in taus]
         assert all(vals[j + 1] <= vals[j] for j in range(len(vals) - 1))
-
-    def test_schedule_and_constant_step_agree(self):
-        inputs = analysis.RateBoundInputs(xi=0.5, e_max=1.0, w_fin_norm=1.0, t_max=3)
-        tau = 50
-        a = analysis.rate_bound(inputs, tau, 0.3)
-        b = analysis.rate_bound(inputs, tau, np.full(tau, 0.3))
-        assert abs(a - b) <= 1e-12
 
     def test_xi_at_least_inverse_svm_norm(self, cyclic_pipeline):
         pipe = cyclic_pipeline
@@ -98,7 +92,7 @@ class TestPseudoTpgs:
         # the label, so pseudo relations embed in the dataset's TPG edges.
         pipe = acyclic_pipeline
         w = 60.0 * pipe.w_svm
-        pseudo = analysis.pseudo_tpgs(w, pipe.dataset, analysis.PseudoTpgConfig(eps=1e-6))
+        pseudo = analysis.pseudo_tpgs(w, pipe.dataset, eps=1e-6)
         for s in pipe.dataset.samples:
             g_ps = pseudo[s.last_token]
             g_ds = pipe.tpgs[s.last_token]
@@ -108,8 +102,7 @@ class TestPseudoTpgs:
     def test_every_sample_keeps_at_least_one_token(self):
         ds = tiny_instance(22, K=5, d=5, n=5, T=4)
         rng = seeded_rng(22)
-        pseudo = analysis.pseudo_tpgs(8.0 * rng.standard_normal((5, 5)), ds,
-                                      analysis.PseudoTpgConfig(eps=0.9))
+        pseudo = analysis.pseudo_tpgs(8.0 * rng.standard_normal((5, 5)), ds, eps=0.9)
         for s in ds.samples:
             assert s.last_token in pseudo
             assert len(pseudo[s.last_token].nodes) >= 1

@@ -320,14 +320,6 @@ class TestTrainGd:
         assert list(exc.value.trace.iters) == [0, 5]
         assert np.all(np.isfinite(exc.value.trace.loss))
 
-    def test_projection_confines_updates(self, cyclic_pipeline):
-        pipe = cyclic_pipeline
-        cfg = att.TrainConfig(eta=0.05, iters=200, normalized=False,
-                              record_every=50, projection=pipe.s_fin)
-        trace = att.train_gd(pipe.dataset, cfg)
-        resid = pipe.s_fin.project_out(trace.w_final)
-        assert np.linalg.norm(resid) <= 1e-12
-
 
 def _split_and_fin(ds):
     tpgs = gm.build_tpgs(ds)
@@ -487,6 +479,11 @@ class TestRegPath:
         cfg = att.TrainConfig(eta=0.2, iters=100)
         with pytest.raises(ValueError):
             att.reg_path(cyclic_pipeline.dataset, [2.0, 1.0], cfg)
+
+    def test_rejects_a_non_convex_loss(self, cyclic_pipeline):
+        cfg = att.TrainConfig(eta=0.2, iters=100, loss=att.SQUARED)
+        with pytest.raises(ValueError, match="'squared'"):
+            att.reg_path(cyclic_pipeline.dataset, [1.0, 2.0], cfg)
 
     def test_fin_projection_approaches_w_fin(self, cyclic_pipeline):
         pipe = cyclic_pipeline

@@ -356,6 +356,32 @@ class TestExitCodes:
                            "--workers", 1, "--set", f"{grid}=[]") == 2
             assert grid in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--record-every", 0, "record_every"),
+        ("--iters", -1, "iters"),
+        ("--eta", 0, "eta"),
+        ("--eta", "nan", "eta"),
+    ])
+    def test_bad_train_setting_is_config_error(self, dataset_file, tmp_path, capsys, flag, value, field):
+        assert run_cli("train", "--data", dataset_file, "--no-refs", flag, value,
+                       "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json") == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, override, field", [
+        ("cyclic-global", "iters=-1", "iters"),
+        ("cyclic-global", "record_every=0", "record_every"),
+        ("reg-path", "r_count=0", "radii"),
+    ])
+    def test_bad_experiment_setting_is_config_error(self, tmp_path, capsys, name, override, field):
+        assert run_cli("exp", name, "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
+                       "--workers", 1, "--set", override) == 2
+        assert field in capsys.readouterr().err
+
+    def test_negative_trials_is_config_error(self, tmp_path, capsys):
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", -3,
+                       "--workers", 1) == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ATTNLAB_SEED", "123")
         p1 = tmp_path / "e1.json"

@@ -292,12 +292,6 @@ class TestSolver:
         assert seen[svm.SolveStatus.SOLVED] >= 5 and seen[svm.SolveStatus.INFEASIBLE] >= 5
         assert sum(d < K for K, d, _, _ in shapes) >= 20
 
-    def test_margin_scaling_homogeneity(self):
-        ds, cons, _, _ = _random_instance_constraints(7)
-        base = svm.solve_graph_svm(cons)
-        scaled = svm.solve_graph_svm(cons, opts=svm.SolverOptions(margin=3.0))
-        np.testing.assert_allclose(scaled.w, 3.0 * base.w, atol=1e-7)
-
     def test_w_svm_orthogonal_to_fin(self, cyclic_pipeline):
         pipe = cyclic_pipeline
         fin = pipe.s_fin
