@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ GRAD_FLOOR = 1e-14
 def loss_value(kind: str, u: np.ndarray) -> np.ndarray:
     if kind == LOG:
         if np.any(u <= LOG_GUARD):
-            raise DomainError(f"log-loss argument underflow: min score {np.min(u):.3e}")
+            raise _underflow(u)
         return -np.log(u)
     if kind == SQUARED:
         return (1.0 - u) ** 2
@@ -44,7 +45,7 @@ def loss_value(kind: str, u: np.ndarray) -> np.ndarray:
 def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
     if kind == LOG:
         if np.any(u <= LOG_GUARD):
-            raise DomainError(f"log-loss argument underflow: min score {np.min(u):.3e}")
+            raise _underflow(u)
         return -1.0 / u
     if kind == SQUARED:
         return -2.0 * (1.0 - u)
@@ -71,127 +72,182 @@ def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class _Group:
-    """Samples of equal length batched into dense arrays."""
+    """Samples of equal length, stacked over B trials into dense arrays."""
 
-    idx: np.ndarray      # original sample indices
-    x: np.ndarray        # (g, T, d)
-    xbar: np.ndarray     # (g, d)
-    labels: np.ndarray   # (g,)
-    omask: np.ndarray    # (g, T) True where token == label
-    gamma: np.ndarray    # (g, T) score weights: omask when tied, else head scores X c_y
+    x: np.ndarray          # (B, g, T, d)
+    xbar: np.ndarray       # (B, g, d)
+    labels: np.ndarray     # (B, g)
+    omask: np.ndarray      # (B, g, T) True where token == label
+    gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
+    unlabeled: np.ndarray  # (B, g, T) 1.0 where token != label
+    ey: np.ndarray         # (B, g, d) label embeddings
 
 
 @dataclass(frozen=True)
 class _Packed:
     groups: tuple[_Group, ...]
-    n: int               # loss denominator (may exceed the packed sample count)
+    n: np.ndarray            # (B,) loss denominators (may exceed the packed sample count)
     d: int
-    e: np.ndarray
-    c: Optional[np.ndarray]
-    tied: bool           # scores are label-position mass
+    c: Optional[np.ndarray]  # (B, K, d)
+    tied: bool               # scores are label-position mass
+
+    @property
+    def trials(self) -> int:
+        return len(self.n)
+
+
+def _structure(dataset: Dataset, force_tied: bool = False) -> tuple:
+    """What datasets must share to stack into one pack: table and head
+    shapes, head use, and the sample count at each sequence length."""
+    headed = dataset.head is not None and not force_tied
+    lengths = sorted(Counter(s.T for s in dataset.samples).items())
+    return dataset.K, dataset.d, headed, not headed or dataset.tied_head(), tuple(lengths)
 
 
 def _pack(
-    dataset: Dataset,
-    n_total: Optional[int] = None,
-    queries: Optional[tuple[int, ...]] = None,
+    datasets: Sequence[Dataset],
+    n_total: Optional[Sequence[int]] = None,
+    queries: Optional[Sequence[tuple[int, ...]]] = None,
     force_tied: bool = False,
 ) -> _Packed:
-    """Batch samples of equal length.
+    """Stack datasets of one `_structure` into length groups with a leading
+    trial axis.
 
-    ``queries`` overrides the query token per sample (reduced sequences whose
-    original last token was dropped still score against it).  ``force_tied``
-    ignores the stored head and aggregates label-position mass, which is the
-    scoring the cyclic-subdataset theory is stated in.
+    ``n_total`` and ``queries`` are per dataset.  ``queries`` overrides the
+    query token per sample (reduced sequences whose original last token was
+    dropped still score against it).  ``force_tied`` ignores the stored head
+    and aggregates label-position mass, which is the scoring the
+    cyclic-subdataset theory is stated in.
     """
-    e = dataset.embedding.e
-    c = dataset.head.c if dataset.head is not None and not force_tied else None
-    tied = c is None or dataset.tied_head()
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        by_len.setdefault(s.T, []).append(i)
-    groups = []
-    for t_len in sorted(by_len):
-        idx = np.array(by_len[t_len])
-        toks = np.array([dataset.samples[i].tokens for i in idx])
-        labels = np.array([dataset.samples[i].label for i in idx])
-        x = e[toks]
-        if queries is None:
-            xbar = x[:, -1, :].copy()
-        else:
-            xbar = e[np.array([queries[i] for i in idx])]
-        omask = toks == labels[:, None]
-        groups.append(
-            _Group(
-                idx=idx,
-                x=x,
-                xbar=xbar,
-                labels=labels,
-                omask=omask,
-                gamma=omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels]),
-            )
-        )
+    if len(datasets) > 1 and len({_structure(ds, force_tied) for ds in datasets}) != 1:
+        raise ValueError("stacked datasets must share one group structure")
+    first = datasets[0]
+    headed = first.head is not None and not force_tied
+    tied = not headed or first.tied_head()
+    per_trial = []
+    for b, ds in enumerate(datasets):
+        e = ds.embedding.e
+        c = ds.head.c if headed else None
+        by_len: dict[int, list[int]] = {}
+        for i, s in enumerate(ds.samples):
+            by_len.setdefault(s.T, []).append(i)
+        groups = []
+        for t_len in sorted(by_len):
+            idx = by_len[t_len]
+            toks = np.array([ds.samples[i].tokens for i in idx])
+            labels = np.array([ds.samples[i].label for i in idx])
+            x = e[toks]
+            xbar = x[:, -1, :].copy() if queries is None else e[np.array([queries[b][i] for i in idx])]
+            omask = toks == labels[:, None]
+            gamma = omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels])
+            groups.append((x, xbar, labels, omask, gamma, (~omask).astype(np.float64), e[labels]))
+        per_trial.append(groups)
     return _Packed(
-        groups=tuple(groups),
-        n=n_total if n_total is not None else dataset.n,
-        d=dataset.d,
-        e=e,
-        c=c,
+        groups=tuple(_Group(*map(_stack, zip(*parts))) for parts in zip(*per_trial)),
+        n=np.array([ds.n for ds in datasets] if n_total is None else n_total, dtype=np.float64),
+        d=first.d,
+        c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
     )
 
 
-def _loss_and_grad(w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool) -> tuple[float, np.ndarray]:
-    """Loss and gradient from one softmax per length group.
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Arrays stacked on a new leading axis; a lone array is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    ``reduced_log`` takes the tied log loss through its reduced form;
-    otherwise the generic softmax-chain formula applies.
+
+def _split_pack(split: CyclicSplit) -> _Packed:
+    """One-trial pack of a cyclic split, scored tied-style against the
+    original query tokens and normalized by the full dataset size."""
+    return _pack([split.subdataset], n_total=[split.n_total], queries=[split.queries], force_tied=True)
+
+
+def _underflow(u: np.ndarray) -> DomainError:
+    return DomainError(f"log-loss argument underflow: min score {np.min(u):.3e}")
+
+
+def _loss_and_grad(
+    w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray], dict[int, Exception]]:
+    """Per-trial losses (B,) and gradients (B, d, d) at w (B, d, d), from one
+    softmax per length group and matmul contractions only.
+
+    Every trial's values are bit for bit those of a pack of that trial
+    alone.  ``reduced_log`` takes the tied log loss through its reduced
+    form; otherwise the generic softmax-chain formula applies.  Without
+    ``need_grad`` the gradient is None and its contractions are skipped.
+    An error in one trial's data does not stop the others: it comes back in
+    {trial: exception}, and that trial's values are meaningless.
     """
-    total, grad = 0.0, np.zeros((packed.d, packed.d))
+    trials, errors = packed.trials, {}
+    if kind == CROSS_ENTROPY and packed.c is None:
+        errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(trials)}
+        return np.full(trials, np.nan), np.zeros_like(w) if need_grad else None, errors
+    total = np.zeros(trials)
+    grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
     for g in packed.groups:
-        s = softmax(np.matmul(g.x, (g.xbar @ w.T)[:, :, None])[:, :, 0])
+        s = softmax(np.matmul(g.x, np.matmul(g.xbar, w.mT)[..., None])[..., 0])
         if kind == CROSS_ENTROPY:
-            if packed.c is None:
-                raise ValueError("cross-entropy loss requires a classifier head")
-            rows = np.arange(len(g.labels))
-            logits = np.matmul(s[:, None, :], g.x)[:, 0] @ packed.c.T
-            shifted = logits - np.max(logits, axis=1, keepdims=True)
+            label = g.labels[..., None]
+            logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], packed.c.mT)
+            shifted = logits - np.max(logits, axis=-1, keepdims=True)
             ex = np.exp(shifted)
-            z = np.sum(ex, axis=1)
-            total += float(np.sum(np.log(z) - shifted[rows, g.labels]))
-            p = ex / z[:, None]
-            p[rows, g.labels] -= 1.0
-            back = np.matmul(g.x, (p @ packed.c)[:, :, None])[:, :, 0]  # dL/ds
-            dh = s * (back - np.sum(s * back, axis=1, keepdims=True))
-            vec = np.matmul(dh[:, None, :], g.x)[:, 0]
+            z = np.sum(ex, axis=-1)
+            total += np.sum(np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0], axis=-1)
+            if not need_grad:
+                continue
+            p = ex / z[..., None]
+            np.put_along_axis(p, label, np.take_along_axis(p, label, -1) - 1.0, -1)
+            back = np.matmul(g.x, np.matmul(p, packed.c)[..., None])[..., 0]  # dL/ds
+            dh = s * (back - np.sum(s * back, axis=-1, keepdims=True))
+            vec = np.matmul(dh[..., None, :], g.x)[..., 0, :]
         else:
-            u = np.sum(s * g.gamma, axis=1)
-            total += float(np.sum(loss_value(kind, u)))
+            u = np.sum(s * g.gamma, axis=-1)
+            try:
+                values = loss_value(kind, u)
+            except DomainError:
+                low = np.any(u <= LOG_GUARD, axis=-1)
+                for b in np.flatnonzero(low):
+                    errors.setdefault(int(b), _underflow(u[b]))
+                u = np.where(low[:, None], 1.0, u)
+                values = loss_value(kind, u)
+            total += np.sum(values, axis=-1)
+            if not need_grad:
+                continue
             if kind == LOG and packed.tied and reduced_log:
                 # Tied log loss: (1/n) sum_i sum_{t not in O_i} s_t (x_t - e_y) xbar^T.
-                # The derivation divides by the label mass, which loss_value
-                # has just guarded.
-                sbar = s * (~g.omask)
-                vec = np.matmul(sbar[:, None, :], g.x)[:, 0] - np.sum(sbar, axis=1)[:, None] * packed.e[g.labels]
+                # The derivation divides by the label mass, which has just
+                # been guarded.
+                sbar = s * g.unlabeled
+                vec = np.matmul(sbar[..., None, :], g.x)[..., 0, :] - np.sum(sbar, axis=-1)[..., None] * g.ey
             else:
-                v = s * (g.gamma - u[:, None])
-                vec = loss_deriv(kind, u)[:, None] * np.matmul(v[:, None, :], g.x)[:, 0]
-        grad += vec.T @ g.xbar
-    return total / packed.n, grad / packed.n
+                v = s * (g.gamma - u[..., None])
+                vec = loss_deriv(kind, u)[..., None] * np.matmul(v[..., None, :], g.x)[..., 0, :]
+        grad += np.matmul(vec.mT, g.xbar)
+    return total / packed.n, None if grad is None else grad / packed.n[:, None, None], errors
+
+
+def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
+         reduced_log: bool = True) -> tuple[float, Optional[np.ndarray]]:
+    """Loss and gradient of a one-trial pack at a (d, d) w; raises its error."""
+    total, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad)
+    if errors:
+        raise errors[0]
+    return float(total[0]), None if grad is None else grad[0]
 
 
 def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
-    return _loss_and_grad(w, _pack(dataset), kind, reduced_log=True)[0]
+    return _one(w, _pack([dataset]), kind, need_grad=False)[0]
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Analytical gradient; uses the reduced tied-head form for the log loss."""
-    return _loss_and_grad(w, _pack(dataset), kind, reduced_log=True)[1]
+    return _one(w, _pack([dataset]), kind)[1]
 
 
 def grad_general(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Gradient via the generic softmax-chain formula, for cross-checking."""
-    return _loss_and_grad(w, _pack(dataset), kind, reduced_log=False)[1]
+    return _one(w, _pack([dataset]), kind, reduced_log=False)[1]
 
 
 def lipschitz_log(dataset: Dataset) -> float:
@@ -297,81 +353,177 @@ def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = 
     """Gradient descent (plain or Frobenius-normalized) with diagnostics.
 
     Diagnostics that need references (corr_svm, dist_fin, loss_bar) are NaN
-    when the reference is absent.
+    when the reference is absent.  This is `train_block` on one dataset.
     """
-    refs = refs or TrainRefs()
-    if not config.normalized and config.loss == LOG and dataset.tied_head():
-        lip = lipschitz_log(dataset)
-        if config.eta > 1.0 / lip:
-            warnings.warn(
-                f"step size {config.eta} exceeds 1/L = {1.0 / lip:.4g}; "
-                "plain GD descent is not guaranteed",
-                stacklevel=2,
-            )
-    packed = _pack(dataset)
-    split_packed = None
-    if refs.split is not None and not refs.split.empty:
-        split_packed = _pack(
-            refs.split.subdataset,
-            n_total=refs.split.n_total,
-            queries=refs.split.queries,
-            force_tied=config.loss != CROSS_ENTROPY,
+    out = train_block([dataset], config, [refs])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def train_block(
+    datasets: Sequence[Dataset], config: TrainConfig, refs: Optional[Sequence[Optional[TrainRefs]]] = None
+) -> list[TrainTrace | Exception]:
+    """`train_gd` on every dataset, in lock-step.
+
+    Datasets of one `_structure` step together, one kernel call per step
+    for all of them, and each keeps its own normalized step, GRAD_FLOOR test
+    and records: its trace is bit for bit the one `train_gd` gives it alone.
+    A trial that fails stops there while the others go on; its entry in the
+    returned list is the exception `train_gd` would raise, in place of its
+    TrainTrace.
+    """
+    refs = [r or TrainRefs() for r in (refs or [None] * len(datasets))]
+    if not config.normalized and config.loss == LOG:
+        for lip in [lipschitz_log(ds) for ds in datasets if ds.tied_head()]:
+            if config.eta > 1.0 / lip:
+                warnings.warn(
+                    f"step size {config.eta} exceeds 1/L = {1.0 / lip:.4g}; "
+                    "plain GD descent is not guaranteed",
+                    stacklevel=3,
+                )
+    out: list[TrainTrace | Exception] = [None] * len(datasets)
+    for members in _index_groups(_structure(ds) for ds in datasets):
+        results = _train_stack([datasets[i] for i in members], config, [refs[i] for i in members])
+        for i, res in zip(members, results):
+            out[i] = res
+    return out
+
+
+def _index_groups(keys) -> list[list[int]]:
+    """Positions of equal keys, grouped in order of first appearance; a None
+    key joins no group."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each trial's matrix: sqrt of a dot product, the
+    same bits np.linalg.norm gives for one matrix."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+class _StackRefs:
+    """The references of a stack of trials for the record-step diagnostics,
+    each stacked over the trials that have it."""
+
+    def __init__(self, refs: list[TrainRefs], d: int, kind: str):
+        self.kind, self.d, tied = kind, d, kind != CROSS_ENTROPY
+        splits = [r.split if r.split is not None and not r.split.empty else None for r in refs]
+        self.splits = [
+            (np.array(ids), _pack([splits[b].subdataset for b in ids], n_total=[splits[b].n_total for b in ids],
+                                  queries=[splits[b].queries for b in ids], force_tied=tied))
+            for ids in _index_groups(None if s is None else _structure(s.subdataset, tied) for s in splits)
+        ]
+        self.empty_split = np.array([r.split is not None and r.split.empty for r in refs])
+        self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
+        self.svm_norm = np.array([0.0 if r.w_svm is None else np.linalg.norm(r.w_svm) for r in refs])
+        self.fins = [
+            (np.array(ids), _stack([refs[b].s_fin.basis.reshape(-1, d * d) for b in ids]),
+             _stack([refs[b].w_fin for b in ids]))
+            for ids in _index_groups(r.s_fin.dim if r.s_fin is not None and r.w_fin is not None else None
+                                     for r in refs)
+        ]
+
+    def loss_bar(self, w: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Cyclic-subdataset loss: 0 on an empty split, NaN with no split."""
+        out, errors = np.where(self.empty_split, 0.0, np.nan), {}
+        for ids, packed in self.splits:
+            out[ids], _, errs = _loss_and_grad(w[ids], packed, self.kind, True, need_grad=False)
+            errors.update((int(ids[j]), exc) for j, exc in errs.items())
+        return out, errors
+
+    def corr_svm(self, w: np.ndarray, w_norm: np.ndarray) -> np.ndarray:
+        """`correlation` with W_svm, trial by trial."""
+        return np.divide(np.sum(w * self.w_svm, axis=(1, 2)), w_norm * self.svm_norm,
+                         out=np.full(len(w), np.nan), where=(w_norm != 0.0) & (self.svm_norm != 0.0))
+
+    def dist_fin(self, w: np.ndarray) -> np.ndarray:
+        """||project_S_fin(W) - W_fin||, by the matmuls of `MatrixSubspace.project`."""
+        out = np.full(len(w), np.nan)
+        for ids, flat, w_fin in self.fins:
+            proj = np.zeros((len(ids), self.d, self.d))
+            if flat.shape[1]:
+                coef = np.matmul(flat, w[ids].reshape(len(ids), -1, 1))
+                proj = np.matmul(coef.mT, flat).reshape(proj.shape)
+            out[ids] = _norms(proj - w_fin)
+        return out
+
+
+_COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
+
+
+def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainRefs]) -> list[TrainTrace | Exception]:
+    """`train_block` on datasets of one structure.  A failed trial is frozen:
+    its w stops moving and its later values are ignored."""
+    trials, d = len(datasets), datasets[0].d
+    packed, stack_refs = _pack(datasets), _StackRefs(refs, d, config.loss)
+    taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
+    cols = {name: np.full((len(taus), trials), np.nan) for name in _COLUMNS}
+    t_ms = np.zeros(len(taus))
+    recorded = np.zeros(trials, dtype=np.int64)  # rows each trial holds
+    alive, all_alive, outcome = np.ones(trials, dtype=bool), True, [None] * trials
+    w = np.stack([config.initial_w(d) for _ in range(trials)])
+
+    def finish(b: int) -> TrainTrace:
+        rows = recorded[b]
+        return TrainTrace(
+            iters=np.array(taus[:rows], dtype=np.int64),
+            **{name: cols[name][:rows, b].copy() for name in _COLUMNS},
+            t_ms=t_ms[:rows].copy(),
+            w_final=w[b].copy(),
         )
-    w = config.initial_w(dataset.d)
-    rec: dict[str, list[float]] = {k: [] for k in ("iters", "loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin", "t_ms")}
+
+    def fail(errors: dict[int, Exception]) -> None:
+        nonlocal all_alive
+        for b, exc in errors.items():
+            if alive[b]:
+                alive[b], outcome[b], all_alive = False, exc, False
+
+    def non_finite(what: str, tau: int, bad: np.ndarray) -> dict[int, Exception]:
+        return {int(b): NonFiniteLoss(f"{what} became non-finite at iteration {tau}", trace=finish(b))
+                for b in np.flatnonzero(alive & bad)}
+
     t0 = time.perf_counter()
-
-    def record(tau: int, cur_loss: float, g: np.ndarray) -> None:
-        if not np.isfinite(cur_loss):
-            raise NonFiniteLoss(f"loss became non-finite at iteration {tau}", trace=_finish(rec, w))
-        rec["iters"].append(tau)
-        rec["loss"].append(cur_loss)
-        if split_packed is not None:
-            rec["loss_bar"].append(_loss_and_grad(w, split_packed, config.loss, reduced_log=True)[0])
-        elif refs.split is not None:
-            rec["loss_bar"].append(0.0)
-        else:
-            rec["loss_bar"].append(np.nan)
-        rec["grad_norm"].append(float(np.linalg.norm(g)))
-        rec["w_norm"].append(float(np.linalg.norm(w)))
-        rec["corr_svm"].append(correlation(w, refs.w_svm))
-        if refs.s_fin is not None and refs.w_fin is not None:
-            rec["dist_fin"].append(float(np.linalg.norm(refs.s_fin.project(w) - refs.w_fin)))
-        else:
-            rec["dist_fin"].append(np.nan)
-        rec["t_ms"].append((time.perf_counter() - t0) * 1e3)
-
+    row = 0
     for tau in range(config.iters + 1):
-        cur_loss, g = _loss_and_grad(w, packed, config.loss, reduced_log=True)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteLoss(f"gradient became non-finite at iteration {tau}", trace=_finish(rec, w))
-        if tau % config.record_every == 0 or tau == config.iters:
-            record(tau, cur_loss, g)
+        cur_loss, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True)
+        fail(errors)
+        if not np.isfinite(g).all():
+            fail(non_finite("gradient", tau, ~np.all(np.isfinite(g), axis=(1, 2))))
+        if row < len(taus) and taus[row] == tau:
+            fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
+            loss_bar, errors = stack_refs.loss_bar(w)
+            fail(errors)
+            w_norm = _norms(w)
+            values = (cur_loss, loss_bar, _norms(g), w_norm, stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))
+            for name, value in zip(_COLUMNS, values):
+                cols[name][row] = value
+            t_ms[row] = (time.perf_counter() - t0) * 1e3
+            row += 1
+            recorded[alive] = row
         if tau == config.iters:
             break
         if config.normalized:
-            gn = np.linalg.norm(g)
             # Below the floor the computed gradient is rounding noise; a
             # unit-length step along it would random-walk the direction.
-            if gn > GRAD_FLOOR:
-                w = w - config.eta * g / gn
-        else:
+            gn = _norms(g)
+            move = gn > GRAD_FLOOR
+            if not all_alive:
+                move &= alive
+            if move.all():
+                w = w - config.eta * g / gn[:, None, None]
+            elif move.any():
+                w[move] = w[move] - config.eta * g[move] / gn[move, None, None]
+        elif all_alive:
             w = w - config.eta * g
-    return _finish(rec, w)
-
-
-def _finish(rec: dict, w: np.ndarray) -> TrainTrace:
-    return TrainTrace(
-        iters=np.array(rec["iters"], dtype=np.int64),
-        loss=np.array(rec["loss"]),
-        loss_bar=np.array(rec["loss_bar"]),
-        grad_norm=np.array(rec["grad_norm"]),
-        w_norm=np.array(rec["w_norm"]),
-        corr_svm=np.array(rec["corr_svm"]),
-        dist_fin=np.array(rec["dist_fin"]),
-        t_ms=np.array(rec["t_ms"]),
-        w_final=w.copy(),
-    )
+        else:
+            w[alive] = w[alive] - config.eta * g[alive]
+    return [finish(b) if alive[b] else outcome[b] for b in range(trials)]
 
 
 WFIN_DECREMENT_TOL = 1e-30  # lambda^2 / 2 at which a step is rounding-sized
@@ -411,15 +563,14 @@ def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]
     the gradient sum_t s_t dphi_t free of cancellation as the label mass
     saturates.
     """
-    packed = _pack(split.subdataset, n_total=split.n_total, queries=split.queries,
-                   force_tied=True)
+    packed = _split_pack(split)
     feats = []
     for g in packed.groups:
-        if not np.all(np.any(g.omask, axis=1)):
+        if not np.all(np.any(g.omask[0], axis=1)):
             raise DomainError("cyclic split holds a sample whose label is not among its tokens")
-        bx = np.matmul(s_fin.basis, g.xbar.T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
-        feats.append(np.matmul(g.x - packed.e[g.labels][:, None, :], bx))
-    return feats, packed.n
+        bx = np.matmul(s_fin.basis, g.xbar[0].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
+        feats.append(np.matmul(g.x[0] - g.ey[0][:, None, :], bx))
+    return feats, split.n_total
 
 
 def _fin_terms(feats: list, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
@@ -524,8 +675,7 @@ def loss_bar(w: np.ndarray, split: CyclicSplit) -> float:
     scored tied-style (label-position mass) as in the theory."""
     if split.empty:
         return 0.0
-    packed = _pack(split.subdataset, n_total=split.n_total, queries=split.queries, force_tied=True)
-    return _loss_and_grad(w, packed, LOG, reduced_log=True)[0]
+    return _one(w, _split_pack(split), LOG, need_grad=False)[0]
 
 
 def loss_inf(split: CyclicSplit, w_fin: np.ndarray) -> float:
@@ -553,7 +703,7 @@ def _projected_gd(packed: _Packed, w0: np.ndarray, radius: float, eta: float, ma
     if nrm > radius:
         w *= radius / nrm
     for _ in range(max_iters):
-        g = _loss_and_grad(w, packed, LOG, reduced_log=True)[1]
+        g = _one(w, packed, LOG)[1]
         w_new = w - eta * g
         nrm = np.linalg.norm(w_new)
         if nrm > radius:
@@ -578,7 +728,7 @@ def reg_path(dataset: Dataset, radii: list[float], config: TrainConfig) -> list[
         raise ValueError("radii must be increasing")
     if config.loss != LOG:
         raise ValueError(f"reg_path needs the log loss, got {config.loss!r}")
-    packed = _pack(dataset)
+    packed = _pack([dataset])
     if not packed.tied:
         raise ValueError("reg_path needs a tied or absent head; under a general head the log loss is not convex")
     points: list[RegPathPoint] = []

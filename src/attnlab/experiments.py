@@ -127,8 +127,10 @@ def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _global_trial(params: dict, tseed: int) -> dict:
-    """Shared trial body for cyclic-global, acyclic-global, and large-k."""
+def _global_inputs(params: dict, tseed: int) -> tuple:
+    """One trial of cyclic-global, acyclic-global or large-k: its dataset,
+    training config, references and ||W_svm||, built (and failing) in the
+    order a trial run alone builds them."""
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED) if params.get("head", "tied") == TIED and table.full_row_rank else None
     ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
@@ -140,17 +142,41 @@ def _global_trial(params: dict, tseed: int) -> dict:
         loss=params.get("loss", attention.LOG),
         record_every=params.get("record_every", 10),
     )
-    trace = attention.train_gd(ds, cfg, refs=pipe.refs())
-    inf_val = attention.loss_inf(pipe.split, pipe.w_fin)
-    report = analysis.convergence_report(trace, loss_inf=inf_val)
-    return {
-        "final_corr": report["final_corr"],
-        "final_dist": report["final_dist"],
-        "final_loss": report["final_loss"],
-        "loss_inf": inf_val,
-        "w_svm_norm": pipe.solution.norm,
-        "trace": list(trace.rows()),
-    }
+    return ds, cfg, pipe.refs(), pipe.solution.norm
+
+
+def _global_block(jobs: list[tuple[dict, int]]) -> list[dict]:
+    """Global trials built one by one and trained together in lock-step; the
+    jobs share their params.  Raises the first error in trial order, as
+    running the trials one by one would."""
+    params = jobs[0][0]
+    if any(p != params for p, _ in jobs):
+        raise ValueError("a block of global trials must share one parameter set")
+    built, error = [], None
+    for _, tseed in jobs:
+        try:
+            built.append(_global_inputs(params, tseed))
+        except Exception as exc:  # raised once the trials before it are done
+            error = exc
+            break
+    traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built]) if built else []
+    results = []
+    for (_, _, refs, w_svm_norm), trace in zip(built, traces):
+        if isinstance(trace, Exception):
+            raise trace
+        inf_val = attention.loss_inf(refs.split, refs.w_fin)
+        report = analysis.convergence_report(trace, loss_inf=inf_val)
+        results.append({
+            "final_corr": report["final_corr"],
+            "final_dist": report["final_dist"],
+            "final_loss": report["final_loss"],
+            "loss_inf": inf_val,
+            "w_svm_norm": w_svm_norm,
+            "trace": list(trace.rows()),
+        })
+    if error is not None:
+        raise error
+    return results
 
 
 def _local_trial(params: dict, tseed: int) -> dict:
@@ -250,13 +276,11 @@ def _feasibility_trial(params: dict, seeds: tuple[int, int]) -> dict:
 
 
 _TRIALS: dict[str, Callable[[dict, object], dict]] = {
-    "global": _global_trial,
     "local": _local_trial,
     "reg-path": _reg_path_trial,
     "scc-count": _scc_count_trial,
     "feasibility": _feasibility_trial,
 }
-
 
 def _trial_worker(args: tuple) -> dict:
     kind, params, seed = args
@@ -270,14 +294,28 @@ def seeded_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
     return [(params, trial_seed(seed, t)) for t in range(trials)]
 
 
+def _fan_out(fn: Callable, args: list, workers: int) -> list:
+    if workers <= 1 or len(args) <= 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        return list(pool.map(fn, args))
+
+
 def run_trials(kind: str, jobs: list[tuple[dict, object]], workers: int) -> list[dict]:
     """Run one `kind` trial per (params, seed) job; results come back in job
-    order whatever the worker count."""
-    args = [(kind, params, seed) for params, seed in jobs]
-    if workers <= 1 or len(args) <= 1:
-        return [_trial_worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-        return list(pool.map(_trial_worker, args))
+    order whatever the worker count.
+
+    Global trials go in min(workers, jobs) contiguous blocks of job order,
+    one `_global_block` call each; every other kind makes one call per job.
+    """
+    if kind == "global":
+        if not jobs:
+            return []
+        count = max(1, min(workers, len(jobs)))
+        cuts = [len(jobs) * k // count for k in range(count + 1)]
+        blocks = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+        return [r for block in _fan_out(_global_block, blocks, workers) for r in block]
+    return _fan_out(_trial_worker, [(kind, params, seed) for params, seed in jobs], workers)
 
 
 # ---------------------------------------------------------------------------

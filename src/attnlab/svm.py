@@ -222,7 +222,9 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
                 return u, iters, False
             # Step from u toward z until the first passive weight hits zero.
             cur = u[idx]
-            ratio = np.where(z <= 0, cur / (cur - z), np.inf)
+            neg = z <= 0
+            ratio = np.full(len(z), np.inf)
+            ratio[neg] = cur[neg] / (cur[neg] - z[neg])
             k = int(np.argmin(ratio))
             cur += ratio[k] * (z - cur)
             cur[k] = 0.0

@@ -137,67 +137,99 @@ def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np
     return g
 
 
-def _split_packed(split: gm.CyclicSplit):
-    return attention._pack(split.subdataset, n_total=split.n_total, queries=split.queries,
-                           force_tied=True)
-
-
 def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, packed=None) -> np.ndarray:
     """Gradient of the cyclic-subdataset log loss at w, projected onto S_fin."""
-    packed = packed if packed is not None else _split_packed(split)
-    return s_fin.project(attention._loss_and_grad(w, packed, attention.LOG, reduced_log=True)[1])
+    packed = packed if packed is not None else attention._split_pack(split)
+    return s_fin.project(attention._one(w, packed, attention.LOG)[1])
 
 
-def _einsum_probs(g, w: np.ndarray) -> np.ndarray:
-    return attention.softmax(np.einsum("gtd,de,ge->gt", g.x, w, g.xbar))
+def _einsum_probs(x: np.ndarray, xbar: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return attention.softmax(np.einsum("gtd,de,ge->gt", x, w, xbar))
 
 
-def _einsum_head_scores(g, packed) -> np.ndarray:
+def _einsum_head_scores(x: np.ndarray, omask: np.ndarray, labels: np.ndarray, packed) -> np.ndarray:
     """Per-position score weights: label indicator when tied, else X c_y."""
     if packed.tied:
-        return g.omask.astype(np.float64)
-    return np.einsum("gtd,gd->gt", g.x, packed.c[g.labels])
+        return omask.astype(np.float64)
+    return np.einsum("gtd,gd->gt", x, packed.c[0][labels])
 
 
 def einsum_loss(w: np.ndarray, packed, kind: str) -> float:
-    """The packed loss written with einsum contractions, one group at a time,
-    in the precision of w."""
+    """The loss of a one-trial pack written with einsum contractions, one
+    group at a time, in the precision of w."""
     total = 0.0
     for g in packed.groups:
-        s = _einsum_probs(g, w)
+        x, xbar, labels = g.x[0], g.xbar[0], g.labels[0]
+        s = _einsum_probs(x, xbar, w)
         if kind == attention.CROSS_ENTROPY:
-            logits = np.einsum("gt,gtd->gd", s, g.x) @ packed.c.T
+            logits = np.einsum("gt,gtd->gd", s, x) @ packed.c[0].T
             shifted = logits - np.max(logits, axis=1, keepdims=True)
             logz = np.log(np.sum(np.exp(shifted), axis=1))
-            total += np.sum(logz - shifted[np.arange(len(g.labels)), g.labels])
+            total += np.sum(logz - shifted[np.arange(len(labels)), labels])
         else:
-            u = np.sum(s * _einsum_head_scores(g, packed), axis=1)
+            u = np.sum(s * _einsum_head_scores(x, g.omask[0], labels, packed), axis=1)
             total += np.sum(attention.loss_value(kind, u))
-    return total / packed.n
+    return total / packed.n[0]
 
 
 def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarray:
-    """The packed gradient written with einsum contractions, in the precision
-    of w: the reduced tied-log form when reduced_log, else the softmax chain
-    rule."""
+    """The gradient of a one-trial pack written with einsum contractions, in
+    the precision of w: the reduced tied-log form when reduced_log, else the
+    softmax chain rule."""
     grad = np.zeros((packed.d, packed.d), dtype=w.dtype)
     for g in packed.groups:
-        s = _einsum_probs(g, w)
+        x, xbar, labels, omask = g.x[0], g.xbar[0], g.labels[0], g.omask[0]
+        s = _einsum_probs(x, xbar, w)
         if kind == attention.CROSS_ENTROPY:
-            p = attention.softmax(np.einsum("gt,gtd->gd", s, g.x) @ packed.c.T)
-            p[np.arange(len(g.labels)), g.labels] -= 1.0
-            back = np.einsum("gtd,gd->gt", g.x, p @ packed.c)
+            c = packed.c[0]
+            p = attention.softmax(np.einsum("gt,gtd->gd", s, x) @ c.T)
+            p[np.arange(len(labels)), labels] -= 1.0
+            back = np.einsum("gtd,gd->gt", x, p @ c)
             dh = s * (back - np.sum(s * back, axis=1, keepdims=True))
-            vec = np.einsum("gtd,gt->gd", g.x, dh)
+            vec = np.einsum("gtd,gt->gd", x, dh)
         elif kind == attention.LOG and packed.tied and reduced_log:
-            sbar = s * (~g.omask)
-            vec = np.einsum("gtd,gt->gd", g.x, sbar) - np.sum(sbar, axis=1)[:, None] * packed.e[g.labels]
+            sbar = s * (~omask)
+            vec = np.einsum("gtd,gt->gd", x, sbar) - np.sum(sbar, axis=1)[:, None] * g.ey[0]
         else:
-            gamma = _einsum_head_scores(g, packed)
+            gamma = _einsum_head_scores(x, omask, labels, packed)
             u = np.sum(s * gamma, axis=1)
-            vec = attention.loss_deriv(kind, u)[:, None] * np.einsum("gtd,gt->gd", g.x, s * (gamma - u[:, None]))
-        grad += np.einsum("gd,ge->de", vec, g.xbar)
-    return grad / packed.n
+            vec = attention.loss_deriv(kind, u)[:, None] * np.einsum("gtd,gt->gd", x, s * (gamma - u[:, None]))
+        grad += np.einsum("gd,ge->de", vec, xbar)
+    return grad / packed.n[0]
+
+
+def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's GD loop written plainly: the kernel on one trial,
+    np.linalg.norm, attention.correlation and MatrixSubspace.project at
+    record steps.  Returns the trace rows as a float array, and the final W."""
+    packed = attention._pack([dataset])
+    split, split_packed = refs.split, None
+    if split is not None and not split.empty:
+        split_packed = attention._pack([split.subdataset], n_total=[split.n_total], queries=[split.queries],
+                                       force_tied=config.loss != attention.CROSS_ENTROPY)
+    w = config.initial_w(dataset.d)
+    rows = []
+    for tau in range(config.iters + 1):
+        loss, g = attention._one(w, packed, config.loss)
+        if tau % config.record_every == 0 or tau == config.iters:
+            if split_packed is not None:
+                loss_bar = attention._one(w, split_packed, config.loss, need_grad=False)[0]
+            else:
+                loss_bar = np.nan if split is None else 0.0
+            dist = np.nan
+            if refs.s_fin is not None and refs.w_fin is not None:
+                dist = float(np.linalg.norm(refs.s_fin.project(w) - refs.w_fin))
+            rows.append((tau, loss, loss_bar, float(np.linalg.norm(g)), float(np.linalg.norm(w)),
+                         attention.correlation(w, refs.w_svm), dist))
+        if tau == config.iters:
+            break
+        if config.normalized:
+            gn = np.linalg.norm(g)
+            if gn > attention.GRAD_FLOOR:
+                w = w - config.eta * g / gn
+        else:
+            w = w - config.eta * g
+    return np.array(rows, dtype=np.float64), w
 
 
 def wfin_gd_oracle(split: gm.CyclicSplit, s_fin, init_w=None, grad_tol: float = 1e-9,
@@ -212,7 +244,7 @@ def wfin_gd_oracle(split: gm.CyclicSplit, s_fin, init_w=None, grad_tol: float = 
     sub = split.subdataset
     t_bar = max(s.T for s in sub.samples)
     step = split.n_total / (2.0 * sub.embedding.e_max**4 * np.sqrt(t_bar) * sub.n)
-    packed = _split_packed(split)
+    packed = attention._split_pack(split)
     w = np.zeros((d, d)) if init_w is None else init_w.copy()
     for _ in range(max_iters):
         g = wfin_projected_grad(split, s_fin, w, packed)

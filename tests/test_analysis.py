@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnlab import analysis, attention as att, dataset as dsm, experiments, graph as gm
-from attnlab.errors import ZeroMatrix
+from attnlab.errors import NoConvergence, NonFiniteLoss, ZeroMatrix
 from attnlab.util import seeded_rng
 
 from helpers import tiny_instance
@@ -198,6 +198,35 @@ class TestSweepFanOut:
         monkeypatch.setattr(experiments, "_trial_worker", counting)
         sweep_rows(name, seed=0, trials=3, **params)
         assert len(seen) == calls
+
+
+class TestGlobalBlocks:
+    PARAMS = dict(K=6, d=8, n=6, T=4, eta=0.01, iters=20, mode="cyclic", head="tied", record_every=5)
+
+    def test_first_error_in_trial_order_is_raised(self, monkeypatch):
+        # Trial 3's pipeline fails to build and trial 1's loss is infinite
+        # from the start; run one by one, trial 1 would raise first.
+        jobs = experiments.seeded_jobs(self.PARAMS, 0, 5)
+        build, kernel = experiments.build_pipeline, att._loss_and_grad
+
+        def failing_build(ds):
+            if ds.seed == jobs[3][1]:
+                raise NoConvergence("trial 3 has no pipeline")
+            return build(ds)
+
+        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True):
+            value, g, errors = kernel(w, packed, kind, reduced_log, need_grad)
+            if need_grad:  # the training pack, not a loss_bar split pack
+                value = value.copy()
+                value[1] = np.inf
+            return value, g, errors
+
+        monkeypatch.setattr(experiments, "build_pipeline", failing_build)
+        with pytest.raises(NoConvergence, match="trial 3"):
+            experiments.run_trials("global", jobs[2:], workers=1)
+        monkeypatch.setattr(att, "_loss_and_grad", infinite_trial_1)
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 0"):
+            experiments.run_trials("global", jobs, workers=1)
 
 
 class TestLocalWfinStatus:

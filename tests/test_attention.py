@@ -18,6 +18,7 @@ from helpers import (
     einsum_loss,
     fd_grad,
     straight_line_loss,
+    straight_train_gd,
     tiny_instance,
     wfin_gd_oracle,
     wfin_projected_grad,
@@ -45,9 +46,9 @@ def _extended(packed):
     """The packed arrays in long double, so the einsum oracle's own rounding
     stays far below the kernel's."""
     ld = np.longdouble
-    groups = tuple(dataclasses.replace(g, x=g.x.astype(ld), xbar=g.xbar.astype(ld)) for g in packed.groups)
-    return dataclasses.replace(packed, groups=groups, e=packed.e.astype(ld),
-                               c=None if packed.c is None else packed.c.astype(ld))
+    groups = tuple(dataclasses.replace(g, x=g.x.astype(ld), xbar=g.xbar.astype(ld), ey=g.ey.astype(ld))
+                   for g in packed.groups)
+    return dataclasses.replace(packed, groups=groups, c=None if packed.c is None else packed.c.astype(ld))
 
 
 class TestForward:
@@ -206,7 +207,7 @@ class TestKernelOracle:
     def test_matches_einsum_oracle(self, name, kind):
         ds = _shape_dataset(name)
         w = 0.5 * seeded_rng(14).standard_normal((ds.d, ds.d))
-        packed = _extended(att._pack(ds))
+        packed = _extended(att._pack([ds]))
         w_ext = w.astype(np.longdouble)
         want = einsum_loss(w_ext, packed, kind)
         assert abs(att.loss(w, ds, kind) - want) <= 1e-15 * abs(want)
@@ -259,6 +260,21 @@ class TestLipschitz:
         assert att.lipschitz_general(scaled, 1.0, 1.0) > base
 
 
+def _infinite_from_step_7(trial):
+    """The kernel, with one trial's loss turned infinite from its eighth call on."""
+    fused, calls = att._loss_and_grad, []
+
+    def patched(w, packed, kind, reduced_log, need_grad=True):
+        value, g, errors = fused(w, packed, kind, reduced_log, need_grad)
+        calls.append(None)
+        if len(calls) > 7:
+            value = value.copy()
+            value[trial] = np.inf
+        return value, g, errors
+
+    return patched
+
+
 class TestTrainGd:
     def test_descent_with_inverse_lipschitz_step(self):
         ds = tiny_instance(13, K=4, d=5, n=4, T=4)
@@ -306,19 +322,92 @@ class TestTrainGd:
 
     def test_non_finite_loss_raises_at_its_record_step(self, monkeypatch):
         # The loss turns infinite at step 7, between the records at 5 and 10.
-        fused, calls = att._loss_and_grad, []
-
-        def infinite_from_step_7(w, packed, kind, reduced_log):
-            value, g = fused(w, packed, kind, reduced_log)
-            calls.append(None)
-            return (np.inf if len(calls) > 7 else value), g
-
-        monkeypatch.setattr(att, "_loss_and_grad", infinite_from_step_7)
+        monkeypatch.setattr(att, "_loss_and_grad", _infinite_from_step_7(trial=0))
         cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
         with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
             att.train_gd(_shape_dataset("desk"), cfg)
         assert list(exc.value.trace.iters) == [0, 5]
         assert np.all(np.isfinite(exc.value.trace.loss))
+
+
+def _block_trials():
+    """Seven tied-head (K, d, n, T) = (3, 4, 3, 3) trials, one group
+    structure: a nonzero W_svm with a one-dimensional S_fin, a zero W_svm
+    (NaN corr_svm) with a two-dimensional S_fin, an empty split, a gradient
+    that stays exactly zero (under GRAD_FLOOR), the single-SCC dataset, and
+    two more cyclic draws."""
+    def drawn(seed):
+        table = dsm.make_embeddings(3, 4, dsm.UNIT_SPHERE, seed=seed)
+        return dsm.gen_dataset(table, dsm.make_head(table, dsm.TIED), n=3, T=3, mode="cyclic", seed=seed)
+
+    table = dsm.make_embeddings(3, 4, dsm.UNIT_SPHERE, seed=5)
+    all_label = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED),
+                            samples=tuple(dsm.Sample(tokens=(k, k, k), label=k) for k in range(3)))
+    datasets = [drawn(0), drawn(1), drawn(2), all_label, single_scc_dataset(seed=3), drawn(22), drawn(13)]
+    pipes = [build_pipeline(ds) for ds in datasets]
+    return datasets, [p.refs() for p in pipes], pipes
+
+
+def _trace_bytes(trace):
+    return [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace) if f.name != "t_ms"]
+
+
+class TestTrainBlock:
+    @pytest.mark.parametrize("normalized,eta", [(True, 0.05), (False, 0.25)])
+    def test_block_traces_equal_train_gd_bit_for_bit(self, normalized, eta):
+        datasets, refs, pipes = _block_trials()
+        assert len({att._structure(ds) for ds in datasets}) == 1
+        assert pipes[0].solution.norm > 0 and pipes[0].s_fin.dim == 1
+        assert pipes[1].solution.norm == 0 and pipes[1].s_fin.dim == 2
+        assert pipes[2].split.empty
+        cfg = att.TrainConfig(eta=eta, iters=300, normalized=normalized, record_every=7)
+        alone = [att.train_gd(ds, cfg, r) for ds, r in zip(datasets, refs)]
+        for trace, ds, r in zip(alone, datasets, refs):
+            rows, w_final = straight_train_gd(ds, cfg, r)
+            assert np.array(list(trace.rows()), dtype=np.float64).tobytes() == rows.tobytes()
+            assert trace.w_final.tobytes() == w_final.tobytes()
+        assert np.all(np.isnan(alone[1].corr_svm)) and np.all(np.isfinite(alone[1].dist_fin))
+        assert np.all(alone[2].loss_bar == 0.0)
+        assert np.all(alone[3].grad_norm <= att.GRAD_FLOOR) and not np.any(alone[3].w_final)
+        for block in (att.train_block(datasets, cfg, refs),
+                      [att.train_block([ds], cfg, [r])[0] for ds, r in zip(datasets, refs)]):
+            for got, want in zip(block, alone):
+                assert _trace_bytes(got) == _trace_bytes(want)
+
+    def test_mixed_structures_train_as_alone(self):
+        datasets = [_shape_dataset("desk"), tiny_instance(3, T=4), _shape_dataset("desk", seed=1)]
+        cfg = att.TrainConfig(eta=0.01, iters=40, normalized=True, record_every=10)
+        block = att.train_block(datasets, cfg)
+        for got, ds in zip(block, datasets):
+            assert _trace_bytes(got) == _trace_bytes(att.train_gd(ds, cfg))
+
+    def test_failing_trial_raises_as_alone_and_leaves_the_rest(self, monkeypatch):
+        datasets = [_shape_dataset("desk", seed) for seed in range(4)]
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
+        clean = att.train_block(datasets, cfg)
+        alone_kernel, block_kernel = _infinite_from_step_7(trial=0), _infinite_from_step_7(trial=2)
+        monkeypatch.setattr(att, "_loss_and_grad", alone_kernel)
+        with pytest.raises(NonFiniteLoss) as alone:
+            att.train_gd(datasets[2], cfg)
+        monkeypatch.setattr(att, "_loss_and_grad", block_kernel)
+        block = att.train_block(datasets, cfg)
+        assert type(block[2]) is NonFiniteLoss and str(block[2]) == str(alone.value)
+        assert _trace_bytes(block[2].trace) == _trace_bytes(alone.value.trace)
+        for b in (0, 1, 3):
+            assert _trace_bytes(block[b]) == _trace_bytes(clean[b])
+
+    def test_log_underflow_fails_only_its_trial(self):
+        # A non-realizable sample has zero label mass under a tied head.
+        table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
+        head = dsm.make_head(table, dsm.TIED)
+        bad = dsm.Dataset(embedding=table, head=head, samples=(dsm.Sample(tokens=(1, 2, 3), label=0),))
+        good = dsm.Dataset(embedding=table, head=head, samples=(dsm.Sample(tokens=(1, 2, 0), label=0),))
+        cfg = att.TrainConfig(eta=0.1, iters=10, normalized=True)
+        with pytest.raises(DomainError) as alone:
+            att.train_gd(bad, cfg)
+        block = att.train_block([good, bad], cfg)
+        assert type(block[1]) is DomainError and str(block[1]) == str(alone.value)
+        assert _trace_bytes(block[0]) == _trace_bytes(att.train_gd(good, cfg))
 
 
 def _split_and_fin(ds):

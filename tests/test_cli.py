@@ -138,17 +138,27 @@ class TestExperimentCommand:
         assert summary["violations"]
 
     def test_workers_do_not_change_results(self, tmp_path):
+        # Global trials run in min(workers, trials) contiguous blocks: 5 trials
+        # on 3 workers give blocks of unequal size.
         runs = [
             ("cyclic-global", 4, ["--trials", 4]),
             ("scc-count", 2, ["--trials", 3, "--set", "n_grid=[8,16]"]),
             ("feasibility", 2, ["--trials", 2, "--set", "d_grid=[2,4]", "--set", "K=4",
                                 "--set", "n=4", "--set", "iters=200"]),
+            ("acyclic-global", 2, ["--trials", 4, "--set", "iters=500"]),
+            ("large-k", 2, ["--trials", 3, "--set", "K=60", "--set", "d=8", "--set", "n=4",
+                            "--set", "T=8", "--set", "iters=200"]),
+            ("cyclic-global", 3, ["--trials", 5]),
         ]
-        for name, workers, extra in runs:
-            a, b = tmp_path / name / "a", tmp_path / name / "b"
+        for k, (name, workers, extra) in enumerate(runs):
+            a, b = tmp_path / str(k) / "a", tmp_path / str(k) / "b"
             run_cli("exp", name, "--out", a, "--seed", 4, "--workers", 1, *extra)
             run_cli("exp", name, "--out", b, "--seed", 4, "--workers", workers, *extra)
-            assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes(), name
+            files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file()), name
+            assert {"aggregate.csv", "summary.json"} <= {str(f) for f in files}, name
+            for f in files:
+                assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
 
 
 def _flipped_grad(grad):

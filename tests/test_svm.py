@@ -1,5 +1,7 @@
 """Constraint assembly, subspaces, the min-norm solver, and feasibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,18 @@ class TestFeasibility:
             embedding=table,
         )
         sol = svm.solve_graph_svm(cons)
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+    def test_infeasible_verdict_raises_no_warning(self):
+        # (K, d, n, T) = (7, 4, 14, 6), seed 1048, headless, cyclic: the NNLS
+        # ratio step used to divide at every passive index and warned
+        # "divide by zero" here on its way to this same certificate.
+        table = dsm.make_embeddings(7, 4, dsm.UNIT_SPHERE, seed=1048)
+        cons, _, _ = _constraints_for(dsm.gen_dataset(table, None, n=14, T=6, mode="cyclic", seed=1048))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = svm.solve_graph_svm(cons)
         assert sol.status is svm.SolveStatus.INFEASIBLE
         assert_certified(cons, sol)
 
