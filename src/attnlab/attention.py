@@ -34,7 +34,7 @@ GRAD_FLOOR = 1e-14
 
 def loss_value(kind: str, u: np.ndarray) -> np.ndarray:
     if kind == LOG:
-        if np.any(u <= LOG_GUARD):
+        if (u <= LOG_GUARD).any():
             raise _underflow(u)
         return -np.log(u)
     if kind == SQUARED:
@@ -44,7 +44,7 @@ def loss_value(kind: str, u: np.ndarray) -> np.ndarray:
 
 def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
     if kind == LOG:
-        if np.any(u <= LOG_GUARD):
+        if (u <= LOG_GUARD).any():
             raise _underflow(u)
         return -1.0 / u
     if kind == SQUARED:
@@ -53,9 +53,10 @@ def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
 
 
 def softmax(h: np.ndarray) -> np.ndarray:
-    shifted = h - np.max(h, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=-1, keepdims=True)
+    ex = h - h.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def embed_sample(dataset: Dataset, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
@@ -167,51 +168,56 @@ def _underflow(u: np.ndarray) -> DomainError:
 
 
 def _loss_and_grad(
-    w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True
-) -> tuple[np.ndarray, Optional[np.ndarray], dict[int, Exception]]:
+    w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True,
+    need_loss: bool = True,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
     """Per-trial losses (B,) and gradients (B, d, d) at w (B, d, d), from one
     softmax per length group and matmul contractions only.
 
     Every trial's values are bit for bit those of a pack of that trial
     alone.  ``reduced_log`` takes the tied log loss through its reduced
     form; otherwise the generic softmax-chain formula applies.  Without
-    ``need_grad`` the gradient is None and its contractions are skipped.
-    An error in one trial's data does not stop the others: it comes back in
-    {trial: exception}, and that trial's values are meaningless.
+    ``need_grad`` the gradient is None and its contractions are skipped;
+    without ``need_loss`` the losses are None and their terms are skipped,
+    but the log-loss underflow guard still runs.  An error in one trial's
+    data does not stop the others: it comes back in {trial: exception}, and
+    that trial's values are meaningless.
     """
     trials, errors = packed.trials, {}
     if kind == CROSS_ENTROPY and packed.c is None:
         errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(trials)}
-        return np.full(trials, np.nan), np.zeros_like(w) if need_grad else None, errors
-    total = np.zeros(trials)
+        total = np.full(trials, np.nan) if need_loss else None
+        return total, np.zeros_like(w) if need_grad else None, errors
+    total = np.zeros(trials) if need_loss else None
     grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
     for g in packed.groups:
         s = softmax(np.matmul(g.x, np.matmul(g.xbar, w.mT)[..., None])[..., 0])
         if kind == CROSS_ENTROPY:
             label = g.labels[..., None]
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], packed.c.mT)
-            shifted = logits - np.max(logits, axis=-1, keepdims=True)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
             ex = np.exp(shifted)
-            z = np.sum(ex, axis=-1)
-            total += np.sum(np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0], axis=-1)
+            z = ex.sum(axis=-1)
+            if need_loss:
+                total += (np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0]).sum(axis=-1)
             if not need_grad:
                 continue
             p = ex / z[..., None]
             np.put_along_axis(p, label, np.take_along_axis(p, label, -1) - 1.0, -1)
             back = np.matmul(g.x, np.matmul(p, packed.c)[..., None])[..., 0]  # dL/ds
-            dh = s * (back - np.sum(s * back, axis=-1, keepdims=True))
+            dh = s * (back - (s * back).sum(axis=-1, keepdims=True))
             vec = np.matmul(dh[..., None, :], g.x)[..., 0, :]
         else:
-            u = np.sum(s * g.gamma, axis=-1)
-            try:
-                values = loss_value(kind, u)
-            except DomainError:
-                low = np.any(u <= LOG_GUARD, axis=-1)
-                for b in np.flatnonzero(low):
-                    errors.setdefault(int(b), _underflow(u[b]))
-                u = np.where(low[:, None], 1.0, u)
-                values = loss_value(kind, u)
-            total += np.sum(values, axis=-1)
+            u = (s * g.gamma).sum(axis=-1)
+            if kind == LOG:
+                under = u <= LOG_GUARD
+                if under.any():
+                    low = under.any(axis=-1)
+                    for b in np.flatnonzero(low):
+                        errors.setdefault(int(b), _underflow(u[b]))
+                    u = np.where(low[:, None], 1.0, u)
+            if need_loss:
+                total += loss_value(kind, u).sum(axis=-1)
             if not need_grad:
                 continue
             if kind == LOG and packed.tied and reduced_log:
@@ -219,21 +225,26 @@ def _loss_and_grad(
                 # The derivation divides by the label mass, which has just
                 # been guarded.
                 sbar = s * g.unlabeled
-                vec = np.matmul(sbar[..., None, :], g.x)[..., 0, :] - np.sum(sbar, axis=-1)[..., None] * g.ey
+                vec = np.matmul(sbar[..., None, :], g.x)[..., 0, :] - sbar.sum(axis=-1)[..., None] * g.ey
             else:
                 v = s * (g.gamma - u[..., None])
                 vec = loss_deriv(kind, u)[..., None] * np.matmul(v[..., None, :], g.x)[..., 0, :]
         grad += np.matmul(vec.mT, g.xbar)
-    return total / packed.n, None if grad is None else grad / packed.n[:, None, None], errors
+    if total is not None:
+        total /= packed.n
+    if grad is not None:
+        grad /= packed.n[:, None, None]
+    return total, grad, errors
 
 
 def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
-         reduced_log: bool = True) -> tuple[float, Optional[np.ndarray]]:
-    """Loss and gradient of a one-trial pack at a (d, d) w; raises its error."""
-    total, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad)
+         reduced_log: bool = True, need_loss: bool = True) -> tuple[Optional[float], Optional[np.ndarray]]:
+    """Loss and gradient of a one-trial pack at a (d, d) w, each None when
+    not asked for; raises the trial's error."""
+    total, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad, need_loss)
     if errors:
         raise errors[0]
-    return float(total[0]), None if grad is None else grad[0]
+    return None if total is None else float(total[0]), None if grad is None else grad[0]
 
 
 def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
@@ -242,12 +253,12 @@ def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Analytical gradient; uses the reduced tied-head form for the log loss."""
-    return _one(w, _pack([dataset]), kind)[1]
+    return _one(w, _pack([dataset]), kind, need_loss=False)[1]
 
 
 def grad_general(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Gradient via the generic softmax-chain formula, for cross-checking."""
-    return _one(w, _pack([dataset]), kind, reduced_log=False)[1]
+    return _one(w, _pack([dataset]), kind, reduced_log=False, need_loss=False)[1]
 
 
 def lipschitz_log(dataset: Dataset) -> float:
@@ -322,16 +333,8 @@ class TrainTrace:
     w_final: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def rows(self):
-        for j in range(len(self.iters)):
-            yield (
-                int(self.iters[j]),
-                self.loss[j],
-                self.loss_bar[j],
-                self.grad_norm[j],
-                self.w_norm[j],
-                self.corr_svm[j],
-                self.dist_fin[j],
-            )
+        """One tuple of Python values per record, in `csv_header` order."""
+        return zip(self.iters.tolist(), *(getattr(self, name).tolist() for name in _COLUMNS))
 
     @staticmethod
     def csv_header() -> tuple[str, ...]:
@@ -491,11 +494,12 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     t0 = time.perf_counter()
     row = 0
     for tau in range(config.iters + 1):
-        cur_loss, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True)
+        record = row < len(taus) and taus[row] == tau
+        cur_loss, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=record)
         fail(errors)
         if not np.isfinite(g).all():
-            fail(non_finite("gradient", tau, ~np.all(np.isfinite(g), axis=(1, 2))))
-        if row < len(taus) and taus[row] == tau:
+            fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
+        if record:
             fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
             loss_bar, errors = stack_refs.loss_bar(w)
             fail(errors)
@@ -703,7 +707,7 @@ def _projected_gd(packed: _Packed, w0: np.ndarray, radius: float, eta: float, ma
     if nrm > radius:
         w *= radius / nrm
     for _ in range(max_iters):
-        g = _one(w, packed, LOG)[1]
+        g = _one(w, packed, LOG, need_loss=False)[1]
         w_new = w - eta * g
         nrm = np.linalg.norm(w_new)
         if nrm > radius:

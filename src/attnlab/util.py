@@ -25,23 +25,28 @@ def default_seed() -> int:
     return int(raw) if raw else 0
 
 
-def fmt_float(x: float) -> str:
-    """Shortest round-trip decimal form (bit-exact on reload)."""
-    return repr(float(x))
+def _cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        return repr(x) if x == x else ""
+    return str(x)
+
+
+def _column(values: tuple) -> list[str]:
+    """The cells of one CSV column.  A column of Python floats is formatted by
+    one repr of the list, which writes each item as its own repr does."""
+    if all(type(v) is float for v in values):
+        return repr(list(values))[1:-1].replace("nan", "").split(", ")
+    return [_cell(v) for v in values]
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV with byte-stable formatting (floats via round-trip repr)."""
+    """Write a CSV with byte-stable formatting: floats in shortest round-trip
+    form (bit-exact on reload), NaN as an empty cell, anything else by str.
+    Rows of unequal width raise ValueError."""
+    cols = [_column(col) for col in zip(*rows, strict=True)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, (float, np.floating)):
-                    cells.append("" if np.isnan(cell) else fmt_float(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
 
 
 def write_json(path: str, payload) -> None:

@@ -2,9 +2,9 @@
 
 Reachability goes through dense Floyd-Warshall closures, the QP oracle
 enumerates active sets exhaustively, gradients come from central finite
-differences on the loss alone, W_fin comes from plain gradient descent, and
-the packed loss and gradient have an einsum form beside the library's matmul
-kernel.
+differences on the loss alone, W_fin comes from plain gradient descent, the
+packed loss and gradient have an einsum form beside the library's matmul
+kernel, and CSV bytes come from a cell-by-cell formatter.
 """
 
 import numpy as np
@@ -127,14 +127,32 @@ def distance_to_row_span(v: np.ndarray, rows: np.ndarray) -> float:
 
 def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the loss, entry by entry."""
+    packed = attention._pack([ds])
     g = np.zeros_like(w)
     for a in range(w.shape[0]):
         for b in range(w.shape[1]):
             wp, wm = w.copy(), w.copy()
             wp[a, b] += step
             wm[a, b] -= step
-            g[a, b] = (attention.loss(wp, ds, kind) - attention.loss(wm, ds, kind)) / (2 * step)
+            lp = attention._one(wp, packed, kind, need_grad=False)[0]
+            lm = attention._one(wm, packed, kind, need_grad=False)[0]
+            g[a, b] = (lp - lm) / (2 * step)
     return g
+
+
+def csv_oracle(header, rows) -> bytes:
+    """CSV bytes formatted cell by cell: a float (Python or numpy) as
+    repr(float(x)), NaN as an empty cell, anything else through str."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, (float, np.floating)):
+                cells.append("" if np.isnan(cell) else repr(float(cell)))
+            else:
+                cells.append(str(cell))
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, packed=None) -> np.ndarray:

@@ -214,9 +214,9 @@ class TestGlobalBlocks:
                 raise NoConvergence("trial 3 has no pipeline")
             return build(ds)
 
-        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True):
-            value, g, errors = kernel(w, packed, kind, reduced_log, need_grad)
-            if need_grad:  # the training pack, not a loss_bar split pack
+        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
+            value, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss)
+            if need_grad and need_loss:  # a record step of the training pack, not a loss_bar split pack
                 value = value.copy()
                 value[1] = np.inf
             return value, g, errors

@@ -216,6 +216,36 @@ class TestKernelOracle:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _errors(errors):
+    return {b: (type(exc), str(exc)) for b, exc in errors.items()}
+
+
+class TestSkippedLoss:
+    # Three trials of one dataset: a moderate W, a W large enough that the
+    # softmax puts all mass on one position (the log loss's label mass
+    # underflows), and a W in between.
+    SCALES = np.array([0.5, 1e5, 3.0])[:, None, None]
+
+    @pytest.mark.parametrize("name", ["desk", "large-K"])
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_gradient_and_errors_equal_the_full_call(self, name, kind):
+        ds = _shape_dataset(name)
+        if kind == att.CROSS_ENTROPY and ds.head is None:  # cross-entropy needs a head; K > d rules out make_head
+            head = dsm.ClassifierHead(c=seeded_rng(16).standard_normal((ds.K, ds.d)), kind=dsm.GENERAL_ARGMAX)
+            ds = dataclasses.replace(ds, head=head)
+        packed = att._pack([ds] * 3)
+        w = self.SCALES * seeded_rng(15).standard_normal((3, ds.d, ds.d))
+        for reduced_log in (True, False):
+            full_loss, full_grad, full_errors = att._loss_and_grad(w, packed, kind, reduced_log)
+            loss, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log, need_loss=False)
+            assert loss is None and np.all(np.isfinite(full_loss[[0, 2]]))
+            assert grad.tobytes() == full_grad.tobytes()
+            assert _errors(errors) == _errors(full_errors)
+            assert sorted(errors) == ([1] if kind == att.LOG else [])
+        if kind == att.LOG:
+            assert "underflow" in str(errors[1])
+
+
 class TestLipschitz:
     def test_log_constant_direct_values(self):
         ds = tiny_instance(8, K=4, d=4, n=4, T=4)
@@ -261,13 +291,14 @@ class TestLipschitz:
 
 
 def _infinite_from_step_7(trial):
-    """The kernel, with one trial's loss turned infinite from its eighth call on."""
+    """The kernel, with one trial's loss turned infinite from its eighth call
+    on, in the calls that compute the loss."""
     fused, calls = att._loss_and_grad, []
 
-    def patched(w, packed, kind, reduced_log, need_grad=True):
-        value, g, errors = fused(w, packed, kind, reduced_log, need_grad)
+    def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
+        value, g, errors = fused(w, packed, kind, reduced_log, need_grad, need_loss)
         calls.append(None)
-        if len(calls) > 7:
+        if len(calls) > 7 and value is not None:
             value = value.copy()
             value[trial] = np.inf
         return value, g, errors

@@ -165,12 +165,18 @@ def _flipped_grad(grad):
     return lambda w, ds, kind=attention.LOG: -grad(w, ds, kind)
 
 
-def _tripled_grad(grad):
-    return lambda w, ds, kind=attention.LOG: 3.0 * grad(w, ds, kind)
+def _tripled_grad(one):
+    def mutated(*args, **kwargs):
+        value, g = one(*args, **kwargs)
+        return value, None if g is None else 3.0 * g
+    return mutated
 
 
-def _negated_loss(loss):
-    return lambda w, ds, kind=attention.LOG: -loss(w, ds, kind)
+def _negated_loss(one):
+    def mutated(*args, **kwargs):
+        value, g = one(*args, **kwargs)
+        return None if value is None else -value, g
+    return mutated
 
 
 def _scc_without_first_out_edges(scc):
@@ -238,8 +244,8 @@ def _plain_gd(train_gd):
 # property must then report ok=False.
 CANARIES = [
     ("gradient_check", attention, "grad", _flipped_grad),
-    ("descent", attention, "grad", _tripled_grad),
-    ("convexity_chords", attention, "loss", _negated_loss),
+    ("descent", attention, "_one", _tripled_grad),
+    ("convexity_chords", attention, "_one", _negated_loss),
     ("kkt", svm, "solve_graph_svm", _svm_scaled_below_margin),
     ("kkt", svm, "solve_graph_svm", _svm_without_last_inequality),
     ("scc_oracle", graph, "scc", _scc_without_first_out_edges),
