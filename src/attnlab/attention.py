@@ -73,7 +73,8 @@ def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class _Group:
-    """Samples of equal length, stacked over B trials into dense arrays."""
+    """Samples of equal length, stacked over the B trials that hold g of
+    them into dense arrays."""
 
     x: np.ndarray          # (B, g, T, d)
     xbar: np.ndarray       # (B, g, d)
@@ -82,6 +83,7 @@ class _Group:
     gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
     unlabeled: np.ndarray  # (B, g, T) 1.0 where token != label
     ey: np.ndarray         # (B, g, d) label embeddings
+    ids: Optional[np.ndarray] = None  # (B,) the trials of the pack it holds; None for all
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,9 @@ class _Packed:
 
 
 def _structure(dataset: Dataset, force_tied: bool = False) -> tuple:
-    """What datasets must share to stack into one pack: table and head
-    shapes, head use, and the sample count at each sequence length."""
+    """Table and head shapes, head use, and the sample count at each
+    sequence length.  Datasets that share all of it train in lock-step; a
+    pack needs only the first four to agree."""
     headed = dataset.head is not None and not force_tied
     lengths = sorted(Counter(s.T for s in dataset.samples).items())
     return dataset.K, dataset.d, headed, not headed or dataset.tied_head(), tuple(lengths)
@@ -111,8 +114,14 @@ def _pack(
     queries: Optional[Sequence[tuple[int, ...]]] = None,
     force_tied: bool = False,
 ) -> _Packed:
-    """Stack datasets of one `_structure` into length groups with a leading
-    trial axis.
+    """Stack datasets that share table and head shapes and head use into
+    groups keyed by (length, sample count), each with a leading axis over
+    the trials that hold that many samples of that length.
+
+    Each trial's groups keep the row counts and the ascending-length order
+    they have in a pack of that trial alone, so the kernel's values are bit
+    for bit the same.  Datasets of one `_structure` give groups that hold
+    every trial.
 
     ``n_total`` and ``queries`` are per dataset.  ``queries`` overrides the
     query token per sample (reduced sequences whose original last token was
@@ -120,8 +129,8 @@ def _pack(
     and aggregates label-position mass, which is the scoring the
     cyclic-subdataset theory is stated in.
     """
-    if len(datasets) > 1 and len({_structure(ds, force_tied) for ds in datasets}) != 1:
-        raise ValueError("stacked datasets must share one group structure")
+    if len(datasets) > 1 and len({_structure(ds, force_tied)[:4] for ds in datasets}) != 1:
+        raise ValueError("stacked datasets must share table and head shapes and head use")
     first = datasets[0]
     headed = first.head is not None and not force_tied
     tied = not headed or first.tied_head()
@@ -132,7 +141,7 @@ def _pack(
         by_len: dict[int, list[int]] = {}
         for i, s in enumerate(ds.samples):
             by_len.setdefault(s.T, []).append(i)
-        groups = []
+        groups = {}
         for t_len in sorted(by_len):
             idx = by_len[t_len]
             toks = np.array([ds.samples[i].tokens for i in idx])
@@ -141,10 +150,15 @@ def _pack(
             xbar = x[:, -1, :].copy() if queries is None else e[np.array([queries[b][i] for i in idx])]
             omask = toks == labels[:, None]
             gamma = omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels])
-            groups.append((x, xbar, labels, omask, gamma, (~omask).astype(np.float64), e[labels]))
+            groups[t_len, len(idx)] = (x, xbar, labels, omask, gamma, (~omask).astype(np.float64), e[labels])
         per_trial.append(groups)
+    groups = []
+    for key in sorted(set().union(*per_trial)):
+        ids = [b for b, trial in enumerate(per_trial) if key in trial]
+        parts = zip(*(per_trial[b][key] for b in ids))
+        groups.append(_Group(*map(_stack, parts), ids=None if len(ids) == len(datasets) else np.array(ids)))
     return _Packed(
-        groups=tuple(_Group(*map(_stack, zip(*parts))) for parts in zip(*per_trial)),
+        groups=tuple(groups),
         n=np.array([ds.n for ds in datasets] if n_total is None else n_total, dtype=np.float64),
         d=first.d,
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
@@ -172,10 +186,11 @@ def _loss_and_grad(
     need_loss: bool = True,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
     """Per-trial losses (B,) and gradients (B, d, d) at w (B, d, d), from one
-    softmax per length group and matmul contractions only.
+    softmax per group and matmul contractions only.
 
     Every trial's values are bit for bit those of a pack of that trial
-    alone.  ``reduced_log`` takes the tied log loss through its reduced
+    alone; a group that holds only some trials reads their w and adds into
+    their rows.  ``reduced_log`` takes the tied log loss through its reduced
     form; otherwise the generic softmax-chain formula applies.  Without
     ``need_grad`` the gradient is None and its contractions are skipped;
     without ``need_loss`` the losses are None and their terms are skipped,
@@ -191,20 +206,21 @@ def _loss_and_grad(
     total = np.zeros(trials) if need_loss else None
     grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
     for g in packed.groups:
-        s = softmax(np.matmul(g.x, np.matmul(g.xbar, w.mT)[..., None])[..., 0])
+        at = slice(None) if g.ids is None else g.ids
+        s = softmax(np.matmul(g.x, np.matmul(g.xbar, w[at].mT)[..., None])[..., 0])
         if kind == CROSS_ENTROPY:
-            label = g.labels[..., None]
-            logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], packed.c.mT)
+            label, c = g.labels[..., None], packed.c[at]
+            logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
             shifted = logits - logits.max(axis=-1, keepdims=True)
             ex = np.exp(shifted)
             z = ex.sum(axis=-1)
             if need_loss:
-                total += (np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0]).sum(axis=-1)
+                total[at] += (np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0]).sum(axis=-1)
             if not need_grad:
                 continue
             p = ex / z[..., None]
             np.put_along_axis(p, label, np.take_along_axis(p, label, -1) - 1.0, -1)
-            back = np.matmul(g.x, np.matmul(p, packed.c)[..., None])[..., 0]  # dL/ds
+            back = np.matmul(g.x, np.matmul(p, c)[..., None])[..., 0]  # dL/ds
             dh = s * (back - (s * back).sum(axis=-1, keepdims=True))
             vec = np.matmul(dh[..., None, :], g.x)[..., 0, :]
         else:
@@ -214,10 +230,10 @@ def _loss_and_grad(
                 if under.any():
                     low = under.any(axis=-1)
                     for b in np.flatnonzero(low):
-                        errors.setdefault(int(b), _underflow(u[b]))
+                        errors.setdefault(int(b if g.ids is None else g.ids[b]), _underflow(u[b]))
                     u = np.where(low[:, None], 1.0, u)
             if need_loss:
-                total += loss_value(kind, u).sum(axis=-1)
+                total[at] += loss_value(kind, u).sum(axis=-1)
             if not need_grad:
                 continue
             if kind == LOG and packed.tied and reduced_log:
@@ -229,7 +245,7 @@ def _loss_and_grad(
             else:
                 v = s * (g.gamma - u[..., None])
                 vec = loss_deriv(kind, u)[..., None] * np.matmul(v[..., None, :], g.x)[..., 0, :]
-        grad += np.matmul(vec.mT, g.xbar)
+        grad[at] += np.matmul(vec.mT, g.xbar)
     if total is not None:
         total /= packed.n
     if grad is not None:
@@ -417,11 +433,10 @@ class _StackRefs:
     def __init__(self, refs: list[TrainRefs], d: int, kind: str):
         self.kind, self.d, tied = kind, d, kind != CROSS_ENTROPY
         splits = [r.split if r.split is not None and not r.split.empty else None for r in refs]
-        self.splits = [
-            (np.array(ids), _pack([splits[b].subdataset for b in ids], n_total=[splits[b].n_total for b in ids],
-                                  queries=[splits[b].queries for b in ids], force_tied=tied))
-            for ids in _index_groups(None if s is None else _structure(s.subdataset, tied) for s in splits)
-        ]
+        self.split_ids = np.flatnonzero([s is not None for s in splits])
+        held = [splits[b] for b in self.split_ids]
+        self.split_pack = _pack([s.subdataset for s in held], n_total=[s.n_total for s in held],
+                                queries=[s.queries for s in held], force_tied=tied) if held else None
         self.empty_split = np.array([r.split is not None and r.split.empty for r in refs])
         self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
         self.svm_norm = np.array([0.0 if r.w_svm is None else np.linalg.norm(r.w_svm) for r in refs])
@@ -434,11 +449,12 @@ class _StackRefs:
 
     def loss_bar(self, w: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         """Cyclic-subdataset loss: 0 on an empty split, NaN with no split."""
-        out, errors = np.where(self.empty_split, 0.0, np.nan), {}
-        for ids, packed in self.splits:
-            out[ids], _, errs = _loss_and_grad(w[ids], packed, self.kind, True, need_grad=False)
-            errors.update((int(ids[j]), exc) for j, exc in errs.items())
-        return out, errors
+        out = np.where(self.empty_split, 0.0, np.nan)
+        if self.split_pack is None:
+            return out, {}
+        ids = self.split_ids
+        out[ids], _, errors = _loss_and_grad(w[ids], self.split_pack, self.kind, True, need_grad=False)
+        return out, {int(ids[j]): exc for j, exc in errors.items()}
 
     def corr_svm(self, w: np.ndarray, w_norm: np.ndarray) -> np.ndarray:
         """`correlation` with W_svm, trial by trial."""

@@ -22,13 +22,16 @@ import numpy as np
 
 from .dataset import EmbeddingTable
 from .errors import NotOrthonormal
-from .graph import PairRelation, SccDecomposition, TokenPriorityGraph, priority_assignment, relation, scc
+from .graph import SccDecomposition, TokenPriorityGraph, priority_assignment, scc
 from .util import frozen
 
 BASIS_CUTOFF = 1e-10
 PRIMAL_TOL = 1e-6
 FARKAS_TOL = 1e-9
 KKT_TOL = 1e-5
+# Past this 1 / sin^2 angle between a column of the NNLS passive set and
+# the span of the others, the set is solved by LU, not by the updated inverse.
+ILL_CONDITIONED = 1e6
 
 Triple = tuple[int, int, int]
 
@@ -77,21 +80,25 @@ def build_constraints(
     first), one equality per unordered same-SCC pair, per graph.
 
     Priority is reachability on the condensation, so transitive pairs
-    generate their own inequalities.  Ordering is (k, i, j) throughout.
+    generate their own inequalities; each pair is classified as
+    `graph.relation` does, from its nodes' components.  Ordering is (k, i, j)
+    throughout.
     """
     eqs: list[Triple] = []
     ineqs: list[Triple] = []
     for k in sorted(tpgs):
         nodes = sorted(tpgs[k].nodes)
         decomp = decomps[k]
-        for a_idx, i in enumerate(nodes):
-            for j in nodes[a_idx + 1 :]:
-                rel = relation(decomp, i, j)
-                if rel is PairRelation.SAME_SCC:
+        comps = [decomp.comp_of[i] for i in nodes]
+        reach = decomp.reachable
+        for a_idx, (i, ci) in enumerate(zip(nodes, comps)):
+            down = reach[ci]
+            for j, cj in zip(nodes[a_idx + 1 :], comps[a_idx + 1 :]):
+                if cj == ci:
                     eqs.append((i, j, k))
-                elif rel is PairRelation.STRICT_PRIORITY:
+                elif cj in down:
                     ineqs.append((i, j, k))
-                elif relation(decomp, j, i) is PairRelation.STRICT_PRIORITY:
+                elif ci in reach[cj]:
                     ineqs.append((j, i, k))
     eqs.sort(key=lambda t: (t[2], t[0], t[1]))
     ineqs.sort(key=lambda t: (t[2], t[0], t[1]))
@@ -180,48 +187,220 @@ def _empty_solution(d: int) -> SvmSolution:
         w=frozen(np.zeros((d, d))),
         status=SolveStatus.SOLVED,
         ineq_multipliers=np.zeros(0),
-        residuals={"max_eq_violation": 0.0, "min_ineq_margin": np.inf, "kkt_residual": 0.0, "sweeps": 0},
+        residuals={"max_eq_violation": 0.0, "min_ineq_margin": np.inf, "kkt_residual": 0.0, "sweeps": 0,
+                   "converged": True},
     )
+
+
+class _PassiveInverse:
+    """The passive-set solve of Lawson-Hanson NNLS in Gram form, kept
+    current as indices enter and leave the passive set P: the inverse of
+    the block gram[P, P], the passive rows gram[P] and the solution
+    z = gram[P, P]^-1 1.
+
+    Each lives in a buffer of the passive set's size that doubles when
+    full, never m x m.  An entering index borders the inverse through its
+    Schur complement and a leaving one is a rank-one downdate, O(p^2) each,
+    with z following in O(p); the dual gradient 1 - gram u then takes the p
+    passive rows, O(p m).
+
+    ``trusted`` says the updates are good to working accuracy: P is not
+    nearly dependent (no diag(inv)_i gram_ii, which is 1 / sin^2 of the
+    angle between column i of E and the span of the others, above
+    ILL_CONDITIONED) and the last residual 1 - gram[P, P] z was within
+    tolerance.  While it is False the updates are skipped and the caller
+    solves P by LU and refactors.
+    """
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+        self.diag = gram.diagonal().copy()
+        self.p = 0
+        size = min(len(gram), 64)
+        self.order = np.empty(size, dtype=np.intp)  # order[:p] = P, in the order of the factor
+        self.sol = np.empty(size)                   # sol[:p] = z
+        self.rows = np.empty((size, len(gram)))     # rows[:p] = gram[P]
+        self.inv = np.empty((size, size))           # inv[:p, :p] = gram[P, P]^-1
+        self.trusted = True
+
+    @property
+    def idx(self) -> np.ndarray:
+        return self.order[: self.p]
+
+    def z(self) -> np.ndarray:
+        return self.sol[: self.p].copy()
+
+    def grad(self) -> np.ndarray:
+        """1 - gram u for u = z on P and 0 elsewhere."""
+        return 1.0 - self.sol[: self.p] @ self.rows[: self.p]
+
+    def schur(self, j: int) -> tuple[np.ndarray, float]:
+        """h = gram[P, P]^-1 gram[P, j] and the Schur complement of j; the
+        weight of j once it enters is (1 - sum(h)) / s."""
+        p = self.p
+        b = self.rows[:p, j]
+        h = self.inv[:p, :p] @ b
+        return h, float(self.diag[j] - b @ h)
+
+    def add(self, j: int, h: np.ndarray, s: float) -> None:
+        """Border the factor with index j, given `schur(j)`."""
+        p = self.p
+        if p == len(self.inv):
+            self._grow()
+        hs = h / s
+        zj = (1.0 - h.sum()) / s
+        self.inv[:p, :p] += np.einsum("i,j->ij", h, hs)
+        self.inv[:p, p] = self.inv[p, :p] = -hs
+        self.inv[p, p] = 1.0 / s
+        self.sol[:p] -= zj * h
+        self.sol[p] = zj
+        self.rows[p] = self.gram[j]
+        self.order[p] = j
+        self.p += 1
+
+    def drop(self, pos: int) -> None:
+        """Remove the index at position pos: swap it to the end, then
+        downdate the factor by its last row and column."""
+        q = self.p - 1
+        inv, sol = self.inv, self.sol
+        if pos != q:
+            self.rows[pos] = self.rows[q]
+            self.order[pos] = self.order[q]
+            if self.trusted:
+                inv[[pos, q], : q + 1] = inv[[q, pos], : q + 1]
+                inv[: q + 1, [pos, q]] = inv[: q + 1, [q, pos]]
+                sol[[pos, q]] = sol[[q, pos]]
+        if self.trusted:
+            col = inv[:q, q] / inv[q, q]
+            inv[:q, :q] -= np.einsum("i,j->ij", col, inv[q, :q])
+            sol[:q] -= sol[q] * col
+        self.p = q
+
+    def check(self, grad: np.ndarray, tol: float) -> bool:
+        """Whether the factor can be kept: P is not nearly dependent and
+        the residual of z, grad on P, is within tol."""
+        idx = self.idx
+        spread = self.inv.diagonal()[: self.p] * self.diag[idx]
+        self.trusted = self.p == 0 or bool(spread.max() <= ILL_CONDITIONED and np.abs(grad[idx]).max() <= tol)
+        return self.trusted
+
+    def reset(self, idx: np.ndarray, z: np.ndarray) -> None:
+        """Refactor from scratch on the index set idx, in that order, whose
+        solution z the caller has solved for."""
+        p = len(idx)
+        while p > len(self.inv):
+            self._grow()
+        self.p = p
+        self.order[:p] = idx
+        self.sol[:p] = z
+        self.rows[:p] = self.gram[idx]
+        self.inv[:p, :p] = np.linalg.inv(self.gram[np.ix_(idx, idx)])
+
+    def _grow(self) -> None:
+        size, p = min(2 * len(self.inv), len(self.gram)), self.p
+        order, sol = np.empty(size, dtype=np.intp), np.empty(size)
+        rows, inv = np.empty((size, len(self.gram))), np.empty((size, size))
+        order[:p], sol[:p], rows[:p], inv[:p, :p] = self.order[:p], self.sol[:p], self.rows[:p], self.inv[:p, :p]
+        self.order, self.sol, self.rows, self.inv = order, sol, rows, inv
 
 
 def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Lawson-Hanson NNLS, min ||E u - f|| over u >= 0, in Gram form.
 
     Only gram = E^T E is needed, with E^T f = 1 (the all-ones vector), so
-    the dual gradient is 1 - gram u.  Returns (u, iterations, converged),
-    where an iteration is one passive-set solve and the cap is 3m.
+    the dual gradient is 1 - gram u.  The passive-set solve is updated as
+    indices enter and leave (`_PassiveInverse`), so a step costs O(p m)
+    rather than a fresh O(p^3) solve and an O(m^2) product.  Where the
+    updates cannot be trusted (an entering index whose Schur complement is
+    below 1 / ILL_CONDITIONED of its diagonal, a nearly dependent P, or a
+    residual above tol) a step is the textbook one, an LU solve of
+    gram[P, P], and the factor is rebuilt from scratch.  An entering index
+    that is non-improving (its new weight is not positive) or degenerate
+    (the LU solve finds P with it singular) is skipped until u moves.
+
+    Convergence is decided on an exact solve, never on the updates: the
+    final passive set is solved afresh by LU, np.linalg.solve(gram[P, P], 1),
+    and accepted only when every weight is positive and 1 - gram u <= tol
+    off P, over the full Gram matrix.  A set that fails is refactored, and
+    the iteration goes on from that solve.
+
+    Returns (u, iterations, converged), where an iteration is one
+    passive-set solve (by the updates or by LU; the accepted check is not
+    counted) and the cap is 3m.
     """
     m = len(gram)
     cap = 3 * m
     tol = 10.0 * m * np.finfo(float).eps * float(gram.diagonal().max())
     u = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
     grad = np.ones(m)
+    factor = _PassiveInverse(gram)
     iters = 0
+
+    def exact(idx: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx)))
+
+    def refactor(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+        factor.reset(idx, z)
+        g = factor.grad()
+        factor.check(g, tol)
+        return g
 
     def solve() -> tuple[np.ndarray, np.ndarray]:
         nonlocal iters
         iters += 1
-        idx = np.flatnonzero(passive)
-        return idx, np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx)))
+        if factor.trusted:
+            g = factor.grad()
+            if factor.check(g, tol):
+                return factor.z(), g
+        idx = np.sort(factor.idx)
+        z = exact(idx)
+        return z, refactor(idx, z)
 
     while iters < cap:
-        grad[passive] = -np.inf
-        j = int(np.argmax(grad))
+        grad[factor.idx] = -np.inf
+        j = int(grad.argmax())
         if grad[j] <= tol:
-            return u, iters, True
-        passive[j] = True
-        idx, z = solve()
-        if z[np.searchsorted(idx, j)] <= 0:
-            # Rounding let a non-improving index in; skip it until u moves.
-            passive[j] = False
-            grad[j] = 0.0
-            continue
-        while np.any(z <= 0):
+            idx = np.sort(factor.idx)
+            z = exact(idx)
+            full = np.zeros(m)
+            full[idx] = z
+            grad = 1.0 - gram @ full
+            grad[idx] = -np.inf
+            if np.all(z > 0) and not (grad > tol).any():
+                return full, iters, True
+            # The updates misled the iteration: go on from the exact solve.
+            iters += 1
+            refactor(idx, z)
+        else:
+            fast = factor.trusted
+            if fast:
+                h, s = factor.schur(j)
+                fast = s * ILL_CONDITIONED >= factor.diag[j]
+                if fast and h.sum() >= 1.0:
+                    # The weight of j, (1 - sum(h)) / s, would not be
+                    # positive: skip it until u moves.
+                    iters += 1
+                    grad[j] = 0.0
+                    continue
+            if fast:
+                factor.add(j, h, s)
+                z, grad = solve()
+            else:
+                iters += 1
+                idx = np.sort(np.append(factor.idx, j))
+                try:
+                    z = exact(idx)
+                except np.linalg.LinAlgError:  # degenerate: j lies in the span of P
+                    z = np.zeros(len(idx))
+                if z[np.searchsorted(idx, j)] <= 0:
+                    grad[j] = 0.0
+                    continue
+                grad = refactor(idx, z)
+        while (z <= 0).any():
             if iters >= cap:
                 return u, iters, False
             # Step from u toward z until the first passive weight hits zero.
-            cur = u[idx]
+            cur = u[factor.idx]
             neg = z <= 0
             ratio = np.full(len(z), np.inf)
             ratio[neg] = cur[neg] / (cur[neg] - z[neg])
@@ -229,11 +408,11 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
             cur += ratio[k] * (z - cur)
             cur[k] = 0.0
             drop = cur <= 0.0
-            u[idx] = np.where(drop, 0.0, cur)
-            passive[idx[drop]] = False
-            idx, z = solve()
-        u[idx] = z
-        grad = 1.0 - gram @ u
+            u[factor.idx] = np.where(drop, 0.0, cur)
+            for pos in np.flatnonzero(drop)[::-1]:
+                factor.drop(int(pos))
+            z, grad = solve()
+        u[factor.idx] = z
     return u, iters, False
 
 
@@ -250,6 +429,11 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     weights are a Farkas certificate (a convex combination of the A_a lying
     in the equality span) and the status is INFEASIBLE with W = 0;
     otherwise W = p / ||p||^2.
+
+    ``residuals["sweeps"]`` counts the NNLS passive-set solves, and
+    ``residuals["converged"]`` is True when its exact optimality check
+    passed: a MAX_ITER with ``converged`` True failed the primal or KKT
+    check on an optimal NNLS point, one with False hit the 3m cap.
     """
     d = constraints.embedding.d
     e = constraints.embedding.e
@@ -259,22 +443,29 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
         return _empty_solution(d)
 
     eq_basis = _orth(eq_vecs)
-    a_proj = _generators(constraints.inequalities, e)
-    a_proj -= (a_proj @ eq_basis.T) @ eq_basis
 
+    def projected() -> np.ndarray:
+        a = _generators(constraints.inequalities, e)
+        a -= (a @ eq_basis.T) @ eq_basis
+        return a
+
+    # One m x d^2 array at a time: the NNLS needs only the Gram matrix, and
+    # p and the checks below regenerate the rows they read.
+    a_proj = projected()
     gram = a_proj @ a_proj.T
+    del a_proj
     gram += 1.0
     u, iters, converged = _nnls_gram(gram)
+    del gram
     weights = u / u.sum()
-    p = a_proj.T @ weights
-    del gram, a_proj  # the checks below regenerate A; keep one m x d^2 array alive
+    p = projected().T @ weights
     farkas = float(np.linalg.norm(p))
     if farkas <= FARKAS_TOL:
         return SvmSolution(
             w=frozen(np.zeros((d, d))),
             status=SolveStatus.INFEASIBLE if converged else SolveStatus.MAX_ITER,
             ineq_multipliers=weights,
-            residuals={"farkas_residual": farkas, "sweeps": iters},
+            residuals={"farkas_residual": farkas, "sweeps": iters, "converged": converged},
         )
 
     # At the NNLS optimum 1 - s = s ||p||^2, so lambda = u / (1 - s) is
@@ -307,6 +498,7 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
             "min_ineq_margin": min_ineq,
             "kkt_residual": kkt_residual,
             "sweeps": iters,
+            "converged": converged,
         },
     )
 
@@ -392,11 +584,13 @@ def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
     total = np.zeros((d, d))
     statuses = []
     sweeps = 0
+    converged = True
     for k in constraints.last_tokens:
         sub = constraints.restrict_to_last_token(k)
         sol = solve_graph_svm(sub)
         statuses.append(sol.status)
-        sweeps += sol.residuals.get("sweeps", 0)
+        sweeps += sol.residuals["sweeps"]
+        converged = converged and sol.residuals["converged"]
         wk = sol.w
         # Row space check: W_k must vanish off span(e_k).
         row_residual = np.linalg.norm(wk - np.outer(wk @ emb.e[k], emb.e[k]))
@@ -414,5 +608,5 @@ def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
         w=frozen(total),
         status=worst,
         ineq_multipliers=np.zeros(0),
-        residuals={"sweeps": sweeps, "per_k": len(statuses)},
+        residuals={"sweeps": sweeps, "converged": converged, "per_k": len(statuses)},
     )

@@ -111,6 +111,54 @@ def active_set_oracle(eq_vecs: np.ndarray, ineq_vecs: np.ndarray, margin: float 
     return best_w
 
 
+def nnls_gram_oracle(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Lawson-Hanson NNLS in Gram form with a fresh LU solve of the passive
+    block at every step: min ||E u - f|| over u >= 0 for gram = E^T E and
+    E^T f = 1.  Returns (u, passive-set solves, converged); the cap is 3m."""
+    m = len(gram)
+    cap = 3 * m
+    tol = 10.0 * m * np.finfo(float).eps * float(gram.diagonal().max())
+    u = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    grad = np.ones(m)
+    iters = 0
+
+    def solve():
+        nonlocal iters
+        iters += 1
+        idx = np.flatnonzero(passive)
+        return idx, np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx)))
+
+    while iters < cap:
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            return u, iters, True
+        passive[j] = True
+        idx, z = solve()
+        if z[np.searchsorted(idx, j)] <= 0:
+            passive[j] = False
+            grad[j] = 0.0
+            continue
+        while np.any(z <= 0):
+            if iters >= cap:
+                return u, iters, False
+            cur = u[idx]
+            neg = z <= 0
+            ratio = np.full(len(z), np.inf)
+            ratio[neg] = cur[neg] / (cur[neg] - z[neg])
+            k = int(np.argmin(ratio))
+            cur += ratio[k] * (z - cur)
+            cur[k] = 0.0
+            drop = cur <= 0.0
+            u[idx] = np.where(drop, 0.0, cur)
+            passive[idx[drop]] = False
+            idx, z = solve()
+        u[idx] = z
+        grad = 1.0 - gram @ u
+    return u, iters, False
+
+
 def generator_rows(triples, e: np.ndarray) -> np.ndarray:
     """One flattened (e_i - e_j) e_k^T per triple, by direct outer products."""
     d = e.shape[1]

@@ -246,6 +246,52 @@ class TestSkippedLoss:
             assert "underflow" in str(errors[1])
 
 
+def _last_tokens(ds, lengths):
+    """ds with sample i cut to its last lengths[i] tokens."""
+    samples = tuple(dsm.Sample(tokens=s.tokens[-t:], label=s.label) for s, t in zip(ds.samples, lengths))
+    return dataclasses.replace(ds, samples=samples)
+
+
+class TestPartialGroups:
+    # One table and head shape and head use, but a different sample count
+    # at each length, so most (length, count) groups hold only some trials.
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_values_equal_each_trial_alone(self, kind):
+        datasets = [_last_tokens(_shape_dataset("local", seed), lengths)
+                    for seed, lengths in ((0, (6, 6, 4, 4)), (1, (6, 4, 4, 3)), (2, (6, 6, 6, 4)))]
+        assert len({att._structure(ds) for ds in datasets}) == 3
+        packed = att._pack(datasets)
+        assert sum(g.ids is not None for g in packed.groups) == len(packed.groups) == 6
+        w = seeded_rng(17).standard_normal((3, 8, 8))
+        for reduced_log in (True, False):
+            loss, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log)
+            for b, ds in enumerate(datasets):
+                want_loss, want_grad, want_errors = att._loss_and_grad(w[b:b + 1], att._pack([ds]), kind, reduced_log)
+                assert _errors({0: errors[b]} if b in errors else {}) == _errors(want_errors)
+                if not want_errors:
+                    assert loss[b].tobytes() == want_loss[0].tobytes()
+                    assert grad[b].tobytes() == want_grad[0].tobytes()
+
+    def test_record_loss_bar_is_one_kernel_call(self, monkeypatch):
+        datasets, refs, _ = _block_trials()
+        held = [r.split for r in refs if r.split is not None and not r.split.empty]
+        assert len({att._structure(s.subdataset, True) for s in held}) == 3
+        stack = att._StackRefs(refs, datasets[0].d, att.LOG)
+        w = 0.7 * seeded_rng(18).standard_normal((len(refs), datasets[0].d, datasets[0].d))
+        calls, kernel = [], att._loss_and_grad
+        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        got, errors = stack.loss_bar(w)
+        assert len(calls) == 1 and errors == {}
+        for b, r in enumerate(refs):
+            if r.split is None:
+                assert np.isnan(got[b])
+            elif r.split.empty:
+                assert got[b] == 0.0
+            else:
+                want = kernel(w[b:b + 1], att._split_pack(r.split), att.LOG, True, need_grad=False)[0][0]
+                assert got[b].tobytes() == want.tobytes()
+
+
 class TestLipschitz:
     def test_log_constant_direct_values(self):
         ds = tiny_instance(8, K=4, d=4, n=4, T=4)

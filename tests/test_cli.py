@@ -358,6 +358,7 @@ class TestExitCodes:
         payload = json.loads(out.read_text())
         assert payload["status"] == "infeasible"
         assert payload["residuals"]["farkas_residual"] <= 1e-9
+        assert payload["residuals"]["converged"] is True
 
     def test_non_unit_embedding_row_is_config_error(self, dataset_file, tmp_path, capsys):
         raw = json.loads(dataset_file.read_text())

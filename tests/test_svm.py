@@ -12,7 +12,15 @@ from attnlab.errors import NoConvergence, NotOrthonormal
 from attnlab.experiments import build_pipeline
 from attnlab.util import seeded_rng
 
-from helpers import active_set_oracle, classify_pair, distance_to_row_span, generator_rows, tiny_instance
+from helpers import (
+    active_set_oracle,
+    classify_pair,
+    distance_to_row_span,
+    generator_rows,
+    nnls_gram_oracle,
+    random_tpg,
+    tiny_instance,
+)
 
 
 def _constraints_for(ds):
@@ -90,6 +98,29 @@ class TestBuildConstraints:
                             want_ineq.add((j, i, k))
             assert set(cons.equalities) == want_eq
             assert set(cons.inequalities) == want_ineq
+
+
+    def test_random_tpgs_match_pair_oracle(self):
+        rng = seeded_rng(41)
+        table = dsm.make_embeddings(14, 4, dsm.UNIT_SPHERE, seed=0)
+        for _ in range(40):
+            last = rng.choice(14, size=int(rng.integers(1, 4)), replace=False)
+            tpgs = {int(k): random_tpg(rng, int(rng.integers(2, 14)), float(rng.uniform(0.05, 0.4)), int(k))
+                    for k in last}
+            want_eq, want_ineq = [], []
+            for k in sorted(tpgs):
+                g = tpgs[k]
+                nodes = sorted(g.nodes)
+                for a, i in enumerate(nodes):
+                    for j in nodes[a + 1:]:
+                        cls = classify_pair(g.nodes, g.edge_list(), i, j)
+                        if cls == "same":
+                            want_eq.append((i, j, k))
+                        elif cls != "none":
+                            want_ineq.append((i, j, k) if cls == "ij" else (j, i, k))
+            cons = svm.build_constraints(tpgs, gm.decompose_all(tpgs), table)
+            assert cons.equalities == tuple(want_eq)
+            assert cons.inequalities == tuple(sorted(want_ineq, key=lambda t: (t[2], t[0], t[1])))
 
 
 class TestSubspaces:
@@ -306,6 +337,126 @@ class TestSolver:
         pipe = cyclic_pipeline
         resid = np.linalg.norm(pipe.w_svm - pipe.s_svm.project(pipe.w_svm))
         assert resid <= 1e-7
+
+
+
+def _pinned(K, d, n, T, seed):
+    """A headless cyclic instance drawn with one seed for table and data."""
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    cons, _, _ = _constraints_for(dsm.gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed))
+    return cons
+
+
+def _projected_inequalities(cons):
+    """The inequality rows with the equality span projected out, as
+    `solve_graph_svm` hands them to the NNLS."""
+    e = cons.embedding.e
+    a = generator_rows(cons.inequalities, e)
+    eq = svm._orth(generator_rows(cons.equalities, e))
+    return a - (a @ eq.T) @ eq
+
+
+class TestNnls:
+    """The updated-inverse NNLS against the per-step LU Lawson-Hanson of
+    `helpers.nnls_gram_oracle`: the same verdict, the same nearest point
+    p = A~^T u / sum(u), and a returned u that is the LU solve of its own
+    passive set."""
+
+    @staticmethod
+    def _assert_matches_oracle(a):
+        gram = a @ a.T
+        gram += 1.0
+        u, _, converged = svm._nnls_gram(gram)
+        want_u, _, want_converged = nnls_gram_oracle(gram)
+        assert converged == want_converged
+        p, want = a.T @ (u / u.sum()), a.T @ (want_u / want_u.sum())
+        if np.linalg.norm(want) <= svm.FARKAS_TOL:
+            assert np.linalg.norm(p) <= svm.FARKAS_TOL
+        else:
+            assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(want)
+        if converged:
+            idx = np.flatnonzero(u)
+            assert np.all(u[idx] > 0)
+            assert u[idx].tobytes() == np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx))).tobytes()
+
+    def test_updates_track_a_fresh_factor(self):
+        # Bordering, downdating and buffer growth against a fresh inverse
+        # and LU solve of the same passive block.
+        rng = seeded_rng(44)
+        a = rng.standard_normal((100, 90)) + 0.3
+        gram = a @ a.T + 1.0
+        factor = svm._PassiveInverse(gram)
+        order = [int(j) for j in rng.permutation(100)]
+        for j in order[:70]:
+            factor.add(j, *factor.schur(j))
+        for pos in (5, 0, 67, 31):  # 67 is the last position by then
+            factor.drop(pos)
+        for j in order[70:75]:
+            factor.add(j, *factor.schur(j))
+        idx, p = factor.idx, factor.p
+        assert p == 71 and len(factor.inv) >= 71
+        block = gram[np.ix_(idx, idx)]
+        np.testing.assert_allclose(factor.inv[:p, :p], np.linalg.inv(block), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(factor.z(), np.linalg.solve(block, np.ones(p)), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(factor.grad(), 1.0 - factor.z() @ gram[idx], atol=1e-9)
+
+    def test_random_grams_including_rank_deficient(self):
+        rng = seeded_rng(43)
+        deficient = 0
+        for trial in range(80):
+            dim = int(rng.integers(2, 10))
+            a = rng.standard_normal((int(rng.integers(2, 4 * dim)), dim)) + rng.choice([0.0, 0.5, 1.5])
+            if trial % 4 == 0:
+                a = np.vstack([a, a[: len(a) // 2]])  # repeated rows
+            deficient += len(a) > dim + 1
+            self._assert_matches_oracle(a)
+        assert deficient >= 40
+
+    def test_refs_shapes(self):
+        for i in range(8):
+            K, d, n, T = ((20, 20, 60, 8), (20, 10, 40, 8))[i % 2]
+            seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
+            self._assert_matches_oracle(_projected_inequalities(_pinned(K, d, n, T, seed)))
+
+    def test_near_degenerate_infeasible_instance_keeps_its_certificate(self):
+        # (K, d, n, T) = (10, 4, 19, 5), seed 1251: the passive sets grow
+        # nearly dependent on the way to a Farkas certificate.
+        # Rounding carried over from those sets must not cost extra solves.
+        cons = _pinned(10, 4, 19, 5, seed=1251)
+        sol = svm.solve_graph_svm(cons)
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert sol.residuals["farkas_residual"] <= svm.FARKAS_TOL
+        assert sol.residuals["converged"] is True
+        assert_certified(cons, sol)
+        a = _projected_inequalities(cons)
+        assert sol.residuals["sweeps"] <= nnls_gram_oracle(a @ a.T + 1.0)[1]
+
+    def test_singular_entering_set_is_skipped_not_raised(self):
+        # (10, 4, 19, 5), seed 1036: an index enters a passive set it is
+        # numerically dependent on, and LU finds the set singular.
+        cons = _pinned(10, 4, 19, 5, seed=1036)
+        sol = svm.solve_graph_svm(cons)
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+    @pytest.mark.parametrize("K,d,n,T,seed", [(11, 4, 17, 4, 1052), (11, 4, 17, 4, 1280), (7, 4, 14, 6, 1086)])
+    def test_undecided_instances_fail_a_check_not_the_cap(self, K, d, n, T, seed):
+        # At d < K these converge with ||p|| between the Farkas and the
+        # primal regime; MAX_ITER is the only status they may keep unverified.
+        cons = _pinned(K, d, n, T, seed)
+        sol = svm.solve_graph_svm(cons)
+        if sol.status is svm.SolveStatus.MAX_ITER:
+            assert sol.residuals["converged"] is True
+            assert sol.residuals["sweeps"] < 3 * len(cons.inequalities)
+        else:
+            assert_certified(cons, sol)
+
+    def test_every_solution_reports_convergence(self):
+        table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=4)
+        for inequalities in ((), ((0, 1, 2),), ((0, 1, 2), (1, 0, 2))):
+            cons = svm.ConstraintSet(equalities=(), inequalities=inequalities, embedding=table)
+            for sol in (svm.solve_graph_svm(cons), svm.solve_per_last_token(cons)):
+                assert sol.residuals["converged"] is True
 
 
 class TestFeasibility:
