@@ -7,13 +7,23 @@ constraints exactly, by an active-set NNLS after eliminating the equalities;
 an INFEASIBLE verdict carries convex weights whose combination of the
 inequality matrices lies in the equality span (a Farkas certificate).
 
+Before the NNLS, an exact presolve drops the inequalities that others imply:
+per last token, those tied to an earlier one through the equalities (same two
+equality classes) and those outside the transitive reduction of the class
+relation, whose margin is a sum of kept margins.  The feasible set, and so
+W, is unchanged; every inequality is still checked.
+
 Every subspace basis (S_fin, S_active, S_svm and the equality span the
 solver eliminates) comes from one routine: the right singular vectors of the
 stacked, flattened generators whose singular value exceeds BASIS_CUTOFF.
+S_fin and the solver share one such basis per constraint set
+(`ConstraintSet.eq_basis`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -64,6 +74,12 @@ class ConstraintSet:
     @property
     def last_tokens(self) -> tuple[int, ...]:
         return tuple(sorted({t[2] for t in self.equalities + self.inequalities}))
+
+    @functools.cached_property
+    def eq_basis(self) -> np.ndarray:
+        """Orthonormal basis of the equality span, rows flattened to d * d:
+        S_fin's basis and the span the solver eliminates, computed once."""
+        return frozen(_orth(_generators(_triples(self.equalities), self.embedding.e)))
 
 
 def constraint_matrix(triple: Triple, e: np.ndarray) -> np.ndarray:
@@ -127,11 +143,26 @@ class MatrixSubspace:
         return w - self.project(w)
 
 
-def _generators(triples: tuple[Triple, ...], e: np.ndarray) -> np.ndarray:
-    """Flattened (e_i - e_j) e_k^T rows, shape (len(triples), d * d)."""
-    t = np.array(triples, dtype=np.intp).reshape(-1, 3)
+def _triples(triples: tuple[Triple, ...]) -> np.ndarray:
+    """The triples as an (m, 3) index array."""
+    flat = itertools.chain.from_iterable(triples)
+    return np.fromiter(flat, dtype=np.intp, count=3 * len(triples)).reshape(-1, 3)
+
+
+def _generators(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Flattened (e_i - e_j) e_k^T rows of an (m, 3) triple array, shape (m, d * d)."""
     d = e.shape[1]
     return ((e[t[:, 0]] - e[t[:, 1]])[:, :, None] * e[t[:, 2]][:, None, :]).reshape(-1, d * d)
+
+
+def _values(t: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<(e_i - e_j) e_k^T, W> = (e_i - e_j)^T W e_k for each triple row."""
+    return np.einsum("ad,ad->a", (e[t[:, 0]] - e[t[:, 1]]) @ w, e[t[:, 2]])
+
+
+def _combination(t: np.ndarray, e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_a c_a (e_i - e_j) e_k^T over the triple rows, flattened."""
+    return (((e[t[:, 0]] - e[t[:, 1]]).T * c) @ e[t[:, 2]]).ravel()
 
 
 def _orth(vectors: np.ndarray) -> np.ndarray:
@@ -147,12 +178,13 @@ def _subspace(vectors: np.ndarray, d: int) -> MatrixSubspace:
 
 def span(triples: tuple[Triple, ...], embedding: EmbeddingTable) -> MatrixSubspace:
     """Orthonormalized span of the difference-outer-product generators."""
-    return _subspace(_generators(triples, embedding.e), embedding.d)
+    return _subspace(_generators(_triples(triples), embedding.e), embedding.d)
 
 
 def fin_subspace(constraints: ConstraintSet) -> MatrixSubspace:
-    """Cyclic subspace: span over same-SCC pairs."""
-    return span(constraints.equalities, constraints.embedding)
+    """Cyclic subspace: span over same-SCC pairs (`ConstraintSet.eq_basis`)."""
+    d = constraints.embedding.d
+    return MatrixSubspace(basis=constraints.eq_basis.reshape(-1, d, d), d=d)
 
 
 def active_subspace(tpgs: dict[int, TokenPriorityGraph], embedding: EmbeddingTable) -> MatrixSubspace:
@@ -188,7 +220,7 @@ def _empty_solution(d: int) -> SvmSolution:
         status=SolveStatus.SOLVED,
         ineq_multipliers=np.zeros(0),
         residuals={"max_eq_violation": 0.0, "min_ineq_margin": np.inf, "kkt_residual": 0.0, "sweeps": 0,
-                   "converged": True},
+                   "converged": True, "essential": 0},
     )
 
 
@@ -416,56 +448,156 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return u, iters, False
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable argsort of the keys, the sorted keys, and a flag on the first
+    of each run of equal keys (its first index in the input order)."""
+    order = np.argsort(keys, kind="stable")  # the keys come nearly sorted
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return order, ordered, new
+
+
+def _merge(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The smallest member of each of n nodes' classes under the pairs (a, b):
+    min-label propagation, with pointer jumping until the labels are fixed."""
+    label = np.arange(n)
+    while (label[a] != label[b]).any():
+        lo = np.minimum(label[a], label[b])
+        np.minimum.at(label, a, lo)
+        np.minimum.at(label, b, lo)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+    return label
+
+
+def _essential(ineq: np.ndarray, eq: np.ndarray, K: int) -> np.ndarray:
+    """Indices, ascending, of the inequalities that no others imply.
+
+    Works per last token, from the triples alone.  Nodes are merged into
+    classes along the equalities.  Two inequalities between the same two
+    classes have generators that differ by an equality generator, so only
+    the first in the set's order is kept.  A class pair (A, C) is dropped
+    when some class B has pairs (A, B) and (B, C): modulo the equality span
+    its generator is their sum, so its margin is at least 2.  In a class
+    relation without cycles, induction on the longest path from A to C shows
+    that the kept pairs imply every dropped one; when the relation is
+    transitively closed, as `build_constraints` writes it, they are its
+    transitive reduction.  A last token whose relation has a self pair or a
+    cycle keeps every row.
+
+    The cycle check runs only on tokens where the out-degree fails to fall
+    strictly along every pair, as it does in any transitively closed
+    relation without cycles.  The largest arrays hold one entry per two-step
+    path, sum_B indeg(B) outdeg(B); none is indexed by token pairs.
+    """
+    m, q = len(ineq), len(eq)
+    tokens = np.concatenate([ineq[:, 2], ineq[:, 2], eq[:, 2], eq[:, 2]])
+    ends = np.concatenate([ineq[:, 0], ineq[:, 1], eq[:, 0], eq[:, 1]])
+    order, _, new = _runs(tokens * K + ends)
+    n = int(np.count_nonzero(new))
+    node = np.empty(len(order), dtype=np.intp)  # one id per (last token, node)
+    node[order] = np.cumsum(new) - 1
+    label = _merge(node[2 * m : 2 * m + q], node[2 * m + q :], n)
+    order, ordered, new = _runs(label[node[:m]] * n + label[node[m : 2 * m]])
+    first, pairs = order[new], ordered[new]  # one row per class pair, sorted by (A, C)
+    src, dst = np.divmod(pairs, n)
+    outdeg = np.bincount(src, minlength=n)
+    pair_token = ineq[first, 2]
+
+    cyclic = pair_token[outdeg[src] <= outdeg[dst]]
+    if len(cyclic):
+        # Peel pairs out of source classes; what remains lies on or after a cycle.
+        alive = np.isin(pair_token, cyclic)
+        while True:
+            peel = alive & (np.bincount(dst[alive], minlength=n)[src] == 0)
+            if not peel.any():
+                break
+            alive &= ~peel
+        cyclic = pair_token[alive]
+
+    # Every two-step path A -> B -> C, and the pairs (A, C) it implies.
+    steps = outdeg[dst]
+    start = np.cumsum(outdeg) - outdeg  # first pair out of each class
+    at = np.repeat(start[dst] - (np.cumsum(steps) - steps), steps) + np.arange(int(steps.sum()))
+    implied = np.repeat(src, steps) * n + dst[at]
+    hit = np.searchsorted(pairs, implied)
+    hit = hit[pairs[np.minimum(hit, len(pairs) - 1)] == implied]
+    keep = np.zeros(m, dtype=bool)
+    keep[first] = True
+    keep[first[hit]] = False
+    if len(cyclic):
+        keep |= np.isin(ineq[:, 2], cyclic)
+    return np.flatnonzero(keep)
+
+
 def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     """Min-Frobenius-norm W subject to the constraint set, over its embedding.
 
-    Equalities are eliminated by projecting every inequality matrix onto the
-    orthogonal complement of their span (the optimum lives there).  The
-    remaining least-distance program, min ||W|| s.t. <A~_a, W> >= 1, is
+    A presolve (`_essential`) first drops the inequalities that others imply:
+    per last token, all but one between the same two equality classes, and
+    those outside the transitive reduction of the class relation.  The
+    feasible set is unchanged, so W is too.  The Gram matrix, the NNLS, p
+    and the Farkas test below see the kept rows only; the primal, margin and
+    KKT checks run over every inequality.
+
+    Equalities are eliminated by projecting every kept inequality matrix
+    onto the orthogonal complement of their span (the optimum lives there).
+    The remaining least-distance program, min ||W|| s.t. <A~_a, W> >= 1, is
     solved exactly as the NNLS min ||E u - e_{D+1}||, u >= 0, with
     E = [A~^T; 1^T] (Lawson & Hanson, ch. 23).  With s = sum(u) and the
     convex weights c = u / s, the point p = A~^T c is the nearest point of
     the constraints' convex hull to the origin.  If ||p|| <= FARKAS_TOL the
     weights are a Farkas certificate (a convex combination of the A_a lying
     in the equality span) and the status is INFEASIBLE with W = 0;
-    otherwise W = p / ||p||^2.
+    otherwise W = p / ||p||^2.  ``ineq_multipliers`` has one entry per
+    inequality, 0 on every dropped one.
 
-    ``residuals["sweeps"]`` counts the NNLS passive-set solves, and
+    ``residuals["essential"]`` counts the rows the NNLS saw,
+    ``residuals["sweeps"]`` its passive-set solves, and
     ``residuals["converged"]`` is True when its exact optimality check
     passed: a MAX_ITER with ``converged`` True failed the primal or KKT
     check on an optimal NNLS point, one with False hit the 3m cap.
     """
     d = constraints.embedding.d
     e = constraints.embedding.e
-
-    eq_vecs = _generators(constraints.equalities, e)
     if not constraints.inequalities:
         return _empty_solution(d)
 
-    eq_basis = _orth(eq_vecs)
+    eq_basis = constraints.eq_basis
+    ineq = _triples(constraints.inequalities)
+    eq = _triples(constraints.equalities)
+    keep = _essential(ineq, eq, constraints.embedding.K)
 
-    def projected() -> np.ndarray:
-        a = _generators(constraints.inequalities, e)
+    def projected(rows: np.ndarray) -> np.ndarray:
+        a = _generators(ineq[rows], e)
         a -= (a @ eq_basis.T) @ eq_basis
         return a
 
-    # One m x d^2 array at a time: the NNLS needs only the Gram matrix, and
-    # p and the checks below regenerate the rows they read.
-    a_proj = projected()
+    # One rows x d^2 array at a time: the NNLS needs only the Gram matrix,
+    # and p only the passive rows.
+    a_proj = projected(keep)
     gram = a_proj @ a_proj.T
     del a_proj
     gram += 1.0
     u, iters, converged = _nnls_gram(gram)
     del gram
-    weights = u / u.sum()
-    p = projected().T @ weights
+    passive = keep[u > 0]
+    weights = np.zeros(len(ineq))
+    weights[keep] = u / u.sum()
+    p = projected(passive).T @ weights[passive]
     farkas = float(np.linalg.norm(p))
+    counts = {"sweeps": iters, "converged": converged, "essential": len(keep)}
     if farkas <= FARKAS_TOL:
         return SvmSolution(
             w=frozen(np.zeros((d, d))),
             status=SolveStatus.INFEASIBLE if converged else SolveStatus.MAX_ITER,
             ineq_multipliers=weights,
-            residuals={"farkas_residual": farkas, "sweeps": iters, "converged": converged},
+            residuals={"farkas_residual": farkas, **counts},
         )
 
     # At the NNLS optimum 1 - s = s ||p||^2, so lambda = u / (1 - s) is
@@ -473,18 +605,15 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     lam = (1.0 / farkas**2) * weights
     w_flat = p / farkas**2
     w = w_flat.reshape(d, d)
-    a_vecs = _generators(constraints.inequalities, e)
 
     # Stationarity up to the equality span: the part of W - A^T lambda that
     # no choice of equality multipliers can cancel.
-    stationarity = w_flat - a_vecs.T @ lam
+    stationarity = w_flat - _combination(ineq, e, lam)
     stationarity -= (eq_basis @ stationarity) @ eq_basis
     kkt_residual = float(np.linalg.norm(stationarity))
 
-    eq_vals = eq_vecs @ w_flat
-    ineq_vals = a_vecs @ w_flat
-    max_eq = float(np.max(np.abs(eq_vals))) if len(eq_vals) else 0.0
-    min_ineq = float(np.min(ineq_vals))
+    max_eq = float(np.max(np.abs(_values(eq, e, w)), initial=0.0))
+    min_ineq = float(np.min(_values(ineq, e, w)))
     status = SolveStatus.MAX_ITER
     if converged and max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL and kkt_residual <= KKT_TOL:
         status = SolveStatus.SOLVED
@@ -497,8 +626,7 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
             "max_eq_violation": max_eq,
             "min_ineq_margin": min_ineq,
             "kkt_residual": kkt_residual,
-            "sweeps": iters,
-            "converged": converged,
+            **counts,
         },
     )
 
@@ -583,13 +711,14 @@ def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
     d = emb.d
     total = np.zeros((d, d))
     statuses = []
-    sweeps = 0
+    sweeps = essential = 0
     converged = True
     for k in constraints.last_tokens:
         sub = constraints.restrict_to_last_token(k)
         sol = solve_graph_svm(sub)
         statuses.append(sol.status)
         sweeps += sol.residuals["sweeps"]
+        essential += sol.residuals["essential"]
         converged = converged and sol.residuals["converged"]
         wk = sol.w
         # Row space check: W_k must vanish off span(e_k).
@@ -608,5 +737,5 @@ def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
         w=frozen(total),
         status=worst,
         ineq_multipliers=np.zeros(0),
-        residuals={"sweeps": sweeps, "converged": converged, "per_k": len(statuses)},
+        residuals={"sweeps": sweeps, "converged": converged, "essential": essential, "per_k": len(statuses)},
     )

@@ -1,7 +1,9 @@
 """Test oracles, deliberately independent of the library's own code paths.
 
 Reachability goes through dense Floyd-Warshall closures, the QP oracle
-enumerates active sets exhaustively, gradients come from central finite
+enumerates active sets exhaustively, the graph SVM's presolve is checked
+against a transitive reduction read off those closures and its verdicts
+against an unreduced dense solve, gradients come from central finite
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, and CSV bytes come from a cell-by-cell formatter.
@@ -157,6 +159,67 @@ def nnls_gram_oracle(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
         u[idx] = z
         grad = 1.0 - gram @ u
     return u, iters, False
+
+
+def transitive_reduction_rows(equalities, inequalities) -> list[int]:
+    """Indices of the inequalities that the transitive reduction keeps, one
+    per class pair, the first in the set's order.
+
+    Per last token, nodes are merged into classes by the closure of the
+    equalities taken both ways, and a class pair (A, C) stays unless some
+    class B is reachable from A and reaches C in the closure of the class
+    pairs.  Meant for class relations without cycles.
+    """
+    keep = []
+    for k in sorted({t[2] for t in list(equalities) + list(inequalities)}):
+        eqs = [(i, j) for i, j, kk in equalities if kk == k]
+        rows = [(a, i, j) for a, (i, j, kk) in enumerate(inequalities) if kk == k]
+        nodes = sorted({v for i, j in eqs for v in (i, j)} | {v for _, i, j in rows for v in (i, j)})
+        pos = {v: x for x, v in enumerate(nodes)}
+        same = reachability_matrix(len(nodes), [(pos[i], pos[j]) for i, j in eqs] + [(pos[j], pos[i]) for i, j in eqs])
+        np.fill_diagonal(same, True)
+        cls = {v: int(np.argmax(same[pos[v]])) for v in nodes}  # the smallest member
+        first = {}
+        for a, i, j in rows:
+            first.setdefault((cls[i], cls[j]), a)
+        reach = reachability_matrix(len(nodes), list(first))
+        keep += [a for (hi, lo), a in first.items() if not np.any(reach[hi] & reach[:, lo])]
+    return sorted(keep)
+
+
+def dense_svm_oracle(equalities, inequalities, e: np.ndarray, primal_tol: float, farkas_tol: float,
+                     kkt_tol: float) -> tuple[str, np.ndarray, np.ndarray]:
+    """The graph-SVM verdict over every inequality, unreduced.
+
+    The rows are projected off the equality span by least squares, the NNLS
+    of `nnls_gram_oracle` runs on their Gram matrix plus one, and the
+    verdict follows from the textbook checks: a convex combination of the
+    projected rows within farkas_tol of 0 is a Farkas certificate
+    ("infeasible"), and otherwise W = p / ||p||^2 is "solved" when the NNLS
+    converged and W meets every equality, margin and stationarity tolerance.
+    Anything else is "max_iter".  Returns (status, W, multipliers).
+    """
+    a = generator_rows(inequalities, e)
+    b = generator_rows(equalities, e)
+    a_proj = a
+    if len(b):
+        coef, *_ = np.linalg.lstsq(b.T, a.T, rcond=None)
+        a_proj = a - (b.T @ coef).T
+    u, _, converged = nnls_gram_oracle(a_proj @ a_proj.T + 1.0)
+    c = u / u.sum()
+    p = a_proj.T @ c
+    farkas = float(np.linalg.norm(p))
+    d = e.shape[1]
+    if farkas <= farkas_tol:
+        return ("infeasible" if converged else "max_iter"), np.zeros((d, d)), c
+    w, lam = p / farkas**2, c / farkas**2
+    solved = (
+        converged
+        and np.max(np.abs(b @ w), initial=0.0) <= primal_tol
+        and np.min(a @ w) >= 1.0 - primal_tol
+        and distance_to_row_span(w - lam @ a, b) <= kkt_tol
+    )
+    return ("solved" if solved else "max_iter"), w.reshape(d, d), lam
 
 
 def generator_rows(triples, e: np.ndarray) -> np.ndarray:

@@ -15,11 +15,13 @@ from attnlab.util import seeded_rng
 from helpers import (
     active_set_oracle,
     classify_pair,
+    dense_svm_oracle,
     distance_to_row_span,
     generator_rows,
     nnls_gram_oracle,
     random_tpg,
     tiny_instance,
+    transitive_reduction_rows,
 )
 
 
@@ -457,6 +459,112 @@ class TestNnls:
             cons = svm.ConstraintSet(equalities=(), inequalities=inequalities, embedding=table)
             for sol in (svm.solve_graph_svm(cons), svm.solve_per_last_token(cons)):
                 assert sol.residuals["converged"] is True
+
+
+def _kept(cons):
+    return svm._essential(svm._triples(cons.inequalities), svm._triples(cons.equalities), cons.embedding.K)
+
+
+def _refs_shape(i):
+    """The (K, d, n, T, seed) of instance i of the benchmark's `refs` corpus."""
+    return (*((20, 20, 60, 8), (20, 10, 40, 8))[i % 2], int(np.random.SeedSequence([0, i]).generate_state(1)[0]))
+
+
+_UNREDUCED_CASES = {
+    **{f"refs-{i}": _refs_shape(i) for i in range(8)},
+    **{f"large-k-{seed}": (1000, 32, 16, 64, seed) for seed in range(3)},
+    **{f"pinned-{seed}": (*shape, seed) for shape, seed in (
+        ((10, 4, 19, 5), 1036), ((11, 4, 17, 4), 1052), ((7, 4, 14, 6), 1086),
+        ((10, 4, 19, 5), 1251), ((11, 4, 17, 4), 1280))},
+}
+
+
+class TestPresolve:
+    """The rows the NNLS sees against `helpers.transitive_reduction_rows`,
+    and the verdicts on them against the unreduced dense solve of
+    `helpers.dense_svm_oracle`."""
+
+    def test_kept_rows_are_the_transitive_reduction(self):
+        rng = seeded_rng(45)
+        table = dsm.make_embeddings(14, 4, dsm.UNIT_SPHERE, seed=0)
+        reduced = tied = 0
+        for _ in range(40):
+            last = rng.choice(14, size=int(rng.integers(1, 4)), replace=False)
+            tpgs = {int(k): random_tpg(rng, int(rng.integers(2, 14)), float(rng.uniform(0.05, 0.4)), int(k))
+                    for k in last}
+            cons = svm.build_constraints(tpgs, gm.decompose_all(tpgs), table)
+            if not cons.inequalities:
+                continue
+            want = transitive_reduction_rows(cons.equalities, cons.inequalities)
+            assert _kept(cons).tolist() == want
+            assert svm.solve_graph_svm(cons).residuals["essential"] == len(want)
+            reduced += len(want) < len(cons.inequalities)
+            tied += len(cons.equalities) > 0 and len(want) < len(cons.inequalities)
+        assert reduced >= 20 and tied >= 10
+
+    @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
+    def test_verdicts_match_the_unreduced_solve(self, shape):
+        cons = _pinned(*shape)
+        sol = svm.solve_graph_svm(cons)
+        status, w, _ = dense_svm_oracle(cons.equalities, cons.inequalities, cons.embedding.e,
+                                        svm.PRIMAL_TOL, svm.FARKAS_TOL, svm.KKT_TOL)
+        assert sol.status.value == status
+        kept = _kept(cons)
+        dropped = np.setdiff1d(np.arange(len(cons.inequalities)), kept)
+        assert sol.residuals["essential"] == len(kept)
+        assert len(sol.ineq_multipliers) == len(cons.inequalities)
+        assert not sol.ineq_multipliers[dropped].any()
+        if sol.status is svm.SolveStatus.SOLVED:
+            assert np.linalg.norm(sol.w - w) <= 1e-9 * np.linalg.norm(w)
+            rows = generator_rows([cons.inequalities[a] for a in dropped], cons.embedding.e)
+            assert np.min(rows @ sol.w.ravel(), initial=np.inf) >= 1.0 - svm.PRIMAL_TOL
+        if sol.status is not svm.SolveStatus.MAX_ITER:
+            assert_certified(cons, sol)
+
+    @pytest.mark.parametrize("equalities,inequalities", [
+        # A self pair: 0 = 1, yet 1 > 0.
+        (((0, 1, 4),), ((1, 0, 4), (2, 0, 4), (2, 1, 4), (0, 3, 4), (2, 3, 4))),
+        # The class cycle {0, 1} > 2 > 3 > {0, 1}, with a chord {0, 1} > 3
+        # that the two-step path through 2 covers.
+        (((0, 1, 4),), ((0, 2, 4), (0, 3, 4), (2, 3, 4), (3, 1, 4))),
+        # Three classes, each preferred over each other: every pair has a
+        # two-step path, so a reduction blind to cycles would drop them all.
+        ((), ((0, 1, 4), (1, 0, 4), (0, 2, 4), (2, 0, 4), (1, 2, 4), (2, 1, 4))),
+    ], ids=["self-pair", "class-cycle", "two-way"])
+    def test_cyclic_token_keeps_every_row(self, equalities, inequalities):
+        table = dsm.make_embeddings(5, 5, dsm.ORTHONORMAL, seed=7)
+        chain = ((0, 1, 3), (0, 2, 3), (1, 2, 3))  # a second token, reduced as usual
+        cons = svm.ConstraintSet(equalities=equalities, inequalities=inequalities + chain, embedding=table)
+        m = len(inequalities)
+        assert _kept(cons).tolist() == [*range(m), m, m + 2]
+        sol = svm.solve_graph_svm(cons)
+        assert sol.residuals["essential"] == m + 2
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+    def test_checks_read_every_row(self, monkeypatch):
+        # A presolve that dropped a row no other implies would not go
+        # unseen: the margin check runs over every inequality.
+        table = dsm.make_embeddings(5, 5, dsm.ORTHONORMAL, seed=7)
+        cons = svm.ConstraintSet(equalities=(), inequalities=((0, 1, 4), (2, 3, 4)), embedding=table)
+        monkeypatch.setattr(svm, "_essential", lambda ineq, eq, K: np.arange(1))
+        sol = svm.solve_graph_svm(cons)
+        assert sol.status is svm.SolveStatus.MAX_ITER
+        assert sol.residuals["min_ineq_margin"] <= 1e-12
+
+    def test_open_chain_is_reduced_and_solved(self):
+        # 0 > 1 > 2 > 3 with chords 0 > 2 and 0 > 3 but not 1 > 3: not
+        # transitively closed, so out-degrees do not fall along 1 > 2, and
+        # the cycle check has to clear it before the chords are dropped.
+        table = dsm.make_embeddings(5, 5, dsm.UNIT_SPHERE, seed=8)
+        inequalities = ((0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 4), (2, 3, 4))
+        cons = svm.ConstraintSet(equalities=(), inequalities=inequalities, embedding=table)
+        assert _kept(cons).tolist() == [0, 3, 4]
+        sol = svm.solve_graph_svm(cons)
+        status, w, _ = dense_svm_oracle((), inequalities, table.e, svm.PRIMAL_TOL, svm.FARKAS_TOL, svm.KKT_TOL)
+        assert sol.status is svm.SolveStatus.SOLVED and status == "solved"
+        assert np.linalg.norm(sol.w - w) <= 1e-9 * np.linalg.norm(w)
+        assert_certified(cons, sol)
 
 
 class TestFeasibility:
