@@ -123,84 +123,57 @@ def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial work functions (module level so process pools can pickle them).
+# Trial kinds (module level so process pools can pickle them).  A GD kind's
+# build returns (dataset, TrainConfig, TrainRefs or None, state for finish).
 # ---------------------------------------------------------------------------
 
 
-def _global_inputs(params: dict, tseed: int) -> tuple:
-    """One trial of cyclic-global, acyclic-global or large-k: its dataset,
-    training config, references and ||W_svm||, built (and failing) in the
-    order a trial run alone builds them."""
+def _pipeline_build(params: dict, table, head, mode: str, loss: str, tseed: int) -> tuple:
+    """A trial trained against its own pipeline's references, kept as its state."""
+    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
+    pipe = build_pipeline(ds)
+    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params.get("normalized", True),
+                                loss=loss, record_every=params.get("record_every", 10))
+    return ds, cfg, pipe.refs(), pipe
+
+
+def _global_build(params: dict, tseed: int) -> tuple:
+    """A trial of cyclic-global, acyclic-global or large-k."""
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED) if params.get("head", "tied") == TIED and table.full_row_rank else None
-    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
-    pipe = build_pipeline(ds)
-    cfg = attention.TrainConfig(
-        eta=params["eta"],
-        iters=params["iters"],
-        normalized=params.get("normalized", True),
-        loss=params.get("loss", attention.LOG),
-        record_every=params.get("record_every", 10),
-    )
-    return ds, cfg, pipe.refs(), pipe.solution.norm
+    return _pipeline_build(params, table, head, params["mode"], params.get("loss", attention.LOG), tseed)
 
 
-def _global_block(jobs: list[tuple[dict, int]]) -> list[dict]:
-    """Global trials built one by one and trained together in lock-step; the
-    jobs share their params.  Raises the first error in trial order, as
-    running the trials one by one would."""
-    params = jobs[0][0]
-    if any(p != params for p, _ in jobs):
-        raise ValueError("a block of global trials must share one parameter set")
-    built, error = [], None
-    for _, tseed in jobs:
-        try:
-            built.append(_global_inputs(params, tseed))
-        except Exception as exc:  # raised once the trials before it are done
-            error = exc
-            break
-    traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built]) if built else []
-    results = []
-    for (_, _, refs, w_svm_norm), trace in zip(built, traces):
-        if isinstance(trace, Exception):
-            raise trace
-        inf_val = attention.loss_inf(refs.split, refs.w_fin)
-        report = analysis.convergence_report(trace, loss_inf=inf_val)
-        results.append({
-            "final_corr": report["final_corr"],
-            "final_dist": report["final_dist"],
-            "final_loss": report["final_loss"],
-            "loss_inf": inf_val,
-            "w_svm_norm": w_svm_norm,
-            "trace": list(trace.rows()),
-        })
-    if error is not None:
-        raise error
-    return results
+def _global_finish(built: tuple, trace: attention.TrainTrace) -> dict:
+    _, _, refs, pipe = built
+    inf_val = attention.loss_inf(refs.split, refs.w_fin)
+    report = analysis.convergence_report(trace, loss_inf=inf_val)
+    return {
+        "final_corr": report["final_corr"],
+        "final_dist": report["final_dist"],
+        "final_loss": report["final_loss"],
+        "loss_inf": inf_val,
+        "w_svm_norm": pipe.solution.norm,
+        "trace": list(trace.rows()),
+    }
 
 
-def _local_trial(params: dict, tseed: int) -> dict:
+def _local_build(params: dict, tseed: int) -> tuple:
     """Local-convergence trial: general head, squared or CE loss, pseudo refs.
 
     Unit head rows keep token scores below one so the squared loss saturates
     instead of settling on a finite score-one mixture.
     """
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    head = make_head(table, GENERAL_ARGMAX, noise=params.get("head_noise", 0.1), seed=tseed,
-                     unit_rows=True)
-    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode="cyclic", seed=tseed)
-    pipe = build_pipeline(ds)
-    cfg = attention.TrainConfig(
-        eta=params["eta"],
-        iters=params["iters"],
-        normalized=params.get("normalized", True),
-        loss=params["loss"],
-        record_every=params.get("record_every", 10),
-    )
-    trace = attention.train_gd(ds, cfg, refs=pipe.refs())
-    w_gd = trace.w_final
+    head = make_head(table, GENERAL_ARGMAX, noise=params.get("head_noise", 0.1), seed=tseed, unit_rows=True)
+    ds, cfg, refs, pipe = _pipeline_build(params, table, head, "cyclic", params["loss"], tseed)
+    return ds, cfg, refs, (pipe, params.get("eps", 1e-3))
 
-    pseudo = analysis.pseudo_tpgs(w_gd, ds, eps=params.get("eps", 1e-3))
+
+def _local_finish(built: tuple, trace: attention.TrainTrace) -> dict:
+    ds, _, _, (pipe, eps) = built
+    w_gd = trace.w_final
+    pseudo = analysis.pseudo_tpgs(w_gd, ds, eps=eps)
     p_decomps = graph.decompose_all(pseudo)
     p_cons = svm.build_constraints(pseudo, p_decomps, ds.embedding)
     p_sol = svm.solve_graph_svm(p_cons)
@@ -212,7 +185,6 @@ def _local_trial(params: dict, tseed: int) -> dict:
     # is recorded as such and gives no distance.
     p_wfin = attention.train_wfin(p_split, p_fin)
     certified = p_wfin.status is attention.WfinStatus.CERTIFIED
-
     return {
         "corr_global": attention.correlation(w_gd, pipe.w_svm),
         "corr_local": attention.correlation(w_gd, p_sol.w),
@@ -223,31 +195,7 @@ def _local_trial(params: dict, tseed: int) -> dict:
     }
 
 
-def _reg_path_trial(params: dict, tseed: int) -> dict:
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    head = make_head(table, TIED)
-    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
-    pipe = build_pipeline(ds)
-    radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
-    cfg = attention.TrainConfig(
-        eta=params["eta"], iters=params["iters"], loss=attention.LOG, init_seed=tseed
-    )
-    points = attention.reg_path(ds, radii, cfg)
-    corr = [attention.correlation(p.w, pipe.w_svm) for p in points]
-    dist = [float(np.linalg.norm(pipe.s_fin.project(p.w) - pipe.w_fin)) for p in points]
-    return {"radii": radii, "corr": corr, "dist": dist}
-
-
-def _scc_count_trial(params: dict, seeds: tuple[int, int]) -> dict:
-    """Total SCC count over the graphs of one cyclic dataset of size n."""
-    table_seed, data_seed = seeds
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
-    ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
-    tpgs = graph.build_tpgs(ds)
-    return {"sccs": sum(graph.scc(g).n_components for g in tpgs.values())}
-
-
-def _feasibility_trial(params: dict, seeds: tuple[int, int]) -> dict:
+def _feasibility_build(params: dict, seeds: tuple[int, int]) -> tuple:
     """Per-sample fraction of label-SCC tokens the trained attention retains.
 
     Trains headless, so d < K is well defined.  The log loss never drives a
@@ -263,23 +211,79 @@ def _feasibility_trial(params: dict, seeds: tuple[int, int]) -> dict:
     ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
     tpgs = graph.build_tpgs(ds)
     sets = index_sets(ds, tpgs, graph.decompose_all(tpgs))
-    iters = params["iters"]
-    cfg = attention.TrainConfig(eta=params["eta"], iters=iters, normalized=True, record_every=max(1, iters))
-    w = attention.train_gd(ds, cfg).w_final
+    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=True,
+                                record_every=max(1, params["iters"]))
     eps = params["eps"] if params["eps"] is not None else 0.15 / params["T"]
+    return ds, cfg, None, (sets, eps)
+
+
+def _feasibility_finish(built: tuple, trace: attention.TrainTrace) -> dict:
+    ds, _, _, (sets, eps) = built
     props = []
     for i, s in enumerate(ds.samples):
-        x = table.e[list(s.tokens)]
-        probs, _ = attention.forward(x, w, x[-1])
+        x = ds.embedding.e[list(s.tokens)]
+        probs, _ = attention.forward(x, trace.w_final, x[-1])
         props.append(sum(1 for t in sets.r[i] if probs[t] >= eps) / len(sets.r[i]))
     return {"props": props}
 
 
+_GD_KINDS: dict[str, tuple[Callable[[dict, object], tuple], Callable[[tuple, attention.TrainTrace], dict]]] = {
+    "global": (_global_build, _global_finish),
+    "local": (_local_build, _local_finish),
+    "feasibility": (_feasibility_build, _feasibility_finish),
+}
+
+
+def _gd_block(kind: str, jobs: list[tuple[dict, object]]) -> list[dict]:
+    """GD trials built one by one, trained together in one `train_block`
+    call and finished one by one; the trials share one TrainConfig.  Raises
+    the first error in trial order, as running the trials one by one would."""
+    build, finish = _GD_KINDS[kind]
+    built, error = [], None
+    for params, seed in jobs:
+        try:
+            built.append(build(params, seed))
+        except Exception as exc:  # raised once the trials before it are done
+            error = exc
+            break
+    if len({b[1] for b in built}) > 1:
+        raise ValueError(f"a block of {kind} trials must share one training config")
+    traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built]) if built else []
+    results = []
+    for b, trace in zip(built, traces):
+        if isinstance(trace, Exception):
+            raise trace
+        results.append(finish(b, trace))
+    if error is not None:
+        raise error
+    return results
+
+
+def _reg_path_trial(params: dict, tseed: int) -> dict:
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
+    head = make_head(table, TIED)
+    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
+    pipe = build_pipeline(ds)
+    radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
+    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG, init_seed=tseed)
+    points = attention.reg_path(ds, radii, cfg)
+    corr = [attention.correlation(p.w, pipe.w_svm) for p in points]
+    dist = [float(np.linalg.norm(pipe.s_fin.project(p.w) - pipe.w_fin)) for p in points]
+    return {"radii": radii, "corr": corr, "dist": dist}
+
+
+def _scc_count_trial(params: dict, seeds: tuple[int, int]) -> dict:
+    """Total SCC count over the graphs of one cyclic dataset of size n."""
+    table_seed, data_seed = seeds
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
+    ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
+    tpgs = graph.build_tpgs(ds)
+    return {"sccs": sum(graph.scc(g).n_components for g in tpgs.values())}
+
+
 _TRIALS: dict[str, Callable[[dict, object], dict]] = {
-    "local": _local_trial,
     "reg-path": _reg_path_trial,
     "scc-count": _scc_count_trial,
-    "feasibility": _feasibility_trial,
 }
 
 def _trial_worker(args: tuple) -> dict:
@@ -305,17 +309,16 @@ def run_trials(kind: str, jobs: list[tuple[dict, object]], workers: int) -> list
     """Run one `kind` trial per (params, seed) job; results come back in job
     order whatever the worker count.
 
-    Global trials go in min(workers, jobs) contiguous blocks of job order,
-    one `_global_block` call each; every other kind makes one call per job.
+    GD kinds go in min(workers, jobs) contiguous blocks of job order, one
+    `_gd_block` call each; `scc-count` and `reg-path` make one
+    `_trial_worker` call per job.
     """
-    if kind == "global":
-        if not jobs:
-            return []
-        count = max(1, min(workers, len(jobs)))
-        cuts = [len(jobs) * k // count for k in range(count + 1)]
-        blocks = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
-        return [r for block in _fan_out(_global_block, blocks, workers) for r in block]
-    return _fan_out(_trial_worker, [(kind, params, seed) for params, seed in jobs], workers)
+    if kind not in _GD_KINDS:
+        return _fan_out(_trial_worker, [(kind, params, seed) for params, seed in jobs], workers)
+    count = max(1, min(workers, len(jobs)))
+    cuts = [len(jobs) * k // count for k in range(count + 1)]
+    blocks = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [r for block in _fan_out(functools.partial(_gd_block, kind), blocks, workers) for r in block]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +340,8 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0 (0 uses the experiment default), got {self.trials}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         spec = EXPERIMENTS[self.name]
         return replace(
             self,
@@ -503,10 +508,8 @@ def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
     if pipe.solution.norm == 0:
         raise RuntimeError("rate-check drew an instance with a zero SVM solution; change the seed")
     eta = 1.0 / attention.lipschitz_log(ds)
-    cfg_train = attention.TrainConfig(
-        eta=eta, iters=p["iters"], normalized=False, loss=attention.LOG,
-        record_every=p.get("record_every", 100),
-    )
+    cfg_train = attention.TrainConfig(eta=eta, iters=p["iters"], normalized=False, loss=attention.LOG,
+                                      record_every=p.get("record_every", 100))
     trace = attention.train_gd(ds, cfg_train, refs=pipe.refs())
     inf_val = attention.loss_inf(pipe.split, pipe.w_fin)
     inputs = analysis.rate_bound_inputs(ds, pipe.sets, pipe.w_svm, pipe.w_fin)
@@ -543,11 +546,8 @@ def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     acyc_params = {**p, "mode": "acyclic"}
     cyc_params = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
-    results = run_trials(
-        "reg-path",
-        seeded_jobs(acyc_params, cfg.seed, cfg.trials) + seeded_jobs(cyc_params, cfg.seed + 1, cfg.trials),
-        cfg.workers,
-    )
+    jobs = seeded_jobs(acyc_params, cfg.seed, cfg.trials) + seeded_jobs(cyc_params, cfg.seed + 1, cfg.trials)
+    results = run_trials("reg-path", jobs, cfg.workers)
     acyc, cyc = results[:cfg.trials], results[cfg.trials:]
 
     violations = []

@@ -185,8 +185,7 @@ class TestSweepFanOut:
     # One _trial_worker call per (grid point, trial): 3 trials each.
     @pytest.mark.parametrize("name, params, calls", [
         ("scc-count", dict(K=4, d=4, T=3, n_grid=[4, 8]), 2 * 3),
-        ("feasibility", dict(K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4]), 3 * 3),
-    ], ids=["scc-count", "feasibility"])
+    ], ids=["scc-count"])
     def test_one_worker_call_per_trial(self, monkeypatch, name, params, calls):
         seen = []
         worker = experiments._trial_worker
@@ -198,6 +197,22 @@ class TestSweepFanOut:
         monkeypatch.setattr(experiments, "_trial_worker", counting)
         sweep_rows(name, seed=0, trials=3, **params)
         assert len(seen) == calls
+
+    def test_feasibility_trains_in_one_block(self, monkeypatch):
+        # All 3 x 3 (grid point, trial) jobs reach one train_block call,
+        # whatever their d, and none goes through _trial_worker.
+        blocks, workers = [], []
+        train_block, worker = att.train_block, experiments._trial_worker
+
+        def counting_block(datasets, *args, **kwargs):
+            blocks.append(sorted(ds.d for ds in datasets))
+            return train_block(datasets, *args, **kwargs)
+
+        monkeypatch.setattr(att, "train_block", counting_block)
+        monkeypatch.setattr(experiments, "_trial_worker", lambda args: workers.append(args) or worker(args))
+        sweep_rows("feasibility", seed=0, trials=3, K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4])
+        assert blocks == [[2, 2, 2, 3, 3, 3, 4, 4, 4]]
+        assert workers == []
 
 
 class TestGlobalBlocks:
@@ -227,6 +242,71 @@ class TestGlobalBlocks:
         monkeypatch.setattr(att, "_loss_and_grad", infinite_trial_1)
         with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 0"):
             experiments.run_trials("global", jobs, workers=1)
+
+
+def _gd_jobs(kind):
+    """Five or six small jobs of a GD trial kind; feasibility mixes two d."""
+    if kind == "global":
+        return experiments.seeded_jobs(TestGlobalBlocks.PARAMS, 0, 5)
+    if kind == "local":
+        return experiments.seeded_jobs(dict(K=8, d=8, n=4, T=6, eta=0.1, iters=20, loss=att.SQUARED), 0, 5)
+    params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)
+    return [({**params, "d": d}, (31 * d + t, 7 * t + d)) for d in (2, 4) for t in range(3)]
+
+
+def _data_seed(job):
+    """The seed its trial draws its dataset from."""
+    return job[1][1] if isinstance(job[1], tuple) else job[1]
+
+
+class TestGdBlocks:
+    @pytest.mark.parametrize("kind", ["global", "local", "feasibility"])
+    def test_block_equals_trials_alone(self, kind):
+        # repr spells every float exactly, NaN included, so equal reprs are
+        # equal bits in every result, trace row and retained proportion.
+        jobs = _gd_jobs(kind)
+        block = experiments.run_trials(kind, jobs, workers=1)
+        alone = [r for job in jobs for r in experiments.run_trials(kind, [job], workers=1)]
+        assert repr(block) == repr(alone)
+
+    @pytest.mark.parametrize("kind", ["global", "local", "feasibility"])
+    @pytest.mark.parametrize("failure", ["training", "finish"])
+    def test_first_error_in_trial_order_is_raised(self, monkeypatch, kind, failure):
+        # Trial 3's dataset fails to build and trial 1 fails in training or
+        # in its finish; run one by one, trial 1 would raise first.
+        jobs = _gd_jobs(kind)
+        bad_build, bad_trial = _data_seed(jobs[3]), _data_seed(jobs[1])
+        gen, train_block = experiments.gen_dataset, att.train_block
+        build, finish = experiments._GD_KINDS[kind]
+
+        def failing_gen(*args, seed, **kwargs):
+            if seed == bad_build:
+                raise NoConvergence("trial 3 has no dataset")
+            return gen(*args, seed=seed, **kwargs)
+
+        def failing_training(datasets, *args, **kwargs):
+            out = train_block(datasets, *args, **kwargs)
+            return [NonFiniteLoss("trial 1 diverged") if ds.seed == bad_trial else r for ds, r in zip(datasets, out)]
+
+        def failing_finish(built, trace):
+            if built[0].seed == bad_trial:
+                raise NoConvergence("trial 1 did not finish")
+            return finish(built, trace)
+
+        monkeypatch.setattr(experiments, "gen_dataset", failing_gen)
+        if failure == "training":
+            monkeypatch.setattr(att, "train_block", failing_training)
+        else:
+            monkeypatch.setitem(experiments._GD_KINDS, kind, (build, failing_finish))
+        with pytest.raises(NoConvergence, match="trial 3"):
+            experiments.run_trials(kind, jobs[2:], workers=1)
+        with pytest.raises((NoConvergence, NonFiniteLoss), match="trial 1"):
+            experiments.run_trials(kind, jobs, workers=1)
+
+    def test_block_of_mixed_training_configs_is_rejected(self):
+        (params, seed), (_, other) = _gd_jobs("global")[:2]
+        with pytest.raises(ValueError, match="one training config"):
+            experiments.run_trials("global", [(params, seed), ({**params, "iters": 30}, other)], workers=1)
 
 
 class TestLocalWfinStatus:

@@ -138,17 +138,21 @@ class TestExperimentCommand:
         assert summary["violations"]
 
     def test_workers_do_not_change_results(self, tmp_path):
-        # Global trials run in min(workers, trials) contiguous blocks: 5 trials
-        # on 3 workers give blocks of unequal size.
+        # GD trials run in min(workers, jobs) contiguous blocks: 5 trials (or
+        # 4 feasibility jobs) on 3 workers give blocks of unequal size.
+        feasibility = ["--set", "d_grid=[2,4]", "--set", "K=4", "--set", "n=4", "--set", "iters=200"]
         runs = [
             ("cyclic-global", 4, ["--trials", 4]),
             ("scc-count", 2, ["--trials", 3, "--set", "n_grid=[8,16]"]),
-            ("feasibility", 2, ["--trials", 2, "--set", "d_grid=[2,4]", "--set", "K=4",
-                                "--set", "n=4", "--set", "iters=200"]),
+            ("feasibility", 2, ["--trials", 2, *feasibility]),
+            ("feasibility", 3, ["--trials", 2, *feasibility]),
             ("acyclic-global", 2, ["--trials", 4, "--set", "iters=500"]),
             ("large-k", 2, ["--trials", 3, "--set", "K=60", "--set", "d=8", "--set", "n=4",
                             "--set", "T=8", "--set", "iters=200"]),
             ("cyclic-global", 3, ["--trials", 5]),
+            ("local-squared", 3, ["--trials", 5, "--set", "iters=200"]),
+            ("local-ce", 3, ["--trials", 5, "--set", "iters=200"]),
+            ("reg-path", 2, ["--trials", 2, "--set", "r_count=3", "--set", "iters=200"]),
         ]
         for k, (name, workers, extra) in enumerate(runs):
             a, b = tmp_path / str(k) / "a", tmp_path / str(k) / "b"
@@ -398,6 +402,12 @@ class TestExitCodes:
         assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", -3,
                        "--workers", 1) == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_nonpositive_workers_is_config_error(self, tmp_path, capsys):
+        for workers in (0, -3):
+            assert run_cli("exp", "scc-count", "--out", tmp_path / "x", "--trials", 1,
+                           "--workers", workers) == 2
+            assert "workers" in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ATTNLAB_SEED", "123")
