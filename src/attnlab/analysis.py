@@ -75,38 +75,25 @@ def rate_bound(inputs: RateBoundInputs, tau: int, eta: float) -> float:
 def pseudo_tpgs(w_gd: np.ndarray, dataset: Dataset, eps: float = 1e-3) -> dict[int, graph.TokenPriorityGraph]:
     """Graphs rebuilt from the tokens the trained weights actually retain.
 
-    For each sample, every position with softmax probability >= eps, the
-    threshold standing in for exact positivity, emits edges to every token
-    of the sequence (distinct IDs, no self-loops); the graph index is the
-    sample's last token.  If no position clears the threshold the argmax
-    position is kept, so every graph is nonempty.
+    For each sample, the token at every position with softmax probability
+    >= eps, the threshold standing in for exact positivity, is a source of
+    `graph.build_tpgs`: it emits edges to every other distinct token of the
+    sequence, in the graph of the sample's last token.  If no position
+    clears the threshold the argmax position is kept, so every graph is
+    nonempty.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     e = dataset.embedding.e
-    nodes: dict[int, set[int]] = {}
-    edges: dict[int, dict[int, set[int]]] = {}
+    sources = []
     for s in dataset.samples:
         x = e[list(s.tokens)]
         probs, _ = attention.forward(x, w_gd, x[-1])
         retained = [t for t in range(s.T) if probs[t] >= eps]
         if not retained:
             retained = [int(np.argmax(probs))]
-        k = s.last_token
-        nodes.setdefault(k, set()).update(s.tokens)
-        adj = edges.setdefault(k, {})
-        for t1 in retained:
-            for tok2 in set(s.tokens):
-                if tok2 != s.tokens[t1]:
-                    adj.setdefault(s.tokens[t1], set()).add(tok2)
-    return {
-        k: graph.TokenPriorityGraph(
-            last_token=k,
-            nodes=frozenset(nodes[k]),
-            edges={i: frozenset(v) for i, v in edges.get(k, {}).items()},
-        )
-        for k in nodes
-    }
+        sources.append([s.tokens[t] for t in retained])
+    return graph.build_tpgs(dataset, sources)
 
 
 def convergence_report(trace: attention.TrainTrace, loss_inf: Optional[float] = None) -> dict:

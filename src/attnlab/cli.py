@@ -62,26 +62,19 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
-    ds = load_dataset(args.data)
-    tpgs = graph.build_tpgs(ds)
-    write_json(args.out, graph.graphs_as_dict(tpgs))
-    print(f"wrote {args.out}: {len(tpgs)} graph(s)")
+    pipe = experiments.Pipeline(load_dataset(args.data))
+    write_json(args.out, graph.graphs_as_dict(pipe.tpgs, pipe.decomps))
+    print(f"wrote {args.out}: {len(pipe.tpgs)} graph(s)")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph.graphs_as_dot(tpgs))
+            fh.write(graph.graphs_as_dot(pipe.tpgs))
         print(f"wrote {args.dot}")
     return EXIT_OK
 
 
 def _cmd_solve_svm(args) -> int:
-    ds = load_dataset(args.data)
-    tpgs = graph.build_tpgs(ds)
-    decomps = graph.decompose_all(tpgs)
-    cons = svm.build_constraints(tpgs, decomps, ds.embedding)
-    sol = svm.solve_graph_svm(cons)
-    s_fin = svm.fin_subspace(cons)
-    s_active = svm.active_subspace(tpgs, ds.embedding)
-    s_svm = svm.svm_subspace(s_active, s_fin)
+    pipe = experiments.Pipeline(load_dataset(args.data))
+    sol, cons = pipe.solution, pipe.constraints
     payload = {
         "W": sol.w.tolist(),
         "norm": sol.norm,
@@ -89,7 +82,7 @@ def _cmd_solve_svm(args) -> int:
         "residuals": sol.residuals,
         "n_equalities": len(cons.equalities),
         "n_inequalities": len(cons.inequalities),
-        "subspace_dims": {"fin": s_fin.dim, "active": s_active.dim, "svm": s_svm.dim},
+        "subspace_dims": {"fin": pipe.s_fin.dim, "active": pipe.s_active.dim, "svm": pipe.s_svm.dim},
     }
     write_json(args.out, payload)
     print(f"wrote {args.out}: status={sol.status.value} norm={sol.norm:.6f}")

@@ -269,15 +269,12 @@ def gen_dataset(
     return Dataset(embedding=e_table, head=head, samples=tuple(samples), seed=seed)
 
 
-def index_sets(dataset: Dataset, tpgs, decomps=None) -> IndexSets:
-    """Classify each sample's token positions against its last-token graph."""
-    if decomps is None:
-        from . import graph as _graph
-
-        decomps = {k: _graph.scc(g) for k, g in tpgs.items()}
+def index_sets(dataset: Dataset, decomps: dict) -> IndexSets:
+    """Classify each sample's token positions against the SCC decomposition
+    of its last-token graph (``decomps`` maps last token -> decomposition)."""
     o, obar, r, rbar = [], [], [], []
     for i, s in enumerate(dataset.samples):
-        if s.last_token not in tpgs:
+        if s.last_token not in decomps:
             raise GraphMismatch(f"sample {i}: no graph for last token {s.last_token}")
         comp_of = decomps[s.last_token].comp_of
         label_comp = comp_of.get(s.label)

@@ -22,6 +22,7 @@ from .dataset import (
     TIED,
     UNIT_SPHERE,
     Dataset,
+    IndexSets,
     Sample,
     gen_dataset,
     index_sets,
@@ -39,19 +40,58 @@ def trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(trial)]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
 class Pipeline:
-    """Everything the diagnostics need, computed once per dataset."""
+    """The paper's chain on one dataset: TPGs -> SCCs -> index sets and
+    constraints -> W_svm and S_fin -> cyclic split -> W_fin.
 
-    dataset: Dataset
-    tpgs: dict
-    decomps: dict
-    sets: object
-    constraints: svm.ConstraintSet
-    solution: svm.SvmSolution
-    s_fin: svm.MatrixSubspace
-    split: graph.CyclicSplit
-    fin_result: attention.WfinResult
+    Each stage is built on its first read and kept.  ``tpgs`` defaults to
+    the dataset's own graphs; pseudo graphs give the local references.
+    """
+
+    def __init__(self, dataset: Dataset, tpgs: dict | None = None) -> None:
+        self.dataset = dataset
+        if tpgs is not None:
+            self.tpgs = tpgs  # fills the stage, so its builder never runs
+
+    @functools.cached_property
+    def tpgs(self) -> dict:
+        return graph.build_tpgs(self.dataset)
+
+    @functools.cached_property
+    def decomps(self) -> dict:
+        return graph.decompose_all(self.tpgs)
+
+    @functools.cached_property
+    def sets(self) -> IndexSets:
+        return index_sets(self.dataset, self.decomps)
+
+    @functools.cached_property
+    def constraints(self) -> svm.ConstraintSet:
+        return svm.build_constraints(self.tpgs, self.decomps, self.dataset.embedding)
+
+    @functools.cached_property
+    def solution(self) -> svm.SvmSolution:
+        return svm.solve_graph_svm(self.constraints)
+
+    @functools.cached_property
+    def s_fin(self) -> svm.MatrixSubspace:
+        return svm.fin_subspace(self.constraints)
+
+    @functools.cached_property
+    def split(self) -> graph.CyclicSplit:
+        return graph.cyclic_split(self.dataset, self.sets)
+
+    @functools.cached_property
+    def fin_result(self) -> attention.WfinResult:
+        return attention.train_wfin(self.split, self.s_fin)
+
+    @functools.cached_property
+    def s_active(self) -> svm.MatrixSubspace:
+        return svm.active_subspace(self.tpgs, self.dataset.embedding)
+
+    @functools.cached_property
+    def s_svm(self) -> svm.MatrixSubspace:
+        return svm.svm_subspace(self.s_active, self.s_fin)
 
     @property
     def w_svm(self) -> np.ndarray:
@@ -60,15 +100,6 @@ class Pipeline:
     @property
     def w_fin(self) -> np.ndarray:
         return self.fin_result.w
-
-    # Built on first read: no experiment reads them.
-    @functools.cached_property
-    def s_active(self) -> svm.MatrixSubspace:
-        return svm.active_subspace(self.tpgs, self.dataset.embedding)
-
-    @functools.cached_property
-    def s_svm(self) -> svm.MatrixSubspace:
-        return svm.svm_subspace(self.s_active, self.s_fin)
 
     def refs(self) -> attention.TrainRefs:
         """Training references; a W_svm the solver did not certify is never one."""
@@ -83,30 +114,17 @@ class Pipeline:
 
 
 def build_pipeline(dataset: Dataset) -> Pipeline:
-    tpgs = graph.build_tpgs(dataset)
-    decomps = graph.decompose_all(tpgs)
-    sets = index_sets(dataset, tpgs, decomps)
-    constraints = svm.build_constraints(tpgs, decomps, dataset.embedding)
-    solution = svm.solve_graph_svm(constraints)
-    s_fin = svm.fin_subspace(constraints)
-    split = graph.cyclic_split(dataset, tpgs, decomps, sets)
-    fin_result = attention.train_wfin(split, s_fin)
+    """A pipeline whose W_svm and W_fin are solved in this call; raises
+    NoConvergence unless W_fin is certified."""
+    pipe = Pipeline(dataset)
+    pipe.solution  # solved inside this call, as W_fin is below
+    fin_result = pipe.fin_result
     if fin_result.status is not attention.WfinStatus.CERTIFIED:
         raise NoConvergence(
             f"W_fin solve returned {fin_result.status.value} (grad norm {fin_result.grad_norm:.3e}, "
             f"mu {fin_result.mu:.3e}); a split built from dataset graphs has a finite minimizer"
         )
-    return Pipeline(
-        dataset=dataset,
-        tpgs=tpgs,
-        decomps=decomps,
-        sets=sets,
-        constraints=constraints,
-        solution=solution,
-        s_fin=s_fin,
-        split=split,
-        fin_result=fin_result,
-    )
+    return pipe
 
 
 def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
@@ -132,16 +150,16 @@ def _pipeline_build(params: dict, table, head, mode: str, loss: str, tseed: int)
     """A trial trained against its own pipeline's references, kept as its state."""
     ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
     pipe = build_pipeline(ds)
-    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params.get("normalized", True),
-                                loss=loss, record_every=params.get("record_every", 10))
+    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params["normalized"],
+                                loss=loss, record_every=params["record_every"])
     return ds, cfg, pipe.refs(), pipe
 
 
 def _global_build(params: dict, tseed: int) -> tuple:
     """A trial of cyclic-global, acyclic-global or large-k."""
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    head = make_head(table, TIED) if params.get("head", "tied") == TIED and table.full_row_rank else None
-    return _pipeline_build(params, table, head, params["mode"], params.get("loss", attention.LOG), tseed)
+    head = make_head(table, TIED) if params["head"] == TIED and table.full_row_rank else None
+    return _pipeline_build(params, table, head, params["mode"], params["loss"], tseed)
 
 
 def _global_finish(built: tuple, trace: attention.TrainTrace) -> dict:
@@ -165,32 +183,27 @@ def _local_build(params: dict, tseed: int) -> tuple:
     instead of settling on a finite score-one mixture.
     """
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    head = make_head(table, GENERAL_ARGMAX, noise=params.get("head_noise", 0.1), seed=tseed, unit_rows=True)
+    head = make_head(table, GENERAL_ARGMAX, noise=params["head_noise"], seed=tseed, unit_rows=True)
     ds, cfg, refs, pipe = _pipeline_build(params, table, head, "cyclic", params["loss"], tseed)
-    return ds, cfg, refs, (pipe, params.get("eps", 1e-3))
+    return ds, cfg, refs, (pipe, params["eps"])
 
 
 def _local_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     ds, _, _, (pipe, eps) = built
     w_gd = trace.w_final
-    pseudo = analysis.pseudo_tpgs(w_gd, ds, eps=eps)
-    p_decomps = graph.decompose_all(pseudo)
-    p_cons = svm.build_constraints(pseudo, p_decomps, ds.embedding)
-    p_sol = svm.solve_graph_svm(p_cons)
-    if p_sol.status is not svm.SolveStatus.SOLVED:
-        raise NoConvergence(f"pseudo graph-SVM solve returned {p_sol.status.value}; the pseudo W_svm is undefined")
-    p_fin = svm.fin_subspace(p_cons)
-    p_split = graph.cyclic_split(ds, pseudo, p_decomps)
+    local = Pipeline(ds, analysis.pseudo_tpgs(w_gd, ds, eps=eps))
+    if local.solution.status is not svm.SolveStatus.SOLVED:
+        raise NoConvergence(f"pseudo graph-SVM solve returned {local.solution.status.value}; "
+                            "the pseudo W_svm is undefined")
     # Pseudo splits carry no finite-minimizer guarantee: an uncertified W_fin
     # is recorded as such and gives no distance.
-    p_wfin = attention.train_wfin(p_split, p_fin)
-    certified = p_wfin.status is attention.WfinStatus.CERTIFIED
+    certified = local.fin_result.status is attention.WfinStatus.CERTIFIED
     return {
         "corr_global": attention.correlation(w_gd, pipe.w_svm),
-        "corr_local": attention.correlation(w_gd, p_sol.w),
+        "corr_local": attention.correlation(w_gd, local.w_svm),
         "dist_global": float(np.linalg.norm(pipe.s_fin.project(w_gd) - pipe.w_fin)),
-        "dist_local": float(np.linalg.norm(p_fin.project(w_gd) - p_wfin.w)) if certified else np.nan,
-        "wfin_status": p_wfin.status.value,
+        "dist_local": float(np.linalg.norm(local.s_fin.project(w_gd) - local.w_fin)) if certified else np.nan,
+        "wfin_status": local.fin_result.status.value,
         "trace": list(trace.rows()),
     }
 
@@ -209,12 +222,10 @@ def _feasibility_build(params: dict, seeds: tuple[int, int]) -> tuple:
     table_seed, data_seed = seeds
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
     ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
-    tpgs = graph.build_tpgs(ds)
-    sets = index_sets(ds, tpgs, graph.decompose_all(tpgs))
     cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=True,
                                 record_every=max(1, params["iters"]))
     eps = params["eps"] if params["eps"] is not None else 0.15 / params["T"]
-    return ds, cfg, None, (sets, eps)
+    return ds, cfg, None, (Pipeline(ds).sets, eps)
 
 
 def _feasibility_finish(built: tuple, trace: attention.TrainTrace) -> dict:
@@ -263,12 +274,12 @@ def _reg_path_trial(params: dict, tseed: int) -> dict:
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED)
     ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
-    pipe = build_pipeline(ds)
+    refs = build_pipeline(ds).refs()
     radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
     cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG, init_seed=tseed)
     points = attention.reg_path(ds, radii, cfg)
-    corr = [attention.correlation(p.w, pipe.w_svm) for p in points]
-    dist = [float(np.linalg.norm(pipe.s_fin.project(p.w) - pipe.w_fin)) for p in points]
+    corr = [attention.correlation(p.w, refs.w_svm) for p in points]
+    dist = [float(np.linalg.norm(refs.s_fin.project(p.w) - refs.w_fin)) for p in points]
     return {"radii": radii, "corr": corr, "dist": dist}
 
 
@@ -277,8 +288,7 @@ def _scc_count_trial(params: dict, seeds: tuple[int, int]) -> dict:
     table_seed, data_seed = seeds
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
     ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
-    tpgs = graph.build_tpgs(ds)
-    return {"sccs": sum(graph.scc(g).n_components for g in tpgs.values())}
+    return {"sccs": sum(d.n_components for d in Pipeline(ds).decomps.values())}
 
 
 _TRIALS: dict[str, Callable[[dict, object], dict]] = {
@@ -343,6 +353,12 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         spec = EXPERIMENTS[self.name]
+        for kind, given, declared in (("parameter", self.params, spec.params),
+                                      ("threshold", self.thresholds, spec.thresholds)):
+            unknown = sorted(set(given) - set(declared))
+            if unknown:
+                raise ValueError(f"{self.name} has no {kind} {', '.join(map(repr, unknown))}; "
+                                 f"it declares {', '.join(sorted(declared)) or 'none'}")
         return replace(
             self,
             params={**spec.params, **self.params},
@@ -419,7 +435,7 @@ def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
         "trials": cfg.trials,
     }
     violations = []
-    if cfg.thresholds.get("local_beats_global", True):
+    if cfg.thresholds["local_beats_global"]:
         # A local mean is NaN when no trial has a local value to compare.
         if np.isnan(cl):
             n = sum(np.isnan(r["corr_local"]) for r in results)
@@ -487,7 +503,7 @@ def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
     at_k = next((prop for d, prop, _, _ in rows if d >= cfg.params["K"]), None)
     summary = {"proportion_at_K": at_k, "trials": cfg.trials}
     violations = []
-    tol = cfg.thresholds.get("proportion_tol", 0.02)
+    tol = cfg.thresholds["proportion_tol"]
     if at_k is None or abs(at_k - 1.0) > tol:
         violations.append(f"retention proportion at d=K is {at_k}, expected 1.0 +- {tol}")
     return ExperimentResult(
@@ -500,16 +516,17 @@ def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
-    tseed = trial_seed(cfg.seed if cfg.seed else p.get("default_seed", 0), 0)
+    seed = cfg.seed if cfg.seed else p["default_seed"]
+    tseed = trial_seed(seed, 0)
     table = make_embeddings(p["K"], p["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED)
     ds = gen_dataset(table, head, n=p["n"], T=p["T"], mode="cyclic", seed=tseed)
     pipe = build_pipeline(ds)
     if pipe.solution.norm == 0:
-        raise RuntimeError("rate-check drew an instance with a zero SVM solution; change the seed")
+        raise ValueError(f"rate-check seed {seed} drew an instance with a zero SVM solution; change the seed")
     eta = 1.0 / attention.lipschitz_log(ds)
     cfg_train = attention.TrainConfig(eta=eta, iters=p["iters"], normalized=False, loss=attention.LOG,
-                                      record_every=p.get("record_every", 100))
+                                      record_every=p["record_every"])
     trace = attention.train_gd(ds, cfg_train, refs=pipe.refs())
     inf_val = attention.loss_inf(pipe.split, pipe.w_fin)
     inputs = analysis.rate_bound_inputs(ds, pipe.sets, pipe.w_svm, pipe.w_fin)
@@ -552,7 +569,7 @@ def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
 
     violations = []
     finals = []
-    skip = cfg.thresholds.get("monotone_after", 3)
+    skip = cfg.thresholds["monotone_after"]
     slack = 1e-9
     for t, r in enumerate(acyc):
         corr = r["corr"]
@@ -630,14 +647,14 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "local-squared": ExperimentSpec(
         params=dict(K=8, d=8, n=4, T=6, eta=0.1, iters=4000, loss=attention.SQUARED,
-                    head_noise=0.1, normalized=True, record_every=10),
+                    head_noise=0.1, normalized=True, record_every=10, eps=1e-3),
         thresholds={"local_beats_global": True},
         trials=20,
         runner=_run_local,
     ),
     "local-ce": ExperimentSpec(
         params=dict(K=8, d=8, n=4, T=6, eta=0.1, iters=4000, loss=attention.CROSS_ENTROPY,
-                    head_noise=0.1, normalized=True, record_every=10),
+                    head_noise=0.1, normalized=True, record_every=10, eps=1e-3),
         thresholds={"local_beats_global": True},
         trials=20,
         runner=_run_local,
@@ -838,8 +855,7 @@ def kkt(seed: int = 0) -> SelftestResult:
     from the solution matrix, its inequality multipliers and the embeddings."""
     worst_kkt, worst_eq, worst_ineq, solved = 0.0, 0.0, np.inf, True
     for j in range(20):
-        ds = _small_instance(seed + 100 + j)
-        pipe = build_pipeline(ds)
+        pipe = Pipeline(_small_instance(seed + 100 + j))
         sol, cons = pipe.solution, pipe.constraints
         if sol.status is not svm.SolveStatus.SOLVED:
             solved = False
@@ -896,8 +912,7 @@ def orthogonality(seed: int = 0) -> SelftestResult:
     """W_svm is perpendicular to S_fin and lies in S_svm, on 10 draws."""
     worst_dot, worst_memb = 0.0, 0.0
     for j in range(10):
-        ds = _small_instance(seed + 200 + j, K=4, d=4, n=4, T=3)
-        pipe = build_pipeline(ds)
+        pipe = Pipeline(_small_instance(seed + 200 + j, K=4, d=4, n=4, T=3))
         if pipe.solution.norm == 0:
             continue
         if pipe.s_fin.dim:
@@ -916,11 +931,9 @@ def per_token_reduction(seed: int = 0) -> SelftestResult:
         table = make_embeddings(5, 5, "orthonormal", seed=seed + 300 + j)
         head = make_head(table, TIED)
         ds = gen_dataset(table, head, n=4, T=3, mode="cyclic", seed=seed + 300 + j)
-        tpgs = graph.build_tpgs(ds)
-        cons = svm.build_constraints(tpgs, graph.decompose_all(tpgs), table)
-        joint = svm.solve_graph_svm(cons)
-        per_k = svm.solve_per_last_token(cons)
-        worst_red = max(worst_red, float(np.linalg.norm(joint.w - per_k.w)))
+        pipe = Pipeline(ds)
+        per_k = svm.solve_per_last_token(pipe.constraints)
+        worst_red = max(worst_red, float(np.linalg.norm(pipe.w_svm - per_k.w)))
     return SelftestResult("per_token_reduction", worst_red <= 1e-6, f"max |W_joint - sum W_k| {worst_red:.2e}")
 
 
@@ -928,7 +941,7 @@ def zero_svm_stasis(seed: int = 0) -> SelftestResult:
     """On a single-SCC dataset W_svm is zero and training never moves the
     component outside S_fin."""
     ds = single_scc_dataset(seed=seed)
-    pipe = build_pipeline(ds)
+    pipe = Pipeline(ds)
     cfg = attention.TrainConfig(
         eta=1.0 / attention.lipschitz_log(ds), iters=1000, init="gauss", init_scale=0.5,
         init_seed=seed, record_every=100,

@@ -2,16 +2,18 @@
 
 One directed graph per distinct last token: every sample whose sequence ends
 with token k contributes edges label -> x for each distinct input token x of
-the sample (self-loops dropped).  Strongly connected components of these
-graphs carry the priority structure everything downstream consumes.
+the sample (self-loops dropped); pseudo graphs put the tokens trained
+attention retains in the label's place.  Strongly connected components of
+these graphs carry the priority structure everything downstream consumes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .dataset import Dataset, IndexSets, Sample, index_sets
+from .dataset import Dataset, IndexSets, Sample
 from .errors import SchemaViolation, UnknownNode
 
 
@@ -52,23 +54,29 @@ class SccDecomposition:
         return all(len(c) == 1 for c in self.components)
 
 
-def build_tpgs(dataset: Dataset) -> dict[int, TokenPriorityGraph]:
+def build_tpgs(
+    dataset: Dataset, sources: Sequence[Sequence[int]] | None = None
+) -> dict[int, TokenPriorityGraph]:
     """Construct the per-last-token graphs of a dataset.
 
-    The last token itself appears in the sequence, so label -> last_token is
-    among the edges whenever they differ.
+    Each of sample i's source tokens ``sources[i]`` (by default its label)
+    gets an edge to every other distinct token of the sample.  The last
+    token itself appears in the sequence, so label -> last_token is among
+    the edges whenever they differ.
     """
     nodes: dict[int, set[int]] = {}
     edges: dict[int, dict[int, set[int]]] = {}
-    for s in dataset.samples:
+    for i, s in enumerate(dataset.samples):
+        srcs = (s.label,) if sources is None else sources[i]
         k = s.last_token
         node_set = nodes.setdefault(k, set())
         adj = edges.setdefault(k, {})
         node_set.update(s.tokens)
-        node_set.add(s.label)
-        for tok in set(s.tokens):
-            if tok != s.label:
-                adj.setdefault(s.label, set()).add(tok)
+        node_set.update(srcs)
+        for src in srcs:
+            for tok in set(s.tokens):
+                if tok != src:
+                    adj.setdefault(src, set()).add(tok)
     return {
         k: TokenPriorityGraph(
             last_token=k,
@@ -215,13 +223,9 @@ class CyclicSplit:
         return len(self.idx_i) == 0
 
 
-def cyclic_split(
-    dataset: Dataset,
-    tpgs: dict[int, TokenPriorityGraph],
-    decomps: dict[int, SccDecomposition] | None = None,
-    sets: IndexSets | None = None,
-) -> CyclicSplit:
-    """Reduce every sample to its label-SCC positions and split the indices.
+def cyclic_split(dataset: Dataset, sets: IndexSets) -> CyclicSplit:
+    """Reduce every sample to its label-SCC positions ``sets.r`` and split
+    the indices.
 
     Every sample must be realizable: one whose label is missing from its
     tokens has loss -log 0, not the saturated l(1) the split assumes, and
@@ -233,10 +237,6 @@ def cyclic_split(
                 f"samples[{i}]: label {s.label} is not among its tokens {list(s.tokens)}; "
                 "the cyclic split needs realizable samples"
             )
-    if decomps is None:
-        decomps = decompose_all(tpgs)
-    if sets is None:
-        sets = index_sets(dataset, tpgs, decomps)
     idx_i, idx_ibar, reduced, queries = [], [], [], []
     for i, s in enumerate(dataset.samples):
         r_i, o_i = sets.r[i], sets.o[i]
@@ -261,12 +261,11 @@ def cyclic_split(
     )
 
 
-def graphs_as_dict(tpgs: dict[int, TokenPriorityGraph]) -> dict:
+def graphs_as_dict(tpgs: dict[int, TokenPriorityGraph], decomps: dict[int, SccDecomposition]) -> dict:
     """JSON-ready description: nodes, edges, SCC membership, levels per graph."""
     out = {}
     for k in sorted(tpgs):
-        g = tpgs[k]
-        d = scc(g)
+        g, d = tpgs[k], decomps[k]
         out[str(k)] = {
             "last_token": k,
             "nodes": sorted(g.nodes),

@@ -6,12 +6,14 @@ against a transitive reduction read off those closures and its verdicts
 against an unreduced dense solve, gradients come from central finite
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
-kernel, and CSV bytes come from a cell-by-cell formatter.
+kernel, CSV bytes come from a cell-by-cell formatter, pseudo graphs come
+from their own edge loop, and the pseudo-graph references from the stage
+calls made one by one.
 """
 
 import numpy as np
 
-from attnlab import attention, dataset as dsm, graph as gm
+from attnlab import attention, dataset as dsm, graph as gm, svm
 
 
 def reachability_matrix(n_nodes: int, edges) -> np.ndarray:
@@ -415,3 +417,40 @@ def straight_line_loss(w: np.ndarray, ds: dsm.Dataset, kind: str) -> float:
         else:
             raise ValueError(kind)
     return total / ds.n
+
+
+def pseudo_tpgs_loop(w: np.ndarray, ds: dsm.Dataset, eps: float) -> dict:
+    """Pseudo graphs by their own loop: each sample's positions with softmax
+    probability >= eps (else its argmax position) emit edges to every other
+    distinct token of the sample."""
+    e = ds.embedding.e
+    nodes, edges = {}, {}
+    for s in ds.samples:
+        x = e[list(s.tokens)]
+        logits = x @ w @ x[-1]
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        retained = [t for t in range(s.T) if probs[t] >= eps] or [int(np.argmax(probs))]
+        k = s.last_token
+        nodes.setdefault(k, set()).update(s.tokens)
+        adj = edges.setdefault(k, {})
+        for t1 in retained:
+            for tok2 in set(s.tokens):
+                if tok2 != s.tokens[t1]:
+                    adj.setdefault(s.tokens[t1], set()).add(tok2)
+    return {
+        k: gm.TokenPriorityGraph(last_token=k, nodes=frozenset(nodes[k]),
+                                 edges={i: frozenset(v) for i, v in edges[k].items()})
+        for k in nodes
+    }
+
+
+def hand_run_refs(ds: dsm.Dataset, tpgs: dict) -> tuple:
+    """W_svm's solution, S_fin and W_fin's result of graphs tpgs over ds,
+    each stage called by hand in the order of the chain."""
+    decomps = gm.decompose_all(tpgs)
+    cons = svm.build_constraints(tpgs, decomps, ds.embedding)
+    sol = svm.solve_graph_svm(cons)
+    s_fin = svm.fin_subspace(cons)
+    split = gm.cyclic_split(ds, dsm.index_sets(ds, decomps))
+    return sol, s_fin, attention.train_wfin(split, s_fin)

@@ -7,7 +7,7 @@ from attnlab import analysis, attention as att, dataset as dsm, experiments, gra
 from attnlab.errors import NoConvergence, NonFiniteLoss, ZeroMatrix
 from attnlab.util import seeded_rng
 
-from helpers import tiny_instance
+from helpers import hand_run_refs, pseudo_tpgs_loop, tiny_instance
 
 
 def sweep_rows(name, seed, trials, **params):
@@ -99,6 +99,15 @@ class TestPseudoTpgs:
             for i, j in g_ps.edge_list():
                 assert g_ds.has_edge(i, j)
 
+    def test_graphs_match_the_edge_loop(self):
+        rng = seeded_rng(23)
+        for seed in range(30):
+            K, d, T = (int(v) for v in rng.integers(3, 8, size=3))
+            ds = tiny_instance(seed, K=K, d=d, n=int(rng.integers(1, 10)), T=T, head_kind="none")
+            w = float(rng.uniform(0.5, 20.0)) * rng.standard_normal((d, d))
+            eps = float(10.0 ** rng.uniform(-4.0, np.log10(0.9)))
+            assert analysis.pseudo_tpgs(w, ds, eps=eps) == pseudo_tpgs_loop(w, ds, eps)
+
     def test_every_sample_keeps_at_least_one_token(self):
         ds = tiny_instance(22, K=5, d=5, n=5, T=4)
         rng = seeded_rng(22)
@@ -162,8 +171,7 @@ class TestFeasibilityExperiment:
         # Re-run the identical pipeline to recount retention directly.
         table = dsm.make_embeddings(4, 4, dsm.UNIT_SPHERE, seed=5 * 99991 + 31 * 4 + 0)
         ds = dsm.gen_dataset(table, None, n=3, T=3, mode="cyclic", seed=5 + 4)
-        tpgs = gm.build_tpgs(ds)
-        sets = dsm.index_sets(ds, tpgs)
+        sets = dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds)))
         cfg = att.TrainConfig(eta=0.01, iters=400, normalized=True, record_every=400)
         trace = att.train_gd(ds, cfg)
         props = []
@@ -216,7 +224,7 @@ class TestSweepFanOut:
 
 
 class TestGlobalBlocks:
-    PARAMS = dict(K=6, d=8, n=6, T=4, eta=0.01, iters=20, mode="cyclic", head="tied", record_every=5)
+    PARAMS = {**experiments.EXPERIMENTS["cyclic-global"].params, "iters": 20, "record_every": 5}
 
     def test_first_error_in_trial_order_is_raised(self, monkeypatch):
         # Trial 3's pipeline fails to build and trial 1's loss is infinite
@@ -249,7 +257,7 @@ def _gd_jobs(kind):
     if kind == "global":
         return experiments.seeded_jobs(TestGlobalBlocks.PARAMS, 0, 5)
     if kind == "local":
-        return experiments.seeded_jobs(dict(K=8, d=8, n=4, T=6, eta=0.1, iters=20, loss=att.SQUARED), 0, 5)
+        return experiments.seeded_jobs({**experiments.EXPERIMENTS["local-squared"].params, "iters": 20}, 0, 5)
     params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)
     return [({**params, "d": d}, (31 * d + t, 7 * t + d)) for d in (2, 4) for t in range(3)]
 
@@ -307,6 +315,29 @@ class TestGdBlocks:
         (params, seed), (_, other) = _gd_jobs("global")[:2]
         with pytest.raises(ValueError, match="one training config"):
             experiments.run_trials("global", [(params, seed), ({**params, "iters": 30}, other)], workers=1)
+
+
+class TestLocalReferences:
+    @pytest.mark.parametrize("overrides", [{}, {"n": 8}])
+    def test_pipeline_on_pseudo_graphs_equals_the_hand_run_chain(self, overrides):
+        # Every trial of local-squared, seed 0.  At its defaults the pseudo
+        # graphs give the dataset's own W_svm in every trial; at n = 8 some
+        # do not, so a pipeline that ignored its graphs would show there.
+        cfg = experiments.ExperimentConfig("local-squared", overrides, {}, 0).resolved()
+        build, _ = experiments._GD_KINDS["local"]
+        built = [build(params, seed) for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials)]
+        traces = att.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
+        moved = 0
+        for (ds, _, _, (pipe, eps)), trace in zip(built, traces):
+            pseudo = analysis.pseudo_tpgs(trace.w_final, ds, eps=eps)
+            local = experiments.Pipeline(ds, pseudo)
+            sol, s_fin, fin = hand_run_refs(ds, pseudo)
+            assert local.solution.status is sol.status and local.fin_result.status is fin.status
+            assert local.w_svm.tobytes() == sol.w.tobytes()
+            assert local.s_fin.basis.tobytes() == s_fin.basis.tobytes()
+            assert local.w_fin.tobytes() == fin.w.tobytes()
+            moved += local.w_svm.tobytes() != pipe.w_svm.tobytes()
+        assert moved > 0 or not overrides
 
 
 class TestLocalWfinStatus:

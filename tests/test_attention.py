@@ -491,7 +491,7 @@ def _split_and_fin(ds):
     tpgs = gm.build_tpgs(ds)
     decomps = gm.decompose_all(tpgs)
     s_fin = svm.fin_subspace(svm.build_constraints(tpgs, decomps, ds.embedding))
-    return gm.cyclic_split(ds, tpgs, decomps), s_fin
+    return gm.cyclic_split(ds, dsm.index_sets(ds, decomps)), s_fin
 
 
 def _refs_instance(i):
@@ -611,7 +611,7 @@ class TestTrainWfin:
 class TestCyclicLosses:
     def test_acyclic_split_trivial(self):
         ds = tiny_instance(16, K=5, d=5, n=5, T=4, mode="acyclic")
-        split = gm.cyclic_split(ds, gm.build_tpgs(ds))
+        split = gm.cyclic_split(ds, dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds))))
         assert att.loss_bar(np.ones((5, 5)), split) == 0.0
         assert att.loss_inf(split, np.zeros((5, 5))) == 0.0
 

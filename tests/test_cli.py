@@ -121,10 +121,6 @@ class TestExperimentCommand:
         assert sa == sb
 
     def test_threshold_override_forces_violation(self, tmp_path):
-        code = run_cli("exp", "scc-count", "--out", tmp_path / "v", "--seed", 0,
-                       "--trials", 2, "--workers", 1, "--set", "n_grid=[32,256]",
-                       "--threshold", "impossible=1")
-        assert code == 0  # unknown thresholds are inert for this runner
         code = run_cli("exp", "cyclic-global", "--out", tmp_path / "w", "--seed", 0,
                        "--trials", 2, "--workers", 1, "--threshold", "min_mean_corr=1.5")
         assert code == 3
@@ -408,6 +404,19 @@ class TestExitCodes:
             assert run_cli("exp", "scc-count", "--out", tmp_path / "x", "--trials", 1,
                            "--workers", workers) == 2
             assert "workers" in capsys.readouterr().err
+
+    def test_zero_svm_rate_check_is_config_error(self, tmp_path, capsys):
+        # One sample of one token has no edges, so W_svm is zero at any seed.
+        assert run_cli("exp", "rate-check", "--out", tmp_path / "x", "--seed", 5, "--set", "n=1",
+                       "--set", "T=1", "--set", "iters=10") == 2
+        assert "rate-check seed 5 drew an instance with a zero SVM solution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, key", [("--set", "eta_typo"), ("--threshold", "impossible")])
+    def test_undeclared_key_is_config_error(self, tmp_path, capsys, flag, key):
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 1,
+                       flag, f"{key}=5") == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ATTNLAB_SEED", "123")

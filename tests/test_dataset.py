@@ -129,22 +129,21 @@ class TestIndexSets:
             samples=(dsm.Sample(tokens=(1, 1, 1), label=1),),
         )
         tpgs = gm.build_tpgs(ds)
-        sets = dsm.index_sets(ds, tpgs)
+        sets = dsm.index_sets(ds, gm.decompose_all(tpgs))
         assert sets.o[0] == (0, 1, 2)
         assert sets.r[0] == (0, 1, 2)
         assert sets.obar[0] == () and sets.rbar[0] == ()
 
     def test_acyclic_dataset_r_equals_o(self):
         ds = tiny_instance(5, K=5, d=5, n=6, T=4, mode="acyclic")
-        tpgs = gm.build_tpgs(ds)
-        sets = dsm.index_sets(ds, tpgs)
+        sets = dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds)))
         assert sets.r == sets.o
 
     def test_mixed_sample_matches_reachability_oracle(self):
         for seed in range(20):
             ds = tiny_instance(seed, K=5, d=6, n=6, T=5)
             tpgs = gm.build_tpgs(ds)
-            sets = dsm.index_sets(ds, tpgs)
+            sets = dsm.index_sets(ds, gm.decompose_all(tpgs))
             for i, s in enumerate(ds.samples):
                 g = tpgs[s.last_token]
                 for t, tok in enumerate(s.tokens):
@@ -160,13 +159,13 @@ class TestIndexSets:
         tpgs = gm.build_tpgs(ds)
         missing = {k: g for k, g in tpgs.items() if k != ds.samples[0].last_token}
         with pytest.raises(GraphMismatch):
-            dsm.index_sets(ds, missing)
+            dsm.index_sets(ds, gm.decompose_all(missing))
 
     def test_rbar_tokens_strictly_dominated(self):
         ds = tiny_instance(2, K=5, d=6, n=8, T=4)
         tpgs = gm.build_tpgs(ds)
         decomps = gm.decompose_all(tpgs)
-        sets = dsm.index_sets(ds, tpgs, decomps)
+        sets = dsm.index_sets(ds, decomps)
         for i, s in enumerate(ds.samples):
             for t in sets.rbar[i]:
                 rel = gm.relation(decomps[s.last_token], s.label, s.tokens[t])

@@ -206,10 +206,14 @@ class TestPriorityAssignment:
                         assert m[i] == m[j]
 
 
+def _sets(ds):
+    return dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds)))
+
+
 class TestCyclicSplit:
     def test_acyclic_gives_empty_subdataset(self):
         ds = tiny_instance(10, K=5, d=5, n=6, T=4, mode="acyclic")
-        split = gm.cyclic_split(ds, gm.build_tpgs(ds))
+        split = gm.cyclic_split(ds, _sets(ds))
         assert split.empty
         assert split.idx_i == ()
         assert len(split.idx_ibar) == ds.n
@@ -217,7 +221,7 @@ class TestCyclicSplit:
     def test_everything_in_one_scc_keeps_dataset(self):
         # Mutually cyclic labels over a shared context: nothing is removed.
         ds = _dataset_from_samples(3, [((0, 1, 2), 0), ((1, 0, 2), 1), ((2, 0, 2), 2)])
-        split = gm.cyclic_split(ds, gm.build_tpgs(ds))
+        split = gm.cyclic_split(ds, _sets(ds))
         assert split.idx_i == (0, 1, 2)
         for orig, red in zip(ds.samples, split.subdataset.samples):
             assert red.tokens == orig.tokens
@@ -228,7 +232,7 @@ class TestCyclicSplit:
             ds = tiny_instance(seed + 50, K=5, d=6, n=6, T=5)
             tpgs = gm.build_tpgs(ds)
             decomps = gm.decompose_all(tpgs)
-            split = gm.cyclic_split(ds, tpgs, decomps)
+            split = gm.cyclic_split(ds, dsm.index_sets(ds, decomps))
             kept = {i: s for i, s in zip(split.idx_i, split.subdataset.samples)}
             for i, s in enumerate(ds.samples):
                 expected = [
@@ -252,14 +256,14 @@ class TestCyclicSplit:
             dsm.Sample(tokens=(0, 1, 2), label=0), dsm.Sample(tokens=(1, 0, 2), label=1),
             dsm.Sample(tokens=(2, 1, 2), label=3), dsm.Sample(tokens=(0, 2, 1), label=2)))
         with pytest.raises(SchemaViolation, match=r"samples\[2\]"):
-            gm.cyclic_split(ds, gm.build_tpgs(ds))
+            gm.cyclic_split(ds, _sets(ds))
 
     def test_removed_positions_are_strictly_dominated(self):
         ds = tiny_instance(31, K=4, d=5, n=8, T=6)
         tpgs = gm.build_tpgs(ds)
         decomps = gm.decompose_all(tpgs)
-        sets = dsm.index_sets(ds, tpgs, decomps)
-        split = gm.cyclic_split(ds, tpgs, decomps, sets)
+        sets = dsm.index_sets(ds, decomps)
+        split = gm.cyclic_split(ds, sets)
         for i in range(ds.n):
             s = ds.samples[i]
             for t in range(s.T):
@@ -276,7 +280,7 @@ class TestExports:
     def test_dict_and_dot_exports(self):
         ds = tiny_instance(2, K=4, d=4, n=4, T=3)
         tpgs = gm.build_tpgs(ds)
-        desc = gm.graphs_as_dict(tpgs)
+        desc = gm.graphs_as_dict(tpgs, gm.decompose_all(tpgs))
         for key, entry in desc.items():
             assert entry["last_token"] == int(key)
             assert sum(len(c) for c in entry["components"]) == len(entry["nodes"])

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from attnlab import attention, cli, experiments
 from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab import svm
 from attnlab.errors import NoConvergence, NotOrthonormal
-from attnlab.experiments import build_pipeline
+from attnlab.experiments import Pipeline, build_pipeline
 from attnlab.util import seeded_rng
 
 from helpers import (
@@ -206,7 +207,69 @@ class TestSubspaces:
             assert s_svm.dim == s_active.dim - s_fin.dim
 
 
+# Pipeline stage -> (module, builder) and the stages it reads.
+STAGES = {
+    "tpgs": ((gm, "build_tpgs"), ()),
+    "decomps": ((gm, "decompose_all"), ("tpgs",)),
+    "sets": ((experiments, "index_sets"), ("decomps",)),
+    "constraints": ((svm, "build_constraints"), ("tpgs", "decomps")),
+    "solution": ((svm, "solve_graph_svm"), ("constraints",)),
+    "s_fin": ((svm, "fin_subspace"), ("constraints",)),
+    "split": ((gm, "cyclic_split"), ("sets",)),
+    "fin_result": ((attention, "train_wfin"), ("split", "s_fin")),
+    "s_active": ((svm, "active_subspace"), ("tpgs",)),
+    "s_svm": ((svm, "svm_subspace"), ("s_active", "s_fin")),
+}
+
+
+def _reads(stage):
+    """The stage and every stage it depends on."""
+    return {stage}.union(*(_reads(dep) for dep in STAGES[stage][1]))
+
+
 class TestLazyPipeline:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Names of the stages built, one entry per builder call."""
+        calls = []
+        for stage, ((module, name), _) in STAGES.items():
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _stage=stage, _fn=fn: calls.append(_stage) or _fn(*a))
+        return calls
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_each_stage_built_once_when_read(self, builds, stage):
+        pipe = Pipeline(tiny_instance(44, K=5, d=6, n=6, T=4))
+        assert builds == []
+        first = getattr(pipe, stage)
+        assert sorted(builds) == sorted(_reads(stage))
+        assert getattr(pipe, stage) is first
+        for other in STAGES:
+            getattr(pipe, other)
+        assert sorted(builds) == sorted(STAGES)
+
+    def test_given_graphs_are_not_rebuilt(self, builds):
+        ds = tiny_instance(44, K=5, d=6, n=6, T=4)
+        tpgs = gm.build_tpgs(ds)
+        builds.clear()
+        pipe = Pipeline(ds, tpgs)
+        assert pipe.tpgs is tpgs and pipe.solution.status is svm.SolveStatus.SOLVED
+        assert "tpgs" not in builds
+
+    def test_build_pipeline_solves_w_svm_and_w_fin_in_its_call(self, builds):
+        pipe = build_pipeline(tiny_instance(44, K=5, d=6, n=6, T=4))
+        assert sorted(builds) == sorted(_reads("solution") | _reads("fin_result"))
+        pipe.refs()
+        assert "s_active" not in builds and len(builds) == len(set(builds))
+
+    def test_solve_svm_builds_no_split_and_no_w_fin(self, builds, tmp_path):
+        data = tmp_path / "ds.json"
+        assert cli.main(["gen-data", "--K", "5", "--d", "6", "--n", "6", "--T", "4", "--seed", "3",
+                         "--out", str(data)]) == 0
+        assert cli.main(["solve-svm", "--data", str(data), "--out", str(tmp_path / "svm.json")]) == 0
+        assert sorted(builds) == sorted(_reads("solution") | _reads("s_svm"))
+        assert "split" not in builds and "fin_result" not in builds
+
     def test_active_and_svm_subspaces_built_on_first_read(self, monkeypatch):
         originals = {name: getattr(svm, name) for name in ("active_subspace", "svm_subspace")}
 
