@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample
+from .dataset import Dataset
 from .errors import DomainError, NonFiniteLoss
 from .graph import CyclicSplit
 from .svm import MatrixSubspace
@@ -57,12 +57,6 @@ def softmax(h: np.ndarray) -> np.ndarray:
     np.exp(ex, out=ex)
     ex /= ex.sum(axis=-1, keepdims=True)
     return ex
-
-
-def embed_sample(dataset: Dataset, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    e = dataset.embedding.e
-    x = e[list(sample.tokens)]
-    return x, x[-1]
 
 
 def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,39 +257,14 @@ def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
     return None if total is None else float(total[0]), None if grad is None else grad[0]
 
 
-def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
-    return _one(w, _pack([dataset]), kind, need_grad=False)[0]
-
-
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     """Analytical gradient; uses the reduced tied-head form for the log loss."""
     return _one(w, _pack([dataset]), kind, need_loss=False)[1]
 
 
-def grad_general(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
-    """Gradient via the generic softmax-chain formula, for cross-checking."""
-    return _one(w, _pack([dataset]), kind, reduced_log=False, need_loss=False)[1]
-
-
 def lipschitz_log(dataset: Dataset) -> float:
     """Gradient Lipschitz constant of the tied log loss: 2 e_max^4 sqrt(T_max)."""
     return 2.0 * dataset.embedding.e_max**4 * float(np.sqrt(dataset.t_max))
-
-
-def lipschitz_general(dataset: Dataset, m0: float, m1: float) -> float:
-    """Generic smoothness bound from head norms and spectral sequence norms."""
-    if dataset.head is None:
-        raise ValueError("general Lipschitz bound requires a classifier head")
-    total = 0.0
-    for s in dataset.samples:
-        x, xbar = embed_sample(dataset, s)
-        cy = np.linalg.norm(dataset.head.c[s.label])
-        xs = np.linalg.norm(x, ord=2)
-        xb = np.linalg.norm(xbar)
-        a_i = cy * xb**2 * xs**3
-        b_i = m0 * cy * xs + 3.0 * m1
-        total += a_i * b_i
-    return total / dataset.n
 
 
 @dataclass(frozen=True)
@@ -708,10 +677,6 @@ def loss_inf(split: CyclicSplit, w_fin: np.ndarray) -> float:
 class RegPathPoint:
     radius: float
     w: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
 
 
 REG_PATH_MAP_TOL = 1e-7  # projected-gradient mapping norm at which a radius is done

@@ -78,10 +78,6 @@ class ClassifierHead:
     def K(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def max_row_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.c, axis=1)))
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -138,11 +134,10 @@ class IndexSets:
 
     ``o``: positions whose token equals the label; ``r``: those plus positions
     whose token shares the label's SCC in the graph of the sample's last
-    token.  ``obar``/``rbar`` are the complements in ``range(T_i)``.
+    token.  ``rbar`` is the complement of ``r`` in ``range(T_i)``.
     """
 
     o: tuple[tuple[int, ...], ...]
-    obar: tuple[tuple[int, ...], ...]
     r: tuple[tuple[int, ...], ...]
     rbar: tuple[tuple[int, ...], ...]
 
@@ -272,7 +267,7 @@ def gen_dataset(
 def index_sets(dataset: Dataset, decomps: dict) -> IndexSets:
     """Classify each sample's token positions against the SCC decomposition
     of its last-token graph (``decomps`` maps last token -> decomposition)."""
-    o, obar, r, rbar = [], [], [], []
+    o, r, rbar = [], [], []
     for i, s in enumerate(dataset.samples):
         if s.last_token not in decomps:
             raise GraphMismatch(f"sample {i}: no graph for last token {s.last_token}")
@@ -287,9 +282,8 @@ def index_sets(dataset: Dataset, decomps: dict) -> IndexSets:
                 r_i.append(t)
         o.append(tuple(o_i))
         r.append(tuple(r_i))
-        obar.append(tuple(t for t in range(s.T) if t not in set(o_i)))
         rbar.append(tuple(t for t in range(s.T) if t not in set(r_i)))
-    return IndexSets(o=tuple(o), obar=tuple(obar), r=tuple(r), rbar=tuple(rbar))
+    return IndexSets(o=tuple(o), r=tuple(r), rbar=tuple(rbar))
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

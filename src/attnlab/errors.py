@@ -25,10 +25,6 @@ class GraphMismatch(AttnLabError):
     """A sample's last token has no corresponding token-priority graph."""
 
 
-class UnknownNode(AttnLabError):
-    """Pair relation queried for a node outside the decomposition."""
-
-
 class NotOrthonormal(AttnLabError):
     """Operation requires orthonormal token embeddings."""
 
@@ -46,8 +42,9 @@ class NonFiniteLoss(AttnLabError):
 
 
 class NoConvergence(AttnLabError):
-    """Iteration cap reached before the stopping criterion."""
+    """A reference could not be certified: the graph-SVM solve did not end
+    SOLVED, or W_fin is not CERTIFIED."""
 
 
 class ZeroMatrix(AttnLabError):
-    """Correlation is undefined for an all-zero matrix."""
+    """The margin xi is undefined for an all-zero W_svm."""

@@ -276,7 +276,7 @@ def _reg_path_trial(params: dict, tseed: int) -> dict:
     ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
     refs = build_pipeline(ds).refs()
     radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
-    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG, init_seed=tseed)
+    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG)
     points = attention.reg_path(ds, radii, cfg)
     corr = [attention.correlation(p.w, refs.w_svm) for p in points]
     dist = [float(np.linalg.norm(refs.s_fin.project(p.w) - refs.w_fin)) for p in points]
@@ -638,8 +638,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_scc_count,
     ),
     "feasibility": ExperimentSpec(
-        # n well above K so label SCCs are nontrivial; eps=None means half
-        # the uniform share 1/T.
+        # n well above K so label SCCs are nontrivial; eps=None means 0.15/T,
+        # a fixed fraction of the uniform share 1/T.
         params=dict(K=8, T=6, n=16, d_grid=[2, 3, 4, 6, 8], eta=0.05, iters=12000, eps=None),
         thresholds={"proportion_tol": 0.02},
         trials=5,

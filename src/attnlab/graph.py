@@ -1,4 +1,4 @@
-"""Token-priority graphs, SCC decomposition, pair relations, cyclic split.
+"""Token-priority graphs, SCC decomposition, priority levels, cyclic split.
 
 One directed graph per distinct last token: every sample whose sequence ends
 with token k contributes edges label -> x for each distinct input token x of
@@ -11,16 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 from .dataset import Dataset, IndexSets, Sample
-from .errors import SchemaViolation, UnknownNode
-
-
-class PairRelation(Enum):
-    STRICT_PRIORITY = "strict_priority"  # i reaches j, j does not reach i
-    SAME_SCC = "same_scc"                # mutually reachable
-    UNRELATED = "unrelated"
+from .errors import SchemaViolation
 
 
 @dataclass(frozen=True)
@@ -29,29 +22,22 @@ class TokenPriorityGraph:
     nodes: frozenset[int]
     edges: dict[int, frozenset[int]]  # adjacency sets, no self-loops
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.edges.get(i, frozenset())
-
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted((i, j) for i, outs in self.edges.items() for j in outs)
 
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """Components, their condensation DAG, and longest-path priority levels."""
+    """Components, their longest-path priority levels and reachability."""
 
     components: tuple[frozenset[int], ...]
     comp_of: dict[int, int]
-    condensation: dict[int, frozenset[int]]  # component index -> successor set
     topo_levels: dict[int, int]              # component index -> level, sinks = 1
     reachable: dict[int, frozenset[int]]     # component index -> strict descendants
 
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def all_singletons(self) -> bool:
-        return all(len(c) == 1 for c in self.components)
 
 
 def build_tpgs(
@@ -88,7 +74,8 @@ def build_tpgs(
 
 
 def scc(graph: TokenPriorityGraph) -> SccDecomposition:
-    """Tarjan's single-pass SCC (iterative), plus condensation and levels."""
+    """Tarjan's single-pass SCC (iterative), plus levels and reachability
+    on the condensation."""
     index: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -162,7 +149,6 @@ def scc(graph: TokenPriorityGraph) -> SccDecomposition:
     return SccDecomposition(
         components=tuple(components),
         comp_of=comp_of,
-        condensation={c: frozenset(successors[c]) for c in range(n_comp)},
         topo_levels=levels,
         reachable=reach,
     )
@@ -170,27 +156,6 @@ def scc(graph: TokenPriorityGraph) -> SccDecomposition:
 
 def decompose_all(tpgs: dict[int, TokenPriorityGraph]) -> dict[int, SccDecomposition]:
     return {k: scc(g) for k, g in tpgs.items()}
-
-
-def relation(decomp: SccDecomposition, i: int, j: int) -> PairRelation:
-    """Relation between two distinct nodes, by condensation reachability."""
-    if i == j:
-        raise UnknownNode(f"relation is defined for distinct nodes, got i=j={i}")
-    if i not in decomp.comp_of:
-        raise UnknownNode(f"node {i} not in decomposition")
-    if j not in decomp.comp_of:
-        raise UnknownNode(f"node {j} not in decomposition")
-    ci, cj = decomp.comp_of[i], decomp.comp_of[j]
-    if ci == cj:
-        return PairRelation.SAME_SCC
-    if cj in decomp.reachable[ci]:
-        return PairRelation.STRICT_PRIORITY
-    return PairRelation.UNRELATED
-
-
-def is_acyclic(tpgs: dict[int, TokenPriorityGraph]) -> bool:
-    """True iff every SCC of every graph is a singleton (vacuously true)."""
-    return all(scc(g).all_singletons() for g in tpgs.values())
 
 
 def priority_assignment(decomp: SccDecomposition) -> dict[int, int]:
@@ -204,7 +169,7 @@ class CyclicSplit:
 
     ``subdataset`` holds only the samples whose reduced sequence gains
     something beyond the label occurrences (indices ``idx_i``); the rest
-    (``idx_ibar``) reach the trivial per-sample optimum and are dropped.
+    reach the trivial per-sample optimum and are dropped.
     ``n_total`` keeps the original sample count for loss normalization.
 
     Dropping positions can remove the original last token, but attention is
@@ -214,7 +179,6 @@ class CyclicSplit:
 
     subdataset: Dataset
     idx_i: tuple[int, ...]
-    idx_ibar: tuple[int, ...]
     n_total: int
     queries: tuple[int, ...]
 
@@ -237,15 +201,13 @@ def cyclic_split(dataset: Dataset, sets: IndexSets) -> CyclicSplit:
                 f"samples[{i}]: label {s.label} is not among its tokens {list(s.tokens)}; "
                 "the cyclic split needs realizable samples"
             )
-    idx_i, idx_ibar, reduced, queries = [], [], [], []
+    idx_i, reduced, queries = [], [], []
     for i, s in enumerate(dataset.samples):
         r_i, o_i = sets.r[i], sets.o[i]
         if set(r_i) - set(o_i):
             idx_i.append(i)
             reduced.append(Sample(tokens=tuple(s.tokens[t] for t in r_i), label=s.label))
             queries.append(s.last_token)
-        else:
-            idx_ibar.append(i)
     sub = Dataset(
         embedding=dataset.embedding,
         head=dataset.head,
@@ -255,7 +217,6 @@ def cyclic_split(dataset: Dataset, sets: IndexSets) -> CyclicSplit:
     return CyclicSplit(
         subdataset=sub,
         idx_i=tuple(idx_i),
-        idx_ibar=tuple(idx_ibar),
         n_total=dataset.n,
         queries=tuple(queries),
     )

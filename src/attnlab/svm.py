@@ -96,8 +96,8 @@ def build_constraints(
     first), one equality per unordered same-SCC pair, per graph.
 
     Priority is reachability on the condensation, so transitive pairs
-    generate their own inequalities; each pair is classified as
-    `graph.relation` does, from its nodes' components.  Ordering is (k, i, j)
+    generate their own inequalities; each pair is classified from its nodes'
+    components and `SccDecomposition.reachable`.  Ordering is (k, i, j)
     throughout.
     """
     eqs: list[Triple] = []

@@ -8,7 +8,9 @@ differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, CSV bytes come from a cell-by-cell formatter, pseudo graphs come
 from their own edge loop, and the pseudo-graph references from the stage
-calls made one by one.
+calls made one by one.  Two helpers are plain kernel calls, not oracles:
+`loss`, the loss of one dataset, and `grad_general`, the softmax-chain
+gradient that the reduced tied-log form is checked against.
 """
 
 import numpy as np
@@ -251,6 +253,17 @@ def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np
             lm = attention._one(wm, packed, kind, need_grad=False)[0]
             g[a, b] = (lp - lm) / (2 * step)
     return g
+
+
+def loss(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> float:
+    """The loss of one dataset at w, through the library's kernel."""
+    return attention._one(w, attention._pack([ds]), kind, need_grad=False)[0]
+
+
+def grad_general(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> np.ndarray:
+    """The kernel's gradient by the generic softmax chain rule
+    (``reduced_log=False``), the reference for the reduced tied-log form."""
+    return attention._one(w, attention._pack([ds]), kind, reduced_log=False, need_loss=False)[1]
 
 
 def csv_oracle(header, rows) -> bytes:

@@ -13,6 +13,8 @@ from attnlab.util import seeded_rng
 from helpers import (
     active_set_oracle,
     fd_grad,
+    grad_general,
+    loss,
     partition_by_mutual_reachability,
     random_tpg,
     tiny_instance,
@@ -61,11 +63,11 @@ def test_criterion_03_descent_lemma():
         ds = tiny_instance(seed, K=5, d=6, n=4, T=4)
         eta = 1.0 / att.lipschitz_log(ds)
         w = np.zeros((ds.d, ds.d))
-        prev = att.loss(w, ds, att.LOG)
+        prev = loss(w, ds, att.LOG)
         for _ in range(steps):
             g = att.grad(w, ds, att.LOG)
             w = w - eta * g
-            cur = att.loss(w, ds, att.LOG)
+            cur = loss(w, ds, att.LOG)
             if cur - prev > -(eta / 2.0) * float(np.linalg.norm(g)) ** 2 + 1e-10:
                 violations += 1
             prev = cur
@@ -81,8 +83,8 @@ def test_criterion_04_convexity(cyclic_pipeline):
         w1 = rng.standard_normal((ds.d, ds.d))
         w2 = rng.standard_normal((ds.d, ds.d))
         lam = float(rng.uniform(0.02, 0.98))
-        lhs = att.loss(lam * w1 + (1 - lam) * w2, ds, att.LOG)
-        rhs = lam * att.loss(w1, ds, att.LOG) + (1 - lam) * att.loss(w2, ds, att.LOG)
+        lhs = loss(lam * w1 + (1 - lam) * w2, ds, att.LOG)
+        rhs = lam * loss(w1, ds, att.LOG) + (1 - lam) * loss(w2, ds, att.LOG)
         if lhs > rhs + 1e-9:
             chord_bad += 1
     # Strict convexity on S_fin: well-separated pairs have a real chord gap.
@@ -96,8 +98,8 @@ def test_criterion_04_convexity(cyclic_pipeline):
         w2 = np.tensordot(c2, fin.basis, axes=1)
         if np.linalg.norm(w1 - w2) < 0.1:
             continue
-        mid = att.loss(0.5 * (w1 + w2), ds, att.LOG)
-        gap = 0.5 * att.loss(w1, ds, att.LOG) + 0.5 * att.loss(w2, ds, att.LOG) - mid
+        mid = loss(0.5 * (w1 + w2), ds, att.LOG)
+        gap = 0.5 * loss(w1, ds, att.LOG) + 0.5 * loss(w2, ds, att.LOG) - mid
         min_gap = min(min_gap, gap)
     ok = chord_bad == 0 and min_gap >= 1e-8
     _report(4, "convexity", ok,
@@ -250,7 +252,7 @@ def test_criterion_09_gradient_correctness():
         w = rng.standard_normal((5, 5))
         worst_paths = max(
             worst_paths,
-            float(np.max(np.abs(att.grad(w, ds, att.LOG) - att.grad_general(w, ds, att.LOG)))),
+            float(np.max(np.abs(att.grad(w, ds, att.LOG) - grad_general(w, ds, att.LOG)))),
         )
     ok = worst_fd < 1e-5 and worst_paths <= 1e-12
     _report(9, "gradient correctness", ok,

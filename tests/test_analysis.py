@@ -72,7 +72,7 @@ class TestPseudoTpgs:
             for a in toks:
                 for b in toks:
                     if a != b:
-                        assert g.has_edge(a, b)
+                        assert b in g.edges[a]
 
     def test_label_selecting_weights_reproduce_label_edges(self, cyclic_pipeline):
         # A direction that saturates on the label tokens yields edges from
@@ -85,7 +85,7 @@ class TestPseudoTpgs:
             for t in pipe.sets.r[i]:
                 for tok in set(s.tokens):
                     if tok != s.tokens[t]:
-                        assert g.has_edge(s.tokens[t], tok)
+                        assert tok in g.edges[s.tokens[t]]
 
     def test_tiny_threshold_consistent_with_dataset_relations(self, acyclic_pipeline):
         # On a separable acyclic instance, a converged direction keeps only
@@ -97,7 +97,7 @@ class TestPseudoTpgs:
             g_ps = pseudo[s.last_token]
             g_ds = pipe.tpgs[s.last_token]
             for i, j in g_ps.edge_list():
-                assert g_ds.has_edge(i, j)
+                assert j in g_ds.edges.get(i, ())
 
     def test_graphs_match_the_edge_loop(self):
         rng = seeded_rng(23)
@@ -176,8 +176,8 @@ class TestFeasibilityExperiment:
         trace = att.train_gd(ds, cfg)
         props = []
         for i, s in enumerate(ds.samples):
-            x, xbar = att.embed_sample(ds, s)
-            probs, _ = att.forward(x, trace.w_final, xbar)
+            x = ds.embedding.e[list(s.tokens)]
+            probs, _ = att.forward(x, trace.w_final, x[-1])
             kept = sum(1 for t in sets.r[i] if probs[t] >= 1e-3)
             props.append(kept / len(sets.r[i]))
         assert abs(rows[0]["proportion"] - float(np.mean(props))) <= 1e-12

@@ -9,7 +9,7 @@ from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab.errors import ArgmaxUnreachable, GraphMismatch, InvalidDims, RankDeficient, SchemaViolation
 
-from helpers import classify_pair, tiny_instance
+from helpers import classify_pair, partition_by_mutual_reachability, tiny_instance
 
 
 class TestEmbeddings:
@@ -83,7 +83,6 @@ class TestHeads:
             for k in range(4):
                 if k != y:
                     assert scores[y, y] > scores[y, k] + 1e-6
-        assert head.max_row_norm >= 1.0 - 0.5  # finite, recorded
 
     def test_general_argmax_unit_rows(self):
         table = dsm.make_embeddings(5, 5, dsm.UNIT_SPHERE, seed=8)
@@ -108,7 +107,8 @@ class TestGeneration:
     def test_acyclic_mode_yields_acyclic_tpgs(self):
         for seed in range(100):
             ds = tiny_instance(seed, K=5, d=5, n=5, T=4, mode="acyclic", head_kind="none")
-            assert gm.is_acyclic(gm.build_tpgs(ds))
+            for g in gm.build_tpgs(ds).values():
+                assert all(len(c) == 1 for c in partition_by_mutual_reachability(g.nodes, g.edge_list()))
 
     def test_generation_deterministic(self):
         a = tiny_instance(12, K=6, d=6, n=6, T=4)
@@ -132,7 +132,7 @@ class TestIndexSets:
         sets = dsm.index_sets(ds, gm.decompose_all(tpgs))
         assert sets.o[0] == (0, 1, 2)
         assert sets.r[0] == (0, 1, 2)
-        assert sets.obar[0] == () and sets.rbar[0] == ()
+        assert sets.rbar[0] == ()
 
     def test_acyclic_dataset_r_equals_o(self):
         ds = tiny_instance(5, K=5, d=5, n=6, T=4, mode="acyclic")
@@ -164,12 +164,11 @@ class TestIndexSets:
     def test_rbar_tokens_strictly_dominated(self):
         ds = tiny_instance(2, K=5, d=6, n=8, T=4)
         tpgs = gm.build_tpgs(ds)
-        decomps = gm.decompose_all(tpgs)
-        sets = dsm.index_sets(ds, decomps)
+        sets = dsm.index_sets(ds, gm.decompose_all(tpgs))
         for i, s in enumerate(ds.samples):
+            g = tpgs[s.last_token]
             for t in sets.rbar[i]:
-                rel = gm.relation(decomps[s.last_token], s.label, s.tokens[t])
-                assert rel is gm.PairRelation.STRICT_PRIORITY
+                assert classify_pair(g.nodes, g.edge_list(), s.label, s.tokens[t]) == "ij"
 
     def test_tied_score_vector_property(self):
         # gamma = X c_y must be exactly one-hot on label positions.

@@ -1,10 +1,13 @@
-"""Graph construction, SCC decomposition, relations, and the cyclic split."""
+"""Graph construction, SCC decomposition and its reachability, priority
+levels, and the cyclic split.  Pair relations are read off the dense
+reachability closure of tests/helpers.py, which shares no code with the
+library's Tarjan pass."""
 
 import pytest
 
 from attnlab import dataset as dsm
 from attnlab import graph as gm
-from attnlab.errors import SchemaViolation, UnknownNode
+from attnlab.errors import SchemaViolation
 from attnlab.util import seeded_rng
 
 from helpers import classify_pair, partition_by_mutual_reachability, random_tpg, tiny_instance
@@ -35,9 +38,9 @@ class TestBuildTpgs:
     def test_two_opposing_samples_make_a_cycle(self):
         ds = _dataset_from_samples(4, [((1, 2, 3), 1), ((2, 1, 3), 2)])
         g = gm.build_tpgs(ds)[3]
-        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        assert 2 in g.edges[1] and 1 in g.edges[2]
         decomp = gm.scc(g)
-        assert gm.relation(decomp, 1, 2) is gm.PairRelation.SAME_SCC
+        assert decomp.comp_of[1] == decomp.comp_of[2]
 
 
 class TestScc:
@@ -75,13 +78,14 @@ class TestScc:
             assert set().union(*decomp.components) == set(g.nodes)
 
     def test_condensation_is_acyclic(self):
-        # Kahn's algorithm must consume every component.
+        # Kahn's algorithm on the reachability relation, which is acyclic
+        # exactly when the condensation is, must consume every component.
         rng = seeded_rng(4)
         for _ in range(50):
             g = random_tpg(rng, int(rng.integers(2, 11)), 0.4)
             decomp = gm.scc(g)
             indeg = {c: 0 for c in range(decomp.n_components)}
-            for c, outs in decomp.condensation.items():
+            for c, outs in decomp.reachable.items():
                 for s in outs:
                     indeg[s] += 1
             queue = [c for c, deg in indeg.items() if deg == 0]
@@ -89,7 +93,7 @@ class TestScc:
             while queue:
                 c = queue.pop()
                 seen += 1
-                for s in decomp.condensation[c]:
+                for s in decomp.reachable[c]:
                     indeg[s] -= 1
                     if indeg[s] == 0:
                         queue.append(s)
@@ -108,6 +112,19 @@ class TestScc:
                     assert decomp.topo_levels[ci] > decomp.topo_levels[cj]
 
 
+def _pair(decomp, i, j):
+    """'same', 'ij', 'ji' or 'none' from the decomposition's components and
+    reachable sets, in the vocabulary of helpers.classify_pair."""
+    ci, cj = decomp.comp_of[i], decomp.comp_of[j]
+    if ci == cj:
+        return "same"
+    if cj in decomp.reachable[ci]:
+        return "ij"
+    if ci in decomp.reachable[cj]:
+        return "ji"
+    return "none"
+
+
 class TestRelation:
     def _chain(self):
         return gm.TokenPriorityGraph(
@@ -118,55 +135,43 @@ class TestRelation:
 
     def test_chain_is_transitively_strict(self):
         decomp = gm.scc(self._chain())
-        assert gm.relation(decomp, 1, 3) is gm.PairRelation.STRICT_PRIORITY
-        assert gm.relation(decomp, 3, 1) is gm.PairRelation.UNRELATED
+        assert _pair(decomp, 1, 3) == "ij"
+        assert _pair(decomp, 3, 1) == "ji"
 
     def test_isolated_nodes_unrelated(self):
         g = gm.TokenPriorityGraph(last_token=0, nodes=frozenset({4, 7}), edges={})
         decomp = gm.scc(g)
-        assert gm.relation(decomp, 4, 7) is gm.PairRelation.UNRELATED
-
-    def test_unknown_node_raises(self):
-        decomp = gm.scc(self._chain())
-        with pytest.raises(UnknownNode):
-            gm.relation(decomp, 1, 99)
+        assert _pair(decomp, 4, 7) == "none"
 
     def test_trichotomy(self):
+        # Reachability is strict between components: no component reaches
+        # itself, and no two reach each other.
         rng = seeded_rng(6)
         for _ in range(60):
             g = random_tpg(rng, int(rng.integers(2, 10)), 0.35)
             decomp = gm.scc(g)
+            for c, down in decomp.reachable.items():
+                assert c not in down
+                assert all(c not in decomp.reachable[s] for s in down)
             nodes = sorted(g.nodes)
             for i in nodes:
                 for j in nodes:
-                    if i == j:
-                        continue
-                    rel_ij = gm.relation(decomp, i, j)
-                    rel_ji = gm.relation(decomp, j, i)
-                    states = [
-                        rel_ij is gm.PairRelation.STRICT_PRIORITY,
-                        rel_ji is gm.PairRelation.STRICT_PRIORITY,
-                        rel_ij is gm.PairRelation.SAME_SCC,
-                        rel_ij is gm.PairRelation.UNRELATED
-                        and rel_ji is gm.PairRelation.UNRELATED,
-                    ]
-                    assert sum(states) == 1
-                    oracle = classify_pair(g.nodes, g.edge_list(), i, j)
-                    want = {"ij": 0, "ji": 1, "same": 2, "none": 3}[oracle]
-                    assert states[want]
+                    if i != j:
+                        assert _pair(decomp, i, j) == classify_pair(g.nodes, g.edge_list(), i, j)
 
 
 class TestIsAcyclic:
     def test_acyclic_dataset(self):
         ds = tiny_instance(9, K=5, d=5, n=5, T=4, mode="acyclic")
-        assert gm.is_acyclic(gm.build_tpgs(ds))
+        for g in gm.build_tpgs(ds).values():
+            assert all(len(c) == 1 for c in partition_by_mutual_reachability(g.nodes, g.edge_list()))
+            assert all(len(c) == 1 for c in gm.scc(g).components)
 
     def test_two_cycle_not_acyclic(self):
         ds = _dataset_from_samples(4, [((1, 2, 3), 1), ((2, 1, 3), 2)])
-        assert not gm.is_acyclic(gm.build_tpgs(ds))
-
-    def test_empty_is_vacuously_acyclic(self):
-        assert gm.is_acyclic({})
+        g = gm.build_tpgs(ds)[3]
+        assert frozenset({1, 2}) in partition_by_mutual_reachability(g.nodes, g.edge_list())
+        assert frozenset({1, 2}) in gm.scc(g).components
 
 
 class TestPriorityAssignment:
@@ -199,10 +204,10 @@ class TestPriorityAssignment:
                 for j in nodes:
                     if i == j:
                         continue
-                    rel = gm.relation(decomp, i, j)
-                    if rel is gm.PairRelation.STRICT_PRIORITY:
+                    rel = classify_pair(g.nodes, g.edge_list(), i, j)
+                    if rel == "ij":
                         assert m[i] > m[j]
-                    elif rel is gm.PairRelation.SAME_SCC:
+                    elif rel == "same":
                         assert m[i] == m[j]
 
 
@@ -216,7 +221,7 @@ class TestCyclicSplit:
         split = gm.cyclic_split(ds, _sets(ds))
         assert split.empty
         assert split.idx_i == ()
-        assert len(split.idx_ibar) == ds.n
+        assert split.subdataset.n == 0 and split.n_total == ds.n
 
     def test_everything_in_one_scc_keeps_dataset(self):
         # Mutually cyclic labels over a shared context: nothing is removed.
@@ -235,11 +240,11 @@ class TestCyclicSplit:
             split = gm.cyclic_split(ds, dsm.index_sets(ds, decomps))
             kept = {i: s for i, s in zip(split.idx_i, split.subdataset.samples)}
             for i, s in enumerate(ds.samples):
+                g = tpgs[s.last_token]
                 expected = [
                     tok
                     for tok in s.tokens
-                    if tok == s.label
-                    or gm.relation(decomps[s.last_token], s.label, tok) is gm.PairRelation.SAME_SCC
+                    if tok == s.label or classify_pair(g.nodes, g.edge_list(), s.label, tok) == "same"
                 ]
                 strict_extra = [t for t in expected if t != s.label]
                 if strict_extra:
@@ -266,14 +271,11 @@ class TestCyclicSplit:
         split = gm.cyclic_split(ds, sets)
         for i in range(ds.n):
             s = ds.samples[i]
+            g = tpgs[s.last_token]
             for t in range(s.T):
                 removed = t in sets.rbar[i]
-                rel = (
-                    gm.relation(decomps[s.last_token], s.label, s.tokens[t])
-                    if s.tokens[t] != s.label
-                    else None
-                )
-                assert removed == (rel is gm.PairRelation.STRICT_PRIORITY)
+                rel = classify_pair(g.nodes, g.edge_list(), s.label, s.tokens[t]) if s.tokens[t] != s.label else None
+                assert removed == (rel == "ij")
 
 
 class TestExports:
