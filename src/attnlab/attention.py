@@ -4,7 +4,9 @@ The model scores a sequence X (rows are token embeddings) against its last
 token xbar through softmax(X W xbar) and composes the output as X^T probs.
 Losses read that output through the classifier head; under a tied head the
 per-sample score collapses to the total softmax mass on label occurrences,
-which is the path the log-loss theory lives on.
+which is the path the log-loss theory lives on.  The packed kernel scores
+the label-relative rows x_t - e_y instead of x_t: each sample's scores
+shift by the constant e_y^T W xbar, so the softmax is the same.
 """
 
 from __future__ import annotations
@@ -66,18 +68,32 @@ def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray,
 
 
 @dataclass(frozen=True)
+class _SplitRows:
+    """The rows of a group whose samples their trial's cyclic split holds."""
+
+    rows: np.ndarray    # (m,) flat index into the group's (B * g) samples
+    trials: np.ndarray  # (m,) the pack's trial of each row
+    keep: np.ndarray    # (m, T) True on the sample's label-SCC positions
+
+
+@dataclass(frozen=True)
 class _Group:
     """Samples of equal length, stacked over the B trials that hold g of
-    them into dense arrays."""
+    them into dense arrays.
+
+    Scores are label-relative: dx = x - e_y is zero on label positions, and
+    the softmax of dx W xbar is that of x W xbar, since each sample's scores
+    shift by the constant e_y^T W xbar.
+    """
 
     x: np.ndarray          # (B, g, T, d)
+    dx: np.ndarray         # (B, g, T, d) x - e_y
     xbar: np.ndarray       # (B, g, d)
     labels: np.ndarray     # (B, g)
     omask: np.ndarray      # (B, g, T) True where token == label
     gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
-    unlabeled: np.ndarray  # (B, g, T) 1.0 where token != label
-    ey: np.ndarray         # (B, g, d) label embeddings
-    ids: Optional[np.ndarray] = None  # (B,) the trials of the pack it holds; None for all
+    ids: Optional[np.ndarray] = None      # (B,) the trials of the pack it holds; None for all
+    split: Optional[_SplitRows] = None    # the rows loss_bar scores; None for none
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,7 @@ class _Packed:
     d: int
     c: Optional[np.ndarray]  # (B, K, d)
     tied: bool               # scores are label-position mass
+    splits: np.ndarray       # (B,) True for the trials whose cyclic split the pack holds
 
     @property
     def trials(self) -> int:
@@ -107,6 +124,7 @@ def _pack(
     n_total: Optional[Sequence[int]] = None,
     queries: Optional[Sequence[tuple[int, ...]]] = None,
     force_tied: bool = False,
+    splits: Optional[Sequence[Optional[CyclicSplit]]] = None,
 ) -> _Packed:
     """Stack datasets that share table and head shapes and head use into
     groups keyed by (length, sample count), each with a leading axis over
@@ -115,23 +133,28 @@ def _pack(
     Each trial's groups keep the row counts and the ascending-length order
     they have in a pack of that trial alone, so the kernel's values are bit
     for bit the same.  Datasets of one `_structure` give groups that hold
-    every trial.
+    every trial.  Each sample is stored with its label-relative rows
+    dx = x - e_y beside x.
 
     ``n_total`` and ``queries`` are per dataset.  ``queries`` overrides the
     query token per sample (reduced sequences whose original last token was
     dropped still score against it).  ``force_tied`` ignores the stored head
     and aggregates label-position mass, which is the scoring the
-    cyclic-subdataset theory is stated in.
+    cyclic-subdataset theory is stated in.  ``splits`` holds each dataset's
+    own cyclic split, or None; the groups then mark the samples each split
+    holds and their label-SCC positions, which the kernel's loss_bar scores.
     """
     if len(datasets) > 1 and len({_structure(ds, force_tied)[:4] for ds in datasets}) != 1:
         raise ValueError("stacked datasets must share table and head shapes and head use")
+    splits = [None] * len(datasets) if splits is None else splits
     first = datasets[0]
     headed = first.head is not None and not force_tied
     tied = not headed or first.tied_head()
     per_trial = []
-    for b, ds in enumerate(datasets):
+    for b, (ds, split) in enumerate(zip(datasets, splits)):
         e = ds.embedding.e
         c = ds.head.c if headed else None
+        kept = {} if split is None else _split_tokens(ds, split)
         by_len: dict[int, list[int]] = {}
         for i, s in enumerate(ds.samples):
             by_len.setdefault(s.T, []).append(i)
@@ -144,19 +167,48 @@ def _pack(
             xbar = x[:, -1, :].copy() if queries is None else e[np.array([queries[b][i] for i in idx])]
             omask = toks == labels[:, None]
             gamma = omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels])
-            groups[t_len, len(idx)] = (x, xbar, labels, omask, gamma, (~omask).astype(np.float64), e[labels])
+            rows = [r for r, i in enumerate(idx) if i in kept]
+            keep = np.array([[tok in kept[idx[r]] for tok in toks[r]] for r in rows], dtype=bool).reshape(-1, t_len)
+            groups[t_len, len(idx)] = (x, x - e[labels][:, None, :], xbar, labels, omask, gamma), (rows, keep)
         per_trial.append(groups)
     groups = []
     for key in sorted(set().union(*per_trial)):
         ids = [b for b, trial in enumerate(per_trial) if key in trial]
-        parts = zip(*(per_trial[b][key] for b in ids))
-        groups.append(_Group(*map(_stack, parts), ids=None if len(ids) == len(datasets) else np.array(ids)))
+        parts = zip(*(per_trial[b][key][0] for b in ids))
+        groups.append(_Group(*map(_stack, parts), ids=None if len(ids) == len(datasets) else np.array(ids),
+                             split=_split_rows([per_trial[b][key][1] for b in ids], ids, key[1])))
     return _Packed(
         groups=tuple(groups),
         n=np.array([ds.n for ds in datasets] if n_total is None else n_total, dtype=np.float64),
         d=first.d,
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
+        splits=np.array([s is not None for s in splits]),
+    )
+
+
+def _split_tokens(ds: Dataset, split: CyclicSplit) -> dict[int, set]:
+    """Sample index -> the tokens of its label SCC, for each sample the
+    split holds; raises ValueError unless split is a cyclic split of ds."""
+    if split.n_total != ds.n:
+        raise ValueError(f"a cyclic split of {split.n_total} samples does not fit a dataset of {ds.n}")
+    kept = {}
+    for i, query, s in zip(split.idx_i, split.queries, split.subdataset.samples):
+        own, kept[i] = ds.samples[i], set(s.tokens)
+        if (own.label, own.last_token, tuple(t for t in own.tokens if t in kept[i])) != (s.label, query, s.tokens):
+            raise ValueError(f"cyclic split sample {i} is not the label-SCC reduction of the dataset's sample {i}")
+    return kept
+
+
+def _split_rows(parts: list, ids: list[int], count: int) -> Optional[_SplitRows]:
+    """The split rows of a group of count samples a trial, from the
+    (rows, keep) of each of its trials ids; None when it has none."""
+    if not any(rows for rows, _ in parts):
+        return None
+    return _SplitRows(
+        rows=np.concatenate([np.array(rows, dtype=np.int64) + j * count for j, (rows, _) in enumerate(parts)]),
+        trials=np.concatenate([np.full(len(rows), b, dtype=np.int64) for b, (rows, _) in zip(ids, parts)]),
+        keep=np.concatenate([keep for _, keep in parts]),
     )
 
 
@@ -178,30 +230,44 @@ def _underflow(u: np.ndarray) -> DomainError:
 def _loss_and_grad(
     w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True,
     need_loss: bool = True,
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
-    """Per-trial losses (B,) and gradients (B, d, d) at w (B, d, d), from one
-    softmax per group and matmul contractions only.
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
+    """Per-trial losses (B,), cyclic-subdataset losses loss_bar (B,) and
+    gradients (B, d, d) at w (B, d, d), from one softmax per group and matmul
+    contractions only.
 
-    Every trial's values are bit for bit those of a pack of that trial
-    alone; a group that holds only some trials reads their w and adds into
-    their rows.  ``reduced_log`` takes the tied log loss through its reduced
-    form; otherwise the generic softmax-chain formula applies.  Without
-    ``need_grad`` the gradient is None and its contractions are skipped;
-    without ``need_loss`` the losses are None and their terms are skipped,
-    but the log-loss underflow guard still runs.  An error in one trial's
-    data does not stop the others: it comes back in {trial: exception}, and
-    that trial's values are meaningless.
+    The scores are the label-relative dx W xbar.  Every trial's values are
+    bit for bit those of a pack of that trial alone; a group that holds only
+    some trials reads their w and adds into their rows.  ``reduced_log``
+    takes the tied log loss through its reduced form, the gradient
+    sum_t s_t (x_t - e_y) xbar^T, whose terms vanish on label positions;
+    otherwise the generic softmax-chain formula applies.
+
+    loss_bar comes from the same scores: each split sample's softmax is
+    taken over its label-SCC positions alone and scored tied-style, or
+    through the head for cross-entropy, then normalized like the loss.  It
+    is 0 for an empty split and NaN for a trial without one.
+
+    Without ``need_grad`` the gradient is None and its contractions are
+    skipped; without ``need_loss`` the losses and loss_bar are None and
+    their terms are skipped, but the log-loss underflow guard still runs.
+    An error in one trial's data does not stop the others: it comes back in
+    {trial: exception}, and that trial's values are meaningless.
     """
     trials, errors = packed.trials, {}
     if kind == CROSS_ENTROPY and packed.c is None:
         errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(trials)}
         total = np.full(trials, np.nan) if need_loss else None
-        return total, np.zeros_like(w) if need_grad else None, errors
+        return total, total, np.zeros_like(w) if need_grad else None, errors
     total = np.zeros(trials) if need_loss else None
+    bar = np.where(packed.splits, 0.0, np.nan) if need_loss else None
+    bar_errors: dict[int, Exception] = {}
     grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
     for g in packed.groups:
         at = slice(None) if g.ids is None else g.ids
-        s = softmax(np.matmul(g.x, np.matmul(g.xbar, w[at].mT)[..., None])[..., 0])
+        h = np.matmul(g.dx, np.matmul(g.xbar, w[at].mT)[..., None])[..., 0]
+        if need_loss and g.split is not None:
+            bar += _split_loss(h, g, packed, kind, bar_errors)
+        s = softmax(h)
         if kind == CROSS_ENTROPY:
             label, c = g.labels[..., None], packed.c[at]
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
@@ -218,40 +284,67 @@ def _loss_and_grad(
             dh = s * (back - (s * back).sum(axis=-1, keepdims=True))
             vec = np.matmul(dh[..., None, :], g.x)[..., 0, :]
         else:
-            u = (s * g.gamma).sum(axis=-1)
+            u = np.vecdot(s, g.gamma)
             if kind == LOG:
-                under = u <= LOG_GUARD
-                if under.any():
-                    low = under.any(axis=-1)
-                    for b in np.flatnonzero(low):
-                        errors.setdefault(int(b if g.ids is None else g.ids[b]), _underflow(u[b]))
-                    u = np.where(low[:, None], 1.0, u)
+                u = _guarded(u, g.ids, errors)
             if need_loss:
                 total[at] += loss_value(kind, u).sum(axis=-1)
             if not need_grad:
                 continue
             if kind == LOG and packed.tied and reduced_log:
-                # Tied log loss: (1/n) sum_i sum_{t not in O_i} s_t (x_t - e_y) xbar^T.
-                # The derivation divides by the label mass, which has just
-                # been guarded.
-                sbar = s * g.unlabeled
-                vec = np.matmul(sbar[..., None, :], g.x)[..., 0, :] - sbar.sum(axis=-1)[..., None] * g.ey
+                vec = np.matmul(s[..., None, :], g.dx)[..., 0, :]
             else:
                 v = s * (g.gamma - u[..., None])
                 vec = loss_deriv(kind, u)[..., None] * np.matmul(v[..., None, :], g.x)[..., 0, :]
         grad[at] += np.matmul(vec.mT, g.xbar)
+    for b, exc in bar_errors.items():
+        errors.setdefault(b, exc)
     if total is not None:
         total /= packed.n
+        bar /= packed.n
     if grad is not None:
         grad /= packed.n[:, None, None]
-    return total, grad, errors
+    return total, bar, grad, errors
+
+
+def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Exception]) -> np.ndarray:
+    """Label masses u (B, g), with the rows of every trial that holds one at
+    or below LOG_GUARD set to 1 and that trial's underflow in errors."""
+    if u.min() > LOG_GUARD:
+        return u
+    low = (u <= LOG_GUARD).any(axis=-1)
+    for b in np.flatnonzero(low):
+        errors.setdefault(int(b if ids is None else ids[b]), _underflow(u[b]))
+    return np.where(low[:, None], 1.0, u)
+
+
+def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: dict[int, Exception]) -> np.ndarray:
+    """Per-trial sums (B,) of the cyclic-subdataset losses of a group's split
+    rows, from their scores h restricted to the label-SCC positions."""
+    rows = g.split
+    hs = h.reshape(-1, h.shape[-1])[rows.rows]
+    ex = np.exp(hs - np.max(hs, axis=-1, where=rows.keep, initial=-np.inf, keepdims=True),
+                out=np.zeros_like(hs), where=rows.keep)
+    s = ex / ex.sum(axis=-1, keepdims=True)
+    if kind == CROSS_ENTROPY:
+        x = g.x.reshape(-1, *g.x.shape[-2:])[rows.rows]
+        logits = np.matmul(packed.c[rows.trials], np.matmul(s[:, None, :], x).mT)[..., 0]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        label = g.labels.reshape(-1)[rows.rows, None]
+        losses = np.log(np.exp(shifted).sum(axis=-1)) - np.take_along_axis(shifted, label, -1)[:, 0]
+    else:
+        u = np.vecdot(s, g.omask.reshape(-1, h.shape[-1])[rows.rows])
+        if kind == LOG:
+            u = _guarded(u[:, None], rows.trials, errors)[:, 0]
+        losses = loss_value(kind, u)
+    return np.bincount(rows.trials, weights=losses, minlength=packed.trials)
 
 
 def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
          reduced_log: bool = True, need_loss: bool = True) -> tuple[Optional[float], Optional[np.ndarray]]:
     """Loss and gradient of a one-trial pack at a (d, d) w, each None when
     not asked for; raises the trial's error."""
-    total, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad, need_loss)
+    total, _, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad, need_loss)
     if errors:
         raise errors[0]
     return None if total is None else float(total[0]), None if grad is None else grad[0]
@@ -396,17 +489,12 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 class _StackRefs:
-    """The references of a stack of trials for the record-step diagnostics,
-    each stacked over the trials that have it."""
+    """The references of a stack of trials for the record-step diagnostics
+    corr_svm and dist_fin, each stacked over the trials that have it;
+    loss_bar comes from the training kernel."""
 
-    def __init__(self, refs: list[TrainRefs], d: int, kind: str):
-        self.kind, self.d, tied = kind, d, kind != CROSS_ENTROPY
-        splits = [r.split if r.split is not None and not r.split.empty else None for r in refs]
-        self.split_ids = np.flatnonzero([s is not None for s in splits])
-        held = [splits[b] for b in self.split_ids]
-        self.split_pack = _pack([s.subdataset for s in held], n_total=[s.n_total for s in held],
-                                queries=[s.queries for s in held], force_tied=tied) if held else None
-        self.empty_split = np.array([r.split is not None and r.split.empty for r in refs])
+    def __init__(self, refs: list[TrainRefs], d: int):
+        self.d = d
         self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
         self.svm_norm = np.array([0.0 if r.w_svm is None else np.linalg.norm(r.w_svm) for r in refs])
         self.fins = [
@@ -415,15 +503,6 @@ class _StackRefs:
             for ids in _index_groups(r.s_fin.dim if r.s_fin is not None and r.w_fin is not None else None
                                      for r in refs)
         ]
-
-    def loss_bar(self, w: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        """Cyclic-subdataset loss: 0 on an empty split, NaN with no split."""
-        out = np.where(self.empty_split, 0.0, np.nan)
-        if self.split_pack is None:
-            return out, {}
-        ids = self.split_ids
-        out[ids], _, errors = _loss_and_grad(w[ids], self.split_pack, self.kind, True, need_grad=False)
-        return out, {int(ids[j]): exc for j, exc in errors.items()}
 
     def corr_svm(self, w: np.ndarray, w_norm: np.ndarray) -> np.ndarray:
         """`correlation` with W_svm, trial by trial."""
@@ -449,7 +528,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     """`train_block` on datasets of one structure.  A failed trial is frozen:
     its w stops moving and its later values are ignored."""
     trials, d = len(datasets), datasets[0].d
-    packed, stack_refs = _pack(datasets), _StackRefs(refs, d, config.loss)
+    packed, stack_refs = _pack(datasets, splits=[r.split for r in refs]), _StackRefs(refs, d)
     taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
     cols = {name: np.full((len(taus), trials), np.nan) for name in _COLUMNS}
     t_ms = np.zeros(len(taus))
@@ -480,16 +559,15 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     row = 0
     for tau in range(config.iters + 1):
         record = row < len(taus) and taus[row] == tau
-        cur_loss, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=record)
+        cur_loss, loss_bar, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=record)
         fail(errors)
-        if not np.isfinite(g).all():
+        gn = _norms(g)
+        if not np.isfinite(gn).all():
             fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
         if record:
             fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
-            loss_bar, errors = stack_refs.loss_bar(w)
-            fail(errors)
             w_norm = _norms(w)
-            values = (cur_loss, loss_bar, _norms(g), w_norm, stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))
+            values = (cur_loss, loss_bar, gn, w_norm, stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))
             for name, value in zip(_COLUMNS, values):
                 cols[name][row] = value
             t_ms[row] = (time.perf_counter() - t0) * 1e3
@@ -500,7 +578,6 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         if config.normalized:
             # Below the floor the computed gradient is rounding noise; a
             # unit-length step along it would random-walk the direction.
-            gn = _norms(g)
             move = gn > GRAD_FLOOR
             if not all_alive:
                 move &= alive
@@ -545,10 +622,12 @@ class WfinResult:
 
 
 def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]:
-    """Per length group, dphi[g, t, j] = (x_t - e_y)^T B_j xbar_g, and n_total.
+    """Per length group, dphi[g, t, j] = dx_t^T B_j xbar_g over the pack's
+    label-relative rows dx = x - e_y, and n_total.
 
-    Every label position holds e_y, so with h = dphi z the loss of a sample
-    is log sum_t e^{h_t} - log |O|.  Measuring features from the label keeps
+    dx is zero on label positions, so with h = dphi z the loss of a sample
+    is log sum_t e^{h_t} - log |O|, and these are the scores the GD kernel
+    takes on the split's positions.  Measuring features from the label keeps
     the gradient sum_t s_t dphi_t free of cancellation as the label mass
     saturates.
     """
@@ -558,7 +637,7 @@ def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]
         if not np.all(np.any(g.omask[0], axis=1)):
             raise DomainError("cyclic split holds a sample whose label is not among its tokens")
         bx = np.matmul(s_fin.basis, g.xbar[0].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
-        feats.append(np.matmul(g.x[0] - g.ey[0][:, None, :], bx))
+        feats.append(np.matmul(g.dx[0], bx))
     return feats, split.n_total
 
 

@@ -6,12 +6,15 @@ against a transitive reduction read off those closures and its verdicts
 against an unreduced dense solve, gradients come from central finite
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
-kernel, CSV bytes come from a cell-by-cell formatter, pseudo graphs come
+kernel, normalized-GD trajectories come from a long-double loop over that
+form, CSV bytes come from a cell-by-cell formatter, pseudo graphs come
 from their own edge loop, and the pseudo-graph references from the stage
 calls made one by one.  Two helpers are plain kernel calls, not oracles:
 `loss`, the loss of one dataset, and `grad_general`, the softmax-chain
 gradient that the reduced tied-log form is checked against.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -288,7 +291,7 @@ def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, packed=None
 
 
 def _einsum_probs(x: np.ndarray, xbar: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return attention.softmax(np.einsum("gtd,de,ge->gt", x, w, xbar))
+    return attention.softmax(np.einsum("gtd,gd->gt", x, np.einsum("de,ge->gd", w, xbar)))
 
 
 def _einsum_head_scores(x: np.ndarray, omask: np.ndarray, labels: np.ndarray, packed) -> np.ndarray:
@@ -332,8 +335,8 @@ def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarr
             dh = s * (back - np.sum(s * back, axis=1, keepdims=True))
             vec = np.einsum("gtd,gt->gd", x, dh)
         elif kind == attention.LOG and packed.tied and reduced_log:
-            sbar = s * (~omask)
-            vec = np.einsum("gtd,gt->gd", x, sbar) - np.sum(sbar, axis=1)[:, None] * g.ey[0]
+            ey = x[np.arange(len(x)), np.argmax(omask, axis=1)]  # read at a label position
+            vec = np.einsum("gtd,gt->gd", x - ey[:, None, :], s * ~omask)
         else:
             gamma = _einsum_head_scores(x, omask, labels, packed)
             u = np.sum(s * gamma, axis=1)
@@ -342,37 +345,55 @@ def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarr
     return grad / packed.n[0]
 
 
+def extended(packed):
+    """The packed arrays in long double, so an einsum oracle's own rounding
+    stays far below the kernel's."""
+    ld = np.longdouble
+    groups = tuple(dataclasses.replace(g, x=g.x.astype(ld), dx=g.dx.astype(ld), xbar=g.xbar.astype(ld))
+                   for g in packed.groups)
+    return dataclasses.replace(packed, groups=groups, c=None if packed.c is None else packed.c.astype(ld))
+
+
+def gd_oracle(dataset: dsm.Dataset, config) -> np.ndarray:
+    """W after config.iters normalized GD steps on the tied log loss, each
+    along `einsum_grad`'s reduced form in long double and skipped when the
+    gradient norm is at most GRAD_FLOOR."""
+    packed = extended(attention._pack([dataset]))
+    w = config.initial_w(dataset.d).astype(np.longdouble)
+    for _ in range(config.iters):
+        g = einsum_grad(w, packed, attention.LOG, reduced_log=True)
+        gn = np.sqrt(np.sum(g * g))
+        if gn > attention.GRAD_FLOOR:
+            w = w - config.eta * g / gn
+    return w
+
+
 def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, np.ndarray]:
-    """One trial's GD loop written plainly: the kernel on one trial,
-    np.linalg.norm, attention.correlation and MatrixSubspace.project at
-    record steps.  Returns the trace rows as a float array, and the final W."""
-    packed = attention._pack([dataset])
-    split, split_packed = refs.split, None
-    if split is not None and not split.empty:
-        split_packed = attention._pack([split.subdataset], n_total=[split.n_total], queries=[split.queries],
-                                       force_tied=config.loss != attention.CROSS_ENTROPY)
+    """One trial's GD loop written plainly: the kernel on one trial, whose
+    call also gives loss_bar, then np.linalg.norm, attention.correlation and
+    MatrixSubspace.project at record steps.  Returns the trace rows as a
+    float array, and the final W."""
+    packed = attention._pack([dataset], splits=[refs.split])
     w = config.initial_w(dataset.d)
     rows = []
     for tau in range(config.iters + 1):
-        loss, g = attention._one(w, packed, config.loss)
+        loss, loss_bar, g, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True)
+        if errors:
+            raise errors[0]
         if tau % config.record_every == 0 or tau == config.iters:
-            if split_packed is not None:
-                loss_bar = attention._one(w, split_packed, config.loss, need_grad=False)[0]
-            else:
-                loss_bar = np.nan if split is None else 0.0
             dist = np.nan
             if refs.s_fin is not None and refs.w_fin is not None:
                 dist = float(np.linalg.norm(refs.s_fin.project(w) - refs.w_fin))
-            rows.append((tau, loss, loss_bar, float(np.linalg.norm(g)), float(np.linalg.norm(w)),
+            rows.append((tau, loss[0], loss_bar[0], float(np.linalg.norm(g[0])), float(np.linalg.norm(w)),
                          attention.correlation(w, refs.w_svm), dist))
         if tau == config.iters:
             break
         if config.normalized:
-            gn = np.linalg.norm(g)
+            gn = np.linalg.norm(g[0])
             if gn > attention.GRAD_FLOOR:
-                w = w - config.eta * g / gn
+                w = w - config.eta * g[0] / gn
         else:
-            w = w - config.eta * g
+            w = w - config.eta * g[0]
     return np.array(rows, dtype=np.float64), w
 
 

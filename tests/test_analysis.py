@@ -238,11 +238,11 @@ class TestGlobalBlocks:
             return build(ds)
 
         def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
-            value, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss)
-            if need_grad and need_loss:  # a record step of the training pack, not a loss_bar split pack
+            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss)
+            if need_grad and need_loss:  # a record step of training, not a loss-only call such as loss_inf
                 value = value.copy()
                 value[1] = np.inf
-            return value, g, errors
+            return value, bar, g, errors
 
         monkeypatch.setattr(experiments, "build_pipeline", failing_build)
         with pytest.raises(NoConvergence, match="trial 3"):

@@ -1,12 +1,14 @@
 """Forward pass, losses, gradients, the log-loss smoothness bound, and trainers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from attnlab import attention as att
 from attnlab import dataset as dsm
+from attnlab import experiments
 from attnlab import graph as gm
 from attnlab import svm
 from attnlab.errors import DomainError, NoConvergence, NonFiniteLoss
@@ -16,7 +18,9 @@ from attnlab.util import seeded_rng
 from helpers import (
     einsum_grad,
     einsum_loss,
+    extended,
     fd_grad,
+    gd_oracle,
     grad_general,
     loss,
     straight_line_loss,
@@ -42,15 +46,6 @@ def _shape_dataset(name, seed=0):
     head = None if head_kind is None else dsm.make_head(table, head_kind, noise=0.1, seed=seed,
                                                         unit_rows=True)
     return dsm.gen_dataset(table, head, n=n, T=T, mode="cyclic", seed=seed)
-
-
-def _extended(packed):
-    """The packed arrays in long double, so the einsum oracle's own rounding
-    stays far below the kernel's."""
-    ld = np.longdouble
-    groups = tuple(dataclasses.replace(g, x=g.x.astype(ld), xbar=g.xbar.astype(ld), ey=g.ey.astype(ld))
-                   for g in packed.groups)
-    return dataclasses.replace(packed, groups=groups, c=None if packed.c is None else packed.c.astype(ld))
 
 
 class TestForward:
@@ -211,13 +206,21 @@ class TestKernelOracle:
     def test_matches_einsum_oracle(self, name, kind):
         ds = _shape_dataset(name)
         w = 0.5 * seeded_rng(14).standard_normal((ds.d, ds.d))
-        packed = _extended(att._pack([ds]))
+        packed = extended(att._pack([ds]))
         w_ext = w.astype(np.longdouble)
         want = einsum_loss(w_ext, packed, kind)
         assert abs(loss(w, ds, kind) - want) <= 1e-15 * abs(want)
         for got, reduced_log in ((att.grad(w, ds, kind), True), (grad_general(w, ds, kind), False)):
             want = einsum_grad(w_ext, packed, kind, reduced_log)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["desk", "large-K"])
+    def test_normalized_gd_follows_the_long_double_loop(self, name):
+        ds = _shape_dataset(name)
+        cfg = att.TrainConfig(eta=0.01, iters=500, normalized=True, record_every=500)
+        got = att.train_gd(ds, cfg).w_final
+        want = gd_oracle(ds, cfg)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def _errors(errors):
@@ -240,9 +243,9 @@ class TestSkippedLoss:
         packed = att._pack([ds] * 3)
         w = self.SCALES * seeded_rng(15).standard_normal((3, ds.d, ds.d))
         for reduced_log in (True, False):
-            full_loss, full_grad, full_errors = att._loss_and_grad(w, packed, kind, reduced_log)
-            loss, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log, need_loss=False)
-            assert loss is None and np.all(np.isfinite(full_loss[[0, 2]]))
+            full_loss, _, full_grad, full_errors = att._loss_and_grad(w, packed, kind, reduced_log)
+            loss, loss_bar, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log, need_loss=False)
+            assert loss is None and loss_bar is None and np.all(np.isfinite(full_loss[[0, 2]]))
             assert grad.tobytes() == full_grad.tobytes()
             assert _errors(errors) == _errors(full_errors)
             assert sorted(errors) == ([1] if kind == att.LOG else [])
@@ -268,32 +271,14 @@ class TestPartialGroups:
         assert sum(g.ids is not None for g in packed.groups) == len(packed.groups) == 6
         w = seeded_rng(17).standard_normal((3, 8, 8))
         for reduced_log in (True, False):
-            loss, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log)
+            loss, _, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log)
             for b, ds in enumerate(datasets):
-                want_loss, want_grad, want_errors = att._loss_and_grad(w[b:b + 1], att._pack([ds]), kind, reduced_log)
+                want_loss, _, want_grad, want_errors = att._loss_and_grad(w[b:b + 1], att._pack([ds]), kind,
+                                                                          reduced_log)
                 assert _errors({0: errors[b]} if b in errors else {}) == _errors(want_errors)
                 if not want_errors:
                     assert loss[b].tobytes() == want_loss[0].tobytes()
                     assert grad[b].tobytes() == want_grad[0].tobytes()
-
-    def test_record_loss_bar_is_one_kernel_call(self, monkeypatch):
-        datasets, refs, _ = _block_trials()
-        held = [r.split for r in refs if r.split is not None and not r.split.empty]
-        assert len({att._structure(s.subdataset, True) for s in held}) == 3
-        stack = att._StackRefs(refs, datasets[0].d, att.LOG)
-        w = 0.7 * seeded_rng(18).standard_normal((len(refs), datasets[0].d, datasets[0].d))
-        calls, kernel = [], att._loss_and_grad
-        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
-        got, errors = stack.loss_bar(w)
-        assert len(calls) == 1 and errors == {}
-        for b, r in enumerate(refs):
-            if r.split is None:
-                assert np.isnan(got[b])
-            elif r.split.empty:
-                assert got[b] == 0.0
-            else:
-                want = kernel(w[b:b + 1], att._split_pack(r.split), att.LOG, True, need_grad=False)[0][0]
-                assert got[b].tobytes() == want.tobytes()
 
 
 class TestLipschitz:
@@ -323,12 +308,12 @@ def _infinite_from_step_7(trial):
     fused, calls = att._loss_and_grad, []
 
     def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
-        value, g, errors = fused(w, packed, kind, reduced_log, need_grad, need_loss)
+        value, bar, g, errors = fused(w, packed, kind, reduced_log, need_grad, need_loss)
         calls.append(None)
         if len(calls) > 7 and value is not None:
             value = value.copy()
             value[trial] = np.inf
-        return value, g, errors
+        return value, bar, g, errors
 
     return patched
 
@@ -406,6 +391,23 @@ def _block_trials():
     return datasets, [p.refs() for p in pipes], pipes
 
 
+def _local_block(kind):
+    """Five local-* trials of one structure (general head with unit rows) at
+    n = 8, each with its own pipeline's references: two hold a split of 2
+    of their 8 samples and three an empty split."""
+    params = {**experiments.EXPERIMENTS["local-squared"].params, "loss": kind, "n": 8}
+    built = [experiments._local_build(*job) for job in experiments.seeded_jobs(params, 0, 5)]
+    return [b[0] for b in built], [b[2] for b in built]
+
+
+def _split_reference(split, kind):
+    """The one-trial pack of a split that loss_bar is defined on: scored
+    tied-style, or through the head for cross-entropy."""
+    if kind != att.CROSS_ENTROPY:
+        return att._split_pack(split)
+    return att._pack([split.subdataset], n_total=[split.n_total], queries=[split.queries])
+
+
 def _trace_bytes(trace):
     return [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace) if f.name != "t_ms"]
 
@@ -431,6 +433,49 @@ class TestTrainBlock:
                       [att.train_block([ds], cfg, [r])[0] for ds, r in zip(datasets, refs)]):
             for got, want in zip(block, alone):
                 assert _trace_bytes(got) == _trace_bytes(want)
+
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_record_loss_bar_is_its_definition(self, kind, monkeypatch):
+        # The block trials (log) and the local-* block each hold samples
+        # outside their split; a trial without references reads NaN.
+        datasets, refs = _block_trials()[:2] if kind == att.LOG else _local_block(kind)
+        datasets, refs = datasets + datasets[:1], refs + [None]
+        assert any(0 < len(r.split.idx_i) < ds.n for ds, r in zip(datasets, refs) if r is not None)
+        assert any(r.split.empty for r in refs if r is not None)
+        cfg = att.TrainConfig(eta=0.01, iters=0, init="gauss", init_scale=0.7, init_seed=18, loss=kind)
+        calls, kernel = [], att._loss_and_grad
+        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        traces = att.train_block(datasets, cfg, refs)
+        assert len(calls) == 1
+        w = cfg.initial_w(datasets[0].d)
+        for trace, r in zip(traces, refs):
+            got = trace.loss_bar[0]
+            if r is None:
+                assert np.isnan(got)
+            elif r.split.empty:
+                assert got == 0.0
+            else:
+                want = kernel(w[None], _split_reference(r.split, kind), kind, True, need_grad=False)[0][0]
+                assert got > 0.0 and abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_training_raises_no_floating_point_exception(self, kind):
+        # Empty splits, samples outside a split, a trial without references
+        # and a cross-entropy head, with every numpy floating-point error
+        # and every warning turned into an exception.
+        datasets, refs = _block_trials()[:2] if kind == att.LOG else _local_block(kind)
+        cfg = att.TrainConfig(eta=0.05, iters=300, normalized=True, record_every=7, loss=kind)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = att.train_block(datasets + datasets[:1], cfg, refs + [None])
+        assert all(isinstance(t, att.TrainTrace) for t in traces)
+        assert np.all(np.isfinite(traces[0].loss_bar)) and np.all(np.isnan(traces[-1].loss_bar))
+
+    def test_refuses_a_split_of_another_dataset(self):
+        datasets, refs, _ = _block_trials()
+        cfg = att.TrainConfig(eta=0.05, iters=3, normalized=True)
+        with pytest.raises(ValueError, match="label-SCC reduction"):
+            att.train_gd(datasets[6], cfg, refs[0])
 
     def test_mixed_structures_train_as_alone(self):
         datasets = [_shape_dataset("desk"), tiny_instance(3, T=4), _shape_dataset("desk", seed=1)]
