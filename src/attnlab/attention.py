@@ -110,22 +110,16 @@ class _Packed:
         return len(self.n)
 
 
-def _structure(dataset: Dataset, force_tied: bool = False) -> tuple:
+def _structure(dataset: Dataset) -> tuple:
     """Table and head shapes, head use, and the sample count at each
     sequence length.  Datasets that share all of it train in lock-step; a
     pack needs only the first four to agree."""
-    headed = dataset.head is not None and not force_tied
+    headed = dataset.head is not None
     lengths = sorted(Counter(s.T for s in dataset.samples).items())
     return dataset.K, dataset.d, headed, not headed or dataset.tied_head(), tuple(lengths)
 
 
-def _pack(
-    datasets: Sequence[Dataset],
-    n_total: Optional[Sequence[int]] = None,
-    queries: Optional[Sequence[tuple[int, ...]]] = None,
-    force_tied: bool = False,
-    splits: Optional[Sequence[Optional[CyclicSplit]]] = None,
-) -> _Packed:
+def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[CyclicSplit]]] = None) -> _Packed:
     """Stack datasets that share table and head shapes and head use into
     groups keyed by (length, sample count), each with a leading axis over
     the trials that hold that many samples of that length.
@@ -136,25 +130,24 @@ def _pack(
     every trial.  Each sample is stored with its label-relative rows
     dx = x - e_y beside x.
 
-    ``n_total`` and ``queries`` are per dataset.  ``queries`` overrides the
-    query token per sample (reduced sequences whose original last token was
-    dropped still score against it).  ``force_tied`` ignores the stored head
-    and aggregates label-position mass, which is the scoring the
-    cyclic-subdataset theory is stated in.  ``splits`` holds each dataset's
-    own cyclic split, or None; the groups then mark the samples each split
-    holds and their label-SCC positions, which the kernel's loss_bar scores.
+    ``splits`` holds each dataset's own cyclic split, or None; the groups
+    then mark the samples each split holds and their label-SCC positions,
+    which the kernel's loss_bar scores.  A split of another dataset raises
+    ValueError.
     """
-    if len(datasets) > 1 and len({_structure(ds, force_tied)[:4] for ds in datasets}) != 1:
+    if len(datasets) > 1 and len({_structure(ds)[:4] for ds in datasets}) != 1:
         raise ValueError("stacked datasets must share table and head shapes and head use")
     splits = [None] * len(datasets) if splits is None else splits
     first = datasets[0]
-    headed = first.head is not None and not force_tied
+    headed = first.head is not None
     tied = not headed or first.tied_head()
     per_trial = []
-    for b, (ds, split) in enumerate(zip(datasets, splits)):
+    for ds, split in zip(datasets, splits):
+        if split is not None and split.dataset.samples != ds.samples:
+            raise ValueError("a cyclic split of another dataset does not fit this one")
         e = ds.embedding.e
         c = ds.head.c if headed else None
-        kept = {} if split is None else _split_tokens(ds, split)
+        kept = {} if split is None else dict(zip(split.idx_i, split.positions))
         by_len: dict[int, list[int]] = {}
         for i, s in enumerate(ds.samples):
             by_len.setdefault(s.T, []).append(i)
@@ -164,22 +157,23 @@ def _pack(
             toks = np.array([ds.samples[i].tokens for i in idx])
             labels = np.array([ds.samples[i].label for i in idx])
             x = e[toks]
-            xbar = x[:, -1, :].copy() if queries is None else e[np.array([queries[b][i] for i in idx])]
+            xbar = x[:, -1, :].copy()
             omask = toks == labels[:, None]
             gamma = omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels])
-            rows = [r for r, i in enumerate(idx) if i in kept]
-            keep = np.array([[tok in kept[idx[r]] for tok in toks[r]] for r in rows], dtype=bool).reshape(-1, t_len)
-            groups[t_len, len(idx)] = (x, x - e[labels][:, None, :], xbar, labels, omask, gamma), (rows, keep)
+            held = np.zeros(toks.shape, dtype=bool)  # the label-SCC positions of the split's samples
+            for r, i in enumerate(idx):
+                held[r, list(kept.get(i, ()))] = True
+            groups[t_len, len(idx)] = x, x - e[labels][:, None, :], xbar, labels, omask, gamma, held
         per_trial.append(groups)
     groups = []
     for key in sorted(set().union(*per_trial)):
         ids = [b for b, trial in enumerate(per_trial) if key in trial]
-        parts = zip(*(per_trial[b][key][0] for b in ids))
-        groups.append(_Group(*map(_stack, parts), ids=None if len(ids) == len(datasets) else np.array(ids),
-                             split=_split_rows([per_trial[b][key][1] for b in ids], ids, key[1])))
+        *arrays, held = map(_stack, zip(*(per_trial[b][key] for b in ids)))
+        groups.append(_Group(*arrays, ids=None if len(ids) == len(datasets) else np.array(ids),
+                             split=_split_rows(held, ids)))
     return _Packed(
         groups=tuple(groups),
-        n=np.array([ds.n for ds in datasets] if n_total is None else n_total, dtype=np.float64),
+        n=np.array([ds.n for ds in datasets], dtype=np.float64),
         d=first.d,
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
@@ -187,40 +181,19 @@ def _pack(
     )
 
 
-def _split_tokens(ds: Dataset, split: CyclicSplit) -> dict[int, set]:
-    """Sample index -> the tokens of its label SCC, for each sample the
-    split holds; raises ValueError unless split is a cyclic split of ds."""
-    if split.n_total != ds.n:
-        raise ValueError(f"a cyclic split of {split.n_total} samples does not fit a dataset of {ds.n}")
-    kept = {}
-    for i, query, s in zip(split.idx_i, split.queries, split.subdataset.samples):
-        own, kept[i] = ds.samples[i], set(s.tokens)
-        if (own.label, own.last_token, tuple(t for t in own.tokens if t in kept[i])) != (s.label, query, s.tokens):
-            raise ValueError(f"cyclic split sample {i} is not the label-SCC reduction of the dataset's sample {i}")
-    return kept
-
-
-def _split_rows(parts: list, ids: list[int], count: int) -> Optional[_SplitRows]:
-    """The split rows of a group of count samples a trial, from the
-    (rows, keep) of each of its trials ids; None when it has none."""
-    if not any(rows for rows, _ in parts):
+def _split_rows(held: np.ndarray, ids: list[int]) -> Optional[_SplitRows]:
+    """The split rows of a group from its (B, g, T) mask of the split
+    samples' label-SCC positions, B over the trials ids; None for none."""
+    flat = held.reshape(-1, held.shape[-1])
+    rows = np.flatnonzero(flat.any(axis=1))
+    if not len(rows):
         return None
-    return _SplitRows(
-        rows=np.concatenate([np.array(rows, dtype=np.int64) + j * count for j, (rows, _) in enumerate(parts)]),
-        trials=np.concatenate([np.full(len(rows), b, dtype=np.int64) for b, (rows, _) in zip(ids, parts)]),
-        keep=np.concatenate([keep for _, keep in parts]),
-    )
+    return _SplitRows(rows=rows, trials=np.array(ids)[rows // held.shape[1]], keep=flat[rows])
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Arrays stacked on a new leading axis; a lone array is not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _split_pack(split: CyclicSplit) -> _Packed:
-    """One-trial pack of a cyclic split, scored tied-style against the
-    original query tokens and normalized by the full dataset size."""
-    return _pack([split.subdataset], n_total=[split.n_total], queries=[split.queries], force_tied=True)
 
 
 def _underflow(u: np.ndarray) -> DomainError:
@@ -231,7 +204,7 @@ def _loss_and_grad(
     w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True,
     need_loss: bool = True,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
-    """Per-trial losses (B,), cyclic-subdataset losses loss_bar (B,) and
+    """Per-trial losses (B,), cyclic-split losses loss_bar (B,) and
     gradients (B, d, d) at w (B, d, d), from one softmax per group and matmul
     contractions only.
 
@@ -264,7 +237,7 @@ def _loss_and_grad(
     grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
     for g in packed.groups:
         at = slice(None) if g.ids is None else g.ids
-        h = np.matmul(g.dx, np.matmul(g.xbar, w[at].mT)[..., None])[..., 0]
+        h = _scores(w[at], g)
         if need_loss and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors)
         s = softmax(h)
@@ -307,6 +280,11 @@ def _loss_and_grad(
     return total, bar, grad, errors
 
 
+def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
+    """Label-relative scores dx W xbar (B, g, T) of a group at its trials' w."""
+    return np.matmul(g.dx, np.matmul(g.xbar, w.mT)[..., None])[..., 0]
+
+
 def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Exception]) -> np.ndarray:
     """Label masses u (B, g), with the rows of every trial that holds one at
     or below LOG_GUARD set to 1 and that trial's underflow in errors."""
@@ -319,7 +297,7 @@ def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Excepti
 
 
 def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: dict[int, Exception]) -> np.ndarray:
-    """Per-trial sums (B,) of the cyclic-subdataset losses of a group's split
+    """Per-trial sums (B,) of the cyclic-split losses of a group's split
     rows, from their scores h restricted to the label-SCC positions."""
     rows = g.split
     hs = h.reshape(-1, h.shape[-1])[rows.rows]
@@ -622,8 +600,9 @@ class WfinResult:
 
 
 def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]:
-    """Per length group, dphi[g, t, j] = dx_t^T B_j xbar_g over the pack's
-    label-relative rows dx = x - e_y, and n_total.
+    """Per group of held samples with equal label-SCC position counts,
+    dphi[g, t, j] = dx_t^T B_j xbar_g over the label-relative rows
+    dx = x - e_y at those positions, and the dataset's n.
 
     dx is zero on label positions, so with h = dphi z the loss of a sample
     is log sum_t e^{h_t} - log |O|, and these are the scores the GD kernel
@@ -631,14 +610,19 @@ def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]
     the gradient sum_t s_t dphi_t free of cancellation as the label mass
     saturates.
     """
-    packed = _split_pack(split)
+    ds, e = split.dataset, split.dataset.embedding.e
+    by_len: dict[int, list[tuple]] = {}
+    for i, positions in zip(split.idx_i, split.positions):
+        s = ds.samples[i]
+        by_len.setdefault(len(positions), []).append(([s.tokens[t] for t in positions], s.label, s.last_token))
     feats = []
-    for g in packed.groups:
-        if not np.all(np.any(g.omask[0], axis=1)):
-            raise DomainError("cyclic split holds a sample whose label is not among its tokens")
-        bx = np.matmul(s_fin.basis, g.xbar[0].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
-        feats.append(np.matmul(g.dx[0], bx))
-    return feats, split.n_total
+    for t_len in sorted(by_len):
+        toks, labels, queries = map(np.array, zip(*by_len[t_len]))
+        if not np.all(np.any(toks == labels[:, None], axis=1)):
+            raise DomainError("cyclic split holds a sample whose label is not among its positions")
+        bx = np.matmul(s_fin.basis, e[queries].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
+        feats.append(np.matmul(e[toks] - e[labels][:, None, :], bx))
+    return feats, ds.n
 
 
 def _fin_terms(feats: list, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
@@ -681,7 +665,7 @@ def _hessian_lipschitz(feats: list, n: int) -> float:
 
 
 def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
-    """Finite component: minimize the cyclic-subdataset log loss over S_fin.
+    """Finite component: minimize the log loss of the cyclic split over S_fin.
 
     Damped Newton over the coordinates z of S_fin's orthonormal basis
     (W = sum_j z_j B_j), where the loss is strictly convex: Cholesky steps,
@@ -693,7 +677,7 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
     be at most WFIN_REL_BOUND * max(1, ||W||).  An empty split or S_fin
     gives W = 0, certified.
     """
-    d = split.subdataset.d
+    d = split.dataset.d
     if split.empty or s_fin.dim == 0:
         return WfinResult(w=frozen(np.zeros((d, d))), status=WfinStatus.CERTIFIED,
                           iterations=0, grad_norm=0.0, mu=np.inf, bound=0.0)
@@ -739,16 +723,23 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
 
 
 def loss_bar(w: np.ndarray, split: CyclicSplit) -> float:
-    """Cyclic-subdataset log loss, normalized by the full dataset size and
-    scored tied-style (label-position mass) as in the theory."""
+    """Log loss of the cyclic split: each held sample's softmax over its
+    label-SCC positions against its own last token, scored tied-style
+    whatever the head, as in the theory, and normalized by the full dataset
+    size.  Only the split rows of the dataset's own pack are scored."""
     if split.empty:
         return 0.0
-    return _one(w, _split_pack(split), LOG, need_grad=False)[0]
+    packed, errors = _pack([split.dataset], splits=[split]), {}
+    total = sum(_split_loss(_scores(w[None], g), g, packed, LOG, errors)
+                for g in packed.groups if g.split is not None)
+    if errors:
+        raise errors[0]
+    return float(total[0] / packed.n[0])
 
 
 def loss_inf(split: CyclicSplit, w_fin: np.ndarray) -> float:
     """Infimum of the full log loss: saturated samples contribute
-    -log 1 = 0 each, so only the cyclic subdataset's loss at W_fin remains."""
+    -log 1 = 0 each, so only the cyclic split's loss at W_fin remains."""
     return loss_bar(w_fin, split)
 
 

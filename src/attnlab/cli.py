@@ -168,15 +168,20 @@ def _cmd_exp(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        if loaded.get("name") and args.name and loaded["name"] != args.name:
-            print(f"config file is for {loaded['name']!r}, not {args.name!r}", file=sys.stderr)
-            return EXIT_CONFIG
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: a config file holds a JSON object, got {type(loaded).__name__}")
+        for key in ("params", "thresholds"):
+            if not isinstance(loaded.get(key, {}), dict):
+                raise ValueError(f"{args.config}: {key!r} must be a JSON object, got {type(loaded[key]).__name__}")
+        for key in ("seed", "trials"):
+            if loaded.get(key) is not None and type(loaded[key]) is not int:
+                raise ValueError(f"{args.config}: {key!r} must be an integer, got {loaded[key]!r}")
+        if loaded.get("name") and loaded["name"] != args.name:
+            raise ValueError(f"{args.config}: config file is for {loaded['name']!r}, not {args.name!r}")
         params.update(loaded.get("params", {}))
         thresholds.update(loaded.get("thresholds", {}))
-        if seed is None:
-            seed = loaded.get("seed", None)
-        if trials == 0:
-            trials = loaded.get("trials", 0)
+        seed = loaded.get("seed") if seed is None else seed
+        trials = trials or loaded.get("trials", 0)
     params.update(_parse_kv(args.set or []))
     thresholds.update(_parse_kv(args.threshold or []))
     config = experiments.ExperimentConfig(
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+    if getattr(args, "seed", None) is None and args.command != "exp":  # exp may read its seed from --config
         args.seed = default_seed()
     try:
         return args.fn(args)

@@ -336,6 +336,18 @@ def run_trials(kind: str, jobs: list[tuple[dict, object]], workers: int) -> list
 # ---------------------------------------------------------------------------
 
 
+# The type of a declared default -> what a given value must be, and the
+# types it may have (a bool is not an integer, but an integer is a number).
+_VALUE_TYPES: dict[type, tuple[str, tuple[type, ...]]] = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    list: ("a list", (list,)),
+    type(None): ("a number or null", (int, float, type(None))),
+}
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -350,6 +362,8 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0 (0 uses the experiment default), got {self.trials}")
+        if self.name == "rate-check" and self.trials > 1:
+            raise ValueError(f"rate-check runs one draw; trials must be 0 or 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         spec = EXPERIMENTS[self.name]
@@ -359,6 +373,10 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"{self.name} has no {kind} {', '.join(map(repr, unknown))}; "
                                  f"it declares {', '.join(sorted(declared)) or 'none'}")
+            for key, value in given.items():
+                expected, types = _VALUE_TYPES[type(declared[key])]
+                if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+                    raise ValueError(f"{self.name} {kind} {key!r} must be {expected}, got {value!r}")
         return replace(
             self,
             params={**spec.params, **self.params},
@@ -761,19 +779,20 @@ def _wfin_certificate_terms(pipe: Pipeline) -> tuple[float, float, float]:
     M of the reduced log loss at pipe.w_fin, in S_fin coordinates, summed
     sample by sample from the embeddings."""
     split, basis = pipe.split, pipe.s_fin.basis
-    m, e = pipe.s_fin.dim, split.subdataset.embedding.e
+    m, e = pipe.s_fin.dim, pipe.dataset.embedding.e
     z = basis.reshape(m, -1) @ pipe.w_fin.ravel()
     grad, hess, lip = np.zeros(m), np.zeros((m, m)), 0.0
-    for sample, query in zip(split.subdataset.samples, split.queries):
+    for i, positions in zip(split.idx_i, split.positions):
         # Features measured from the label's, so the gradient does not cancel.
-        phi = np.array([[(e[tok] - e[sample.label]) @ b @ e[query] for b in basis]
-                        for tok in sample.tokens])
+        sample = pipe.dataset.samples[i]
+        phi = np.array([[(e[sample.tokens[t]] - e[sample.label]) @ b @ e[sample.last_token] for b in basis]
+                        for t in positions])
         probs = attention.softmax(phi @ z)
         centered = phi - probs @ phi
         grad += probs @ phi
         hess += centered.T @ (probs[:, None] * centered)
         lip += max(float(np.linalg.norm(a - b)) for a in phi for b in phi) ** 3
-    n = split.n_total
+    n = pipe.dataset.n
     return float(np.linalg.norm(grad / n)), float(np.linalg.eigvalsh(hess / n)[0]), lip / n
 
 

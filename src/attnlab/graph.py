@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dataset import Dataset, IndexSets, Sample
+from .dataset import Dataset, IndexSets
 from .errors import SchemaViolation
 
 
@@ -165,22 +165,18 @@ def priority_assignment(decomp: SccDecomposition) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class CyclicSplit:
-    """Dataset reduced to label-SCC tokens, with the inducing sample indices.
+    """The cyclic split of ``dataset``, kept as positions on its own samples.
 
-    ``subdataset`` holds only the samples whose reduced sequence gains
-    something beyond the label occurrences (indices ``idx_i``); the rest
-    reach the trivial per-sample optimum and are dropped.
-    ``n_total`` keeps the original sample count for loss normalization.
-
-    Dropping positions can remove the original last token, but attention is
-    still queried against it, so ``queries`` keeps each reduced sample's
-    original query token ID.
+    Sample ``idx_i[j]`` keeps only its label-SCC positions ``positions[j]``
+    (``sets.r``, label occurrences included) and is still queried against
+    its own last token; the loss normalizes by the full ``dataset.n``.  The
+    samples left out gain nothing beyond their label occurrences and reach
+    the trivial per-sample optimum.
     """
 
-    subdataset: Dataset
+    dataset: Dataset
     idx_i: tuple[int, ...]
-    n_total: int
-    queries: tuple[int, ...]
+    positions: tuple[tuple[int, ...], ...]
 
     @property
     def empty(self) -> bool:
@@ -188,8 +184,8 @@ class CyclicSplit:
 
 
 def cyclic_split(dataset: Dataset, sets: IndexSets) -> CyclicSplit:
-    """Reduce every sample to its label-SCC positions ``sets.r`` and split
-    the indices.
+    """The samples whose label-SCC positions ``sets.r`` hold a token other
+    than the label, with those positions.
 
     Every sample must be realizable: one whose label is missing from its
     tokens has loss -log 0, not the saturated l(1) the split assumes, and
@@ -201,25 +197,8 @@ def cyclic_split(dataset: Dataset, sets: IndexSets) -> CyclicSplit:
                 f"samples[{i}]: label {s.label} is not among its tokens {list(s.tokens)}; "
                 "the cyclic split needs realizable samples"
             )
-    idx_i, reduced, queries = [], [], []
-    for i, s in enumerate(dataset.samples):
-        r_i, o_i = sets.r[i], sets.o[i]
-        if set(r_i) - set(o_i):
-            idx_i.append(i)
-            reduced.append(Sample(tokens=tuple(s.tokens[t] for t in r_i), label=s.label))
-            queries.append(s.last_token)
-    sub = Dataset(
-        embedding=dataset.embedding,
-        head=dataset.head,
-        samples=tuple(reduced),
-        seed=0,
-    )
-    return CyclicSplit(
-        subdataset=sub,
-        idx_i=tuple(idx_i),
-        n_total=dataset.n,
-        queries=tuple(queries),
-    )
+    held = [i for i in range(dataset.n) if set(sets.r[i]) - set(sets.o[i])]
+    return CyclicSplit(dataset=dataset, idx_i=tuple(held), positions=tuple(sets.r[i] for i in held))
 
 
 def graphs_as_dict(tpgs: dict[int, TokenPriorityGraph], decomps: dict[int, SccDecomposition]) -> dict:

@@ -7,11 +7,13 @@ against an unreduced dense solve, gradients come from central finite
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
-form, CSV bytes come from a cell-by-cell formatter, pseudo graphs come
-from their own edge loop, and the pseudo-graph references from the stage
-calls made one by one.  Two helpers are plain kernel calls, not oracles:
-`loss`, the loss of one dataset, and `grad_general`, the softmax-chain
-gradient that the reduced tied-log form is checked against.
+form, the cyclic-subdataset loss and gradient from each held sample's
+label-SCC rows read one by one from the embedding table, CSV bytes come
+from a cell-by-cell formatter, pseudo graphs come from their own edge loop,
+and the pseudo-graph references from the stage calls made one by one.  Two
+helpers are plain kernel calls, not oracles: `loss`, the loss of one
+dataset, and `grad_general`, the softmax-chain gradient that the reduced
+tied-log form is checked against.
 """
 
 import dataclasses
@@ -284,10 +286,64 @@ def csv_oracle(header, rows) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, packed=None) -> np.ndarray:
+def held_rows(split: gm.CyclicSplit, dtype=np.float64) -> tuple:
+    """The held samples of a cyclic split, read one by one from the
+    embedding table in dtype: rows x (m, T, d) at each sample's label-SCC
+    positions, padded to the longest, a mask of the real rows, a mask of the
+    label rows, e_y (m, d), the sample's own last-token embedding xbar
+    (m, d) and the labels (m,)."""
+    ds, e = split.dataset, split.dataset.embedding.e.astype(dtype)
+    m, t_max = len(split.idx_i), max(len(pos) for pos in split.positions)
+    x, ey, xbar = np.zeros((m, t_max, ds.d), dtype), np.zeros((m, ds.d), dtype), np.zeros((m, ds.d), dtype)
+    real, at_label, labels = np.zeros((m, t_max), bool), np.zeros((m, t_max), bool), np.zeros(m, np.int64)
+    for j, (i, positions) in enumerate(zip(split.idx_i, split.positions)):
+        s = ds.samples[i]
+        toks = [s.tokens[t] for t in positions]
+        x[j, :len(toks)] = e[toks]
+        real[j, :len(toks)] = True
+        at_label[j, :len(toks)] = [tok == s.label for tok in toks]
+        ey[j], xbar[j], labels[j] = e[s.label], e[s.last_token], s.label
+    return x, real, at_label, ey, xbar, labels
+
+
+def _split_probs(w: np.ndarray, rows: tuple) -> np.ndarray:
+    """Each held sample's softmax of x_t^T W xbar over its real rows."""
+    x, real, _, _, xbar, _ = rows
+    h = np.where(real, np.einsum("mtd,md->mt", x, np.einsum("de,me->md", w, xbar)), -np.inf)
+    ex = np.exp(h - np.max(h, axis=1, keepdims=True))
+    return ex / np.sum(ex, axis=1, keepdims=True)
+
+
+def split_loss(w: np.ndarray, split: gm.CyclicSplit, kind: str) -> float:
+    """The cyclic-subdataset loss in the precision of w: each held sample's
+    softmax over its label-SCC positions against its own last token, scored
+    by the label-position mass u (-log u, or (1 - u)^2), or through the
+    dataset's head for cross-entropy, summed and divided by the dataset's n."""
+    rows = held_rows(split, w.dtype)
+    x, _, at_label, _, _, labels = rows
+    s = _split_probs(w, rows)
+    if kind == attention.CROSS_ENTROPY:
+        logits = np.einsum("mt,mtd,kd->mk", s, x, split.dataset.head.c.astype(w.dtype))
+        top = np.max(logits, axis=1)
+        losses = top + np.log(np.sum(np.exp(logits - top[:, None]), axis=1)) - logits[np.arange(len(labels)), labels]
+    else:
+        u = np.sum(s * at_label, axis=1)
+        losses = -np.log(u) if kind == attention.LOG else (1.0 - u) ** 2
+    return np.sum(losses) / split.dataset.n
+
+
+def split_log_grad(w: np.ndarray, split: gm.CyclicSplit, rows=None) -> np.ndarray:
+    """Gradient of the cyclic-subdataset log loss in the precision of w,
+    (1/n) sum_i sum_t s_t (x_t - e_y) xbar^T over each held sample's
+    label-SCC positions; rows from `held_rows`, read when not given."""
+    rows = held_rows(split, w.dtype) if rows is None else rows
+    x, _, _, ey, xbar, _ = rows
+    return np.einsum("mt,mtd,me->de", _split_probs(w, rows), x - ey[:, None, :], xbar) / split.dataset.n
+
+
+def wfin_projected_grad(split: gm.CyclicSplit, s_fin, w: np.ndarray, rows=None) -> np.ndarray:
     """Gradient of the cyclic-subdataset log loss at w, projected onto S_fin."""
-    packed = packed if packed is not None else attention._split_pack(split)
-    return s_fin.project(attention._one(w, packed, attention.LOG)[1])
+    return s_fin.project(split_log_grad(w, split, rows))
 
 
 def _einsum_probs(x: np.ndarray, xbar: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -403,16 +459,15 @@ def wfin_gd_oracle(split: gm.CyclicSplit, s_fin, init_w=None, grad_tol: float = 
     by default), stopped when the projected gradient norm drops below
     grad_tol; L-bar = 2 e_max^4 sqrt(T-bar) |I| / n is the smoothness of the
     reduced loss."""
-    d = split.subdataset.d
+    d = split.dataset.d
     if split.empty:
         return np.zeros((d, d))
-    sub = split.subdataset
-    t_bar = max(s.T for s in sub.samples)
-    step = split.n_total / (2.0 * sub.embedding.e_max**4 * np.sqrt(t_bar) * sub.n)
-    packed = attention._split_pack(split)
+    t_bar = max(len(pos) for pos in split.positions)
+    step = split.dataset.n / (2.0 * split.dataset.embedding.e_max**4 * np.sqrt(t_bar) * len(split.idx_i))
+    rows = held_rows(split)
     w = np.zeros((d, d)) if init_w is None else init_w.copy()
     for _ in range(max_iters):
-        g = wfin_projected_grad(split, s_fin, w, packed)
+        g = wfin_projected_grad(split, s_fin, w, rows)
         if np.linalg.norm(g) < grad_tol:
             return w
         w = w - step * g

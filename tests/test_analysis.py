@@ -239,7 +239,7 @@ class TestGlobalBlocks:
 
         def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
             value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss)
-            if need_grad and need_loss:  # a record step of training, not a loss-only call such as loss_inf
+            if need_loss:  # a record step of training
                 value = value.copy()
                 value[1] = np.inf
             return value, bar, g, errors

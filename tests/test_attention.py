@@ -23,6 +23,7 @@ from helpers import (
     gd_oracle,
     grad_general,
     loss,
+    split_loss,
     straight_line_loss,
     straight_train_gd,
     tiny_instance,
@@ -400,14 +401,6 @@ def _local_block(kind):
     return [b[0] for b in built], [b[2] for b in built]
 
 
-def _split_reference(split, kind):
-    """The one-trial pack of a split that loss_bar is defined on: scored
-    tied-style, or through the head for cross-entropy."""
-    if kind != att.CROSS_ENTROPY:
-        return att._split_pack(split)
-    return att._pack([split.subdataset], n_total=[split.n_total], queries=[split.queries])
-
-
 def _trace_bytes(trace):
     return [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace) if f.name != "t_ms"]
 
@@ -455,7 +448,7 @@ class TestTrainBlock:
             elif r.split.empty:
                 assert got == 0.0
             else:
-                want = kernel(w[None], _split_reference(r.split, kind), kind, True, need_grad=False)[0][0]
+                want = split_loss(w.astype(np.longdouble), r.split, kind)
                 assert got > 0.0 and abs(got - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
@@ -474,7 +467,7 @@ class TestTrainBlock:
     def test_refuses_a_split_of_another_dataset(self):
         datasets, refs, _ = _block_trials()
         cfg = att.TrainConfig(eta=0.05, iters=3, normalized=True)
-        with pytest.raises(ValueError, match="label-SCC reduction"):
+        with pytest.raises(ValueError, match="cyclic split of another dataset"):
             att.train_gd(datasets[6], cfg, refs[0])
 
     def test_mixed_structures_train_as_alone(self):
@@ -592,8 +585,8 @@ class TestTrainWfin:
         # (e_1 - e_0) e_1^T: the loss log(1 + exp(sqrt(2) z)) only reaches its
         # infimum as z -> -inf.
         table = dsm.make_embeddings(2, 2, dsm.ORTHONORMAL, seed=0)
-        sub = dsm.Dataset(embedding=table, head=None, samples=(dsm.Sample(tokens=(0, 1), label=0),))
-        split = gm.CyclicSplit(subdataset=sub, idx_i=(0,), n_total=1, queries=(1,))
+        ds = dsm.Dataset(embedding=table, head=None, samples=(dsm.Sample(tokens=(0, 1), label=0),))
+        split = gm.CyclicSplit(dataset=ds, idx_i=(0,), positions=((0, 1),))
         e = table.e
         s_fin = svm.MatrixSubspace(basis=(np.outer(e[1] - e[0], e[1]) / np.sqrt(2.0))[None], d=2)
         res = att.train_wfin(split, s_fin)
@@ -640,6 +633,20 @@ class TestCyclicLosses:
         split = gm.cyclic_split(ds, dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds))))
         assert att.loss_bar(np.ones((5, 5)), split) == 0.0
         assert att.loss_inf(split, np.zeros((5, 5))) == 0.0
+
+    def test_loss_bar_scores_label_mass_under_a_general_head(self):
+        # The head-scored label mass goes negative here, so the full-sample
+        # log loss raises; loss_bar scores only the split's label-position
+        # mass and matches the long-double reduced loss.
+        datasets, refs = _local_block(att.SQUARED)
+        held = [(ds, r.split) for ds, r in zip(datasets, refs) if not r.split.empty]
+        assert len(held) == 2
+        for ds, split in held:
+            w = 3.0 * seeded_rng(21).standard_normal((ds.d, ds.d))
+            with pytest.raises(DomainError, match="underflow"):
+                att._one(w, att._pack([ds]), att.LOG, need_grad=False)
+            want = split_loss(w.astype(np.longdouble), split, att.LOG)
+            assert abs(att.loss_bar(w, split) - want) <= 1e-15 * want
 
     def test_loss_bar_depends_only_on_fin_projection(self, cyclic_pipeline):
         pipe = cyclic_pipeline

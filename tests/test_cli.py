@@ -114,11 +114,11 @@ class TestExperimentCommand:
     def test_manifest_roundtrip_reproduces_summary(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("exp", "cyclic-global", "--out", a, "--seed", 9, "--trials", 2, "--workers", 1)
-        run_cli("exp", "cyclic-global", "--out", b, "--seed", 9, "--workers", 1,
-                "--config", a / "manifest.json")
+        run_cli("exp", "cyclic-global", "--out", b, "--workers", 1, "--config", a / "manifest.json")
         sa = json.loads((a / "summary.json").read_text())
         sb = json.loads((b / "summary.json").read_text())
         assert sa == sb
+        assert json.loads((b / "manifest.json").read_text())["seed"] == 9
 
     def test_threshold_override_forces_violation(self, tmp_path):
         code = run_cli("exp", "cyclic-global", "--out", tmp_path / "w", "--seed", 0,
@@ -393,6 +393,47 @@ class TestExitCodes:
         assert run_cli("exp", name, "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
                        "--workers", 1, "--set", override) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flag, override, message", [
+        ("cyclic-global", "--set", "iters=abc", "parameter 'iters' must be an integer, got 'abc'"),
+        ("cyclic-global", "--set", "eta=abc", "parameter 'eta' must be a number, got 'abc'"),
+        ("cyclic-global", "--set", "n=abc", "parameter 'n' must be an integer, got 'abc'"),
+        ("cyclic-global", "--set", "K=2.5", "parameter 'K' must be an integer, got 2.5"),
+        ("cyclic-global", "--set", "normalized=1", "parameter 'normalized' must be a boolean, got 1"),
+        ("cyclic-global", "--set", "mode=3", "parameter 'mode' must be a string, got 3"),
+        ("scc-count", "--set", "n_grid=16", "parameter 'n_grid' must be a list, got 16"),
+        ("feasibility", "--set", "eps=abc", "parameter 'eps' must be a number or null, got 'abc'"),
+        ("cyclic-global", "--threshold", "min_mean_corr=abc", "threshold 'min_mean_corr' must be a number"),
+    ])
+    def test_wrongly_typed_value_is_config_error(self, tmp_path, capsys, name, flag, override, message):
+        assert run_cli("exp", name, "--out", tmp_path / "x", "--trials", 1, "--workers", 1, flag, override) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "a config file holds a JSON object, got list"),
+        ('{"params": [1]}', "'params' must be a JSON object, got list"),
+        ('{"thresholds": 0.5}', "'thresholds' must be a JSON object, got float"),
+        ('{"trials": "5"}', "'trials' must be an integer, got '5'"),
+        ('{"name": "rate-check"}', "config file is for 'rate-check', not 'cyclic-global'"),
+    ])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--workers", 1, "--config", path) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"params": {"iters": 4000.5}}')
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--workers", 1, "--config", path) == 2
+        assert "parameter 'iters' must be an integer, got 4000.5" in capsys.readouterr().err
+
+    def test_rate_check_refuses_more_than_one_trial(self, tmp_path, capsys):
+        # rate-check draws one instance; a manifest must not record trials it did not run.
+        assert run_cli("exp", "rate-check", "--out", tmp_path / "x", "--seed", 0, "--trials", 5) == 2
+        assert "rate-check runs one draw; trials must be 0 or 1, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_negative_trials_is_config_error(self, tmp_path, capsys):
         assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", -3,

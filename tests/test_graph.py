@@ -220,17 +220,15 @@ class TestCyclicSplit:
         ds = tiny_instance(10, K=5, d=5, n=6, T=4, mode="acyclic")
         split = gm.cyclic_split(ds, _sets(ds))
         assert split.empty
-        assert split.idx_i == ()
-        assert split.subdataset.n == 0 and split.n_total == ds.n
+        assert split.idx_i == () and split.positions == ()
+        assert split.dataset is ds
 
     def test_everything_in_one_scc_keeps_dataset(self):
         # Mutually cyclic labels over a shared context: nothing is removed.
         ds = _dataset_from_samples(3, [((0, 1, 2), 0), ((1, 0, 2), 1), ((2, 0, 2), 2)])
         split = gm.cyclic_split(ds, _sets(ds))
         assert split.idx_i == (0, 1, 2)
-        for orig, red in zip(ds.samples, split.subdataset.samples):
-            assert red.tokens == orig.tokens
-        assert split.queries == (2, 2, 2)
+        assert split.positions == ((0, 1, 2),) * 3
 
     def test_keep_rule_matches_relation_oracle(self):
         for seed in range(15):
@@ -238,7 +236,7 @@ class TestCyclicSplit:
             tpgs = gm.build_tpgs(ds)
             decomps = gm.decompose_all(tpgs)
             split = gm.cyclic_split(ds, dsm.index_sets(ds, decomps))
-            kept = {i: s for i, s in zip(split.idx_i, split.subdataset.samples)}
+            kept = dict(zip(split.idx_i, split.positions))
             for i, s in enumerate(ds.samples):
                 g = tpgs[s.last_token]
                 expected = [
@@ -249,7 +247,7 @@ class TestCyclicSplit:
                 strict_extra = [t for t in expected if t != s.label]
                 if strict_extra:
                     assert i in kept
-                    assert list(kept[i].tokens) == expected
+                    assert [s.tokens[t] for t in kept[i]] == expected
                 else:
                     assert i not in kept
 
