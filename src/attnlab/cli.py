@@ -29,7 +29,7 @@ from .dataset import (
     save_dataset,
 )
 from .errors import AttnLabError, DomainError, NoConvergence, NonFiniteLoss
-from .util import default_seed, write_csv, write_json
+from .util import default_seed, read_json, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,8 +166,7 @@ def _cmd_exp(args) -> int:
     params, thresholds = {}, {}
     seed, trials, workers, out_dir, check = args.seed, args.trials, args.workers, args.out, not args.no_check
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: a config file holds a JSON object, got {type(loaded).__name__}")
         for key in ("params", "thresholds"):
@@ -290,7 +289,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed = default_seed()
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, NonFiniteLoss, NoConvergence) as exc:

@@ -22,7 +22,7 @@ from .errors import (
     RankDeficient,
     SchemaViolation,
 )
-from .util import frozen, seeded_rng
+from .util import frozen, read_json, seeded_rng
 
 ORTHONORMAL = "orthonormal"
 UNIT_SPHERE = "unit_sphere"
@@ -332,8 +332,7 @@ def load_dataset(path: str) -> Dataset:
     Non-realizable samples load fine but are flagged: one warning summarizes
     the count, and ``Dataset.n_unrealizable`` reports it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     for key in ("K", "d", "kind", "embeddings", "head", "samples", "seed"):
         _require(key in raw, key, "missing field")
     K, d = raw["K"], raw["d"]

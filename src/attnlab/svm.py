@@ -165,6 +165,39 @@ def _combination(t: np.ndarray, e: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (((e[t[:, 0]] - e[t[:, 1]]).T * c) @ e[t[:, 2]]).ravel()
 
 
+def _gram(t: np.ndarray, e: np.ndarray, eq_basis: np.ndarray) -> np.ndarray:
+    """The NNLS Gram matrix of the triple rows t: the Gram of their
+    generators projected off the span of eq_basis, plus one.
+
+    Each generator is delta e_k^T with delta = e_i - e_j, so the Gram is
+    (D D^T) o (Q Q^T) - C C^T + 1, where D has rows delta, Q rows e_k and
+    C the coordinates on eq_basis, <B_l, delta e_k^T> = delta^T (B_l e_k).
+    The rows are taken in runs that share a last token k (they need not be
+    sorted by it).  A run's rows of C are its rows of D times the vectors
+    B_l e_k, and its rows of the Gram are one product [D, C] [t D, -C]^T
+    written in place, where t = Q e_k scales each row of D.  Every array but
+    the Gram matrix is O(m (d + q)) for q basis rows.
+    """
+    m, d = len(t), e.shape[1]
+    basis = eq_basis.reshape(-1, d, d)
+    delta = e[t[:, 0]] - e[t[:, 1]]
+    last = e[t[:, 2]]
+    cuts = (np.flatnonzero(t[1:, 2] != t[:-1, 2]) + 1).tolist()
+    runs = list(zip([0, *cuts], [*cuts, m]))
+    left = np.empty((m, d + len(basis)))  # rows [delta, C]
+    left[:, :d] = delta
+    if len(basis):
+        for lo, hi in runs:
+            left[lo:hi, d:] = delta[lo:hi] @ (basis @ last[lo]).T
+    right = -left  # rows [t_k delta, -C], the first d columns set per run
+    gram = np.empty((m, m))
+    for lo, hi in runs:
+        right[:, :d] = delta * (last @ last[lo])[:, None]
+        np.matmul(left[lo:hi], right.T, out=gram[lo:hi])
+    gram += 1.0
+    return gram
+
+
 def _orth(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row span: the right singular vectors whose
     singular value exceeds BASIS_CUTOFF."""
@@ -557,6 +590,15 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     otherwise W = p / ||p||^2.  ``ineq_multipliers`` has one entry per
     inequality, 0 on every dropped one.
 
+    No generator is written out as a d^2-wide row.  The Gram matrix of the
+    m kept rows comes from their d-dimensional factors (`_gram`), since
+    <(e_i - e_j) e_k^T, (e_i' - e_j') e_k'^T> = ((e_i - e_j) . (e_i' - e_j'))
+    (e_k . e_k'), less the products of their coordinates on the q rows of
+    the equality basis.  That takes O(m^2 (d + q)) flops, where d^2-wide
+    rows took O(m^2 d^2), and every array besides the m x m Gram matrix and
+    the NNLS's buffers is O(m (d + q)).  p is the passive rows' combination
+    as one d x d matrix, projected afterwards.
+
     ``residuals["essential"]`` counts the rows the NNLS saw,
     ``residuals["sweeps"]`` its passive-set solves, and
     ``residuals["converged"]`` is True when its exact optimality check
@@ -572,24 +614,14 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     ineq = _triples(constraints.inequalities)
     eq = _triples(constraints.equalities)
     keep = _essential(ineq, eq, constraints.embedding.K)
-
-    def projected(rows: np.ndarray) -> np.ndarray:
-        a = _generators(ineq[rows], e)
-        a -= (a @ eq_basis.T) @ eq_basis
-        return a
-
-    # One rows x d^2 array at a time: the NNLS needs only the Gram matrix,
-    # and p only the passive rows.
-    a_proj = projected(keep)
-    gram = a_proj @ a_proj.T
-    del a_proj
-    gram += 1.0
+    gram = _gram(ineq[keep], e, eq_basis)
     u, iters, converged = _nnls_gram(gram)
     del gram
     passive = keep[u > 0]
     weights = np.zeros(len(ineq))
     weights[keep] = u / u.sum()
-    p = projected(passive).T @ weights[passive]
+    p = _combination(ineq[passive], e, weights[passive])
+    p -= (eq_basis @ p) @ eq_basis
     farkas = float(np.linalg.norm(p))
     counts = {"sweeps": iters, "converged": converged, "essential": len(keep)}
     if farkas <= FARKAS_TOL:

@@ -49,6 +49,15 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         fh.write("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
 
 
+def read_json(path: str):
+    """The JSON value in a file; a malformed file raises ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)

@@ -3,7 +3,8 @@
 Reachability goes through dense Floyd-Warshall closures, the QP oracle
 enumerates active sets exhaustively, the graph SVM's presolve is checked
 against a transitive reduction read off those closures and its verdicts
-against an unreduced dense solve, gradients come from central finite
+against an unreduced dense solve, its Gram matrix against the dense
+d^2-wide projected rows, gradients come from central finite
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
@@ -235,6 +236,15 @@ def generator_rows(triples, e: np.ndarray) -> np.ndarray:
     """One flattened (e_i - e_j) e_k^T per triple, by direct outer products."""
     d = e.shape[1]
     return np.array([np.outer(e[i] - e[j], e[k]).ravel() for i, j, k in triples]).reshape(-1, d * d)
+
+
+def projected_inequalities(cons: svm.ConstraintSet) -> np.ndarray:
+    """The dense projected-Gram oracle's rows: each inequality's
+    `generator_rows` row, d^2 wide, less its projection on `eq_basis`.
+    Their Gram matrix plus one, on the kept rows, is the matrix the solver
+    builds from the generators' factors."""
+    a = generator_rows(cons.inequalities, cons.embedding.e)
+    return a - (a @ cons.eq_basis.T) @ cons.eq_basis
 
 
 def distance_to_row_span(v: np.ndarray, rows: np.ndarray) -> float:

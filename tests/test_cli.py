@@ -423,6 +423,20 @@ class TestExitCodes:
         assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--workers", 1, "--config", path) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, outputs", [
+        (("exp", "cyclic-global", "--workers", 1), "--config", ("--out",)),
+        (("solve-svm",), "--data", ("--out",)),
+        (("build-graph",), "--data", ("--out",)),
+        (("train",), "--data", ("--trace", "--summary")),
+    ], ids=["exp", "solve-svm", "build-graph", "train"])
+    def test_malformed_json_file_is_config_error_naming_it(self, tmp_path, capsys, command, flag, outputs):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        out = [arg for opt in outputs for arg in (opt, tmp_path / f"out{opt}")]
+        assert run_cli(*command, flag, path, *out) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: Expecting property name enclosed in double quotes: line 1 column 2" in err
+
     def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"params": {"iters": 4000.5}}')

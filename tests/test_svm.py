@@ -1,5 +1,6 @@
 """Constraint assembly, subspaces, the min-norm solver, and feasibility."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from helpers import (
     distance_to_row_span,
     generator_rows,
     nnls_gram_oracle,
+    projected_inequalities,
     random_tpg,
     tiny_instance,
     transitive_reduction_rows,
@@ -412,15 +414,6 @@ def _pinned(K, d, n, T, seed):
     return cons
 
 
-def _projected_inequalities(cons):
-    """The inequality rows with the equality span projected out, as
-    `solve_graph_svm` hands them to the NNLS."""
-    e = cons.embedding.e
-    a = generator_rows(cons.inequalities, e)
-    eq = svm._orth(generator_rows(cons.equalities, e))
-    return a - (a @ eq.T) @ eq
-
-
 class TestNnls:
     """The updated-inverse NNLS against the per-step LU Lawson-Hanson of
     `helpers.nnls_gram_oracle`: the same verdict, the same nearest point
@@ -481,7 +474,7 @@ class TestNnls:
         for i in range(8):
             K, d, n, T = ((20, 20, 60, 8), (20, 10, 40, 8))[i % 2]
             seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
-            self._assert_matches_oracle(_projected_inequalities(_pinned(K, d, n, T, seed)))
+            self._assert_matches_oracle(projected_inequalities(_pinned(K, d, n, T, seed)))
 
     def test_near_degenerate_infeasible_instance_keeps_its_certificate(self):
         # (K, d, n, T) = (10, 4, 19, 5), seed 1251: the passive sets grow
@@ -493,8 +486,8 @@ class TestNnls:
         assert sol.residuals["farkas_residual"] <= svm.FARKAS_TOL
         assert sol.residuals["converged"] is True
         assert_certified(cons, sol)
-        a = _projected_inequalities(cons)
-        assert sol.residuals["sweeps"] <= nnls_gram_oracle(a @ a.T + 1.0)[1]
+        gram = svm._gram(svm._triples(cons.inequalities)[_kept(cons)], cons.embedding.e, cons.eq_basis)
+        assert sol.residuals["sweeps"] <= nnls_gram_oracle(gram)[1]
 
     def test_singular_entering_set_is_skipped_not_raised(self):
         # (10, 4, 19, 5), seed 1036: an index enters a passive set it is
@@ -628,6 +621,52 @@ class TestPresolve:
         assert sol.status is svm.SolveStatus.SOLVED and status == "solved"
         assert np.linalg.norm(sol.w - w) <= 1e-9 * np.linalg.norm(w)
         assert_certified(cons, sol)
+
+
+class TestGram:
+    """The NNLS Gram matrix from the generators' factors against the dense
+    d^2-wide rows of `helpers.projected_inequalities`."""
+
+    @staticmethod
+    def _assert_matches_dense(cons, rows):
+        gram = svm._gram(svm._triples(cons.inequalities)[rows], cons.embedding.e, cons.eq_basis)
+        a = projected_inequalities(cons)[rows]
+        want = a @ a.T + 1.0
+        assert np.abs(gram - want).max() <= 1e-13 * want.diagonal().max()
+
+    @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
+    def test_matches_the_dense_gram(self, shape):
+        cons = _pinned(*shape)
+        self._assert_matches_dense(cons, _kept(cons))
+
+    def test_rows_out_of_last_token_order_with_equalities(self):
+        # Last tokens 4 and 5 alternate, so every row is its own run, and
+        # the equalities put a coordinate on each token's rows.
+        table = dsm.make_embeddings(6, 4, dsm.UNIT_SPHERE, seed=9)
+        cons = svm.ConstraintSet(
+            equalities=((0, 2, 4), (1, 3, 5)),
+            inequalities=((0, 1, 4), (2, 3, 5), (1, 3, 4), (0, 3, 5), (3, 1, 4), (2, 0, 5), (1, 0, 4)),
+            embedding=table,
+        )
+        assert len(cons.eq_basis) == 2
+        self._assert_matches_dense(cons, np.arange(len(cons.inequalities)))
+        self._assert_matches_dense(cons, np.array([6, 1, 0, 5]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_k_solve_peak_memory(self, seed):
+        # The Gram matrix is 8 m^2 bytes and the NNLS's buffers add about
+        # half that; d^2-wide generator rows would take the peak past 2 x 8 m^2.
+        cons = _pinned(1000, 32, 16, 64, seed)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sol = svm.solve_graph_svm(cons)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        m = sol.residuals["essential"]
+        assert peak <= 1.75 * 8 * m * m
 
 
 class TestFeasibility:
