@@ -72,14 +72,14 @@ class _SplitRows:
     """The rows of a group whose samples their trial's cyclic split holds."""
 
     rows: np.ndarray    # (m,) flat index into the group's (B * g) samples
-    trials: np.ndarray  # (m,) the pack's trial of each row
+    trials: np.ndarray  # (m,) the trial of each row
     keep: np.ndarray    # (m, T) True on the sample's label-SCC positions
 
 
 @dataclass(frozen=True)
 class _Group:
-    """Samples of equal length, stacked over the B trials that hold g of
-    them into dense arrays.
+    """The g samples of one length of each of the pack's B trials, stacked
+    into dense arrays.
 
     Scores are label-relative: dx = x - e_y is zero on label positions, and
     the softmax of dx W xbar is that of x W xbar, since each sample's scores
@@ -92,8 +92,7 @@ class _Group:
     labels: np.ndarray     # (B, g)
     omask: np.ndarray      # (B, g, T) True where token == label
     gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
-    ids: Optional[np.ndarray] = None      # (B,) the trials of the pack it holds; None for all
-    split: Optional[_SplitRows] = None    # the rows loss_bar scores; None for none
+    split: Optional[_SplitRows] = None  # the rows loss_bar scores; None for none
 
 
 @dataclass(frozen=True)
@@ -112,31 +111,30 @@ class _Packed:
 
 def _structure(dataset: Dataset) -> tuple:
     """Table and head shapes, head use, and the sample count at each
-    sequence length.  Datasets that share all of it train in lock-step; a
-    pack needs only the first four to agree."""
+    sequence length.  Datasets that share all of it pack and train in
+    lock-step."""
     headed = dataset.head is not None
     lengths = sorted(Counter(s.T for s in dataset.samples).items())
     return dataset.K, dataset.d, headed, not headed or dataset.tied_head(), tuple(lengths)
 
 
 def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[CyclicSplit]]] = None) -> _Packed:
-    """Stack datasets that share table and head shapes and head use into
-    groups keyed by (length, sample count), each with a leading axis over
-    the trials that hold that many samples of that length.
+    """Stack datasets of one `_structure`, or raise ValueError, into one
+    group per sequence length, in ascending order, each with a leading axis
+    over the trials.
 
-    Each trial's groups keep the row counts and the ascending-length order
-    they have in a pack of that trial alone, so the kernel's values are bit
-    for bit the same.  Datasets of one `_structure` give groups that hold
-    every trial.  Each sample is stored with its label-relative rows
-    dx = x - e_y beside x.
+    Each trial's groups hold the rows a pack of that trial alone holds, so
+    the kernel's values are bit for bit the same.  Each sample is stored
+    with its label-relative rows dx = x - e_y beside x.
 
     ``splits`` holds each dataset's own cyclic split, or None; the groups
     then mark the samples each split holds and their label-SCC positions,
     which the kernel's loss_bar scores.  A split of another dataset raises
     ValueError.
     """
-    if len(datasets) > 1 and len({_structure(ds)[:4] for ds in datasets}) != 1:
-        raise ValueError("stacked datasets must share table and head shapes and head use")
+    if len({_structure(ds) for ds in datasets}) != 1:
+        raise ValueError("stacked datasets must share table and head shapes, head use "
+                         "and the sample count at each length")
     splits = [None] * len(datasets) if splits is None else splits
     first = datasets[0]
     headed = first.head is not None
@@ -151,7 +149,7 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         by_len: dict[int, list[int]] = {}
         for i, s in enumerate(ds.samples):
             by_len.setdefault(s.T, []).append(i)
-        groups = {}
+        groups = []
         for t_len in sorted(by_len):
             idx = by_len[t_len]
             toks = np.array([ds.samples[i].tokens for i in idx])
@@ -163,14 +161,12 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
             held = np.zeros(toks.shape, dtype=bool)  # the label-SCC positions of the split's samples
             for r, i in enumerate(idx):
                 held[r, list(kept.get(i, ()))] = True
-            groups[t_len, len(idx)] = x, x - e[labels][:, None, :], xbar, labels, omask, gamma, held
+            groups.append((x, x - e[labels][:, None, :], xbar, labels, omask, gamma, held))
         per_trial.append(groups)
     groups = []
-    for key in sorted(set().union(*per_trial)):
-        ids = [b for b, trial in enumerate(per_trial) if key in trial]
-        *arrays, held = map(_stack, zip(*(per_trial[b][key] for b in ids)))
-        groups.append(_Group(*arrays, ids=None if len(ids) == len(datasets) else np.array(ids),
-                             split=_split_rows(held, ids)))
+    for trial_groups in zip(*per_trial):
+        *arrays, held = map(_stack, zip(*trial_groups))
+        groups.append(_Group(*arrays, split=_split_rows(held)))
     return _Packed(
         groups=tuple(groups),
         n=np.array([ds.n for ds in datasets], dtype=np.float64),
@@ -181,14 +177,14 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
     )
 
 
-def _split_rows(held: np.ndarray, ids: list[int]) -> Optional[_SplitRows]:
+def _split_rows(held: np.ndarray) -> Optional[_SplitRows]:
     """The split rows of a group from its (B, g, T) mask of the split
-    samples' label-SCC positions, B over the trials ids; None for none."""
+    samples' label-SCC positions; None for none."""
     flat = held.reshape(-1, held.shape[-1])
     rows = np.flatnonzero(flat.any(axis=1))
     if not len(rows):
         return None
-    return _SplitRows(rows=rows, trials=np.array(ids)[rows // held.shape[1]], keep=flat[rows])
+    return _SplitRows(rows=rows, trials=rows // held.shape[1], keep=flat[rows])
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -209,8 +205,7 @@ def _loss_and_grad(
     contractions only.
 
     The scores are the label-relative dx W xbar.  Every trial's values are
-    bit for bit those of a pack of that trial alone; a group that holds only
-    some trials reads their w and adds into their rows.  ``reduced_log``
+    bit for bit those of a pack of that trial alone.  ``reduced_log``
     takes the tied log loss through its reduced form, the gradient
     sum_t s_t (x_t - e_y) xbar^T, whose terms vanish on label positions;
     otherwise the generic softmax-chain formula applies.
@@ -236,19 +231,18 @@ def _loss_and_grad(
     bar_errors: dict[int, Exception] = {}
     grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
     for g in packed.groups:
-        at = slice(None) if g.ids is None else g.ids
-        h = _scores(w[at], g)
+        h = _scores(w, g)
         if need_loss and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors)
         s = softmax(h)
         if kind == CROSS_ENTROPY:
-            label, c = g.labels[..., None], packed.c[at]
+            label, c = g.labels[..., None], packed.c
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
             shifted = logits - logits.max(axis=-1, keepdims=True)
             ex = np.exp(shifted)
             z = ex.sum(axis=-1)
             if need_loss:
-                total[at] += (np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0]).sum(axis=-1)
+                total += (np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0]).sum(axis=-1)
             if not need_grad:
                 continue
             p = ex / z[..., None]
@@ -259,9 +253,9 @@ def _loss_and_grad(
         else:
             u = np.vecdot(s, g.gamma)
             if kind == LOG:
-                u = _guarded(u, g.ids, errors)
+                u = _guarded(u, None, errors)
             if need_loss:
-                total[at] += loss_value(kind, u).sum(axis=-1)
+                total += loss_value(kind, u).sum(axis=-1)
             if not need_grad:
                 continue
             if kind == LOG and packed.tied and reduced_log:
@@ -269,7 +263,7 @@ def _loss_and_grad(
             else:
                 v = s * (g.gamma - u[..., None])
                 vec = loss_deriv(kind, u)[..., None] * np.matmul(v[..., None, :], g.x)[..., 0, :]
-        grad[at] += np.matmul(vec.mT, g.xbar)
+        grad += np.matmul(vec.mT, g.xbar)
     for b, exc in bar_errors.items():
         errors.setdefault(b, exc)
     if total is not None:
@@ -779,6 +773,9 @@ def reg_path(dataset: Dataset, radii: list[float], config: TrainConfig) -> list[
     """
     if not radii:
         raise ValueError("radii must list at least one radius")
+    bad = [float(r) for r in radii if not (np.isfinite(r) and r > 0)]
+    if bad:
+        raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     if list(radii) != sorted(radii):
         raise ValueError("radii must be increasing")
     if config.loss != LOG:

@@ -180,7 +180,7 @@ def _cmd_exp(args) -> int:
         params.update(loaded.get("params", {}))
         thresholds.update(loaded.get("thresholds", {}))
         seed = loaded.get("seed") if seed is None else seed
-        trials = trials or loaded.get("trials", 0)
+        trials = trials or loaded.get("trials") or 0  # null is absent, as for "seed"
     params.update(_parse_kv(args.set or []))
     thresholds.update(_parse_kv(args.threshold or []))
     config = experiments.ExperimentConfig(

@@ -12,7 +12,7 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,8 @@ def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Trial kinds (module level so process pools can pickle them).  A GD kind's
-# build returns (dataset, TrainConfig, TrainRefs or None, state for finish).
+# Trial kinds.  A build returns (dataset, TrainConfig or None, TrainRefs or
+# None, state); a finish takes that and the trial's TrainTrace, or None.
 # ---------------------------------------------------------------------------
 
 
@@ -238,18 +238,82 @@ def _feasibility_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     return {"props": props}
 
 
-_GD_KINDS: dict[str, tuple[Callable[[dict, object], tuple], Callable[[tuple, attention.TrainTrace], dict]]] = {
-    "global": (_global_build, _global_finish),
-    "local": (_local_build, _local_finish),
-    "feasibility": (_feasibility_build, _feasibility_finish),
+def _rate_check_build(params: dict, seed: int) -> tuple:
+    """The draw trial_seed(seed, 0), trained by plain GD at eta = 1/L."""
+    tseed = trial_seed(seed, 0)
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
+    ds = gen_dataset(table, make_head(table, TIED), n=params["n"], T=params["T"], mode="cyclic", seed=tseed)
+    pipe = build_pipeline(ds)
+    if pipe.solution.norm == 0:
+        raise ValueError(f"rate-check seed {seed} drew an instance with a zero SVM solution; change the seed")
+    cfg = attention.TrainConfig(eta=1.0 / attention.lipschitz_log(ds), iters=params["iters"], normalized=False,
+                                loss=attention.LOG, record_every=params["record_every"])
+    return ds, cfg, pipe.refs(), pipe
+
+
+def _rate_check_finish(built: tuple, trace: attention.TrainTrace) -> dict:
+    """The bound's inputs, and the loss gap above loss_inf and the rate
+    bound at every recorded tau >= 1."""
+    ds, cfg, _, pipe = built
+    inf_val = attention.loss_inf(pipe.split, pipe.w_fin)
+    inputs = analysis.rate_bound_inputs(ds, pipe.sets, pipe.w_svm, pipe.w_fin)
+    rows = [(int(tau), float(loss) - inf_val, analysis.rate_bound(inputs, int(tau), cfg.eta))
+            for tau, loss in zip(trace.iters, trace.loss) if tau >= 1]
+    summary = {"eta": cfg.eta, "xi": inputs.xi, "w_fin_norm": inputs.w_fin_norm, "loss_inf": inf_val}
+    return {"summary": summary, "rows": rows, "trace": list(trace.rows())}
+
+
+def _reg_path_build(params: dict, tseed: int) -> tuple:
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
+    ds = gen_dataset(table, make_head(table, TIED), n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
+    return ds, None, build_pipeline(ds).refs(), params
+
+
+def _reg_path_finish(built: tuple, trace: None) -> dict:
+    ds, _, refs, params = built
+    with np.errstate(invalid="ignore"):  # a radius <= 0 gives NaNs, which reg_path refuses
+        radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
+    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG)
+    points = attention.reg_path(ds, radii, cfg)
+    corr = [attention.correlation(p.w, refs.w_svm) for p in points]
+    dist = [float(np.linalg.norm(refs.s_fin.project(p.w) - refs.w_fin)) for p in points]
+    return {"radii": radii, "corr": corr, "dist": dist}
+
+
+def _scc_count_build(params: dict, seeds: tuple[int, int]) -> tuple:
+    table_seed, data_seed = seeds
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
+    return gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed), None, None, None
+
+
+def _scc_count_finish(built: tuple, trace: None) -> dict:
+    """Total SCC count over the graphs of one cyclic dataset of size n."""
+    return {"sccs": sum(d.n_components for d in Pipeline(built[0]).decomps.values())}
+
+
+class _TrialKind(NamedTuple):
+    build: Callable[[dict, object], tuple]
+    finish: Callable[[tuple, attention.TrainTrace | None], dict]
+    trains: bool  # its builds give a TrainConfig
+
+
+_KINDS: dict[str, _TrialKind] = {
+    "global": _TrialKind(_global_build, _global_finish, True),
+    "local": _TrialKind(_local_build, _local_finish, True),
+    "feasibility": _TrialKind(_feasibility_build, _feasibility_finish, True),
+    "rate-check": _TrialKind(_rate_check_build, _rate_check_finish, True),
+    "reg-path": _TrialKind(_reg_path_build, _reg_path_finish, False),
+    "scc-count": _TrialKind(_scc_count_build, _scc_count_finish, False),
 }
 
 
-def _gd_block(kind: str, jobs: list[tuple[dict, object]]) -> list[dict]:
-    """GD trials built one by one, trained together in one `train_block`
-    call and finished one by one; the trials share one TrainConfig.  Raises
-    the first error in trial order, as running the trials one by one would."""
-    build, finish = _GD_KINDS[kind]
+def _trial_worker(args: tuple) -> list[dict]:
+    """A block of (params, seed) jobs of one kind: built one by one, trained
+    together in one `train_block` call when the builds give a TrainConfig,
+    which they must share, and finished one by one.  Raises the first error
+    in trial order, as running the trials one by one would."""
+    kind, jobs = args
+    build, finish, _ = _KINDS[kind]
     built, error = [], None
     for params, seed in jobs:
         try:
@@ -257,9 +321,12 @@ def _gd_block(kind: str, jobs: list[tuple[dict, object]]) -> list[dict]:
         except Exception as exc:  # raised once the trials before it are done
             error = exc
             break
-    if len({b[1] for b in built}) > 1:
+    configs = {b[1] for b in built}
+    if len(configs) > 1:
         raise ValueError(f"a block of {kind} trials must share one training config")
-    traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built]) if built else []
+    traces = [None] * len(built)
+    if configs - {None}:
+        traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
     results = []
     for b, trace in zip(built, traces):
         if isinstance(trace, Exception):
@@ -268,39 +335,6 @@ def _gd_block(kind: str, jobs: list[tuple[dict, object]]) -> list[dict]:
     if error is not None:
         raise error
     return results
-
-
-def _reg_path_trial(params: dict, tseed: int) -> dict:
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    head = make_head(table, TIED)
-    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
-    refs = build_pipeline(ds).refs()
-    radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
-    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG)
-    points = attention.reg_path(ds, radii, cfg)
-    corr = [attention.correlation(p.w, refs.w_svm) for p in points]
-    dist = [float(np.linalg.norm(refs.s_fin.project(p.w) - refs.w_fin)) for p in points]
-    return {"radii": radii, "corr": corr, "dist": dist}
-
-
-def _scc_count_trial(params: dict, seeds: tuple[int, int]) -> dict:
-    """Total SCC count over the graphs of one cyclic dataset of size n."""
-    table_seed, data_seed = seeds
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
-    ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
-    return {"sccs": sum(d.n_components for d in Pipeline(ds).decomps.values())}
-
-
-_TRIALS: dict[str, Callable[[dict, object], dict]] = {
-    "reg-path": _reg_path_trial,
-    "scc-count": _scc_count_trial,
-}
-
-def _trial_worker(args: tuple) -> dict:
-    kind, params, seed = args
-    if kind not in _TRIALS:
-        raise ValueError(f"unknown trial kind {kind!r}")
-    return _TRIALS[kind](params, seed)
 
 
 def seeded_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
@@ -319,16 +353,16 @@ def run_trials(kind: str, jobs: list[tuple[dict, object]], workers: int) -> list
     """Run one `kind` trial per (params, seed) job; results come back in job
     order whatever the worker count.
 
-    GD kinds go in min(workers, jobs) contiguous blocks of job order, one
-    `_gd_block` call each; `scc-count` and `reg-path` make one
-    `_trial_worker` call per job.
+    The jobs go to `_trial_worker` in blocks of job order: one block at one
+    worker.  At more, a kind that trains gets min(workers, jobs) contiguous
+    blocks, and a kind that does not gets one job per block, as its trial
+    times vary too much for contiguous blocks to balance.
     """
-    if kind not in _GD_KINDS:
-        return _fan_out(_trial_worker, [(kind, params, seed) for params, seed in jobs], workers)
-    count = max(1, min(workers, len(jobs)))
+    one_per_job = workers > 1 and not _KINDS[kind].trains
+    count = len(jobs) if one_per_job else max(1, min(workers, len(jobs)))
     cuts = [len(jobs) * k // count for k in range(count + 1)]
-    blocks = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
-    return [r for block in _fan_out(functools.partial(_gd_block, kind), blocks, workers) for r in block]
+    blocks = [(kind, jobs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [r for block in _fan_out(_trial_worker, blocks, workers) for r in block]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +408,14 @@ class ExperimentConfig:
                 raise ValueError(f"{self.name} has no {kind} {', '.join(map(repr, unknown))}; "
                                  f"it declares {', '.join(sorted(declared)) or 'none'}")
             for key, value in given.items():
-                expected, types = _VALUE_TYPES[type(declared[key])]
-                if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
-                    raise ValueError(f"{self.name} {kind} {key!r} must be {expected}, got {value!r}")
+                # A list's elements are checked against the declared list's first.
+                checks = [(repr(key), value, declared[key])]
+                if isinstance(value, list) and declared[key]:
+                    checks += [(f"{key!r}[{i}]", v, declared[key][0]) for i, v in enumerate(value)]
+                for name, v, default in checks:
+                    expected, types = _VALUE_TYPES[type(default)]
+                    if isinstance(v, bool) != (bool in types) or not isinstance(v, types):
+                        raise ValueError(f"{self.name} {kind} {name} must be {expected}, got {v!r}")
         return replace(
             self,
             params={**spec.params, **self.params},
@@ -533,38 +572,11 @@ def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
-    p = cfg.params
-    seed = cfg.seed if cfg.seed else p["default_seed"]
-    tseed = trial_seed(seed, 0)
-    table = make_embeddings(p["K"], p["d"], UNIT_SPHERE, seed=tseed)
-    head = make_head(table, TIED)
-    ds = gen_dataset(table, head, n=p["n"], T=p["T"], mode="cyclic", seed=tseed)
-    pipe = build_pipeline(ds)
-    if pipe.solution.norm == 0:
-        raise ValueError(f"rate-check seed {seed} drew an instance with a zero SVM solution; change the seed")
-    eta = 1.0 / attention.lipschitz_log(ds)
-    cfg_train = attention.TrainConfig(eta=eta, iters=p["iters"], normalized=False, loss=attention.LOG,
-                                      record_every=p["record_every"])
-    trace = attention.train_gd(ds, cfg_train, refs=pipe.refs())
-    inf_val = attention.loss_inf(pipe.split, pipe.w_fin)
-    inputs = analysis.rate_bound_inputs(ds, pipe.sets, pipe.w_svm, pipe.w_fin)
-    rows = []
-    worst = -np.inf
-    for j, tau in enumerate(trace.iters):
-        if tau < 1:
-            continue
-        gap = float(trace.loss[j]) - inf_val
-        bound = analysis.rate_bound(inputs, int(tau), eta)
-        worst = max(worst, gap - bound)
-        rows.append((int(tau), gap, bound))
-    summary = {
-        "eta": eta,
-        "xi": inputs.xi,
-        "w_fin_norm": inputs.w_fin_norm,
-        "loss_inf": inf_val,
-        "max_gap_minus_bound": worst,
-        "checked_taus": len(rows),
-    }
+    seed = cfg.seed if cfg.seed else cfg.params["default_seed"]
+    (r,) = run_trials("rate-check", [(cfg.params, seed)], cfg.workers)
+    rows = r["rows"]
+    worst = max([-np.inf] + [gap - bound for _, gap, bound in rows])
+    summary = {**r["summary"], "max_gap_minus_bound": worst, "checked_taus": len(rows)}
     violations = []
     if not worst <= 0.0:
         violations.append(f"rate bound violated by {worst:.3e}")
@@ -573,7 +585,7 @@ def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
         aggregate_header=("tau", "gap", "bound"),
         aggregate_rows=rows,
         violations=violations,
-        traces={0: list(trace.rows())},
+        traces={0: r["trace"]},
     )
 
 

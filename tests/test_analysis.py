@@ -189,8 +189,13 @@ class TestFeasibilityExperiment:
         assert abs(rows[0]["proportion"] - 1.0) <= 0.02
 
 
+def _serial_fan_out(fn, args, workers):
+    """`_fan_out` without the pool, whatever the worker count."""
+    return [fn(a) for a in args]
+
+
 class TestSweepFanOut:
-    # One _trial_worker call per (grid point, trial): 3 trials each.
+    # At --workers 2, one _trial_worker call per (grid point, trial): 3 trials each.
     @pytest.mark.parametrize("name, params, calls", [
         ("scc-count", dict(K=4, d=4, T=3, n_grid=[4, 8]), 2 * 3),
     ], ids=["scc-count"])
@@ -202,13 +207,15 @@ class TestSweepFanOut:
             seen.append(args)
             return worker(args)
 
+        monkeypatch.setattr(experiments, "_fan_out", _serial_fan_out)
         monkeypatch.setattr(experiments, "_trial_worker", counting)
-        sweep_rows(name, seed=0, trials=3, **params)
-        assert len(seen) == calls
+        cfg = experiments.ExperimentConfig(name, params, {}, 0, 3, workers=2).resolved()
+        experiments.EXPERIMENTS[name].runner(cfg)
+        assert [len(jobs) for _, jobs in seen] == [1] * calls
 
     def test_feasibility_trains_in_one_block(self, monkeypatch):
-        # All 3 x 3 (grid point, trial) jobs reach one train_block call,
-        # whatever their d, and none goes through _trial_worker.
+        # All 3 x 3 (grid point, trial) jobs reach one _trial_worker call and
+        # one train_block call, whatever their d.
         blocks, workers = [], []
         train_block, worker = att.train_block, experiments._trial_worker
 
@@ -220,7 +227,7 @@ class TestSweepFanOut:
         monkeypatch.setattr(experiments, "_trial_worker", lambda args: workers.append(args) or worker(args))
         sweep_rows("feasibility", seed=0, trials=3, K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4])
         assert blocks == [[2, 2, 2, 3, 3, 3, 4, 4, 4]]
-        assert workers == []
+        assert [(kind, len(jobs)) for kind, jobs in workers] == [("feasibility", 9)]
 
 
 class TestGlobalBlocks:
@@ -253,11 +260,20 @@ class TestGlobalBlocks:
 
 
 def _gd_jobs(kind):
-    """Five or six small jobs of a GD trial kind; feasibility mixes two d."""
+    """Three to six small jobs of a trial kind; feasibility mixes two d,
+    reg-path the acyclic and the cyclic leg."""
     if kind == "global":
         return experiments.seeded_jobs(TestGlobalBlocks.PARAMS, 0, 5)
     if kind == "local":
         return experiments.seeded_jobs({**experiments.EXPERIMENTS["local-squared"].params, "iters": 20}, 0, 5)
+    if kind == "rate-check":  # its seed is the experiment's
+        return [({**experiments.EXPERIMENTS["rate-check"].params, "iters": 200}, seed) for seed in (1, 2, 3)]
+    if kind == "reg-path":
+        p = {**experiments.EXPERIMENTS["reg-path"].params, "iters": 50, "r_count": 3}
+        cyc = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
+        return experiments.seeded_jobs({**p, "mode": "acyclic"}, 0, 2) + experiments.seeded_jobs(cyc, 1, 2)
+    if kind == "scc-count":
+        return [(dict(K=4, d=4, T=3, n=n), (t, 7 * t + n)) for n in (4, 16) for t in range(2)]
     params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)
     return [({**params, "d": d}, (31 * d + t, 7 * t + d)) for d in (2, 4) for t in range(3)]
 
@@ -267,11 +283,15 @@ def _data_seed(job):
     return job[1][1] if isinstance(job[1], tuple) else job[1]
 
 
+KINDS = ["global", "local", "feasibility", "rate-check", "reg-path", "scc-count"]
+TRAINING_KINDS = ["global", "local", "feasibility", "rate-check"]
+
+
 class TestGdBlocks:
-    @pytest.mark.parametrize("kind", ["global", "local", "feasibility"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_block_equals_trials_alone(self, kind):
         # repr spells every float exactly, NaN included, so equal reprs are
-        # equal bits in every result, trace row and retained proportion.
+        # equal bits in every result, trace row, radius and count.
         jobs = _gd_jobs(kind)
         block = experiments.run_trials(kind, jobs, workers=1)
         alone = [r for job in jobs for r in experiments.run_trials(kind, [job], workers=1)]
@@ -285,7 +305,7 @@ class TestGdBlocks:
         jobs = _gd_jobs(kind)
         bad_build, bad_trial = _data_seed(jobs[3]), _data_seed(jobs[1])
         gen, train_block = experiments.gen_dataset, att.train_block
-        build, finish = experiments._GD_KINDS[kind]
+        finish = experiments._KINDS[kind].finish
 
         def failing_gen(*args, seed, **kwargs):
             if seed == bad_build:
@@ -305,7 +325,7 @@ class TestGdBlocks:
         if failure == "training":
             monkeypatch.setattr(att, "train_block", failing_training)
         else:
-            monkeypatch.setitem(experiments._GD_KINDS, kind, (build, failing_finish))
+            monkeypatch.setitem(experiments._KINDS, kind, experiments._KINDS[kind]._replace(finish=failing_finish))
         with pytest.raises(NoConvergence, match="trial 3"):
             experiments.run_trials(kind, jobs[2:], workers=1)
         with pytest.raises((NoConvergence, NonFiniteLoss), match="trial 1"):
@@ -317,6 +337,29 @@ class TestGdBlocks:
             experiments.run_trials("global", [(params, seed), ({**params, "iters": 30}, other)], workers=1)
 
 
+class TestBlockPlan:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_jobs_reach_the_worker_in_planned_blocks(self, monkeypatch, kind):
+        # One block at one worker.  At three, a kind that trains gets three
+        # contiguous blocks and one that does not one job per block; the
+        # results are those of one block either way.
+        jobs, plans = _gd_jobs(kind), []
+
+        def recording(fn, args, workers):
+            plans.append((fn, args))
+            return _serial_fan_out(fn, args, workers)
+
+        monkeypatch.setattr(experiments, "_fan_out", recording)
+        one = experiments.run_trials(kind, jobs, workers=1)
+        three = experiments.run_trials(kind, jobs, workers=3)
+        assert all(fn is experiments._trial_worker for fn, _ in plans)
+        cuts = [0, len(jobs) // 3, 2 * len(jobs) // 3, len(jobs)]
+        planned = ([jobs[a:b] for a, b in zip(cuts, cuts[1:])] if kind in TRAINING_KINDS
+                   else [[job] for job in jobs])
+        assert [args for _, args in plans] == [[(kind, jobs)], [(kind, block) for block in planned]]
+        assert repr(three) == repr(one)
+
+
 class TestLocalReferences:
     @pytest.mark.parametrize("overrides", [{}, {"n": 8}])
     def test_pipeline_on_pseudo_graphs_equals_the_hand_run_chain(self, overrides):
@@ -324,7 +367,7 @@ class TestLocalReferences:
         # graphs give the dataset's own W_svm in every trial; at n = 8 some
         # do not, so a pipeline that ignored its graphs would show there.
         cfg = experiments.ExperimentConfig("local-squared", overrides, {}, 0).resolved()
-        build, _ = experiments._GD_KINDS["local"]
+        build = experiments._KINDS["local"].build
         built = [build(params, seed) for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials)]
         traces = att.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
         moved = 0

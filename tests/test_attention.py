@@ -260,26 +260,15 @@ def _last_tokens(ds, lengths):
     return dataclasses.replace(ds, samples=samples)
 
 
-class TestPartialGroups:
-    # One table and head shape and head use, but a different sample count
-    # at each length, so most (length, count) groups hold only some trials.
-    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
-    def test_values_equal_each_trial_alone(self, kind):
-        datasets = [_last_tokens(_shape_dataset("local", seed), lengths)
-                    for seed, lengths in ((0, (6, 6, 4, 4)), (1, (6, 4, 4, 3)), (2, (6, 6, 6, 4)))]
-        assert len({att._structure(ds) for ds in datasets}) == 3
-        packed = att._pack(datasets)
-        assert sum(g.ids is not None for g in packed.groups) == len(packed.groups) == 6
-        w = seeded_rng(17).standard_normal((3, 8, 8))
-        for reduced_log in (True, False):
-            loss, _, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log)
-            for b, ds in enumerate(datasets):
-                want_loss, _, want_grad, want_errors = att._loss_and_grad(w[b:b + 1], att._pack([ds]), kind,
-                                                                          reduced_log)
-                assert _errors({0: errors[b]} if b in errors else {}) == _errors(want_errors)
-                if not want_errors:
-                    assert loss[b].tobytes() == want_loss[0].tobytes()
-                    assert grad[b].tobytes() == want_grad[0].tobytes()
+class TestPackStructure:
+    def test_datasets_of_two_length_profiles_are_refused(self):
+        # One table, head and sample set, cut to two length profiles: only
+        # the sample count at each length tells them apart.
+        ds = _shape_dataset("local")
+        short, long = _last_tokens(ds, (6, 6, 4, 4)), _last_tokens(ds, (6, 6, 6, 4))
+        assert att._structure(short)[:4] == att._structure(long)[:4] != att._structure(short)
+        with pytest.raises(ValueError, match="sample count at each length"):
+            att._pack([short, long])
 
 
 class TestLipschitz:

@@ -402,6 +402,10 @@ class TestExitCodes:
         ("cyclic-global", "--set", "normalized=1", "parameter 'normalized' must be a boolean, got 1"),
         ("cyclic-global", "--set", "mode=3", "parameter 'mode' must be a string, got 3"),
         ("scc-count", "--set", "n_grid=16", "parameter 'n_grid' must be a list, got 16"),
+        ("feasibility", "--set", "d_grid=[2.5]", "parameter 'd_grid'[0] must be an integer, got 2.5"),
+        ("feasibility", "--set", "d_grid=[true]", "parameter 'd_grid'[0] must be an integer, got True"),
+        ("feasibility", "--set", "d_grid=[2, true]", "parameter 'd_grid'[1] must be an integer, got True"),
+        ("scc-count", "--set", 'n_grid=["a"]', "parameter 'n_grid'[0] must be an integer, got 'a'"),
         ("feasibility", "--set", "eps=abc", "parameter 'eps' must be a number or null, got 'abc'"),
         ("cyclic-global", "--threshold", "min_mean_corr=abc", "threshold 'min_mean_corr' must be a number"),
     ])
@@ -442,6 +446,20 @@ class TestExitCodes:
         path.write_text('{"params": {"iters": 4000.5}}')
         assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--workers", 1, "--config", path) == 2
         assert "parameter 'iters' must be an integer, got 4000.5" in capsys.readouterr().err
+
+    def test_null_trials_in_config_file_is_the_default(self, tmp_path):
+        # As with "seed": null, a null trial count is absent from the file.
+        path = tmp_path / "config.json"
+        path.write_text('{"trials": null, "params": {"n_grid": [8]}}')
+        assert run_cli("exp", "scc-count", "--out", tmp_path / "x", "--seed", 0, "--workers", 1,
+                       "--config", path) == 0
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["trials"] == experiments.EXPERIMENTS["scc-count"].trials
+
+    def test_nonpositive_reg_path_radius_is_config_error(self, tmp_path, capsys):
+        assert run_cli("exp", "reg-path", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
+                       "--workers", 1, "--set", "r_min=-1") == 2
+        assert "radii must be finite and > 0" in capsys.readouterr().err
 
     def test_rate_check_refuses_more_than_one_trial(self, tmp_path, capsys):
         # rate-check draws one instance; a manifest must not record trials it did not run.

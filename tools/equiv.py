@@ -1,0 +1,187 @@
+"""Artifact equivalence between the working tree and a git revision.
+
+    python tools/equiv.py BASE [--smoke]
+
+Checks BASE out of the local repository (``git archive``, no network) into
+a temporary directory, then runs the same commands on both trees, each with
+its own ``src`` on PYTHONPATH:
+
+- every ``attnlab exp`` at ``--seed 0``, once at ``--workers 1`` and once
+  at ``--workers 2``;
+- ``selftest --seed 0`` and ``--seed 1``;
+- ``gen-data``, ``build-graph``, ``solve-svm``, ``train`` and ``analyze``
+  on a generated dataset.
+
+Each command's stdout, stderr and exit code are kept beside its files.
+Every file is then compared across the trees and reported on one line:
+``identical``, ``numeric`` (only numbers differ; the largest relative
+difference is given) or ``DIFFERENT`` (text, layout or file set differ).
+Within each tree, an experiment's ``--workers 1`` and ``--workers 2`` files
+must be byte-identical.  The exit status is 1 on a DIFFERENT file or a
+worker-count mismatch, else 0.
+
+``--smoke`` runs one trial of each experiment with short training, so CI
+can run it against HEAD in about a minute.  ``train``'s ``wall_ms``, a
+wall-clock time, is dropped before comparing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPERIMENTS = ("acyclic-global", "cyclic-global", "feasibility", "large-k", "local-ce", "local-squared",
+               "rate-check", "reg-path", "scc-count")
+
+# --smoke: one trial, and overrides that keep each experiment short.
+SMOKE_SETS = {
+    "acyclic-global": ["iters=200"],
+    "cyclic-global": ["iters=200"],
+    "feasibility": ["iters=200", "d_grid=[2,4]"],
+    "large-k": ["iters=50", "record_every=10"],
+    "local-ce": ["iters=200"],
+    "local-squared": ["iters=200"],
+    "rate-check": ["iters=1000"],
+    "reg-path": ["iters=100"],
+    "scc-count": ["n_grid=[16,64]"],
+}
+
+GEN = ["gen-data", "--K", "6", "--d", "8", "--n", "6", "--T", "4", "--seed", "0", "--out", "data.json"]
+TOOLS = (
+    ("gen-data", GEN),
+    ("build-graph", ["build-graph", "--data", "data.json", "--out", "graphs.json", "--dot", "graphs.dot"]),
+    ("solve-svm", ["solve-svm", "--data", "data.json", "--out", "svm.json"]),
+    ("train", ["train", "--data", "data.json", "--eta", "0.01", "--iters", "1000", "--normalized",
+               "--seed", "0", "--trace", "trace.csv", "--summary", "train.json"]),
+    ("analyze", ["analyze", "--trace", "trace.csv", "--out", "report.json"]),
+)
+
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\binf\b|\bnan\b|-?Infinity|NaN)")
+
+
+def run(tree: Path, cwd: Path, name: str, args: list[str]) -> None:
+    """One attnlab command in cwd; its stdout, stderr and exit code go to
+    name.stdout, name.stderr and name.exit there."""
+    cwd.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    done = subprocess.run([sys.executable, "-m", "attnlab.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    (cwd / f"{name}.stdout").write_text(done.stdout)
+    (cwd / f"{name}.stderr").write_text(done.stderr)
+    (cwd / f"{name}.exit").write_text(f"{done.returncode}\n")
+
+
+def run_all(tree: Path, out: Path, smoke: bool) -> None:
+    for name in EXPERIMENTS:
+        extra = ["--trials", "1"] + [a for kv in SMOKE_SETS[name] for a in ("--set", kv)] if smoke else []
+        for workers in (1, 2):
+            run(tree, out / "exp" / name / f"w{workers}", "exp",
+                ["exp", name, "--seed", "0", "--workers", str(workers), "--out", ".", *extra])
+    for seed in (0, 1):
+        run(tree, out / "selftest", f"seed{seed}", ["selftest", "--seed", str(seed)])
+    for name, args in TOOLS:
+        run(tree, out / "tools", name, args)
+    summary = out / "tools" / "train.json"
+    if summary.exists():
+        payload = json.loads(summary.read_text())
+        payload.pop("wall_ms", None)
+        summary.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def compare(a: bytes, b: bytes) -> tuple[str, float]:
+    """('identical', 0), ('numeric', max relative difference) when only the
+    numbers differ, or ('DIFFERENT', nan)."""
+    if a == b:
+        return "identical", 0.0
+    try:
+        pa, pb = NUMBER.split(a.decode()), NUMBER.split(b.decode())
+    except UnicodeDecodeError:
+        return "DIFFERENT", math.nan
+    # split with one group alternates text and number: numbers at odd indices.
+    if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
+        return "DIFFERENT", math.nan
+    worst = 0.0
+    for x, y in zip(pa[1::2], pb[1::2]):
+        u, v = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
+        if u == v or (math.isnan(u) and math.isnan(v)):
+            continue
+        if not (math.isfinite(u) and math.isfinite(v)):
+            return "DIFFERENT", math.nan
+        worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    return "numeric", worst
+
+
+def worker_mismatches(out: Path) -> list[str]:
+    """Experiment files whose --workers 1 and 2 runs differ in any byte."""
+    bad = []
+    for name in EXPERIMENTS:
+        w1, w2 = out / "exp" / name / "w1", out / "exp" / name / "w2"
+        for rel in sorted(files(w1) | files(w2)):
+            p1, p2 = w1 / rel, w2 / rel
+            if not (p1.is_file() and p2.is_file() and p1.read_bytes() == p2.read_bytes()):
+                bad.append(f"exp/{name}/{rel}")
+    return bad
+
+
+def checkout(rev: str, dest: Path) -> None:
+    """The files of rev, from the local repository."""
+    dest.mkdir()
+    archive = dest.parent / "base.tar"
+    subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "--output", str(archive), rev],
+                   capture_output=True, check=True)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], capture_output=True, check=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("base", help="git revision to compare the working tree against")
+    parser.add_argument("--smoke", action="store_true", help="one short trial per experiment")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="attnlab-equiv-") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        try:
+            checkout(args.base, base)
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot check out {args.base}: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        outs = {"base": tmp / "out-base", "work": tmp / "out-work"}
+        run_all(base, outs["base"], args.smoke)
+        run_all(ROOT, outs["work"], args.smoke)
+
+        counts = {"identical": 0, "numeric": 0, "DIFFERENT": 0}
+        for rel in sorted(files(outs["base"]) | files(outs["work"])):
+            pa, pb = outs["base"] / rel, outs["work"] / rel
+            if pa.is_file() and pb.is_file():
+                verdict, rel_diff = compare(pa.read_bytes(), pb.read_bytes())
+            else:
+                verdict, rel_diff = "DIFFERENT", math.nan
+            counts[verdict] += 1
+            note = f"  max rel diff {rel_diff:.2e}" if verdict == "numeric" else ""
+            note += "" if pa.is_file() else "  (only in the working tree)"
+            note += "" if pb.is_file() else f"  (only in {args.base})"
+            print(f"{verdict:<10} {rel}{note}")
+        mismatches = {tree: worker_mismatches(out) for tree, out in outs.items()}
+        for tree, bad in mismatches.items():
+            for rel in bad:
+                print(f"WORKERS    {tree}: {rel} differs between --workers 1 and 2")
+    print(f"{counts['identical']} identical, {counts['numeric']} numeric, {counts['DIFFERENT']} different; "
+          f"--workers 1 vs 2: {sum(map(len, mismatches.values()))} mismatched files")
+    return 1 if counts["DIFFERENT"] or any(mismatches.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
