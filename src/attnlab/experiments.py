@@ -912,30 +912,32 @@ def kkt(seed: int = 0) -> SelftestResult:
 
 
 def scc_oracle(seed: int = 0) -> SelftestResult:
-    """Tarjan's components against the brute-force mutual-reachability
-    partition of 60 random graphs."""
+    """The library's components against the mutual-reachability partition
+    of 60 random graphs, found by a depth-first search from each node."""
     rng = seeded_rng(seed, 13)
-    mismatches = 0
-    for _ in range(60):
+    tpgs = {}
+    for k in range(60):
         n_nodes = int(rng.integers(2, 10))
         density = rng.uniform(0.05, 0.5)
         adj = rng.random((n_nodes, n_nodes)) < density
         np.fill_diagonal(adj, False)
-        g = graph.TokenPriorityGraph(
-            last_token=0,
+        tpgs[k] = graph.TokenPriorityGraph(
+            last_token=k,
             nodes=frozenset(range(n_nodes)),
             edges={i: frozenset(np.flatnonzero(adj[i]).tolist()) for i in range(n_nodes) if adj[i].any()},
         )
-        decomp = graph.scc(g)
-        reach = adj.copy()
-        for k in range(n_nodes):
-            reach |= reach[:, k][:, None] & reach[k, :][None, :]
-        same = reach & reach.T
-        np.fill_diagonal(same, True)
-        for i in range(n_nodes):
-            for j in range(n_nodes):
-                if same[i, j] != (decomp.comp_of[i] == decomp.comp_of[j]):
-                    mismatches += 1
+    mismatches = 0
+    for g, decomp in zip(tpgs.values(), graph.decompose_all(tpgs).values()):
+        reach = {}
+        for src in g.nodes:
+            seen, stack = {src}, [src]
+            while stack:
+                new = g.edges.get(stack.pop(), frozenset()) - seen
+                seen |= new
+                stack += new
+            reach[src] = seen
+        mismatches += sum((j in reach[i] and i in reach[j]) != (decomp.comp_of[i] == decomp.comp_of[j])
+                          for i in g.nodes for j in g.nodes)
     return SelftestResult("scc_oracle", mismatches == 0, f"{mismatches} pair mismatches over 60 graphs")
 
 

@@ -5,12 +5,17 @@ with token k contributes edges label -> x for each distinct input token x of
 the sample (self-loops dropped); pseudo graphs put the tokens trained
 attention retains in the label's place.  Strongly connected components of
 these graphs carry the priority structure everything downstream consumes.
+All of it is read off one batched reflexive-transitive closure (`_closure`),
+which the SVM's presolve and feasibility certificate share.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dataset import Dataset, IndexSets
 from .errors import SchemaViolation
@@ -26,18 +31,35 @@ class TokenPriorityGraph:
         return sorted((i, j) for i, outs in self.edges.items() for j in outs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SccDecomposition:
-    """Components, their longest-path priority levels and reachability."""
+    """One graph's reflexive-transitive closure R over its sorted nodes, and
+    what `decompose_all` reads off it per node: its component (a class of R
+    and R^T) and that component's longest-path priority level on the
+    condensation, sinks = 1.
 
-    components: tuple[frozenset[int], ...]
-    comp_of: dict[int, int]
-    topo_levels: dict[int, int]              # component index -> level, sinks = 1
-    reachable: dict[int, frozenset[int]]     # component index -> strict descendants
+    Components are numbered by (level ascending, smallest member).
+    """
+
+    nodes: tuple[int, ...]
+    closure: np.ndarray  # (n, n) bool: closure[a, b] iff nodes[b] is reachable from nodes[a]
+    comp: np.ndarray     # (n,) each node's component index
+    levels: np.ndarray   # (n,) each node's level
+
+    @functools.cached_property
+    def comp_of(self) -> dict[int, int]:
+        return dict(zip(self.nodes, self.comp.tolist()))
+
+    @functools.cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        members: list[list[int]] = [[] for _ in range(self.n_components)]
+        for node, c in self.comp_of.items():
+            members[c].append(node)
+        return tuple(map(frozenset, members))
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return int(self.comp.max(initial=-1)) + 1
 
 
 def build_tpgs(
@@ -73,94 +95,71 @@ def build_tpgs(
     }
 
 
-def scc(graph: TokenPriorityGraph) -> SccDecomposition:
-    """Tarjan's single-pass SCC (iterative), plus levels and reachability
-    on the condensation."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[frozenset[int]] = []
-    comp_of: dict[int, int] = {}
-    counter = 0
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product of two stacks, as a clipped float32 matmul:
+    each entry counts at most N paths, exact in float32."""
+    return np.matmul(a.astype(np.float32), b.astype(np.float32)) > 0.5
 
-    for root in sorted(graph.nodes):
-        if root in index:
-            continue
-        # Explicit DFS stack of (node, iterator position over sorted successors).
-        work = [(root, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            succs = sorted(graph.edges.get(node, ()))
-            advanced = False
-            for nxt_pos in range(pos, len(succs)):
-                child = succs[nxt_pos]
-                if child not in index:
-                    work.append((node, nxt_pos + 1))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    comp_of[w] = len(components)
-                    if w == node:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
 
-    n_comp = len(components)
-    successors: list[set[int]] = [set() for _ in range(n_comp)]
-    for i, outs in graph.edges.items():
-        ci = comp_of[i]
-        for j in outs:
-            cj = comp_of[j]
-            if ci != cj:
-                successors[ci].add(cj)
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """The reflexive-transitive closure of each matrix of a (G, N, N)
+    boolean stack, by repeated squaring: about log2 N products."""
+    reach = adj | np.eye(adj.shape[-1], dtype=bool)
+    while True:
+        squared = _product(reach, reach)
+        if np.array_equal(squared, reach):
+            return reach
+        reach = squared
 
-    # Tarjan emits components in reverse topological order: every edge goes
-    # from a later component to an earlier one, so a single left-to-right pass
-    # computes longest-path levels (sinks = 1) and strict-descendant sets.
-    levels: dict[int, int] = {}
-    reach: dict[int, frozenset[int]] = {}
-    for c in range(n_comp):
-        succ = successors[c]
-        levels[c] = 1 + max((levels[s] for s in succ), default=0)
-        down: set[int] = set()
-        for s in succ:
-            down.add(s)
-            down.update(reach[s])
-        reach[c] = frozenset(down)
 
-    return SccDecomposition(
-        components=tuple(components),
-        comp_of=comp_of,
-        topo_levels=levels,
-        reachable=reach,
-    )
+def _levels(reach: np.ndarray) -> np.ndarray:
+    """Longest-path levels (sinks = 1) of the condensation, per node, for a
+    stack of closures: 1 + the largest level strictly below, iterated from
+    1 until fixed, one pass per level."""
+    strict = reach & ~np.swapaxes(reach, -1, -2)
+    level = np.ones(reach.shape[:-1], dtype=np.intp)
+    while True:
+        below = np.where(strict, level[..., None, :], 0).max(axis=-1, initial=0)
+        if np.array_equal(below + 1, level):
+            return level
+        level = below + 1
 
 
 def decompose_all(tpgs: dict[int, TokenPriorityGraph]) -> dict[int, SccDecomposition]:
-    return {k: scc(g) for k, g in tpgs.items()}
+    """Every graph's decomposition from one closure of their stacked
+    adjacency matrices, each over its own sorted nodes and padded to the
+    largest graph with isolated nodes.
+    """
+    nodes = {k: sorted(g.nodes) for k, g in tpgs.items()}
+    n = max(map(len, nodes.values()), default=0)
+    at, src, dst = [], [], []
+    for x, (k, g) in enumerate(tpgs.items()):
+        pos = {v: a for a, v in enumerate(nodes[k])}
+        for i, outs in g.edges.items():
+            at += [x] * len(outs)
+            src += [pos[i]] * len(outs)
+            dst += [pos[j] for j in outs]
+    adj = np.zeros((len(tpgs), n, n), dtype=bool)
+    adj[at, src, dst] = True
+    reach = _closure(adj)
+    levels = _levels(reach)
+    # A component's members share its level and its smallest member, so its
+    # index counts the graph's components with a smaller (level, smallest member).
+    head = (reach & np.swapaxes(reach, 1, 2)).argmax(axis=2)
+    key = levels * n + head
+    first = (head == np.arange(n)) & (np.arange(n) < np.array([len(v) for v in nodes.values()])[:, None])
+    comp = ((key[:, None, :] < key[:, :, None]) & first[:, None, :]).sum(axis=2)
+    for a in (reach, comp, levels):
+        a.setflags(write=False)
+    return {
+        k: SccDecomposition(tuple(v), reach[x, : len(v), : len(v)], comp[x, : len(v)], levels[x, : len(v)])
+        for x, (k, v) in enumerate(nodes.items())
+    }
 
 
 def priority_assignment(decomp: SccDecomposition) -> dict[int, int]:
     """Integer priorities: constant on SCCs, strictly decreasing along edges."""
-    return {node: decomp.topo_levels[c] for node, c in decomp.comp_of.items()}
+    return dict(zip(decomp.nodes, decomp.levels.tolist()))
 
 
 @dataclass(frozen=True)

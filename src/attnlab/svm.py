@@ -10,8 +10,10 @@ inequality matrices lies in the equality span (a Farkas certificate).
 Before the NNLS, an exact presolve drops the inequalities that others imply:
 per last token, those tied to an earlier one through the equalities (same two
 equality classes) and those outside the transitive reduction of the class
-relation, whose margin is a sum of kept margins.  The feasible set, and so
-W, is unchanged; every inequality is still checked.
+relation, whose margin is a sum of kept margins.  Both come from the closure
+of the triples' relation (`graph._closure`), as do the constraints
+themselves and the feasibility certificate's priority levels.  The feasible
+set, and so W, is unchanged; every inequality is still checked.
 
 Every subspace basis (S_fin, S_active, S_svm and the equality span the
 solver eliminates) comes from one routine: the right singular vectors of the
@@ -32,7 +34,7 @@ import numpy as np
 
 from .dataset import EmbeddingTable
 from .errors import NotOrthonormal
-from .graph import SccDecomposition, TokenPriorityGraph, priority_assignment, scc
+from .graph import SccDecomposition, TokenPriorityGraph, _closure, _levels, _product
 from .util import frozen
 
 BASIS_CUTOFF = 1e-10
@@ -95,29 +97,19 @@ def build_constraints(
     """One inequality per strict-priority ordered pair (higher-priority side
     first), one equality per unordered same-SCC pair, per graph.
 
-    Priority is reachability on the condensation, so transitive pairs
-    generate their own inequalities; each pair is classified from its nodes'
-    components and `SccDecomposition.reachable`.  Ordering is (k, i, j)
+    Both are read off each graph's closure R: the equalities are the upper
+    triangle of R and R^T, the inequalities R and not R^T, so transitive
+    pairs generate their own inequalities.  Ordering is (k, i, j)
     throughout.
     """
     eqs: list[Triple] = []
     ineqs: list[Triple] = []
     for k in sorted(tpgs):
-        nodes = sorted(tpgs[k].nodes)
         decomp = decomps[k]
-        comps = [decomp.comp_of[i] for i in nodes]
-        reach = decomp.reachable
-        for a_idx, (i, ci) in enumerate(zip(nodes, comps)):
-            down = reach[ci]
-            for j, cj in zip(nodes[a_idx + 1 :], comps[a_idx + 1 :]):
-                if cj == ci:
-                    eqs.append((i, j, k))
-                elif cj in down:
-                    ineqs.append((i, j, k))
-                elif ci in reach[cj]:
-                    ineqs.append((j, i, k))
-    eqs.sort(key=lambda t: (t[2], t[0], t[1]))
-    ineqs.sort(key=lambda t: (t[2], t[0], t[1]))
+        nodes, reach = np.asarray(decomp.nodes), decomp.closure
+        for out, pairs in ((eqs, np.triu(reach & reach.T, 1)), (ineqs, reach & ~reach.T)):
+            a, b = np.nonzero(pairs)
+            out += zip(nodes[a].tolist(), nodes[b].tolist(), [k] * len(a))
     return ConstraintSet(equalities=tuple(eqs), inequalities=tuple(ineqs), embedding=embedding)
 
 
@@ -481,91 +473,53 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return u, iters, False
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A stable argsort of the keys, the sorted keys, and a flag on the first
-    of each run of equal keys (its first index in the input order)."""
-    order = np.argsort(keys, kind="stable")  # the keys come nearly sorted
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    return order, ordered, new
-
-
-def _merge(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The smallest member of each of n nodes' classes under the pairs (a, b):
-    min-label propagation, with pointer jumping until the labels are fixed."""
-    label = np.arange(n)
-    while (label[a] != label[b]).any():
-        lo = np.minimum(label[a], label[b])
-        np.minimum.at(label, a, lo)
-        np.minimum.at(label, b, lo)
-        while True:
-            up = label[label]
-            if (up == label).all():
-                break
-            label = up
-    return label
+def _token_closure(ineq: np.ndarray, eq: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The closure (`graph._closure`) of each last token's relation over its
+    own sorted nodes, every equality taken both ways and every inequality
+    one way: a (G, N, N) stack with G the last tokens and N the most nodes
+    of one.  Also each triple's graph and its two ends' positions there,
+    the inequalities first."""
+    t = np.concatenate([ineq, eq])
+    keys, ends = np.unique(np.concatenate([t[:, 2] * K + t[:, 0], t[:, 2] * K + t[:, 1]]), return_inverse=True)
+    token = keys // K  # sorted
+    graph = np.unique(token, return_inverse=True)[1]
+    pos = np.arange(len(keys)) - np.searchsorted(token, token)
+    g, a, b = graph[ends[: len(t)]], pos[ends[: len(t)]], pos[ends[len(t) :]]
+    adj = np.zeros((int(graph[-1]) + 1, int(pos.max()) + 1, int(pos.max()) + 1), dtype=bool)
+    adj[g, a, b] = True
+    m = len(ineq)
+    adj[g[m:], b[m:], a[m:]] = True
+    return _closure(adj), g, a, b
 
 
 def _essential(ineq: np.ndarray, eq: np.ndarray, K: int) -> np.ndarray:
     """Indices, ascending, of the inequalities that no others imply.
 
-    Works per last token, from the triples alone.  Nodes are merged into
-    classes along the equalities.  Two inequalities between the same two
-    classes have generators that differ by an equality generator, so only
-    the first in the set's order is kept.  A class pair (A, C) is dropped
-    when some class B has pairs (A, B) and (B, C): modulo the equality span
-    its generator is their sum, so its margin is at least 2.  In a class
-    relation without cycles, induction on the longest path from A to C shows
-    that the kept pairs imply every dropped one; when the relation is
-    transitively closed, as `build_constraints` writes it, they are its
-    transitive reduction.  A last token whose relation has a self pair or a
-    cycle keeps every row.
-
-    The cycle check runs only on tokens where the out-degree fails to fall
-    strictly along every pair, as it does in any transitively closed
-    relation without cycles.  The largest arrays hold one entry per two-step
-    path, sum_B indeg(B) outdeg(B); none is indexed by token pairs.
+    Works per last token on the closure R of its relation
+    (`_token_closure`), whose classes R and R^T merge the nodes along the
+    equalities.  A last token with an inequality inside one class (a self
+    pair, or a cycle of the class relation) keeps every row.  Otherwise two
+    inequalities between the same two classes have generators that differ
+    by an equality generator, so only the first in the set's order is kept,
+    and only when its class pair (A, C) is in the transitive reduction
+    R_s and not R_s R_s, R_s being R without its class blocks (Aho, Garey &
+    Ullman 1972).  Modulo the equality span, a dropped pair's generator is
+    the sum of those along a path of kept pairs, so its margin is at least 2.
     """
-    m, q = len(ineq), len(eq)
-    tokens = np.concatenate([ineq[:, 2], ineq[:, 2], eq[:, 2], eq[:, 2]])
-    ends = np.concatenate([ineq[:, 0], ineq[:, 1], eq[:, 0], eq[:, 1]])
-    order, _, new = _runs(tokens * K + ends)
-    n = int(np.count_nonzero(new))
-    node = np.empty(len(order), dtype=np.intp)  # one id per (last token, node)
-    node[order] = np.cumsum(new) - 1
-    label = _merge(node[2 * m : 2 * m + q], node[2 * m + q :], n)
-    order, ordered, new = _runs(label[node[:m]] * n + label[node[m : 2 * m]])
-    first, pairs = order[new], ordered[new]  # one row per class pair, sorted by (A, C)
-    src, dst = np.divmod(pairs, n)
-    outdeg = np.bincount(src, minlength=n)
-    pair_token = ineq[first, 2]
-
-    cyclic = pair_token[outdeg[src] <= outdeg[dst]]
-    if len(cyclic):
-        # Peel pairs out of source classes; what remains lies on or after a cycle.
-        alive = np.isin(pair_token, cyclic)
-        while True:
-            peel = alive & (np.bincount(dst[alive], minlength=n)[src] == 0)
-            if not peel.any():
-                break
-            alive &= ~peel
-        cyclic = pair_token[alive]
-
-    # Every two-step path A -> B -> C, and the pairs (A, C) it implies.
-    steps = outdeg[dst]
-    start = np.cumsum(outdeg) - outdeg  # first pair out of each class
-    at = np.repeat(start[dst] - (np.cumsum(steps) - steps), steps) + np.arange(int(steps.sum()))
-    implied = np.repeat(src, steps) * n + dst[at]
-    hit = np.searchsorted(pairs, implied)
-    hit = hit[pairs[np.minimum(hit, len(pairs) - 1)] == implied]
+    reach, g, a, b = _token_closure(ineq, eq, K)
+    m = len(ineq)
+    g, a, b = g[:m], a[:m], b[:m]
+    same = reach & np.swapaxes(reach, 1, 2)
+    strict = reach & ~same
+    cover = strict & ~_product(strict, strict)
+    head = same.argmax(axis=2)  # each node's class, by its smallest member
+    n = reach.shape[1]
+    _, first = np.unique((g * n + head[g, a]) * n + head[g, b], return_index=True)
     keep = np.zeros(m, dtype=bool)
-    keep[first] = True
-    keep[first[hit]] = False
-    if len(cyclic):
-        keep |= np.isin(ineq[:, 2], cyclic)
-    return np.flatnonzero(keep)
+    keep[first] = cover[g[first], a[first], b[first]]
+    cyclic = np.zeros(len(reach), dtype=bool)
+    cyclic[g[same[g, a, b]]] = True
+    return np.flatnonzero(keep | cyclic[g])
 
 
 def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
@@ -671,26 +625,6 @@ class FeasibilityResult:
     detail: str = ""
 
 
-def _priority_levels(constraints: ConstraintSet, k: int) -> dict[int, int]:
-    """Integer priorities for one last token, from the triples alone.
-
-    The graph is rebuilt with each equality as a two-way edge and each
-    inequality as a one-way edge, so its SCCs are the merged equality
-    classes.  A contradictory inequality lands inside one SCC, where its
-    priority gap is zero.
-    """
-    sub = constraints.restrict_to_last_token(k)
-    edges: dict[int, set[int]] = {}
-    for i, j, _ in sub.equalities:
-        edges.setdefault(i, set()).add(j)
-        edges.setdefault(j, set()).add(i)
-    for i, j, _ in sub.inequalities:
-        edges.setdefault(i, set()).add(j)
-    nodes = frozenset(v for i, j, _ in sub.equalities + sub.inequalities for v in (i, j))
-    g = TokenPriorityGraph(last_token=k, nodes=nodes, edges={i: frozenset(o) for i, o in edges.items()})
-    return priority_assignment(scc(g))
-
-
 def check_feasibility(constraints: ConstraintSet) -> FeasibilityResult:
     """Certify feasibility for full-row-rank embeddings by explicit
     construction; otherwise report what the solver finds."""
@@ -698,29 +632,27 @@ def check_feasibility(constraints: ConstraintSet) -> FeasibilityResult:
     if constraints.n_constraints == 0:
         return FeasibilityResult(True, np.zeros((emb.d, emb.d)), "certificate", "no constraints")
     if emb.full_row_rank:
+        # Each node's priority level under its last token, from the closure
+        # of the triples; a contradictory inequality lands inside one
+        # class, where its priority gap is zero.
+        ineq, eq = _triples(constraints.inequalities), _triples(constraints.equalities)
+        reach, g, a, b = _token_closure(ineq, eq, emb.K)
+        levels = _levels(reach)
+        t = np.concatenate([ineq, eq])
         wbar = np.zeros((emb.K, emb.K))
-        for k in constraints.last_tokens:
-            for node, m in _priority_levels(constraints, k).items():
-                wbar[node, k] = float(m)
+        wbar[t[:, 0], t[:, 2]] = levels[g, a]
+        wbar[t[:, 1], t[:, 2]] = levels[g, b]
         ebar = np.linalg.solve(emb.e @ emb.e.T, emb.e)  # Ebar E^T = I
         w = ebar.T @ wbar @ ebar
-        gaps = [
-            float(wbar[i, k] - wbar[j, k]) for i, j, k in constraints.inequalities
-        ]
-        if gaps:
-            g = min(gaps)
-            if g <= 0:
+        m = len(ineq)
+        if m:
+            gap = int(np.min(levels[g[:m], a[:m]] - levels[g[:m], b[:m]]))
+            if gap <= 0:
                 return _solver_fallback(constraints)
-            w = w / g
+            w = w / gap
         # Verify against the actual embedding arithmetic.
-        max_eq = max(
-            (abs(float((emb.e[i] - emb.e[j]) @ w @ emb.e[k])) for i, j, k in constraints.equalities),
-            default=0.0,
-        )
-        min_ineq = min(
-            (float((emb.e[i] - emb.e[j]) @ w @ emb.e[k]) for i, j, k in constraints.inequalities),
-            default=np.inf,
-        )
+        max_eq = float(np.max(np.abs(_values(eq, emb.e, w)), initial=0.0))
+        min_ineq = float(np.min(_values(ineq, emb.e, w), initial=np.inf))
         if max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL:
             return FeasibilityResult(True, frozen(w), "certificate",
                                      f"max_eq={max_eq:.2e}, min_ineq={min_ineq:.6f}")

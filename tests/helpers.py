@@ -1,6 +1,6 @@
 """Test oracles, deliberately independent of the library's own code paths.
 
-Reachability goes through dense Floyd-Warshall closures, the QP oracle
+Reachability goes through a depth-first search from each node, the QP oracle
 enumerates active sets exhaustively, the graph SVM's presolve is checked
 against a transitive reduction read off those closures and its verdicts
 against an unreduced dense solve, its Gram matrix against the dense
@@ -25,12 +25,19 @@ from attnlab import attention, dataset as dsm, graph as gm, svm
 
 
 def reachability_matrix(n_nodes: int, edges) -> np.ndarray:
-    """Boolean closure: reach[i, j] iff a directed path i -> j exists."""
-    reach = np.zeros((n_nodes, n_nodes), dtype=bool)
+    """Boolean closure: reach[i, j] iff a directed path i -> j exists, by a
+    depth-first search over adjacency sets from each node."""
+    succ = [set() for _ in range(n_nodes)]
     for i, j in edges:
-        reach[i, j] = True
-    for k in range(n_nodes):
-        reach |= reach[:, k][:, None] & reach[k, :][None, :]
+        succ[i].add(j)
+    reach = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for src in range(n_nodes):
+        stack = list(succ[src])
+        while stack:
+            v = stack.pop()
+            if not reach[src, v]:
+                reach[src, v] = True
+                stack.extend(succ[v])
     return reach
 
 
@@ -65,6 +72,24 @@ def classify_pair(nodes, edges, i, j):
     if bwd:
         return "ji"
     return "none"
+
+
+def longest_path_levels(nodes, edges):
+    """Node -> the number of components on the longest path of the
+    condensation that starts at its component (sinks = 1), by a memoized
+    recursion over the strict order of the reachability closure."""
+    nodes = sorted(nodes)
+    pos = {v: k for k, v in enumerate(nodes)}
+    reach = reachability_matrix(len(nodes), [(pos[i], pos[j]) for i, j in edges])
+    below = reach & ~reach.T
+    memo = {}
+
+    def level(a):
+        if a not in memo:
+            memo[a] = 1 + max((level(b) for b in np.flatnonzero(below[a])), default=0)
+        return memo[a]
+
+    return {v: level(pos[v]) for v in nodes}
 
 
 def random_tpg(rng, n_nodes: int, density: float, last_token: int = 0) -> gm.TokenPriorityGraph:

@@ -266,7 +266,7 @@ def test_criterion_10_scc_oracle():
     for _ in range(500):
         n_nodes = int(rng.integers(1, 13))
         g = random_tpg(rng, n_nodes, float(rng.uniform(0.03, 0.6)))
-        got = sorted(sorted(c) for c in gm.scc(g).components)
+        got = sorted(sorted(c) for c in gm.decompose_all({0: g})[0].components)
         want = sorted(sorted(c) for c in partition_by_mutual_reachability(g.nodes, g.edge_list()))
         mismatches += got != want
     _report(10, "scc oracle", mismatches == 0,

@@ -179,10 +179,13 @@ def _negated_loss(one):
     return mutated
 
 
-def _scc_without_first_out_edges(scc):
-    def mutated(g):
-        first = min(g.nodes)
-        return scc(dataclasses.replace(g, edges={i: o for i, o in g.edges.items() if i != first}))
+def _scc_without_first_out_edges(decompose_all):
+    # Every graph loses the out-edges of its smallest node.
+    def mutated(tpgs):
+        return decompose_all({
+            k: dataclasses.replace(g, edges={i: o for i, o in g.edges.items() if i != min(g.nodes)})
+            for k, g in tpgs.items()
+        })
     return mutated
 
 
@@ -248,10 +251,10 @@ CANARIES = [
     ("convexity_chords", attention, "_one", _negated_loss),
     ("kkt", svm, "solve_graph_svm", _svm_scaled_below_margin),
     ("kkt", svm, "solve_graph_svm", _svm_without_last_inequality),
-    ("scc_oracle", graph, "scc", _scc_without_first_out_edges),
+    ("scc_oracle", graph, "decompose_all", _scc_without_first_out_edges),
     ("orthogonality", svm, "solve_graph_svm", _svm_shifted_into_s_fin),
     ("per_token_reduction", svm, "solve_per_last_token", _per_token_skipping_last),
-    ("zero_svm_stasis", graph, "scc", _scc_without_first_out_edges),
+    ("zero_svm_stasis", graph, "decompose_all", _scc_without_first_out_edges),
     ("wfin_certificate", attention, "train_wfin", _wfin_shifted_in_s_fin),
     ("normalized_step", attention, "train_gd", _plain_gd),
 ]

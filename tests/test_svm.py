@@ -1,5 +1,6 @@
 """Constraint assembly, subspaces, the min-norm solver, and feasibility."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -72,14 +73,14 @@ class TestBuildConstraints:
     def test_chain_closure(self):
         g = _manual_graph({1, 2, 3}, [(1, 2), (2, 3)], last_token=0)
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
-        cons = svm.build_constraints({0: g}, {0: gm.scc(g)}, table)
+        cons = svm.build_constraints({0: g}, gm.decompose_all({0: g}), table)
         assert cons.equalities == ()
         assert cons.inequalities == ((1, 2, 0), (1, 3, 0), (2, 3, 0))
 
     def test_two_node_scc(self):
         g = _manual_graph({1, 2}, [(1, 2), (2, 1)], last_token=5)
         table = dsm.make_embeddings(6, 6, dsm.ORTHONORMAL, seed=0)
-        cons = svm.build_constraints({5: g}, {5: gm.scc(g)}, table)
+        cons = svm.build_constraints({5: g}, gm.decompose_all({5: g}), table)
         assert cons.equalities == ((1, 2, 5),)
         assert cons.inequalities == ()
 
@@ -610,8 +611,7 @@ class TestPresolve:
 
     def test_open_chain_is_reduced_and_solved(self):
         # 0 > 1 > 2 > 3 with chords 0 > 2 and 0 > 3 but not 1 > 3: not
-        # transitively closed, so out-degrees do not fall along 1 > 2, and
-        # the cycle check has to clear it before the chords are dropped.
+        # transitively closed, and without a cycle, so the chords go.
         table = dsm.make_embeddings(5, 5, dsm.UNIT_SPHERE, seed=8)
         inequalities = ((0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 4), (2, 3, 4))
         cons = svm.ConstraintSet(equalities=(), inequalities=inequalities, embedding=table)
@@ -621,6 +621,50 @@ class TestPresolve:
         assert sol.status is svm.SolveStatus.SOLVED and status == "solved"
         assert np.linalg.norm(sol.w - w) <= 1e-9 * np.linalg.norm(w)
         assert_certified(cons, sol)
+
+    def test_chord_over_a_three_step_path_is_dropped(self):
+        # No two-step path spans 0 > 3, yet 0 > 1 > 2 > 3 implies it.
+        table = dsm.make_embeddings(5, 5, dsm.UNIT_SPHERE, seed=8)
+        inequalities = ((0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4))
+        cons = svm.ConstraintSet(equalities=(), inequalities=inequalities, embedding=table)
+        assert _kept(cons).tolist() == transitive_reduction_rows((), inequalities) == [0, 1, 2]
+
+    def test_acyclic_relations_not_closed_match_the_oracle(self):
+        # Triples drawn directly, not through build_constraints: each node
+        # of a last token gets a rank, equalities join nodes of one rank and
+        # inequalities run from a higher rank to a lower one, so the class
+        # relation has no cycle but is rarely transitively closed.
+        rng = seeded_rng(47)
+        reduced = 0
+        for case in range(40):
+            K = int(rng.integers(6, 10))
+            table = dsm.make_embeddings(K, int(rng.integers(K - 2, K + 1)), dsm.UNIT_SPHERE, seed=case)
+            equalities, inequalities = [], []
+            for k in rng.choice(K, size=int(rng.integers(1, 3)), replace=False).tolist():
+                nodes = rng.permutation(K)[: int(rng.integers(3, K + 1))].tolist()
+                rank = rng.integers(0, len(nodes), size=len(nodes))
+                density = rng.uniform(0.15, 0.6)
+                for a, b in itertools.permutations(range(len(nodes)), 2):
+                    if rng.random() < density:
+                        if rank[a] > rank[b]:
+                            inequalities.append((nodes[a], nodes[b], k))
+                        elif rank[a] == rank[b] and a < b and rng.random() < 0.3:
+                            equalities.append((nodes[a], nodes[b], k))
+            if not inequalities:
+                continue
+            inequalities = [inequalities[x] for x in rng.permutation(len(inequalities))]
+            cons = svm.ConstraintSet(equalities=tuple(equalities), inequalities=tuple(inequalities),
+                                     embedding=table)
+            want = transitive_reduction_rows(cons.equalities, cons.inequalities)
+            assert _kept(cons).tolist() == want
+            reduced += len(want) < len(inequalities)
+            sol = svm.solve_graph_svm(cons)
+            status, w, _ = dense_svm_oracle(cons.equalities, cons.inequalities, table.e,
+                                            svm.PRIMAL_TOL, svm.FARKAS_TOL, svm.KKT_TOL)
+            assert sol.status.value == status
+            if status == "solved":
+                assert np.linalg.norm(sol.w - w) <= 1e-9 * np.linalg.norm(w)
+        assert reduced >= 20
 
 
 class TestGram:
