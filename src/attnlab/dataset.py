@@ -8,6 +8,7 @@ back into per-token scores.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -266,24 +267,38 @@ def gen_dataset(
 
 def index_sets(dataset: Dataset, decomps: dict) -> IndexSets:
     """Classify each sample's token positions against the SCC decomposition
-    of its last-token graph (``decomps`` maps last token -> decomposition)."""
-    o, r, rbar = [], [], []
-    for i, s in enumerate(dataset.samples):
+    of its last-token graph (``decomps`` maps last token -> decomposition).
+
+    Every position is classified at once, from one (graph, token) table of
+    each graph's ``comp`` over its ``nodes`` (-1 off them): in ``r`` when
+    its token is the label or shares the label's component.  A label that
+    is not a node of its graph (pseudo graphs may leave it out) shares none.
+    """
+    samples = dataset.samples
+    for i, s in enumerate(samples):
         if s.last_token not in decomps:
             raise GraphMismatch(f"sample {i}: no graph for last token {s.last_token}")
-        comp_of = decomps[s.last_token].comp_of
-        label_comp = comp_of.get(s.label)
-        o_i, r_i = [], []
-        for t, tok in enumerate(s.tokens):
-            if tok == s.label:
-                o_i.append(t)
-                r_i.append(t)
-            elif label_comp is not None and comp_of.get(tok) == label_comp:
-                r_i.append(t)
-        o.append(tuple(o_i))
-        r.append(tuple(r_i))
-        rbar.append(tuple(t for t in range(s.T) if t not in set(r_i)))
-    return IndexSets(o=tuple(o), r=tuple(r), rbar=tuple(rbar))
+    graph_of = {k: x for x, k in enumerate(decomps)}
+    nodes = [dec.nodes for dec in decomps.values()]
+    at = np.repeat(np.arange(len(nodes)), list(map(len, nodes))), list(itertools.chain(*nodes))
+    comp = np.full((len(decomps), dataset.K), -1)
+    comp[at] = np.concatenate([dec.comp for dec in decomps.values()])
+    lengths = [s.T for s in samples]
+    sample = np.repeat(np.arange(len(samples)), lengths)
+    tokens = np.fromiter(itertools.chain.from_iterable(s.tokens for s in samples), dtype=np.intp)
+    graph = np.repeat([graph_of[s.last_token] for s in samples], lengths)
+    label = np.repeat([s.label for s in samples], lengths)
+    label_comp = comp[graph, label]
+    in_o = tokens == label
+    in_r = in_o | ((label_comp >= 0) & (comp[graph, tokens] == label_comp))
+    position = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    def per_sample(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        flat = position[mask].tolist()
+        ends = np.cumsum(np.bincount(sample[mask], minlength=len(samples))).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+
+    return IndexSets(o=per_sample(in_o), r=per_sample(in_r), rbar=per_sample(~in_r))
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

@@ -1,19 +1,20 @@
 """Graph-SVM assembly and solving over d x d attention matrices.
 
-Constraints are triples (i, j, k): the matrix (e_i - e_j) e_k^T paired with
-either an equality (same-SCC pair) or a unit-margin inequality (strict
-priority pair).  The solver minimizes the Frobenius norm subject to those
-constraints exactly, by an active-set NNLS after eliminating the equalities;
-an INFEASIBLE verdict carries convex weights whose combination of the
-inequality matrices lies in the equality span (a Farkas certificate).
+The constraint set is each last token's graph closure R over its sorted
+nodes: a same-SCC pair (R and R^T) is an equality and a strict-priority pair
+(R and not R^T) a unit-margin inequality, each on the matrix
+(e_i - e_j) e_k^T of its triple (i, j, k).  The solver minimizes the
+Frobenius norm subject to those constraints exactly, by an active-set NNLS
+after eliminating the equalities; an INFEASIBLE verdict carries convex
+weights whose combination of the inequality matrices lies in the equality
+span (a Farkas certificate).
 
 Before the NNLS, an exact presolve drops the inequalities that others imply:
 per last token, those tied to an earlier one through the equalities (same two
-equality classes) and those outside the transitive reduction of the class
-relation, whose margin is a sum of kept margins.  Both come from the closure
-of the triples' relation (`graph._closure`), as do the constraints
-themselves and the feasibility certificate's priority levels.  The feasible
-set, and so W, is unchanged; every inequality is still checked.
+SCCs) and those outside the transitive reduction of the SCC order, whose
+margin is a sum of kept margins.  Both are read off the same closures, as is
+the feasibility certificate's priority levels.  The feasible set, and so W,
+is unchanged; every inequality is still checked.
 
 Every subspace basis (S_fin, S_active, S_svm and the equality span the
 solver eliminates) comes from one routine: the right singular vectors of the
@@ -25,7 +26,7 @@ S_fin and the solver share one such basis per constraint set
 from __future__ import annotations
 
 import functools
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -34,7 +35,7 @@ import numpy as np
 
 from .dataset import EmbeddingTable
 from .errors import NotOrthonormal
-from .graph import SccDecomposition, TokenPriorityGraph, _closure, _levels, _product
+from .graph import SccDecomposition, TokenPriorityGraph, _levels, _product
 from .util import frozen
 
 BASIS_CUTOFF = 1e-10
@@ -45,8 +46,6 @@ KKT_TOL = 1e-5
 # the span of the others, the set is solved by LU, not by the updated inverse.
 ILL_CONDITIONED = 1e6
 
-Triple = tuple[int, int, int]
-
 
 class SolveStatus(Enum):
     SOLVED = "solved"
@@ -54,37 +53,62 @@ class SolveStatus(Enum):
     MAX_ITER = "max_iter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Equality and inequality triples plus the embedding they refer to."""
+    """The graphs' closures, one per last token, and the embedding their
+    constraints refer to.
 
-    equalities: tuple[Triple, ...]
-    inequalities: tuple[Triple, ...]
+    Graph x is last token ``last_tokens[x]`` (ascending) with closure
+    ``closures[x]`` over its sorted nodes ``nodes[x]``, padded to the largest
+    graph with isolated nodes (node -1).  Only graphs with at least one pair
+    are held.  ``equalities`` and ``inequalities`` are (m, 3) arrays of
+    triples (i, j, k) read off the closures in (k, i, j) order: the upper
+    triangle of R and R^T, and R and not R^T (higher-priority side first).
+    """
+
+    last_tokens: np.ndarray  # (G,) intp
+    nodes: np.ndarray        # (G, N) intp
+    closures: np.ndarray     # (G, N, N) bool
     embedding: EmbeddingTable
+
+    @functools.cached_property
+    def _at(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(graph, row, column) in the closure stack of each equality and of
+        each inequality."""
+        reach = self.closures
+        back = np.swapaxes(reach, 1, 2)
+        return np.nonzero(np.triu(reach & back, 1)), np.nonzero(reach & ~back)
+
+    def _read(self, g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        t = np.stack([self.nodes[g, a], self.nodes[g, b], self.last_tokens[g]], axis=1)
+        t.setflags(write=False)
+        return t
+
+    @functools.cached_property
+    def equalities(self) -> np.ndarray:
+        return self._read(*self._at[0])
+
+    @functools.cached_property
+    def inequalities(self) -> np.ndarray:
+        return self._read(*self._at[1])
 
     @property
     def n_constraints(self) -> int:
         return len(self.equalities) + len(self.inequalities)
 
     def restrict_to_last_token(self, k: int) -> "ConstraintSet":
-        return ConstraintSet(
-            equalities=tuple(t for t in self.equalities if t[2] == k),
-            inequalities=tuple(t for t in self.inequalities if t[2] == k),
-            embedding=self.embedding,
-        )
-
-    @property
-    def last_tokens(self) -> tuple[int, ...]:
-        return tuple(sorted({t[2] for t in self.equalities + self.inequalities}))
+        x = int(np.searchsorted(self.last_tokens, k))
+        at = slice(x, x + np.count_nonzero(self.last_tokens[x : x + 1] == k))
+        return ConstraintSet(self.last_tokens[at], self.nodes[at], self.closures[at], self.embedding)
 
     @functools.cached_property
     def eq_basis(self) -> np.ndarray:
         """Orthonormal basis of the equality span, rows flattened to d * d:
         S_fin's basis and the span the solver eliminates, computed once."""
-        return frozen(_orth(_generators(_triples(self.equalities), self.embedding.e)))
+        return frozen(_orth(_generators(self.equalities, self.embedding.e)))
 
 
-def constraint_matrix(triple: Triple, e: np.ndarray) -> np.ndarray:
+def constraint_matrix(triple: Sequence[int], e: np.ndarray) -> np.ndarray:
     i, j, k = triple
     return np.outer(e[i] - e[j], e[k])
 
@@ -94,23 +118,23 @@ def build_constraints(
     decomps: dict[int, SccDecomposition],
     embedding: EmbeddingTable,
 ) -> ConstraintSet:
-    """One inequality per strict-priority ordered pair (higher-priority side
-    first), one equality per unordered same-SCC pair, per graph.
-
-    Both are read off each graph's closure R: the equalities are the upper
-    triangle of R and R^T, the inequalities R and not R^T, so transitive
-    pairs generate their own inequalities.  Ordering is (k, i, j)
-    throughout.
-    """
-    eqs: list[Triple] = []
-    ineqs: list[Triple] = []
-    for k in sorted(tpgs):
-        decomp = decomps[k]
-        nodes, reach = np.asarray(decomp.nodes), decomp.closure
-        for out, pairs in ((eqs, np.triu(reach & reach.T, 1)), (ineqs, reach & ~reach.T)):
-            a, b = np.nonzero(pairs)
-            out += zip(nodes[a].tolist(), nodes[b].tolist(), [k] * len(a))
-    return ConstraintSet(equalities=tuple(eqs), inequalities=tuple(ineqs), embedding=embedding)
+    """The closures of the graphs that have a pair, stacked in last-token
+    order: one inequality per strict-priority ordered pair, one equality
+    per unordered same-SCC pair, so transitive pairs generate their own
+    inequalities."""
+    # A reflexive closure holds a pair when it has more entries than nodes.
+    held = [k for k in sorted(tpgs) if decomps[k].closure.sum() > len(decomps[k].nodes)]
+    n = max((len(decomps[k].nodes) for k in held), default=0)
+    nodes = np.full((len(held), n), -1, dtype=np.intp)
+    closures = np.tile(np.eye(n, dtype=bool), (len(held), 1, 1))
+    for x, k in enumerate(held):
+        m = len(decomps[k].nodes)
+        nodes[x, :m] = decomps[k].nodes
+        closures[x, :m, :m] = decomps[k].closure
+    last_tokens = np.array(held, dtype=np.intp)
+    for a in (last_tokens, nodes, closures):
+        a.setflags(write=False)
+    return ConstraintSet(last_tokens, nodes, closures, embedding)
 
 
 @dataclass(frozen=True)
@@ -133,12 +157,6 @@ class MatrixSubspace:
 
     def project_out(self, w: np.ndarray) -> np.ndarray:
         return w - self.project(w)
-
-
-def _triples(triples: tuple[Triple, ...]) -> np.ndarray:
-    """The triples as an (m, 3) index array."""
-    flat = itertools.chain.from_iterable(triples)
-    return np.fromiter(flat, dtype=np.intp, count=3 * len(triples)).reshape(-1, 3)
 
 
 def _generators(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -201,9 +219,11 @@ def _subspace(vectors: np.ndarray, d: int) -> MatrixSubspace:
     return MatrixSubspace(basis=frozen(_orth(vectors).reshape(-1, d, d)), d=d)
 
 
-def span(triples: tuple[Triple, ...], embedding: EmbeddingTable) -> MatrixSubspace:
-    """Orthonormalized span of the difference-outer-product generators."""
-    return _subspace(_generators(_triples(triples), embedding.e), embedding.d)
+def span(triples: Sequence[Sequence[int]], embedding: EmbeddingTable) -> MatrixSubspace:
+    """Orthonormalized span of the difference-outer-product generators of
+    the triples (i, j, k)."""
+    t = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    return _subspace(_generators(t, embedding.e), embedding.d)
 
 
 def fin_subspace(constraints: ConstraintSet) -> MatrixSubspace:
@@ -473,64 +493,38 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return u, iters, False
 
 
-def _token_closure(ineq: np.ndarray, eq: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The closure (`graph._closure`) of each last token's relation over its
-    own sorted nodes, every equality taken both ways and every inequality
-    one way: a (G, N, N) stack with G the last tokens and N the most nodes
-    of one.  Also each triple's graph and its two ends' positions there,
-    the inequalities first."""
-    t = np.concatenate([ineq, eq])
-    keys, ends = np.unique(np.concatenate([t[:, 2] * K + t[:, 0], t[:, 2] * K + t[:, 1]]), return_inverse=True)
-    token = keys // K  # sorted
-    graph = np.unique(token, return_inverse=True)[1]
-    pos = np.arange(len(keys)) - np.searchsorted(token, token)
-    g, a, b = graph[ends[: len(t)]], pos[ends[: len(t)]], pos[ends[len(t) :]]
-    adj = np.zeros((int(graph[-1]) + 1, int(pos.max()) + 1, int(pos.max()) + 1), dtype=bool)
-    adj[g, a, b] = True
-    m = len(ineq)
-    adj[g[m:], b[m:], a[m:]] = True
-    return _closure(adj), g, a, b
-
-
-def _essential(ineq: np.ndarray, eq: np.ndarray, K: int) -> np.ndarray:
+def _essential(constraints: ConstraintSet) -> np.ndarray:
     """Indices, ascending, of the inequalities that no others imply.
 
-    Works per last token on the closure R of its relation
-    (`_token_closure`), whose classes R and R^T merge the nodes along the
-    equalities.  A last token with an inequality inside one class (a self
-    pair, or a cycle of the class relation) keeps every row.  Otherwise two
-    inequalities between the same two classes have generators that differ
-    by an equality generator, so only the first in the set's order is kept,
-    and only when its class pair (A, C) is in the transitive reduction
-    R_s and not R_s R_s, R_s being R without its class blocks (Aho, Garey &
-    Ullman 1972).  Modulo the equality span, a dropped pair's generator is
-    the sum of those along a path of kept pairs, so its margin is at least 2.
+    Works per last token on its closure R, whose classes R and R^T are the
+    graph's SCCs.  Two inequalities between the same two SCCs have
+    generators that differ by an equality generator, so only the first in
+    the set's order is kept, and only when its SCC pair (A, C) is in the
+    transitive reduction R_s and not R_s R_s, R_s being R without its SCC
+    blocks (Aho, Garey & Ullman 1972).  Modulo the equality span, a dropped
+    pair's generator is the sum of those along a path of kept pairs, so its
+    margin is at least 2.
     """
-    reach, g, a, b = _token_closure(ineq, eq, K)
-    m = len(ineq)
-    g, a, b = g[:m], a[:m], b[:m]
+    reach = constraints.closures
+    g, a, b = constraints._at[1]
     same = reach & np.swapaxes(reach, 1, 2)
     strict = reach & ~same
     cover = strict & ~_product(strict, strict)
-    head = same.argmax(axis=2)  # each node's class, by its smallest member
+    head = same.argmax(axis=2)  # each node's SCC, by its smallest member
     n = reach.shape[1]
     _, first = np.unique((g * n + head[g, a]) * n + head[g, b], return_index=True)
-    keep = np.zeros(m, dtype=bool)
-    keep[first] = cover[g[first], a[first], b[first]]
-    cyclic = np.zeros(len(reach), dtype=bool)
-    cyclic[g[same[g, a, b]]] = True
-    return np.flatnonzero(keep | cyclic[g])
+    return np.sort(first[cover[g[first], a[first], b[first]]])
 
 
 def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     """Min-Frobenius-norm W subject to the constraint set, over its embedding.
 
     A presolve (`_essential`) first drops the inequalities that others imply:
-    per last token, all but one between the same two equality classes, and
-    those outside the transitive reduction of the class relation.  The
-    feasible set is unchanged, so W is too.  The Gram matrix, the NNLS, p
-    and the Farkas test below see the kept rows only; the primal, margin and
-    KKT checks run over every inequality.
+    per last token, all but one between the same two SCCs, and those outside
+    the transitive reduction of the SCC order, both read off the closures
+    the constraint set holds.  The feasible set is unchanged, so W is too.
+    The Gram matrix, the NNLS, p and the Farkas test below see the kept rows
+    only; the primal, margin and KKT checks run over every inequality.
 
     Equalities are eliminated by projecting every kept inequality matrix
     onto the orthogonal complement of their span (the optimum lives there).
@@ -561,13 +555,13 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     """
     d = constraints.embedding.d
     e = constraints.embedding.e
-    if not constraints.inequalities:
+    if not len(constraints.inequalities):
         return _empty_solution(d)
 
     eq_basis = constraints.eq_basis
-    ineq = _triples(constraints.inequalities)
-    eq = _triples(constraints.equalities)
-    keep = _essential(ineq, eq, constraints.embedding.K)
+    ineq = constraints.inequalities
+    eq = constraints.equalities
+    keep = _essential(constraints)
     gram = _gram(ineq[keep], e, eq_basis)
     u, iters, converged = _nnls_gram(gram)
     del gram
@@ -632,24 +626,18 @@ def check_feasibility(constraints: ConstraintSet) -> FeasibilityResult:
     if constraints.n_constraints == 0:
         return FeasibilityResult(True, np.zeros((emb.d, emb.d)), "certificate", "no constraints")
     if emb.full_row_rank:
-        # Each node's priority level under its last token, from the closure
-        # of the triples; a contradictory inequality lands inside one
-        # class, where its priority gap is zero.
-        ineq, eq = _triples(constraints.inequalities), _triples(constraints.equalities)
-        reach, g, a, b = _token_closure(ineq, eq, emb.K)
-        levels = _levels(reach)
-        t = np.concatenate([ineq, eq])
+        # W^bar[i, k] is node i's priority level in the graph of last token
+        # k, read off its closure: every inequality's priority gap is >= 1.
+        levels = _levels(constraints.closures)
+        x, a = np.nonzero(constraints.nodes >= 0)
         wbar = np.zeros((emb.K, emb.K))
-        wbar[t[:, 0], t[:, 2]] = levels[g, a]
-        wbar[t[:, 1], t[:, 2]] = levels[g, b]
+        wbar[constraints.nodes[x, a], constraints.last_tokens[x]] = levels[x, a]
         ebar = np.linalg.solve(emb.e @ emb.e.T, emb.e)  # Ebar E^T = I
         w = ebar.T @ wbar @ ebar
-        m = len(ineq)
-        if m:
-            gap = int(np.min(levels[g[:m], a[:m]] - levels[g[:m], b[:m]]))
-            if gap <= 0:
-                return _solver_fallback(constraints)
-            w = w / gap
+        ineq, eq = constraints.inequalities, constraints.equalities
+        if len(ineq):
+            g, a, b = constraints._at[1]
+            w = w / int(np.min(levels[g, a] - levels[g, b]))
         # Verify against the actual embedding arithmetic.
         max_eq = float(np.max(np.abs(_values(eq, emb.e, w)), initial=0.0))
         min_ineq = float(np.min(_values(ineq, emb.e, w), initial=np.inf))
@@ -690,13 +678,7 @@ def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
         if row_residual > 1e-8:
             raise NotOrthonormal(f"subproblem k={k} left span(e_k): residual {row_residual:.2e}")
         total += wk
-    worst = SolveStatus.SOLVED
-    for st in statuses:
-        if st is SolveStatus.INFEASIBLE:
-            worst = SolveStatus.INFEASIBLE
-            break
-        if st is SolveStatus.MAX_ITER:
-            worst = SolveStatus.MAX_ITER
+    worst = next((st for st in (SolveStatus.INFEASIBLE, SolveStatus.MAX_ITER) if st in statuses), SolveStatus.SOLVED)
     return SvmSolution(
         w=frozen(total),
         status=worst,

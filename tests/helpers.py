@@ -11,7 +11,10 @@ kernel, normalized-GD trajectories come from a long-double loop over that
 form, the cyclic-subdataset loss and gradient from each held sample's
 label-SCC rows read one by one from the embedding table, CSV bytes come
 from a cell-by-cell formatter, pseudo graphs come from their own edge loop,
-and the pseudo-graph references from the stage calls made one by one.  Two
+the pseudo-graph references from the stage calls made one by one, and index
+sets position by position from each graph's mutual-reachability partition.
+Hand-written constraint sets go through the library's own graph chain
+(`constraints_from_edges`), since a constraint set is the graphs' closures.  Two
 helpers are plain kernel calls, not oracles: `loss`, the loss of one
 dataset, and `grad_general`, the softmax-chain gradient that the reduced
 tied-log form is checked against.
@@ -90,6 +93,36 @@ def longest_path_levels(nodes, edges):
         return memo[a]
 
     return {v: level(pos[v]) for v in nodes}
+
+
+def index_sets_oracle(ds: dsm.Dataset, tpgs: dict) -> dsm.IndexSets:
+    """o, r and rbar position by position: a position is in r when its token
+    is the label or lies in the label's group of
+    `partition_by_mutual_reachability`; a label that is not a node of its
+    graph has no group."""
+    groups = {k: partition_by_mutual_reachability(g.nodes, g.edge_list()) for k, g in tpgs.items()}
+    o, r, rbar = [], [], []
+    for s in ds.samples:
+        group = next((c for c in groups[s.last_token] if s.label in c), frozenset())
+        o.append(tuple(t for t, tok in enumerate(s.tokens) if tok == s.label))
+        r.append(tuple(t for t, tok in enumerate(s.tokens) if tok == s.label or tok in group))
+        rbar.append(tuple(t for t in range(len(s.tokens)) if t not in r[-1]))
+    return dsm.IndexSets(o=tuple(o), r=tuple(r), rbar=tuple(rbar))
+
+
+def constraints_from_edges(embedding: dsm.EmbeddingTable, edges: dict) -> svm.ConstraintSet:
+    """The constraint set of hand-written graphs, last token k -> its edges
+    (i, j) with their ends as its nodes, built by `graph.decompose_all` and
+    `svm.build_constraints`."""
+    tpgs = {
+        k: gm.TokenPriorityGraph(
+            last_token=k,
+            nodes=frozenset(v for edge in es for v in edge),
+            edges={i: frozenset(j for a, j in es if a == i) for i, _ in es},
+        )
+        for k, es in edges.items()
+    }
+    return svm.build_constraints(tpgs, gm.decompose_all(tpgs) if tpgs else {}, embedding)
 
 
 def random_tpg(rng, n_nodes: int, density: float, last_token: int = 0) -> gm.TokenPriorityGraph:
@@ -205,8 +238,10 @@ def transitive_reduction_rows(equalities, inequalities) -> list[int]:
     class B is reachable from A and reaches C in the closure of the class
     pairs.  Meant for class relations without cycles.
     """
+    equalities = np.asarray(equalities, dtype=int).reshape(-1, 3).tolist()
+    inequalities = np.asarray(inequalities, dtype=int).reshape(-1, 3).tolist()
     keep = []
-    for k in sorted({t[2] for t in list(equalities) + list(inequalities)}):
+    for k in sorted({t[2] for t in equalities + inequalities}):
         eqs = [(i, j) for i, j, kk in equalities if kk == k]
         rows = [(a, i, j) for a, (i, j, kk) in enumerate(inequalities) if kk == k]
         nodes = sorted({v for i, j in eqs for v in (i, j)} | {v for _, i, j in rows for v in (i, j)})

@@ -13,6 +13,7 @@ from attnlab.util import seeded_rng
 from helpers import (
     active_set_oracle,
     fd_grad,
+    generator_rows,
     grad_general,
     loss,
     partition_by_mutual_reachability,
@@ -154,25 +155,15 @@ def test_criterion_06_svm_correctness():
             )
         if cons.n_constraints <= 20:
             e = ds.embedding.e
-            eq_vecs = (
-                np.array([svm.constraint_matrix(t, e).ravel() for t in cons.equalities])
-                if cons.equalities
-                else np.zeros((0, ds.d * ds.d))
-            )
-            in_vecs = (
-                np.array([svm.constraint_matrix(t, e).ravel() for t in cons.inequalities])
-                if cons.inequalities
-                else np.zeros((0, ds.d * ds.d))
-            )
+            eq_vecs = generator_rows(cons.equalities, e)
+            in_vecs = generator_rows(cons.inequalities, e)
             w_oracle = active_set_oracle(eq_vecs, in_vecs).reshape(ds.d, ds.d)
             worst_oracle_norm = max(
                 worst_oracle_norm, abs(sol.norm - float(np.linalg.norm(w_oracle)))
             )
-            for t in cons.equalities + cons.inequalities:
-                a = svm.constraint_matrix(t, e)
-                worst_oracle_cons = max(
-                    worst_oracle_cons, abs(float(np.sum(a * (sol.w - w_oracle))))
-                )
+            worst_oracle_cons = max(
+                worst_oracle_cons, float(np.max(np.abs(np.vstack([eq_vecs, in_vecs]) @ (sol.w - w_oracle).ravel())))
+            )
             oracle_checked += 1
     ok = (
         worst_kkt <= 1e-5

@@ -208,19 +208,24 @@ def _svm_scaled_below_margin(solve):
 
 
 def _svm_without_last_inequality(solve):
+    # The last graph's closure loses its last strict pair, so the solve
+    # sees one inequality fewer.
     def mutated(constraints, *args, **kwargs):
-        kept = dataclasses.replace(constraints, inequalities=constraints.inequalities[:-1])
-        return solve(kept, *args, **kwargs)
+        reach = constraints.closures
+        g, a, b = np.argwhere(reach & ~np.swapaxes(reach, 1, 2))[-1]
+        closures = reach.copy()
+        closures[g, a, b] = False
+        return solve(dataclasses.replace(constraints, closures=closures), *args, **kwargs)
     return mutated
 
 
 def _per_token_skipping_last(solve_per_last_token):
     def mutated(constraints, *args, **kwargs):
-        last = constraints.last_tokens[-1]
         kept = dataclasses.replace(
             constraints,
-            equalities=tuple(t for t in constraints.equalities if t[2] != last),
-            inequalities=tuple(t for t in constraints.inequalities if t[2] != last),
+            last_tokens=constraints.last_tokens[:-1],
+            nodes=constraints.nodes[:-1],
+            closures=constraints.closures[:-1],
         )
         return solve_per_last_token(kept, *args, **kwargs)
     return mutated

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from attnlab import analysis, attention, experiments
 from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab.errors import ArgmaxUnreachable, GraphMismatch, InvalidDims, RankDeficient, SchemaViolation
 
-from helpers import classify_pair, partition_by_mutual_reachability, tiny_instance
+from helpers import classify_pair, index_sets_oracle, partition_by_mutual_reachability, tiny_instance
 
 
 class TestEmbeddings:
@@ -153,6 +154,44 @@ class TestIndexSets:
                         expect_r = classify_pair(g.nodes, g.edge_list(), tok, s.label) == "same"
                     assert (t in sets.r[i]) == expect_r
                     assert (t in sets.o[i]) == (tok == s.label)
+
+    def test_refs_draws_match_a_position_oracle(self):
+        for i in range(8):
+            K, d, n, T = ((20, 20, 60, 8), (20, 10, 40, 8))[i % 2]
+            seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
+            table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+            ds = dsm.gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed)
+            tpgs = gm.build_tpgs(ds)
+            assert dsm.index_sets(ds, gm.decompose_all(tpgs)) == index_sets_oracle(ds, tpgs)
+
+    def test_pseudo_graphs_match_a_position_oracle(self):
+        # Three local-squared trials after 50 steps: their pseudo graphs
+        # merge labels into SCCs that the dataset's own graphs keep apart.
+        cfg = experiments.ExperimentConfig("local-squared", {"iters": 50}, {}, 0).resolved()
+        build = experiments._KINDS["local"].build
+        built = [build(params, seed) for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, 3)]
+        traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
+        moved = 0
+        for (ds, _, _, (_, eps)), trace in zip(built, traces):
+            pseudo = analysis.pseudo_tpgs(trace.w_final, ds, eps=eps)
+            sets = dsm.index_sets(ds, gm.decompose_all(pseudo))
+            assert sets == index_sets_oracle(ds, pseudo)
+            moved += sets != dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds)))
+        assert moved > 0
+
+    def test_label_off_its_pseudo_graph_keeps_only_its_own_positions(self):
+        # Sample 0's label 3 is not among its tokens and no source names it,
+        # so it is no node of the graph of last token 2.
+        table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
+        ds = dsm.Dataset(embedding=table, head=None, samples=(
+            dsm.Sample(tokens=(0, 1, 2), label=3),
+            dsm.Sample(tokens=(1, 0, 2), label=1),
+        ))
+        pseudo = gm.build_tpgs(ds, sources=[(0, 1), (1,)])
+        assert 3 not in pseudo[2].nodes
+        sets = dsm.index_sets(ds, gm.decompose_all(pseudo))
+        assert sets == index_sets_oracle(ds, pseudo)
+        assert sets.o == ((), (0,)) and sets.r == ((), (0, 1)) and sets.rbar == ((0, 1, 2), (2,))
 
     def test_graph_mismatch_raises(self):
         ds = tiny_instance(7, K=5, d=6, n=4, T=4)
