@@ -55,10 +55,18 @@ def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
 
 
 def softmax(h: np.ndarray) -> np.ndarray:
-    ex = h - h.max(axis=-1, keepdims=True)
-    np.exp(ex, out=ex)
-    ex /= ex.sum(axis=-1, keepdims=True)
-    return ex
+    return _softmax_in_place(h.copy(), np.empty_like(h[..., :1]))
+
+
+def _softmax_in_place(h: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """h overwritten with its softmax over the last axis; edge (..., 1)
+    holds each row's max, then its sum."""
+    np.maximum.reduce(h, axis=-1, keepdims=True, out=edge)
+    np.subtract(h, edge, out=h)
+    np.exp(h, out=h)
+    np.add.reduce(h, axis=-1, keepdims=True, out=edge)
+    np.divide(h, edge, out=h)
+    return h
 
 
 def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +82,22 @@ class _SplitRows:
     rows: np.ndarray    # (m,) flat index into the group's (B * g) samples
     trials: np.ndarray  # (m,) the trial of each row
     keep: np.ndarray    # (m, T) True on the sample's label-SCC positions
+
+
+class _Scratch:
+    """A group's kernel intermediates, rewritten by every kernel call on its
+    pack, and the matmul views of them, made once: a view costs about as
+    much as a ufunc call on these small arrays."""
+
+    def __init__(self, b: int, g: int, t: int, d: int):
+        self.q = np.empty((b, g, d))     # xbar W^T
+        self.h = np.empty((b, g, t))     # scores, then their softmax s
+        self.edge = np.empty((b, g, 1))  # each row's max, then its sum
+        self.u = np.empty((b, g))        # label masses
+        self.v = np.empty((b, g, t))     # s * (gamma - u)
+        self.vec = np.empty((b, g, d))   # the gradient's rows before xbar
+        self.q_col, self.h_col, self.s_row = self.q[..., None], self.h[..., None], self.h[..., None, :]
+        self.v_row, self.vec_row, self.vec_t = self.v[..., None, :], self.vec[..., None, :], self.vec.mT
 
 
 @dataclass(frozen=True)
@@ -92,17 +116,21 @@ class _Group:
     labels: np.ndarray     # (B, g)
     omask: np.ndarray      # (B, g, T) True where token == label
     gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
-    split: Optional[_SplitRows] = None  # the rows loss_bar scores; None for none
+    split: Optional[_SplitRows]  # the rows loss_bar scores; None for none
+    scratch: _Scratch
 
 
 @dataclass(frozen=True)
 class _Packed:
     groups: tuple[_Group, ...]
     n: np.ndarray            # (B,) loss denominators (may exceed the packed sample count)
+    n_mats: np.ndarray       # n as (B, 1, 1), the gradient's divisor
     d: int
     c: Optional[np.ndarray]  # (B, K, d)
     tied: bool               # scores are label-position mass
     splits: np.ndarray       # (B,) True for the trials whose cyclic split the pack holds
+    grad: np.ndarray         # (B, d, d) the kernel's gradient, rewritten by every call
+    part: np.ndarray         # (B, d, d) scratch for a later group's gradient term
 
     @property
     def trials(self) -> int:
@@ -125,7 +153,8 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
 
     Each trial's groups hold the rows a pack of that trial alone holds, so
     the kernel's values are bit for bit the same.  Each sample is stored
-    with its label-relative rows dx = x - e_y beside x.
+    with its label-relative rows dx = x - e_y beside x, and the groups and
+    the pack hold the kernel's scratch arrays.
 
     ``splits`` holds each dataset's own cyclic split, or None; the groups
     then mark the samples each split holds and their label-SCC positions,
@@ -166,14 +195,18 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
     groups = []
     for trial_groups in zip(*per_trial):
         *arrays, held = map(_stack, zip(*trial_groups))
-        groups.append(_Group(*arrays, split=_split_rows(held)))
+        groups.append(_Group(*arrays, split=_split_rows(held), scratch=_Scratch(*arrays[0].shape)))
+    n = np.array([ds.n for ds in datasets], dtype=np.float64)
     return _Packed(
         groups=tuple(groups),
-        n=np.array([ds.n for ds in datasets], dtype=np.float64),
+        n=n,
+        n_mats=n[:, None, None],
         d=first.d,
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
         splits=np.array([s is not None for s in splits]),
+        grad=np.empty((len(n), first.d, first.d)),
+        part=np.empty((len(n), first.d, first.d)),
     )
 
 
@@ -220,6 +253,10 @@ def _loss_and_grad(
     their terms are skipped, but the log-loss underflow guard still runs.
     An error in one trial's data does not stop the others: it comes back in
     {trial: exception}, and that trial's values are meaningless.
+
+    The gradient is the pack's own array, valid until the next call on the
+    pack.  The intermediates live in its groups' scratch, so a tied log-loss
+    call without the loss writes only arrays that `_pack` allocated.
     """
     trials, errors = packed.trials, {}
     if kind == CROSS_ENTROPY and packed.c is None:
@@ -229,12 +266,13 @@ def _loss_and_grad(
     total = np.zeros(trials) if need_loss else None
     bar = np.where(packed.splits, 0.0, np.nan) if need_loss else None
     bar_errors: dict[int, Exception] = {}
-    grad = np.zeros((trials, packed.d, packed.d)) if need_grad else None
+    grad = packed.grad if need_grad else None
     for g in packed.groups:
+        sc = g.scratch
         h = _scores(w, g)
         if need_loss and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors)
-        s = softmax(h)
+        s = _softmax_in_place(h, sc.edge)
         if kind == CROSS_ENTROPY:
             label, c = g.labels[..., None], packed.c
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
@@ -249,9 +287,9 @@ def _loss_and_grad(
             np.put_along_axis(p, label, np.take_along_axis(p, label, -1) - 1.0, -1)
             back = np.matmul(g.x, np.matmul(p, c)[..., None])[..., 0]  # dL/ds
             dh = s * (back - (s * back).sum(axis=-1, keepdims=True))
-            vec = np.matmul(dh[..., None, :], g.x)[..., 0, :]
+            np.matmul(dh[..., None, :], g.x, out=sc.vec_row)
         else:
-            u = np.vecdot(s, g.gamma)
+            u = np.vecdot(s, g.gamma, out=sc.u)
             if kind == LOG:
                 u = _guarded(u, None, errors)
             if need_loss:
@@ -259,30 +297,39 @@ def _loss_and_grad(
             if not need_grad:
                 continue
             if kind == LOG and packed.tied and reduced_log:
-                vec = np.matmul(s[..., None, :], g.dx)[..., 0, :]
+                np.matmul(sc.s_row, g.dx, out=sc.vec_row)
             else:
-                v = s * (g.gamma - u[..., None])
-                vec = loss_deriv(kind, u)[..., None] * np.matmul(v[..., None, :], g.x)[..., 0, :]
-        grad += np.matmul(vec.mT, g.xbar)
+                v = np.subtract(g.gamma, u[..., None], out=sc.v)
+                np.multiply(s, v, out=v)
+                np.matmul(sc.v_row, g.x, out=sc.vec_row)
+                np.multiply(sc.vec_row, loss_deriv(kind, u)[..., None, None], out=sc.vec_row)
+        if g is packed.groups[0]:
+            np.matmul(sc.vec_t, g.xbar, out=grad)
+        else:
+            grad += np.matmul(sc.vec_t, g.xbar, out=packed.part)
     for b, exc in bar_errors.items():
         errors.setdefault(b, exc)
     if total is not None:
         total /= packed.n
         bar /= packed.n
     if grad is not None:
-        grad /= packed.n[:, None, None]
+        np.divide(grad, packed.n_mats, out=grad)
     return total, bar, grad, errors
 
 
 def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
-    """Label-relative scores dx W xbar (B, g, T) of a group at its trials' w."""
-    return np.matmul(g.dx, np.matmul(g.xbar, w.mT)[..., None])[..., 0]
+    """Label-relative scores dx W xbar (B, g, T) of a group at its trials'
+    w, in the group's scratch."""
+    sc = g.scratch
+    np.matmul(g.xbar, w.mT, out=sc.q)
+    np.matmul(g.dx, sc.q_col, out=sc.h_col)
+    return sc.h
 
 
 def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Exception]) -> np.ndarray:
     """Label masses u (B, g), with the rows of every trial that holds one at
     or below LOG_GUARD set to 1 and that trial's underflow in errors."""
-    if u.min() > LOG_GUARD:
+    if np.minimum.reduce(u, axis=None) > LOG_GUARD:
         return u
     low = (u <= LOG_GUARD).any(axis=-1)
     for b in np.flatnonzero(low):
@@ -315,11 +362,12 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
 def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
          reduced_log: bool = True, need_loss: bool = True) -> tuple[Optional[float], Optional[np.ndarray]]:
     """Loss and gradient of a one-trial pack at a (d, d) w, each None when
-    not asked for; raises the trial's error."""
+    not asked for; raises the trial's error.  The gradient is a copy, so
+    it outlives the next call on the pack."""
     total, _, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad, need_loss)
     if errors:
         raise errors[0]
-    return None if total is None else float(total[0]), None if grad is None else grad[0]
+    return None if total is None else float(total[0]), None if grad is None else grad[0].copy()
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
@@ -532,9 +580,12 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     for tau in range(config.iters + 1):
         record = row < len(taus) and taus[row] == tau
         cur_loss, loss_bar, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=record)
-        fail(errors)
+        if errors:
+            fail(errors)
         gn = _norms(g)
-        if not np.isfinite(gn).all():
+        # Every norm finite and above the floor; a NaN fails both tests.
+        clean = np.minimum.reduce(gn) > GRAD_FLOOR and np.maximum.reduce(gn) < np.inf
+        if not clean and not np.isfinite(gn).all():
             fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
         if record:
             fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
@@ -547,18 +598,22 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             recorded[alive] = row
         if tau == config.iters:
             break
-        if config.normalized:
-            # Below the floor the computed gradient is rounding noise; a
-            # unit-length step along it would random-walk the direction.
+        # g is the pack's array until the next kernel call, so the steps
+        # may overwrite it.  Below the floor the computed gradient is
+        # rounding noise; a unit-length step along it would random-walk the
+        # direction.
+        if config.normalized and clean and all_alive:
+            np.multiply(config.eta, g, out=g)
+            np.divide(g, gn[:, None, None], out=g)
+            np.subtract(w, g, out=w)
+        elif config.normalized:
             move = gn > GRAD_FLOOR
             if not all_alive:
                 move &= alive
-            if move.all():
-                w = w - config.eta * g / gn[:, None, None]
-            elif move.any():
-                w[move] = w[move] - config.eta * g[move] / gn[move, None, None]
+            w[move] = w[move] - config.eta * g[move] / gn[move, None, None]
         elif all_alive:
-            w = w - config.eta * g
+            np.multiply(config.eta, g, out=g)
+            np.subtract(w, g, out=w)
         else:
             w[alive] = w[alive] - config.eta * g[alive]
     return [finish(b) if alive[b] else outcome[b] for b in range(trials)]

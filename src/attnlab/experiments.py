@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -345,6 +344,10 @@ def seeded_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
 def _fan_out(fn: Callable, args: list, workers: int) -> list:
     if workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    # Imported here: the pool's modules cost every CLI command ~20 ms of
+    # start-up, and only a run at --workers > 1 uses them.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         return list(pool.map(fn, args))
 

@@ -215,6 +215,23 @@ class TestKernelOracle:
             want = einsum_grad(w_ext, packed, kind, reduced_log)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("name,kind", [("desk", att.LOG), ("local", att.SQUARED), ("local", att.CROSS_ENTROPY)])
+    def test_groups_of_several_lengths_sum_into_one_gradient(self, name, kind):
+        # Samples cut to lengths T, T - 1 and T - 2, each keeping its last
+        # label occurrence: the kernel adds one gradient term per length.
+        ds = _shape_dataset(name)
+        T = len(ds.samples[0].tokens)
+        last_label = [max((t for t, tok in enumerate(s.tokens) if tok == s.label), default=T - 1) for s in ds.samples]
+        ds = _last_tokens(ds, [max(T - i % 3, T - t) for i, t in enumerate(last_label)])
+        packed = att._pack([ds])
+        assert len(packed.groups) > 1
+        w = 0.5 * seeded_rng(14).standard_normal((ds.d, ds.d))
+        packed = extended(packed)
+        w_ext = w.astype(np.longdouble)
+        for got, reduced_log in ((att.grad(w, ds, kind), True), (grad_general(w, ds, kind), False)):
+            want = einsum_grad(w_ext, packed, kind, reduced_log)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("name", ["desk", "large-K"])
     def test_normalized_gd_follows_the_long_double_loop(self, name):
         ds = _shape_dataset(name)
@@ -245,6 +262,7 @@ class TestSkippedLoss:
         w = self.SCALES * seeded_rng(15).standard_normal((3, ds.d, ds.d))
         for reduced_log in (True, False):
             full_loss, _, full_grad, full_errors = att._loss_and_grad(w, packed, kind, reduced_log)
+            full_grad = full_grad.copy()  # the next call on the pack rewrites its gradient
             loss, loss_bar, grad, errors = att._loss_and_grad(w, packed, kind, reduced_log, need_loss=False)
             assert loss is None and loss_bar is None and np.all(np.isfinite(full_loss[[0, 2]]))
             assert grad.tobytes() == full_grad.tobytes()
@@ -252,6 +270,23 @@ class TestSkippedLoss:
             assert sorted(errors) == ([1] if kind == att.LOG else [])
         if kind == att.LOG:
             assert "underflow" in str(errors[1])
+
+
+class TestScratch:
+    def test_a_returned_gradient_outlives_the_next_call(self):
+        # The kernel hands back its pack's own gradient; grad and _one copy it.
+        ds = _shape_dataset("desk")
+        w = seeded_rng(17).standard_normal((ds.d, ds.d))
+        first = att.grad(w, ds)
+        kept = first.tobytes()
+        assert att.grad(2.0 * w, ds).tobytes() != kept and first.tobytes() == kept
+        packed = att._pack([ds])
+        first = att._one(w, packed, att.LOG)[1]
+        kept = first.tobytes()
+        assert att._one(2.0 * w, packed, att.LOG)[1].tobytes() != kept and first.tobytes() == kept
+        g1 = att._loss_and_grad(w[None], packed, att.LOG, True)[2]
+        g2 = att._loss_and_grad(2.0 * w[None], packed, att.LOG, True)[2]
+        assert g1 is g2 is packed.grad
 
 
 def _last_tokens(ds, lengths):
@@ -439,6 +474,17 @@ class TestTrainBlock:
             else:
                 want = split_loss(w.astype(np.longdouble), r.split, kind)
                 assert got > 0.0 and abs(got - want) <= 1e-15 * want
+
+    def test_each_step_calls_the_kernel_once(self, monkeypatch):
+        # A step that bypassed the kernel would escape every fault injected
+        # through it; the loss is asked for on record steps alone.
+        datasets = [_shape_dataset("desk", seed) for seed in range(3)]
+        cfg = att.TrainConfig(eta=0.01, iters=25, normalized=True, record_every=10)
+        calls, kernel = [], att._loss_and_grad
+        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(kw["need_loss"]) or kernel(*args, **kw))
+        att.train_block(datasets, cfg)
+        assert len(calls) == 26
+        assert [tau for tau, record in enumerate(calls) if record] == [0, 10, 20, 25]
 
     @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
     def test_training_raises_no_floating_point_exception(self, kind):

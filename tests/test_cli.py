@@ -518,6 +518,13 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert (tmp_path / "m.json").exists()
 
+    def test_import_loads_no_process_pool(self):
+        # Only a run at --workers > 1 imports the pool's modules.
+        code = ("import sys, attnlab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0 and result.stdout.strip() == "[]"
+
     def test_argparse_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["exp", "definitely-not-real"])
