@@ -6,7 +6,9 @@ Losses read that output through the classifier head; under a tied head the
 per-sample score collapses to the total softmax mass on label occurrences,
 which is the path the log-loss theory lives on.  The packed kernel scores
 the label-relative rows x_t - e_y instead of x_t: each sample's scores
-shift by the constant e_y^T W xbar, so the softmax is the same.
+shift by the constant e_y^T W xbar, so the softmax is the same.  A label
+occurrence then scores exactly 0, which anchors its row's softmax: the row
+needs no max shift while its scores stay at most SCORE_BOUND.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ CROSS_ENTROPY = "ce"
 LOG_GUARD = 1e-300
 GRAD_FLOOR = 1e-14
 
+# A row that holds a label position scores 0 there, so its max is at least 0
+# and its softmax denominator Sigma at least 1.  With no score above
+# SCORE_BOUND, exp cannot overflow and Sigma <= T e^SCORE_BOUND, so the label
+# mass u >= 1/Sigma stays above LOG_GUARD whenever T e^SCORE_BOUND <
+# 1/LOG_GUARD: e^600 is about 3.8e260, so for any T below 2.6e39.  Such a row
+# takes exp, row sum and divide with no shift, and its log guard cannot fire.
+SCORE_BOUND = 600.0
+
 
 def loss_value(kind: str, u: np.ndarray) -> np.ndarray:
     if kind == LOG:
@@ -58,11 +68,20 @@ def softmax(h: np.ndarray) -> np.ndarray:
     return _softmax_in_place(h.copy(), np.empty_like(h[..., :1]))
 
 
-def _softmax_in_place(h: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """h overwritten with its softmax over the last axis; edge (..., 1)
-    holds each row's max, then its sum."""
+def _softmax_in_place(h: np.ndarray, edge: np.ndarray, only: Optional[np.ndarray] = None) -> np.ndarray:
+    """h overwritten with its softmax over the last axis, each row shifted
+    by its max first; edge (..., 1) holds the shift, then the row's sum.
+    With a (B,) mask ``only`` over a (B, g, T) h, the rows of the trials it
+    leaves out are shifted by 0.0 instead, which keeps every bit."""
     np.maximum.reduce(h, axis=-1, keepdims=True, out=edge)
+    if only is not None:
+        edge[~only] = 0.0
     np.subtract(h, edge, out=h)
+    return _exp_normalized(h, edge)
+
+
+def _exp_normalized(h: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """h overwritten with exp(h) over its row sums, which edge (..., 1) holds."""
     np.exp(h, out=h)
     np.add.reduce(h, axis=-1, keepdims=True, out=edge)
     np.divide(h, edge, out=h)
@@ -92,7 +111,7 @@ class _Scratch:
     def __init__(self, b: int, g: int, t: int, d: int):
         self.q = np.empty((b, g, d))     # xbar W^T
         self.h = np.empty((b, g, t))     # scores, then their softmax s
-        self.edge = np.empty((b, g, 1))  # each row's max, then its sum
+        self.edge = np.empty((b, g, 1))  # each row's shift, then its sum
         self.u = np.empty((b, g))        # label masses
         self.v = np.empty((b, g, t))     # s * (gamma - u)
         self.vec = np.empty((b, g, d))   # the gradient's rows before xbar
@@ -107,7 +126,9 @@ class _Group:
 
     Scores are label-relative: dx = x - e_y is zero on label positions, and
     the softmax of dx W xbar is that of x W xbar, since each sample's scores
-    shift by the constant e_y^T W xbar.
+    shift by the constant e_y^T W xbar.  A trial is anchored when each of
+    its rows, and each split row's label-SCC positions, hold a label
+    position: its rows' scores then peak at 0 or above (see SCORE_BOUND).
     """
 
     x: np.ndarray          # (B, g, T, d)
@@ -117,6 +138,8 @@ class _Group:
     omask: np.ndarray      # (B, g, T) True where token == label
     gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
     split: Optional[_SplitRows]  # the rows loss_bar scores; None for none
+    anchored: np.ndarray   # (B,) True for the anchored trials
+    all_anchored: bool     # every trial anchored
     scratch: _Scratch
 
 
@@ -190,12 +213,14 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
             held = np.zeros(toks.shape, dtype=bool)  # the label-SCC positions of the split's samples
             for r, i in enumerate(idx):
                 held[r, list(kept.get(i, ()))] = True
-            groups.append((x, x - e[labels][:, None, :], xbar, labels, omask, gamma, held))
+            anchored = np.all(omask.any(axis=1) & ((held & omask).any(axis=1) | ~held.any(axis=1)))
+            groups.append((x, x - e[labels][:, None, :], xbar, labels, omask, gamma, held, anchored))
         per_trial.append(groups)
     groups = []
     for trial_groups in zip(*per_trial):
-        *arrays, held = map(_stack, zip(*trial_groups))
-        groups.append(_Group(*arrays, split=_split_rows(held), scratch=_Scratch(*arrays[0].shape)))
+        *arrays, held, anchored = map(_stack, zip(*trial_groups))
+        groups.append(_Group(*arrays, split=_split_rows(held), anchored=anchored, all_anchored=bool(anchored.all()),
+                             scratch=_Scratch(*arrays[0].shape)))
     n = np.array([ds.n for ds in datasets], dtype=np.float64)
     return _Packed(
         groups=tuple(groups),
@@ -248,9 +273,17 @@ def _loss_and_grad(
     through the head for cross-entropy, then normalized like the loss.  It
     is 0 for an empty split and NaN for a trial without one.
 
+    A group whose trials are all anchored, with no score above SCORE_BOUND,
+    takes both softmaxes without a max shift; otherwise the trials that
+    fail either test are shifted by their row maxima, each trial as its own
+    pack would be (`_shift`).  Without a shift the label mass of a tied log
+    loss stays above LOG_GUARD, so a call without the loss on the reduced
+    form then skips the label mass and its guard.
+
     Without ``need_grad`` the gradient is None and its contractions are
     skipped; without ``need_loss`` the losses and loss_bar are None and
-    their terms are skipped, but the log-loss underflow guard still runs.
+    their terms are skipped, but the log-loss underflow guard still runs
+    wherever it can fire, so the errors are those of a call with the loss.
     An error in one trial's data does not stop the others: it comes back in
     {trial: exception}, and that trial's values are meaningless.
 
@@ -267,12 +300,14 @@ def _loss_and_grad(
     bar = np.where(packed.splits, 0.0, np.nan) if need_loss else None
     bar_errors: dict[int, Exception] = {}
     grad = packed.grad if need_grad else None
+    reduced = kind == LOG and packed.tied and reduced_log
     for g in packed.groups:
         sc = g.scratch
         h = _scores(w, g)
+        shift = _shift(h, g)
         if need_loss and g.split is not None:
-            bar += _split_loss(h, g, packed, kind, bar_errors)
-        s = _softmax_in_place(h, sc.edge)
+            bar += _split_loss(h, g, packed, kind, bar_errors, shift)
+        s = _exp_normalized(h, sc.edge) if shift is None else _softmax_in_place(h, sc.edge, shift)
         if kind == CROSS_ENTROPY:
             label, c = g.labels[..., None], packed.c
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
@@ -289,14 +324,15 @@ def _loss_and_grad(
             dh = s * (back - (s * back).sum(axis=-1, keepdims=True))
             np.matmul(dh[..., None, :], g.x, out=sc.vec_row)
         else:
-            u = np.vecdot(s, g.gamma, out=sc.u)
-            if kind == LOG:
-                u = _guarded(u, None, errors)
-            if need_loss:
-                total += loss_value(kind, u).sum(axis=-1)
+            if need_loss or not reduced or shift is not None:
+                u = np.vecdot(s, g.gamma, out=sc.u)
+                if kind == LOG:
+                    u = _guarded(u, None, errors)
+                if need_loss:
+                    total += loss_value(kind, u).sum(axis=-1)
             if not need_grad:
                 continue
-            if kind == LOG and packed.tied and reduced_log:
+            if reduced:
                 np.matmul(sc.s_row, g.dx, out=sc.vec_row)
             else:
                 v = np.subtract(g.gamma, u[..., None], out=sc.v)
@@ -326,6 +362,16 @@ def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
     return sc.h
 
 
+def _shift(h: np.ndarray, g: _Group) -> Optional[np.ndarray]:
+    """None when no row of the group's scores h needs a max shift: every
+    trial is anchored and no score passes SCORE_BOUND (a NaN fails).  Else
+    the (B,) mask of the trials that fail either test, which is the verdict
+    each trial's own pack gives it."""
+    if g.all_anchored and np.maximum.reduce(h, axis=None) <= SCORE_BOUND:
+        return None
+    return ~(g.anchored & (np.maximum.reduce(h, axis=(1, 2)) <= SCORE_BOUND))
+
+
 def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Exception]) -> np.ndarray:
     """Label masses u (B, g), with the rows of every trial that holds one at
     or below LOG_GUARD set to 1 and that trial's underflow in errors."""
@@ -337,13 +383,19 @@ def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Excepti
     return np.where(low[:, None], 1.0, u)
 
 
-def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: dict[int, Exception]) -> np.ndarray:
+def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: dict[int, Exception],
+                shift: Optional[np.ndarray]) -> np.ndarray:
     """Per-trial sums (B,) of the cyclic-split losses of a group's split
-    rows, from their scores h restricted to the label-SCC positions."""
+    rows, from their scores h restricted to the label-SCC positions.  The
+    rows of the trials in ``shift`` (`_shift`) are shifted by their max
+    over those positions, which hold the label's 0; no row when None."""
     rows = g.split
     hs = h.reshape(-1, h.shape[-1])[rows.rows]
-    ex = np.exp(hs - np.max(hs, axis=-1, where=rows.keep, initial=-np.inf, keepdims=True),
-                out=np.zeros_like(hs), where=rows.keep)
+    if shift is not None:
+        top = np.max(hs, axis=-1, where=rows.keep, initial=-np.inf, keepdims=True)
+        top[~shift[rows.trials]] = 0.0
+        hs -= top
+    ex = np.exp(hs, out=np.zeros_like(hs), where=rows.keep)
     s = ex / ex.sum(axis=-1, keepdims=True)
     if kind == CROSS_ENTROPY:
         x = g.x.reshape(-1, *g.x.shape[-2:])[rows.rows]
@@ -778,9 +830,11 @@ def loss_bar(w: np.ndarray, split: CyclicSplit) -> float:
     size.  Only the split rows of the dataset's own pack are scored."""
     if split.empty:
         return 0.0
-    packed, errors = _pack([split.dataset], splits=[split]), {}
-    total = sum(_split_loss(_scores(w[None], g), g, packed, LOG, errors)
-                for g in packed.groups if g.split is not None)
+    packed, errors, total = _pack([split.dataset], splits=[split]), {}, 0.0
+    for g in packed.groups:
+        if g.split is not None:
+            h = _scores(w[None], g)
+            total += _split_loss(h, g, packed, LOG, errors, _shift(h, g))
     if errors:
         raise errors[0]
     return float(total[0] / packed.n[0])

@@ -205,15 +205,25 @@ ORACLE_CASES = [
 class TestKernelOracle:
     @pytest.mark.parametrize("name,kind", ORACLE_CASES)
     def test_matches_einsum_oracle(self, name, kind):
+        # A moderate W, then W scaled so its top score sits just below and
+        # just above SCORE_BOUND: the unshifted softmax at its extreme, and
+        # the shifted one.  There the squared and cross-entropy gradients
+        # cancel (gamma - u, back - E_s[back]) to far below their terms, so
+        # only the log gradients are held to the bound at those scales.
         ds = _shape_dataset(name)
         w = 0.5 * seeded_rng(14).standard_normal((ds.d, ds.d))
+        top = max(np.max(att._scores(w[None], g)) for g in att._pack([ds]).groups)
         packed = extended(att._pack([ds]))
-        w_ext = w.astype(np.longdouble)
-        want = einsum_loss(w_ext, packed, kind)
-        assert abs(loss(w, ds, kind) - want) <= 1e-15 * abs(want)
-        for got, reduced_log in ((att.grad(w, ds, kind), True), (grad_general(w, ds, kind), False)):
-            want = einsum_grad(w_ext, packed, kind, reduced_log)
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        for scale in (1.0, 0.999 * att.SCORE_BOUND / top, 1.001 * att.SCORE_BOUND / top):
+            w_s = scale * w
+            w_ext = w_s.astype(np.longdouble)
+            want = einsum_loss(w_ext, packed, kind)
+            assert abs(loss(w_s, ds, kind) - want) <= 1e-15 * abs(want)
+            if scale != 1.0 and kind != att.LOG:
+                continue
+            for got, reduced_log in ((att.grad(w_s, ds, kind), True), (grad_general(w_s, ds, kind), False)):
+                want = einsum_grad(w_ext, packed, kind, reduced_log)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name,kind", [("desk", att.LOG), ("local", att.SQUARED), ("local", att.CROSS_ENTROPY)])
     def test_groups_of_several_lengths_sum_into_one_gradient(self, name, kind):
@@ -270,6 +280,117 @@ class TestSkippedLoss:
             assert sorted(errors) == ([1] if kind == att.LOG else [])
         if kind == att.LOG:
             assert "underflow" in str(errors[1])
+
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_each_trial_of_a_mixed_block_equals_its_own_pack(self, kind):
+        # The 1e5 trial's scores pass SCORE_BOUND and a fourth trial holds a
+        # sample without its label: those two take the row-max shift, the
+        # others none, each as in its own pack.
+        ds = _shape_dataset("desk")
+        split = _split_and_fin(ds)[0]
+        s0 = ds.samples[0]
+        cut = dsm.Sample(tokens=tuple((t + 1) % ds.K if t == s0.label else t for t in s0.tokens), label=s0.label)
+        datasets = [ds] * 3 + [dataclasses.replace(ds, samples=(cut, *ds.samples[1:]))]
+        splits = [split] * 3 + [None]
+        packed = att._pack(datasets, splits)
+        w = np.append(self.SCALES, 0.5)[:, None, None] * seeded_rng(15).standard_normal((4, ds.d, ds.d))
+        group = packed.groups[0]
+        tops = np.max(att._scores(w, group), axis=(1, 2))
+        assert len(packed.groups) == 1 and group.split is not None and not split.empty
+        assert list(group.anchored) == [True] * 3 + [False]
+        assert list(tops > att.SCORE_BOUND) == [False, True, False, False]
+        for reduced_log in (True, False):
+            for need_loss in (True, False):
+                *block, errors = att._loss_and_grad(w, packed, kind, reduced_log, need_loss=need_loss)
+                block = [None if a is None else a.copy() for a in block]
+                for b in range(4):
+                    own = att._pack([datasets[b]], [splits[b]])
+                    *alone, alone_errors = att._loss_and_grad(w[b:b + 1], own, kind, reduced_log,
+                                                              need_loss=need_loss)
+                    for got, want in zip(block, alone):
+                        assert (got is None and want is None) or got[b].tobytes() == want[0].tobytes()
+                    assert _errors({0: errors[b]} if b in errors else {}) == _errors(alone_errors)
+                assert sorted(errors) == ([1, 3] if kind == att.LOG else [])
+
+
+class TestAnchoredSoftmax:
+    @pytest.mark.parametrize("name", ["desk", "large-K"])
+    def test_errors_at_the_bound_need_no_loss(self, name):
+        # The top score just below SCORE_BOUND (no shift: the label mass and
+        # its guard are skipped without the loss), just above it, and at
+        # 1.2 SCORE_BOUND, where the label mass underflows LOG_GUARD.
+        ds = _shape_dataset(name)
+        w = seeded_rng(15).standard_normal((ds.d, ds.d))
+        top = np.max(att._scores(w[None], att._pack([ds]).groups[0]))
+        for factor, failing in ((0.999, False), (1.001, False), (1.2, True)):
+            w_s = (factor * att.SCORE_BOUND / top) * w
+            packed = att._pack([ds])
+            with_loss, without = (_errors(att._loss_and_grad(w_s[None], packed, att.LOG, True, need_loss=need_loss)[3])
+                                  for need_loss in (True, False))
+            assert with_loss == without and sorted(without) == ([0] if failing else [])
+            if failing:
+                assert without[0][0] is DomainError and "underflow" in without[0][1]
+
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_loss_bar_is_its_definition_near_and_past_the_bound(self, kind):
+        # The group's top score just below and just above SCORE_BOUND, then
+        # the split positions' top score at 1.2 SCORE_BOUND, where an
+        # unshifted exp overflows (the log loss's label mass underflows).
+        ds = _shape_dataset("desk")
+        split = _split_and_fin(ds)[0]
+        w = seeded_rng(19).standard_normal((ds.d, ds.d))
+        group = att._pack([ds], [split]).groups[0]
+        h = att._scores(w[None], group)
+        tops = [np.max(h), np.max(h.reshape(-1, h.shape[-1])[group.split.rows][group.split.keep])]
+        for factor, on in ((0.999, 0), (1.001, 0), (1.2, 1)):
+            if kind == att.LOG and on == 1:
+                continue
+            w_s = (factor * att.SCORE_BOUND / tops[on]) * w
+            got = att._loss_and_grad(w_s[None], att._pack([ds], [split]), kind, True)[1][0]
+            want = split_loss(w_s.astype(np.longdouble), split, kind)
+            assert abs(got - want) <= 1e-15 * want
+            if kind == att.LOG:
+                assert abs(att.loss_bar(w_s, split) - want) <= 1e-15 * want
+
+    def test_a_non_realizable_sample_fails_at_step_0(self):
+        # A tied log loss whose sample lacks its label: its zero label mass
+        # fails the guard at W = 0, as the kernel without the loss reports.
+        table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
+        bad = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED),
+                          samples=(dsm.Sample(tokens=(1, 2, 3), label=0), dsm.Sample(tokens=(0, 2, 1), label=0)))
+        errors = att._loss_and_grad(np.zeros((1, 4, 4)), att._pack([bad]), att.LOG, True, need_loss=False)[3]
+        assert list(errors) == [0]
+        with pytest.raises(DomainError) as exc:
+            att.train_gd(bad, att.TrainConfig(eta=0.1, iters=10, normalized=True))
+        assert str(exc.value) == str(errors[0]) == "log-loss argument underflow: min score 0.000e+00"
+
+    def test_a_split_row_without_its_label_is_not_anchored(self):
+        # Sample 0 is (3, 5, 5, 5) with label 5; a split holding only its
+        # first position has no label score 0 to anchor that softmax, so
+        # the trial takes the row-max shift and the guard.
+        ds = _shape_dataset("desk")
+        assert ds.samples[0].tokens == (3, 5, 5, 5) and ds.samples[0].label == 5
+        hand = gm.CyclicSplit(dataset=ds, idx_i=(0,), positions=((0,),))
+        assert att._pack([ds]).groups[0].anchored.tolist() == [True]
+        assert att._pack([ds], [hand]).groups[0].anchored.tolist() == [False]
+        with pytest.raises(DomainError, match="underflow: min score 0.000e"):
+            att.loss_bar(seeded_rng(20).standard_normal((ds.d, ds.d)), hand)
+
+    @pytest.mark.parametrize("mode,shape", [pytest.param("acyclic", (8, 8, 4, 6), id="acyclic"),
+                                            pytest.param("cyclic", SHAPES["large-K"][:4], id="large-K")])
+    def test_label_topped_rows_give_the_shifted_softmax_bytes(self, mode, shape):
+        # After 300 normalized steps every row's max is its label's exact 0,
+        # so the unshifted softmax is byte for byte the row-max-shifted one.
+        K, d, n, T = shape
+        table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=0)
+        ds = dsm.gen_dataset(table, None, n=n, T=T, mode=mode, seed=0)
+        w = att.train_gd(ds, att.TrainConfig(eta=0.01, iters=300, normalized=True, record_every=300)).w_final
+        packed = att._pack([ds])
+        (group,) = packed.groups
+        h = att._scores(w[None], group).copy()
+        assert np.all(np.max(h, axis=-1) == 0.0) and np.any(h < 0.0)
+        att._loss_and_grad(w[None], packed, att.LOG, True, need_loss=False)
+        assert group.scratch.h.tobytes() == att.softmax(h).tobytes()
 
 
 class TestScratch:
@@ -430,22 +551,35 @@ def _trace_bytes(trace):
 
 
 class TestTrainBlock:
-    @pytest.mark.parametrize("normalized,eta", [(True, 0.05), (False, 0.25)])
-    def test_block_traces_equal_train_gd_bit_for_bit(self, normalized, eta):
+    @pytest.mark.parametrize("normalized,eta,init_scale", [
+        pytest.param(True, 0.05, None, id="True-0.05"),
+        pytest.param(False, 0.25, None, id="False-0.25"),
+        # Trial 1 starts with its top score past SCORE_BOUND and falls below
+        # it by step 11; trial 2 starts just below it.
+        pytest.param(True, 0.5, 205.0, id="past-the-bound"),
+    ])
+    def test_block_traces_equal_train_gd_bit_for_bit(self, normalized, eta, init_scale):
         datasets, refs, pipes = _block_trials()
         assert len({att._structure(ds) for ds in datasets}) == 1
         assert pipes[0].solution.norm > 0 and pipes[0].s_fin.dim == 1
         assert pipes[1].solution.norm == 0 and pipes[1].s_fin.dim == 2
         assert pipes[2].split.empty
         cfg = att.TrainConfig(eta=eta, iters=300, normalized=normalized, record_every=7)
+        if init_scale is not None:
+            cfg = dataclasses.replace(cfg, init="gauss", init_scale=init_scale)
         alone = [att.train_gd(ds, cfg, r) for ds, r in zip(datasets, refs)]
+        if init_scale is not None:
+            group = att._pack(datasets).groups[0]
+            start, end = (np.max(att._scores(w[None], group), axis=(1, 2)) for w in (cfg.initial_w(4), alone[1].w_final))
+            assert start[1] > att.SCORE_BOUND > end[1] and att.SCORE_BOUND > start[2] > 0.99 * att.SCORE_BOUND
         for trace, ds, r in zip(alone, datasets, refs):
             rows, w_final = straight_train_gd(ds, cfg, r)
             assert np.array(list(trace.rows()), dtype=np.float64).tobytes() == rows.tobytes()
             assert trace.w_final.tobytes() == w_final.tobytes()
         assert np.all(np.isnan(alone[1].corr_svm)) and np.all(np.isfinite(alone[1].dist_fin))
         assert np.all(alone[2].loss_bar == 0.0)
-        assert np.all(alone[3].grad_norm <= att.GRAD_FLOOR) and not np.any(alone[3].w_final)
+        assert np.all(alone[3].grad_norm <= att.GRAD_FLOOR)
+        assert alone[3].w_final.tobytes() == cfg.initial_w(4).tobytes()
         for block in (att.train_block(datasets, cfg, refs),
                       [att.train_block([ds], cfg, [r])[0] for ds, r in zip(datasets, refs)]):
             for got, want in zip(block, alone):

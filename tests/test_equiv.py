@@ -1,0 +1,53 @@
+"""tools/equiv.py's `compare`, the verdict the artifact gate reports for each
+file: identical bytes, a numeric move with its largest relative difference,
+or DIFFERENT."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "equiv.py"
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("equiv", PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+def test_identical_bytes(compare):
+    assert compare(b"iter,loss\n0,0.5\n", b"iter,loss\n0,0.5\n") == ("identical", 0.0)
+    assert compare(b"\xff\xfe", b"\xff\xfe") == ("identical", 0.0)
+
+
+@pytest.mark.parametrize("a,b,worst", [
+    pytest.param(b"0,1.0,2.5\n", b"0,1.1,2.0\n", 0.5 / 2.5, id="largest-of-two"),
+    pytest.param(b'{"mean_dist": 0.0017688}\n', b'{"mean_dist": 0.0017255}\n', (0.0017688 - 0.0017255) / 0.0017688,
+                 id="json-value"),
+    # A sign flip is a relative difference of 2; the larger magnitude is the scale.
+    pytest.param(b"x -0.5 y 3\n", b"x 0.5 y 4\n", 2.0, id="sign-flip"),
+    pytest.param(b"1e-3,5\n", b"-2e-3,5\n", 0.003 / 0.002, id="sign-flip-exponent"),
+    # 0.0 and -0.0 are equal numbers: the files differ, but by nothing.
+    pytest.param(b"0.0,nan,inf\n", b"-0.0,nan,inf\n", 0.0, id="signed-zero"),
+])
+def test_numeric_reports_the_largest_relative_difference(compare, a, b, worst):
+    verdict, got = compare(a, b)
+    assert verdict == "numeric" and math.isclose(got, worst, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("a,b", [
+    pytest.param(b"iter,loss\n0,0.5\n", b"iter;loss\n0;0.5\n", id="layout"),
+    pytest.param(b"0,1.5\n", b"0,1.5,2.5\n", id="one-cell-more"),
+    pytest.param(b"0,,3\n", b"0,2.5,3\n", id="empty-nan-cell-to-number"),
+    pytest.param(b"0,nan,3\n", b"0,2.5,3\n", id="nan-to-number"),
+    pytest.param(b"0,inf,3\n", b"0,2.5,3\n", id="inf-to-finite"),
+    pytest.param(b'{"bound": Infinity}\n', b'{"bound": 1e308}\n', id="json-infinity-to-finite"),
+    pytest.param(b"ok\n", b"\xff\n", id="not-utf8"),
+])
+def test_different(compare, a, b):
+    verdict, worst = compare(a, b)
+    assert verdict == "DIFFERENT" and math.isnan(worst)
