@@ -598,7 +598,8 @@ _COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
 
 def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainRefs]) -> list[TrainTrace | Exception]:
     """`train_block` on datasets of one structure.  A failed trial is frozen:
-    its w stops moving and its later values are ignored."""
+    its w stops moving and its later values are ignored, and the steps end
+    once no trial is left."""
     trials, d = len(datasets), datasets[0].d
     packed, stack_refs = _pack(datasets, splits=[r.split for r in refs]), _StackRefs(refs, d)
     taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
@@ -648,7 +649,8 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             t_ms[row] = (time.perf_counter() - t0) * 1e3
             row += 1
             recorded[alive] = row
-        if tau == config.iters:
+        # Once every trial has failed, no later step changes what is returned.
+        if tau == config.iters or not (all_alive or alive.any()):
             break
         # g is the pack's array until the next kernel call, so the steps
         # may overwrite it.  Below the floor the computed gradient is

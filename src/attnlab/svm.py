@@ -175,37 +175,46 @@ def _combination(t: np.ndarray, e: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (((e[t[:, 0]] - e[t[:, 1]]).T * c) @ e[t[:, 2]]).ravel()
 
 
-def _gram(t: np.ndarray, e: np.ndarray, eq_basis: np.ndarray) -> np.ndarray:
-    """The NNLS Gram matrix of the triple rows t: the Gram of their
-    generators projected off the span of eq_basis, plus one.
+class _GramRows:
+    """The rows of the NNLS Gram matrix of the triple rows t, each formed
+    when it is read: the Gram of their generators projected off the span of
+    eq_basis, plus one.
 
-    Each generator is delta e_k^T with delta = e_i - e_j, so the Gram is
-    (D D^T) o (Q Q^T) - C C^T + 1, where D has rows delta, Q rows e_k and
-    C the coordinates on eq_basis, <B_l, delta e_k^T> = delta^T (B_l e_k).
-    The rows are taken in runs that share a last token k (they need not be
-    sorted by it).  A run's rows of C are its rows of D times the vectors
-    B_l e_k, and its rows of the Gram are one product [D, C] [t D, -C]^T
-    written in place, where t = Q e_k scales each row of D.  Every array but
-    the Gram matrix is O(m (d + q)) for q basis rows.
+    Each generator is delta e_k^T with delta = e_i - e_j, so row j is
+    (D delta_j) o (Q e_k) - C c_j + 1, where D has rows delta, Q rows e_k
+    and C the coordinates on eq_basis, <B_l, delta e_k^T> = delta^T (B_l e_k).
+    The products t = Q e_k are held once per last token k, and C is
+    computed in runs of rows that share a last token (they need not be
+    sorted by it): a run's rows of C are its rows of D times the vectors
+    B_l e_k.  `write` forms a row in O(m (d + q)) for q basis rows,
+    ``diag`` holds the diagonal, and the source holds O(m (d + q + r)) for
+    r last tokens.
     """
-    m, d = len(t), e.shape[1]
-    basis = eq_basis.reshape(-1, d, d)
-    delta = e[t[:, 0]] - e[t[:, 1]]
-    last = e[t[:, 2]]
-    cuts = (np.flatnonzero(t[1:, 2] != t[:-1, 2]) + 1).tolist()
-    runs = list(zip([0, *cuts], [*cuts, m]))
-    left = np.empty((m, d + len(basis)))  # rows [delta, C]
-    left[:, :d] = delta
-    if len(basis):
-        for lo, hi in runs:
-            left[lo:hi, d:] = delta[lo:hi] @ (basis @ last[lo]).T
-    right = -left  # rows [t_k delta, -C], the first d columns set per run
-    gram = np.empty((m, m))
-    for lo, hi in runs:
-        right[:, :d] = delta * (last @ last[lo])[:, None]
-        np.matmul(left[lo:hi], right.T, out=gram[lo:hi])
-    gram += 1.0
-    return gram
+
+    def __init__(self, t: np.ndarray, e: np.ndarray, eq_basis: np.ndarray):
+        m, d = len(t), e.shape[1]
+        basis = eq_basis.reshape(-1, d, d)
+        q = len(basis)
+        last = e[t[:, 2]]
+        self.m = m
+        self.delta = e[t[:, 0]] - e[t[:, 1]]
+        tokens, self.token = np.unique(t[:, 2], return_inverse=True)
+        self.products = e[tokens] @ last.T  # products[token[j]] = Q e_k for row j's k
+        # Rows [C, 1] and [-C, 1], so that coords @ signed[j] = 1 - C c_j.
+        self.coords = np.ones((m, q + 1))
+        if q:
+            cuts = (np.flatnonzero(t[1:, 2] != t[:-1, 2]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, m]):
+                self.coords[lo:hi, :q] = self.delta[lo:hi] @ (basis @ last[lo]).T
+        self.signed = -self.coords
+        self.signed[:, q] = 1.0
+        self.diag = np.vecdot(self.delta, self.delta) * np.vecdot(last, last) + np.vecdot(self.coords, self.signed)
+
+    def write(self, j: int, out: np.ndarray) -> None:
+        """Row j of the Gram matrix, into out."""
+        self.delta.dot(self.delta[j], out)
+        out *= self.products[self.token[j]]
+        out += self.coords.dot(self.signed[j])
 
 
 def _orth(vectors: np.ndarray) -> np.ndarray:
@@ -271,15 +280,18 @@ def _empty_solution(d: int) -> SvmSolution:
 
 class _PassiveInverse:
     """The passive-set solve of Lawson-Hanson NNLS in Gram form, kept
-    current as indices enter and leave the passive set P: the inverse of
-    the block gram[P, P], the passive rows gram[P] and the solution
+    current as indices enter and leave the passive set P: the passive rows
+    gram[P], the inverse of the block gram[P, P] and the solution
     z = gram[P, P]^-1 1.
 
-    Each lives in a buffer of the passive set's size that doubles when
-    full, never m x m.  An entering index borders the inverse through its
-    Schur complement and a leaving one is a rank-one downdate, O(p^2) each,
-    with z following in O(p); the dual gradient 1 - gram u then takes the p
-    passive rows, O(p m).
+    A Gram row is formed from the row source (`_GramRows`) when its index
+    enters, and the block, the LU solves and the dual gradient are read off
+    the stored rows, so the solve never holds an m x m array.  Each buffer
+    has the passive set's size and doubles when full; with the source that
+    is O(p m + m (d + q + r)) memory.  An entering index borders the inverse
+    through its Schur complement and a leaving one is a rank-one downdate,
+    O(p^2) each, with z following in O(p); the dual gradient 1 - gram u then
+    takes the p passive rows, O(p m).
 
     ``trusted`` says the updates are good to working accuracy: P is not
     nearly dependent (no diag(inv)_i gram_ii, which is 1 / sin^2 of the
@@ -289,14 +301,14 @@ class _PassiveInverse:
     solves P by LU and refactors.
     """
 
-    def __init__(self, gram: np.ndarray):
-        self.gram = gram
-        self.diag = gram.diagonal().copy()
+    def __init__(self, source: _GramRows):
+        self.source = source
+        self.diag = source.diag
         self.p = 0
-        size = min(len(gram), 64)
+        size = min(source.m, 64)
         self.order = np.empty(size, dtype=np.intp)  # order[:p] = P, in the order of the factor
         self.sol = np.empty(size)                   # sol[:p] = z
-        self.rows = np.empty((size, len(gram)))     # rows[:p] = gram[P]
+        self.rows = np.empty((size, source.m))      # rows[:p] = gram[P]
         self.inv = np.empty((size, size))           # inv[:p, :p] = gram[P, P]^-1
         self.trusted = True
 
@@ -319,11 +331,17 @@ class _PassiveInverse:
         h = self.inv[:p, :p] @ b
         return h, float(self.diag[j] - b @ h)
 
+    def stage(self, j: int) -> None:
+        """Form row j in the slot after P, where `exact` and `add` read it."""
+        if self.p == len(self.inv):
+            self._grow()
+        self.source.write(j, self.rows[self.p])
+        self.order[self.p] = j
+
     def add(self, j: int, h: np.ndarray, s: float) -> None:
         """Border the factor with index j, given `schur(j)`."""
+        self.stage(j)
         p = self.p
-        if p == len(self.inv):
-            self._grow()
         hs = h / s
         zj = (1.0 - h.sum()) / s
         self.inv[:p, :p] += np.einsum("i,j->ij", h, hs)
@@ -331,8 +349,6 @@ class _PassiveInverse:
         self.inv[p, p] = 1.0 / s
         self.sol[:p] -= zj * h
         self.sol[p] = zj
-        self.rows[p] = self.gram[j]
-        self.order[p] = j
         self.p += 1
 
     def drop(self, pos: int) -> None:
@@ -361,63 +377,71 @@ class _PassiveInverse:
         self.trusted = self.p == 0 or bool(spread.max() <= ILL_CONDITIONED and np.abs(grad[idx]).max() <= tol)
         return self.trusted
 
-    def reset(self, idx: np.ndarray, z: np.ndarray) -> None:
-        """Refactor from scratch on the index set idx, in that order, whose
-        solution z the caller has solved for."""
-        p = len(idx)
-        while p > len(self.inv):
-            self._grow()
+    def exact(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The LU solve of the first n stored indices (P, or P and a staged
+        index), ascending: (idx, pos, z) with idx = order[pos] and
+        z = np.linalg.solve(gram[idx, idx], 1).  The factor is unchanged."""
+        pos = np.argsort(self.order[:n])
+        idx = self.order[pos]
+        return idx, pos, np.linalg.solve(self.rows[pos[:, None], idx], np.ones(n))
+
+    def reset(self, z: np.ndarray) -> None:
+        """Refactor from scratch on the first len(z) stored indices, put in
+        ascending order, whose solution z `exact` solved for."""
+        p = len(z)
+        pos = np.argsort(self.order[:p])
+        self.order[:p] = self.order[pos]
+        self.rows[:p] = self.rows[pos]
         self.p = p
-        self.order[:p] = idx
         self.sol[:p] = z
-        self.rows[:p] = self.gram[idx]
-        self.inv[:p, :p] = np.linalg.inv(self.gram[np.ix_(idx, idx)])
+        self.inv[:p, :p] = np.linalg.inv(self.rows[:p, self.order[:p]])
 
     def _grow(self) -> None:
-        size, p = min(2 * len(self.inv), len(self.gram)), self.p
+        size, p, m = min(2 * len(self.inv), self.source.m), self.p, self.source.m
         order, sol = np.empty(size, dtype=np.intp), np.empty(size)
-        rows, inv = np.empty((size, len(self.gram))), np.empty((size, size))
+        rows, inv = np.empty((size, m)), np.empty((size, size))
         order[:p], sol[:p], rows[:p], inv[:p, :p] = self.order[:p], self.sol[:p], self.rows[:p], self.inv[:p, :p]
         self.order, self.sol, self.rows, self.inv = order, sol, rows, inv
 
 
-def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
+def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
     """Lawson-Hanson NNLS, min ||E u - f|| over u >= 0, in Gram form.
 
     Only gram = E^T E is needed, with E^T f = 1 (the all-ones vector), so
-    the dual gradient is 1 - gram u.  The passive-set solve is updated as
-    indices enter and leave (`_PassiveInverse`), so a step costs O(p m)
-    rather than a fresh O(p^3) solve and an O(m^2) product.  Where the
-    updates cannot be trusted (an entering index whose Schur complement is
-    below 1 / ILL_CONDITIONED of its diagonal, a nearly dependent P, or a
-    residual above tol) a step is the textbook one, an LU solve of
-    gram[P, P], and the factor is rebuilt from scratch.  An entering index
-    that is non-improving (its new weight is not positive) or degenerate
-    (the LU solve finds P with it singular) is skipped until u moves.
+    the dual gradient is 1 - gram u, and u is 0 off the passive set P, so
+    only the rows gram[P] are read.  Each is formed by the row source when
+    its index enters, and no array is m x m: the memory is O(p m) for the
+    passive rows and their factor, besides the source's O(m (d + q + r)).
+    The passive-set solve is updated as indices enter and leave
+    (`_PassiveInverse`), so a step costs O(p m) rather than a fresh O(p^3)
+    solve and an O(m^2) product.  Where the updates cannot be trusted (an
+    entering index whose Schur complement is below 1 / ILL_CONDITIONED of
+    its diagonal, a nearly dependent P, or a residual above tol) a step is
+    the textbook one, an LU solve of gram[P, P], and the factor is rebuilt
+    from scratch.  An entering index that is non-improving (its new weight
+    is not positive) or degenerate (the LU solve finds P with it singular)
+    is skipped until u moves.
 
     Convergence is decided on an exact solve, never on the updates: the
     final passive set is solved afresh by LU, np.linalg.solve(gram[P, P], 1),
-    and accepted only when every weight is positive and 1 - gram u <= tol
-    off P, over the full Gram matrix.  A set that fails is refactored, and
-    the iteration goes on from that solve.
+    and accepted only when every weight is positive and
+    1 - gram u = 1 - z gram[P] <= tol off P.  A set that fails is
+    refactored, and the iteration goes on from that solve.
 
     Returns (u, iterations, converged), where an iteration is one
     passive-set solve (by the updates or by LU; the accepted check is not
     counted) and the cap is 3m.
     """
-    m = len(gram)
+    m = source.m
     cap = 3 * m
-    tol = 10.0 * m * np.finfo(float).eps * float(gram.diagonal().max())
+    tol = 10.0 * m * np.finfo(float).eps * float(source.diag.max())
     u = np.zeros(m)
     grad = np.ones(m)
-    factor = _PassiveInverse(gram)
+    factor = _PassiveInverse(source)
     iters = 0
 
-    def exact(idx: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx)))
-
-    def refactor(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-        factor.reset(idx, z)
+    def refactor(z: np.ndarray) -> np.ndarray:
+        factor.reset(z)
         g = factor.grad()
         factor.check(g, tol)
         return g
@@ -429,25 +453,25 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
             g = factor.grad()
             if factor.check(g, tol):
                 return factor.z(), g
-        idx = np.sort(factor.idx)
-        z = exact(idx)
-        return z, refactor(idx, z)
+        z = factor.exact(factor.p)[2]
+        return z, refactor(z)
 
     while iters < cap:
         grad[factor.idx] = -np.inf
         j = int(grad.argmax())
         if grad[j] <= tol:
-            idx = np.sort(factor.idx)
-            z = exact(idx)
-            full = np.zeros(m)
-            full[idx] = z
-            grad = 1.0 - gram @ full
+            idx, pos, z = factor.exact(factor.p)
+            at = np.empty(len(z))
+            at[pos] = z  # z in the factor's order, to pair with its rows
+            grad = 1.0 - at @ factor.rows[: factor.p]
             grad[idx] = -np.inf
             if np.all(z > 0) and not (grad > tol).any():
+                full = np.zeros(m)
+                full[idx] = z
                 return full, iters, True
             # The updates misled the iteration: go on from the exact solve.
             iters += 1
-            refactor(idx, z)
+            refactor(z)
         else:
             fast = factor.trusted
             if fast:
@@ -464,15 +488,16 @@ def _nnls_gram(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:
                 z, grad = solve()
             else:
                 iters += 1
-                idx = np.sort(np.append(factor.idx, j))
+                factor.stage(j)
                 try:
-                    z = exact(idx)
+                    idx, _, z = factor.exact(factor.p + 1)
+                    enters = z[np.searchsorted(idx, j)] > 0
                 except np.linalg.LinAlgError:  # degenerate: j lies in the span of P
-                    z = np.zeros(len(idx))
-                if z[np.searchsorted(idx, j)] <= 0:
+                    enters = False
+                if not enters:
                     grad[j] = 0.0
                     continue
-                grad = refactor(idx, z)
+                grad = refactor(z)
         while (z <= 0).any():
             if iters >= cap:
                 return u, iters, False
@@ -523,7 +548,7 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     per last token, all but one between the same two SCCs, and those outside
     the transitive reduction of the SCC order, both read off the closures
     the constraint set holds.  The feasible set is unchanged, so W is too.
-    The Gram matrix, the NNLS, p and the Farkas test below see the kept rows
+    The Gram rows, the NNLS, p and the Farkas test below see the kept rows
     only; the primal, margin and KKT checks run over every inequality.
 
     Equalities are eliminated by projecting every kept inequality matrix
@@ -538,14 +563,16 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     otherwise W = p / ||p||^2.  ``ineq_multipliers`` has one entry per
     inequality, 0 on every dropped one.
 
-    No generator is written out as a d^2-wide row.  The Gram matrix of the
-    m kept rows comes from their d-dimensional factors (`_gram`), since
-    <(e_i - e_j) e_k^T, (e_i' - e_j') e_k'^T> = ((e_i - e_j) . (e_i' - e_j'))
-    (e_k . e_k'), less the products of their coordinates on the q rows of
-    the equality basis.  That takes O(m^2 (d + q)) flops, where d^2-wide
-    rows took O(m^2 d^2), and every array besides the m x m Gram matrix and
-    the NNLS's buffers is O(m (d + q)).  p is the passive rows' combination
-    as one d x d matrix, projected afterwards.
+    No generator is written out as a d^2-wide row, and no m x m Gram matrix
+    is formed.  A Gram row of the m kept rows is formed from their
+    d-dimensional factors (`_GramRows`) when its index enters the NNLS's
+    passive set, since <(e_i - e_j) e_k^T, (e_i' - e_j') e_k'^T> =
+    ((e_i - e_j) . (e_i' - e_j')) (e_k . e_k'), less the products of their
+    coordinates on the q rows of the equality basis.  A row takes
+    O(m (d + q)) flops, where a d^2-wide row took O(m d^2), and the solve
+    holds O(p m + m (d + q + r)) for p passive rows and r last tokens.  p is
+    the passive rows' combination as one d x d matrix, projected
+    afterwards.
 
     ``residuals["essential"]`` counts the rows the NNLS saw,
     ``residuals["sweeps"]`` its passive-set solves, and
@@ -562,9 +589,7 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     ineq = constraints.inequalities
     eq = constraints.equalities
     keep = _essential(constraints)
-    gram = _gram(ineq[keep], e, eq_basis)
-    u, iters, converged = _nnls_gram(gram)
-    del gram
+    u, iters, converged = _nnls_gram(_GramRows(ineq[keep], e, eq_basis))
     passive = keep[u > 0]
     weights = np.zeros(len(ineq))
     weights[keep] = u / u.sum()

@@ -3,8 +3,9 @@
 Reachability goes through a depth-first search from each node, the QP oracle
 enumerates active sets exhaustively, the graph SVM's presolve is checked
 against a transitive reduction read off those closures and its verdicts
-against an unreduced dense solve, its Gram matrix against the dense
-d^2-wide projected rows, gradients come from central finite
+against an unreduced dense solve, its Gram rows against the dense
+d^2-wide projected rows (and its NNLS reads a dense Gram matrix through
+`DenseGramRows`), gradients come from central finite
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
@@ -179,6 +180,19 @@ def active_set_oracle(eq_vecs: np.ndarray, ineq_vecs: np.ndarray, margin: float 
     if best_w is None:
         raise AssertionError("oracle found no feasible active set")
     return best_w
+
+
+class DenseGramRows:
+    """A row source for `svm._nnls_gram` backed by a dense Gram matrix:
+    row j is a copy of gram[j]."""
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+        self.m = len(gram)
+        self.diag = gram.diagonal().copy()
+
+    def write(self, j: int, out: np.ndarray) -> None:
+        out[:] = self.gram[j]
 
 
 def nnls_gram_oracle(gram: np.ndarray) -> tuple[np.ndarray, int, bool]:

@@ -674,6 +674,43 @@ class TestTrainBlock:
         assert type(block[1]) is DomainError and str(block[1]) == str(alone.value)
         assert _trace_bytes(block[0]) == _trace_bytes(att.train_gd(good, cfg))
 
+    def test_a_block_stops_once_every_trial_has_failed(self, monkeypatch):
+        # Two tied trials whose one sample lacks its label, one structure:
+        # both fail the underflow guard at step 0, so one kernel call is all
+        # 1,000 steps make, and each returns what it returns alone.
+        table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
+        head = dsm.make_head(table, dsm.TIED)
+        bad = [dsm.Dataset(embedding=table, head=head, samples=(dsm.Sample(tokens=tokens, label=0),))
+               for tokens in ((1, 2, 3), (3, 1, 2))]
+        cfg = att.TrainConfig(eta=0.1, iters=1000, normalized=True)
+        calls, kernel = [], att._loss_and_grad
+        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        with pytest.raises(DomainError) as alone:
+            att.train_gd(bad[0], cfg)
+        assert len(calls) == 1
+        block = att.train_block(bad, cfg)
+        assert len(calls) == 2
+        assert [type(b) for b in block] == [DomainError, DomainError]
+        assert str(block[0]) == str(block[1]) == str(alone.value) == "log-loss argument underflow: min score 0.000e+00"
+
+    def test_a_failed_last_trial_keeps_its_trace(self, monkeypatch):
+        # The loss turns infinite at step 7 and fails at the record step 10;
+        # the steps after it are not taken.  The trace holds the records up
+        # to step 5 and the W of step 10.
+        monkeypatch.setattr(att, "_loss_and_grad", _infinite_from_step_7(trial=0))
+        calls, kernel = [], att._loss_and_grad
+        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
+            att.train_gd(_shape_dataset("desk"), cfg)
+        assert len(calls) == 11
+        monkeypatch.undo()
+        clean = att.train_gd(_shape_dataset("desk"), dataclasses.replace(cfg, iters=5))
+        at_fail = att.train_gd(_shape_dataset("desk"), dataclasses.replace(cfg, iters=10))
+        got = exc.value.trace
+        assert _trace_bytes(dataclasses.replace(got, w_final=clean.w_final)) == _trace_bytes(clean)
+        assert got.w_final.tobytes() == at_fail.w_final.tobytes()
+
 
 def _split_and_fin(ds):
     tpgs = gm.build_tpgs(ds)
