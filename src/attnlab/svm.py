@@ -7,7 +7,9 @@ nodes: a same-SCC pair (R and R^T) is an equality and a strict-priority pair
 Frobenius norm subject to those constraints exactly, by an active-set NNLS
 after eliminating the equalities; an INFEASIBLE verdict carries convex
 weights whose combination of the inequality matrices lies in the equality
-span (a Farkas certificate).
+span (a Farkas certificate).  The NNLS keeps an orthogonal factor of its
+passive set, never an inverse: an entering index costs two gemvs and
+O(p), a leaving one a Householder reflection, O(p^2), for p passive rows.
 
 Before the NNLS, an exact presolve drops the inequalities that others imply:
 per last token, those tied to an earlier one through the equalities (same two
@@ -26,6 +28,7 @@ S_fin and the solver share one such basis per constraint set
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,8 +46,12 @@ PRIMAL_TOL = 1e-6
 FARKAS_TOL = 1e-9
 KKT_TOL = 1e-5
 # Past this 1 / sin^2 angle between a column of the NNLS passive set and
-# the span of the others, the set is solved by LU, not by the updated inverse.
+# the span of the others, the set is solved by LU, not by the updated
+# orthogonal factor.
 ILL_CONDITIONED = 1e6
+# The NNLS stores its passive rows in blocks of this many, so a growing
+# passive set takes one more block and copies no row.
+ROW_BLOCK = 64
 
 
 class SolveStatus(Enum):
@@ -278,24 +285,41 @@ def _empty_solution(d: int) -> SvmSolution:
     )
 
 
-class _PassiveInverse:
+def _top(x: np.ndarray) -> float:
+    """x.max() of a non-empty x, NaN if it holds one, read through argmax:
+    a ufunc reduction's fixed cost is several times a short argmax's."""
+    return x[x.argmax()]
+
+
+class _PassiveFactor:
     """The passive-set solve of Lawson-Hanson NNLS in Gram form, kept
-    current as indices enter and leave the passive set P: the passive rows
-    gram[P], the inverse of the block gram[P, P] and the solution
-    z = gram[P, P]^-1 1.
+    current as indices enter and leave the passive set P by an orthogonal
+    factor of P's generators E_P (Lawson & Hanson, ch. 24; Golub & Van
+    Loan, "Updating matrix factorizations"): a p x p matrix M with
+    M gram[P, P] M^T = I, so E_P M^T is an orthonormal basis of their span,
+    which is never formed.  gram[P, P]^-1 = M^T M, and the factor keeps the
+    solution z = gram[P, P]^-1 1 and dinv = diag(gram[P, P]^-1), the
+    squared column norms of M.
 
     A Gram row is formed from the row source (`_GramRows`) when its index
     enters, and the block, the LU solves and the dual gradient are read off
-    the stored rows, so the solve never holds an m x m array.  Each buffer
-    has the passive set's size and doubles when full; with the source that
-    is O(p m + m (d + q + r)) memory.  An entering index borders the inverse
-    through its Schur complement and a leaving one is a rank-one downdate,
-    O(p^2) each, with z following in O(p); the dual gradient 1 - gram u then
+    the stored rows, so the solve never holds an m x m array.  The rows are
+    stored in blocks of ROW_BLOCK: a passive set that outgrows them takes
+    one more block, and no row is ever copied to grow.  With the source
+    that is O(p m + m (d + q + r)) memory.
+
+    An entering index j costs two gemvs and O(p): w = M gram[P, j], its
+    Schur complement s = gram_jj - |w|^2, and a new row of M,
+    -(M^T w)^T / sqrt(s) with 1 / sqrt(s) on the diagonal.  A leaving index
+    costs one Householder reflection, O(p^2): it maps the index's column
+    of M onto the last row, which is dropped, and the last column takes
+    the index's place.  The reflection keeps column norms, so dinv and z
+    follow from the dropped row in O(p).  The dual gradient 1 - gram u then
     takes the p passive rows, O(p m).
 
     ``trusted`` says the updates are good to working accuracy: P is not
-    nearly dependent (no diag(inv)_i gram_ii, which is 1 / sin^2 of the
-    angle between column i of E and the span of the others, above
+    nearly dependent (no dinv_i gram_ii, which is 1 / sin^2 of the angle
+    between column i of E and the span of the others, above
     ILL_CONDITIONED) and the last residual 1 - gram[P, P] z was within
     tolerance.  While it is False the updates are skipped and the caller
     solves P by LU and refactors.
@@ -305,11 +329,13 @@ class _PassiveInverse:
         self.source = source
         self.diag = source.diag
         self.p = 0
-        size = min(source.m, 64)
-        self.order = np.empty(size, dtype=np.intp)  # order[:p] = P, in the order of the factor
-        self.sol = np.empty(size)                   # sol[:p] = z
-        self.rows = np.empty((size, source.m))      # rows[:p] = gram[P]
-        self.inv = np.empty((size, size))           # inv[:p, :p] = gram[P, P]^-1
+        self.block = min(source.m, ROW_BLOCK)
+        self.blocks: list[np.ndarray] = []          # row i of gram[P] is blocks[i // block][i % block]
+        self.order = np.empty(0, dtype=np.intp)     # order[:p] = P, the columns of M
+        self.sol = np.empty(0)                      # sol[:p] = z
+        self.dinv = np.empty(0)                     # dinv[:p] = diag(gram[P, P]^-1)
+        self.mat = np.empty((0, 0))                 # mat[:p, :p] = M
+        self._grow()
         self.trusted = True
 
     @property
@@ -319,89 +345,128 @@ class _PassiveInverse:
     def z(self) -> np.ndarray:
         return self.sol[: self.p].copy()
 
-    def grad(self) -> np.ndarray:
-        """1 - gram u for u = z on P and 0 elsewhere."""
-        return 1.0 - self.sol[: self.p] @ self.rows[: self.p]
+    def grad(self, z: Optional[np.ndarray] = None) -> np.ndarray:
+        """1 - gram u for u = z on the first len(z) stored indices and 0
+        elsewhere; z defaults to the factor's solution on P."""
+        z = self.sol[: self.p] if z is None else z
+        n, size = len(z), self.block
+        g = 1.0 - z[:size] @ self.blocks[0][:n]
+        for b in range(1, -(-n // size)):
+            g -= z[b * size : (b + 1) * size] @ self.blocks[b][: n - b * size]
+        return g
 
-    def schur(self, j: int) -> tuple[np.ndarray, float]:
-        """h = gram[P, P]^-1 gram[P, j] and the Schur complement of j; the
-        weight of j once it enters is (1 - sum(h)) / s."""
+    def _row(self, i: int) -> np.ndarray:
+        b, r = divmod(i, self.block)
+        return self.blocks[b][r]
+
+    def _gather(self, n: int, cols: np.ndarray) -> np.ndarray:
+        """gram[order[:n], cols], read off the first n stored rows."""
+        size = self.block
+        if n <= size:
+            return self.blocks[0][:n, cols]
+        return np.concatenate([self.blocks[b][: n - b * size, cols] for b in range(-(-n // size))])
+
+    def schur(self, j: int) -> tuple[np.ndarray, float, float]:
+        """w = M gram[P, j], the Schur complement s = gram_jj - |w|^2 of j,
+        and 1^T gram[P, P]^-1 gram[P, j] = z . gram[P, j]: the weight of j
+        once it enters is (1 - z . gram[P, j]) / s."""
         p = self.p
-        b = self.rows[:p, j]
-        h = self.inv[:p, :p] @ b
-        return h, float(self.diag[j] - b @ h)
+        b = self._gather(p, j)
+        w = self.mat[:p, :p] @ b
+        return w, float(self.diag[j] - w @ w), float(self.sol[:p] @ b)
 
     def stage(self, j: int) -> None:
         """Form row j in the slot after P, where `exact` and `add` read it."""
-        if self.p == len(self.inv):
+        if self.p == len(self.order):
             self._grow()
-        self.source.write(j, self.rows[self.p])
+        self.source.write(j, self._row(self.p))
         self.order[self.p] = j
 
-    def add(self, j: int, h: np.ndarray, s: float) -> None:
-        """Border the factor with index j, given `schur(j)`."""
+    def add(self, j: int, w: np.ndarray, s: float, zb: float) -> None:
+        """Append index j to the factor, given `schur(j)`."""
         self.stage(j)
-        p = self.p
-        hs = h / s
-        zj = (1.0 - h.sum()) / s
-        self.inv[:p, :p] += np.einsum("i,j->ij", h, hs)
-        self.inv[:p, p] = self.inv[p, :p] = -hs
-        self.inv[p, p] = 1.0 / s
-        self.sol[:p] -= zj * h
+        p, mat = self.p, self.mat
+        row = mat[p, :p]
+        np.matmul(w, mat[:p, :p], out=row)  # h = M^T w = gram[P, P]^-1 gram[P, j]
+        mat[:p, p] = 0.0
+        zj = (1.0 - zb) / s
+        self.sol[:p] -= zj * row
         self.sol[p] = zj
+        mat[p, p] = 1.0 / math.sqrt(s)
+        row *= -mat[p, p]
+        self.dinv[:p] += row * row
+        self.dinv[p] = 1.0 / s
         self.p += 1
 
     def drop(self, pos: int) -> None:
-        """Remove the index at position pos: swap it to the end, then
-        downdate the factor by its last row and column."""
+        """Remove the index at position pos: reflect its column of M onto
+        the last row, drop that row, and move the last column into pos."""
         q = self.p - 1
-        inv, sol = self.inv, self.sol
-        if pos != q:
-            self.rows[pos] = self.rows[q]
-            self.order[pos] = self.order[q]
-            if self.trusted:
-                inv[[pos, q], : q + 1] = inv[[q, pos], : q + 1]
-                inv[: q + 1, [pos, q]] = inv[: q + 1, [q, pos]]
-                sol[[pos, q]] = sol[[q, pos]]
         if self.trusted:
-            col = inv[:q, q] / inv[q, q]
-            inv[:q, :q] -= np.einsum("i,j->ij", col, inv[q, :q])
-            sol[:q] -= sol[q] * col
+            mat, sol, dinv = self.mat, self.sol, self.dinv
+            # H = I - v v^T / (|c| |v_q|) with v = c + sign(c_q) |c| e_q maps
+            # the column c onto rho e_q, rho = -sign(c_q) |c|; the sign
+            # avoids cancellation in v_q.
+            v = mat[: q + 1, pos].copy()
+            norm = math.sqrt(v @ v)
+            v[q] += math.copysign(norm, v[q])
+            rho = -math.copysign(norm, v[q])
+            t = v @ mat[: q + 1, : q + 1]
+            t /= norm * abs(v[q])
+            r = mat[q, : q + 1] - v[q] * t  # the last row of H M, dropped
+            mat[:q, : q + 1] -= np.multiply.outer(v[:q], t)
+            # gram[P, P]^-1 = (H M)^T (H M) loses r^T r, so z, its product
+            # with 1, loses r (r . (H M 1)) = r z_pos / rho.
+            sol[: q + 1] -= (sol[pos] / rho) * r
+            r *= r
+            dinv[: q + 1] -= r
+            mat[:q, pos] = mat[:q, q]
+            sol[pos], dinv[pos] = sol[q], dinv[q]
+        self._row(pos)[:] = self._row(q)
+        self.order[pos] = self.order[q]
         self.p = q
 
     def check(self, grad: np.ndarray, tol: float) -> bool:
         """Whether the factor can be kept: P is not nearly dependent and
         the residual of z, grad on P, is within tol."""
         idx = self.idx
-        spread = self.inv.diagonal()[: self.p] * self.diag[idx]
-        self.trusted = self.p == 0 or bool(spread.max() <= ILL_CONDITIONED and np.abs(grad[idx]).max() <= tol)
+        self.trusted = self.p == 0 or bool(
+            _top(self.dinv[: self.p] * self.diag[idx]) <= ILL_CONDITIONED and _top(np.abs(grad[idx])) <= tol)
         return self.trusted
 
-    def exact(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def exact(self, n: int) -> np.ndarray:
         """The LU solve of the first n stored indices (P, or P and a staged
-        index), ascending: (idx, pos, z) with idx = order[pos] and
-        z = np.linalg.solve(gram[idx, idx], 1).  The factor is unchanged."""
+        index): z = np.linalg.solve(gram[idx, idx], 1) for idx = order[:n]
+        in ascending order, returned in the stored order.  The factor is
+        unchanged."""
         pos = np.argsort(self.order[:n])
-        idx = self.order[pos]
-        return idx, pos, np.linalg.solve(self.rows[pos[:, None], idx], np.ones(n))
+        z = np.empty(n)
+        z[pos] = np.linalg.solve(self._gather(n, self.order[pos])[pos], np.ones(n))
+        return z
 
     def reset(self, z: np.ndarray) -> None:
-        """Refactor from scratch on the first len(z) stored indices, put in
-        ascending order, whose solution z `exact` solved for."""
+        """Refactor from scratch on the first len(z) stored indices, whose
+        solution z `exact` solved for: M = L^-1 for the Cholesky factor L of
+        gram[P, P].  Where Cholesky finds the block not positive definite,
+        dinv is left infinite, so `check` does not trust the factor."""
         p = len(z)
-        pos = np.argsort(self.order[:p])
-        self.order[:p] = self.order[pos]
-        self.rows[:p] = self.rows[pos]
         self.p = p
         self.sol[:p] = z
-        self.inv[:p, :p] = np.linalg.inv(self.rows[:p, self.order[:p]])
+        try:
+            mat = np.linalg.inv(np.linalg.cholesky(self._gather(p, self.order[:p])))
+        except np.linalg.LinAlgError:
+            self.dinv[:p] = np.inf
+            return
+        self.mat[:p, :p] = mat
+        self.dinv[:p] = np.vecdot(mat.T, mat.T)
 
     def _grow(self) -> None:
-        size, p, m = min(2 * len(self.inv), self.source.m), self.p, self.source.m
-        order, sol = np.empty(size, dtype=np.intp), np.empty(size)
-        rows, inv = np.empty((size, m)), np.empty((size, size))
-        order[:p], sol[:p], rows[:p], inv[:p, :p] = self.order[:p], self.sol[:p], self.rows[:p], self.inv[:p, :p]
-        self.order, self.sol, self.rows, self.inv = order, sol, rows, inv
+        """One more block of rows; the per-index arrays grow with it."""
+        size, p = len(self.order) + self.block, self.p
+        self.blocks.append(np.empty((self.block, self.source.m)))
+        order, sol, dinv, mat = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size), np.empty((size, size))
+        order[:p], sol[:p], dinv[:p], mat[:p, :p] = self.order[:p], self.sol[:p], self.dinv[:p], self.mat[:p, :p]
+        self.order, self.sol, self.dinv, self.mat = order, sol, dinv, mat
 
 
 def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
@@ -412,15 +477,16 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
     only the rows gram[P] are read.  Each is formed by the row source when
     its index enters, and no array is m x m: the memory is O(p m) for the
     passive rows and their factor, besides the source's O(m (d + q + r)).
-    The passive-set solve is updated as indices enter and leave
-    (`_PassiveInverse`), so a step costs O(p m) rather than a fresh O(p^3)
-    solve and an O(m^2) product.  Where the updates cannot be trusted (an
-    entering index whose Schur complement is below 1 / ILL_CONDITIONED of
-    its diagonal, a nearly dependent P, or a residual above tol) a step is
-    the textbook one, an LU solve of gram[P, P], and the factor is rebuilt
-    from scratch.  An entering index that is non-improving (its new weight
-    is not positive) or degenerate (the LU solve finds P with it singular)
-    is skipped until u moves.
+    The passive-set solve is kept by an orthogonal factor of P's
+    generators (`_PassiveFactor`): an entering index costs two gemvs and
+    O(p), a leaving one a reflection, O(p^2), and the dual gradient O(p m),
+    where a fresh solve would cost O(p^3) and the gradient O(m^2).  Where
+    the updates cannot be trusted (an entering index whose Schur complement
+    is below 1 / ILL_CONDITIONED of its diagonal, a nearly dependent P, or a
+    residual above tol) a step is the textbook one, an LU solve of
+    gram[P, P], and the factor is rebuilt from scratch.  An entering index
+    that is non-improving (its new weight is not positive) or degenerate
+    (the LU solve finds P with it singular) is skipped until u moves.
 
     Convergence is decided on an exact solve, never on the updates: the
     final passive set is solved afresh by LU, np.linalg.solve(gram[P, P], 1),
@@ -437,7 +503,7 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
     tol = 10.0 * m * np.finfo(float).eps * float(source.diag.max())
     u = np.zeros(m)
     grad = np.ones(m)
-    factor = _PassiveInverse(source)
+    factor = _PassiveFactor(source)
     iters = 0
 
     def refactor(z: np.ndarray) -> np.ndarray:
@@ -453,21 +519,22 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
             g = factor.grad()
             if factor.check(g, tol):
                 return factor.z(), g
-        z = factor.exact(factor.p)[2]
+        z = factor.exact(factor.p)
         return z, refactor(z)
 
     while iters < cap:
-        grad[factor.idx] = -np.inf
+        if not factor.trusted:
+            # A trusted factor's residual on P is within tol, so no passive
+            # index can be the pivot, and the mask is needed only here.
+            grad[factor.idx] = -np.inf
         j = int(grad.argmax())
         if grad[j] <= tol:
-            idx, pos, z = factor.exact(factor.p)
-            at = np.empty(len(z))
-            at[pos] = z  # z in the factor's order, to pair with its rows
-            grad = 1.0 - at @ factor.rows[: factor.p]
-            grad[idx] = -np.inf
+            z = factor.exact(factor.p)
+            grad = factor.grad(z)
+            grad[factor.idx] = -np.inf
             if np.all(z > 0) and not (grad > tol).any():
                 full = np.zeros(m)
-                full[idx] = z
+                full[factor.idx] = z
                 return full, iters, True
             # The updates misled the iteration: go on from the exact solve.
             iters += 1
@@ -475,30 +542,30 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
         else:
             fast = factor.trusted
             if fast:
-                h, s = factor.schur(j)
+                w, s, zb = factor.schur(j)
                 fast = s * ILL_CONDITIONED >= factor.diag[j]
-                if fast and h.sum() >= 1.0:
-                    # The weight of j, (1 - sum(h)) / s, would not be
-                    # positive: skip it until u moves.
+                if fast and zb >= 1.0:
+                    # The weight of j, (1 - z . gram[P, j]) / s, would not
+                    # be positive: skip it until u moves.
                     iters += 1
                     grad[j] = 0.0
                     continue
             if fast:
-                factor.add(j, h, s)
+                factor.add(j, w, s, zb)
                 z, grad = solve()
             else:
                 iters += 1
                 factor.stage(j)
                 try:
-                    idx, _, z = factor.exact(factor.p + 1)
-                    enters = z[np.searchsorted(idx, j)] > 0
+                    z = factor.exact(factor.p + 1)
+                    enters = z[-1] > 0  # j is the staged index
                 except np.linalg.LinAlgError:  # degenerate: j lies in the span of P
                     enters = False
                 if not enters:
                     grad[j] = 0.0
                     continue
                 grad = refactor(z)
-        while (z <= 0).any():
+        while len(z) and z[z.argmin()] <= 0:  # (z <= 0).any(), read as `_top` reads a max
             if iters >= cap:
                 return u, iters, False
             # Step from u toward z until the first passive weight hits zero.

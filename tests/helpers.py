@@ -18,14 +18,24 @@ Hand-written constraint sets go through the library's own graph chain
 (`constraints_from_edges`), since a constraint set is the graphs' closures.  Two
 helpers are plain kernel calls, not oracles: `loss`, the loss of one
 dataset, and `grad_general`, the softmax-chain gradient that the reduced
-tied-log form is checked against.
+tied-log form is checked against.  `load_tool` imports a script of tools/.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 from attnlab import attention, dataset as dsm, graph as gm, svm
+
+
+def load_tool(name: str):
+    """The module tools/<name>.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reachability_matrix(n_nodes: int, edges) -> np.ndarray:

@@ -1,22 +1,18 @@
 """tools/equiv.py's `compare`, the verdict the artifact gate reports for each
 file: identical bytes, a numeric move with its largest relative difference,
-or DIFFERENT."""
+or DIFFERENT; and that gate on the graph-SVM verdict files that
+tools/verdicts.py writes."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
-PATH = Path(__file__).resolve().parent.parent / "tools" / "equiv.py"
+from helpers import load_tool
 
 
 @pytest.fixture(scope="module")
 def compare():
-    spec = importlib.util.spec_from_file_location("equiv", PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.compare
+    return load_tool("equiv").compare
 
 
 def test_identical_bytes(compare):
@@ -50,4 +46,20 @@ def test_numeric_reports_the_largest_relative_difference(compare, a, b, worst):
 ])
 def test_different(compare, a, b):
     verdict, worst = compare(a, b)
+    assert verdict == "DIFFERENT" and math.isnan(worst)
+
+
+def test_verdict_files(compare):
+    # Two instances' verdicts: a moved W_svm entry reads numeric with its
+    # relative difference, and a changed status reads DIFFERENT.
+    verdicts = load_tool("verdicts")
+    base = {name: verdicts.verdict(verdicts.svm.solve_graph_svm(verdicts.constraints(*shape)))
+            for name, shape in list(verdicts.instances(smoke=True).items())[:2]}
+    assert all(v["status"] == "solved" for v in base.values())
+    moved = {name: {**v, "w_svm": [list(row) for row in v["w_svm"]]} for name, v in base.items()}
+    moved["refs-0"]["w_svm"][0][0] *= 1.0 + 1e-13
+    verdict, worst = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
+    assert verdict == "numeric" and 0.5e-13 <= worst <= 2e-13
+    moved["refs-1"] = {**moved["refs-1"], "status": "infeasible"}
+    verdict, worst = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
     assert verdict == "DIFFERENT" and math.isnan(worst)

@@ -10,7 +10,10 @@ its own ``src`` on PYTHONPATH:
   at ``--workers 2``;
 - ``selftest --seed 0`` and ``--seed 1``;
 - ``gen-data``, ``build-graph``, ``solve-svm``, ``train`` and ``analyze``
-  on a generated dataset.
+  on a generated dataset;
+- ``tools/verdicts.py`` from the working tree, which writes the graph-SVM
+  verdicts (status, sweeps, kept rows and ``W_svm``) on its corpus of
+  instances, so a status that changes reads DIFFERENT.
 
 Each command's stdout, stderr and exit code are kept beside its files.
 Every file is then compared across the trees and reported on one line:
@@ -20,9 +23,10 @@ Within each tree, an experiment's ``--workers 1`` and ``--workers 2`` files
 must be byte-identical.  The exit status is 1 on a DIFFERENT file or a
 worker-count mismatch, else 0.
 
-``--smoke`` runs one trial of each experiment with short training, so CI
-can run it against HEAD in about a minute.  ``train``'s ``wall_ms``, a
-wall-clock time, is dropped before comparing.
+``--smoke`` runs one trial of each experiment with short training, and
+the verdict corpus without its 600 draws, so CI can run it against HEAD
+in about a minute.  ``train``'s ``wall_ms``, a wall-clock time, is dropped
+before comparing.
 """
 
 from __future__ import annotations
@@ -68,12 +72,16 @@ TOOLS = (
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\binf\b|\bnan\b|-?Infinity|NaN)")
 
 
-def run(tree: Path, cwd: Path, name: str, args: list[str]) -> None:
-    """One attnlab command in cwd; its stdout, stderr and exit code go to
-    name.stdout, name.stderr and name.exit there."""
+CLI = ["-m", "attnlab.cli"]
+
+
+def run(tree: Path, cwd: Path, name: str, args: list[str], program: list[str] = CLI) -> None:
+    """One Python program, by default the attnlab CLI, in cwd with tree's
+    src on the path; its stdout, stderr and exit code go to name.stdout,
+    name.stderr and name.exit there."""
     cwd.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run([sys.executable, "-m", "attnlab.cli", *args], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, *program, *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
     (cwd / f"{name}.stdout").write_text(done.stdout)
     (cwd / f"{name}.stderr").write_text(done.stderr)
@@ -90,6 +98,8 @@ def run_all(tree: Path, out: Path, smoke: bool) -> None:
         run(tree, out / "selftest", f"seed{seed}", ["selftest", "--seed", str(seed)])
     for name, args in TOOLS:
         run(tree, out / "tools", name, args)
+    run(tree, out / "verdicts", "verdicts", ["verdicts.json", *(["--smoke"] if smoke else [])],
+        program=[str(ROOT / "tools" / "verdicts.py")])
     summary = out / "tools" / "train.json"
     if summary.exists():
         payload = json.loads(summary.read_text())
