@@ -17,7 +17,6 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DomainError, NonFiniteLoss
 from .graph import CyclicSplit
-from .svm import MatrixSubspace
+from .svm import MatrixSubspace, Solution, WfinStatus
 from .util import frozen, seeded_rng
 
 LOG = "log"
@@ -637,7 +636,8 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             fail(errors)
         gn = _norms(g)
         # Every norm finite and above the floor; a NaN fails both tests.
-        clean = np.minimum.reduce(gn) > GRAD_FLOOR and np.maximum.reduce(gn) < np.inf
+        # Read through argmin and argmax, as `svm._top` reads a max.
+        clean = gn[gn.argmin()] > GRAD_FLOOR and gn[gn.argmax()] < np.inf
         if not clean and not np.isfinite(gn).all():
             fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
         if record:
@@ -679,27 +679,6 @@ NEWTON_MAX_ITERS = 50       # safety net only: the certificate sets the status
 ARMIJO_ALPHA = 0.25
 ARMIJO_BETA = 0.5
 ARMIJO_MIN_STEP = 1e-12
-
-
-class WfinStatus(Enum):
-    CERTIFIED = "certified"
-    UNCERTIFIED = "uncertified"
-
-
-@dataclass(frozen=True)
-class WfinResult:
-    """W_fin with its certificate: ||w - W_fin||_F <= bound when CERTIFIED.
-
-    ``grad_norm`` and ``mu`` are the gradient norm and the smallest Hessian
-    eigenvalue of the reduced loss at ``w``, in S_fin coordinates.
-    """
-
-    w: np.ndarray
-    status: WfinStatus
-    iterations: int
-    grad_norm: float
-    mu: float
-    bound: float
 
 
 def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]:
@@ -767,7 +746,7 @@ def _hessian_lipschitz(feats: list, n: int) -> float:
     return total / n
 
 
-def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
+def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
     """Finite component: minimize the log loss of the cyclic split over S_fin.
 
     Damped Newton over the coordinates z of S_fin's orthonormal basis
@@ -777,13 +756,16 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
     rounding floor).  The result is CERTIFIED when 8 M ||g|| <= mu^2, with M
     the Hessian's Lipschitz constant: then H >= mu/2 on the ball of radius
     bound = 4 ||g|| / mu around z, so W_fin lies in it; the bound must also
-    be at most WFIN_REL_BOUND * max(1, ||W||).  An empty split or S_fin
-    gives W = 0, certified.
+    be at most WFIN_REL_BOUND * max(1, ||W||).  Else it is UNCERTIFIED.  An
+    empty split or S_fin gives W = 0, certified.  The residuals are the
+    Newton ``iterations``, ``grad_norm`` = ||g|| and ``mu``, the smallest
+    eigenvalue of H, both at the returned z, and ``bound`` (infinite when
+    mu <= 0).
     """
     d = split.dataset.d
     if split.empty or s_fin.dim == 0:
-        return WfinResult(w=frozen(np.zeros((d, d))), status=WfinStatus.CERTIFIED,
-                          iterations=0, grad_norm=0.0, mu=np.inf, bound=0.0)
+        return Solution(frozen(np.zeros((d, d))), WfinStatus.CERTIFIED,
+                        {"iterations": 0, "grad_norm": 0.0, "mu": np.inf, "bound": 0.0})
     feats, n = _fin_features(split, s_fin)
     z = np.zeros(s_fin.dim)
     lam2_prev, full_step, iterations = np.inf, False, 0
@@ -815,13 +797,10 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> WfinResult:
         and 8.0 * _hessian_lipschitz(feats, n) * grad_norm <= mu * mu
         and bound <= WFIN_REL_BOUND * max(1.0, float(np.linalg.norm(z)))
     )
-    return WfinResult(
+    return Solution(
         w=frozen(np.tensordot(z, s_fin.basis, axes=1)),
         status=WfinStatus.CERTIFIED if certified else WfinStatus.UNCERTIFIED,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        mu=mu,
-        bound=bound,
+        residuals={"iterations": iterations, "grad_norm": grad_norm, "mu": mu, "bound": bound},
     )
 
 

@@ -42,8 +42,8 @@ class NonFiniteLoss(AttnLabError):
 
 
 class NoConvergence(AttnLabError):
-    """A reference could not be certified: the graph-SVM solve did not end
-    SOLVED, or W_fin is not CERTIFIED."""
+    """A reference could not be certified: `svm.Solution.require` met a
+    solve that did not end SOLVED or CERTIFIED."""
 
 
 class ZeroMatrix(AttnLabError):

@@ -69,7 +69,7 @@ class Pipeline:
         return svm.build_constraints(self.tpgs, self.decomps, self.dataset.embedding)
 
     @functools.cached_property
-    def solution(self) -> svm.SvmSolution:
+    def solution(self) -> svm.Solution:
         return svm.solve_graph_svm(self.constraints)
 
     @functools.cached_property
@@ -81,7 +81,7 @@ class Pipeline:
         return graph.cyclic_split(self.dataset, self.sets)
 
     @functools.cached_property
-    def fin_result(self) -> attention.WfinResult:
+    def fin_result(self) -> svm.Solution:
         return attention.train_wfin(self.split, self.s_fin)
 
     @functools.cached_property
@@ -102,10 +102,9 @@ class Pipeline:
 
     def refs(self) -> attention.TrainRefs:
         """Training references; a W_svm the solver did not certify is never one."""
-        if self.solution.status is not svm.SolveStatus.SOLVED:
-            raise NoConvergence(f"graph-SVM solve returned {self.solution.status.value}; W_svm is undefined")
+        solution = self.solution.require("graph-SVM solve")
         return attention.TrainRefs(
-            w_svm=self.w_svm if self.solution.norm > 0 else None,
+            w_svm=self.w_svm if solution.norm > 0 else None,
             s_fin=self.s_fin,
             w_fin=self.w_fin,
             split=self.split,
@@ -114,15 +113,11 @@ class Pipeline:
 
 def build_pipeline(dataset: Dataset) -> Pipeline:
     """A pipeline whose W_svm and W_fin are solved in this call; raises
-    NoConvergence unless W_fin is certified."""
+    NoConvergence unless W_fin is certified: a split built from dataset
+    graphs has a finite minimizer."""
     pipe = Pipeline(dataset)
     pipe.solution  # solved inside this call, as W_fin is below
-    fin_result = pipe.fin_result
-    if fin_result.status is not attention.WfinStatus.CERTIFIED:
-        raise NoConvergence(
-            f"W_fin solve returned {fin_result.status.value} (grad norm {fin_result.grad_norm:.3e}, "
-            f"mu {fin_result.mu:.3e}); a split built from dataset graphs has a finite minimizer"
-        )
+    pipe.fin_result.require("W_fin solve")
     return pipe
 
 
@@ -191,12 +186,10 @@ def _local_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     ds, _, _, (pipe, eps) = built
     w_gd = trace.w_final
     local = Pipeline(ds, analysis.pseudo_tpgs(w_gd, ds, eps=eps))
-    if local.solution.status is not svm.SolveStatus.SOLVED:
-        raise NoConvergence(f"pseudo graph-SVM solve returned {local.solution.status.value}; "
-                            "the pseudo W_svm is undefined")
+    local.solution.require("pseudo graph-SVM solve")
     # Pseudo splits carry no finite-minimizer guarantee: an uncertified W_fin
     # is recorded as such and gives no distance.
-    certified = local.fin_result.status is attention.WfinStatus.CERTIFIED
+    certified = local.fin_result.status is svm.WfinStatus.CERTIFIED
     return {
         "corr_global": attention.correlation(w_gd, pipe.w_svm),
         "corr_local": attention.correlation(w_gd, local.w_svm),

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import EmbeddingTable
-from .errors import NotOrthonormal
+from .errors import NoConvergence, NotOrthonormal
 from .graph import SccDecomposition, TokenPriorityGraph, _levels, _product
 from .util import frozen
 
@@ -58,6 +58,55 @@ class SolveStatus(Enum):
     SOLVED = "solved"
     INFEASIBLE = "infeasible"
     MAX_ITER = "max_iter"
+
+
+class WfinStatus(Enum):
+    CERTIFIED = "certified"
+    UNCERTIFIED = "uncertified"
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A solver's verdict: W, its status, and the residuals behind it.
+
+    SOLVED and CERTIFIED are decided: `require` passes them and raises
+    NoConvergence on any other status.  The residual keys, per solver:
+
+    - `solve_graph_svm`: ``sweeps`` (the NNLS's passive-set solves),
+      ``converged`` (its exact optimality check passed) and ``essential``
+      (the rows it saw), always; with them ``farkas_residual`` (||p||)
+      where p is a Farkas certificate (INFEASIBLE, or MAX_ITER if the NNLS
+      hit its cap), else ``max_eq_violation``, ``min_ineq_margin`` and
+      ``kkt_residual`` of W (SOLVED, or MAX_ITER if a check failed).
+      ``ineq_multipliers`` has one entry per inequality: the Farkas weights
+      in the first case, the KKT multipliers in the second;
+    - `solve_per_last_token`: ``sweeps``, ``converged`` and ``essential``
+      over its subproblems and their count ``per_k``; no multipliers;
+    - `check_feasibility`: the construction's ``max_eq_violation`` and
+      ``min_ineq_margin``, SOLVED with no multipliers, or else the verdict
+      of `solve_graph_svm`;
+    - `attention.train_wfin`: ``iterations`` (Newton steps),
+      ``grad_norm`` and ``mu`` (the smallest Hessian eigenvalue) of the
+      reduced loss at w in S_fin coordinates, and ``bound``, with
+      ||w - W_fin||_F <= bound when CERTIFIED; no multipliers.
+    """
+
+    w: np.ndarray
+    status: SolveStatus | WfinStatus
+    residuals: dict
+    ineq_multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.w))
+
+    def require(self, what: str) -> "Solution":
+        """This solution if its status is decided; otherwise NoConvergence
+        naming what returned which status, with the residuals."""
+        if self.status in (SolveStatus.SOLVED, WfinStatus.CERTIFIED):
+            return self
+        shown = ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}" for k, v in self.residuals.items())
+        raise NoConvergence(f"{what} returned {self.status.value} ({shown})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,28 +310,6 @@ def svm_subspace(active: MatrixSubspace, fin: MatrixSubspace) -> MatrixSubspace:
     a = active.basis.reshape(active.dim, active.d * active.d)
     f = fin.basis.reshape(fin.dim, fin.d * fin.d)
     return _subspace(a - (a @ f.T) @ f, active.d)
-
-
-@dataclass(frozen=True)
-class SvmSolution:
-    w: np.ndarray
-    status: SolveStatus
-    ineq_multipliers: np.ndarray
-    residuals: dict = field(default_factory=dict)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
-
-def _empty_solution(d: int) -> SvmSolution:
-    return SvmSolution(
-        w=frozen(np.zeros((d, d))),
-        status=SolveStatus.SOLVED,
-        ineq_multipliers=np.zeros(0),
-        residuals={"max_eq_violation": 0.0, "min_ineq_margin": np.inf, "kkt_residual": 0.0, "sweeps": 0,
-                   "converged": True, "essential": 0},
-    )
 
 
 def _top(x: np.ndarray) -> float:
@@ -608,7 +635,7 @@ def _essential(constraints: ConstraintSet) -> np.ndarray:
     return np.sort(first[cover[g[first], a[first], b[first]]])
 
 
-def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
+def solve_graph_svm(constraints: ConstraintSet) -> Solution:
     """Min-Frobenius-norm W subject to the constraint set, over its embedding.
 
     A presolve (`_essential`) first drops the inequalities that others imply:
@@ -641,16 +668,19 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     the passive rows' combination as one d x d matrix, projected
     afterwards.
 
-    ``residuals["essential"]`` counts the rows the NNLS saw,
-    ``residuals["sweeps"]`` its passive-set solves, and
-    ``residuals["converged"]`` is True when its exact optimality check
-    passed: a MAX_ITER with ``converged`` True failed the primal or KKT
-    check on an optimal NNLS point, one with False hit the 3m cap.
+    The status is SOLVED when the NNLS converged and W passes the primal,
+    margin and KKT checks, INFEASIBLE on a converged Farkas certificate,
+    and MAX_ITER otherwise: a MAX_ITER with ``residuals["converged"]`` True
+    failed a check on an optimal NNLS point, one with False hit the 3m
+    cap.  `Solution` lists the residuals.  With no inequality, W = 0 is
+    SOLVED.
     """
     d = constraints.embedding.d
     e = constraints.embedding.e
     if not len(constraints.inequalities):
-        return _empty_solution(d)
+        return Solution(frozen(np.zeros((d, d))), SolveStatus.SOLVED, {
+            "max_eq_violation": 0.0, "min_ineq_margin": np.inf, "kkt_residual": 0.0, "sweeps": 0,
+            "converged": True, "essential": 0})
 
     eq_basis = constraints.eq_basis
     ineq = constraints.inequalities
@@ -665,7 +695,7 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     farkas = float(np.linalg.norm(p))
     counts = {"sweeps": iters, "converged": converged, "essential": len(keep)}
     if farkas <= FARKAS_TOL:
-        return SvmSolution(
+        return Solution(
             w=frozen(np.zeros((d, d))),
             status=SolveStatus.INFEASIBLE if converged else SolveStatus.MAX_ITER,
             ineq_multipliers=weights,
@@ -690,7 +720,7 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     if converged and max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL and kkt_residual <= KKT_TOL:
         status = SolveStatus.SOLVED
 
-    return SvmSolution(
+    return Solution(
         w=frozen(w),
         status=status,
         ineq_multipliers=lam,
@@ -703,20 +733,14 @@ def solve_graph_svm(constraints: ConstraintSet) -> SvmSolution:
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    certificate: Optional[np.ndarray]
-    source: str
-    detail: str = ""
-
-
-def check_feasibility(constraints: ConstraintSet) -> FeasibilityResult:
-    """Certify feasibility for full-row-rank embeddings by explicit
-    construction; otherwise report what the solver finds."""
+def check_feasibility(constraints: ConstraintSet) -> Solution:
+    """Feasibility of the constraint set.  For a full-row-rank embedding
+    (d >= K), the paper's explicit construction, checked against the
+    embedding arithmetic: SOLVED with a feasible W, not the min-norm one,
+    and no multipliers.  Otherwise, or if that check fails, the verdict of
+    `solve_graph_svm` unchanged: MAX_ITER stays undecided, and INFEASIBLE
+    keeps its Farkas weights."""
     emb = constraints.embedding
-    if constraints.n_constraints == 0:
-        return FeasibilityResult(True, np.zeros((emb.d, emb.d)), "certificate", "no constraints")
     if emb.full_row_rank:
         # W^bar[i, k] is node i's priority level in the graph of last token
         # k, read off its closure: every inequality's priority gap is >= 1.
@@ -734,19 +758,11 @@ def check_feasibility(constraints: ConstraintSet) -> FeasibilityResult:
         max_eq = float(np.max(np.abs(_values(eq, emb.e, w)), initial=0.0))
         min_ineq = float(np.min(_values(ineq, emb.e, w), initial=np.inf))
         if max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL:
-            return FeasibilityResult(True, frozen(w), "certificate",
-                                     f"max_eq={max_eq:.2e}, min_ineq={min_ineq:.6f}")
-    return _solver_fallback(constraints)
+            return Solution(frozen(w), SolveStatus.SOLVED, {"max_eq_violation": max_eq, "min_ineq_margin": min_ineq})
+    return solve_graph_svm(constraints)
 
 
-def _solver_fallback(constraints: ConstraintSet) -> FeasibilityResult:
-    sol = solve_graph_svm(constraints)
-    if sol.status is SolveStatus.SOLVED:
-        return FeasibilityResult(True, sol.w, "solver", "solver found a feasible point")
-    return FeasibilityResult(False, None, "solver", f"solver status: {sol.status.value}")
-
-
-def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
+def solve_per_last_token(constraints: ConstraintSet) -> Solution:
     """Solve one subproblem per last token and sum; valid for orthonormal
     embeddings, where each partial solution's row space is span(e_k)."""
     emb = constraints.embedding
@@ -771,9 +787,8 @@ def solve_per_last_token(constraints: ConstraintSet) -> SvmSolution:
             raise NotOrthonormal(f"subproblem k={k} left span(e_k): residual {row_residual:.2e}")
         total += wk
     worst = next((st for st in (SolveStatus.INFEASIBLE, SolveStatus.MAX_ITER) if st in statuses), SolveStatus.SOLVED)
-    return SvmSolution(
+    return Solution(
         w=frozen(total),
         status=worst,
-        ineq_multipliers=np.zeros(0),
         residuals={"sweeps": sweeps, "converged": converged, "essential": essential, "per_k": len(statuses)},
     )

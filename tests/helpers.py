@@ -18,11 +18,13 @@ Hand-written constraint sets go through the library's own graph chain
 (`constraints_from_edges`), since a constraint set is the graphs' closures.  Two
 helpers are plain kernel calls, not oracles: `loss`, the loss of one
 dataset, and `grad_general`, the softmax-chain gradient that the reduced
-tied-log form is checked against.  `load_tool` imports a script of tools/.
+tied-log form is checked against.  `load_tool` imports a script of tools/
+or perfbench/.
 """
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +32,13 @@ import numpy as np
 from attnlab import attention, dataset as dsm, graph as gm, svm
 
 
-def load_tool(name: str):
-    """The module tools/<name>.py, imported from its file."""
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+def load_tool(name: str, folder: str = "tools"):
+    """The module <folder>/<name>.py of the repository, imported from its
+    file and registered as <folder>.<name>, where a dataclass looks it up."""
+    spec = importlib.util.spec_from_file_location(f"{folder}.{name}",
+                                                  Path(__file__).resolve().parent.parent / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -337,6 +342,41 @@ def distance_to_row_span(v: np.ndarray, rows: np.ndarray) -> float:
         return float(np.linalg.norm(v))
     coef, *_ = np.linalg.lstsq(rows.T, v, rcond=None)
     return float(np.linalg.norm(v - rows.T @ coef))
+
+
+def assert_certified(cons, sol):
+    """Check a solver verdict by direct arithmetic on the triples: KKT
+    conditions for SOLVED, a Farkas certificate for INFEASIBLE."""
+    a = generator_rows(cons.inequalities, cons.embedding.e)
+    b = generator_rows(cons.equalities, cons.embedding.e)
+    if sol.status is svm.SolveStatus.INFEASIBLE:
+        # Convex weights whose combination of the A_a lies in the equality
+        # span: no W meets every margin.
+        c = sol.ineq_multipliers
+        assert np.all(c >= 0) and abs(np.sum(c) - 1.0) <= 1e-12
+        assert distance_to_row_span(c @ a, b) <= 1e-9
+        assert sol.norm == 0.0
+        return
+    assert sol.status is svm.SolveStatus.SOLVED
+    w = sol.w.ravel()
+    lam = sol.ineq_multipliers
+    margins = a @ w
+    assert np.max(np.abs(b @ w), initial=0.0) <= 1e-6
+    assert np.min(margins, initial=np.inf) >= 1 - 1e-6
+    assert np.all(lam >= 0)
+    # W = sum lam_a A~_a: W is orthogonal to the equality span (checked
+    # above) and differs from sum lam_a A_a by an element of it.
+    assert distance_to_row_span(w - lam @ a, b) <= 1e-6 * max(1.0, float(np.linalg.norm(w)))
+    assert np.all(np.abs(margins[lam > 0] - 1.0) <= 1e-6)
+
+
+def forbid_the_solver(monkeypatch) -> None:
+    """Make `svm.solve_graph_svm` raise, so that a verdict of
+    `svm.check_feasibility` comes from its d >= K construction alone."""
+    def forbidden(constraints):
+        raise AssertionError("check_feasibility called the solver")
+
+    monkeypatch.setattr(svm, "solve_graph_svm", forbidden)
 
 
 def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np.ndarray:

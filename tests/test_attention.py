@@ -661,6 +661,33 @@ class TestTrainBlock:
         for b in (0, 1, 3):
             assert _trace_bytes(block[b]) == _trace_bytes(clean[b])
 
+    def test_non_finite_gradients_fail_only_their_trials(self, monkeypatch):
+        # Trial 1's gradient holds a NaN from step 7 on, and trial 3's an
+        # inf from step 12 on: each alone must fail the GRAD_FLOOR test,
+        # which reads the norms through argmin and argmax.
+        datasets = [_shape_dataset("desk", seed) for seed in range(5)]
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
+        clean = att.train_block(datasets, cfg)
+        kernel, calls = att._loss_and_grad, []
+
+        def broken(*args, **kwargs):
+            value, bar, g, errors = kernel(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > 7:
+                g[1, 0, 0] = np.nan
+            if len(calls) > 12:
+                g[3, 2, 1] = np.inf
+            return value, bar, g, errors
+
+        monkeypatch.setattr(att, "_loss_and_grad", broken)
+        block = att.train_block(datasets, cfg)
+        for b, tau, iters in ((1, 7, [0, 5]), (3, 12, [0, 5, 10])):
+            assert type(block[b]) is NonFiniteLoss
+            assert str(block[b]) == f"gradient became non-finite at iteration {tau}"
+            assert list(block[b].trace.iters) == iters
+        for b in (0, 2, 4):
+            assert _trace_bytes(block[b]) == _trace_bytes(clean[b])
+
     def test_log_underflow_fails_only_its_trial(self):
         # A non-realizable sample has zero label mass under a tied head.
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
@@ -730,7 +757,7 @@ def _refs_instance(i):
 
 def _assert_certified(res):
     assert res.status is att.WfinStatus.CERTIFIED
-    assert res.bound <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
+    assert res.residuals["bound"] <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
 
 
 class TestTrainWfin:
@@ -738,7 +765,7 @@ class TestTrainWfin:
         ds = tiny_instance(14, K=5, d=5, n=5, T=4, mode="acyclic")
         res = att.train_wfin(*_split_and_fin(ds))
         np.testing.assert_array_equal(res.w, np.zeros((5, 5)))
-        assert res.status is att.WfinStatus.CERTIFIED and res.iterations == 0
+        assert res.status is att.WfinStatus.CERTIFIED and res.residuals["iterations"] == 0
 
     def test_symmetric_two_token_scc_gives_zero(self):
         # Labels 1 and 2 equally often with identical contexts: symmetry
@@ -797,7 +824,7 @@ class TestTrainWfin:
         s_fin = svm.MatrixSubspace(basis=(np.outer(e[1] - e[0], e[1]) / np.sqrt(2.0))[None], d=2)
         res = att.train_wfin(split, s_fin)
         assert res.status is att.WfinStatus.UNCERTIFIED
-        assert not res.bound <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
+        assert not res.residuals["bound"] <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
 
     def test_hessian_lipschitz_bound_holds(self, cyclic_pipeline):
         # ||H(z) - H(z')||_2 <= M ||z - z'|| on random pairs, far and near.
@@ -815,10 +842,11 @@ class TestTrainWfin:
         # M at which 8 M ||g|| is twice mu^2, then half of it.
         split, s_fin = _split_and_fin(_refs_instance(1))
         res = att.train_wfin(split, s_fin)
-        assert res.grad_norm > 0.0
+        grad_norm, mu = res.residuals["grad_norm"], res.residuals["mu"]
+        assert grad_norm > 0.0
         _assert_certified(res)
         for factor, status in ((4.0, att.WfinStatus.UNCERTIFIED), (16.0, att.WfinStatus.CERTIFIED)):
-            lip = res.mu**2 / (factor * res.grad_norm)
+            lip = mu**2 / (factor * grad_norm)
             monkeypatch.setattr(att, "_hessian_lipschitz", lambda feats, n: lip)
             assert att.train_wfin(split, s_fin).status is status
 

@@ -1,5 +1,6 @@
 """Constraint assembly, subspaces, the min-norm solver, and feasibility."""
 
+import collections
 import dataclasses
 import tracemalloc
 import warnings
@@ -18,10 +19,11 @@ from attnlab.util import seeded_rng
 from helpers import (
     DenseGramRows,
     active_set_oracle,
+    assert_certified,
     classify_pair,
     constraints_from_edges,
     dense_svm_oracle,
-    distance_to_row_span,
+    forbid_the_solver,
     generator_rows,
     load_tool,
     nnls_gram_oracle,
@@ -40,32 +42,6 @@ def _constraints_for(ds):
     tpgs = gm.build_tpgs(ds)
     decomps = gm.decompose_all(tpgs)
     return svm.build_constraints(tpgs, decomps, ds.embedding), tpgs, decomps
-
-
-def assert_certified(cons, sol):
-    """Check a solver verdict by direct arithmetic on the triples: KKT
-    conditions for SOLVED, a Farkas certificate for INFEASIBLE."""
-    a = generator_rows(cons.inequalities, cons.embedding.e)
-    b = generator_rows(cons.equalities, cons.embedding.e)
-    if sol.status is svm.SolveStatus.INFEASIBLE:
-        # Convex weights whose combination of the A_a lies in the equality
-        # span: no W meets every margin.
-        c = sol.ineq_multipliers
-        assert np.all(c >= 0) and abs(np.sum(c) - 1.0) <= 1e-12
-        assert distance_to_row_span(c @ a, b) <= 1e-9
-        assert sol.norm == 0.0
-        return
-    assert sol.status is svm.SolveStatus.SOLVED
-    w = sol.w.ravel()
-    lam = sol.ineq_multipliers
-    margins = a @ w
-    assert np.max(np.abs(b @ w), initial=0.0) <= 1e-6
-    assert np.min(margins, initial=np.inf) >= 1 - 1e-6
-    assert np.all(lam >= 0)
-    # W = sum lam_a A~_a: W is orthogonal to the equality span (checked
-    # above) and differs from sum lam_a A_a by an element of it.
-    assert distance_to_row_span(w - lam @ a, b) <= 1e-6 * max(1.0, float(np.linalg.norm(w)))
-    assert np.all(np.abs(margins[lam > 0] - 1.0) <= 1e-6)
 
 
 def _manual_graph(nodes, edges, last_token=0):
@@ -663,7 +639,7 @@ class TestPresolve:
         monkeypatch.setattr(svm, "_closure", counted, raising=False)
         pipe = build_pipeline(tiny_instance(44, K=5, d=6, n=6, T=4))
         assert len(pipe.constraints.inequalities) and pipe.solution.residuals["essential"]
-        assert svm.check_feasibility(pipe.constraints).feasible
+        assert svm.check_feasibility(pipe.constraints).status is svm.SolveStatus.SOLVED
         assert len(calls) == 1 and calls[0][0] == len(pipe.tpgs)
 
     @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
@@ -760,16 +736,17 @@ class TestGram:
 
 
 class TestFeasibility:
-    def test_certificate_for_full_rank_instances(self):
+    def test_certificate_for_full_rank_instances(self, monkeypatch):
+        forbid_the_solver(monkeypatch)
         for seed in range(20):
             K = 3 + seed % 3
             d = K + seed % 4
             ds = tiny_instance(seed + 200, K=K, d=d, n=4, T=4)
             cons, _, _ = _constraints_for(ds)
             result = svm.check_feasibility(cons)
-            assert result.feasible
-            assert result.source == "certificate"
-            w = result.certificate
+            assert result.status is svm.SolveStatus.SOLVED and not len(result.ineq_multipliers)
+            assert sorted(result.residuals) == ["max_eq_violation", "min_ineq_margin"]
+            w = result.w
             e = ds.embedding.e
             for i, j, k in cons.equalities:
                 assert abs((e[i] - e[j]) @ w @ e[k]) <= 1e-6
@@ -788,6 +765,41 @@ class TestFeasibility:
         assert sol.status is svm.SolveStatus.INFEASIBLE
         assert_certified(cons, sol)
 
+    @pytest.mark.parametrize("kind,K,d", [(dsm.ORTHONORMAL, 4, 4), (dsm.UNIT_SPHERE, 6, 3)],
+                             ids=["construction", "solver"])
+    def test_no_constraints_is_solved_at_zero(self, kind, K, d):
+        cons = constraints_from_edges(dsm.make_embeddings(K, d, kind, seed=0), {})
+        assert cons.n_constraints == 0 and cons.embedding.full_row_rank == (d >= K)
+        result = svm.check_feasibility(cons)
+        assert result.status is svm.SolveStatus.SOLVED and not result.w.any()
+
+    @staticmethod
+    def _assert_the_solver_verdict(cons, result):
+        sol = svm.solve_graph_svm(cons)
+        assert result.status is sol.status and result.residuals == sol.residuals
+        assert result.w.tobytes() == sol.w.tobytes()
+        assert result.ineq_multipliers.tobytes() == sol.ineq_multipliers.tobytes()
+
+    @pytest.mark.parametrize("seed", [1052, 1086, 1280])
+    def test_an_undecided_solve_is_not_a_refutation(self, seed):
+        # d < K: the solver decides, and here it ends MAX_ITER, which
+        # refutes nothing.
+        cons = _pinned(*_UNREDUCED_CASES[f"pinned-{seed}"])
+        result = svm.check_feasibility(cons)
+        assert result.status is svm.SolveStatus.MAX_ITER
+        self._assert_the_solver_verdict(cons, result)
+        sweeps = result.residuals["sweeps"]
+        with pytest.raises(NoConvergence, match=f"feasibility check returned max_iter .*sweeps {sweeps}"):
+            result.require("feasibility check")
+
+    @pytest.mark.parametrize("seed", [1036, 1251])
+    def test_a_refutation_keeps_its_farkas_weights(self, seed):
+        cons = _pinned(*_UNREDUCED_CASES[f"pinned-{seed}"])
+        result = svm.check_feasibility(cons)
+        assert result.status is svm.SolveStatus.INFEASIBLE
+        self._assert_the_solver_verdict(cons, result)
+        assert_certified(cons, result)
+
 
 class TestStatusPropagation:
     def test_refs_refuse_an_unsolved_w_svm(self):
@@ -796,6 +808,23 @@ class TestStatusPropagation:
         assert pipe.solution.status is svm.SolveStatus.INFEASIBLE
         with pytest.raises(NoConvergence, match="infeasible"):
             pipe.refs()
+
+
+class TestBenchmarkContract:
+    """perfbench/tracing.py counts solves off what `solve_graph_svm`
+    returns, so a `Solution` that stopped carrying what it reads fails
+    here, not only in the benchmark's smoke run."""
+
+    @pytest.mark.parametrize("name,status", [("refs-0", svm.SolveStatus.SOLVED),
+                                             ("pinned-1036", svm.SolveStatus.INFEASIBLE)])
+    def test_count_solve_reads_the_solution(self, name, status):
+        tracing = load_tool("tracing", "perfbench")
+        sol = svm.solve_graph_svm(_pinned(*_UNREDUCED_CASES[name]))
+        assert sol.status is status and sol.residuals["sweeps"] > 0
+        counts = collections.defaultdict(int)
+        tracing._count_solve(counts, (), {}, sol)
+        assert dict(counts) == {"svm.sweeps": sol.residuals["sweeps"], "svm.solves": 1,
+                                "svm.solved": int(status is svm.SolveStatus.SOLVED)}
 
 
 class TestPerLastToken:

@@ -72,7 +72,7 @@ def constraints(K: int, d: int, n: int, T: int, seed: int) -> svm.ConstraintSet:
     return svm.build_constraints(tpgs, graph.decompose_all(tpgs), table)
 
 
-def verdict(sol: svm.SvmSolution) -> dict:
+def verdict(sol: svm.Solution) -> dict:
     return {"status": sol.status.value, "sweeps": int(sol.residuals["sweeps"]),
             "essential": int(sol.residuals["essential"]), "w_svm": sol.w.tolist()}
 
