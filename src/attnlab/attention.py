@@ -43,13 +43,14 @@ GRAD_FLOOR = 1e-14
 SCORE_BOUND = 600.0
 
 
-def loss_value(kind: str, u: np.ndarray) -> np.ndarray:
+def loss_value(kind: str, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The loss of each label mass u, into ``out`` when given."""
     if kind == LOG:
         if (u <= LOG_GUARD).any():
             raise _underflow(u)
-        return -np.log(u)
+        return np.negative(np.log(u, out=out), out=out)
     if kind == SQUARED:
-        return (1.0 - u) ** 2
+        return np.square(np.subtract(1.0, u, out=out), out=out)
     raise ValueError(f"scalar loss value undefined for kind {kind!r}")
 
 
@@ -95,11 +96,17 @@ def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class _SplitRows:
-    """The rows of a group whose samples their trial's cyclic split holds."""
+    """The rows of a group whose samples their trial's cyclic split holds,
+    and the scratch `_split_loss` rewrites on every call."""
 
     rows: np.ndarray    # (m,) flat index into the group's (B * g) samples
     trials: np.ndarray  # (m,) the trial of each row
     keep: np.ndarray    # (m, T) True on the sample's label-SCC positions
+    label: np.ndarray   # (m, T) 1.0 on label positions, else 0.0
+    hs: np.ndarray      # (m, T) the rows' scores, then their softmax
+    ex: np.ndarray      # (m, T) exp of the scores on keep; 0.0 off it, never written
+    edge: np.ndarray    # (m, 1) each row's sum of ex
+    u: np.ndarray       # (m,) the rows' label masses
 
 
 class _Scratch:
@@ -112,6 +119,7 @@ class _Scratch:
         self.h = np.empty((b, g, t))     # scores, then their softmax s
         self.edge = np.empty((b, g, 1))  # each row's shift, then its sum
         self.u = np.empty((b, g))        # label masses
+        self.loss = np.empty((b, g))     # their losses
         self.v = np.empty((b, g, t))     # s * (gamma - u)
         self.vec = np.empty((b, g, d))   # the gradient's rows before xbar
         self.q_col, self.h_col, self.s_row = self.q[..., None], self.h[..., None], self.h[..., None, :]
@@ -146,7 +154,7 @@ class _Group:
 class _Packed:
     groups: tuple[_Group, ...]
     n: np.ndarray            # (B,) loss denominators (may exceed the packed sample count)
-    n_mats: np.ndarray       # n as (B, 1, 1), the gradient's divisor
+    divisor: float | np.ndarray  # the gradient's divisor: n as one float when every trial shares it, else (B, 1, 1)
     d: int
     c: Optional[np.ndarray]  # (B, K, d)
     tied: bool               # scores are label-position mass
@@ -218,13 +226,13 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
     groups = []
     for trial_groups in zip(*per_trial):
         *arrays, held, anchored = map(_stack, zip(*trial_groups))
-        groups.append(_Group(*arrays, split=_split_rows(held), anchored=anchored, all_anchored=bool(anchored.all()),
-                             scratch=_Scratch(*arrays[0].shape)))
+        groups.append(_Group(*arrays, split=_split_rows(held, arrays[4]), anchored=anchored,
+                             all_anchored=bool(anchored.all()), scratch=_Scratch(*arrays[0].shape)))
     n = np.array([ds.n for ds in datasets], dtype=np.float64)
     return _Packed(
         groups=tuple(groups),
         n=n,
-        n_mats=n[:, None, None],
+        divisor=float(n[0]) if np.all(n == n[0]) else n[:, None, None],
         d=first.d,
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
@@ -234,14 +242,18 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
     )
 
 
-def _split_rows(held: np.ndarray) -> Optional[_SplitRows]:
+def _split_rows(held: np.ndarray, omask: np.ndarray) -> Optional[_SplitRows]:
     """The split rows of a group from its (B, g, T) mask of the split
-    samples' label-SCC positions; None for none."""
+    samples' label-SCC positions and its label mask; None for none."""
     flat = held.reshape(-1, held.shape[-1])
     rows = np.flatnonzero(flat.any(axis=1))
     if not len(rows):
         return None
-    return _SplitRows(rows=rows, trials=rows // held.shape[1], keep=flat[rows])
+    keep = flat[rows]
+    return _SplitRows(rows=rows, trials=rows // held.shape[1], keep=keep,
+                      label=omask.reshape(flat.shape)[rows].astype(np.float64),
+                      hs=np.empty(keep.shape), ex=np.zeros(keep.shape), edge=np.empty((len(rows), 1)),
+                      u=np.empty(len(rows)))
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -287,14 +299,18 @@ def _loss_and_grad(
     {trial: exception}, and that trial's values are meaningless.
 
     The gradient is the pack's own array, valid until the next call on the
-    pack.  The intermediates live in its groups' scratch, so a tied log-loss
-    call without the loss writes only arrays that `_pack` allocated.
+    pack.  The intermediates live in its groups' scratch, and the split
+    rows' in their `_SplitRows`, so a tied log-loss call without the loss
+    writes only arrays that `_pack` allocated, and one with it adds only
+    arrays of one entry per trial or per sample.
     """
     trials, errors = packed.trials, {}
     if kind == CROSS_ENTROPY and packed.c is None:
         errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(trials)}
         total = np.full(trials, np.nan) if need_loss else None
-        return total, total, np.zeros_like(w) if need_grad else None, errors
+        if need_grad:
+            packed.grad.fill(0.0)
+        return total, total, packed.grad if need_grad else None, errors
     total = np.zeros(trials) if need_loss else None
     bar = np.where(packed.splits, 0.0, np.nan) if need_loss else None
     bar_errors: dict[int, Exception] = {}
@@ -328,7 +344,7 @@ def _loss_and_grad(
                 if kind == LOG:
                     u = _guarded(u, None, errors)
                 if need_loss:
-                    total += loss_value(kind, u).sum(axis=-1)
+                    total += np.add.reduce(loss_value(kind, u, out=sc.loss), axis=-1)
             if not need_grad:
                 continue
             if reduced:
@@ -348,7 +364,7 @@ def _loss_and_grad(
         total /= packed.n
         bar /= packed.n
     if grad is not None:
-        np.divide(grad, packed.n_mats, out=grad)
+        np.divide(grad, packed.divisor, out=grad)
     return total, bar, grad, errors
 
 
@@ -389,13 +405,13 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
     rows of the trials in ``shift`` (`_shift`) are shifted by their max
     over those positions, which hold the label's 0; no row when None."""
     rows = g.split
-    hs = h.reshape(-1, h.shape[-1])[rows.rows]
+    hs = np.take(h.reshape(-1, h.shape[-1]), rows.rows, axis=0, out=rows.hs)
     if shift is not None:
         top = np.max(hs, axis=-1, where=rows.keep, initial=-np.inf, keepdims=True)
         top[~shift[rows.trials]] = 0.0
         hs -= top
-    ex = np.exp(hs, out=np.zeros_like(hs), where=rows.keep)
-    s = ex / ex.sum(axis=-1, keepdims=True)
+    ex = np.exp(hs, out=rows.ex, where=rows.keep)
+    s = np.divide(ex, np.add.reduce(ex, axis=-1, keepdims=True, out=rows.edge), out=hs)
     if kind == CROSS_ENTROPY:
         x = g.x.reshape(-1, *g.x.shape[-2:])[rows.rows]
         logits = np.matmul(packed.c[rows.trials], np.matmul(s[:, None, :], x).mT)[..., 0]
@@ -403,10 +419,10 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
         label = g.labels.reshape(-1)[rows.rows, None]
         losses = np.log(np.exp(shifted).sum(axis=-1)) - np.take_along_axis(shifted, label, -1)[:, 0]
     else:
-        u = np.vecdot(s, g.omask.reshape(-1, h.shape[-1])[rows.rows])
+        u = np.vecdot(s, rows.label, out=rows.u)
         if kind == LOG:
             u = _guarded(u[:, None], rows.trials, errors)[:, 0]
-        losses = loss_value(kind, u)
+        losses = loss_value(kind, u, out=u)
     return np.bincount(rows.trials, weights=losses, minlength=packed.trials)
 
 
@@ -561,35 +577,49 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 class _StackRefs:
     """The references of a stack of trials for the record-step diagnostics
-    corr_svm and dist_fin, each stacked over the trials that have it;
-    loss_bar comes from the training kernel."""
+    corr_svm and dist_fin, each stacked over the trials that have it, with
+    the constants and buffers of both made once; loss_bar comes from the
+    training kernel.  Each diagnostic is the stack's own array, valid until
+    its next call."""
 
     def __init__(self, refs: list[TrainRefs], d: int):
-        self.d = d
         self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
         self.svm_norm = np.array([0.0 if r.w_svm is None else np.linalg.norm(r.w_svm) for r in refs])
-        self.fins = [
-            (np.array(ids), _stack([refs[b].s_fin.basis.reshape(-1, d * d) for b in ids]),
-             _stack([refs[b].w_fin for b in ids]))
-            for ids in _index_groups(r.s_fin.dim if r.s_fin is not None and r.w_fin is not None else None
-                                     for r in refs)
-        ]
+        self.has_svm = self.svm_norm != 0.0
+        self.prod = np.empty(self.w_svm.shape)  # w * W_svm
+        self.corr = np.empty(len(refs))
+        # A trial whose S_fin is {0} projects to 0, so its distance is the
+        # constant ||0 - W_fin||; a trial without S_fin or W_fin reads NaN.
+        self.dist = np.full(len(refs), np.nan)
+        self.fins = []
+        for ids in _index_groups(r.s_fin.dim if r.s_fin is not None and r.w_fin is not None else None
+                                 for r in refs):
+            ids = np.array(ids)
+            flat = _stack([refs[b].s_fin.basis.reshape(-1, d * d) for b in ids])
+            w_fin = _stack([refs[b].w_fin.reshape(1, d * d) for b in ids])
+            if not flat.shape[1]:
+                self.dist[ids] = _norms(np.zeros(w_fin.shape) - w_fin)
+                continue
+            k, m = flat.shape[:2]
+            # Buffers: the trials' W as columns, their coefficients, the
+            # projection minus W_fin, and its norm.
+            self.fins.append((ids, flat, w_fin, np.empty((k, d * d, 1)), np.empty((k, m, 1)),
+                              np.empty((k, 1, d * d)), np.empty((k, 1))))
 
     def corr_svm(self, w: np.ndarray, w_norm: np.ndarray) -> np.ndarray:
         """`correlation` with W_svm, trial by trial."""
-        return np.divide(np.sum(w * self.w_svm, axis=(1, 2)), w_norm * self.svm_norm,
-                         out=np.full(len(w), np.nan), where=(w_norm != 0.0) & (self.svm_norm != 0.0))
+        dot = np.add.reduce(np.multiply(w, self.w_svm, out=self.prod), axis=(1, 2))
+        self.corr.fill(np.nan)
+        return np.divide(dot, w_norm * self.svm_norm, out=self.corr, where=(w_norm != 0.0) & self.has_svm)
 
     def dist_fin(self, w: np.ndarray) -> np.ndarray:
         """||project_S_fin(W) - W_fin||, by the matmuls of `MatrixSubspace.project`."""
-        out = np.full(len(w), np.nan)
-        for ids, flat, w_fin in self.fins:
-            proj = np.zeros((len(ids), self.d, self.d))
-            if flat.shape[1]:
-                coef = np.matmul(flat, w[ids].reshape(len(ids), -1, 1))
-                proj = np.matmul(coef.mT, flat).reshape(proj.shape)
-            out[ids] = _norms(proj - w_fin)
-        return out
+        w_flat = w.reshape(len(w), -1, 1)
+        for ids, flat, w_fin, w_ids, coef, proj, dist in self.fins:
+            np.matmul(flat, np.take(w_flat, ids, axis=0, out=w_ids), out=coef)
+            np.subtract(np.matmul(coef.mT, flat, out=proj), w_fin, out=proj)
+            self.dist[ids] = np.sqrt(np.vecdot(proj, proj, out=dist), out=dist)[:, 0]
+        return self.dist
 
 
 _COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
@@ -601,15 +631,20 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     once no trial is left."""
     trials, d = len(datasets), datasets[0].d
     packed, stack_refs = _pack(datasets, splits=[r.split for r in refs]), _StackRefs(refs, d)
+    # The kernel returns packed.grad; its norms and W's are written through
+    # flat views, and the normalized step divides by gn's (B, 1, 1) view.
+    g_flat, gn = packed.grad.reshape(trials, -1), np.empty(trials)
+    gn_col, w_norm = gn[:, None, None], np.empty(trials)
     taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
     cols = {name: np.full((len(taus), trials), np.nan) for name in _COLUMNS}
     t_ms = np.zeros(len(taus))
-    recorded = np.zeros(trials, dtype=np.int64)  # rows each trial holds
+    recorded = np.zeros(trials, dtype=np.int64)  # rows a failed trial holds; an alive one holds `row`
     alive, all_alive, outcome = np.ones(trials, dtype=bool), True, [None] * trials
     w = np.stack([config.initial_w(d) for _ in range(trials)])
+    w_flat = w.reshape(trials, -1)
 
     def finish(b: int) -> TrainTrace:
-        rows = recorded[b]
+        rows = row if alive[b] else recorded[b]
         return TrainTrace(
             iters=np.array(taus[:rows], dtype=np.int64),
             **{name: cols[name][:rows, b].copy() for name in _COLUMNS},
@@ -621,34 +656,33 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         nonlocal all_alive
         for b, exc in errors.items():
             if alive[b]:
-                alive[b], outcome[b], all_alive = False, exc, False
+                alive[b], outcome[b], recorded[b], all_alive = False, exc, row, False
 
     def non_finite(what: str, tau: int, bad: np.ndarray) -> dict[int, Exception]:
         return {int(b): NonFiniteLoss(f"{what} became non-finite at iteration {tau}", trace=finish(b))
                 for b in np.flatnonzero(alive & bad)}
 
-    t0 = time.perf_counter()
-    row = 0
+    t0, row = time.perf_counter(), 0
     for tau in range(config.iters + 1):
         record = row < len(taus) and taus[row] == tau
         cur_loss, loss_bar, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=record)
         if errors:
             fail(errors)
-        gn = _norms(g)
+        np.sqrt(np.vecdot(g_flat, g_flat, out=gn), out=gn)
         # Every norm finite and above the floor; a NaN fails both tests.
         # Read through argmin and argmax, as `svm._top` reads a max.
         clean = gn[gn.argmin()] > GRAD_FLOOR and gn[gn.argmax()] < np.inf
         if not clean and not np.isfinite(gn).all():
             fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
         if record:
-            fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
-            w_norm = _norms(w)
+            if not np.isfinite(cur_loss).all():
+                fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
+            np.sqrt(np.vecdot(w_flat, w_flat, out=w_norm), out=w_norm)
             values = (cur_loss, loss_bar, gn, w_norm, stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))
             for name, value in zip(_COLUMNS, values):
                 cols[name][row] = value
             t_ms[row] = (time.perf_counter() - t0) * 1e3
             row += 1
-            recorded[alive] = row
         # Once every trial has failed, no later step changes what is returned.
         if tau == config.iters or not (all_alive or alive.any()):
             break
@@ -658,7 +692,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         # direction.
         if config.normalized and clean and all_alive:
             np.multiply(config.eta, g, out=g)
-            np.divide(g, gn[:, None, None], out=g)
+            np.divide(g, gn_col, out=g)
             np.subtract(w, g, out=w)
         elif config.normalized:
             move = gn > GRAD_FLOOR

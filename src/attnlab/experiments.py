@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -156,15 +156,18 @@ def _global_build(params: dict, tseed: int) -> tuple:
     return _pipeline_build(params, table, head, params["mode"], params["loss"], tseed)
 
 
+def _finite_or_none(x) -> Optional[float]:
+    return float(x) if np.isfinite(x) else None
+
+
 def _global_finish(built: tuple, trace: attention.TrainTrace) -> dict:
+    """The trace's last record, an undefined value as None, and the loss's infimum."""
     _, _, refs, pipe = built
-    inf_val = attention.loss_inf(refs.split, refs.w_fin)
-    report = analysis.convergence_report(trace, loss_inf=inf_val)
     return {
-        "final_corr": report["final_corr"],
-        "final_dist": report["final_dist"],
-        "final_loss": report["final_loss"],
-        "loss_inf": inf_val,
+        "final_corr": _finite_or_none(trace.corr_svm[-1]),
+        "final_dist": _finite_or_none(trace.dist_fin[-1]),
+        "final_loss": _finite_or_none(trace.loss[-1]),
+        "loss_inf": attention.loss_inf(refs.split, refs.w_fin),
         "w_svm_norm": pipe.solution.norm,
         "trace": list(trace.rows()),
     }

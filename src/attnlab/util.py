@@ -59,9 +59,12 @@ def read_json(path: str):
 
 
 def write_json(path: str, payload) -> None:
+    """Write payload as strict JSON, NaN and +-inf as null.  A non-finite
+    value that reaches the encoder unmapped raises ValueError before the
+    file is opened."""
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _jsonable(obj):
@@ -73,7 +76,7 @@ def _jsonable(obj):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return None if np.isnan(x) else x
+        return x if np.isfinite(x) else None
     if isinstance(obj, np.integer):
         return int(obj)
     return obj

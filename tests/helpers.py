@@ -9,7 +9,8 @@ d^2-wide projected rows (and its NNLS reads a dense Gram matrix through
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
-form, the cyclic-subdataset loss and gradient from each held sample's
+form, the record diagnostics corr_svm and dist_fin from their definitions
+in long double, the cyclic-subdataset loss and gradient from each held sample's
 label-SCC rows read one by one from the embedding table, CSV bytes come
 from a cell-by-cell formatter, pseudo graphs come from their own edge loop,
 the pseudo-graph references from the stage calls made one by one, and index
@@ -585,6 +586,27 @@ def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, n
         else:
             w = w - config.eta * g[0]
     return np.array(rows, dtype=np.float64), w
+
+
+def corr_oracle(w: np.ndarray, w_svm) -> float:
+    """<W, W_svm> / (||W|| ||W_svm||) in long double; NaN without W_svm or
+    when either matrix is zero."""
+    if w_svm is None:
+        return np.nan
+    w, w_svm = np.asarray(w, dtype=np.longdouble), np.asarray(w_svm, dtype=np.longdouble)
+    norms = np.sqrt(np.sum(w * w)) * np.sqrt(np.sum(w_svm * w_svm))
+    return np.nan if norms == 0.0 else np.sum(w * w_svm) / norms
+
+
+def dist_fin_oracle(w: np.ndarray, s_fin, w_fin) -> float:
+    """||B^T (B vec W) - vec W_fin|| in long double, the rows of B the
+    flattened orthonormal basis of S_fin; NaN without S_fin or W_fin."""
+    if s_fin is None or w_fin is None:
+        return np.nan
+    w, w_fin = (np.asarray(a, dtype=np.longdouble).reshape(-1) for a in (w, w_fin))
+    b = np.asarray(s_fin.basis, dtype=np.longdouble).reshape(s_fin.dim, len(w))
+    gap = b.T @ (b @ w) - w_fin
+    return np.sqrt(np.sum(gap * gap))
 
 
 def wfin_gd_oracle(split: gm.CyclicSplit, s_fin, init_w=None, grad_tol: float = 1e-9,

@@ -1,6 +1,7 @@
 """Forward pass, losses, gradients, the log-loss smoothness bound, and trainers."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,8 @@ from attnlab.experiments import build_pipeline, single_scc_dataset, trial_seed
 from attnlab.util import seeded_rng
 
 from helpers import (
+    corr_oracle,
+    dist_fin_oracle,
     einsum_grad,
     einsum_loss,
     extended,
@@ -737,6 +740,63 @@ class TestTrainBlock:
         got = exc.value.trace
         assert _trace_bytes(dataclasses.replace(got, w_final=clean.w_final)) == _trace_bytes(clean)
         assert got.w_final.tobytes() == at_fail.w_final.tobytes()
+
+    def test_recorded_diagnostics_equal_their_definitions(self):
+        # The first five desk trials at seed 0 have S_fin dims 0, 2, 1, 1
+        # and 0.  Trial 3 trains without its W_svm and a sixth trial, trial
+        # 0's dataset, without references.
+        datasets, cfg, refs = _experiment_block("cyclic-global", 5)
+        assert [r.s_fin.dim for r in refs] == [0, 2, 1, 1, 0]
+        refs[3] = dataclasses.replace(refs[3], w_svm=None)
+        datasets, refs = datasets + datasets[:1], refs + [None]
+        cfg = dataclasses.replace(cfg, iters=60, record_every=10)
+        traces = att.train_block(datasets, cfg, refs)
+        for row, tau in enumerate(traces[0].iters.tolist()):
+            w_at_tau = [t.w_final for t in att.train_block(datasets, dataclasses.replace(cfg, iters=tau), refs)]
+            for trace, w, r in zip(traces, w_at_tau, refs):
+                r = r or att.TrainRefs()
+                for got, want in ((trace.corr_svm[row], corr_oracle(w, r.w_svm)),
+                                  (trace.dist_fin[row], dist_fin_oracle(w, r.s_fin, r.w_fin))):
+                    assert np.isnan(got) == np.isnan(want)
+                    assert np.isnan(got) or abs(got - want) <= 1e-12 * abs(want)
+        assert np.isnan(traces[0].corr_svm[0]) and not np.isnan(traces[0].corr_svm[1])  # W = 0 at step 0
+        assert np.all(np.isnan(traces[3].corr_svm)) and np.all(np.isnan(traces[5].dist_fin))
+
+
+def _experiment_block(name, trials):
+    """The first trials of an experiment's block at seed 0: datasets, the
+    shared TrainConfig and each trial's references."""
+    jobs = experiments.seeded_jobs(experiments.EXPERIMENTS[name].params, 0, trials)
+    built = [experiments._global_build(*job) for job in jobs]
+    return [b[0] for b in built], built[0][1], [b[2] for b in built]
+
+
+class TestRecordAllocation:
+    # Peak bytes (tracemalloc, numpy 2.4.6) of a record step's kernel call
+    # with the loss, then of corr_svm and dist_fin: the 20 desk trials at
+    # seed 0 and the large-k trial.  The bound is twice each.
+    PEAKS = {"cyclic-global": (5672, 3152), "large-k": (9600, 1713)}
+
+    @pytest.mark.parametrize("name", list(PEAKS))
+    def test_a_record_step_copies_no_stack(self, name):
+        datasets, _, refs = _experiment_block(name, experiments.EXPERIMENTS[name].trials)
+        d = datasets[0].d
+        packed, stack_refs = att._pack(datasets, [r.split for r in refs]), att._StackRefs(refs, d)
+        w = 0.3 * seeded_rng(21).standard_normal((len(datasets), d, d))
+        w_norm = np.linalg.norm(w, axis=(1, 2))
+        steps = (lambda: att._loss_and_grad(w, packed, att.LOG, True, need_loss=True),
+                 lambda: (stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w)))
+        peaks = []
+        for step in steps:
+            step()  # numpy's first call may allocate caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert all(peak <= 2 * bound for peak, bound in zip(peaks, self.PEAKS[name])), peaks
 
 
 def _split_and_fin(ds):

@@ -56,6 +56,19 @@ class TestSubcommands:
         w = np.array(payload["W"])
         assert abs(float(np.linalg.norm(w)) - payload["norm"]) <= 1e-12
 
+    def test_solve_svm_without_inequalities_writes_strict_json(self, tmp_path):
+        # One SCC, so no inequality: the minimum margin over none is +inf,
+        # which strict JSON has no token for and which is written as null.
+        path, out = tmp_path / "scc.json", tmp_path / "svm.json"
+        dsm.save_dataset(experiments.single_scc_dataset(), str(path))
+        assert run_cli("solve-svm", "--data", path, "--out", out) == 0
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["n_inequalities"] == 0 and payload["residuals"]["min_ineq_margin"] is None
+
     def test_train_trace_and_summary(self, dataset_file, tmp_path):
         trace = tmp_path / "trace.csv"
         summary = tmp_path / "summary.json"

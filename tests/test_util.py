@@ -1,11 +1,13 @@
-"""Byte-stable CSV output."""
+"""Byte-stable CSV output and strict JSON output."""
+
+import json
 
 import numpy as np
 import pytest
 
 from attnlab import attention as att
 from attnlab.experiments import build_pipeline
-from attnlab.util import write_csv
+from attnlab.util import write_csv, write_json
 
 from helpers import csv_oracle, tiny_instance
 
@@ -50,3 +52,17 @@ class TestWriteCsv:
         assert _written(tmp_path, ("a", "b"), []) == csv_oracle(("a", "b"), [])
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "ragged.csv"), ("a", "b"), [(1, 2.0), (3,)])
+
+
+class TestWriteJson:
+    def test_non_finite_floats_are_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        payload = {"nan": np.nan, "inf": np.inf, "neg": -np.inf, "f32": np.float32(np.inf),
+                   "arr": np.array([1.5, np.inf, np.nan]), "ok": 0.25}
+        write_json(str(path), payload)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert json.loads(path.read_text(), parse_constant=refuse) == {
+            "nan": None, "inf": None, "neg": None, "f32": None, "arr": [1.5, None, None], "ok": 0.25}
