@@ -9,6 +9,16 @@ the label-relative rows x_t - e_y instead of x_t: each sample's scores
 shift by the constant e_y^T W xbar, so the softmax is the same.  A label
 occurrence then scores exactly 0, which anchors its row's softmax: the row
 needs no max shift while its scores stay at most SCORE_BOUND.
+
+The scores are linear in W: h_t = phi_t . vec(W), phi_t = vec(dx_t xbar^T),
+and the tied log gradient is sum_t s_t phi_t / n.  Each length group of a
+pack takes one of two contractions, by its shape (`_features`).  The
+feature form keeps phi, (B, g T, d^2), and makes two batched gemvs per
+trial: phi_b vec(W_b) for the scores and s_b phi_b for the gradient.  The
+per-sample form scores dx (W xbar) and takes the gradient's rows s dx before
+xbar, one gemv per sample each.  The feature form does T d^2 multiply-adds
+a sample against T d + d^2, so a group takes it while the difference is at
+most the two calls a sample it saves, CALL_MACS multiply-adds each.
 """
 
 from __future__ import annotations
@@ -41,6 +51,17 @@ GRAD_FLOOR = 1e-14
 # 1/LOG_GUARD: e^600 is about 3.8e260, so for any T below 2.6e39.  Such a row
 # takes exp, row sum and divide with no shift, and its log guard cannot fire.
 SCORE_BOUND = 600.0
+
+# The multiply-adds that the fixed cost of one small BLAS call buys, which
+# decides a group's form (`_features`).  A batched gemv on in-cache operands
+# costs about 60-100 ns a call plus 0.13-0.2 ns a multiply-add (numpy 2.4.6,
+# OpenBLAS on one thread, a 2-core x86-64 machine), so a call is worth 300 to
+# 700 of them.  On the kernel without the loss, 20 trials of 6 samples, the
+# feature form was 6% faster at d = 10, T = 6 (440 extra multiply-adds a
+# sample) and 9% slower at d = 12, T = 6 (648); two calls at 256 each put the
+# crossover between them.  It also bounds the features' memory: T d^2 <=
+# T d + d^2 + 512 floats a sample.
+CALL_MACS = 256
 
 
 def loss_value(kind: str, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -112,17 +133,20 @@ class _SplitRows:
 class _Scratch:
     """A group's kernel intermediates, rewritten by every kernel call on its
     pack, and the matmul views of them, made once: a view costs about as
-    much as a ufunc call on these small arrays."""
+    much as a ufunc call on these small arrays.  q = xbar W^T exists only
+    for a group in the per-sample form (`_features`)."""
 
-    def __init__(self, b: int, g: int, t: int, d: int):
-        self.q = np.empty((b, g, d))     # xbar W^T
+    def __init__(self, b: int, g: int, t: int, d: int, features: bool):
+        self.q = None if features else np.empty((b, g, d))  # xbar W^T
         self.h = np.empty((b, g, t))     # scores, then their softmax s
         self.edge = np.empty((b, g, 1))  # each row's shift, then its sum
         self.u = np.empty((b, g))        # label masses
         self.loss = np.empty((b, g))     # their losses
         self.v = np.empty((b, g, t))     # s * (gamma - u)
         self.vec = np.empty((b, g, d))   # the gradient's rows before xbar
-        self.q_col, self.h_col, self.s_row = self.q[..., None], self.h[..., None], self.h[..., None, :]
+        self.q_col = None if features else self.q[..., None]
+        self.h_col, self.s_row = self.h[..., None], self.h[..., None, :]
+        self.h_flat, self.s_flat = self.h.reshape(b, g * t, 1), self.h.reshape(b, 1, g * t)
         self.v_row, self.vec_row, self.vec_t = self.v[..., None, :], self.vec[..., None, :], self.vec.mT
 
 
@@ -136,11 +160,18 @@ class _Group:
     shift by the constant e_y^T W xbar.  A trial is anchored when each of
     its rows, and each split row's label-SCC positions, hold a label
     position: its rows' scores then peak at 0 or above (see SCORE_BOUND).
+
+    A group in the feature form (`_features`) also holds phi, each row
+    vec(dx_t xbar^T) as d^2 exact products; its scores are phi vec(W) and
+    its reduced log gradient s phi, one gemv per trial each.  Otherwise phi
+    is None, and the scores and the gradient's rows take one gemv per
+    sample.
     """
 
     x: np.ndarray          # (B, g, T, d)
     dx: np.ndarray         # (B, g, T, d) x - e_y
     xbar: np.ndarray       # (B, g, d)
+    phi: Optional[np.ndarray]  # (B, g * T, d * d) vec(dx_t xbar^T) in the feature form, else None
     labels: np.ndarray     # (B, g)
     omask: np.ndarray      # (B, g, T) True where token == label
     gamma: np.ndarray      # (B, g, T) score weights: omask when tied, else head scores X c_y
@@ -161,6 +192,8 @@ class _Packed:
     splits: np.ndarray       # (B,) True for the trials whose cyclic split the pack holds
     grad: np.ndarray         # (B, d, d) the kernel's gradient, rewritten by every call
     part: np.ndarray         # (B, d, d) scratch for a later group's gradient term
+    grad_flat: np.ndarray    # (B, 1, d * d) views of both, for the feature form's row product
+    part_flat: np.ndarray
 
     @property
     def trials(self) -> int:
@@ -183,7 +216,8 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
 
     Each trial's groups hold the rows a pack of that trial alone holds, so
     the kernel's values are bit for bit the same.  Each sample is stored
-    with its label-relative rows dx = x - e_y beside x, and the groups and
+    with its label-relative rows dx = x - e_y beside x, a group in the
+    feature form (`_features`) also with its rows' phi, and the groups and
     the pack hold the kernel's scratch arrays.
 
     ``splits`` holds each dataset's own cyclic split, or None; the groups
@@ -225,10 +259,14 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         per_trial.append(groups)
     groups = []
     for trial_groups in zip(*per_trial):
-        *arrays, held, anchored = map(_stack, zip(*trial_groups))
-        groups.append(_Group(*arrays, split=_split_rows(held, arrays[4]), anchored=anchored,
-                             all_anchored=bool(anchored.all()), scratch=_Scratch(*arrays[0].shape)))
+        x, dx, xbar, labels, omask, gamma, held, anchored = map(_stack, zip(*trial_groups))
+        b, g, t, d = x.shape
+        phi = (dx[..., :, None] * xbar[:, :, None, None, :]).reshape(b, g * t, d * d) if _features(t, d) else None
+        groups.append(_Group(x, dx, xbar, phi, labels, omask, gamma, split=_split_rows(held, omask),
+                             anchored=anchored, all_anchored=bool(anchored.all()),
+                             scratch=_Scratch(b, g, t, d, phi is not None)))
     n = np.array([ds.n for ds in datasets], dtype=np.float64)
+    grad, part = np.empty((len(n), first.d, first.d)), np.empty((len(n), first.d, first.d))
     return _Packed(
         groups=tuple(groups),
         n=n,
@@ -237,9 +275,18 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
         splits=np.array([s is not None for s in splits]),
-        grad=np.empty((len(n), first.d, first.d)),
-        part=np.empty((len(n), first.d, first.d)),
+        grad=grad,
+        part=part,
+        grad_flat=grad.reshape(len(n), 1, -1),
+        part_flat=part.reshape(len(n), 1, -1),
     )
+
+
+def _features(t: int, d: int) -> bool:
+    """Whether a group of length t at dimension d takes the feature form:
+    its extra multiply-adds per sample, t d^2 against t d + d^2, are at
+    most the two BLAS calls per sample it saves (CALL_MACS each)."""
+    return t * d * d - (t * d + d * d) <= 2 * CALL_MACS
 
 
 def _split_rows(held: np.ndarray, omask: np.ndarray) -> Optional[_SplitRows]:
@@ -277,7 +324,12 @@ def _loss_and_grad(
     bit for bit those of a pack of that trial alone.  ``reduced_log``
     takes the tied log loss through its reduced form, the gradient
     sum_t s_t (x_t - e_y) xbar^T, whose terms vanish on label positions;
-    otherwise the generic softmax-chain formula applies.
+    otherwise the generic softmax-chain formula applies.  A group in the
+    feature form scores through one gemv per trial, phi_b vec(W_b), and
+    writes the reduced gradient s_b phi_b straight into the pack's
+    gradient; the squared and cross-entropy chains, and every group in
+    the per-sample form, take their rows from x or dx per sample and
+    contract them with xbar (`_Group`, `_features`).
 
     loss_bar comes from the same scores: each split sample's softmax is
     taken over its label-SCC positions alone and scored tied-style, or
@@ -347,17 +399,20 @@ def _loss_and_grad(
                     total += np.add.reduce(loss_value(kind, u, out=sc.loss), axis=-1)
             if not need_grad:
                 continue
-            if reduced:
-                np.matmul(sc.s_row, g.dx, out=sc.vec_row)
-            else:
+            if not reduced:
                 v = np.subtract(g.gamma, u[..., None], out=sc.v)
                 np.multiply(s, v, out=v)
                 np.matmul(sc.v_row, g.x, out=sc.vec_row)
                 np.multiply(sc.vec_row, loss_deriv(kind, u)[..., None, None], out=sc.vec_row)
-        if g is packed.groups[0]:
-            np.matmul(sc.vec_t, g.xbar, out=grad)
+            elif g.phi is None:
+                np.matmul(sc.s_row, g.dx, out=sc.vec_row)
+        first = g is packed.groups[0]
+        if reduced and g.phi is not None:
+            np.matmul(sc.s_flat, g.phi, out=packed.grad_flat if first else packed.part_flat)
         else:
-            grad += np.matmul(sc.vec_t, g.xbar, out=packed.part)
+            np.matmul(sc.vec_t, g.xbar, out=grad if first else packed.part)
+        if not first:
+            grad += packed.part
     for b, exc in bar_errors.items():
         errors.setdefault(b, exc)
     if total is not None:
@@ -372,8 +427,11 @@ def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
     """Label-relative scores dx W xbar (B, g, T) of a group at its trials'
     w, in the group's scratch."""
     sc = g.scratch
-    np.matmul(g.xbar, w.mT, out=sc.q)
-    np.matmul(g.dx, sc.q_col, out=sc.h_col)
+    if g.phi is not None:
+        np.matmul(g.phi, w.reshape(len(w), -1, 1), out=sc.h_flat)
+    else:
+        np.matmul(g.xbar, w.mT, out=sc.q)
+        np.matmul(g.dx, sc.q_col, out=sc.h_col)
     return sc.h
 
 
@@ -691,9 +749,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         # rounding noise; a unit-length step along it would random-walk the
         # direction.
         if config.normalized and clean and all_alive:
-            np.multiply(config.eta, g, out=g)
-            np.divide(g, gn_col, out=g)
-            np.subtract(w, g, out=w)
+            _normalized_step(w, g, gn_col, config.eta)
         elif config.normalized:
             move = gn > GRAD_FLOOR
             if not all_alive:
@@ -705,6 +761,14 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         else:
             w[alive] = w[alive] - config.eta * g[alive]
     return [finish(b) if alive[b] else outcome[b] for b in range(trials)]
+
+
+def _normalized_step(w: np.ndarray, g: np.ndarray, gn_col: np.ndarray, eta: float) -> None:
+    """w -= eta g / ||g|| for every trial, in place, through g; gn_col is
+    the (B, 1, 1) view of the gradient norms."""
+    np.multiply(eta, g, out=g)
+    np.divide(g, gn_col, out=g)
+    np.subtract(w, g, out=w)
 
 
 WFIN_DECREMENT_TOL = 1e-30  # lambda^2 / 2 at which a step is rounding-sized

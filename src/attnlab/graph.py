@@ -97,8 +97,10 @@ def build_tpgs(
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product of two stacks, as a clipped float32 matmul:
-    each entry counts at most N paths, exact in float32."""
-    return np.matmul(a.astype(np.float32), b.astype(np.float32)) > 0.5
+    each entry counts at most N paths, exact in float32.  A square converts
+    its stack once."""
+    fa = a.astype(np.float32)
+    return np.matmul(fa, fa if b is a else b.astype(np.float32)) > 0.5
 
 
 def _closure(adj: np.ndarray) -> np.ndarray:

@@ -661,6 +661,27 @@ class TestPresolve:
         if sol.status is not svm.SolveStatus.MAX_ITER:
             assert_certified(cons, sol)
 
+    # The presolve's traced peak (tracemalloc, numpy 2.4.6) at the large-k
+    # defaults: seed 0 holds 16 graphs of 59-64 nodes, and seed 28 holds 14
+    # of 60-64 nodes beside one of 121.  Padded to that one for a single
+    # product, the 15 graphs peaked at 3.08 MB.  The bound is twice each.
+    PEAKS = {0: 854_460, 28: 1_234_089}
+
+    @pytest.mark.parametrize("seed", list(PEAKS))
+    def test_a_large_graph_pads_no_other(self, seed):
+        cons = _pinned(1000, 32, 16, 64, seed)
+        assert cons.closures.shape == ((15, 121, 121) if seed == 28 else (16, 64, 64))
+        assert len(cons.inequalities)  # read off the closures outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = svm._essential(cons)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * self.PEAKS[seed], peak
+        assert kept.tolist() == transitive_reduction_rows(cons.equalities, cons.inequalities)
+
     def test_checks_read_every_row(self, monkeypatch):
         # A presolve that dropped a row no other implies would not go
         # unseen: the margin check runs over every inequality.
@@ -710,10 +731,11 @@ class TestGram:
     # The solve's traced peak, in units of the m x m Gram matrix's 8 m^2
     # bytes.  With the passive rows in blocks of 64 that are never copied,
     # it was 0.340-0.351 at the large-k defaults (m = 971-982, seeds 0-2),
-    # 0.271 with twice the samples (m = 1944, seed 0) and 0.409 at seed 28,
+    # 0.271 with twice the samples (m = 1944, seed 0) and 0.334 at seed 28,
     # whose passive set ends at 129 rows, just past a power of two; there
-    # the presolve sets the peak.  Buffers that doubled peaked at
-    # 0.522-0.547 on all of these, and the dense Gram solve at 1.49.
+    # the presolve set the peak, 0.409, while it padded every graph to the
+    # largest (`test_a_large_graph_pads_no_other`).  Buffers that doubled
+    # peaked at 0.522-0.547 on all of these, and the dense Gram solve at 1.49.
     PEAK_GRAMS = 0.75
 
     @pytest.mark.parametrize("n,seed", [(16, 0), (16, 1), (16, 2), (32, 0), (16, 28)],

@@ -19,9 +19,13 @@ Each command's stdout, stderr and exit code are kept beside its files.
 Every file is then compared across the trees and reported on one line:
 ``identical``, ``numeric`` (only numbers differ; the largest relative
 difference is given) or ``DIFFERENT`` (text, layout or file set differ).
-Within each tree, an experiment's ``--workers 1`` and ``--workers 2`` files
-must be byte-identical.  The exit status is 1 on a DIFFERENT file or a
-worker-count mismatch, else 0.
+A rollup line per top-level directory (``exp/<name>``, ``selftest``,
+``tools``, ``verdicts``) follows: its counts of each verdict, its largest
+relative difference, and whether every ``.exit`` file in it is identical.
+A changed ``.exit`` file, an exit code, reads DIFFERENT.  Within each
+tree, an experiment's ``--workers 1`` and ``--workers 2`` files must be
+byte-identical.  The exit status is 1 on a DIFFERENT file or a worker-count
+mismatch, else 0.
 
 ``--smoke`` runs one trial of each experiment with short training, and
 the verdict corpus without its 600 draws, so CI can run it against HEAD
@@ -32,6 +36,7 @@ before comparing.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -134,6 +139,43 @@ def compare(a: bytes, b: bytes) -> tuple[str, float]:
     return "numeric", worst
 
 
+def compare_trees(base: Path, work: Path) -> dict[str, tuple[str, float]]:
+    """`compare`'s verdict on every file of either output tree, by relative
+    path.  A file missing from one tree is DIFFERENT, and so is a changed
+    .exit file: an exit code is not a measurement that may move."""
+    verdicts = {}
+    for rel in sorted(files(base) | files(work)):
+        pa, pb = base / rel, work / rel
+        if pa.is_file() and pb.is_file():
+            verdicts[rel] = compare(pa.read_bytes(), pb.read_bytes())
+        else:
+            verdicts[rel] = ("DIFFERENT", math.nan)
+        if rel.endswith(".exit") and verdicts[rel][0] == "numeric":
+            verdicts[rel] = ("DIFFERENT", math.nan)
+    return verdicts
+
+
+def rollup(verdicts: dict[str, tuple[str, float]]) -> list[str]:
+    """One line per top-level directory of the outputs, an experiment's
+    being exp/<name>: the count of each verdict, the largest relative
+    difference of its numeric files, and whether every .exit file in it is
+    identical."""
+    groups: dict[str, list[tuple[str, str, float]]] = {}
+    for rel, (verdict, rel_diff) in verdicts.items():
+        parts = rel.split("/")
+        groups.setdefault("/".join(parts[:2]) if parts[0] == "exp" else parts[0], []).append(
+            (rel, verdict, rel_diff))
+    lines = []
+    for name, rows in sorted(groups.items()):
+        counts = collections.Counter(verdict for _, verdict, _ in rows)
+        worst = max((rel_diff for _, verdict, rel_diff in rows if verdict == "numeric"), default=0.0)
+        exits = all(verdict == "identical" for rel, verdict, _ in rows if rel.endswith(".exit"))
+        lines.append(f"ROLLUP     {name}: {counts['identical']} identical, {counts['numeric']} numeric, "
+                     f"{counts['DIFFERENT']} DIFFERENT, max rel diff {worst:.2e}, "
+                     f"every .exit {'identical' if exits else 'NOT identical'}")
+    return lines
+
+
 def worker_mismatches(out: Path) -> list[str]:
     """Experiment files whose --workers 1 and 2 runs differ in any byte."""
     bad = []
@@ -172,18 +214,15 @@ def main(argv: list[str] | None = None) -> int:
         run_all(base, outs["base"], args.smoke)
         run_all(ROOT, outs["work"], args.smoke)
 
-        counts = {"identical": 0, "numeric": 0, "DIFFERENT": 0}
-        for rel in sorted(files(outs["base"]) | files(outs["work"])):
-            pa, pb = outs["base"] / rel, outs["work"] / rel
-            if pa.is_file() and pb.is_file():
-                verdict, rel_diff = compare(pa.read_bytes(), pb.read_bytes())
-            else:
-                verdict, rel_diff = "DIFFERENT", math.nan
-            counts[verdict] += 1
+        verdicts = compare_trees(outs["base"], outs["work"])
+        counts = collections.Counter(verdict for verdict, _ in verdicts.values())
+        for rel, (verdict, rel_diff) in verdicts.items():
             note = f"  max rel diff {rel_diff:.2e}" if verdict == "numeric" else ""
-            note += "" if pa.is_file() else "  (only in the working tree)"
-            note += "" if pb.is_file() else f"  (only in {args.base})"
+            note += "" if (outs["base"] / rel).is_file() else "  (only in the working tree)"
+            note += "" if (outs["work"] / rel).is_file() else f"  (only in {args.base})"
             print(f"{verdict:<10} {rel}{note}")
+        for line in rollup(verdicts):
+            print(line)
         mismatches = {tree: worker_mismatches(out) for tree, out in outs.items()}
         for tree, bad in mismatches.items():
             for rel in bad:
