@@ -184,8 +184,7 @@ class _Group:
 @dataclass(frozen=True)
 class _Packed:
     groups: tuple[_Group, ...]
-    n: np.ndarray            # (B,) loss denominators (may exceed the packed sample count)
-    divisor: float | np.ndarray  # the gradient's divisor: n as one float when every trial shares it, else (B, 1, 1)
+    n: float                 # every trial's sample count, the loss denominator: one `_structure` fixes it
     d: int
     c: Optional[np.ndarray]  # (B, K, d)
     tied: bool               # scores are label-position mass
@@ -197,7 +196,7 @@ class _Packed:
 
     @property
     def trials(self) -> int:
-        return len(self.n)
+        return len(self.splits)
 
 
 def _structure(dataset: Dataset) -> tuple:
@@ -265,20 +264,18 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         groups.append(_Group(x, dx, xbar, phi, labels, omask, gamma, split=_split_rows(held, omask),
                              anchored=anchored, all_anchored=bool(anchored.all()),
                              scratch=_Scratch(b, g, t, d, phi is not None)))
-    n = np.array([ds.n for ds in datasets], dtype=np.float64)
-    grad, part = np.empty((len(n), first.d, first.d)), np.empty((len(n), first.d, first.d))
+    grad, part = np.empty((len(datasets), first.d, first.d)), np.empty((len(datasets), first.d, first.d))
     return _Packed(
         groups=tuple(groups),
-        n=n,
-        divisor=float(n[0]) if np.all(n == n[0]) else n[:, None, None],
+        n=float(first.n),
         d=first.d,
         c=_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
         splits=np.array([s is not None for s in splits]),
         grad=grad,
         part=part,
-        grad_flat=grad.reshape(len(n), 1, -1),
-        part_flat=part.reshape(len(n), 1, -1),
+        grad_flat=grad.reshape(len(grad), 1, -1),
+        part_flat=part.reshape(len(part), 1, -1),
     )
 
 
@@ -419,7 +416,7 @@ def _loss_and_grad(
         total /= packed.n
         bar /= packed.n
     if grad is not None:
-        np.divide(grad, packed.divisor, out=grad)
+        np.divide(grad, packed.n, out=grad)
     return total, bar, grad, errors
 
 
@@ -916,7 +913,7 @@ def loss_bar(w: np.ndarray, split: CyclicSplit) -> float:
             total += _split_loss(h, g, packed, LOG, errors, _shift(h, g))
     if errors:
         raise errors[0]
-    return float(total[0] / packed.n[0])
+    return float(total[0] / packed.n)
 
 
 def loss_inf(split: CyclicSplit, w_fin: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Named experiment pipelines, artifact writing, and the self-test suite.
 
 Each experiment resolves a parameter set, fans trials out over workers
-(deterministically seeded per trial), aggregates, writes a manifest plus
+(trial t drawing from trial_seed(seed, t)), aggregates, writes a manifest plus
 CSV/JSON artifacts, and checks its embedded thresholds.  Threshold
 violations surface as a nonzero exit through the CLI.
 """
@@ -140,9 +140,8 @@ def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_build(params: dict, table, head, mode: str, loss: str, tseed: int) -> tuple:
+def _pipeline_build(params: dict, ds: Dataset, loss: str) -> tuple:
     """A trial trained against its own pipeline's references, kept as its state."""
-    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
     pipe = build_pipeline(ds)
     cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params["normalized"],
                                 loss=loss, record_every=params["record_every"])
@@ -153,7 +152,8 @@ def _global_build(params: dict, tseed: int) -> tuple:
     """A trial of cyclic-global, acyclic-global or large-k."""
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED) if params["head"] == TIED and table.full_row_rank else None
-    return _pipeline_build(params, table, head, params["mode"], params["loss"], tseed)
+    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
+    return _pipeline_build(params, ds, params["loss"])
 
 
 def _finite_or_none(x) -> Optional[float]:
@@ -181,7 +181,8 @@ def _local_build(params: dict, tseed: int) -> tuple:
     """
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, GENERAL_ARGMAX, noise=params["head_noise"], seed=tseed, unit_rows=True)
-    ds, cfg, refs, pipe = _pipeline_build(params, table, head, "cyclic", params["loss"], tseed)
+    ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode="cyclic", seed=tseed)
+    _, cfg, refs, pipe = _pipeline_build(params, ds, params["loss"])
     return ds, cfg, refs, (pipe, params["eps"])
 
 
@@ -203,7 +204,14 @@ def _local_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     }
 
 
-def _feasibility_build(params: dict, seeds: tuple[int, int]) -> tuple:
+def _draw(params: dict, tseed: int, mode: str = "cyclic", tied: bool = False) -> Dataset:
+    """A trial's embedding table and dataset, headless or with a tied head."""
+    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
+    head = make_head(table, TIED) if tied else None
+    return gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
+
+
+def _feasibility_build(params: dict, tseed: int) -> tuple:
     """Per-sample fraction of label-SCC tokens the trained attention retains.
 
     Trains headless, so d < K is well defined.  The log loss never drives a
@@ -214,9 +222,7 @@ def _feasibility_build(params: dict, seeds: tuple[int, int]) -> tuple:
     that mass collapses and the proportion dips; it reaches 1 at d = K,
     where the graph constraints separate exactly.
     """
-    table_seed, data_seed = seeds
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
-    ds = gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed)
+    ds = _draw(params, tseed)
     cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=True,
                                 record_every=max(1, params["iters"]))
     eps = params["eps"] if params["eps"] is not None else 0.15 / params["T"]
@@ -233,17 +239,12 @@ def _feasibility_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     return {"props": props}
 
 
-def _rate_check_build(params: dict, seed: int) -> tuple:
-    """The draw trial_seed(seed, 0), trained by plain GD at eta = 1/L."""
-    tseed = trial_seed(seed, 0)
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    ds = gen_dataset(table, make_head(table, TIED), n=params["n"], T=params["T"], mode="cyclic", seed=tseed)
-    pipe = build_pipeline(ds)
-    if pipe.solution.norm == 0:
-        raise ValueError(f"rate-check seed {seed} drew an instance with a zero SVM solution; change the seed")
-    cfg = attention.TrainConfig(eta=1.0 / attention.lipschitz_log(ds), iters=params["iters"], normalized=False,
-                                loss=attention.LOG, record_every=params["record_every"])
-    return ds, cfg, pipe.refs(), pipe
+def _rate_check_build(params: dict, tseed: int) -> tuple:
+    """A tied draw trained by plain GD at its block's eta (`rate_check_jobs`)."""
+    built = _pipeline_build(params, _draw(params, tseed, tied=True), attention.LOG)
+    if built[3].solution.norm == 0:
+        raise ValueError(f"the rate-check draw of seed {tseed} has a zero SVM solution; change the seed")
+    return built
 
 
 def _rate_check_finish(built: tuple, trace: attention.TrainTrace) -> dict:
@@ -254,13 +255,12 @@ def _rate_check_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     inputs = analysis.rate_bound_inputs(ds, pipe.sets, pipe.w_svm, pipe.w_fin)
     rows = [(int(tau), float(loss) - inf_val, analysis.rate_bound(inputs, int(tau), cfg.eta))
             for tau, loss in zip(trace.iters, trace.loss) if tau >= 1]
-    summary = {"eta": cfg.eta, "xi": inputs.xi, "w_fin_norm": inputs.w_fin_norm, "loss_inf": inf_val}
-    return {"summary": summary, "rows": rows, "trace": list(trace.rows())}
+    draw = {"seed": ds.seed, "xi": inputs.xi, "w_fin_norm": inputs.w_fin_norm, "loss_inf": inf_val}
+    return {"draw": draw, "rows": rows, "trace": list(trace.rows())}
 
 
 def _reg_path_build(params: dict, tseed: int) -> tuple:
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
-    ds = gen_dataset(table, make_head(table, TIED), n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
+    ds = _draw(params, tseed, params["mode"], tied=True)
     return ds, None, build_pipeline(ds).refs(), params
 
 
@@ -275,10 +275,8 @@ def _reg_path_finish(built: tuple, trace: None) -> dict:
     return {"radii": radii, "corr": corr, "dist": dist}
 
 
-def _scc_count_build(params: dict, seeds: tuple[int, int]) -> tuple:
-    table_seed, data_seed = seeds
-    table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=table_seed)
-    return gen_dataset(table, None, n=params["n"], T=params["T"], mode="cyclic", seed=data_seed), None, None, None
+def _scc_count_build(params: dict, tseed: int) -> tuple:
+    return _draw(params, tseed), None, None, None
 
 
 def _scc_count_finish(built: tuple, trace: None) -> dict:
@@ -287,7 +285,7 @@ def _scc_count_finish(built: tuple, trace: None) -> dict:
 
 
 class _TrialKind(NamedTuple):
-    build: Callable[[dict, object], tuple]
+    build: Callable[[dict, int], tuple]
     finish: Callable[[tuple, attention.TrainTrace | None], dict]
     trains: bool  # its builds give a TrainConfig
 
@@ -348,7 +346,7 @@ def _fan_out(fn: Callable, args: list, workers: int) -> list:
         return list(pool.map(fn, args))
 
 
-def run_trials(kind: str, jobs: list[tuple[dict, object]], workers: int) -> list[dict]:
+def run_trials(kind: str, jobs: list[tuple[dict, int]], workers: int) -> list[dict]:
     """Run one `kind` trial per (params, seed) job; results come back in job
     order whatever the worker count.
 
@@ -395,8 +393,6 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0 (0 uses the experiment default), got {self.trials}")
-        if self.name == "rate-check" and self.trials > 1:
-            raise ValueError(f"rate-check runs one draw; trials must be 0 or 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         spec = EXPERIMENTS[self.name]
@@ -516,25 +512,22 @@ def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _grid_trials(cfg: ExperimentConfig, key: str, seeds: Callable[[int, int], tuple]) -> list[list[dict]]:
+def _grid_trials(cfg: ExperimentConfig, key: str) -> list[list[dict]]:
     """Run one trial per (grid point, trial) in a single fan-out, the trial
-    kind being the experiment's name; returns the results grouped by grid
-    point, each group in trial order."""
+    kind being the experiment's name, trial t drawing from trial_seed(seed, t)
+    at every grid point; returns the results grouped by grid point, each
+    group in trial order."""
     grid, trials = cfg.params[f"{key}_grid"], cfg.trials
     if not grid:
         raise ValueError(f"{key}_grid must list at least one point")
-    jobs = [({**cfg.params, key: g}, seeds(g, t)) for g in grid for t in range(trials)]
+    jobs = [job for g in grid for job in seeded_jobs({**cfg.params, key: g}, cfg.seed, trials)]
     results = run_trials(cfg.name, jobs, cfg.workers)
     return [results[i * trials:(i + 1) * trials] for i in range(len(grid))]
 
 
 def _run_scc_count(cfg: ExperimentConfig) -> ExperimentResult:
-    s = cfg.seed
-    groups = _grid_trials(cfg, "n", lambda n, t: (s * 1_000_003 + t, s + 7919 * t + n))
-    rows = []
-    for n, group in zip(cfg.params["n_grid"], groups):
-        counts = [r["sccs"] for r in group]
-        rows.append((n, float(np.mean(counts)), float(np.std(counts)), cfg.trials))
+    counts = [[r["sccs"] for r in group] for group in _grid_trials(cfg, "n")]
+    rows = [(n, float(np.mean(c)), float(np.std(c)), cfg.trials) for n, c in zip(cfg.params["n_grid"], counts)]
     first, last = rows[0][1], rows[-1][1]
     summary = {"first_mean": first, "last_mean": last, "trials": cfg.trials}
     violations = []
@@ -549,13 +542,9 @@ def _run_scc_count(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
-    s = cfg.seed
-    groups = _grid_trials(cfg, "d", lambda d, t: (s * 99991 + 31 * d + t, s + 104729 * t + d))
-    rows = []
-    for d, group in zip(cfg.params["d_grid"], groups):
-        # Pooled over every sample of every trial, not a mean of trial means.
-        props = [v for r in group for v in r["props"]]
-        rows.append((d, float(np.mean(props)), float(np.std(props)), cfg.trials))
+    # Pooled over every sample of every trial, not a mean of trial means.
+    props = [[v for r in group for v in r["props"]] for group in _grid_trials(cfg, "d")]
+    rows = [(d, float(np.mean(p)), float(np.std(p)), cfg.trials) for d, p in zip(cfg.params["d_grid"], props)]
     at_k = next((prop for d, prop, _, _ in rows if d >= cfg.params["K"]), None)
     summary = {"proportion_at_K": at_k, "trials": cfg.trials}
     violations = []
@@ -570,21 +559,34 @@ def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def rate_check_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
+    """`seeded_jobs` whose params add plain GD at one eta, the least 1/L of
+    the draws: eta <= 1/L, the bound's hypothesis, holds for every draw,
+    and any block of draws shares one TrainConfig."""
+    eta = min(1.0 / attention.lipschitz_log(_draw(params, tseed, tied=True))
+              for _, tseed in seeded_jobs(params, seed, trials))
+    return seeded_jobs({**params, "eta": eta, "normalized": False}, seed, trials)
+
+
 def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
-    seed = cfg.seed if cfg.seed else cfg.params["default_seed"]
-    (r,) = run_trials("rate-check", [(cfg.params, seed)], cfg.workers)
-    rows = r["rows"]
-    worst = max([-np.inf] + [gap - bound for _, gap, bound in rows])
-    summary = {**r["summary"], "max_gap_minus_bound": worst, "checked_taus": len(rows)}
+    """The bound at every recorded tau of every draw."""
+    jobs = rate_check_jobs(cfg.params, cfg.seed, cfg.trials)
+    results = run_trials("rate-check", jobs, cfg.workers)
+    rows = [(t, *row) for t, r in enumerate(results) for row in r["rows"]]
+    worst = max([-np.inf] + [gap - bound for _, _, gap, bound in rows])
+    draws = [r["draw"] for r in results]
+    summary = {"eta": jobs[0][0]["eta"], "max_gap_minus_bound": worst, "checked_taus": len(rows),
+               "max_gap_over_bound": max([-np.inf] + [gap / bound for _, _, gap, bound in rows]),
+               "nonzero_w_fin_draws": sum(d["w_fin_norm"] > 0 for d in draws), "draws": draws}
     violations = []
     if not worst <= 0.0:
         violations.append(f"rate bound violated by {worst:.3e}")
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("tau", "gap", "bound"),
+        aggregate_header=("trial", "tau", "gap", "bound"),
         aggregate_rows=rows,
         violations=violations,
-        traces={0: r["trace"]},
+        traces={t: r["trace"] for t, r in enumerate(results)},
     )
 
 
@@ -689,11 +691,9 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_local,
     ),
     "rate-check": ExperimentSpec(
-        # default_seed=2 draws an instance with genuine cyclic structure so
-        # the finite-component terms of the bound are exercised.
-        params=dict(K=6, d=8, n=6, T=4, iters=100_000, record_every=100, default_seed=2),
+        params=dict(K=6, d=8, n=6, T=4, iters=100_000, record_every=100),
         thresholds={},
-        trials=1,
+        trials=8,
         runner=_run_rate_check,
     ),
     "reg-path": ExperimentSpec(

@@ -507,7 +507,7 @@ def einsum_loss(w: np.ndarray, packed, kind: str) -> float:
         else:
             u = np.sum(s * _einsum_head_scores(x, g.omask[0], labels, packed), axis=1)
             total += np.sum(attention.loss_value(kind, u))
-    return total / packed.n[0]
+    return total / packed.n
 
 
 def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarray:
@@ -533,7 +533,7 @@ def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarr
             u = np.sum(s * gamma, axis=1)
             vec = attention.loss_deriv(kind, u)[:, None] * np.einsum("gtd,gt->gd", x, s * (gamma - u[:, None]))
         grad += np.einsum("gd,ge->de", vec, xbar)
-    return grad / packed.n[0]
+    return grad / packed.n
 
 
 def extended(packed):

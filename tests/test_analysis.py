@@ -169,8 +169,9 @@ class TestFeasibilityExperiment:
             "feasibility", K=4, T=3, n=3, d_grid=[4], trials=1, seed=5, eta=0.01, iters=400, eps=1e-3
         )
         # Re-run the identical pipeline to recount retention directly.
-        table = dsm.make_embeddings(4, 4, dsm.UNIT_SPHERE, seed=5 * 99991 + 31 * 4 + 0)
-        ds = dsm.gen_dataset(table, None, n=3, T=3, mode="cyclic", seed=5 + 4)
+        tseed = experiments.trial_seed(5, 0)
+        table = dsm.make_embeddings(4, 4, dsm.UNIT_SPHERE, seed=tseed)
+        ds = dsm.gen_dataset(table, None, n=3, T=3, mode="cyclic", seed=tseed)
         sets = dsm.index_sets(ds, gm.decompose_all(gm.build_tpgs(ds)))
         cfg = att.TrainConfig(eta=0.01, iters=400, normalized=True, record_every=400)
         trace = att.train_gd(ds, cfg)
@@ -230,6 +231,35 @@ class TestSweepFanOut:
         assert [(kind, len(jobs)) for kind, jobs in workers] == [("feasibility", 9)]
 
 
+class TestSeedRule:
+    # Consecutive grid points, where seeds that add the grid value to the
+    # run's seed would give a seed-1 trial the draw of a seed-0 trial.
+    @pytest.mark.parametrize("name, grid, params", [
+        ("feasibility", [2, 3], dict(K=6, T=4, n=6, iters=10)),
+        ("scc-count", [8, 9], dict(K=6, d=6, T=4)),
+    ], ids=["feasibility", "scc-count"])
+    def test_runs_at_two_seeds_share_no_token_sequence(self, monkeypatch, name, grid, params):
+        gen, drawn = experiments.gen_dataset, {}
+
+        def recording(*args, seed, **kwargs):
+            ds = gen(*args, seed=seed, **kwargs)
+            drawn[run_seed].append((seed, [s.tokens for s in ds.samples]))
+            return ds
+
+        monkeypatch.setattr(experiments, "gen_dataset", recording)
+        key = "d_grid" if name == "feasibility" else "n_grid"
+        for run_seed in (0, 1):
+            drawn[run_seed] = []
+            sweep_rows(name, run_seed, 2, **params, **{key: grid})
+            # Trial t draws from trial_seed(seed, t) at every grid point.
+            assert [seed for seed, _ in drawn[run_seed]] == [experiments.trial_seed(run_seed, t)
+                                                             for _ in grid for t in range(2)]
+        for _, a in drawn[0]:
+            for _, b in drawn[1]:
+                m = min(len(a), len(b))  # gen_dataset draws sample by sample, so a shared seed shares a prefix
+                assert a[:m] != b[:m]
+
+
 class TestGlobalBlocks:
     PARAMS = {**experiments.EXPERIMENTS["cyclic-global"].params, "iters": 20, "record_every": 5}
 
@@ -260,27 +290,30 @@ class TestGlobalBlocks:
 
 
 def _gd_jobs(kind):
-    """Three to six small jobs of a trial kind; feasibility mixes two d,
-    reg-path the acyclic and the cyclic leg."""
+    """Three to six small jobs of a trial kind, each with its seed;
+    feasibility mixes two d, scc-count two n and reg-path the acyclic and
+    the cyclic leg."""
     if kind == "global":
         return experiments.seeded_jobs(TestGlobalBlocks.PARAMS, 0, 5)
     if kind == "local":
         return experiments.seeded_jobs({**experiments.EXPERIMENTS["local-squared"].params, "iters": 20}, 0, 5)
-    if kind == "rate-check":  # its seed is the experiment's
-        return [({**experiments.EXPERIMENTS["rate-check"].params, "iters": 200}, seed) for seed in (1, 2, 3)]
+    if kind == "rate-check":  # the jobs carry their shared eta
+        return experiments.rate_check_jobs({**experiments.EXPERIMENTS["rate-check"].params, "iters": 200}, 0, 3)
     if kind == "reg-path":
         p = {**experiments.EXPERIMENTS["reg-path"].params, "iters": 50, "r_count": 3}
         cyc = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
         return experiments.seeded_jobs({**p, "mode": "acyclic"}, 0, 2) + experiments.seeded_jobs(cyc, 1, 2)
     if kind == "scc-count":
-        return [(dict(K=4, d=4, T=3, n=n), (t, 7 * t + n)) for n in (4, 16) for t in range(2)]
+        return [job for n in (4, 16) for job in experiments.seeded_jobs(dict(K=4, d=4, T=3, n=n), 0, 2)]
     params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)
-    return [({**params, "d": d}, (31 * d + t, 7 * t + d)) for d in (2, 4) for t in range(3)]
+    return [job for d in (2, 4) for job in experiments.seeded_jobs({**params, "d": d}, 0, 3)]
 
 
-def _data_seed(job):
-    """The seed its trial draws its dataset from."""
-    return job[1][1] if isinstance(job[1], tuple) else job[1]
+def _draw_key(job):
+    """What tells a job's dataset from the others of `_gd_jobs`: a trial's
+    seed is the same at every grid point."""
+    params, seed = job
+    return params["d"], seed
 
 
 KINDS = ["global", "local", "feasibility", "rate-check", "reg-path", "scc-count"]
@@ -303,21 +336,22 @@ class TestGdBlocks:
         # Trial 3's dataset fails to build and trial 1 fails in training or
         # in its finish; run one by one, trial 1 would raise first.
         jobs = _gd_jobs(kind)
-        bad_build, bad_trial = _data_seed(jobs[3]), _data_seed(jobs[1])
+        bad_build, bad_trial = _draw_key(jobs[3]), _draw_key(jobs[1])
         gen, train_block = experiments.gen_dataset, att.train_block
         finish = experiments._KINDS[kind].finish
 
-        def failing_gen(*args, seed, **kwargs):
-            if seed == bad_build:
+        def failing_gen(table, *args, seed, **kwargs):
+            if (table.d, seed) == bad_build:
                 raise NoConvergence("trial 3 has no dataset")
-            return gen(*args, seed=seed, **kwargs)
+            return gen(table, *args, seed=seed, **kwargs)
 
         def failing_training(datasets, *args, **kwargs):
             out = train_block(datasets, *args, **kwargs)
-            return [NonFiniteLoss("trial 1 diverged") if ds.seed == bad_trial else r for ds, r in zip(datasets, out)]
+            return [NonFiniteLoss("trial 1 diverged") if (ds.d, ds.seed) == bad_trial else r
+                    for ds, r in zip(datasets, out)]
 
         def failing_finish(built, trace):
-            if built[0].seed == bad_trial:
+            if (built[0].d, built[0].seed) == bad_trial:
                 raise NoConvergence("trial 1 did not finish")
             return finish(built, trace)
 

@@ -11,6 +11,7 @@ import pytest
 
 from attnlab import attention, cli, experiments, graph, svm
 from attnlab import dataset as dsm
+from attnlab.util import write_csv
 
 
 def run_cli(*argv):
@@ -482,11 +483,48 @@ class TestExitCodes:
                        "--workers", 1, "--set", "r_min=-1") == 2
         assert "radii must be finite and > 0" in capsys.readouterr().err
 
-    def test_rate_check_refuses_more_than_one_trial(self, tmp_path, capsys):
-        # rate-check draws one instance; a manifest must not record trials it did not run.
-        assert run_cli("exp", "rate-check", "--out", tmp_path / "x", "--seed", 0, "--trials", 5) == 2
-        assert "rate-check runs one draw; trials must be 0 or 1, got 5" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+    def test_rate_check_runs_one_draw_per_trial(self, tmp_path):
+        # Three draws, one block at one worker and one block each at three,
+        # trained at the eta computed before the fan-out: equal bytes.
+        outs = []
+        for workers in (1, 3):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("exp", "rate-check", "--out", out, "--seed", 0, "--trials", 3,
+                           "--workers", workers, "--set", "iters=300") == 0
+            outs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outs[0] == outs[1]
+        out = tmp_path / "w1"
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [f"trial_{t:03d}.csv" for t in range(3)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["draws"]) == 3 and summary["checked_taus"] == 3 * 3
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert rows[0] == "trial,tau,gap,bound"
+        assert [r.split(",")[0] for r in rows[1:]] == [str(t) for t in range(3) for _ in range(3)]
+
+    def test_rate_check_seed_zero_trains_its_own_draws(self, tmp_path):
+        # --seed 0 is a seed like any other: the manifest records it, and
+        # draw t, drawn at trial_seed(0, t), trains by plain GD at the least
+        # 1/L of the draws.
+        out = tmp_path / "x"
+        assert run_cli("exp", "rate-check", "--out", out, "--seed", 0, "--trials", 2,
+                       "--set", "iters=300") == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+        summary = json.loads((out / "summary.json").read_text())
+        seeds = [experiments.trial_seed(0, t) for t in range(2)]
+        assert [draw["seed"] for draw in summary["draws"]] == seeds
+        datasets = []
+        for seed in seeds:
+            table = dsm.make_embeddings(6, 8, dsm.UNIT_SPHERE, seed=seed)
+            datasets.append(dsm.gen_dataset(table, dsm.make_head(table, dsm.TIED), n=6, T=4, mode="cyclic",
+                                            seed=seed))
+        eta = min(1.0 / attention.lipschitz_log(ds) for ds in datasets)
+        assert summary["eta"] == eta
+        for t, ds in enumerate(datasets):
+            cfg = attention.TrainConfig(eta=eta, iters=300, record_every=100)
+            trace = attention.train_gd(ds, cfg, refs=experiments.build_pipeline(ds).refs())
+            path = tmp_path / f"trace_{t}.csv"
+            write_csv(str(path), attention.TrainTrace.csv_header(), trace.rows())
+            assert path.read_bytes() == (out / "traces" / f"trial_{t:03d}.csv").read_bytes()
 
     def test_negative_trials_is_config_error(self, tmp_path, capsys):
         assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", -3,
@@ -499,11 +537,27 @@ class TestExitCodes:
                            "--workers", workers) == 2
             assert "workers" in capsys.readouterr().err
 
+    def test_rate_check_without_a_nonzero_w_fin_passes(self, tmp_path):
+        # The floor on draws with a nonzero W_fin is criterion 11's, not the
+        # library's: none of seed 1's eight draws has one, and the run passes.
+        out = tmp_path / "x"
+        assert run_cli("exp", "rate-check", "--out", out, "--seed", 1, "--set", "iters=200") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["draws"]) == 8 and summary["nonzero_w_fin_draws"] == 0
+
+    def test_rate_check_eta_is_not_a_parameter(self, tmp_path, capsys):
+        # The shared eta is computed from the draws; a given one is refused.
+        assert run_cli("exp", "rate-check", "--out", tmp_path / "x", "--set", "eta=0.1") == 2
+        assert "rate-check has no parameter 'eta'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_zero_svm_rate_check_is_config_error(self, tmp_path, capsys):
-        # One sample of one token has no edges, so W_svm is zero at any seed.
+        # One sample of one token has no edges, so W_svm is zero at any
+        # seed; the first draw in trial order is named.
         assert run_cli("exp", "rate-check", "--out", tmp_path / "x", "--seed", 5, "--set", "n=1",
                        "--set", "T=1", "--set", "iters=10") == 2
-        assert "rate-check seed 5 drew an instance with a zero SVM solution" in capsys.readouterr().err
+        expected = f"the rate-check draw of seed {experiments.trial_seed(5, 0)} has a zero SVM solution"
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, key", [("--set", "eta_typo"), ("--threshold", "impossible")])
     def test_undeclared_key_is_config_error(self, tmp_path, capsys, flag, key):

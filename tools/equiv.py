@@ -27,9 +27,10 @@ tree, an experiment's ``--workers 1`` and ``--workers 2`` files must be
 byte-identical.  The exit status is 1 on a DIFFERENT file or a worker-count
 mismatch, else 0.
 
-``--smoke`` runs one trial of each experiment with short training, and
-the verdict corpus without its 600 draws, so CI can run it against HEAD
-in about a minute.  ``train``'s ``wall_ms``, a wall-clock time, is dropped
+``--smoke`` runs two trials of each experiment with short training, so
+that ``--workers 2`` cuts two blocks for every experiment, and the verdict
+corpus without its 600 draws, so CI can run it against HEAD in about a
+minute.  ``train``'s ``wall_ms``, a wall-clock time, is dropped
 before comparing.
 """
 
@@ -51,7 +52,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = ("acyclic-global", "cyclic-global", "feasibility", "large-k", "local-ce", "local-squared",
                "rate-check", "reg-path", "scc-count")
 
-# --smoke: one trial, and overrides that keep each experiment short.
+# --smoke: two trials, and overrides that keep each experiment short.
 SMOKE_SETS = {
     "acyclic-global": ["iters=200"],
     "cyclic-global": ["iters=200"],
@@ -95,7 +96,7 @@ def run(tree: Path, cwd: Path, name: str, args: list[str], program: list[str] = 
 
 def run_all(tree: Path, out: Path, smoke: bool) -> None:
     for name in EXPERIMENTS:
-        extra = ["--trials", "1"] + [a for kv in SMOKE_SETS[name] for a in ("--set", kv)] if smoke else []
+        extra = ["--trials", "2"] + [a for kv in SMOKE_SETS[name] for a in ("--set", kv)] if smoke else []
         for workers in (1, 2):
             run(tree, out / "exp" / name / f"w{workers}", "exp",
                 ["exp", name, "--seed", "0", "--workers", str(workers), "--out", ".", *extra])
@@ -200,7 +201,7 @@ def checkout(rev: str, dest: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base", help="git revision to compare the working tree against")
-    parser.add_argument("--smoke", action="store_true", help="one short trial per experiment")
+    parser.add_argument("--smoke", action="store_true", help="two short trials per experiment")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="attnlab-equiv-") as tmp:
         tmp = Path(tmp)
