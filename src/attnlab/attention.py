@@ -520,14 +520,15 @@ class TrainConfig:
             raise ValueError(f"iters must be >= 0, got {self.iters}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if self.init not in ("zero", "gauss"):
+            raise ValueError(f"unknown init {self.init!r}")
+        if not np.isfinite(self.init_scale):
+            raise ValueError(f"init_scale must be a finite number, got {self.init_scale}")
 
     def initial_w(self, d: int) -> np.ndarray:
         if self.init == "zero":
             return np.zeros((d, d))
-        if self.init == "gauss":
-            rng = seeded_rng(self.init_seed, 4)
-            return self.init_scale * rng.standard_normal((d, d))
-        raise ValueError(f"unknown init {self.init!r}")
+        return self.init_scale * seeded_rng(self.init_seed, 4).standard_normal((d, d))
 
 
 @dataclass(frozen=True)
@@ -776,82 +777,76 @@ ARMIJO_BETA = 0.5
 ARMIJO_MIN_STEP = 1e-12
 
 
-def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[list, int]:
-    """Per group of held samples with equal label-SCC position counts,
+def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[np.ndarray, np.ndarray, int]:
+    """One stack over the held samples, padded to the longest:
     dphi[g, t, j] = dx_t^T B_j xbar_g over the label-relative rows
-    dx = x - e_y at those positions, and the dataset's n.
+    dx = x - e_y at sample g's label-SCC positions, the score offset (0 on
+    those rows, -inf on the pad rows, so a pad row carries no softmax mass)
+    and the dataset's n.
 
-    dx is zero on label positions, so with h = dphi z the loss of a sample
-    is log sum_t e^{h_t} - log |O|, and these are the scores the GD kernel
-    takes on the split's positions.  Measuring features from the label keeps
-    the gradient sum_t s_t dphi_t free of cancellation as the label mass
-    saturates.
+    dx is zero on label positions, so with h = dphi z + offset the loss of a
+    sample is log sum_t e^{h_t} - log |O|, and these are the scores the GD
+    kernel takes on the split's positions.  Measuring features from the
+    label keeps the gradient sum_t s_t dphi_t free of cancellation as the
+    label mass saturates.  A pad row repeats the label, so its features are
+    zero, as a label row's are.
     """
     ds, e = split.dataset, split.dataset.embedding.e
-    by_len: dict[int, list[tuple]] = {}
-    for i, positions in zip(split.idx_i, split.positions):
-        s = ds.samples[i]
-        by_len.setdefault(len(positions), []).append(([s.tokens[t] for t in positions], s.label, s.last_token))
-    feats = []
-    for t_len in sorted(by_len):
-        toks, labels, queries = map(np.array, zip(*by_len[t_len]))
-        if not np.all(np.any(toks == labels[:, None], axis=1)):
+    samples = [ds.samples[i] for i in split.idx_i]
+    labels = np.array([s.label for s in samples])
+    toks = np.repeat(labels[:, None], max(map(len, split.positions)), axis=1)
+    offset = np.full(toks.shape, -np.inf)
+    for j, (s, positions) in enumerate(zip(samples, split.positions)):
+        row = [s.tokens[t] for t in positions]
+        if s.label not in row:
             raise DomainError("cyclic split holds a sample whose label is not among its positions")
-        bx = np.matmul(s_fin.basis, e[queries].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
-        feats.append(np.matmul(e[toks] - e[labels][:, None, :], bx))
-    return feats, ds.n
+        toks[j, :len(row)] = row
+        offset[j, :len(row)] = 0.0
+    queries = np.array([s.last_token for s in samples])
+    bx = np.matmul(s_fin.basis, e[queries].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
+    return np.matmul(e[toks] - e[labels][:, None, :], bx), offset, ds.n
 
 
-def _fin_terms(feats: list, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _fin_terms(dphi: np.ndarray, offset: np.ndarray, z: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Gradient E_s[dphi] and Hessian Cov_s(dphi) of the reduced loss,
-    averaged over n, with the softmax of each group."""
-    m = len(z)
-    grad, hess, probs = np.zeros(m), np.zeros((m, m)), []
-    for dphi in feats:
-        s = softmax(dphi @ z)
-        mean = np.matmul(s[:, None, :], dphi)[:, 0]
-        psi = (dphi - mean[:, None, :]).reshape(-1, m)
-        grad += np.sum(mean, axis=0)
-        hess += (psi * s.reshape(-1, 1)).T @ psi
-        probs.append(s)
-    return grad / n, hess / n, probs
+    averaged over n, with each held sample's softmax s (zero on pad rows)."""
+    s = softmax(dphi @ z + offset)
+    mean = np.matmul(s[:, None, :], dphi)
+    psi = (dphi - mean).reshape(-1, len(z))
+    return np.sum(mean, axis=(0, 1)) / n, (psi * s.reshape(-1, 1)).T @ psi / n, s
 
 
-def _fin_change(feats: list, probs: list, dz: np.ndarray, n: int) -> float:
+def _fin_change(dphi: np.ndarray, offset: np.ndarray, s: np.ndarray, dz: np.ndarray, n: int) -> float:
     """f(z + dz) - f(z) = mean of log sum_t s_t e^{dh_t}, in a form that keeps
     relative accuracy when the step is tiny."""
-    total = 0.0
-    for dphi, s in zip(feats, probs):
-        dh = dphi @ dz
-        top = np.max(dh, axis=1)
-        total += float(np.sum(top + np.log1p(np.sum(s * np.expm1(dh - top[:, None]), axis=1))))
-    return total / n
+    dh = dphi @ dz + offset
+    top = np.max(dh, axis=1)
+    return float(np.sum(top + np.log1p(np.sum(s * np.expm1(dh - top[:, None]), axis=1)))) / n
 
 
-def _hessian_lipschitz(feats: list, n: int) -> float:
+def _hessian_lipschitz(dphi: np.ndarray, n: int) -> float:
     """M = (1/n) sum_i R_i^3, R_i the largest distance between two of sample
     i's feature rows: |third central moment| <= R^3 bounds each sample's
-    Hessian change, so ||H(z) - H(z')|| <= M ||z - z'||."""
-    total = 0.0
-    for dphi in feats:
-        r = np.zeros(len(dphi))
-        for t in range(dphi.shape[1]):
-            r = np.maximum(r, np.max(np.linalg.norm(dphi - dphi[:, t:t + 1], axis=2), axis=1))
-        total += float(np.sum(r**3))
-    return total / n
+    Hessian change, so ||H(z) - H(z')|| <= M ||z - z'||.  Pad rows are zero,
+    as the label row is, so they add no distance."""
+    r = np.max(np.linalg.norm(dphi[:, :, None] - dphi[:, None], axis=3), axis=(1, 2))
+    return float(np.sum(r**3)) / n
 
 
 def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
     """Finite component: minimize the log loss of the cyclic split over S_fin.
 
     Damped Newton over the coordinates z of S_fin's orthonormal basis
-    (W = sum_j z_j B_j), where the loss is strictly convex: Cholesky steps,
-    Armijo backtracking, and a stop when the Newton decrement lambda^2 / 2
-    reaches WFIN_DECREMENT_TOL or a full step no longer lowers lambda^2 (the
-    rounding floor).  The result is CERTIFIED when 8 M ||g|| <= mu^2, with M
-    the Hessian's Lipschitz constant: then H >= mu/2 on the ball of radius
-    bound = 4 ||g|| / mu around z, so W_fin lies in it; the bound must also
-    be at most WFIN_REL_BOUND * max(1, ||W||).  Else it is UNCERTIFIED.  An
+    (W = sum_j z_j B_j), where the loss is strictly convex.  Every held
+    sample sits in one feature stack padded to the longest (`_fin_features`),
+    so each gradient, Hessian and trial step is one pass over it.  Cholesky
+    steps, Armijo backtracking, and a stop when the Newton decrement
+    lambda^2 / 2 reaches WFIN_DECREMENT_TOL or a full step no longer lowers
+    lambda^2 (the rounding floor).  The result is CERTIFIED when
+    8 M ||g|| <= mu^2, with M the Hessian's Lipschitz constant: then
+    H >= mu/2 on the ball of radius bound = 4 ||g|| / mu around z, so W_fin
+    lies in it; the bound must also be at most
+    WFIN_REL_BOUND * max(1, ||W||).  Else it is UNCERTIFIED.  An
     empty split or S_fin gives W = 0, certified.  The residuals are the
     Newton ``iterations``, ``grad_norm`` = ||g|| and ``mu``, the smallest
     eigenvalue of H, both at the returned z, and ``bound`` (infinite when
@@ -861,11 +856,11 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
     if split.empty or s_fin.dim == 0:
         return Solution(frozen(np.zeros((d, d))), WfinStatus.CERTIFIED,
                         {"iterations": 0, "grad_norm": 0.0, "mu": np.inf, "bound": 0.0})
-    feats, n = _fin_features(split, s_fin)
+    dphi, offset, n = _fin_features(split, s_fin)
     z = np.zeros(s_fin.dim)
     lam2_prev, full_step, iterations = np.inf, False, 0
     while True:
-        g, h, probs = _fin_terms(feats, z, n)
+        g, h, probs = _fin_terms(dphi, offset, z, n)
         try:
             chol = np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
@@ -877,7 +872,7 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
             break
         dz = -np.linalg.solve(chol.T, y)
         t = 1.0
-        while t >= ARMIJO_MIN_STEP and _fin_change(feats, probs, t * dz, n) > -ARMIJO_ALPHA * t * lam2:
+        while t >= ARMIJO_MIN_STEP and _fin_change(dphi, offset, probs, t * dz, n) > -ARMIJO_ALPHA * t * lam2:
             t *= ARMIJO_BETA
         if t < ARMIJO_MIN_STEP:
             break  # no decrease left to find
@@ -889,7 +884,7 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
     bound = 4.0 * grad_norm / mu if mu > 0.0 else np.inf
     certified = (
         mu > 0.0
-        and 8.0 * _hessian_lipschitz(feats, n) * grad_norm <= mu * mu
+        and 8.0 * _hessian_lipschitz(dphi, n) * grad_norm <= mu * mu
         and bound <= WFIN_REL_BOUND * max(1.0, float(np.linalg.norm(z)))
     )
     return Solution(

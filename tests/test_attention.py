@@ -1,6 +1,7 @@
 """Forward pass, losses, gradients, the log-loss smoothness bound, and trainers."""
 
 import dataclasses
+import functools
 import tracemalloc
 import warnings
 
@@ -25,7 +26,9 @@ from helpers import (
     fd_grad,
     gd_oracle,
     grad_general,
+    held_rows,
     loss,
+    split_log_grad,
     split_loss,
     straight_line_loss,
     straight_train_gd,
@@ -985,14 +988,14 @@ class TestTrainWfin:
 
     def test_hessian_lipschitz_bound_holds(self, cyclic_pipeline):
         # ||H(z) - H(z')||_2 <= M ||z - z'|| on random pairs, far and near.
-        feats, n = att._fin_features(cyclic_pipeline.split, cyclic_pipeline.s_fin)
-        lip = att._hessian_lipschitz(feats, n)
+        dphi, offset, n = att._fin_features(cyclic_pipeline.split, cyclic_pipeline.s_fin)
+        lip = att._hessian_lipschitz(dphi, n)
         rng = seeded_rng(20)
         for scale in (3.0, 0.01):
             for _ in range(20):
                 z1, z2 = rng.standard_normal((2, cyclic_pipeline.s_fin.dim))
                 z2 = z1 + scale * z2
-                h1, h2 = att._fin_terms(feats, z1, n)[1], att._fin_terms(feats, z2, n)[1]
+                h1, h2 = att._fin_terms(dphi, offset, z1, n)[1], att._fin_terms(dphi, offset, z2, n)[1]
                 assert np.linalg.norm(h1 - h2, 2) <= lip * np.linalg.norm(z1 - z2)
 
     def test_certificate_needs_the_curvature_condition(self, monkeypatch):
@@ -1004,7 +1007,7 @@ class TestTrainWfin:
         _assert_certified(res)
         for factor, status in ((4.0, att.WfinStatus.UNCERTIFIED), (16.0, att.WfinStatus.CERTIFIED)):
             lip = mu**2 / (factor * grad_norm)
-            monkeypatch.setattr(att, "_hessian_lipschitz", lambda feats, n: lip)
+            monkeypatch.setattr(att, "_hessian_lipschitz", lambda dphi, n: lip)
             assert att.train_wfin(split, s_fin).status is status
 
     def test_build_pipeline_refuses_an_uncertified_w_fin(self, monkeypatch):
@@ -1016,6 +1019,80 @@ class TestTrainWfin:
         monkeypatch.setattr(att, "train_wfin", uncertified)
         with pytest.raises(NoConvergence, match="uncertified"):
             build_pipeline(tiny_instance(3))
+
+
+# (K, d, n, T, head) of the W_fin oracle draws: both refs shapes, the desk
+# shape and a d < K shape, four seeds each, fixed before any was solved.
+WFIN_SHAPES = {
+    "refs-full": (20, 20, 60, 8, None),
+    "refs-low": (20, 10, 40, 8, None),
+    "desk": (6, 8, 6, 4, dsm.TIED),
+    "d<K": (10, 4, 30, 6, None),
+}
+WFIN_DRAWS = [(name, seed) for name in WFIN_SHAPES for seed in range(4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _wfin_draw(name, seed):
+    K, d, n, T, head_kind = WFIN_SHAPES[name]
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    head = None if head_kind is None else dsm.make_head(table, head_kind, noise=0.1, seed=seed, unit_rows=True)
+    return experiments.Pipeline(dsm.gen_dataset(table, head, n=n, T=T, mode="cyclic", seed=seed))
+
+
+def _oracle_features(pipe):
+    """(x_t - e_y)^T B_j xbar in long double over each held sample's
+    label-SCC positions (padded to the longest), with the mask of real rows."""
+    x, real, _, ey, xbar, _ = held_rows(pipe.split, np.longdouble)
+    basis = pipe.s_fin.basis.astype(np.longdouble)
+    return np.einsum("gtd,jde,ge->gtj", x - ey[:, None, :], basis, xbar), real
+
+
+@pytest.mark.parametrize("name,seed", WFIN_DRAWS)
+class TestWfinOracles:
+    """W_fin's certificate and its padded Newton features against
+    per-sample oracles, beyond the selftest's draws."""
+
+    def test_certificate_rederived_sample_by_sample(self, name, seed):
+        pipe = _wfin_draw(name, seed)
+        _assert_certified(pipe.fin_result)
+        if pipe.split.empty:
+            np.testing.assert_array_equal(pipe.w_fin, 0.0)
+            return
+        gn, mu, lip = experiments._wfin_certificate_terms(pipe)
+        assert 8.0 * lip * gn <= mu * mu
+        assert 4.0 * gn / mu <= att.WFIN_REL_BOUND * max(1.0, np.linalg.norm(pipe.w_fin))
+        # Pad rows add no distance: the stack's M is the per-sample one.
+        dphi, _, n = att._fin_features(pipe.split, pipe.s_fin)
+        assert att._hessian_lipschitz(dphi, n) == pytest.approx(lip, rel=1e-12)
+
+    def test_stack_rows_are_the_label_relative_features(self, name, seed):
+        pipe = _wfin_draw(name, seed)
+        if pipe.split.empty:
+            pytest.skip("empty split: no feature stack; its W_fin = 0 is checked with the certificate")
+        dphi, offset, n = att._fin_features(pipe.split, pipe.s_fin)
+        oracle, real = _oracle_features(pipe)
+        assert n == pipe.dataset.n and dphi.shape == oracle.shape
+        np.testing.assert_allclose(dphi[real], oracle[real].astype(float), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(dphi[~real], 0.0)
+        np.testing.assert_array_equal(offset, np.where(real, 0.0, -np.inf))
+
+    def test_pad_rows_carry_no_softmax_mass(self, name, seed):
+        pipe = _wfin_draw(name, seed)
+        if pipe.split.empty:
+            pytest.skip("empty split: no feature stack; its W_fin = 0 is checked with the certificate")
+        dphi, offset, n = att._fin_features(pipe.split, pipe.s_fin)
+        real = held_rows(pipe.split)[1]
+        rng = seeded_rng(seed, 31)
+        for scale in (1.0, 30.0):
+            z = scale * rng.standard_normal(pipe.s_fin.dim)
+            g, _, s = att._fin_terms(dphi, offset, z, n)
+            np.testing.assert_array_equal(s[~real], 0.0)
+            np.testing.assert_allclose(np.sum(s, axis=1), 1.0, rtol=1e-14)
+            # The gradient over real rows alone, in S_fin coordinates.
+            w = np.tensordot(z, pipe.s_fin.basis, axes=1)
+            oracle = pipe.s_fin.basis.reshape(len(z), -1) @ split_log_grad(w, pipe.split).ravel()
+            np.testing.assert_allclose(g, oracle, rtol=1e-10, atol=1e-15)
 
 
 class TestCyclicLosses:

@@ -308,8 +308,9 @@ class TestExitCodes:
                        "--out", tmp_path / "o.json") == 2
 
     def test_bad_init_spec_is_config_error(self, dataset_file, tmp_path):
-        assert run_cli("train", "--data", dataset_file, "--init", "what",
-                       "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json") == 2
+        for spec in ("what", "gauss:nan", "gauss:inf"):
+            assert run_cli("train", "--data", dataset_file, "--init", spec,
+                           "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json") == 2, spec
 
     def test_numeric_failure_exit(self, tmp_path):
         # Non-realizable sample under a tied head: log loss domain error.

@@ -62,7 +62,7 @@ SMOKE_SETS = {
     "local-squared": ["iters=200"],
     "rate-check": ["iters=1000"],
     "reg-path": ["iters=100"],
-    "scc-count": ["n_grid=[16,64]"],
+    "scc-count": ["n_grid=[32,256]"],
 }
 
 GEN = ["gen-data", "--K", "6", "--d", "8", "--n", "6", "--T", "4", "--seed", "0", "--out", "data.json"]
