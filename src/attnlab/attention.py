@@ -23,6 +23,7 @@ most the two calls a sample it saves, CALL_MACS multiply-adds each.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections import Counter
@@ -771,18 +772,19 @@ def _normalized_step(w: np.ndarray, g: np.ndarray, gn_col: np.ndarray, eta: floa
 
 WFIN_DECREMENT_TOL = 1e-30  # lambda^2 / 2 at which a step is rounding-sized
 WFIN_REL_BOUND = 1e-9       # certified bound, relative to max(1, ||W_fin||)
+BALL_REL_GAP = 1e-9         # certified Frank-Wolfe gap of a ball minimizer, relative to its loss
 NEWTON_MAX_ITERS = 50       # safety net only: the certificate sets the status
 ARMIJO_ALPHA = 0.25
 ARMIJO_BETA = 0.5
 ARMIJO_MIN_STEP = 1e-12
 
 
-def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[np.ndarray, np.ndarray, int]:
+def _fin_features(split: CyclicSplit, basis: MatrixSubspace) -> tuple[np.ndarray, np.ndarray, int]:
     """One stack over the held samples, padded to the longest:
     dphi[g, t, j] = dx_t^T B_j xbar_g over the label-relative rows
-    dx = x - e_y at sample g's label-SCC positions, the score offset (0 on
-    those rows, -inf on the pad rows, so a pad row carries no softmax mass)
-    and the dataset's n.
+    dx = x - e_y at sample g's held positions, B_j the basis's matrices
+    (S_fin's for W_fin), the score offset (0 on those rows, -inf on the pad
+    rows, so a pad row carries no softmax mass) and the dataset's n.
 
     dx is zero on label positions, so with h = dphi z + offset the loss of a
     sample is log sum_t e^{h_t} - log |O|, and these are the scores the GD
@@ -803,7 +805,7 @@ def _fin_features(split: CyclicSplit, s_fin: MatrixSubspace) -> tuple[np.ndarray
         toks[j, :len(row)] = row
         offset[j, :len(row)] = 0.0
     queries = np.array([s.last_token for s in samples])
-    bx = np.matmul(s_fin.basis, e[queries].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
+    bx = np.matmul(basis.basis, e[queries].T).transpose(2, 1, 0)  # (g, d, m): B_j xbar_g
     return np.matmul(e[toks] - e[labels][:, None, :], bx), offset, ds.n
 
 
@@ -817,11 +819,74 @@ def _fin_terms(dphi: np.ndarray, offset: np.ndarray, z: np.ndarray, n: int) -> t
 
 
 def _fin_change(dphi: np.ndarray, offset: np.ndarray, s: np.ndarray, dz: np.ndarray, n: int) -> float:
-    """f(z + dz) - f(z) = mean of log sum_t s_t e^{dh_t}, in a form that keeps
-    relative accuracy when the step is tiny."""
+    """f(z + dz) - f(z) = mean of log1p(sum_t s_t expm1(dh_t)), accurate for
+    any step or saturation, as a label row has dh = 0; scores that overflow
+    give +inf or NaN, which fail every descent test."""
     dh = dphi @ dz + offset
-    top = np.max(dh, axis=1)
-    return float(np.sum(top + np.log1p(np.sum(s * np.expm1(dh - top[:, None]), axis=1)))) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(np.log1p(np.sum(s * np.expm1(dh), axis=1)))) / n
+
+
+def _newton(dphi: np.ndarray, offset: np.ndarray, n: int, z: np.ndarray,
+            radius: Optional[float] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+    """Damped Newton on a feature stack's reduced loss f from z: unconstrained
+    (`train_wfin`) when radius is None, else over ||z|| <= radius, where a
+    step that leaves the ball gives way to `_ball_point`.  Returns z, g and H
+    there, the steps and, on a ball, the relative Frank-Wolfe gap
+    (<g, z> + radius ||g||) / f(z) >= (f(z) - min f) / f(z), which stops it
+    at BALL_REL_GAP; f = mean of -log1p(-mass off the label rows, whose
+    features are zero), accurate as the loss saturates."""
+    lam2_prev, full_step, iterations, gap = np.inf, False, 0, np.nan
+    while True:
+        g, h, probs = _fin_terms(dphi, offset, z, n)
+        if radius is not None:
+            loss = -float(np.sum(np.log1p(-np.sum(probs, axis=1, where=dphi.any(axis=2))))) / n
+            gap = float(g @ z) + radius * math.hypot(*g)  # hypot: g^2 may underflow
+            gap = gap / loss if gap else 0.0  # no gap: g = 0, or f = 0 and so g = 0
+            if gap <= BALL_REL_GAP:
+                break
+            # Curvature below H's rounding is noise: a saturated direction's is
+            # below the ~1e-17 that S_fin rows' features leak into S_svm's.
+            h = h + np.finfo(float).eps * np.trace(h) * np.eye(len(z))
+        try:
+            chol = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            break  # H not positive definite: neither result is certified
+        y = np.linalg.solve(chol, g)
+        lam2 = float(y @ y)
+        if (radius is None and (lam2 / 2.0 <= WFIN_DECREMENT_TOL or (full_step and lam2 >= lam2_prev))
+                or iterations == NEWTON_MAX_ITERS):
+            break
+        dz = -np.linalg.solve(chol.T, y)
+        if radius is not None and np.linalg.norm(z + dz) > radius:
+            dz = _ball_point(h, g - h @ z, radius) - z
+            lam2 = -float(g @ dz)
+        t = 1.0
+        while t >= ARMIJO_MIN_STEP and not _fin_change(dphi, offset, probs, t * dz, n) <= -ARMIJO_ALPHA * t * lam2:
+            t *= ARMIJO_BETA
+        if t < ARMIJO_MIN_STEP:
+            break  # no decrease left to find
+        z = z + t * dz
+        lam2_prev, full_step = lam2, t == 1.0
+        iterations += 1
+    return z, g, h, iterations, gap
+
+
+def _ball_point(h: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """argmin b.y + y.H y / 2 over ||y|| <= radius when on the sphere:
+    y = -(H + lam I)^-1 b, lam from Newton on 1/||y(lam)|| = 1/radius (More
+    and Sorensen 1983), which rises from 0 until lam stops rising; y is then
+    rescaled onto the sphere."""
+    lam = 0.0
+    for _ in range(NEWTON_MAX_ITERS):
+        chol = np.linalg.cholesky(h + lam * np.eye(len(b)))
+        y = -np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+        norm = math.hypot(*y)
+        step = (norm / math.hypot(*np.linalg.solve(chol, y))) ** 2 * (norm - radius) / radius
+        if not lam + step > lam:
+            break
+        lam += step
+    return y * (radius / norm)
 
 
 def _hessian_lipschitz(dphi: np.ndarray, n: int) -> float:
@@ -836,8 +901,8 @@ def _hessian_lipschitz(dphi: np.ndarray, n: int) -> float:
 def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
     """Finite component: minimize the log loss of the cyclic split over S_fin.
 
-    Damped Newton over the coordinates z of S_fin's orthonormal basis
-    (W = sum_j z_j B_j), where the loss is strictly convex.  Every held
+    Damped Newton (`_newton`) over the coordinates z of S_fin's orthonormal
+    basis (W = sum_j z_j B_j), where the loss is strictly convex.  Every held
     sample sits in one feature stack padded to the longest (`_fin_features`),
     so each gradient, Hessian and trial step is one pass over it.  Cholesky
     steps, Armijo backtracking, and a stop when the Newton decrement
@@ -857,28 +922,7 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
         return Solution(frozen(np.zeros((d, d))), WfinStatus.CERTIFIED,
                         {"iterations": 0, "grad_norm": 0.0, "mu": np.inf, "bound": 0.0})
     dphi, offset, n = _fin_features(split, s_fin)
-    z = np.zeros(s_fin.dim)
-    lam2_prev, full_step, iterations = np.inf, False, 0
-    while True:
-        g, h, probs = _fin_terms(dphi, offset, z, n)
-        try:
-            chol = np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            break  # H not positive definite: mu <= 0 fails the certificate
-        y = np.linalg.solve(chol, g)
-        lam2 = float(y @ y)
-        if (lam2 / 2.0 <= WFIN_DECREMENT_TOL or (full_step and lam2 >= lam2_prev)
-                or iterations == NEWTON_MAX_ITERS):
-            break
-        dz = -np.linalg.solve(chol.T, y)
-        t = 1.0
-        while t >= ARMIJO_MIN_STEP and _fin_change(dphi, offset, probs, t * dz, n) > -ARMIJO_ALPHA * t * lam2:
-            t *= ARMIJO_BETA
-        if t < ARMIJO_MIN_STEP:
-            break  # no decrease left to find
-        z = z + t * dz
-        lam2_prev, full_step = lam2, t == 1.0
-        iterations += 1
+    z, g, h, iterations, _ = _newton(dphi, offset, n, np.zeros(s_fin.dim))
     grad_norm = float(np.linalg.norm(g))
     mu = float(np.linalg.eigvalsh(h)[0])
     bound = 4.0 * grad_norm / mu if mu > 0.0 else np.inf
@@ -917,40 +961,16 @@ def loss_inf(split: CyclicSplit, w_fin: np.ndarray) -> float:
     return loss_bar(w_fin, split)
 
 
-@dataclass(frozen=True)
-class RegPathPoint:
-    radius: float
-    w: np.ndarray
-
-
-REG_PATH_MAP_TOL = 1e-7  # projected-gradient mapping norm at which a radius is done
-
-
-def _projected_gd(packed: _Packed, w0: np.ndarray, radius: float, eta: float, max_iters: int) -> np.ndarray:
-    w = w0.copy()
-    nrm = np.linalg.norm(w)
-    if nrm > radius:
-        w *= radius / nrm
-    for _ in range(max_iters):
-        g = _one(w, packed, LOG, need_loss=False)[1]
-        w_new = w - eta * g
-        nrm = np.linalg.norm(w_new)
-        if nrm > radius:
-            w_new *= radius / nrm
-        gap = float(np.linalg.norm(w - w_new)) / eta
-        w = w_new
-        if gap < REG_PATH_MAP_TOL:
-            break
-    return w
-
-
-def reg_path(dataset: Dataset, radii: list[float], config: TrainConfig) -> list[RegPathPoint]:
-    """Minimizers of the log loss over balls of increasing radius.
-
-    The loss must be convex (log loss on a tied or absent head), so one
-    projected-GD run per radius finds the minimizer; each run starts from
-    the previous solution rescaled to the new ball.
-    """
+def reg_path(dataset: Dataset, radii: Sequence[float], s_fin: MatrixSubspace,
+             s_svm: MatrixSubspace) -> list[Solution]:
+    """Minimizers of the log loss (head tied or absent: convex) over balls
+    ||W|| <= r of increasing radii: Solutions, CERTIFIED at a relative
+    Frank-Wolfe gap of at most BALL_REL_GAP, with ``radius``, Newton
+    ``iterations`` and ``gap``.  Each feature row is a TPG edge generator,
+    so each minimizer lies in S_active; `_newton` solves each ball over its
+    basis S_fin then S_svm, from the last minimizer.  The gap certifies the
+    loss: on a cyclic dataset the S_svm part stops growing once its loss
+    share falls below BALL_REL_GAP."""
     if not radii:
         raise ValueError("radii must list at least one radius")
     bad = [float(r) for r in radii if not (np.isfinite(r) and r > 0)]
@@ -958,17 +978,20 @@ def reg_path(dataset: Dataset, radii: list[float], config: TrainConfig) -> list[
         raise ValueError(f"radii must be finite and > 0, got {bad[0]}")
     if list(radii) != sorted(radii):
         raise ValueError("radii must be increasing")
-    if config.loss != LOG:
-        raise ValueError(f"reg_path needs the log loss, got {config.loss!r}")
-    packed = _pack([dataset])
-    if not packed.tied:
+    if not (dataset.head is None or dataset.tied_head()):
         raise ValueError("reg_path needs a tied or absent head; under a general head the log loss is not convex")
-    points: list[RegPathPoint] = []
-    w = np.zeros((dataset.d, dataset.d))
-    for radius in radii:
-        nrm = np.linalg.norm(w)
-        if nrm > 0.0:
-            w = w * (radius / nrm)
-        w = _projected_gd(packed, w, radius, config.eta, config.iters)
-        points.append(RegPathPoint(radius=float(radius), w=frozen(w)))
+    basis = np.concatenate([s_fin.basis, s_svm.basis])
+    every = CyclicSplit(dataset, tuple(range(dataset.n)), tuple(tuple(range(s.T)) for s in dataset.samples))
+    dphi, offset, n = _fin_features(every, MatrixSubspace(basis, dataset.d))
+    z, points = np.zeros(len(basis)), []
+    for radius in map(float, radii):
+        # Start on the new sphere along the last minimizer when that lowers
+        # the loss, as it does when the last one lies on its own sphere.
+        norm = float(np.linalg.norm(z))
+        if norm and _fin_change(dphi, offset, _fin_terms(dphi, offset, z, n)[2], z * (radius / norm - 1.0), n) < 0.0:
+            z = z * (radius / norm)
+        z, _, _, iterations, gap = _newton(dphi, offset, n, z, radius)
+        points.append(Solution(frozen(np.tensordot(z, basis, axes=1)),
+                               WfinStatus.CERTIFIED if gap <= BALL_REL_GAP else WfinStatus.UNCERTIFIED,
+                               {"radius": radius, "iterations": iterations, "gap": gap}))
     return points

@@ -75,17 +75,19 @@ def _cmd_build_graph(args) -> int:
 def _cmd_solve_svm(args) -> int:
     pipe = experiments.Pipeline(load_dataset(args.data))
     sol, cons = pipe.solution, pipe.constraints
+    feasible = svm.check_feasibility(cons)
     payload = {
         "W": sol.w.tolist(),
         "norm": sol.norm,
         "status": sol.status.value,
         "residuals": sol.residuals,
+        "feasibility": {"status": feasible.status.value, "residuals": feasible.residuals},
         "n_equalities": len(cons.equalities),
         "n_inequalities": len(cons.inequalities),
         "subspace_dims": {"fin": pipe.s_fin.dim, "active": pipe.s_active.dim, "svm": pipe.s_svm.dim},
     }
     write_json(args.out, payload)
-    print(f"wrote {args.out}: status={sol.status.value} norm={sol.norm:.6f}")
+    print(f"wrote {args.out}: status={sol.status.value} norm={sol.norm:.6f} feasibility={feasible.status.value}")
     return EXIT_OK if sol.status is svm.SolveStatus.SOLVED else EXIT_NUMERIC
 
 

@@ -261,18 +261,18 @@ def _rate_check_finish(built: tuple, trace: attention.TrainTrace) -> dict:
 
 def _reg_path_build(params: dict, tseed: int) -> tuple:
     ds = _draw(params, tseed, params["mode"], tied=True)
-    return ds, None, build_pipeline(ds).refs(), params
+    pipe = build_pipeline(ds)
+    return ds, None, pipe.refs(), (params, pipe)
 
 
 def _reg_path_finish(built: tuple, trace: None) -> dict:
-    ds, _, refs, params = built
+    ds, _, refs, (params, pipe) = built
     with np.errstate(invalid="ignore"):  # a radius <= 0 gives NaNs, which reg_path refuses
         radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
-    cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], loss=attention.LOG)
-    points = attention.reg_path(ds, radii, cfg)
+    points = [p.require("ball solve") for p in attention.reg_path(ds, radii, pipe.s_fin, pipe.s_svm)]
     corr = [attention.correlation(p.w, refs.w_svm) for p in points]
     dist = [float(np.linalg.norm(refs.s_fin.project(p.w) - refs.w_fin)) for p in points]
-    return {"radii": radii, "corr": corr, "dist": dist}
+    return {"radii": radii, "corr": corr, "dist": dist, "gap": [p.residuals["gap"] for p in points]}
 
 
 def _scc_count_build(params: dict, tseed: int) -> tuple:
@@ -594,7 +594,8 @@ def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     acyc_params = {**p, "mode": "acyclic"}
     cyc_params = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
-    jobs = seeded_jobs(acyc_params, cfg.seed, cfg.trials) + seeded_jobs(cyc_params, cfg.seed + 1, cfg.trials)
+    jobs = seeded_jobs(acyc_params, cfg.seed, cfg.trials)
+    jobs += seeded_jobs(cyc_params, cfg.seed, 2 * cfg.trials)[cfg.trials:]  # trials .. 2 trials - 1
     results = run_trials("reg-path", jobs, cfg.workers)
     acyc, cyc = results[:cfg.trials], results[cfg.trials:]
 
@@ -619,19 +620,20 @@ def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
     mean_final_dist, _ = _mean_std(dist_finals)
     rows = []
     for t, r in enumerate(acyc):
-        for radius, c in zip(r["radii"], r["corr"]):
-            rows.append(("acyclic", t, radius, c, np.nan))
+        for radius, c, gap in zip(r["radii"], r["corr"], r["gap"]):
+            rows.append(("acyclic", t, radius, c, np.nan, gap))
     for t, r in enumerate(cyc):
-        for radius, dv in zip(r["radii"], r["dist"]):
-            rows.append(("cyclic", t, radius, np.nan, dv))
+        for radius, dv, gap in zip(r["radii"], r["dist"], r["gap"]):
+            rows.append(("cyclic", t, radius, np.nan, dv, gap))
     summary = {
         "mean_final_corr_acyclic": mean_final_corr,
         "mean_final_dist_cyclic": mean_final_dist,
+        "max_gap": max(row[-1] for row in rows),
         "trials": cfg.trials,
     }
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("mode", "trial", "radius", "corr_svm", "dist_fin"),
+        aggregate_header=("mode", "trial", "radius", "corr_svm", "dist_fin", "gap"),
         aggregate_rows=rows,
         violations=violations,
     )
@@ -699,7 +701,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "reg-path": ExperimentSpec(
         # Denser cyclic-leg sequences so most trials carry a nonzero
         # finite component for the distance check.
-        params=dict(K=8, d=8, n=4, T=6, eta=0.2, iters=2000, r_min=1.0, r_max=1000.0, r_count=8,
+        params=dict(K=8, d=8, n=4, T=6, r_min=1.0, r_max=1000.0, r_count=8,
                     cyc_K=6, cyc_d=8, cyc_n=8, cyc_T=5),
         thresholds={"min_final_corr": 0.95, "max_final_dist": 0.1, "monotone_after": 3},
         trials=5,

@@ -88,7 +88,9 @@ class Solution:
     - `attention.train_wfin`: ``iterations`` (Newton steps),
       ``grad_norm`` and ``mu`` (the smallest Hessian eigenvalue) of the
       reduced loss at w in S_fin coordinates, and ``bound``, with
-      ||w - W_fin||_F <= bound when CERTIFIED; no multipliers.
+      ||w - W_fin||_F <= bound when CERTIFIED; no multipliers;
+    - `attention.reg_path`, per ball: ``radius``, ``iterations`` (Newton
+      steps) and ``gap``, with f(w) - min f <= gap f(w) on it; no multipliers.
     """
 
     w: np.ndarray

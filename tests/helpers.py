@@ -9,9 +9,11 @@ d^2-wide projected rows (and its NNLS reads a dense Gram matrix through
 differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
-form, the record diagnostics corr_svm and dist_fin from their definitions
-in long double, the cyclic-subdataset loss and gradient from each held sample's
-label-SCC rows read one by one from the embedding table, CSV bytes come
+form, a ball minimizer's first-order terms from that gradient and a
+cancellation-free loss in long double, the record diagnostics corr_svm and
+dist_fin from their definitions in long double, the cyclic-subdataset loss
+and gradient from each held sample's label-SCC rows read one by one from
+the embedding table, CSV bytes come
 from a cell-by-cell formatter, pseudo graphs come from their own edge loop,
 the pseudo-graph references from the stage calls made one by one, and index
 sets position by position from each graph's mutual-reachability partition.
@@ -586,6 +588,29 @@ def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, n
         else:
             w = w - config.eta * g[0]
     return np.array(rows, dtype=np.float64), w
+
+
+def ball_oracle(w: np.ndarray, ds: dsm.Dataset, radius: float) -> dict:
+    """The first-order terms of min f(W) over ||W|| <= radius at w, for the
+    tied log loss, in long double: ``norm`` ||W||, the full d x d gradient
+    g (`einsum_grad`'s reduced form) and its ``grad_norm``, the ``loss`` f
+    written free of cancellation as (1/n) sum_i log1p(sum of e^{h_t} over
+    sample i's non-label positions / |O_i|) with the label-relative scores
+    h, the multiplier ``lam`` = -<g, W> / ||W||^2, the KKT residual ``kkt``
+    = ||g + lam W|| and the relative Frank-Wolfe ``gap``
+    (<g, W> + radius ||g||) / f."""
+    ld = np.longdouble
+    w = np.asarray(w, dtype=ld)
+    g = einsum_grad(w, extended(attention._pack([ds])), attention.LOG, reduced_log=True)
+    every = gm.CyclicSplit(ds, tuple(range(ds.n)), tuple(tuple(range(s.T)) for s in ds.samples))
+    x, real, at_label, ey, xbar, _ = held_rows(every, ld)
+    h = np.einsum("mtd,de,me->mt", x - ey[:, None, :], w, xbar)
+    off_label = np.sum(np.where(real & ~at_label, np.exp(np.where(real, h, 0)), 0), axis=1)
+    loss = np.sum(np.log1p(off_label / np.sum(at_label, axis=1))) / ds.n
+    norm, grad_norm, dot = np.sqrt(np.sum(w * w)), np.sqrt(np.sum(g * g)), np.sum(g * w)
+    lam = -dot / (norm * norm)
+    return {"norm": norm, "grad_norm": grad_norm, "loss": loss, "lam": lam,
+            "kkt": np.sqrt(np.sum((g + lam * w) ** 2)), "gap": (dot + radius * grad_norm) / loss}
 
 
 def corr_oracle(w: np.ndarray, w_svm) -> float:

@@ -300,9 +300,9 @@ def _gd_jobs(kind):
     if kind == "rate-check":  # the jobs carry their shared eta
         return experiments.rate_check_jobs({**experiments.EXPERIMENTS["rate-check"].params, "iters": 200}, 0, 3)
     if kind == "reg-path":
-        p = {**experiments.EXPERIMENTS["reg-path"].params, "iters": 50, "r_count": 3}
+        p = {**experiments.EXPERIMENTS["reg-path"].params, "r_count": 3}
         cyc = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
-        return experiments.seeded_jobs({**p, "mode": "acyclic"}, 0, 2) + experiments.seeded_jobs(cyc, 1, 2)
+        return experiments.seeded_jobs({**p, "mode": "acyclic"}, 0, 2) + experiments.seeded_jobs(cyc, 0, 4)[2:]
     if kind == "scc-count":
         return [job for n in (4, 16) for job in experiments.seeded_jobs(dict(K=4, d=4, T=3, n=n), 0, 2)]
     params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)

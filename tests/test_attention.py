@@ -18,6 +18,7 @@ from attnlab.experiments import build_pipeline, single_scc_dataset, trial_seed
 from attnlab.util import seeded_rng
 
 from helpers import (
+    ball_oracle,
     corr_oracle,
     dist_fin_oracle,
     einsum_grad,
@@ -1137,29 +1138,80 @@ class TestCyclicLosses:
 class TestRegPath:
     def test_solution_sits_on_boundary(self, cyclic_pipeline):
         pipe = cyclic_pipeline
-        cfg = att.TrainConfig(eta=0.2, iters=3000, loss=att.LOG)
-        points = att.reg_path(pipe.dataset, [0.5, 1.0], cfg)
-        for p in points:
-            assert abs(np.linalg.norm(p.w) - p.radius) <= 1e-8
+        points = att.reg_path(pipe.dataset, [0.5, 1.0], pipe.s_fin, pipe.s_svm)
+        for p, radius in zip(points, [0.5, 1.0]):
+            assert p.status is att.WfinStatus.CERTIFIED and p.residuals["radius"] == radius
+            assert abs(np.linalg.norm(p.w) - radius) <= 1e-8
 
     def test_radii_must_increase(self, cyclic_pipeline):
-        cfg = att.TrainConfig(eta=0.2, iters=100)
-        with pytest.raises(ValueError):
-            att.reg_path(cyclic_pipeline.dataset, [2.0, 1.0], cfg)
+        with pytest.raises(ValueError, match="increasing"):
+            att.reg_path(cyclic_pipeline.dataset, [2.0, 1.0], cyclic_pipeline.s_fin, cyclic_pipeline.s_svm)
 
-    def test_rejects_a_non_convex_loss(self, cyclic_pipeline):
-        cfg = att.TrainConfig(eta=0.2, iters=100, loss=att.SQUARED)
-        with pytest.raises(ValueError, match="'squared'"):
-            att.reg_path(cyclic_pipeline.dataset, [1.0, 2.0], cfg)
+    def test_rejects_a_general_head(self):
+        # Under a general head the log loss is not convex.
+        pipe = build_pipeline(tiny_instance(3, head_kind=dsm.GENERAL_ARGMAX))
+        with pytest.raises(ValueError, match="tied or absent head"):
+            att.reg_path(pipe.dataset, [1.0, 2.0], pipe.s_fin, pipe.s_svm)
 
     def test_fin_projection_approaches_w_fin(self, cyclic_pipeline):
         pipe = cyclic_pipeline
-        cfg = att.TrainConfig(eta=0.2, iters=2000, loss=att.LOG)
         radii = list(np.geomspace(1.0, 200.0, 6))
-        points = att.reg_path(pipe.dataset, radii, cfg)
+        points = att.reg_path(pipe.dataset, radii, pipe.s_fin, pipe.s_svm)
         dists = [np.linalg.norm(pipe.s_fin.project(p.w) - pipe.w_fin) for p in points]
         assert dists[-1] <= dists[0]
         assert dists[-1] <= 0.1
+
+    def test_interior_minimizer_is_w_fin(self):
+        # One SCC: W_svm = 0 and the loss has its finite minimizer W_fin,
+        # on the sphere of the small ball and inside the large one.
+        pipe = build_pipeline(single_scc_dataset(seed=3))
+        norm = np.linalg.norm(pipe.w_fin)
+        small, large = att.reg_path(pipe.dataset, [norm / 4, 100.0], pipe.s_fin, pipe.s_svm)
+        assert abs(np.linalg.norm(small.w) - norm / 4) <= 1e-12 * norm
+        assert np.linalg.norm(large.w - pipe.w_fin) <= 1e-8 * norm
+        for point in (small, large):
+            _assert_ball_kkt(point, pipe.dataset)
+
+
+def _assert_ball_kkt(point, ds):
+    """A certified ball point against `ball_oracle`: inside the ball, its
+    relative Frank-Wolfe gap, recomputed from the full long-double gradient,
+    at most BALL_REL_GAP, and the first-order conditions that gap bounds.
+    With a = ||W|| ||g|| + <g, W> and b = (r - ||W||) ||g||, both >= 0, the
+    gap is (a + b) / f: on the sphere lam >= 0 up to the gap and
+    ||g + lam W||^2 <= 2 a ||g|| / ||W||; inside it ||g|| <= gap f / (r - ||W||)."""
+    radius = point.residuals["radius"]
+    o = ball_oracle(point.w, ds, radius)
+    # The float64 gap's rounding: a few ulps of radius ||g|| over f, where
+    # ||g|| <= f max_t ||phi_t|| and ||phi_t|| <= 2 e_max^2.
+    rounding = 16 * np.finfo(float).eps * radius * ds.embedding.e_max**2
+    assert point.status is att.WfinStatus.CERTIFIED
+    assert abs(o["gap"] - point.residuals["gap"]) <= rounding
+    assert o["gap"] <= att.BALL_REL_GAP + rounding
+    assert o["norm"] <= radius * (1 + 1e-12)
+    allowed = (att.BALL_REL_GAP + rounding) * o["loss"]
+    if o["norm"] >= radius * (1 - 1e-12):
+        assert o["lam"] * o["norm"] ** 2 >= -allowed
+        assert o["kkt"] ** 2 <= 2 * allowed * o["grad_norm"] / o["norm"]
+    else:
+        assert o["grad_norm"] * (radius - o["norm"]) <= allowed
+
+
+# Two draws of each reg-path leg at its defaults, seed 0: the acyclic leg's
+# trials 0 and 1 and the cyclic leg's 0 and 1 (trial indices 5 and 6).
+REG_PATH_DRAWS = [("acyclic", 0), ("acyclic", 1), ("cyclic", 5), ("cyclic", 6)]
+
+
+@pytest.mark.parametrize("mode,trial", REG_PATH_DRAWS)
+def test_reg_path_points_meet_the_ball_kkt_conditions(mode, trial):
+    p = experiments.EXPERIMENTS["reg-path"].params
+    params = {**p, "mode": mode}
+    if mode == "cyclic":
+        params.update(K=p["cyc_K"], d=p["cyc_d"], n=p["cyc_n"], T=p["cyc_T"])
+    ds, _, _, (_, pipe) = experiments._reg_path_build(params, trial_seed(0, trial))
+    radii = list(np.geomspace(p["r_min"], p["r_max"], p["r_count"]))
+    for point in att.reg_path(ds, radii, pipe.s_fin, pipe.s_svm):
+        _assert_ball_kkt(point, ds)
 
 
 class TestStasisAndNegativeCorrelation:

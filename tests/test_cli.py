@@ -53,6 +53,9 @@ class TestSubcommands:
         assert run_cli("solve-svm", "--data", dataset_file, "--out", out) == 0
         payload = json.loads(out.read_text())
         assert payload["status"] == "solved"
+        # d >= K: the feasibility verdict is the paper's construction, checked.
+        assert payload["feasibility"]["status"] == "solved"
+        assert payload["feasibility"]["residuals"]["min_ineq_margin"] >= 1.0 - svm.PRIMAL_TOL
         assert set(payload["subspace_dims"]) == {"fin", "active", "svm"}
         w = np.array(payload["W"])
         assert abs(float(np.linalg.norm(w)) - payload["norm"]) <= 1e-12
@@ -162,7 +165,7 @@ class TestExperimentCommand:
             ("cyclic-global", 3, ["--trials", 5]),
             ("local-squared", 3, ["--trials", 5, "--set", "iters=200"]),
             ("local-ce", 3, ["--trials", 5, "--set", "iters=200"]),
-            ("reg-path", 2, ["--trials", 2, "--set", "r_count=3", "--set", "iters=200"]),
+            ("reg-path", 2, ["--trials", 2, "--set", "r_count=3"]),
         ]
         for k, (name, workers, extra) in enumerate(runs):
             a, b = tmp_path / str(k) / "a", tmp_path / str(k) / "b"
@@ -382,6 +385,8 @@ class TestExitCodes:
         assert payload["status"] == "infeasible"
         assert payload["residuals"]["farkas_residual"] <= 1e-9
         assert payload["residuals"]["converged"] is True
+        # d < K: the feasibility verdict is the solver's, unchanged.
+        assert payload["feasibility"] == {"status": "infeasible", "residuals": payload["residuals"]}
 
     def test_non_unit_embedding_row_is_config_error(self, dataset_file, tmp_path, capsys):
         raw = json.loads(dataset_file.read_text())
@@ -478,6 +483,21 @@ class TestExitCodes:
                        "--config", path) == 0
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
         assert manifest["trials"] == experiments.EXPERIMENTS["scc-count"].trials
+
+    @pytest.mark.parametrize("override", ["eta=0.2", "iters=2000"])
+    def test_reg_path_has_no_step_size_or_step_count(self, tmp_path, capsys, override):
+        # Each ball is solved by certified Newton, not by a GD run.
+        assert run_cli("exp", "reg-path", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
+                       "--workers", 1, "--set", override) == 2
+        assert f"reg-path has no parameter {override.split('=')[0]!r}" in capsys.readouterr().err
+
+    def test_reg_path_seed_1_passes(self, tmp_path):
+        # Its acyclic trial 4 stopped at corr 0.9424 under projected GD's
+        # step cap; the ball minimizer reads 0.9999.
+        out = tmp_path / "x"
+        assert run_cli("exp", "reg-path", "--out", out, "--seed", 1, "--workers", 1) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_gap"] <= attention.BALL_REL_GAP and not summary["violations"]
 
     def test_nonpositive_reg_path_radius_is_config_error(self, tmp_path, capsys):
         assert run_cli("exp", "reg-path", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,

@@ -90,10 +90,8 @@ def unread_public_names(package):
 
 # The console script of pyproject.toml's [project.scripts].
 ENTRY_POINTS = {"cli.main"}
-# Public names no library code reads yet.  ROADMAP item 5 gives
-# svm.check_feasibility its readers: solve-svm prints its verdict, and
-# Pipeline and criterion 07 name an undecided one.
-UNREAD_ALLOWED = {"svm.check_feasibility"}
+# Public names no library code reads yet.
+UNREAD_ALLOWED: set[str] = set()
 
 
 def test_every_public_library_name_has_a_reader_in_the_library():

@@ -61,7 +61,7 @@ SMOKE_SETS = {
     "local-ce": ["iters=200"],
     "local-squared": ["iters=200"],
     "rate-check": ["iters=1000"],
-    "reg-path": ["iters=100"],
+    "reg-path": ["r_count=3"],
     "scc-count": ["n_grid=[32,256]"],
 }
 
