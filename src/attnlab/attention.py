@@ -8,7 +8,9 @@ which is the path the log-loss theory lives on.  The packed kernel scores
 the label-relative rows x_t - e_y instead of x_t: each sample's scores
 shift by the constant e_y^T W xbar, so the softmax is the same.  A label
 occurrence then scores exactly 0, which anchors its row's softmax: the row
-needs no max shift while its scores stay at most SCORE_BOUND.
+needs no max shift while its scores stay at most SCORE_BOUND.  A training
+loop certifies that from a bound on ||W||_F (`_train_stack`) and skips the
+reduction over the scores.
 
 The scores are linear in W: h_t = phi_t . vec(W), phi_t = vec(dx_t xbar^T),
 and the tied log gradient is sum_t s_t phi_t / n.  Each length group of a
@@ -194,6 +196,8 @@ class _Packed:
     part: np.ndarray         # (B, d, d) scratch for a later group's gradient term
     grad_flat: np.ndarray    # (B, 1, d * d) views of both, for the feature form's row product
     part_flat: np.ndarray
+    lip: float               # |h_t| <= lip ||W||_F for every computed score (`_lipschitz`), rounded up by slack
+    slack: float             # relative rounding slack of the ||W|| certificate (`_train_stack`)
 
     @property
     def trials(self) -> int:
@@ -266,6 +270,8 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
                              anchored=anchored, all_anchored=bool(anchored.all()),
                              scratch=_Scratch(b, g, t, d, phi is not None)))
     grad, part = np.empty((len(datasets), first.d, first.d)), np.empty((len(datasets), first.d, first.d))
+    slack = (first.d * first.d + 8) * float(np.finfo(np.float64).eps)
+    lip = max(_lipschitz(g) for g in groups) * (1.0 + slack)
     return _Packed(
         groups=tuple(groups),
         n=float(first.n),
@@ -277,7 +283,21 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         part=part,
         grad_flat=grad.reshape(len(grad), 1, -1),
         part_flat=part.reshape(len(part), 1, -1),
+        # A gradient term sums at most n rows of size lip; past overflow
+        # nothing is certified (inf times a zero bound is NaN).
+        lip=lip if math.isfinite(lip * first.n) else math.inf,
+        slack=slack,
     )
+
+
+def _lipschitz(g: _Group) -> float:
+    """The scores' Lipschitz constant in ||W||_F of a group: h_t =
+    phi_t . vec(W), so |h_t| <= ||phi_t|| ||W||_F, and ||phi_t|| =
+    ||dx_t|| ||xbar||; the largest ||phi_t|| in the feature form, else the
+    largest ||dx_t|| ||xbar||, both of the stored rows."""
+    if g.phi is not None:
+        return float(np.sqrt(np.max(np.vecdot(g.phi, g.phi))))
+    return float(np.max(np.linalg.norm(g.dx, axis=-1) * np.linalg.norm(g.xbar, axis=-1)[..., None]))
 
 
 def _features(t: int, d: int) -> bool:
@@ -312,7 +332,7 @@ def _underflow(u: np.ndarray) -> DomainError:
 
 def _loss_and_grad(
     w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True,
-    need_loss: bool = True,
+    need_loss: bool = True, bounded: bool = False,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
     """Per-trial losses (B,), cyclic-split losses loss_bar (B,) and
     gradients (B, d, d) at w (B, d, d), from one softmax per group and matmul
@@ -337,9 +357,12 @@ def _loss_and_grad(
     A group whose trials are all anchored, with no score above SCORE_BOUND,
     takes both softmaxes without a max shift; otherwise the trials that
     fail either test are shifted by their row maxima, each trial as its own
-    pack would be (`_shift`).  Without a shift the label mass of a tied log
-    loss stays above LOG_GUARD, so a call without the loss on the reduced
-    form then skips the label mass and its guard.
+    pack would be (`_shift`).  ``bounded`` is the caller's certificate that
+    no score passes SCORE_BOUND (`_train_stack`): the test then reads the
+    anchoring alone, with no reduction over the scores.  Without a shift
+    the label mass of a tied log loss stays above LOG_GUARD, so a call
+    without the loss on the reduced form then skips the label mass and its
+    guard.
 
     Without ``need_grad`` the gradient is None and its contractions are
     skipped; without ``need_loss`` the losses and loss_bar are None and
@@ -369,7 +392,7 @@ def _loss_and_grad(
     for g in packed.groups:
         sc = g.scratch
         h = _scores(w, g)
-        shift = _shift(h, g)
+        shift = _shift(h, g, bounded)
         if need_loss and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors, shift)
         s = _exp_normalized(h, sc.edge) if shift is None else _softmax_in_place(h, sc.edge, shift)
@@ -433,14 +456,15 @@ def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
     return sc.h
 
 
-def _shift(h: np.ndarray, g: _Group) -> Optional[np.ndarray]:
+def _shift(h: np.ndarray, g: _Group, bounded: bool = False) -> Optional[np.ndarray]:
     """None when no row of the group's scores h needs a max shift: every
-    trial is anchored and no score passes SCORE_BOUND (a NaN fails).  Else
-    the (B,) mask of the trials that fail either test, which is the verdict
-    each trial's own pack gives it."""
-    if g.all_anchored and np.maximum.reduce(h, axis=None) <= SCORE_BOUND:
+    trial is anchored and no score passes SCORE_BOUND (a NaN fails), which
+    ``bounded`` certifies without reading h.  Else the (B,) mask of the
+    trials that fail either test, which is the verdict each trial's own
+    pack gives it."""
+    if g.all_anchored and (bounded or np.maximum.reduce(h, axis=None) <= SCORE_BOUND):
         return None
-    return ~(g.anchored & (np.maximum.reduce(h, axis=(1, 2)) <= SCORE_BOUND))
+    return ~(g.anchored & (bounded or np.maximum.reduce(h, axis=(1, 2)) <= SCORE_BOUND))
 
 
 def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Exception]) -> np.ndarray:
@@ -554,9 +578,9 @@ class TrainTrace:
     t_ms: np.ndarray
     w_final: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
-    def rows(self):
-        """One tuple of Python values per record, in `csv_header` order."""
-        return zip(self.iters.tolist(), *(getattr(self, name).tolist() for name in _COLUMNS))
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The record arrays in `csv_header` order."""
+        return (self.iters, *(getattr(self, name) for name in _COLUMNS))
 
     @staticmethod
     def csv_header() -> tuple[str, ...]:
@@ -685,9 +709,26 @@ _COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
 def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainRefs]) -> list[TrainTrace | Exception]:
     """`train_block` on datasets of one structure.  A failed trial is frozen:
     its w stops moving and its later values are ignored, and the steps end
-    once no trial is left."""
+    once no trial is left.
+
+    The loop carries ``w_bound`` >= ||W_b||_F for every trial b, frozen
+    ones too: the largest norm at step 0 and at each record step, which
+    computes the norms anyway, plus eta per normalized step and eta max ||g||
+    per plain one.  Each of the three, and the pack's lip, is rounded up by
+    the pack's slack, (d^2 + 8) eps, more than the relative rounding error
+    of a computed norm, score or step: a d^2-term dot product, or two d-term
+    ones, and a few roundings around it.  While lip w_bound <= SCORE_BOUND
+    no computed score passes SCORE_BOUND, so the kernel skips its reduction
+    over the scores (``bounded``).  On the reduced tied log form the gradient is
+    then an average of rows of norm at most lip under a finite softmax, so
+    it is finite and a normalized step skips the test for an infinite
+    gradient norm (a finite gradient whose norm overflows takes the same
+    step either way).  Both skipped tests would have given the same
+    verdict, so every bit is the same."""
     trials, d = len(datasets), datasets[0].d
     packed, stack_refs = _pack(datasets, splits=[r.split for r in refs]), _StackRefs(refs, d)
+    grow = 1.0 + packed.slack
+    finite_grad = config.normalized and config.loss == LOG and packed.tied  # may skip the infinity test
     # The kernel returns packed.grad; its norms and W's are written through
     # flat views, and the normalized step divides by gn's (B, 1, 1) view.
     g_flat, gn = packed.grad.reshape(trials, -1), np.empty(trials)
@@ -699,6 +740,8 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     alive, all_alive, outcome = np.ones(trials, dtype=bool), True, [None] * trials
     w = np.stack([config.initial_w(d) for _ in range(trials)])
     w_flat = w.reshape(trials, -1)
+    np.sqrt(np.vecdot(w_flat, w_flat, out=w_norm), out=w_norm)
+    w_bound = float(w_norm[w_norm.argmax()]) * grow  # a NaN norm certifies nothing
 
     def finish(b: int) -> TrainTrace:
         rows = row if alive[b] else recorded[b]
@@ -722,19 +765,23 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     t0, row = time.perf_counter(), 0
     for tau in range(config.iters + 1):
         record = row < len(taus) and taus[row] == tau
-        cur_loss, loss_bar, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=record)
+        bounded = packed.lip * w_bound <= SCORE_BOUND
+        cur_loss, loss_bar, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True,
+                                                       need_loss=record, bounded=bounded)
         if errors:
             fail(errors)
         np.sqrt(np.vecdot(g_flat, g_flat, out=gn), out=gn)
         # Every norm finite and above the floor; a NaN fails both tests.
         # Read through argmin and argmax, as `svm._top` reads a max.
-        clean = gn[gn.argmin()] > GRAD_FLOOR and gn[gn.argmax()] < np.inf
+        top = None if bounded and finite_grad else float(gn[gn.argmax()])
+        clean = gn[gn.argmin()] > GRAD_FLOOR and (top is None or top < np.inf)
         if not clean and not np.isfinite(gn).all():
             fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
         if record:
             if not np.isfinite(cur_loss).all():
                 fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
             np.sqrt(np.vecdot(w_flat, w_flat, out=w_norm), out=w_norm)
+            w_bound = float(w_norm[w_norm.argmax()]) * grow
             values = (cur_loss, loss_bar, gn, w_norm, stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))
             for name, value in zip(_COLUMNS, values):
                 cols[name][row] = value
@@ -759,6 +806,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             np.subtract(w, g, out=w)
         else:
             w[alive] = w[alive] - config.eta * g[alive]
+        w_bound = (w_bound + (config.eta if config.normalized else config.eta * top)) * grow
     return [finish(b) if alive[b] else outcome[b] for b in range(trials)]
 
 

@@ -74,8 +74,7 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_solve_svm(args) -> int:
     pipe = experiments.Pipeline(load_dataset(args.data))
-    sol, cons = pipe.solution, pipe.constraints
-    feasible = svm.check_feasibility(cons)
+    sol, cons, feasible = pipe.solution, pipe.constraints, pipe.feasibility
     payload = {
         "W": sol.w.tolist(),
         "norm": sol.norm,
@@ -121,7 +120,7 @@ def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     trace = attention.train_gd(ds, config, refs=refs)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    write_csv(args.trace, attention.TrainTrace.csv_header(), trace.rows())
+    write_csv(args.trace, attention.TrainTrace.csv_header(), trace.columns())
     summary = {
         "final_corr": None if not np.isfinite(trace.corr_svm[-1]) else float(trace.corr_svm[-1]),
         "final_dist": None if not np.isfinite(trace.dist_fin[-1]) else float(trace.dist_fin[-1]),

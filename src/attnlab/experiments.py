@@ -73,6 +73,14 @@ class Pipeline:
         return svm.solve_graph_svm(self.constraints)
 
     @functools.cached_property
+    def feasibility(self) -> svm.Solution:
+        """Feasibility of the constraints: the paper's d >= K construction
+        when it checks (`svm.explicit_solution`), else this pipeline's own
+        graph-SVM verdict unchanged: MAX_ITER stays undecided, and
+        INFEASIBLE keeps its Farkas weights."""
+        return svm.explicit_solution(self.constraints) or self.solution
+
+    @functools.cached_property
     def s_fin(self) -> svm.MatrixSubspace:
         return svm.fin_subspace(self.constraints)
 
@@ -169,7 +177,7 @@ def _global_finish(built: tuple, trace: attention.TrainTrace) -> dict:
         "final_loss": _finite_or_none(trace.loss[-1]),
         "loss_inf": attention.loss_inf(refs.split, refs.w_fin),
         "w_svm_norm": pipe.solution.norm,
-        "trace": list(trace.rows()),
+        "trace": trace.columns(),
     }
 
 
@@ -200,7 +208,7 @@ def _local_finish(built: tuple, trace: attention.TrainTrace) -> dict:
         "dist_global": float(np.linalg.norm(pipe.s_fin.project(w_gd) - pipe.w_fin)),
         "dist_local": float(np.linalg.norm(local.s_fin.project(w_gd) - local.w_fin)) if certified else np.nan,
         "wfin_status": local.fin_result.status.value,
-        "trace": list(trace.rows()),
+        "trace": trace.columns(),
     }
 
 
@@ -248,15 +256,16 @@ def _rate_check_build(params: dict, tseed: int) -> tuple:
 
 
 def _rate_check_finish(built: tuple, trace: attention.TrainTrace) -> dict:
-    """The bound's inputs, and the loss gap above loss_inf and the rate
-    bound at every recorded tau >= 1."""
+    """The bound's inputs, and at every recorded tau >= 1 the loss gap above
+    loss_inf and the rate bound, as columns."""
     ds, cfg, _, pipe = built
     inf_val = attention.loss_inf(pipe.split, pipe.w_fin)
     inputs = analysis.rate_bound_inputs(ds, pipe.sets, pipe.w_svm, pipe.w_fin)
-    rows = [(int(tau), float(loss) - inf_val, analysis.rate_bound(inputs, int(tau), cfg.eta))
-            for tau, loss in zip(trace.iters, trace.loss) if tau >= 1]
+    checked = trace.iters >= 1
+    taus = trace.iters[checked].tolist()
+    bound = np.array([analysis.rate_bound(inputs, tau, cfg.eta) for tau in taus], dtype=np.float64)
     draw = {"seed": ds.seed, "xi": inputs.xi, "w_fin_norm": inputs.w_fin_norm, "loss_inf": inf_val}
-    return {"draw": draw, "rows": rows, "trace": list(trace.rows())}
+    return {"draw": draw, "tau": taus, "gap": trace.loss[checked] - inf_val, "bound": bound, "trace": trace.columns()}
 
 
 def _reg_path_build(params: dict, tseed: int) -> tuple:
@@ -429,11 +438,19 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
+    """A run's summary, its aggregate.csv as columns by header name, in
+    order (`util.write_csv`: a float64 array is a float column, anything
+    else is written by str), and each trial's trace."""
+
     summary: dict
-    aggregate_header: tuple
-    aggregate_rows: list
+    aggregate: dict
     violations: list[str] = field(default_factory=list)
-    traces: dict = field(default_factory=dict)  # trial index -> list of rows
+    traces: dict = field(default_factory=dict)  # trial index -> `TrainTrace.columns()`
+
+
+def _floats(values) -> np.ndarray:
+    """A float column: NaN is written as an empty cell."""
+    return np.array(values, dtype=np.float64)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -460,14 +477,13 @@ def _run_global(cfg: ExperimentConfig) -> ExperimentResult:
         violations.append(f"mean_corr {corr_mean:.4f} < {cfg.thresholds['min_mean_corr']}")
     if "max_mean_dist" in cfg.thresholds and not dist_mean <= cfg.thresholds["max_mean_dist"]:
         violations.append(f"mean_dist {dist_mean:.4f} > {cfg.thresholds['max_mean_dist']}")
-    rows = [
-        (t, r["final_corr"], r["final_dist"], r["final_loss"], r["loss_inf"], r["w_svm_norm"])
-        for t, r in enumerate(results)
-    ]
+    # An undefined final value is None, and written as such.
+    aggregate = {"trial": list(range(len(results))),
+                 **{key: [r[key] for r in results] for key in ("final_corr", "final_dist", "final_loss")},
+                 **{key: _floats([r[key] for r in results]) for key in ("loss_inf", "w_svm_norm")}}
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("trial", "final_corr", "final_dist", "final_loss", "loss_inf", "w_svm_norm"),
-        aggregate_rows=rows,
+        aggregate=aggregate,
         violations=violations,
         traces={t: r["trace"] for t, r in enumerate(results)},
     )
@@ -499,14 +515,13 @@ def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
             violations.append(f"mean dist_local undefined: {n} of {cfg.trials} trials have no certified pseudo W_fin")
         elif not dl <= dg:
             violations.append(f"mean dist_local {dl:.4f} > mean dist_global {dg:.4f}")
-    rows = [
-        (t, r["corr_global"], r["corr_local"], r["dist_global"], r["dist_local"], r["wfin_status"])
-        for t, r in enumerate(results)
-    ]
+    aggregate = {"trial": list(range(len(results))),
+                 **{key: _floats([r[key] for r in results])
+                    for key in ("corr_global", "corr_local", "dist_global", "dist_local")},
+                 "wfin_status": [r["wfin_status"] for r in results]}
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("trial", "corr_global", "corr_local", "dist_global", "dist_local", "wfin_status"),
-        aggregate_rows=rows,
+        aggregate=aggregate,
         violations=violations,
         traces={t: r["trace"] for t, r in enumerate(results)},
     )
@@ -527,16 +542,17 @@ def _grid_trials(cfg: ExperimentConfig, key: str) -> list[list[dict]]:
 
 def _run_scc_count(cfg: ExperimentConfig) -> ExperimentResult:
     counts = [[r["sccs"] for r in group] for group in _grid_trials(cfg, "n")]
-    rows = [(n, float(np.mean(c)), float(np.std(c)), cfg.trials) for n, c in zip(cfg.params["n_grid"], counts)]
-    first, last = rows[0][1], rows[-1][1]
+    grid = cfg.params["n_grid"]
+    mean = [float(np.mean(c)) for c in counts]
+    first, last = mean[0], mean[-1]
     summary = {"first_mean": first, "last_mean": last, "trials": cfg.trials}
     violations = []
     if not last <= first:
         violations.append(f"SCC count did not collapse: first {first:.2f}, last {last:.2f}")
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("n", "mean", "std", "trials"),
-        aggregate_rows=rows,
+        aggregate={"n": grid, "mean": _floats(mean), "std": _floats([np.std(c) for c in counts]),
+                   "trials": [cfg.trials] * len(grid)},
         violations=violations,
     )
 
@@ -544,8 +560,9 @@ def _run_scc_count(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
     # Pooled over every sample of every trial, not a mean of trial means.
     props = [[v for r in group for v in r["props"]] for group in _grid_trials(cfg, "d")]
-    rows = [(d, float(np.mean(p)), float(np.std(p)), cfg.trials) for d, p in zip(cfg.params["d_grid"], props)]
-    at_k = next((prop for d, prop, _, _ in rows if d >= cfg.params["K"]), None)
+    grid = cfg.params["d_grid"]
+    proportion = [float(np.mean(p)) for p in props]
+    at_k = next((prop for d, prop in zip(grid, proportion) if d >= cfg.params["K"]), None)
     summary = {"proportion_at_K": at_k, "trials": cfg.trials}
     violations = []
     tol = cfg.thresholds["proportion_tol"]
@@ -553,8 +570,8 @@ def _run_feasibility(cfg: ExperimentConfig) -> ExperimentResult:
         violations.append(f"retention proportion at d=K is {at_k}, expected 1.0 +- {tol}")
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("d", "proportion", "std", "trials"),
-        aggregate_rows=rows,
+        aggregate={"d": grid, "proportion": _floats(proportion), "std": _floats([np.std(p) for p in props]),
+                   "trials": [cfg.trials] * len(grid)},
         violations=violations,
     )
 
@@ -572,19 +589,19 @@ def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
     """The bound at every recorded tau of every draw."""
     jobs = rate_check_jobs(cfg.params, cfg.seed, cfg.trials)
     results = run_trials("rate-check", jobs, cfg.workers)
-    rows = [(t, *row) for t, r in enumerate(results) for row in r["rows"]]
-    worst = max([-np.inf] + [gap - bound for _, _, gap, bound in rows])
+    gap, bound = (np.concatenate([r[key] for r in results]) for key in ("gap", "bound"))
+    worst = max([-np.inf] + (gap - bound).tolist())
     draws = [r["draw"] for r in results]
-    summary = {"eta": jobs[0][0]["eta"], "max_gap_minus_bound": worst, "checked_taus": len(rows),
-               "max_gap_over_bound": max([-np.inf] + [gap / bound for _, _, gap, bound in rows]),
+    summary = {"eta": jobs[0][0]["eta"], "max_gap_minus_bound": worst, "checked_taus": len(gap),
+               "max_gap_over_bound": max([-np.inf] + (gap / bound).tolist()),
                "nonzero_w_fin_draws": sum(d["w_fin_norm"] > 0 for d in draws), "draws": draws}
     violations = []
     if not worst <= 0.0:
         violations.append(f"rate bound violated by {worst:.3e}")
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("trial", "tau", "gap", "bound"),
-        aggregate_rows=rows,
+        aggregate={"trial": [t for t, r in enumerate(results) for _ in r["tau"]],
+                   "tau": [tau for r in results for tau in r["tau"]], "gap": gap, "bound": bound},
         violations=violations,
         traces={t: r["trace"] for t, r in enumerate(results)},
     )
@@ -618,23 +635,27 @@ def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
 
     mean_final_corr, _ = _mean_std(finals)
     mean_final_dist, _ = _mean_std(dist_finals)
-    rows = []
-    for t, r in enumerate(acyc):
-        for radius, c, gap in zip(r["radii"], r["corr"], r["gap"]):
-            rows.append(("acyclic", t, radius, c, np.nan, gap))
-    for t, r in enumerate(cyc):
-        for radius, dv, gap in zip(r["radii"], r["dist"], r["gap"]):
-            rows.append(("cyclic", t, radius, np.nan, dv, gap))
+    # One row per (leg, trial, radius); each leg reads one of corr_svm and
+    # dist_fin, the other is NaN.
+    aggregate = {"mode": [], "trial": [], "radius": [], "corr_svm": [], "dist_fin": [], "gap": []}
+    for leg, part, read in (("acyclic", acyc, "corr_svm"), ("cyclic", cyc, "dist_fin")):
+        for t, r in enumerate(part):
+            k = len(r["radii"])
+            aggregate["mode"] += [leg] * k
+            aggregate["trial"] += [t] * k
+            aggregate["radius"] += r["radii"]
+            for column, key in (("corr_svm", "corr"), ("dist_fin", "dist")):
+                aggregate[column] += r[key] if column == read else [np.nan] * k
+            aggregate["gap"] += r["gap"]
     summary = {
         "mean_final_corr_acyclic": mean_final_corr,
         "mean_final_dist_cyclic": mean_final_dist,
-        "max_gap": max(row[-1] for row in rows),
+        "max_gap": max(aggregate["gap"]),
         "trials": cfg.trials,
     }
     return ExperimentResult(
         summary=summary,
-        aggregate_header=("mode", "trial", "radius", "corr_svm", "dist_fin", "gap"),
-        aggregate_rows=rows,
+        aggregate={**aggregate, **{key: _floats(aggregate[key]) for key in ("radius", "corr_svm", "dist_fin", "gap")}},
         violations=violations,
     )
 
@@ -732,16 +753,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, dict]:
 
     result = EXPERIMENTS[cfg.name].runner(cfg)
 
-    write_csv(os.path.join(cfg.output_dir, "aggregate.csv"), result.aggregate_header, result.aggregate_rows)
+    write_csv(os.path.join(cfg.output_dir, "aggregate.csv"), tuple(result.aggregate), tuple(result.aggregate.values()))
     if result.traces:
         trace_dir = os.path.join(cfg.output_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
-        for t, rows in sorted(result.traces.items()):
-            write_csv(
-                os.path.join(trace_dir, f"trial_{t:03d}.csv"),
-                attention.TrainTrace.csv_header(),
-                rows,
-            )
+        for t, columns in sorted(result.traces.items()):
+            write_csv(os.path.join(trace_dir, f"trial_{t:03d}.csv"), attention.TrainTrace.csv_header(), columns)
     summary = dict(result.summary)
     summary["violations"] = result.violations
     write_json(os.path.join(cfg.output_dir, "summary.json"), summary)

@@ -82,9 +82,8 @@ class Solution:
       in the first case, the KKT multipliers in the second;
     - `solve_per_last_token`: ``sweeps``, ``converged`` and ``essential``
       over its subproblems and their count ``per_k``; no multipliers;
-    - `check_feasibility`: the construction's ``max_eq_violation`` and
-      ``min_ineq_margin``, SOLVED with no multipliers, or else the verdict
-      of `solve_graph_svm`;
+    - `explicit_solution`: the construction's ``max_eq_violation`` and
+      ``min_ineq_margin``, SOLVED with no multipliers;
     - `attention.train_wfin`: ``iterations`` (Newton steps),
       ``grad_norm`` and ``mu`` (the smallest Hessian eigenvalue) of the
       reduced loss at w in S_fin coordinates, and ``bound``, with
@@ -754,13 +753,12 @@ def solve_graph_svm(constraints: ConstraintSet) -> Solution:
     )
 
 
-def check_feasibility(constraints: ConstraintSet) -> Solution:
-    """Feasibility of the constraint set.  For a full-row-rank embedding
-    (d >= K), the paper's explicit construction, checked against the
-    embedding arithmetic: SOLVED with a feasible W, not the min-norm one,
-    and no multipliers.  Otherwise, or if that check fails, the verdict of
-    `solve_graph_svm` unchanged: MAX_ITER stays undecided, and INFEASIBLE
-    keeps its Farkas weights."""
+def explicit_solution(constraints: ConstraintSet) -> Optional[Solution]:
+    """The paper's explicit feasible W for a full-row-rank embedding
+    (d >= K), checked against the embedding arithmetic: SOLVED with a
+    feasible W, not the min-norm one, and no multipliers.  None at d < K or
+    when the check fails; the graph-SVM solve then decides
+    (`experiments.Pipeline.feasibility`)."""
     emb = constraints.embedding
     if emb.full_row_rank:
         # W^bar[i, k] is node i's priority level in the graph of last token
@@ -780,7 +778,7 @@ def check_feasibility(constraints: ConstraintSet) -> Solution:
         min_ineq = float(np.min(_values(ineq, emb.e, w), initial=np.inf))
         if max_eq <= PRIMAL_TOL and min_ineq >= 1.0 - PRIMAL_TOL:
             return Solution(frozen(w), SolveStatus.SOLVED, {"max_eq_violation": max_eq, "min_ineq_margin": min_ineq})
-    return solve_graph_svm(constraints)
+    return None
 
 
 def solve_per_last_token(constraints: ConstraintSet) -> Solution:

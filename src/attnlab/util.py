@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,26 +25,23 @@ def default_seed() -> int:
     return int(raw) if raw else 0
 
 
-def _cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return repr(x) if x == x else ""
-    return str(x)
+def _cells(column: Sequence) -> list[str]:
+    """The cells of one CSV column.  A float64 array is formatted by one repr
+    of its list, which writes each item as its own repr does, NaN as an
+    empty cell; any other column item by item through str."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return repr(column.tolist())[1:-1].replace("nan", "").split(", ") if len(column) else []
+    return list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
 
 
-def _column(values: tuple) -> list[str]:
-    """The cells of one CSV column.  A column of Python floats is formatted by
-    one repr of the list, which writes each item as its own repr does."""
-    if all(type(v) is float for v in values):
-        return repr(list(values))[1:-1].replace("nan", "").split(", ")
-    return [_cell(v) for v in values]
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV with byte-stable formatting: floats in shortest round-trip
-    form (bit-exact on reload), NaN as an empty cell, anything else by str.
-    Rows of unequal width raise ValueError."""
-    cols = [_column(col) for col in zip(*rows, strict=True)]
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a CSV from its columns with byte-stable formatting: a float64
+    array in shortest round-trip form (bit-exact on reload) with NaN as an
+    empty cell, any other column by str.  Columns of unequal length, or not
+    one per header name, raise ValueError."""
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError(f"{path}: a CSV needs one column per header name, all of one length")
+    cols = [_cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
 

@@ -375,9 +375,10 @@ def assert_certified(cons, sol):
 
 def forbid_the_solver(monkeypatch) -> None:
     """Make `svm.solve_graph_svm` raise, so that a verdict of
-    `svm.check_feasibility` comes from its d >= K construction alone."""
+    `experiments.Pipeline.feasibility` comes from its d >= K construction
+    alone."""
     def forbidden(constraints):
-        raise AssertionError("check_feasibility called the solver")
+        raise AssertionError("the feasibility check called the solver")
 
     monkeypatch.setattr(svm, "solve_graph_svm", forbidden)
 

@@ -197,8 +197,8 @@ def test_criterion_07_feasibility(tmp_path, monkeypatch):
             K = 3 + seed % 4
             d = K + seed % 3
             ds = tiny_instance(seed + 700, K=K, d=d, n=4, T=4)
-            cons, _, _ = _constraints_of(ds)
-            result = svm.check_feasibility(cons)
+            pipe = experiments.Pipeline(ds)
+            cons, result = pipe.constraints, pipe.feasibility
             if result.status is svm.SolveStatus.SOLVED:
                 e = ds.embedding.e
                 eq_ok = all(abs((e[i] - e[j]) @ result.w @ e[k]) <= 1e-6 for i, j, k in cons.equalities)

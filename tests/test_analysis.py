@@ -14,7 +14,20 @@ def sweep_rows(name, seed, trials, **params):
     """Aggregate rows of a sweep experiment, one dict per grid point."""
     cfg = experiments.ExperimentConfig(name, params, {}, seed, trials).resolved()
     result = experiments.EXPERIMENTS[name].runner(cfg)
-    return [dict(zip(result.aggregate_header, row)) for row in result.aggregate_rows]
+    return [dict(zip(result.aggregate, row)) for row in zip(*result.aggregate.values())]
+
+
+def spelled(value) -> str:
+    """repr of a value with each array as its dtype and list: repr spells
+    every float exactly, NaN included, so equal strings are equal bits."""
+    def lists(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.tolist()
+        if isinstance(v, dict):
+            return {k: lists(x) for k, x in v.items()}
+        return [lists(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+    return repr(lists(value))
 
 
 class TestCorrelation:
@@ -274,8 +287,8 @@ class TestGlobalBlocks:
                 raise NoConvergence("trial 3 has no pipeline")
             return build(ds)
 
-        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
-            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss)
+        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
+            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
             if need_loss:  # a record step of training
                 value = value.copy()
                 value[1] = np.inf
@@ -323,12 +336,11 @@ TRAINING_KINDS = ["global", "local", "feasibility", "rate-check"]
 class TestGdBlocks:
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_equals_trials_alone(self, kind):
-        # repr spells every float exactly, NaN included, so equal reprs are
-        # equal bits in every result, trace row, radius and count.
+        # Equal bits in every result, trace column, radius and count.
         jobs = _gd_jobs(kind)
         block = experiments.run_trials(kind, jobs, workers=1)
         alone = [r for job in jobs for r in experiments.run_trials(kind, [job], workers=1)]
-        assert repr(block) == repr(alone)
+        assert spelled(block) == spelled(alone)
 
     @pytest.mark.parametrize("kind", ["global", "local", "feasibility"])
     @pytest.mark.parametrize("failure", ["training", "finish"])
@@ -391,7 +403,7 @@ class TestBlockPlan:
         planned = ([jobs[a:b] for a, b in zip(cuts, cuts[1:])] if kind in TRAINING_KINDS
                    else [[job] for job in jobs])
         assert [args for _, args in plans] == [[(kind, jobs)], [(kind, block) for block in planned]]
-        assert repr(three) == repr(one)
+        assert spelled(three) == spelled(one)
 
 
 class TestLocalReferences:

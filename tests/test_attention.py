@@ -530,8 +530,8 @@ def _infinite_from_step_7(trial):
     on, in the calls that compute the loss."""
     fused, calls = att._loss_and_grad, []
 
-    def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True):
-        value, bar, g, errors = fused(w, packed, kind, reduced_log, need_grad, need_loss)
+    def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
+        value, bar, g, errors = fused(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
         calls.append(None)
         if len(calls) > 7 and value is not None:
             value = value.copy()
@@ -651,7 +651,7 @@ class TestTrainBlock:
             assert start[1] > att.SCORE_BOUND > end[1] and att.SCORE_BOUND > start[2] > 0.99 * att.SCORE_BOUND
         for trace, ds, r in zip(alone, datasets, refs):
             rows, w_final = straight_train_gd(ds, cfg, r)
-            assert np.array(list(trace.rows()), dtype=np.float64).tobytes() == rows.tobytes()
+            assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
             assert trace.w_final.tobytes() == w_final.tobytes()
         assert np.all(np.isnan(alone[1].corr_svm)) and np.all(np.isfinite(alone[1].dist_fin))
         assert np.all(alone[2].loss_bar == 0.0)
@@ -843,6 +843,120 @@ def _experiment_block(name, trials):
     jobs = experiments.seeded_jobs(experiments.EXPERIMENTS[name].params, 0, trials)
     built = [experiments._global_build(*job) for job in jobs]
     return [b[0] for b in built], built[0][1], [b[2] for b in built]
+
+
+def _top_row_w(group):
+    """The unit W along the group's largest score row, (d, d): its score
+    there is lip ||W||, the certificate's bound, exactly in exact arithmetic."""
+    d = group.xbar.shape[-1]
+    if group.phi is not None:
+        norms = np.sqrt(np.vecdot(group.phi, group.phi))
+        b, r = np.unravel_index(np.argmax(norms), norms.shape)
+        return group.phi[b, r].reshape(d, d) / norms[b, r]
+    norms = np.linalg.norm(group.dx, axis=-1) * np.linalg.norm(group.xbar, axis=-1)[..., None]
+    b, i, t = np.unravel_index(np.argmax(norms), norms.shape)
+    return np.outer(group.dx[b, i, t], group.xbar[b, i]) / norms[b, i, t]
+
+
+def _certified_and_not(monkeypatch, datasets, cfg, refs=None):
+    """`train_block` as it runs, with each kernel call's certificate, then
+    with the certificate disabled: an infinite Lipschitz constant."""
+    flags, kernel, pack = [], att._loss_and_grad, att._pack
+    with monkeypatch.context() as patch:
+        patch.setattr(att, "_loss_and_grad", lambda *args, **kw: flags.append(kw["bounded"]) or kernel(*args, **kw))
+        certified = att.train_block(datasets, cfg, refs)
+        calls = len(flags)
+        patch.setattr(att, "_pack", lambda *args, **kw: dataclasses.replace(pack(*args, **kw), lip=np.inf))
+        uncertified = att.train_block(datasets, cfg, refs)
+    assert not any(flags[calls:])
+    for got, want in zip(certified, uncertified):
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+            got, want = getattr(got, "trace", None), getattr(want, "trace", None)
+        assert (got is None and want is None) or _trace_bytes(got) == _trace_bytes(want)
+    return flags[:calls]
+
+
+def _mixed_anchoring(kind):
+    """Two desk trials and a third whose first sample lacks its label, so
+    its rows are not anchored; one structure, tied head.  A W of norm
+    about 24 puts the unanchored trial's row maxima far enough from 0 that
+    a missing shift shows in the bits."""
+    ds = _shape_dataset("desk")
+    s0 = ds.samples[0]
+    cut = dsm.Sample(tokens=tuple((t + 1) % ds.K if t == s0.label else t for t in s0.tokens), label=s0.label)
+    datasets = [ds, _shape_dataset("desk", 1), dataclasses.replace(ds, samples=(cut, *ds.samples[1:]))]
+    assert att._pack(datasets).groups[0].anchored.tolist() == [True, True, False]
+    return datasets, att.TrainConfig(eta=0.05, iters=200, normalized=True, init="gauss", init_scale=3.0, loss=kind,
+                                     record_every=10), None
+
+
+def _rate_check_block(trials):
+    params = {**experiments.EXPERIMENTS["rate-check"].params, "iters": 1500}
+    built = [experiments._rate_check_build(*job) for job in experiments.rate_check_jobs(params, 0, trials)]
+    return [b[0] for b in built], built[0][1], [b[2] for b in built]
+
+
+class TestScoreCertificate:
+    """The ||W|| certificate of `_train_stack` skips the kernel's reduction
+    over the scores and a normalized step's infinity test; every bit of a
+    run must be that of the same run with the certificate disabled."""
+
+    @pytest.mark.parametrize("case", ["desk", "large-K", "d<K", "rate-check", "mixed-log", "mixed-squared"])
+    def test_disabling_the_certificate_changes_no_bit(self, monkeypatch, case):
+        if case == "desk":
+            datasets, cfg, refs = _experiment_block("cyclic-global", 6)
+            cfg = dataclasses.replace(cfg, iters=400)
+        elif case == "large-K":
+            datasets, cfg, refs = _experiment_block("large-k", 1)
+            cfg = dataclasses.replace(cfg, iters=200, record_every=50)
+        elif case == "d<K":
+            # feasibility at d = 3: ||W|| grows past the certificate's reach
+            # before its one record after step 0.
+            params = {**experiments.EXPERIMENTS["feasibility"].params, "d": 3, "iters": 8000}
+            built = [experiments._feasibility_build(*job) for job in experiments.seeded_jobs(params, 0, 3)]
+            datasets, cfg, refs = [b[0] for b in built], built[0][1], None
+        elif case == "rate-check":
+            datasets, cfg, refs = _rate_check_block(3)
+        else:
+            datasets, cfg, refs = _mixed_anchoring(att.LOG if case == "mixed-log" else att.SQUARED)
+        assert case != "d<K" or datasets[0].d < datasets[0].K
+        flags = _certified_and_not(monkeypatch, datasets, cfg, refs)
+        assert all(flags) if case != "d<K" else flags[0] and not flags[-1]
+
+    def test_a_run_past_the_bound_is_certified_once_below_it(self, monkeypatch):
+        # TestTrainBlock's past-the-bound regime: trial 2 of the block starts
+        # with its top score at 1.02 SCORE_BOUND, along its largest row, and
+        # the certificate holds once ||W|| has fallen; alone, and in a block.
+        datasets, refs, _ = _block_trials()
+        group = att._pack([datasets[2]]).groups[0]
+        w0 = _top_row_w(group) * (1.02 * att.SCORE_BOUND / att._lipschitz(group))
+        assert np.max(att._scores(w0[None], group)) > att.SCORE_BOUND
+        monkeypatch.setattr(att.TrainConfig, "initial_w", lambda self, d: w0.copy())
+        cfg = att.TrainConfig(eta=0.5, iters=300, normalized=True, record_every=7)
+        for members in ([2], [1, 2]):
+            flags = _certified_and_not(monkeypatch, [datasets[b] for b in members], cfg, [refs[b] for b in members])
+            assert not flags[0] and flags[-1]
+
+    @pytest.mark.parametrize("name", ["desk", "large-K", "local", "refs"])
+    def test_a_certified_w_scores_at_most_the_bound(self, name):
+        # W along the largest score row, where the bound is tight, and a
+        # random W, scaled so that the certificate's bound sits at 0.999 and
+        # 1.001 of SCORE_BOUND: certified below, not above, and certified
+        # scores stay at most SCORE_BOUND.
+        packed = att._pack([_shape_dataset(name)])
+        (group,) = packed.groups
+        d = group.xbar.shape[-1]
+        for tight, w in ((True, _top_row_w(group)), (False, seeded_rng(23).standard_normal((d, d)))):
+            for factor in (0.999, 1.001):
+                w_s = w * (factor * att.SCORE_BOUND / (packed.lip * np.linalg.norm(w)))
+                bound = float(np.sqrt(np.vecdot(w_s.ravel(), w_s.ravel()))) * (1.0 + packed.slack)
+                certified = packed.lip * bound <= att.SCORE_BOUND
+                top = np.max(att._scores(w_s[None], group))
+                assert certified == (factor < 1.0)
+                assert not certified or top <= att.SCORE_BOUND
+                assert not tight or top > 0.998 * att.SCORE_BOUND
 
 
 class TestRecordAllocation:

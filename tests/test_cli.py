@@ -388,6 +388,19 @@ class TestExitCodes:
         # d < K: the feasibility verdict is the solver's, unchanged.
         assert payload["feasibility"] == {"status": "infeasible", "residuals": payload["residuals"]}
 
+    def test_solve_svm_solves_once_below_full_rank(self, tmp_path, monkeypatch):
+        # d < K: the feasibility verdict is the pipeline's own solve, not a second one.
+        path = tmp_path / "ds.json"
+        table = dsm.make_embeddings(20, 10, dsm.UNIT_SPHERE, seed=3)
+        dsm.save_dataset(dsm.gen_dataset(table, None, n=40, T=8, mode="cyclic", seed=3), str(path))
+        calls, solve = [], svm.solve_graph_svm
+        monkeypatch.setattr(svm, "solve_graph_svm", lambda cons: calls.append(1) or solve(cons))
+        out = tmp_path / "svm.json"
+        run_cli("solve-svm", "--data", path, "--out", out)
+        payload = json.loads(out.read_text())
+        assert len(calls) == 1
+        assert payload["feasibility"] == {"status": payload["status"], "residuals": payload["residuals"]}
+
     def test_non_unit_embedding_row_is_config_error(self, dataset_file, tmp_path, capsys):
         raw = json.loads(dataset_file.read_text())
         raw["embeddings"][1] = [3.0] + [0.0] * (len(raw["embeddings"][1]) - 1)
@@ -544,7 +557,7 @@ class TestExitCodes:
             cfg = attention.TrainConfig(eta=eta, iters=300, record_every=100)
             trace = attention.train_gd(ds, cfg, refs=experiments.build_pipeline(ds).refs())
             path = tmp_path / f"trace_{t}.csv"
-            write_csv(str(path), attention.TrainTrace.csv_header(), trace.rows())
+            write_csv(str(path), attention.TrainTrace.csv_header(), trace.columns())
             assert path.read_bytes() == (out / "traces" / f"trial_{t:03d}.csv").read_bytes()
 
     def test_negative_trials_is_config_error(self, tmp_path, capsys):

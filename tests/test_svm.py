@@ -639,7 +639,7 @@ class TestPresolve:
         monkeypatch.setattr(svm, "_closure", counted, raising=False)
         pipe = build_pipeline(tiny_instance(44, K=5, d=6, n=6, T=4))
         assert len(pipe.constraints.inequalities) and pipe.solution.residuals["essential"]
-        assert svm.check_feasibility(pipe.constraints).status is svm.SolveStatus.SOLVED
+        assert pipe.feasibility.status is svm.SolveStatus.SOLVED
         assert len(calls) == 1 and calls[0][0] == len(pipe.tpgs)
 
     @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
@@ -757,6 +757,12 @@ class TestGram:
         assert peak <= self.PEAK_GRAMS * 8 * m * m
 
 
+def _pinned_pipeline(K, d, n, T, seed):
+    """The pipeline of the `_pinned` instance."""
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    return Pipeline(dsm.gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed))
+
+
 class TestFeasibility:
     def test_certificate_for_full_rank_instances(self, monkeypatch):
         forbid_the_solver(monkeypatch)
@@ -764,8 +770,8 @@ class TestFeasibility:
             K = 3 + seed % 3
             d = K + seed % 4
             ds = tiny_instance(seed + 200, K=K, d=d, n=4, T=4)
-            cons, _, _ = _constraints_for(ds)
-            result = svm.check_feasibility(cons)
+            pipe = Pipeline(ds)
+            cons, result = pipe.constraints, pipe.feasibility
             assert result.status is svm.SolveStatus.SOLVED and not len(result.ineq_multipliers)
             assert sorted(result.residuals) == ["max_eq_violation", "min_ineq_margin"]
             w = result.w
@@ -792,8 +798,10 @@ class TestFeasibility:
     def test_no_constraints_is_solved_at_zero(self, kind, K, d):
         cons = constraints_from_edges(dsm.make_embeddings(K, d, kind, seed=0), {})
         assert cons.n_constraints == 0 and cons.embedding.full_row_rank == (d >= K)
-        result = svm.check_feasibility(cons)
-        assert result.status is svm.SolveStatus.SOLVED and not result.w.any()
+        result = svm.explicit_solution(cons)
+        assert (result is None) == (d < K)
+        for sol in filter(None, (result, svm.solve_graph_svm(cons))):
+            assert sol.status is svm.SolveStatus.SOLVED and not sol.w.any()
 
     @staticmethod
     def _assert_the_solver_verdict(cons, result):
@@ -804,23 +812,23 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("seed", [1052, 1086, 1280])
     def test_an_undecided_solve_is_not_a_refutation(self, seed):
-        # d < K: the solver decides, and here it ends MAX_ITER, which
-        # refutes nothing.
-        cons = _pinned(*_UNREDUCED_CASES[f"pinned-{seed}"])
-        result = svm.check_feasibility(cons)
-        assert result.status is svm.SolveStatus.MAX_ITER
-        self._assert_the_solver_verdict(cons, result)
+        # d < K: the pipeline's own solve decides, and here it ends
+        # MAX_ITER, which refutes nothing.
+        pipe = _pinned_pipeline(*_UNREDUCED_CASES[f"pinned-{seed}"])
+        result = pipe.feasibility
+        assert result is pipe.solution and result.status is svm.SolveStatus.MAX_ITER
+        self._assert_the_solver_verdict(pipe.constraints, result)
         sweeps = result.residuals["sweeps"]
         with pytest.raises(NoConvergence, match=f"feasibility check returned max_iter .*sweeps {sweeps}"):
             result.require("feasibility check")
 
     @pytest.mark.parametrize("seed", [1036, 1251])
     def test_a_refutation_keeps_its_farkas_weights(self, seed):
-        cons = _pinned(*_UNREDUCED_CASES[f"pinned-{seed}"])
-        result = svm.check_feasibility(cons)
-        assert result.status is svm.SolveStatus.INFEASIBLE
-        self._assert_the_solver_verdict(cons, result)
-        assert_certified(cons, result)
+        pipe = _pinned_pipeline(*_UNREDUCED_CASES[f"pinned-{seed}"])
+        result = pipe.feasibility
+        assert result is pipe.solution and result.status is svm.SolveStatus.INFEASIBLE
+        self._assert_the_solver_verdict(pipe.constraints, result)
+        assert_certified(pipe.constraints, result)
 
 
 class TestStatusPropagation:

@@ -11,33 +11,42 @@ from attnlab.util import write_csv, write_json
 
 from helpers import csv_oracle, tiny_instance
 
-SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-16, 0.1, -2.5, 1.0 / 3.0,
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-16, 1e-05, 0.1, -2.5, 1.0 / 3.0,
            123456789.125, 2.0**53 + 2, 1.7976931348623157e308]
 
 
-def _written(tmp_path, header, rows) -> bytes:
+def _written(tmp_path, header, columns) -> bytes:
     path = tmp_path / "out.csv"
-    write_csv(str(path), header, rows)
+    write_csv(str(path), header, columns)
     return path.read_bytes()
+
+
+def _oracle(header, columns) -> bytes:
+    """The oracle's bytes, cell by cell, of the rows the columns hold."""
+    return csv_oracle(header, list(zip(*columns)))
 
 
 class TestWriteCsv:
     def test_python_float_columns_match_the_oracle(self, tmp_path):
         rng = np.random.default_rng(0)
-        drawn = (rng.standard_normal(len(SPECIAL)) * 10.0 ** rng.integers(-300, 300, len(SPECIAL))).tolist()
-        rows = list(zip(range(len(SPECIAL)), SPECIAL, drawn, [np.nan] * len(SPECIAL)))
-        assert _written(tmp_path, ("i", "a", "b", "c"), rows) == csv_oracle(("i", "a", "b", "c"), rows)
+        drawn = rng.standard_normal(len(SPECIAL)) * 10.0 ** rng.integers(-300, 300, len(SPECIAL))
+        columns = (np.arange(len(SPECIAL)), np.array(SPECIAL), drawn, np.full(len(SPECIAL), np.nan))
+        assert _written(tmp_path, ("i", "a", "b", "c"), columns) == _oracle(("i", "a", "b", "c"), columns)
 
     def test_mixed_cells_match_the_oracle(self, tmp_path):
-        header = ("py", "f64", "f32", "np_int", "py_int", "text", "flag", "mixed")
-        with np.errstate(over="ignore"):  # the largest double is inf in float32
-            rows = [
-                (x, np.float64(x), np.float32(x), np.int64(j - 3), j - 3, f"s{j}, q" if j % 2 else "", j % 3 == 0,
-                 x if j % 2 else np.float64(x))
-                for j, x in enumerate(SPECIAL)
-            ]
-        rows.append((0.1, np.float64(0.1), np.float32(0.1), np.uint8(255), -7, "nan", np.bool_(True), 0.1))
-        assert _written(tmp_path, header, rows) == csv_oracle(header, rows)
+        header = ("f64", "np_int", "py_int", "text", "flag", "py_flag")
+        n = len(SPECIAL)
+        columns = (np.array(SPECIAL), np.arange(n, dtype=np.int64) - 3, list(range(-3, n - 3)),
+                   [f"s{j}, q" if j % 2 else "" for j in range(n)], np.arange(n) % 3 == 0,
+                   [j % 2 == 0 for j in range(n)])
+        assert _written(tmp_path, header, columns) == _oracle(header, columns)
+
+    def test_other_columns_are_written_by_str(self, tmp_path):
+        # A float64 array is the one float column; a list of Python floats,
+        # None among them, is written item by item through str.
+        values = [0.1, None, 1e16, 5e-324]
+        assert _written(tmp_path, ("a", "b"), (values, np.array(values, dtype=object))) == (
+            b"a,b\n0.1,0.1\nNone,None\n1e+16,1e+16\n5e-324,5e-324\n")
 
     def test_trace_rows_match_the_oracle(self, tmp_path):
         ds = tiny_instance(3)
@@ -45,13 +54,15 @@ class TestWriteCsv:
         cfg = att.TrainConfig(eta=0.05, iters=60, normalized=True, record_every=7)
         header = att.TrainTrace.csv_header()
         for refs in (pipe.refs(), None):  # NaN corr_svm at W = 0; all-NaN columns without refs
-            trace = att.train_gd(ds, cfg, refs)
-            assert _written(tmp_path, header, trace.rows()) == csv_oracle(header, trace.rows())
+            columns = att.train_gd(ds, cfg, refs).columns()
+            assert _written(tmp_path, header, columns) == _oracle(header, columns)
 
     def test_header_only_and_ragged_rows(self, tmp_path):
-        assert _written(tmp_path, ("a", "b"), []) == csv_oracle(("a", "b"), [])
-        with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "ragged.csv"), ("a", "b"), [(1, 2.0), (3,)])
+        empty = (np.zeros(0), [])
+        assert _written(tmp_path, ("a", "b"), empty) == csv_oracle(("a", "b"), [])
+        for columns in ((np.zeros(2), [1]), ([1, 2], np.zeros(1)), (np.zeros(1),)):
+            with pytest.raises(ValueError):
+                write_csv(str(tmp_path / "ragged.csv"), ("a", "b"), columns)
 
 
 class TestWriteJson:
