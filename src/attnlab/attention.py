@@ -25,12 +25,13 @@ most the two calls a sample it saves, CALL_MACS multiply-adds each.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,11 +96,12 @@ def softmax(h: np.ndarray) -> np.ndarray:
 def _softmax_in_place(h: np.ndarray, edge: np.ndarray, only: Optional[np.ndarray] = None) -> np.ndarray:
     """h overwritten with its softmax over the last axis, each row shifted
     by its max first; edge (..., 1) holds the shift, then the row's sum.
-    With a (B,) mask ``only`` over a (B, g, T) h, the rows of the trials it
-    leaves out are shifted by 0.0 instead, which keeps every bit."""
+    With a mask ``only`` over the trials of a (..., B, g, T) h, (B,) or
+    (..., B), the rows of the trials it leaves out are shifted by 0.0
+    instead, which keeps every bit."""
     np.maximum.reduce(h, axis=-1, keepdims=True, out=edge)
     if only is not None:
-        edge[~only] = 0.0
+        np.copyto(edge, 0.0, where=~only[..., None, None])
     np.subtract(h, edge, out=h)
     return _exp_normalized(h, edge)
 
@@ -121,36 +123,41 @@ def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray,
 @dataclass(frozen=True)
 class _SplitRows:
     """The rows of a group whose samples their trial's cyclic split holds,
-    and the scratch `_split_loss` rewrites on every call."""
+    and the scratch `_split_loss` rewrites on every call, with a leading
+    record axis in a `_records_pack`."""
 
     rows: np.ndarray    # (m,) flat index into the group's (B * g) samples
     trials: np.ndarray  # (m,) the trial of each row
     keep: np.ndarray    # (m, T) True on the sample's label-SCC positions
     label: np.ndarray   # (m, T) 1.0 on label positions, else 0.0
-    hs: np.ndarray      # (m, T) the rows' scores, then their softmax
-    ex: np.ndarray      # (m, T) exp of the scores on keep; 0.0 off it, never written
-    edge: np.ndarray    # (m, 1) each row's sum of ex
-    u: np.ndarray       # (m,) the rows' label masses
+    ids: np.ndarray     # ([n *] m,) each scored row's flat index into the kernel's trials: trials, or k B + trials
+    hs: np.ndarray      # ([n,] m, T) the rows' scores, then their softmax
+    ex: np.ndarray      # ([n,] m, T) exp of the scores on keep; 0.0 off it, never written
+    edge: np.ndarray    # ([n,] m, 1) each row's sum of ex
+    u: np.ndarray       # ([n,] m) the rows' label masses
 
 
 class _Scratch:
     """A group's kernel intermediates, rewritten by every kernel call on its
     pack, and the matmul views of them, made once: a view costs about as
-    much as a ufunc call on these small arrays.  q = xbar W^T exists only
-    for a group in the per-sample form (`_features`)."""
+    much as a ufunc call on these small arrays.  ``lead`` is the trials'
+    shape, (B,), or (n, B) for n records of each (`_records_pack`), which
+    takes no gradient.  q = xbar W^T exists only for a group in the
+    per-sample form (`_features`)."""
 
-    def __init__(self, b: int, g: int, t: int, d: int, features: bool):
-        self.q = None if features else np.empty((b, g, d))  # xbar W^T
-        self.h = np.empty((b, g, t))     # scores, then their softmax s
-        self.edge = np.empty((b, g, 1))  # each row's shift, then its sum
-        self.u = np.empty((b, g))        # label masses
-        self.loss = np.empty((b, g))     # their losses
-        self.v = np.empty((b, g, t))     # s * (gamma - u)
-        self.vec = np.empty((b, g, d))   # the gradient's rows before xbar
+    def __init__(self, lead: tuple, g: int, t: int, d: int, features: bool, grad: bool = True):
+        self.q = None if features else np.empty(lead + (g, d))  # xbar W^T
+        self.h = np.empty(lead + (g, t))     # scores, then their softmax s
+        self.edge = np.empty(lead + (g, 1))  # each row's shift, then its sum
+        self.u = np.empty(lead + (g,))       # label masses; without the gradient, then their losses
+        self.loss = np.empty(lead + (g,)) if grad else None  # their losses
         self.q_col = None if features else self.q[..., None]
-        self.h_col, self.s_row = self.h[..., None], self.h[..., None, :]
-        self.h_flat, self.s_flat = self.h.reshape(b, g * t, 1), self.h.reshape(b, 1, g * t)
-        self.v_row, self.vec_row, self.vec_t = self.v[..., None, :], self.vec[..., None, :], self.vec.mT
+        self.h_col, self.h_flat = self.h[..., None], self.h.reshape(lead + (g * t, 1))
+        if grad:
+            self.v = np.empty(lead + (g, t))     # s * (gamma - u)
+            self.vec = np.empty(lead + (g, d))   # the gradient's rows before xbar
+            self.s_row, self.s_flat = self.h[..., None, :], self.h.reshape(lead + (1, g * t))
+            self.v_row, self.vec_row, self.vec_t = self.v[..., None, :], self.vec[..., None, :], self.vec.mT
 
 
 @dataclass(frozen=True)
@@ -198,6 +205,7 @@ class _Packed:
     part_flat: np.ndarray
     lip: float               # |h_t| <= lip ||W||_F for every computed score (`_lipschitz`), rounded up by slack
     slack: float             # relative rounding slack of the ||W|| certificate (`_train_stack`)
+    lead: tuple              # the kernel's trials: (B,), or (n, B) in a `_records_pack`
 
     @property
     def trials(self) -> int:
@@ -268,7 +276,7 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         phi = (dx[..., :, None] * xbar[:, :, None, None, :]).reshape(b, g * t, d * d) if _features(t, d) else None
         groups.append(_Group(x, dx, xbar, phi, labels, omask, gamma, split=_split_rows(held, omask),
                              anchored=anchored, all_anchored=bool(anchored.all()),
-                             scratch=_Scratch(b, g, t, d, phi is not None)))
+                             scratch=_Scratch((b,), g, t, d, phi is not None)))
     grad, part = np.empty((len(datasets), first.d, first.d)), np.empty((len(datasets), first.d, first.d))
     slack = (first.d * first.d + 8) * float(np.finfo(np.float64).eps)
     lip = max(_lipschitz(g) for g in groups) * (1.0 + slack)
@@ -287,6 +295,7 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         # nothing is certified (inf times a zero bound is NaN).
         lip=lip if math.isfinite(lip * first.n) else math.inf,
         slack=slack,
+        lead=(len(datasets),),
     )
 
 
@@ -314,11 +323,35 @@ def _split_rows(held: np.ndarray, omask: np.ndarray) -> Optional[_SplitRows]:
     rows = np.flatnonzero(flat.any(axis=1))
     if not len(rows):
         return None
-    keep = flat[rows]
-    return _SplitRows(rows=rows, trials=rows // held.shape[1], keep=keep,
-                      label=omask.reshape(flat.shape)[rows].astype(np.float64),
-                      hs=np.empty(keep.shape), ex=np.zeros(keep.shape), edge=np.empty((len(rows), 1)),
-                      u=np.empty(len(rows)))
+    trials = rows // held.shape[1]
+    return _split_scratch(rows, trials, flat[rows], omask.reshape(flat.shape)[rows].astype(np.float64), (), trials)
+
+
+def _split_scratch(rows: np.ndarray, trials: np.ndarray, keep: np.ndarray, label: np.ndarray, lead: tuple,
+                   ids: np.ndarray) -> _SplitRows:
+    """Split rows with fresh scratch for ``lead`` = () or (n,) records."""
+    return _SplitRows(rows=rows, trials=trials, keep=keep, label=label, ids=ids, hs=np.empty(lead + keep.shape),
+                      ex=np.zeros(lead + keep.shape), edge=np.empty(lead + (len(rows), 1)),
+                      u=np.empty(lead + (len(rows),)))
+
+
+def _records_pack(packed: _Packed, n: int) -> _Packed:
+    """The pack that scores n records of each of a pack's B trials at once,
+    w (n, B, d, d), without the gradient: the trial of record k and trial b
+    is k B + b.  Its groups share every per-trial array of the pack (phi,
+    x, dx, xbar, the masks and the split rows, broadcast over the record
+    axis by the kernel's matmuls and ufuncs; the labels as a (1, B, g)
+    view, for cross-entropy's index); only the scratch grows with n.  The
+    kernel gives each record the bits of its trial alone."""
+    b, d = packed.trials, packed.d
+    groups = []
+    for g in packed.groups:
+        rows = g.split
+        split = None if rows is None else _split_scratch(
+            rows.rows, rows.trials, rows.keep, rows.label, (n,), (np.arange(n)[:, None] * b + rows.trials).ravel())
+        groups.append(replace(g, labels=g.labels[None], split=split, scratch=_Scratch(
+            (n, b), g.labels.shape[1], g.omask.shape[2], d, g.phi is not None, grad=False)))
+    return replace(packed, groups=tuple(groups), lead=(n, b))
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -336,7 +369,8 @@ def _loss_and_grad(
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
     """Per-trial losses (B,), cyclic-split losses loss_bar (B,) and
     gradients (B, d, d) at w (B, d, d), from one softmax per group and matmul
-    contractions only.
+    contractions only.  On a `_records_pack` w is (n, B, d, d), n records of
+    each trial, and the losses and loss_bar are (n, B).
 
     The scores are the label-relative dx W xbar.  Every trial's values are
     bit for bit those of a pack of that trial alone.  ``reduced_log``
@@ -369,7 +403,8 @@ def _loss_and_grad(
     their terms are skipped, but the log-loss underflow guard still runs
     wherever it can fire, so the errors are those of a call with the loss.
     An error in one trial's data does not stop the others: it comes back in
-    {trial: exception}, and that trial's values are meaningless.
+    {trial: exception}, and that trial's values are meaningless; on a
+    `_records_pack` the key of record k of trial b is k B + b.
 
     The gradient is the pack's own array, valid until the next call on the
     pack.  The intermediates live in its groups' scratch, and the split
@@ -377,15 +412,15 @@ def _loss_and_grad(
     writes only arrays that `_pack` allocated, and one with it adds only
     arrays of one entry per trial or per sample.
     """
-    trials, errors = packed.trials, {}
+    lead, errors = packed.lead, {}
     if kind == CROSS_ENTROPY and packed.c is None:
-        errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(trials)}
-        total = np.full(trials, np.nan) if need_loss else None
+        errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(math.prod(lead))}
+        total = np.full(lead, np.nan) if need_loss else None
         if need_grad:
             packed.grad.fill(0.0)
         return total, total, packed.grad if need_grad else None, errors
-    total = np.zeros(trials) if need_loss else None
-    bar = np.where(packed.splits, 0.0, np.nan) if need_loss else None
+    total = np.zeros(lead) if need_loss else None
+    bar = np.where(np.broadcast_to(packed.splits, lead), 0.0, np.nan) if need_loss else None
     bar_errors: dict[int, Exception] = {}
     grad = packed.grad if need_grad else None
     reduced = kind == LOG and packed.tied and reduced_log
@@ -417,7 +452,7 @@ def _loss_and_grad(
                 if kind == LOG:
                     u = _guarded(u, None, errors)
                 if need_loss:
-                    total += np.add.reduce(loss_value(kind, u, out=sc.loss), axis=-1)
+                    total += np.add.reduce(loss_value(kind, u, out=sc.loss if need_grad else u), axis=-1)
             if not need_grad:
                 continue
             if not reduced:
@@ -445,11 +480,11 @@ def _loss_and_grad(
 
 
 def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
-    """Label-relative scores dx W xbar (B, g, T) of a group at its trials'
-    w, in the group's scratch."""
+    """Label-relative scores dx W xbar (..., B, g, T) of a group at its
+    trials' w (..., B, d, d), in the group's scratch."""
     sc = g.scratch
     if g.phi is not None:
-        np.matmul(g.phi, w.reshape(len(w), -1, 1), out=sc.h_flat)
+        np.matmul(g.phi, w.reshape(w.shape[:-2] + (-1, 1)), out=sc.h_flat)
     else:
         np.matmul(g.xbar, w.mT, out=sc.q)
         np.matmul(g.dx, sc.q_col, out=sc.h_col)
@@ -459,51 +494,54 @@ def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
 def _shift(h: np.ndarray, g: _Group, bounded: bool = False) -> Optional[np.ndarray]:
     """None when no row of the group's scores h needs a max shift: every
     trial is anchored and no score passes SCORE_BOUND (a NaN fails), which
-    ``bounded`` certifies without reading h.  Else the (B,) mask of the
-    trials that fail either test, which is the verdict each trial's own
-    pack gives it."""
+    ``bounded`` certifies without reading h.  Else the mask of the trials
+    that fail either test, (B,) or h's (..., B), which is the verdict each
+    trial's own pack gives it."""
     if g.all_anchored and (bounded or np.maximum.reduce(h, axis=None) <= SCORE_BOUND):
         return None
-    return ~(g.anchored & (bounded or np.maximum.reduce(h, axis=(1, 2)) <= SCORE_BOUND))
+    return ~(g.anchored & (bounded or np.maximum.reduce(h, axis=(-2, -1)) <= SCORE_BOUND))
 
 
 def _guarded(u: np.ndarray, ids: Optional[np.ndarray], errors: dict[int, Exception]) -> np.ndarray:
-    """Label masses u (B, g), with the rows of every trial that holds one at
-    or below LOG_GUARD set to 1 and that trial's underflow in errors."""
+    """Label masses u (..., g), with the rows of every trial that holds one
+    at or below LOG_GUARD set to 1 and that trial's underflow in errors,
+    under the flat index of its row of u, or that index's entry of ids."""
     if np.minimum.reduce(u, axis=None) > LOG_GUARD:
         return u
     low = (u <= LOG_GUARD).any(axis=-1)
+    rows = u.reshape(-1, u.shape[-1])
     for b in np.flatnonzero(low):
-        errors.setdefault(int(b if ids is None else ids[b]), _underflow(u[b]))
-    return np.where(low[:, None], 1.0, u)
+        errors.setdefault(int(b if ids is None else ids[b]), _underflow(rows[b]))
+    return np.where(low[..., None], 1.0, u)
 
 
 def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: dict[int, Exception],
                 shift: Optional[np.ndarray]) -> np.ndarray:
-    """Per-trial sums (B,) of the cyclic-split losses of a group's split
-    rows, from their scores h restricted to the label-SCC positions.  The
-    rows of the trials in ``shift`` (`_shift`) are shifted by their max
-    over those positions, which hold the label's 0; no row when None."""
-    rows = g.split
-    hs = np.take(h.reshape(-1, h.shape[-1]), rows.rows, axis=0, out=rows.hs)
+    """Per-trial sums, h's (..., B), of the cyclic-split losses of a
+    group's split rows, from their scores h (..., B, g, T) restricted to
+    the label-SCC positions.  The rows of the trials in ``shift``
+    (`_shift`) are shifted by their max over those positions, which hold
+    the label's 0; no row when None."""
+    rows, lead, t = g.split, h.shape[:-2], h.shape[-1]
+    hs = np.take(h.reshape(lead[:-1] + (-1, t)), rows.rows, axis=-2, out=rows.hs)
     if shift is not None:
         top = np.max(hs, axis=-1, where=rows.keep, initial=-np.inf, keepdims=True)
-        top[~shift[rows.trials]] = 0.0
+        np.copyto(top, 0.0, where=~shift[..., rows.trials, None])
         hs -= top
     ex = np.exp(hs, out=rows.ex, where=rows.keep)
     s = np.divide(ex, np.add.reduce(ex, axis=-1, keepdims=True, out=rows.edge), out=hs)
     if kind == CROSS_ENTROPY:
         x = g.x.reshape(-1, *g.x.shape[-2:])[rows.rows]
-        logits = np.matmul(packed.c[rows.trials], np.matmul(s[:, None, :], x).mT)[..., 0]
+        logits = np.matmul(packed.c[rows.trials], np.matmul(s[..., None, :], x).mT)[..., 0]
         shifted = logits - logits.max(axis=-1, keepdims=True)
-        label = g.labels.reshape(-1)[rows.rows, None]
-        losses = np.log(np.exp(shifted).sum(axis=-1)) - np.take_along_axis(shifted, label, -1)[:, 0]
+        label = np.broadcast_to(g.labels.reshape(-1)[rows.rows, None], shifted.shape[:-1] + (1,))
+        losses = np.log(np.exp(shifted).sum(axis=-1)) - np.take_along_axis(shifted, label, -1)[..., 0]
     else:
         u = np.vecdot(s, rows.label, out=rows.u)
         if kind == LOG:
-            u = _guarded(u[:, None], rows.trials, errors)[:, 0]
+            u = _guarded(u[..., None], rows.ids, errors)[..., 0]
         losses = loss_value(kind, u, out=u)
-    return np.bincount(rows.trials, weights=losses, minlength=packed.trials)
+    return np.bincount(rows.ids, weights=losses.reshape(-1), minlength=math.prod(lead)).reshape(lead)
 
 
 def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
@@ -657,21 +695,20 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 class _StackRefs:
-    """The references of a stack of trials for the record-step diagnostics
-    corr_svm and dist_fin, each stacked over the trials that have it, with
-    the constants and buffers of both made once; loss_bar comes from the
-    training kernel.  Each diagnostic is the stack's own array, valid until
-    its next call."""
+    """The references of a stack of trials for the trace diagnostics
+    corr_svm and dist_fin, each stacked over the trials that have it, and
+    the buffers that score n records of every trial at once, w (n, B, d,
+    d); loss_bar comes from the kernel (`_records_pack`).  A `sized` copy
+    shares the stacked references.  Each diagnostic is the stack's own
+    array, valid until its next call."""
 
-    def __init__(self, refs: list[TrainRefs], d: int):
+    def __init__(self, refs: list[TrainRefs], d: int, n: int):
         self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
         self.svm_norm = np.array([0.0 if r.w_svm is None else np.linalg.norm(r.w_svm) for r in refs])
         self.has_svm = self.svm_norm != 0.0
-        self.prod = np.empty(self.w_svm.shape)  # w * W_svm
-        self.corr = np.empty(len(refs))
         # A trial whose S_fin is {0} projects to 0, so its distance is the
         # constant ||0 - W_fin||; a trial without S_fin or W_fin reads NaN.
-        self.dist = np.full(len(refs), np.nan)
+        self.const_dist = np.full(len(refs), np.nan)
         self.fins = []
         for ids in _index_groups(r.s_fin.dim if r.s_fin is not None and r.w_fin is not None else None
                                  for r in refs):
@@ -679,31 +716,63 @@ class _StackRefs:
             flat = _stack([refs[b].s_fin.basis.reshape(-1, d * d) for b in ids])
             w_fin = _stack([refs[b].w_fin.reshape(1, d * d) for b in ids])
             if not flat.shape[1]:
-                self.dist[ids] = _norms(np.zeros(w_fin.shape) - w_fin)
-                continue
-            k, m = flat.shape[:2]
-            # Buffers: the trials' W as columns, their coefficients, the
-            # projection minus W_fin, and its norm.
-            self.fins.append((ids, flat, w_fin, np.empty((k, d * d, 1)), np.empty((k, m, 1)),
-                              np.empty((k, 1, d * d)), np.empty((k, 1))))
+                self.const_dist[ids] = _norms(np.zeros(w_fin.shape) - w_fin)
+            else:
+                self.fins.append((ids, flat, w_fin))
+        self._allocate(n)
+
+    def sized(self, n: int) -> _StackRefs:
+        """A copy for n records that shares the stacked references."""
+        other = copy.copy(self)
+        other._allocate(n)
+        return other
+
+    def _allocate(self, n: int) -> None:
+        b, d2 = len(self.svm_norm), self.w_svm[0].size
+        self.corr = np.empty((n, b))
+        self.dist = np.tile(self.const_dist, (n, 1))  # the fins' columns are rewritten by every call
+        # Per S_fin dimension: the trials' W as columns, their coefficients,
+        # the projection minus W_fin in the columns' memory, and its norm.
+        self.fin_buffers = []
+        for ids, flat, _ in self.fins:
+            cols = np.empty((n, len(ids), d2, 1))
+            self.fin_buffers.append((cols, np.empty((n, len(ids), flat.shape[1], 1)),
+                                     cols.reshape(n, len(ids), 1, d2), np.empty((n, len(ids), 1))))
 
     def corr_svm(self, w: np.ndarray, w_norm: np.ndarray) -> np.ndarray:
-        """`correlation` with W_svm, trial by trial."""
-        dot = np.add.reduce(np.multiply(w, self.w_svm, out=self.prod), axis=(1, 2))
+        """`correlation` with W_svm, record by record and trial by trial; w
+        is overwritten with w * W_svm."""
+        dot = np.add.reduce(np.multiply(w, self.w_svm, out=w), axis=(-2, -1))
         self.corr.fill(np.nan)
         return np.divide(dot, w_norm * self.svm_norm, out=self.corr, where=(w_norm != 0.0) & self.has_svm)
 
     def dist_fin(self, w: np.ndarray) -> np.ndarray:
         """||project_S_fin(W) - W_fin||, by the matmuls of `MatrixSubspace.project`."""
-        w_flat = w.reshape(len(w), -1, 1)
-        for ids, flat, w_fin, w_ids, coef, proj, dist in self.fins:
-            np.matmul(flat, np.take(w_flat, ids, axis=0, out=w_ids), out=coef)
+        w_flat = w.reshape(w.shape[:-2] + (-1, 1))
+        for (ids, flat, w_fin), (w_ids, coef, proj, dist) in zip(self.fins, self.fin_buffers):
+            np.matmul(flat, np.take(w_flat, ids, axis=-3, out=w_ids), out=coef)
             np.subtract(np.matmul(coef.mT, flat, out=proj), w_fin, out=proj)
-            self.dist[ids] = np.sqrt(np.vecdot(proj, proj, out=dist), out=dist)[:, 0]
+            self.dist[:, ids] = np.sqrt(np.vecdot(proj, proj, out=dist), out=dist)[..., 0]
         return self.dist
 
 
 _COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
+
+
+class _Failure(NamedTuple):
+    """How a trial of `_train_stack` failed."""
+
+    at: tuple          # (step, rank): of two failures, the smaller stands
+    error: Exception
+    rows: int          # the rows its trace keeps
+    w: np.ndarray      # W at that step
+    reach: int         # the stored rows a scoring must score for it
+
+
+# The records whose W a training loop stores between two scorings of their
+# diagnostics.  It sets how many per-call costs a record shares, and the
+# memory of the stored W's and the scoring scratch; it changes no value.
+RECORD_CHUNK = 8
 
 
 def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainRefs]) -> list[TrainTrace | Exception]:
@@ -711,22 +780,39 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     its w stops moving and its later values are ignored, and the steps end
     once no trial is left.
 
+    A record step keeps what the loop itself needs, the gradient norms and
+    the W norms, and a copy of W.  Each time RECORD_CHUNK of them are
+    stored, and once after the last step, one kernel call (`_records_pack`)
+    and one `_StackRefs` pass score them all: the loss, loss_bar, corr_svm
+    and dist_fin columns, each record's values the bits of its trial alone.
+    A failure that only the loss finds, a loss_bar `DomainError` or a
+    non-finite loss, fails its trial at that record: the trace keeps the
+    rows before it and W of that step, and the steps the trial took since
+    are thrown away.  Of two failures of a trial, the one at the earlier
+    step stands; at one step the kernel's errors come first, then
+    loss_bar's, a non-finite gradient and a non-finite loss, the order of a
+    step that computes them all.  A scoring skips the records that no
+    trial's trace keeps.
+
     The loop carries ``w_bound`` >= ||W_b||_F for every trial b, frozen
-    ones too: the largest norm at step 0 and at each record step, which
-    computes the norms anyway, plus eta per normalized step and eta max ||g||
-    per plain one.  Each of the three, and the pack's lip, is rounded up by
-    the pack's slack, (d^2 + 8) eps, more than the relative rounding error
-    of a computed norm, score or step: a d^2-term dot product, or two d-term
-    ones, and a few roundings around it.  While lip w_bound <= SCORE_BOUND
-    no computed score passes SCORE_BOUND, so the kernel skips its reduction
-    over the scores (``bounded``).  On the reduced tied log form the gradient is
-    then an average of rows of norm at most lip under a finite softmax, so
-    it is finite and a normalized step skips the test for an infinite
-    gradient norm (a finite gradient whose norm overflows takes the same
-    step either way).  Both skipped tests would have given the same
-    verdict, so every bit is the same."""
+    ones too: the largest norm at each measurement, plus eta per normalized
+    step and eta max ||g|| per plain one.  Each of the three, and the
+    pack's lip, is rounded up by the pack's slack, (d^2 + 8) eps, more than
+    the relative rounding error of a computed norm, score or step: a
+    d^2-term dot product, or two d-term ones, and a few roundings around
+    it.  The norms are measured at each record step, which keeps them,
+    and once more when the bound first passes its reach after a
+    measurement; a measurement that leaves it out of reach waits for the
+    next record step.  While lip w_bound <= SCORE_BOUND no computed score
+    passes SCORE_BOUND, so the kernel skips its reduction over the scores
+    (``bounded``).  On the reduced tied log form the gradient is then an
+    average of rows of norm at most lip under a finite softmax, so it is
+    finite and a normalized step skips the test for an infinite gradient
+    norm (a finite gradient whose norm overflows takes the same step either
+    way).  Both skipped tests would have given the same verdict, so every
+    bit is the same."""
     trials, d = len(datasets), datasets[0].d
-    packed, stack_refs = _pack(datasets, splits=[r.split for r in refs]), _StackRefs(refs, d)
+    packed = _pack(datasets, splits=[r.split for r in refs])
     grow = 1.0 + packed.slack
     finite_grad = config.normalized and config.loss == LOG and packed.tied  # may skip the infinity test
     # The kernel returns packed.grad; its norms and W's are written through
@@ -734,59 +820,92 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     g_flat, gn = packed.grad.reshape(trials, -1), np.empty(trials)
     gn_col, w_norm = gn[:, None, None], np.empty(trials)
     taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
-    cols = {name: np.full((len(taus), trials), np.nan) for name in _COLUMNS}
-    t_ms = np.zeros(len(taus))
-    recorded = np.zeros(trials, dtype=np.int64)  # rows a failed trial holds; an alive one holds `row`
-    alive, all_alive, outcome = np.ones(trials, dtype=bool), True, [None] * trials
+    # Each trial's row of a column is its trace's array, a view.
+    cols = {name: np.full((trials, len(taus)), np.nan) for name in _COLUMNS}
+    iters, t_ms = np.array(taus, dtype=np.int64), np.zeros(len(taus))
+    # The W of each record since the last scoring, and the scratch that scores them.
+    stored = np.empty((min(RECORD_CHUNK, len(taus)), trials, d, d))
+    records, stack_refs = _records_pack(packed, len(stored)), _StackRefs(refs, d, len(stored))
+    failures: dict[int, _Failure] = {}
+    alive, all_alive = np.ones(trials, dtype=bool), True
     w = np.stack([config.initial_w(d) for _ in range(trials)])
     w_flat = w.reshape(trials, -1)
-    np.sqrt(np.vecdot(w_flat, w_flat, out=w_norm), out=w_norm)
-    w_bound = float(w_norm[w_norm.argmax()]) * grow  # a NaN norm certifies nothing
+
+    def measure(out: np.ndarray) -> float:
+        """Every trial's ||W|| into out, and the bound they give; a NaN norm certifies nothing."""
+        np.sqrt(np.vecdot(w_flat, w_flat, out=out), out=out)
+        return float(out[out.argmax()]) * grow
 
     def finish(b: int) -> TrainTrace:
-        rows = row if alive[b] else recorded[b]
+        rows, w_b = (row, w[b]) if alive[b] else (failures[b].rows, failures[b].w)
         return TrainTrace(
-            iters=np.array(taus[:rows], dtype=np.int64),
-            **{name: cols[name][:rows, b].copy() for name in _COLUMNS},
-            t_ms=t_ms[:rows].copy(),
-            w_final=w[b].copy(),
+            iters=iters[:rows],
+            **{name: cols[name][b, :rows] for name in _COLUMNS},
+            t_ms=t_ms[:rows],
+            w_final=w_b.copy(),
         )
 
-    def fail(errors: dict[int, Exception]) -> None:
+    def fail(found: dict[int, Exception], tau: int, rank: int, r: int, ws: np.ndarray) -> None:
+        """Fail each trial of found at step tau, unless it failed earlier
+        (`_train_stack`), keeping its rows before r and its W in ws."""
         nonlocal all_alive
-        for b, exc in errors.items():
-            if alive[b]:
-                alive[b], outcome[b], recorded[b], all_alive = False, exc, row, False
+        for b, exc in found.items():
+            if b not in failures or (tau, rank) < failures[b].at:
+                # A failing gradient at a record step yields to loss_bar's error there.
+                reach = r + (rank == 2 and r < len(taus) and taus[r] == tau)
+                failures[b] = _Failure((tau, rank), exc, r, ws[b].copy(), reach)
+                alive[b] = all_alive = False
 
     def non_finite(what: str, tau: int, bad: np.ndarray) -> dict[int, Exception]:
-        return {int(b): NonFiniteLoss(f"{what} became non-finite at iteration {tau}", trace=finish(b))
-                for b in np.flatnonzero(alive & bad)}
+        return {int(b): NonFiniteLoss(f"{what} became non-finite at iteration {tau}") for b in np.flatnonzero(bad)}
 
-    t0, row = time.perf_counter(), 0
+    def score() -> None:
+        """Score the stored records that a trace keeps: all of them while a
+        trial is alive, else those each failure needs."""
+        nonlocal records, stack_refs, scored, stored_bounded
+        reach = row if all_alive or alive.any() else min(row, max(f.reach for f in failures.values()))
+        n = reach - scored
+        if n > 0:
+            if n != records.lead[0]:  # the last scoring, of fewer records
+                records, stack_refs = _records_pack(packed, n), stack_refs.sized(n)
+            ws, kept = stored[:n], slice(scored, reach)
+            loss, bar, _, errors = _loss_and_grad(ws, records, config.loss, reduced_log=True, need_grad=False,
+                                                  need_loss=True, bounded=stored_bounded)
+            cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar.T
+            cols["dist_fin"][:, kept] = stack_refs.dist_fin(ws).T
+            finite = np.isfinite(loss)
+            if errors or not finite.all():
+                for k, r in enumerate(range(scored, reach)):
+                    fail({i - k * trials: exc for i, exc in errors.items() if i // trials == k}, taus[r], 1, r, ws[k])
+                    fail(non_finite("loss", taus[r], ~finite[k]), taus[r], 3, r, ws[k])
+            cols["corr_svm"][:, kept] = stack_refs.corr_svm(ws, cols["w_norm"][:, kept].T).T  # the last use of ws
+        scored, stored_bounded = row, True
+
+    t0, row, scored, remeasure, stored_bounded, w_bound = time.perf_counter(), 0, 0, True, True, math.inf
     for tau in range(config.iters + 1):
         record = row < len(taus) and taus[row] == tau
         bounded = packed.lip * w_bound <= SCORE_BOUND
-        cur_loss, loss_bar, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True,
-                                                       need_loss=record, bounded=bounded)
+        if record or (remeasure and not bounded):
+            w_bound = measure(cols["w_norm"][:, row] if record else w_norm)
+            bounded = remeasure = packed.lip * w_bound <= SCORE_BOUND
+        _, _, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=False, bounded=bounded)
         if errors:
-            fail(errors)
+            fail(errors, tau, 0, row, w)
         np.sqrt(np.vecdot(g_flat, g_flat, out=gn), out=gn)
         # Every norm finite and above the floor; a NaN fails both tests.
         # Read through argmin and argmax, as `svm._top` reads a max.
         top = None if bounded and finite_grad else float(gn[gn.argmax()])
         clean = gn[gn.argmin()] > GRAD_FLOOR and (top is None or top < np.inf)
         if not clean and not np.isfinite(gn).all():
-            fail(non_finite("gradient", tau, ~np.isfinite(g).all(axis=(1, 2))))
+            fail(non_finite("gradient", tau, alive & ~np.isfinite(g).all(axis=(1, 2))), tau, 2, row, w)
         if record:
-            if not np.isfinite(cur_loss).all():
-                fail(non_finite("loss", tau, ~np.isfinite(cur_loss)))
-            np.sqrt(np.vecdot(w_flat, w_flat, out=w_norm), out=w_norm)
-            w_bound = float(w_norm[w_norm.argmax()]) * grow
-            values = (cur_loss, loss_bar, gn, w_norm, stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))
-            for name, value in zip(_COLUMNS, values):
-                cols[name][row] = value
+            cols["grad_norm"][:, row] = gn
+            stored[row - scored] = w
+            stored_bounded &= bounded
             t_ms[row] = (time.perf_counter() - t0) * 1e3
             row += 1
+            if row - scored == len(stored):
+                score()
         # Once every trial has failed, no later step changes what is returned.
         if tau == config.iters or not (all_alive or alive.any()):
             break
@@ -807,7 +926,12 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         else:
             w[alive] = w[alive] - config.eta * g[alive]
         w_bound = (w_bound + (config.eta if config.normalized else config.eta * top)) * grow
-    return [finish(b) if alive[b] else outcome[b] for b in range(trials)]
+    score()
+    records = stack_refs = stored = None  # freed before the traces are built
+    for b, failure in failures.items():
+        if isinstance(failure.error, NonFiniteLoss):
+            failure.error.trace = finish(b)
+    return [finish(b) if alive[b] else failures[b].error for b in range(trials)]
 
 
 def _normalized_step(w: np.ndarray, g: np.ndarray, gn_col: np.ndarray, eta: float) -> None:

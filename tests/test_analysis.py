@@ -289,9 +289,9 @@ class TestGlobalBlocks:
 
         def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
             value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
-            if need_loss:  # a record step of training
+            if need_loss and w.ndim == 4:  # a scoring of training's records, (record, trial)
                 value = value.copy()
-                value[1] = np.inf
+                value[:, 1] = np.inf
             return value, bar, g, errors
 
         monkeypatch.setattr(experiments, "build_pipeline", failing_build)

@@ -525,20 +525,67 @@ class TestLipschitz:
         assert worst <= L
 
 
-def _infinite_from_step_7(trial):
-    """The kernel, with one trial's loss turned infinite from its eighth call
-    on, in the calls that compute the loss."""
-    fused, calls = att._loss_and_grad, []
+def _faulty_kernel(trial, loss_from=None, grad_from=None, error_at=None, error=None):
+    """The kernel with faults in one trial, by step: its loss infinite at
+    every record from step loss_from on, its gradient NaN from step
+    grad_from on, and error among the errors of its record at step
+    error_at.  A training step calls the kernel once without the loss; a
+    call with the loss scores n stored records of each trial, w (n, B, d,
+    d), and each record's step is the step whose W it holds."""
+    kernel, steps = att._loss_and_grad, {}
 
     def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
-        value, bar, g, errors = fused(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
-        calls.append(None)
-        if len(calls) > 7 and value is not None:
-            value = value.copy()
-            value[trial] = np.inf
+        value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
+        if not need_loss:
+            tau = steps.setdefault(w.tobytes(), len(steps))
+            if grad_from is not None and tau >= grad_from:
+                g[trial, 0, 0] = np.nan
+        elif w.ndim == 4:
+            value, errors = value.copy(), dict(errors)
+            for k, w_k in enumerate(w):
+                tau = steps[w_k.tobytes()]
+                if loss_from is not None and tau >= loss_from:
+                    value[k, trial] = np.inf
+                if tau == error_at:
+                    errors[k * w.shape[1] + trial] = error
         return value, bar, g, errors
 
     return patched
+
+
+def _infinite_from_step_7(trial):
+    """The kernel, with one trial's loss turned infinite at every record
+    from step 7 on."""
+    return _faulty_kernel(trial, loss_from=7)
+
+
+def _kernel_calls(monkeypatch):
+    """Every call of the kernel from now on, as (need_loss, a copy of w)."""
+    calls, kernel = [], att._loss_and_grad
+
+    def recorded(w, *args, **kwargs):
+        calls.append((kwargs["need_loss"], w.copy()))
+        return kernel(w, *args, **kwargs)
+
+    monkeypatch.setattr(att, "_loss_and_grad", recorded)
+    return calls
+
+
+def _assert_steps_and_scorings(calls, iters, taus):
+    """Each of the steps 0..iters called the kernel once without the loss,
+    and the calls with the loss scored the W's of the record steps taus, in
+    order, each record after its step."""
+    steps = [w for need_loss, w in calls if not need_loss]
+    assert len(steps) == iters + 1 and all(w.ndim == 3 for w in steps)
+    scored, taken = [], 0
+    for need_loss, w in calls:
+        taken += not need_loss
+        if need_loss:
+            assert w.ndim == 4
+            scored.extend(w)
+            assert all(tau < taken for tau in taus[:len(scored)])
+    assert len(scored) == len(taus)
+    assert all(got.tobytes() == steps[tau].tobytes() for got, tau in zip(scored, taus))
 
 
 class TestTrainGd:
@@ -671,10 +718,9 @@ class TestTrainBlock:
         assert any(0 < len(r.split.idx_i) < ds.n for ds, r in zip(datasets, refs) if r is not None)
         assert any(r.split.empty for r in refs if r is not None)
         cfg = att.TrainConfig(eta=0.01, iters=0, init="gauss", init_scale=0.7, init_seed=18, loss=kind)
-        calls, kernel = [], att._loss_and_grad
-        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        calls = _kernel_calls(monkeypatch)
         traces = att.train_block(datasets, cfg, refs)
-        assert len(calls) == 1
+        _assert_steps_and_scorings(calls, 0, [0])
         w = cfg.initial_w(datasets[0].d)
         for trace, r in zip(traces, refs):
             got = trace.loss_bar[0]
@@ -688,14 +734,13 @@ class TestTrainBlock:
 
     def test_each_step_calls_the_kernel_once(self, monkeypatch):
         # A step that bypassed the kernel would escape every fault injected
-        # through it; the loss is asked for on record steps alone.
+        # through it; the loss is asked for only when the stored records are
+        # scored, and those calls hold the record steps' W's.
         datasets = [_shape_dataset("desk", seed) for seed in range(3)]
         cfg = att.TrainConfig(eta=0.01, iters=25, normalized=True, record_every=10)
-        calls, kernel = [], att._loss_and_grad
-        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(kw["need_loss"]) or kernel(*args, **kw))
+        calls = _kernel_calls(monkeypatch)
         att.train_block(datasets, cfg)
-        assert len(calls) == 26
-        assert [tau for tau, record in enumerate(calls) if record] == [0, 10, 20, 25]
+        _assert_steps_and_scorings(calls, 25, [0, 10, 20, 25])
 
     @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
     def test_training_raises_no_floating_point_exception(self, kind):
@@ -749,6 +794,8 @@ class TestTrainBlock:
 
         def broken(*args, **kwargs):
             value, bar, g, errors = kernel(*args, **kwargs)
+            if g is None:  # a scoring of stored records
+                return value, bar, g, errors
             calls.append(None)
             if len(calls) > 7:
                 g[1, 0, 0] = np.nan
@@ -798,22 +845,119 @@ class TestTrainBlock:
         assert str(block[0]) == str(block[1]) == str(alone.value) == "log-loss argument underflow: min score 0.000e+00"
 
     def test_a_failed_last_trial_keeps_its_trace(self, monkeypatch):
-        # The loss turns infinite at step 7 and fails at the record step 10;
-        # the steps after it are not taken.  The trace holds the records up
-        # to step 5 and the W of step 10.
+        # The loss turns infinite at step 7 and fails at the record step 10,
+        # found when the records are scored after the last step; the steps
+        # taken after step 10 are thrown away.  The trace holds the records
+        # up to step 5 and the W of step 10.
         monkeypatch.setattr(att, "_loss_and_grad", _infinite_from_step_7(trial=0))
-        calls, kernel = [], att._loss_and_grad
-        monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        calls = _kernel_calls(monkeypatch)
         cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
         with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
             att.train_gd(_shape_dataset("desk"), cfg)
-        assert len(calls) == 11
+        _assert_steps_and_scorings(calls, 20, [0, 5, 10, 15, 20])
         monkeypatch.undo()
         clean = att.train_gd(_shape_dataset("desk"), dataclasses.replace(cfg, iters=5))
         at_fail = att.train_gd(_shape_dataset("desk"), dataclasses.replace(cfg, iters=10))
         got = exc.value.trace
         assert _trace_bytes(dataclasses.replace(got, w_final=clean.w_final)) == _trace_bytes(clean)
         assert got.w_final.tobytes() == at_fail.w_final.tobytes()
+
+    # Record counts at record_every = 3: one record, one chunk, one chunk
+    # plus one, and a last record off the record_every grid after them.
+    CHUNK_ITERS = {"one-record": 0, "one-chunk": 3 * (att.RECORD_CHUNK - 1), "chunk-plus-one": 3 * att.RECORD_CHUNK,
+                   "off-grid": 3 * att.RECORD_CHUNK + 1}
+
+    @pytest.mark.parametrize("records", list(CHUNK_ITERS))
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_chunk_boundaries_keep_the_straight_loop_bits(self, kind, records):
+        # The block trials (log) and the local-* block, every record scored
+        # in chunks of RECORD_CHUNK, against each trial's plain loop.
+        datasets, refs = _block_trials()[:2] if kind == att.LOG else _local_block(kind)
+        cfg = att.TrainConfig(eta=0.05, iters=self.CHUNK_ITERS[records], normalized=True, record_every=3, loss=kind)
+        block = att.train_block(datasets, cfg, refs)
+        for trace, ds, r in zip(block, datasets, refs):
+            rows, w_final = straight_train_gd(ds, cfg, r)
+            assert len(rows) == {"one-record": 1, "one-chunk": att.RECORD_CHUNK, "chunk-plus-one": att.RECORD_CHUNK + 1,
+                                 "off-grid": att.RECORD_CHUNK + 2}[records]
+            assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+            assert trace.w_final.tobytes() == w_final.tobytes()
+        assert records != "off-grid" or list(block[0].iters[-2:]) == [cfg.iters - 1, cfg.iters]
+
+    def test_a_trial_that_fails_mid_chunk_keeps_the_others_bits(self, monkeypatch):
+        # Trial 1's gradient turns NaN at step 13, between the records at 12
+        # and 14 of the first chunk: it fails in the loop there, keeps the
+        # rows up to step 12 and W of step 13, and the other trials keep the
+        # bits of their plain loops, in every chunk.
+        datasets, refs = _block_trials()[:2]
+        cfg = att.TrainConfig(eta=0.05, iters=4 * att.RECORD_CHUNK + 1, normalized=True, record_every=2)
+        monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(1, grad_from=13))
+        block = att.train_block(datasets, cfg, refs)
+        monkeypatch.undo()
+        assert type(block[1]) is NonFiniteLoss and str(block[1]) == "gradient became non-finite at iteration 13"
+        rows, _ = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=12), refs[1])
+        assert np.column_stack(block[1].trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+        w_13 = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=13), refs[1])[1]
+        assert block[1].trace.w_final.tobytes() == w_13.tobytes()
+        for b in (0, 2, 3, 4, 5, 6):
+            rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
+            assert np.column_stack(block[b].columns()).astype(np.float64).tobytes() == rows.tobytes()
+            assert block[b].w_final.tobytes() == w_final.tobytes()
+
+    def test_a_loss_failure_found_at_a_full_chunk_stops_its_trial_there(self, monkeypatch):
+        # Every step is a record, so the infinite loss from step 7 on is
+        # found when the first chunk is scored, after step RECORD_CHUNK - 1:
+        # the trial keeps the rows up to step 6 and W of step 7, and the
+        # steps it took after step 7 are thrown away.
+        datasets = [_shape_dataset("desk", seed) for seed in range(3)]
+        cfg = att.TrainConfig(eta=0.01, iters=3 * att.RECORD_CHUNK, normalized=True, record_every=1)
+        clean = att.train_block(datasets, cfg)
+        monkeypatch.setattr(att, "_loss_and_grad", _infinite_from_step_7(trial=1))
+        calls = _kernel_calls(monkeypatch)
+        block = att.train_block(datasets, cfg)
+        _assert_steps_and_scorings(calls, cfg.iters, list(range(cfg.iters + 1)))
+        monkeypatch.undo()
+        assert type(block[1]) is NonFiniteLoss and str(block[1]) == "loss became non-finite at iteration 7"
+        at_7 = att.train_gd(datasets[1], dataclasses.replace(cfg, iters=7))
+        got = block[1].trace
+        assert list(got.iters) == list(range(7))
+        assert _trace_bytes(got) == _trace_bytes(dataclasses.replace(
+            clean[1], **{f: getattr(clean[1], f)[:7] for f in ("iters", *att._COLUMNS)}, w_final=at_7.w_final))
+        for b in (0, 2):
+            assert _trace_bytes(block[b]) == _trace_bytes(clean[b])
+
+    def test_a_loss_failure_precedes_a_later_gradient_failure(self, monkeypatch):
+        # Trial 0's loss is infinite from the record at step 10 on, found
+        # only when the first chunk is scored after step 35, and its
+        # gradient turns NaN at step 20, which the loop sees first: the
+        # earlier failure stands, with its trace and W.
+        cfg = att.TrainConfig(eta=0.01, iters=60, normalized=True, record_every=5)
+        ds = _shape_dataset("desk")
+        monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(0, loss_from=10, grad_from=20))
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
+            att.train_gd(ds, cfg)
+        monkeypatch.undo()
+        got, at_5, at_10 = exc.value.trace, *(att.train_gd(ds, dataclasses.replace(cfg, iters=t)) for t in (5, 10))
+        assert _trace_bytes(dataclasses.replace(got, w_final=at_5.w_final)) == _trace_bytes(at_5)
+        assert got.w_final.tobytes() == at_10.w_final.tobytes()
+
+    @pytest.mark.parametrize("loss_bar_fails", [False, True])
+    def test_failures_at_one_record_step_keep_their_order(self, monkeypatch, loss_bar_fails):
+        # At the record step 10 the gradient turns NaN, in the loop, and the
+        # loss turns infinite or loss_bar fails, in the last scoring.  As in
+        # a step that computes them all, loss_bar's error precedes the
+        # gradient's, which precedes the loss's; so that scoring must reach
+        # the record of the failing step.
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
+        error = DomainError("log-loss argument underflow: min score 0.000e+00") if loss_bar_fails else None
+        faults = {"error_at": 10, "error": error} if loss_bar_fails else {"loss_from": 10}
+        monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(0, grad_from=10, **faults))
+        with pytest.raises(DomainError if loss_bar_fails else NonFiniteLoss) as exc:
+            att.train_gd(_shape_dataset("desk"), cfg)
+        if loss_bar_fails:
+            assert exc.value is error
+        else:
+            assert str(exc.value) == "gradient became non-finite at iteration 10"
+            assert list(exc.value.trace.iters) == [0, 5]
 
     def test_recorded_diagnostics_equal_their_definitions(self):
         # The first five desk trials at seed 0 have S_fin dims 0, 2, 1, 1
@@ -912,8 +1056,9 @@ class TestScoreCertificate:
             datasets, cfg, refs = _experiment_block("large-k", 1)
             cfg = dataclasses.replace(cfg, iters=200, record_every=50)
         elif case == "d<K":
-            # feasibility at d = 3: ||W|| grows past the certificate's reach
-            # before its one record after step 0.
+            # feasibility at d = 3: the bound grows past its reach long
+            # before the one record after step 0, and ||W||, measured again
+            # there, keeps every step certified.
             params = {**experiments.EXPERIMENTS["feasibility"].params, "d": 3, "iters": 8000}
             built = [experiments._feasibility_build(*job) for job in experiments.seeded_jobs(params, 0, 3)]
             datasets, cfg, refs = [b[0] for b in built], built[0][1], None
@@ -923,7 +1068,7 @@ class TestScoreCertificate:
             datasets, cfg, refs = _mixed_anchoring(att.LOG if case == "mixed-log" else att.SQUARED)
         assert case != "d<K" or datasets[0].d < datasets[0].K
         flags = _certified_and_not(monkeypatch, datasets, cfg, refs)
-        assert all(flags) if case != "d<K" else flags[0] and not flags[-1]
+        assert all(flags)
 
     def test_a_run_past_the_bound_is_certified_once_below_it(self, monkeypatch):
         # TestTrainBlock's past-the-bound regime: trial 2 of the block starts
@@ -960,12 +1105,10 @@ class TestScoreCertificate:
 
 
 class TestRecordAllocation:
-    # Peak bytes (tracemalloc, numpy 2.4.6) of a record step's kernel call
-    # with the loss, then of corr_svm and dist_fin: the 20 desk trials at
-    # seed 0 and the large-k trial.  The bound is twice each.
-    PEAKS = {"cyclic-global": (5672, 3152), "large-k": (9600, 1713)}
-    # The same for a plain step: the scores of every group, the kernel call
-    # without the loss, then the normalized update.  The kernel's softmax
+    # Peak bytes (tracemalloc, numpy 2.4.6) of a plain step on the 20 desk
+    # trials at seed 0 and the large-k trial, twice each the bound: the
+    # scores of every group, the kernel call without the loss, then the
+    # normalized update.  The kernel's softmax
     # divide and the update's divide by the (B, 1, 1) norms each take an
     # iterator buffer the size of their output, so a copy of W or of a
     # reshaped score array shows in the scores' bound, and a copy of the
@@ -993,14 +1136,40 @@ class TestRecordAllocation:
                 tracemalloc.stop()
         return peaks
 
-    @pytest.mark.parametrize("name", list(PEAKS))
-    def test_a_record_step_copies_no_stack(self, name):
+    @staticmethod
+    def _scratch_bytes(records, stack_refs):
+        """The bytes of the arrays a scoring of records owns: the kernel
+        scratch of its groups and split rows, and the references' buffers."""
+        arrays = [a for g in records.groups for a in vars(g.scratch).values()]
+        arrays += [getattr(g.split, f) for g in records.groups if g.split is not None
+                   for f in ("ids", "hs", "ex", "edge", "u")]
+        arrays += [stack_refs.corr, stack_refs.dist, *(a for bufs in stack_refs.fin_buffers for a in bufs)]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
+
+    @pytest.mark.parametrize("name", ["cyclic-global", "large-k"])
+    def test_a_scoring_copies_no_stack(self, name):
+        # One scoring of RECORD_CHUNK stored records, its scratch made
+        # first, takes at most that scratch, the stored W's and the
+        # iterator buffer of the softmax's broadcasting divide: a copy of
+        # the pack's features or rows per record would pass it.
         datasets, refs, packed, w = self._block(name)
-        stack_refs = att._StackRefs(refs, datasets[0].d)
-        w_norm = np.linalg.norm(w, axis=(1, 2))
-        peaks = self._peaks((lambda: att._loss_and_grad(w, packed, att.LOG, True, need_loss=True),
-                             lambda: (stack_refs.corr_svm(w, w_norm), stack_refs.dist_fin(w))))
-        assert all(peak <= 2 * bound for peak, bound in zip(peaks, self.PEAKS[name])), peaks
+        n = att.RECORD_CHUNK
+        stored = np.stack([w * (1.0 + 0.1 * k) for k in range(n)])
+        w_norm = np.linalg.norm(stored, axis=(2, 3))
+        stack_refs, made = att._StackRefs(refs, datasets[0].d, 1), []
+
+        def scoring():  # corr_svm overwrites stored, as in training; the values are not read
+            records, sized = att._records_pack(packed, n), stack_refs.sized(n)
+            loss, bar, grad, errors = att._loss_and_grad(stored, records, att.LOG, True, need_grad=False,
+                                                         need_loss=True)
+            assert loss.shape == bar.shape == (n, len(datasets)) and grad is None and not errors
+            sized.dist_fin(stored), sized.corr_svm(stored, w_norm)
+            made[:] = records, sized
+
+        (peak,) = self._peaks((scoring,))
+        records, _ = made
+        bound = self._scratch_bytes(*made) + stored.nbytes + max(g.scratch.h.nbytes for g in records.groups)
+        assert peak <= bound, (peak, bound)
 
     @pytest.mark.parametrize("name", list(PLAIN_PEAKS))
     def test_a_plain_step_copies_nothing(self, name):

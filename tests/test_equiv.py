@@ -1,8 +1,10 @@
 """tools/equiv.py's `compare`, the verdict the artifact gate reports for each
 file: identical bytes, a numeric move with its largest relative difference,
 or DIFFERENT; that gate on the graph-SVM verdict files that
-tools/verdicts.py writes; and its per-directory rollup of two output trees."""
+tools/verdicts.py writes; its per-directory rollup of two output trees; and
+that its --smoke runs cross a full scoring chunk of training records."""
 
+import json
 import math
 
 import pytest
@@ -63,6 +65,22 @@ def test_verdict_files(compare):
     moved["refs-1"] = {**moved["refs-1"], "status": "infeasible"}
     verdict, worst = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
     assert verdict == "DIFFERENT" and math.isnan(worst)
+
+
+def test_a_smoke_run_scores_a_full_chunk_and_a_shorter_last_one():
+    # A training loop scores its stored records RECORD_CHUNK at a time and
+    # once more after its last step; --smoke, which CI's artifact gate
+    # runs, must cross both.
+    from attnlab import attention, experiments
+
+    counts = {}
+    for name, overrides in load_tool("equiv").SMOKE_SETS.items():
+        params = {**experiments.EXPERIMENTS[name].params,
+                  **{key: json.loads(value) for key, value in (kv.split("=", 1) for kv in overrides)}}
+        if "record_every" in params:
+            iters, every = params["iters"], params["record_every"]
+            counts[name] = len(range(0, iters + 1, every)) + (iters % every != 0)
+    assert any(n > attention.RECORD_CHUNK and n % attention.RECORD_CHUNK for n in counts.values()), counts
 
 
 def _tree(root, files):
