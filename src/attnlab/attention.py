@@ -25,7 +25,6 @@ most the two calls a sample it saves, CALL_MACS multiply-adds each.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 import warnings
@@ -625,15 +624,16 @@ class TrainTrace:
         return ("iter", "loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
 
 
-def correlation(w: np.ndarray, ref: Optional[np.ndarray]) -> float:
-    """Frobenius cosine between two matrices; NaN when the reference is
-    absent or either matrix is zero."""
+def correlation(w: np.ndarray, ref: Optional[np.ndarray]) -> float | np.ndarray:
+    """Frobenius cosine over the last two axes, broadcast over the others: a
+    float for two matrices, else an array; NaN when the reference is absent
+    or either norm is zero.  The trace's corr_svm is this on its stored
+    records, each the bits of its pair alone."""
     if ref is None:
         return np.nan
-    nw, nr = np.linalg.norm(w), np.linalg.norm(ref)
-    if nw == 0.0 or nr == 0.0:
-        return np.nan
-    return float(np.sum(w * ref) / (nw * nr))
+    dot, norm = np.add.reduce(w * ref, axis=(-2, -1)), _norms(w) * _norms(ref)
+    corr = np.divide(dot, norm, out=np.full(np.shape(dot), np.nan), where=norm != 0.0)
+    return float(corr) if corr.ndim == 0 else corr
 
 
 def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = None) -> TrainTrace:
@@ -688,24 +688,23 @@ def _index_groups(keys) -> list[list[int]]:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each trial's matrix: sqrt of a dot product, the
-    same bits np.linalg.norm gives for one matrix."""
-    flat = a.reshape(len(a), -1)
+    """Frobenius norm of each matrix of a (..., d, d) stack: sqrt of a dot
+    product, the same bits np.linalg.norm gives for one matrix."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
     return np.sqrt(np.vecdot(flat, flat))
 
 
 class _StackRefs:
     """The references of a stack of trials for the trace diagnostics
-    corr_svm and dist_fin, each stacked over the trials that have it, and
-    the buffers that score n records of every trial at once, w (n, B, d,
-    d); loss_bar comes from the kernel (`_records_pack`).  A `sized` copy
-    shares the stacked references.  Each diagnostic is the stack's own
-    array, valid until its next call."""
+    corr_svm and dist_fin of n records of every trial at once, w (n, B, d,
+    d): W_svm stacked over the trials, zero where absent, so that
+    `correlation` reads NaN there; and the S_fin bases stacked over the
+    trials with the buffers of dist_fin.  loss_bar comes from the kernel
+    (`_records_pack`).  dist_fin is the stack's own array, valid until its
+    next call."""
 
     def __init__(self, refs: list[TrainRefs], d: int, n: int):
         self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
-        self.svm_norm = np.array([0.0 if r.w_svm is None else np.linalg.norm(r.w_svm) for r in refs])
-        self.has_svm = self.svm_norm != 0.0
         # A trial whose S_fin is {0} projects to 0, so its distance is the
         # constant ||0 - W_fin||; a trial without S_fin or W_fin reads NaN.
         self.const_dist = np.full(len(refs), np.nan)
@@ -719,32 +718,14 @@ class _StackRefs:
                 self.const_dist[ids] = _norms(np.zeros(w_fin.shape) - w_fin)
             else:
                 self.fins.append((ids, flat, w_fin))
-        self._allocate(n)
-
-    def sized(self, n: int) -> _StackRefs:
-        """A copy for n records that shares the stacked references."""
-        other = copy.copy(self)
-        other._allocate(n)
-        return other
-
-    def _allocate(self, n: int) -> None:
-        b, d2 = len(self.svm_norm), self.w_svm[0].size
-        self.corr = np.empty((n, b))
         self.dist = np.tile(self.const_dist, (n, 1))  # the fins' columns are rewritten by every call
         # Per S_fin dimension: the trials' W as columns, their coefficients,
         # the projection minus W_fin in the columns' memory, and its norm.
         self.fin_buffers = []
         for ids, flat, _ in self.fins:
-            cols = np.empty((n, len(ids), d2, 1))
+            cols = np.empty((n, len(ids), d * d, 1))
             self.fin_buffers.append((cols, np.empty((n, len(ids), flat.shape[1], 1)),
-                                     cols.reshape(n, len(ids), 1, d2), np.empty((n, len(ids), 1))))
-
-    def corr_svm(self, w: np.ndarray, w_norm: np.ndarray) -> np.ndarray:
-        """`correlation` with W_svm, record by record and trial by trial; w
-        is overwritten with w * W_svm."""
-        dot = np.add.reduce(np.multiply(w, self.w_svm, out=w), axis=(-2, -1))
-        self.corr.fill(np.nan)
-        return np.divide(dot, w_norm * self.svm_norm, out=self.corr, where=(w_norm != 0.0) & self.has_svm)
+                                     cols.reshape(n, len(ids), 1, d * d), np.empty((n, len(ids), 1))))
 
     def dist_fin(self, w: np.ndarray) -> np.ndarray:
         """||project_S_fin(W) - W_fin||, by the matmuls of `MatrixSubspace.project`."""
@@ -778,13 +759,19 @@ RECORD_CHUNK = 8
 def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainRefs]) -> list[TrainTrace | Exception]:
     """`train_block` on datasets of one structure.  A failed trial is frozen:
     its w stops moving and its later values are ignored, and the steps end
-    once no trial is left.
+    once no trial is left.  Every trial takes the same update, plain or
+    normalized; a frozen trial, and under normalized GD one whose gradient
+    norm is at or below GRAD_FLOOR, takes it as a zero step, g = 0 over
+    ||g|| = 1, once the record step has read its g.
 
     A record step keeps what the loop itself needs, the gradient norms and
     the W norms, and a copy of W.  Each time RECORD_CHUNK of them are
-    stored, and once after the last step, one kernel call (`_records_pack`)
-    and one `_StackRefs` pass score them all: the loss, loss_bar, corr_svm
-    and dist_fin columns, each record's values the bits of its trial alone.
+    stored, and once after the last step, one kernel call (`_records_pack`),
+    `_StackRefs.dist_fin` and `correlation` score them all: the loss,
+    loss_bar, corr_svm and dist_fin columns, each record's values the bits
+    of its trial alone.  Every scoring takes all RECORD_CHUNK slots: those
+    past its records hold W = 0, finite under every loss, and their values
+    and errors are dropped.
     A failure that only the loss finds, a loss_bar `DomainError` or a
     non-finite loss, fails its trial at that record: the trace keeps the
     rows before it and W of that step, and the steps the trial took since
@@ -861,24 +848,25 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
 
     def score() -> None:
         """Score the stored records that a trace keeps: all of them while a
-        trial is alive, else those each failure needs."""
-        nonlocal records, stack_refs, scored, stored_bounded
+        trial is alive, else those each failure needs.  The slots past them
+        hold W = 0, whose values and errors are dropped."""
+        nonlocal scored, stored_bounded
         reach = row if all_alive or alive.any() else min(row, max(f.reach for f in failures.values()))
         n = reach - scored
         if n > 0:
-            if n != records.lead[0]:  # the last scoring, of fewer records
-                records, stack_refs = _records_pack(packed, n), stack_refs.sized(n)
-            ws, kept = stored[:n], slice(scored, reach)
-            loss, bar, _, errors = _loss_and_grad(ws, records, config.loss, reduced_log=True, need_grad=False,
+            stored[n:] = 0.0
+            loss, bar, _, errors = _loss_and_grad(stored, records, config.loss, reduced_log=True, need_grad=False,
                                                   need_loss=True, bounded=stored_bounded)
-            cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar.T
-            cols["dist_fin"][:, kept] = stack_refs.dist_fin(ws).T
+            kept, loss = slice(scored, reach), loss[:n]
+            cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar[:n].T
+            cols["dist_fin"][:, kept] = stack_refs.dist_fin(stored)[:n].T
+            cols["corr_svm"][:, kept] = correlation(stored[:n], stack_refs.w_svm).T
             finite = np.isfinite(loss)
             if errors or not finite.all():
                 for k, r in enumerate(range(scored, reach)):
-                    fail({i - k * trials: exc for i, exc in errors.items() if i // trials == k}, taus[r], 1, r, ws[k])
-                    fail(non_finite("loss", taus[r], ~finite[k]), taus[r], 3, r, ws[k])
-            cols["corr_svm"][:, kept] = stack_refs.corr_svm(ws, cols["w_norm"][:, kept].T).T  # the last use of ws
+                    found = {i - k * trials: exc for i, exc in errors.items() if i // trials == k}
+                    fail(found, taus[r], 1, r, stored[k])
+                    fail(non_finite("loss", taus[r], ~finite[k]), taus[r], 3, r, stored[k])
         scored, stored_bounded = row, True
 
     t0, row, scored, remeasure, stored_bounded, w_bound = time.perf_counter(), 0, 0, True, True, math.inf
@@ -909,22 +897,19 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         # Once every trial has failed, no later step changes what is returned.
         if tau == config.iters or not (all_alive or alive.any()):
             break
-        # g is the pack's array until the next kernel call, so the steps
-        # may overwrite it.  Below the floor the computed gradient is
-        # rounding noise; a unit-length step along it would random-walk the
-        # direction.
-        if config.normalized and clean and all_alive:
+        # g is the pack's array until the next kernel call, so the step may
+        # overwrite it.  A trial that stops moving takes a zero step, g = 0
+        # over ||g|| = 1: a failed trial, or under normalized GD one at or
+        # below the floor, where the computed gradient is rounding noise and
+        # a unit-length step along it would random-walk the direction.
+        if not all_alive or (config.normalized and not clean):
+            still = ~(alive & (gn > GRAD_FLOOR)) if config.normalized else ~alive
+            g[still], gn[still] = 0.0, 1.0
+        if config.normalized:
             _normalized_step(w, g, gn_col, config.eta)
-        elif config.normalized:
-            move = gn > GRAD_FLOOR
-            if not all_alive:
-                move &= alive
-            w[move] = w[move] - config.eta * g[move] / gn[move, None, None]
-        elif all_alive:
+        else:
             np.multiply(config.eta, g, out=g)
             np.subtract(w, g, out=w)
-        else:
-            w[alive] = w[alive] - config.eta * g[alive]
         w_bound = (w_bound + (config.eta if config.normalized else config.eta * top)) * grow
     score()
     records = stack_refs = stored = None  # freed before the traces are built

@@ -49,6 +49,37 @@ class TestCorrelation:
         assert np.isnan(att.correlation(np.zeros((3, 3)), np.eye(3)))
         assert np.isnan(att.correlation(np.eye(3), np.zeros((3, 3))))
 
+    def test_two_matrices_give_a_float_and_no_reference_nan(self):
+        w = seeded_rng(30).standard_normal((4, 4))
+        assert type(att.correlation(w, w[::-1])) is float
+        assert np.isnan(att.correlation(w, None)) and np.isnan(att.correlation(np.stack([w, w]), None))
+
+    @pytest.mark.parametrize("d", [2, 4, 7, 8, 16, 32])
+    def test_a_stack_holds_each_pair_bit_for_bit(self, d):
+        # An (n, B) stack of W's against B references, with zero W's and a
+        # zero reference among them, and the stack against one broadcast
+        # reference: each entry is the bits of its two-matrix call, and
+        # that call is np.sum(W * R) over the two np.linalg.norm values.
+        rng = seeded_rng(31 + d)
+        w = rng.standard_normal((5, 3, d, d)) * rng.uniform(1e-3, 1e3, (5, 3, 1, 1))
+        ref = rng.standard_normal((3, d, d))
+        w[1, 2] = 0.0
+        w[3] = 0.0
+        ref[1] = 0.0
+        for refs in (ref, ref[0]):
+            got = att.correlation(w, refs)
+            assert got.shape == (5, 3)
+            pairs = [[att.correlation(w[k, b], np.broadcast_to(refs, ref.shape)[b]) for b in range(3)]
+                     for k in range(5)]
+            assert got.tobytes() == np.array(pairs).tobytes()
+        for k in range(5):
+            for b in range(3):
+                wk, r = w[k, b], ref[b]
+                if wk.any() and r.any():
+                    assert att.correlation(wk, r) == float(np.sum(wk * r) / (np.linalg.norm(wk) * np.linalg.norm(r)))
+                else:
+                    assert np.isnan(att.correlation(wk, r))
+
 
 class TestRateBound:
     def test_infinite_margin_leaves_only_t_over_tau(self):

@@ -531,7 +531,9 @@ def _faulty_kernel(trial, loss_from=None, grad_from=None, error_at=None, error=N
     grad_from on, and error among the errors of its record at step
     error_at.  A training step calls the kernel once without the loss; a
     call with the loss scores n stored records of each trial, w (n, B, d,
-    d), and each record's step is the step whose W it holds."""
+    d), and each record's step is the step whose W it holds.  An all-zero
+    slot that no step held, a filled one past the records, takes no fault;
+    any other W that no step held is a KeyError."""
     kernel, steps = att._loss_and_grad, {}
 
     def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
@@ -543,7 +545,8 @@ def _faulty_kernel(trial, loss_from=None, grad_from=None, error_at=None, error=N
         elif w.ndim == 4:
             value, errors = value.copy(), dict(errors)
             for k, w_k in enumerate(w):
-                tau = steps[w_k.tobytes()]
+                key = w_k.tobytes()
+                tau = steps[key] if key in steps or w_k.any() else -1
                 if loss_from is not None and tau >= loss_from:
                     value[k, trial] = np.inf
                 if tau == error_at:
@@ -574,15 +577,19 @@ def _kernel_calls(monkeypatch):
 def _assert_steps_and_scorings(calls, iters, taus):
     """Each of the steps 0..iters called the kernel once without the loss,
     and the calls with the loss scored the W's of the record steps taus, in
-    order, each record after its step."""
+    order, each record after its step.  Every scoring passes all
+    min(RECORD_CHUNK, len(taus)) slots, and those past its records hold
+    W = 0."""
     steps = [w for need_loss, w in calls if not need_loss]
     assert len(steps) == iters + 1 and all(w.ndim == 3 for w in steps)
     scored, taken = [], 0
     for need_loss, w in calls:
         taken += not need_loss
         if need_loss:
-            assert w.ndim == 4
-            scored.extend(w)
+            assert w.ndim == 4 and len(w) == min(att.RECORD_CHUNK, len(taus))
+            n = min(len(w), len(taus) - len(scored))
+            assert n > 0 and not w[n:].any()
+            scored.extend(w[:n])
             assert all(tau < taken for tau in taus[:len(scored)])
     assert len(scored) == len(taus)
     assert all(got.tobytes() == steps[tau].tobytes() for got, tau in zip(scored, taus))
@@ -862,9 +869,11 @@ class TestTrainBlock:
         assert _trace_bytes(dataclasses.replace(got, w_final=clean.w_final)) == _trace_bytes(clean)
         assert got.w_final.tobytes() == at_fail.w_final.tobytes()
 
-    # Record counts at record_every = 3: one record, one chunk, one chunk
-    # plus one, and a last record off the record_every grid after them.
-    CHUNK_ITERS = {"one-record": 0, "one-chunk": 3 * (att.RECORD_CHUNK - 1), "chunk-plus-one": 3 * att.RECORD_CHUNK,
+    # Record counts at record_every = 3: one record, one chunk less one, one
+    # chunk, one chunk plus one, and a last record off the record_every grid
+    # after them.
+    CHUNK_ITERS = {"one-record": 0, "chunk-minus-one": 3 * (att.RECORD_CHUNK - 2),
+                   "one-chunk": 3 * (att.RECORD_CHUNK - 1), "chunk-plus-one": 3 * att.RECORD_CHUNK,
                    "off-grid": 3 * att.RECORD_CHUNK + 1}
 
     @pytest.mark.parametrize("records", list(CHUNK_ITERS))
@@ -877,8 +886,8 @@ class TestTrainBlock:
         block = att.train_block(datasets, cfg, refs)
         for trace, ds, r in zip(block, datasets, refs):
             rows, w_final = straight_train_gd(ds, cfg, r)
-            assert len(rows) == {"one-record": 1, "one-chunk": att.RECORD_CHUNK, "chunk-plus-one": att.RECORD_CHUNK + 1,
-                                 "off-grid": att.RECORD_CHUNK + 2}[records]
+            assert len(rows) == {"one-record": 1, "chunk-minus-one": att.RECORD_CHUNK - 1, "one-chunk": att.RECORD_CHUNK,
+                                 "chunk-plus-one": att.RECORD_CHUNK + 1, "off-grid": att.RECORD_CHUNK + 2}[records]
             assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
             assert trace.w_final.tobytes() == w_final.tobytes()
         assert records != "off-grid" or list(block[0].iters[-2:]) == [cfg.iters - 1, cfg.iters]
@@ -902,6 +911,91 @@ class TestTrainBlock:
             rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
             assert np.column_stack(block[b].columns()).astype(np.float64).tobytes() == rows.tobytes()
             assert block[b].w_final.tobytes() == w_final.tobytes()
+
+    @pytest.mark.parametrize("case", ["normalized-failed", "local-squared", "plain-failed"])
+    def test_frozen_and_floored_trials_train_as_alone(self, monkeypatch, case):
+        # A trial that stops moving takes the common update as a zero step.
+        # normalized-failed: the block trials, whose all-label trial 3 stays
+        # under GRAD_FLOOR, with trial 1's loss infinite from step 7, found
+        # when the first chunk is scored after step 14, so it is frozen from
+        # there on.  plain-failed: plain GD with trial 1's gradient NaN from
+        # step 13.  local-squared: its two seed-0 trials reach the floor at
+        # different steps, so one moves while the other stays put.  Each
+        # trace is that of its trial's plain loop, or of its trial alone
+        # under the same fault.
+        faults = {}
+        if case == "local-squared":
+            params = {**experiments.EXPERIMENTS["local-squared"].params, "iters": 1000}
+            built = [experiments._local_build(*job) for job in experiments.seeded_jobs(params, 0, 2)]
+            datasets, cfg, refs = [b[0] for b in built], built[0][1], [b[2] for b in built]
+        else:
+            datasets, refs = _block_trials()[:2]
+            normalized = case == "normalized-failed"
+            cfg = att.TrainConfig(eta=0.05 if normalized else 0.25, iters=4 * att.RECORD_CHUNK + 1,
+                                  normalized=normalized, record_every=2)
+            faults = {"loss_from": 7} if normalized else {"grad_from": 13}
+            monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(1, **faults))
+        block = att.train_block(datasets, cfg, refs)
+        monkeypatch.undo()
+        if case == "local-squared":
+            floored = [int(t.iters[np.argmax(t.grad_norm <= att.GRAD_FLOOR)]) for t in block]
+            assert floored == [620, 640] and all(np.all(t.grad_norm[t.iters >= f] <= att.GRAD_FLOOR)
+                                                 for t, f in zip(block, floored))
+        else:
+            assert np.all(block[3].grad_norm <= att.GRAD_FLOOR)
+            monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(0, **faults))
+            with pytest.raises(NonFiniteLoss) as alone:
+                att.train_gd(datasets[1], cfg, refs[1])
+            monkeypatch.undo()
+            assert type(block[1]) is NonFiniteLoss and str(block[1]) == str(alone.value)
+            assert _trace_bytes(block[1].trace) == _trace_bytes(alone.value.trace)
+        for b, trace in enumerate(block):
+            if not (faults and b == 1):
+                rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
+                assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+                assert trace.w_final.tobytes() == w_final.tobytes()
+
+    @pytest.mark.parametrize("case", ["clean", "failed-early", "all-failed"])
+    def test_a_zero_filled_slot_reaches_no_trace_or_exception(self, monkeypatch, case):
+        # Every scoring passes RECORD_CHUNK slots, and those past its records
+        # hold W = 0.  A kernel that fails every all-zero record, with an
+        # error and an infinite loss (a gauss start: no record's W is zero),
+        # must leave every trace and failure as it is.  RECORD_CHUNK + 1
+        # records, so the last scoring is short; in failed-early trial 1's
+        # gradient turns NaN at step 5, before it, and all-failed trains
+        # that trial alone, so the last scoring reaches only its failure.
+        datasets, refs = _block_trials()[:2]
+        trial = 1
+        if case == "all-failed":
+            datasets, refs, trial = datasets[1:2], refs[1:2], 0
+        if case != "clean":
+            monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(trial, grad_from=5))
+        cfg = att.TrainConfig(eta=0.05, iters=3 * att.RECORD_CHUNK, normalized=True, record_every=3, init="gauss",
+                              init_scale=0.5, init_seed=2)
+        want = att.train_block(datasets, cfg, refs)
+        kernel, zero_slots = att._loss_and_grad, []
+
+        def failing_zeros(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
+            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
+            if w.ndim == 4:
+                zero = ~w.any(axis=(1, 2, 3))
+                zero_slots.append(int(zero.sum()))
+                value, errors = value.copy(), dict(errors)
+                value[zero] = np.inf
+                errors.update({k * w.shape[1] + b: DomainError("a zero slot") for k in np.flatnonzero(zero)
+                               for b in range(w.shape[1])})
+            return value, bar, g, errors
+
+        monkeypatch.setattr(att, "_loss_and_grad", failing_zeros)
+        got = att.train_block(datasets, cfg, refs)
+        assert zero_slots[-1] == att.RECORD_CHUNK - (2 if case == "all-failed" else 1)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            if isinstance(b, Exception):
+                assert str(a) == str(b) == "gradient became non-finite at iteration 5"
+                a, b = a.trace, b.trace
+            assert _trace_bytes(a) == _trace_bytes(b)
+        assert case == "clean" or isinstance(got[trial], NonFiniteLoss)
 
     def test_a_loss_failure_found_at_a_full_chunk_stops_its_trial_there(self, monkeypatch):
         # Every step is a record, so the infinite loss from step 7 on is
@@ -1137,39 +1231,44 @@ class TestRecordAllocation:
         return peaks
 
     @staticmethod
-    def _scratch_bytes(records, stack_refs):
+    def _scratch_bytes(records):
         """The bytes of the arrays a scoring of records owns: the kernel
-        scratch of its groups and split rows, and the references' buffers."""
+        scratch of its groups and split rows."""
         arrays = [a for g in records.groups for a in vars(g.scratch).values()]
         arrays += [getattr(g.split, f) for g in records.groups if g.split is not None
                    for f in ("ids", "hs", "ex", "edge", "u")]
-        arrays += [stack_refs.corr, stack_refs.dist, *(a for bufs in stack_refs.fin_buffers for a in bufs)]
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
 
     @pytest.mark.parametrize("name", ["cyclic-global", "large-k"])
     def test_a_scoring_copies_no_stack(self, name):
-        # One scoring of RECORD_CHUNK stored records, its scratch made
+        # One scoring of RECORD_CHUNK stored records, its kernel scratch made
         # first, takes at most that scratch, the stored W's and the
         # iterator buffer of the softmax's broadcasting divide: a copy of
-        # the pack's features or rows per record would pass it.
+        # the pack's features or rows per record would pass it.  The
+        # references and their dist_fin buffers are made once per training.
+        # corr_svm's one stack-sized array is the product w * W_svm, with
+        # the iterator buffer numpy gives a broadcasting multiply; its other
+        # arrays are per record and trial, far below an eighth of the stack,
+        # and a copy of the stack or a tiled W_svm on the desk block is not.
         datasets, refs, packed, w = self._block(name)
         n = att.RECORD_CHUNK
         stored = np.stack([w * (1.0 + 0.1 * k) for k in range(n)])
-        w_norm = np.linalg.norm(stored, axis=(2, 3))
-        stack_refs, made = att._StackRefs(refs, datasets[0].d, 1), []
+        stack_refs, made = att._StackRefs(refs, datasets[0].d, n), []
 
-        def scoring():  # corr_svm overwrites stored, as in training; the values are not read
-            records, sized = att._records_pack(packed, n), stack_refs.sized(n)
+        def scoring():  # as in training, but corr_svm; the values are not read
+            records = att._records_pack(packed, n)
             loss, bar, grad, errors = att._loss_and_grad(stored, records, att.LOG, True, need_grad=False,
                                                          need_loss=True)
             assert loss.shape == bar.shape == (n, len(datasets)) and grad is None and not errors
-            sized.dist_fin(stored), sized.corr_svm(stored, w_norm)
-            made[:] = records, sized
+            stack_refs.dist_fin(stored)
+            made[:] = [records]
 
-        (peak,) = self._peaks((scoring,))
-        records, _ = made
-        bound = self._scratch_bytes(*made) + stored.nbytes + max(g.scratch.h.nbytes for g in records.groups)
+        peak, corr, product = self._peaks((scoring, lambda: att.correlation(stored, stack_refs.w_svm),
+                                           lambda: stored * stack_refs.w_svm))
+        (records,) = made
+        bound = self._scratch_bytes(records) + stored.nbytes + max(g.scratch.h.nbytes for g in records.groups)
         assert peak <= bound, (peak, bound)
+        assert corr <= product + stored.nbytes // 8, (corr, product)
 
     @pytest.mark.parametrize("name", list(PLAIN_PEAKS))
     def test_a_plain_step_copies_nothing(self, name):

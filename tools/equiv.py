@@ -55,14 +55,17 @@ EXPERIMENTS = ("acyclic-global", "cyclic-global", "feasibility", "large-k", "loc
 # --smoke: two trials, and overrides that keep each experiment short.  The
 # global runs store 21 records, more than one scoring of RECORD_CHUNK takes
 # and not a multiple of it, so a full chunk and a shorter last one both
-# reach the compared bytes (tests/test_equiv.py holds this).
+# reach the compared bytes (tests/test_equiv.py holds this).  The local-*
+# runs take 1,000 steps: both seed-0 trials stop at GRAD_FLOOR by step 650,
+# so the zero step of a trial that stops moving beside one that still moves
+# reaches them too (tests/test_attention.py holds this).
 SMOKE_SETS = {
     "acyclic-global": ["iters=200"],
     "cyclic-global": ["iters=200"],
     "feasibility": ["iters=200", "d_grid=[2,4]"],
     "large-k": ["iters=50", "record_every=10"],
-    "local-ce": ["iters=200"],
-    "local-squared": ["iters=200"],
+    "local-ce": ["iters=1000"],
+    "local-squared": ["iters=1000"],
     "rate-check": ["iters=1000"],
     "reg-path": ["r_count=3"],
     "scc-count": ["n_grid=[32,256]"],
