@@ -13,8 +13,9 @@ loop certifies that from a bound on ||W||_F (`_train_stack`) and skips the
 reduction over the scores.
 
 The scores are linear in W: h_t = phi_t . vec(W), phi_t = vec(dx_t xbar^T),
-and the tied log gradient is sum_t s_t phi_t / n.  Each length group of a
-pack takes one of two contractions, by its shape (`_features`).  The
+and the tied log gradient is sum_t s_t phi_t / n; the kernel returns the
+sum over the samples and leaves the 1/n to its caller.  Each length group
+of a pack takes one of two contractions, by its shape (`_features`).  The
 feature form keeps phi, (B, g T, d^2), and makes two batched gemvs per
 trial: phi_b vec(W_b) for the scores and s_b phi_b for the gradient.  The
 per-sample form scores dx (W xbar) and takes the gradient's rows s dx before
@@ -89,26 +90,43 @@ def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
 
 
 def softmax(h: np.ndarray) -> np.ndarray:
-    return _softmax_in_place(h.copy(), np.empty_like(h[..., :1]))
+    h = h.copy()
+    edge = np.empty_like(h[..., :1])
+    return _softmax_in_place(h, edge, _row_sums(h, edge))
 
 
-def _softmax_in_place(h: np.ndarray, edge: np.ndarray, only: Optional[np.ndarray] = None) -> np.ndarray:
+def _row_sums(h: np.ndarray, edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The operands of the one way a softmax sums its rows: a ones vector
+    and edge[..., 0], a view of h's (..., 1) edge, so that np.vecdot(h,
+    ones, out=view) writes each row's sum into edge, one BLAS dot product
+    a row.  Any order of summing T nonnegative terms has the same (T - 1) u
+    relative error bound.  A dot product sums its row alone, where a gemv
+    over many rows sums a row by a path that depends on its place among
+    them (OpenBLAS 0.3.31, rows of 8 or more), so a stacked trial would
+    lose the bits of its own pack."""
+    return np.ones(h.shape[-1], dtype=h.dtype), edge[..., 0]
+
+
+def _softmax_in_place(h: np.ndarray, edge: np.ndarray, sums: tuple, only: Optional[np.ndarray] = None) -> np.ndarray:
     """h overwritten with its softmax over the last axis, each row shifted
-    by its max first; edge (..., 1) holds the shift, then the row's sum.
-    With a mask ``only`` over the trials of a (..., B, g, T) h, (B,) or
-    (..., B), the rows of the trials it leaves out are shifted by 0.0
-    instead, which keeps every bit."""
+    by its max first; edge (..., 1) holds the shift, then the row's sum,
+    through ``sums`` = `_row_sums` (h, edge).  With a mask ``only`` over
+    the trials of a (..., B, g, T) h, (B,) or (..., B), the rows of the
+    trials it leaves out are shifted by 0.0 instead, which keeps every
+    bit."""
     np.maximum.reduce(h, axis=-1, keepdims=True, out=edge)
     if only is not None:
         np.copyto(edge, 0.0, where=~only[..., None, None])
     np.subtract(h, edge, out=h)
-    return _exp_normalized(h, edge)
+    return _exp_normalized(h, edge, sums)
 
 
-def _exp_normalized(h: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """h overwritten with exp(h) over its row sums, which edge (..., 1) holds."""
+def _exp_normalized(h: np.ndarray, edge: np.ndarray, sums: tuple) -> np.ndarray:
+    """h overwritten with exp(h) over its row sums, which edge (..., 1)
+    holds, through ``sums`` = `_row_sums` (h, edge)."""
     np.exp(h, out=h)
-    np.add.reduce(h, axis=-1, keepdims=True, out=edge)
+    ones, out = sums
+    np.vecdot(h, ones, out=out)
     np.divide(h, edge, out=h)
     return h
 
@@ -133,6 +151,7 @@ class _SplitRows:
     hs: np.ndarray      # ([n,] m, T) the rows' scores, then their softmax
     ex: np.ndarray      # ([n,] m, T) exp of the scores on keep; 0.0 off it, never written
     edge: np.ndarray    # ([n,] m, 1) each row's sum of ex
+    sums: tuple         # `_row_sums` (ex, edge)
     u: np.ndarray       # ([n,] m) the rows' label masses
 
 
@@ -152,6 +171,7 @@ class _Scratch:
         self.loss = np.empty(lead + (g,)) if grad else None  # their losses
         self.q_col = None if features else self.q[..., None]
         self.h_col, self.h_flat = self.h[..., None], self.h.reshape(lead + (g * t, 1))
+        self.sums = _row_sums(self.h, self.edge)
         if grad:
             self.v = np.empty(lead + (g, t))     # s * (gamma - u)
             self.vec = np.empty(lead + (g, d))   # the gradient's rows before xbar
@@ -329,9 +349,9 @@ def _split_rows(held: np.ndarray, omask: np.ndarray) -> Optional[_SplitRows]:
 def _split_scratch(rows: np.ndarray, trials: np.ndarray, keep: np.ndarray, label: np.ndarray, lead: tuple,
                    ids: np.ndarray) -> _SplitRows:
     """Split rows with fresh scratch for ``lead`` = () or (n,) records."""
+    ex, edge = np.zeros(lead + keep.shape), np.empty(lead + (len(rows), 1))
     return _SplitRows(rows=rows, trials=trials, keep=keep, label=label, ids=ids, hs=np.empty(lead + keep.shape),
-                      ex=np.zeros(lead + keep.shape), edge=np.empty(lead + (len(rows), 1)),
-                      u=np.empty(lead + (len(rows),)))
+                      ex=ex, edge=edge, sums=_row_sums(ex, edge), u=np.empty(lead + (len(rows),)))
 
 
 def _records_pack(packed: _Packed, n: int) -> _Packed:
@@ -369,7 +389,11 @@ def _loss_and_grad(
     """Per-trial losses (B,), cyclic-split losses loss_bar (B,) and
     gradients (B, d, d) at w (B, d, d), from one softmax per group and matmul
     contractions only.  On a `_records_pack` w is (n, B, d, d), n records of
-    each trial, and the losses and loss_bar are (n, B).
+    each trial, and the losses and loss_bar are (n, B).  The gradient is
+    the sum of the samples' terms, n times the loss's gradient: each
+    caller scales it once, `_one` by 1/n and a training step by its own
+    scale (`_train_stack`).  Every softmax sums its rows through
+    `_row_sums`.
 
     The scores are the label-relative dx W xbar.  Every trial's values are
     bit for bit those of a pack of that trial alone.  ``reduced_log``
@@ -429,7 +453,7 @@ def _loss_and_grad(
         shift = _shift(h, g, bounded)
         if need_loss and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors, shift)
-        s = _exp_normalized(h, sc.edge) if shift is None else _softmax_in_place(h, sc.edge, shift)
+        s = _exp_normalized(h, sc.edge, sc.sums) if shift is None else _softmax_in_place(h, sc.edge, sc.sums, shift)
         if kind == CROSS_ENTROPY:
             label, c = g.labels[..., None], packed.c
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
@@ -473,8 +497,6 @@ def _loss_and_grad(
     if total is not None:
         total /= packed.n
         bar /= packed.n
-    if grad is not None:
-        np.divide(grad, packed.n, out=grad)
     return total, bar, grad, errors
 
 
@@ -528,7 +550,9 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
         np.copyto(top, 0.0, where=~shift[..., rows.trials, None])
         hs -= top
     ex = np.exp(hs, out=rows.ex, where=rows.keep)
-    s = np.divide(ex, np.add.reduce(ex, axis=-1, keepdims=True, out=rows.edge), out=hs)
+    ones, sums = rows.sums
+    np.vecdot(ex, ones, out=sums)
+    s = np.divide(ex, rows.edge, out=hs)
     if kind == CROSS_ENTROPY:
         x = g.x.reshape(-1, *g.x.shape[-2:])[rows.rows]
         logits = np.matmul(packed.c[rows.trials], np.matmul(s[..., None, :], x).mT)[..., 0]
@@ -546,12 +570,13 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
 def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
          reduced_log: bool = True, need_loss: bool = True) -> tuple[Optional[float], Optional[np.ndarray]]:
     """Loss and gradient of a one-trial pack at a (d, d) w, each None when
-    not asked for; raises the trial's error.  The gradient is a copy, so
-    it outlives the next call on the pack."""
+    not asked for; raises the trial's error.  The gradient is the kernel's
+    sum divided by n, a new array, so it outlives the next call on the
+    pack."""
     total, _, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad, need_loss)
     if errors:
         raise errors[0]
-    return None if total is None else float(total[0]), None if grad is None else grad[0].copy()
+    return None if total is None else float(total[0]), None if grad is None else grad[0] / packed.n
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
@@ -627,13 +652,19 @@ class TrainTrace:
 def correlation(w: np.ndarray, ref: Optional[np.ndarray]) -> float | np.ndarray:
     """Frobenius cosine over the last two axes, broadcast over the others: a
     float for two matrices, else an array; NaN when the reference is absent
-    or either norm is zero.  The trace's corr_svm is this on its stored
-    records, each the bits of its pair alone."""
+    or either norm is zero.  The trace's corr_svm is `_cosine` on its
+    stored records, each the bits of its pair alone."""
     if ref is None:
         return np.nan
-    dot, norm = np.add.reduce(w * ref, axis=(-2, -1)), _norms(w) * _norms(ref)
-    corr = np.divide(dot, norm, out=np.full(np.shape(dot), np.nan), where=norm != 0.0)
+    corr = _cosine(w, ref, _norms(w), _norms(ref))
     return float(corr) if corr.ndim == 0 else corr
+
+
+def _cosine(w: np.ndarray, ref: np.ndarray, w_norm: np.ndarray, ref_norm: np.ndarray) -> np.ndarray:
+    """`correlation` from the Frobenius norms of w and ref (`_norms`),
+    which a caller that holds them passes; NaN where either is zero."""
+    dot, norm = np.add.reduce(w * ref, axis=(-2, -1)), w_norm * ref_norm
+    return np.divide(dot, norm, out=np.full(np.shape(dot), np.nan), where=norm != 0.0)
 
 
 def train_gd(dataset: Dataset, config: TrainConfig, refs: Optional[TrainRefs] = None) -> TrainTrace:
@@ -678,12 +709,10 @@ def train_block(
 
 
 def _index_groups(keys) -> list[list[int]]:
-    """Positions of equal keys, grouped in order of first appearance; a None
-    key joins no group."""
+    """Positions of equal keys, grouped in order of first appearance."""
     groups: dict = {}
     for i, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(i)
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
@@ -698,43 +727,44 @@ class _StackRefs:
     """The references of a stack of trials for the trace diagnostics
     corr_svm and dist_fin of n records of every trial at once, w (n, B, d,
     d): W_svm stacked over the trials, zero where absent, so that
-    `correlation` reads NaN there; and the S_fin bases stacked over the
-    trials with the buffers of dist_fin.  loss_bar comes from the kernel
+    `_cosine` reads NaN there, and its norms; and the S_fin bases in one
+    stack, each padded with zero rows to the largest dim m, with the
+    buffers of dist_fin.  loss_bar comes from the kernel
     (`_records_pack`).  dist_fin is the stack's own array, valid until its
     next call."""
 
     def __init__(self, refs: list[TrainRefs], d: int, n: int):
         self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
-        # A trial whose S_fin is {0} projects to 0, so its distance is the
-        # constant ||0 - W_fin||; a trial without S_fin or W_fin reads NaN.
-        self.const_dist = np.full(len(refs), np.nan)
-        self.fins = []
-        for ids in _index_groups(r.s_fin.dim if r.s_fin is not None and r.w_fin is not None else None
-                                 for r in refs):
-            ids = np.array(ids)
-            flat = _stack([refs[b].s_fin.basis.reshape(-1, d * d) for b in ids])
-            w_fin = _stack([refs[b].w_fin.reshape(1, d * d) for b in ids])
-            if not flat.shape[1]:
-                self.const_dist[ids] = _norms(np.zeros(w_fin.shape) - w_fin)
-            else:
-                self.fins.append((ids, flat, w_fin))
-        self.dist = np.tile(self.const_dist, (n, 1))  # the fins' columns are rewritten by every call
-        # Per S_fin dimension: the trials' W as columns, their coefficients,
-        # the projection minus W_fin in the columns' memory, and its norm.
-        self.fin_buffers = []
-        for ids, flat, _ in self.fins:
-            cols = np.empty((n, len(ids), d * d, 1))
-            self.fin_buffers.append((cols, np.empty((n, len(ids), flat.shape[1], 1)),
-                                     cols.reshape(n, len(ids), 1, d * d), np.empty((n, len(ids), 1))))
+        self.svm_norm = _norms(self.w_svm)
+        held = [r.s_fin is not None and r.w_fin is not None for r in refs]
+        m = max((r.s_fin.dim for r, has in zip(refs, held) if has), default=0)
+        # Per trial: its basis rows, the coordinates z of W_fin in them, and
+        # ||W_fin - sum_k z_k B_k||^2, the square of W_fin's distance from
+        # S_fin; zero rows and z past its dim, and NaN without S_fin or W_fin.
+        flat, self.z = np.zeros((len(refs), m, d * d)), np.zeros((m, 1, len(refs)))
+        self.off = np.full(len(refs), np.nan)
+        for b in np.flatnonzero(held):
+            basis, w_fin = refs[b].s_fin.basis.reshape(-1, d * d), refs[b].w_fin.reshape(-1)
+            z = basis @ w_fin
+            rest = w_fin - z @ basis
+            flat[b, :len(basis)], self.z[:len(basis), 0, b], self.off[b] = basis, z, rest @ rest
+        self.rows = flat.transpose(1, 0, 2)[:, None]  # (m, 1, B, d^2)
+        self.coef, self.square = np.empty((m, n, len(refs))), np.tile(self.off, (n, 1))
+        self.dist = np.empty((n, len(refs)))
 
     def dist_fin(self, w: np.ndarray) -> np.ndarray:
-        """||project_S_fin(W) - W_fin||, by the matmuls of `MatrixSubspace.project`."""
-        w_flat = w.reshape(w.shape[:-2] + (-1, 1))
-        for (ids, flat, w_fin), (w_ids, coef, proj, dist) in zip(self.fins, self.fin_buffers):
-            np.matmul(flat, np.take(w_flat, ids, axis=-3, out=w_ids), out=coef)
-            np.subtract(np.matmul(coef.mT, flat, out=proj), w_fin, out=proj)
-            self.dist[:, ids] = np.sqrt(np.vecdot(proj, proj, out=dist), out=dist)[..., 0]
-        return self.dist
+        """(n, B) ||project_S_fin(W) - W_fin||, as sqrt(sum_k (B_k . W -
+        z_k)^2 + ||W_fin off S_fin||^2): the basis is orthonormal.  Each
+        coefficient is a dot product of its own and the sum over k a running
+        one, so a zero pad row changes no bit and each trial keeps the bits
+        of its own stack."""
+        if len(self.coef):
+            np.vecdot(self.rows, w.reshape(w.shape[:2] + (-1,)), out=self.coef)
+            np.subtract(self.coef, self.z, out=self.coef)
+            np.square(self.coef, out=self.coef)
+            np.add.accumulate(self.coef, axis=0, out=self.coef)
+            np.add(self.coef[-1], self.off, out=self.square)
+        return np.sqrt(self.square, out=self.dist)
 
 
 _COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
@@ -759,19 +789,24 @@ RECORD_CHUNK = 8
 def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainRefs]) -> list[TrainTrace | Exception]:
     """`train_block` on datasets of one structure.  A failed trial is frozen:
     its w stops moving and its later values are ignored, and the steps end
-    once no trial is left.  Every trial takes the same update, plain or
-    normalized; a frozen trial, and under normalized GD one whose gradient
-    norm is at or below GRAD_FLOOR, takes it as a zero step, g = 0 over
-    ||g|| = 1, once the record step has read its g.
+    once no trial is left.  The kernel's gradient g is a sum over the n
+    samples, and every trial takes the same update, W -= c g, with one
+    scale c a trial: eta / ||g|| under normalized GD, eta / n under plain
+    GD.  The trace's grad_norm is ||g|| / n, the loss's gradient norm, and
+    the floor test compares ||g|| with n GRAD_FLOOR.  A frozen trial, and
+    under normalized GD one whose gradient norm is at or below the floor,
+    takes the update as a zero step, g = 0 with ||g|| = 1, once the record
+    step has read its g.
 
     A record step keeps what the loop itself needs, the gradient norms and
     the W norms, and a copy of W.  Each time RECORD_CHUNK of them are
     stored, and once after the last step, one kernel call (`_records_pack`),
-    `_StackRefs.dist_fin` and `correlation` score them all: the loss,
-    loss_bar, corr_svm and dist_fin columns, each record's values the bits
-    of its trial alone.  Every scoring takes all RECORD_CHUNK slots: those
-    past its records hold W = 0, finite under every loss, and their values
-    and errors are dropped.
+    `_StackRefs.dist_fin` and `_cosine` score them all: the loss, loss_bar,
+    corr_svm and dist_fin columns, each record's values the bits of its
+    trial alone.  corr_svm divides by the record's w_norm and the stack's
+    ||W_svm||, the bits `correlation` computes.  Every scoring takes all
+    RECORD_CHUNK slots: those past its records hold W = 0, finite under
+    every loss, and their values and errors are dropped.
     A failure that only the loss finds, a loss_bar `DomainError` or a
     non-finite loss, fails its trial at that record: the trace keeps the
     rows before it and W of that step, and the steps the trial took since
@@ -783,29 +818,34 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
 
     The loop carries ``w_bound`` >= ||W_b||_F for every trial b, frozen
     ones too: the largest norm at each measurement, plus eta per normalized
-    step and eta max ||g|| per plain one.  Each of the three, and the
+    step and (eta / n) max ||g|| per plain one.  Each of the three, and the
     pack's lip, is rounded up by the pack's slack, (d^2 + 8) eps, more than
-    the relative rounding error of a computed norm, score or step: a
-    d^2-term dot product, or two d-term ones, and a few roundings around
-    it.  The norms are measured at each record step, which keeps them,
-    and once more when the bound first passes its reach after a
-    measurement; a measurement that leaves it out of reach waits for the
-    next record step.  While lip w_bound <= SCORE_BOUND no computed score
+    the relative rounding error of a computed norm, score or step.  A norm
+    or a score is a d^2-term dot product, or two d-term ones, and a few
+    roundings around it.  A step's computed norm exceeds the bound's
+    increment by less than (d^2 + 4) u, u = eps / 2: ||g|| takes d^2 + 1
+    roundings, eta / ||g|| (normalized) or the increment's product
+    (eta / n) ||g|| (plain) one, c g one and the subtraction from W one.
+    The norms are measured at each record step, which keeps them, and once
+    more when the bound first passes its reach after a measurement; a
+    measurement that leaves it out of reach waits for the next record
+    step.  While lip w_bound <= SCORE_BOUND no computed score
     passes SCORE_BOUND, so the kernel skips its reduction over the scores
-    (``bounded``).  On the reduced tied log form the gradient is then an
-    average of rows of norm at most lip under a finite softmax, so it is
-    finite and a normalized step skips the test for an infinite gradient
-    norm (a finite gradient whose norm overflows takes the same step either
-    way).  Both skipped tests would have given the same verdict, so every
-    bit is the same."""
+    (``bounded``).  On the reduced tied log form the gradient is then a
+    sum of n rows of norm at most lip under a finite softmax, and the pack
+    certifies lip n finite, so it is finite and a normalized step skips the
+    test for an infinite gradient norm (a finite gradient whose norm
+    overflows takes the same zero step either way).  Both skipped tests
+    would have given the same verdict, so every bit is the same."""
     trials, d = len(datasets), datasets[0].d
     packed = _pack(datasets, splits=[r.split for r in refs])
     grow = 1.0 + packed.slack
     finite_grad = config.normalized and config.loss == LOG and packed.tied  # may skip the infinity test
     # The kernel returns packed.grad; its norms and W's are written through
-    # flat views, and the normalized step divides by gn's (B, 1, 1) view.
-    g_flat, gn = packed.grad.reshape(trials, -1), np.empty(trials)
-    gn_col, w_norm = gn[:, None, None], np.empty(trials)
+    # flat views, and a normalized step scales it by c's (B, 1, 1) view.
+    g_flat, gn, floor = packed.grad.reshape(trials, -1), np.empty(trials), packed.n * GRAD_FLOOR
+    scale, w_norm = np.empty(trials), np.empty(trials)
+    scale_col, plain_scale = scale[:, None, None], config.eta / packed.n
     taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
     # Each trial's row of a column is its trace's array, a view.
     cols = {name: np.full((trials, len(taus)), np.nan) for name in _COLUMNS}
@@ -860,7 +900,8 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             kept, loss = slice(scored, reach), loss[:n]
             cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar[:n].T
             cols["dist_fin"][:, kept] = stack_refs.dist_fin(stored)[:n].T
-            cols["corr_svm"][:, kept] = correlation(stored[:n], stack_refs.w_svm).T
+            cols["corr_svm"][:, kept] = _cosine(stored[:n], stack_refs.w_svm, cols["w_norm"][:, kept].T,
+                                                stack_refs.svm_norm).T
             finite = np.isfinite(loss)
             if errors or not finite.all():
                 for k, r in enumerate(range(scored, reach)):
@@ -883,11 +924,11 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         # Every norm finite and above the floor; a NaN fails both tests.
         # Read through argmin and argmax, as `svm._top` reads a max.
         top = None if bounded and finite_grad else float(gn[gn.argmax()])
-        clean = gn[gn.argmin()] > GRAD_FLOOR and (top is None or top < np.inf)
+        clean = gn[gn.argmin()] > floor and (top is None or top < np.inf)
         if not clean and not np.isfinite(gn).all():
             fail(non_finite("gradient", tau, alive & ~np.isfinite(g).all(axis=(1, 2))), tau, 2, row, w)
         if record:
-            cols["grad_norm"][:, row] = gn
+            np.divide(gn, packed.n, out=cols["grad_norm"][:, row])
             stored[row - scored] = w
             stored_bounded &= bounded
             t_ms[row] = (time.perf_counter() - t0) * 1e3
@@ -899,32 +940,23 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             break
         # g is the pack's array until the next kernel call, so the step may
         # overwrite it.  A trial that stops moving takes a zero step, g = 0
-        # over ||g|| = 1: a failed trial, or under normalized GD one at or
+        # with ||g|| = 1: a failed trial, or under normalized GD one at or
         # below the floor, where the computed gradient is rounding noise and
         # a unit-length step along it would random-walk the direction.
         if not all_alive or (config.normalized and not clean):
-            still = ~(alive & (gn > GRAD_FLOOR)) if config.normalized else ~alive
+            still = ~(alive & (gn > floor)) if config.normalized else ~alive
             g[still], gn[still] = 0.0, 1.0
         if config.normalized:
-            _normalized_step(w, g, gn_col, config.eta)
-        else:
-            np.multiply(config.eta, g, out=g)
-            np.subtract(w, g, out=w)
-        w_bound = (w_bound + (config.eta if config.normalized else config.eta * top)) * grow
+            np.divide(config.eta, gn, out=scale)
+        np.multiply(g, scale_col if config.normalized else plain_scale, out=g)
+        np.subtract(w, g, out=w)
+        w_bound = (w_bound + (config.eta if config.normalized else plain_scale * top)) * grow
     score()
     records = stack_refs = stored = None  # freed before the traces are built
     for b, failure in failures.items():
         if isinstance(failure.error, NonFiniteLoss):
             failure.error.trace = finish(b)
     return [finish(b) if alive[b] else failures[b].error for b in range(trials)]
-
-
-def _normalized_step(w: np.ndarray, g: np.ndarray, gn_col: np.ndarray, eta: float) -> None:
-    """w -= eta g / ||g|| for every trial, in place, through g; gn_col is
-    the (B, 1, 1) view of the gradient norms."""
-    np.multiply(eta, g, out=g)
-    np.divide(g, gn_col, out=g)
-    np.subtract(w, g, out=w)
 
 
 WFIN_DECREMENT_TOL = 1e-30  # lambda^2 / 2 at which a step is rounding-sized

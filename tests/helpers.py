@@ -564,30 +564,34 @@ def gd_oracle(dataset: dsm.Dataset, config) -> np.ndarray:
 
 def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, np.ndarray]:
     """One trial's GD loop written plainly: the kernel on one trial, whose
-    call also gives loss_bar, then np.linalg.norm, attention.correlation and
-    MatrixSubspace.project at record steps.  Returns the trace rows as a
-    float array, and the final W."""
+    call also gives loss_bar and the gradient g summed over the n samples,
+    then np.linalg.norm, attention.correlation and MatrixSubspace.project
+    at record steps.  The trace's grad_norm is ||g|| / n, and a step
+    subtracts (eta / ||g||) g when ||g|| > n GRAD_FLOOR under normalized
+    GD, else (eta / n) g.  Returns the trace rows as a float array, and
+    the final W."""
     packed = attention._pack([dataset], splits=[refs.split])
+    n = packed.n
     w = config.initial_w(dataset.d)
     rows = []
     for tau in range(config.iters + 1):
         loss, loss_bar, g, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True)
         if errors:
             raise errors[0]
+        gn = np.linalg.norm(g[0])
         if tau % config.record_every == 0 or tau == config.iters:
             dist = np.nan
             if refs.s_fin is not None and refs.w_fin is not None:
                 dist = float(np.linalg.norm(refs.s_fin.project(w) - refs.w_fin))
-            rows.append((tau, loss[0], loss_bar[0], float(np.linalg.norm(g[0])), float(np.linalg.norm(w)),
+            rows.append((tau, loss[0], loss_bar[0], float(gn / n), float(np.linalg.norm(w)),
                          attention.correlation(w, refs.w_svm), dist))
         if tau == config.iters:
             break
         if config.normalized:
-            gn = np.linalg.norm(g[0])
-            if gn > attention.GRAD_FLOOR:
-                w = w - config.eta * g[0] / gn
+            if gn > n * attention.GRAD_FLOOR:
+                w = w - (config.eta / gn) * g[0]
         else:
-            w = w - config.eta * g[0]
+            w = w - (config.eta / n) * g[0]
     return np.array(rows, dtype=np.float64), w
 
 

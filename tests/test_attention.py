@@ -276,8 +276,8 @@ class TestKernelOracle:
                     assert abs(total[b] - want) <= 1e-15 * abs(want)
                     want = 0.0 if split.empty else split_loss(w_ext, split, kind)
                     assert abs(bar[b] - want) <= 1e-15 * want
-                    want = einsum_grad(w_ext, own, kind, reduced_log)
-                    assert np.max(np.abs(grad[b] - want)) <= 1e-15 * np.max(np.abs(want))
+                    want = einsum_grad(w_ext, own, kind, reduced_log)  # a mean; the kernel returns the sum
+                    assert np.max(np.abs(grad[b] / packed.n - want)) <= 1e-15 * np.max(np.abs(want))
         assert forms == {True, False} and mixed and held
 
     # The rule's verdict at the (d, T) of the experiments and of the refs
@@ -468,6 +468,112 @@ class TestAnchoredSoftmax:
         assert np.all(np.max(h, axis=-1) == 0.0) and np.any(h < 0.0)
         att._loss_and_grad(w[None], packed, att.LOG, True, need_loss=False)
         assert group.scratch.h.tobytes() == att.softmax(h).tobytes()
+
+
+U = float(np.finfo(np.float64).eps) / 2  # float64 unit roundoff
+ULD = float(np.finfo(np.longdouble).eps) / 2
+TINY = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _rows(T, rng):
+    """Score rows of length T: moderate ones, saturated ones whose first
+    score tops the rest by 700 to 760 (their exp terms are subnormal or
+    0), and, past T = 1, rows whose later half is -inf, as `_fin_terms`
+    pads a short sample."""
+    h = 3.0 * rng.standard_normal((40, T))
+    saturated = h.copy()
+    saturated[:, 0] += rng.uniform(700.0, 760.0, 40)
+    rows = [h, saturated]
+    if T > 1:
+        padded = h.copy()
+        padded[:, (T + 1) // 2:] = -np.inf
+        rows.append(padded)
+    return np.concatenate(rows)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="the oracle needs an extended-precision long double")
+class TestRowSums:
+    # Every softmax sums its rows one way (`_row_sums`): one BLAS dot
+    # product with a ones vector a row.  Summing T nonnegative terms in any
+    # order is within (T - 1) u of their exact sum (Blanchard, Higham and
+    # Higham 2021), and the softmax's divide adds one rounding more.
+    @pytest.mark.parametrize("T", [1, 2, 4, 8, 64])
+    def test_row_sums_and_softmax_against_long_double(self, T):
+        h = _rows(T, seeded_rng(31, T))
+        terms = np.exp(h - np.max(h, axis=-1, keepdims=True))  # the terms the softmax sums, in float64
+        exact = np.sum(terms.astype(np.longdouble), axis=-1)
+        got, edge = h.copy(), np.empty((len(h), 1))
+        att._softmax_in_place(got, edge, att._row_sums(got, edge))
+        assert np.all(np.abs(edge[:, 0] - exact) <= (T - 1) * (U + ULD) * exact)
+        want = terms.astype(np.longdouble) / exact[:, None]
+        rel = T * U * (1.0 + T * U) + (T - 1) * ULD
+        assert np.all(np.abs(got - want) <= rel * want + TINY)  # a subnormal quotient rounds absolutely
+        assert att.softmax(h).tobytes() == got.tobytes()
+        hl = h.astype(np.longdouble)  # the einsum oracles' precision: the same way, in long double
+        terms = np.exp(hl - np.max(hl, axis=-1, keepdims=True))
+        want = terms / np.sum(terms, axis=-1, keepdims=True)
+        assert np.all(np.abs(att.softmax(hl) - want) <= 2 * T * ULD * want)
+
+    def test_the_sums_are_written_through_views_of_edge(self):
+        # The row sums land in a view of each edge array made once with it;
+        # a copy in its place would leave edge holding the row maxima.
+        datasets, refs = _block_trials()[:2]
+        packed = att._pack(datasets, [r.split for r in refs])
+        packs = (packed, att._records_pack(packed, 3))
+        for group in (g for p in packs for g in p.groups):
+            assert np.shares_memory(group.scratch.sums[1], group.scratch.edge)
+            if group.split is not None:
+                assert np.shares_memory(group.split.sums[1], group.split.edge)
+        assert any(g.split is not None for p in packs for g in p.groups)
+
+    @pytest.mark.parametrize("T", [4, 8, 64])
+    def test_a_trials_rows_sum_as_alone(self, T):
+        # The sums of 20 trials' rows, stacked, are each trial's own bits:
+        # a dot product sums a row alone.  (A gemv over the stacked rows
+        # fails this at T = 8 and 64 with OpenBLAS 0.3.31.)
+        rng = seeded_rng(32, T)
+        h = np.exp(rng.standard_normal((20, 6, T)) * 3)
+        edge = np.empty((20, 6, 1))
+        att._exp_normalized(np.log(h), edge, att._row_sums(h, edge))
+        for b in range(20):
+            own, own_edge = np.log(h[b:b + 1]), np.empty((1, 6, 1))
+            att._exp_normalized(own, own_edge, att._row_sums(own, own_edge))
+            assert own_edge.tobytes() == edge[b:b + 1].tobytes()
+
+
+class TestStackRefs:
+    def test_dist_fin_is_each_trials_projection(self):
+        # Seven trials at d = 4 with S_fin of dims 6, 0, 12, 1 and 3, one
+        # without S_fin and one without W_fin, each against its own
+        # `MatrixSubspace.project` on 8 records.  One W_fin lies off its
+        # S_fin, as a caller's TrainRefs may.  In one padded stack every
+        # trial keeps the bits of a stack of its own: padded to 12, trials
+        # of dims 1 to 6 cross the lengths at which a pairwise sum would
+        # change its order.
+        d, n, rng = 4, 8, seeded_rng(33)
+        refs = []
+        for dim, has_fin in ((6, True), (0, True), (12, True), (1, True), (None, True), (3, False), (3, True)):
+            if dim is None:
+                refs.append(att.TrainRefs(w_fin=rng.standard_normal((d, d))))
+                continue
+            basis = np.linalg.qr(rng.standard_normal((d * d, d * d)))[0][:, :dim].T.reshape(dim, d, d)
+            s_fin = svm.MatrixSubspace(basis, d)
+            w_fin = np.tensordot(rng.standard_normal(dim), basis, axes=1) if dim else np.zeros((d, d))
+            if len(refs) == 6:
+                w_fin = w_fin + 0.5 * rng.standard_normal((d, d))
+            refs.append(att.TrainRefs(s_fin=s_fin, w_fin=w_fin if has_fin else None))
+        w = 2.0 * rng.standard_normal((n, len(refs), d, d))
+        got = att._StackRefs(refs, d, n).dist_fin(w).copy()
+        for b, r in enumerate(refs):
+            alone = att._StackRefs([r], d, n).dist_fin(np.ascontiguousarray(w[:, b:b + 1]))
+            assert alone.tobytes() == np.ascontiguousarray(got[:, b:b + 1]).tobytes()
+            for k in range(n):
+                if r.s_fin is None or r.w_fin is None:
+                    assert np.isnan(got[k, b])
+                    continue
+                want = np.linalg.norm(r.s_fin.project(w[k, b]) - r.w_fin)
+                assert abs(got[k, b] - want) <= 1e-12 * want
 
 
 class TestScratch:
@@ -681,6 +787,25 @@ def _trace_bytes(trace):
     return [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace) if f.name != "t_ms"]
 
 
+DIST_FIN = att.TrainTrace.csv_header().index("dist_fin")
+
+
+def _assert_straight(trace, rows, w_final=None):
+    """A trace, and its w_final when given, against `straight_train_gd`:
+    bit for bit, but dist_fin, which the trainer takes from the S_fin
+    coordinates of W and the loop from `MatrixSubspace.project`.  Both
+    round at the scale of W, so as plain GD brings W to W_fin the distance
+    cancels: it is held within 1e-12 of the larger of itself and ||W||,
+    and NaN where the loop reads NaN."""
+    got = np.column_stack(trace.columns()).astype(np.float64)
+    other = np.arange(got.shape[1]) != DIST_FIN
+    assert got.shape == rows.shape and got[:, other].tobytes() == rows[:, other].tobytes()
+    dist, want, scale = got[:, DIST_FIN], rows[:, DIST_FIN], np.fmax(rows[:, DIST_FIN], rows[:, DIST_FIN - 2])
+    assert np.array_equal(np.isnan(dist), np.isnan(want))
+    assert np.all(np.abs(dist - want)[~np.isnan(want)] <= 1e-12 * scale[~np.isnan(want)])
+    assert w_final is None or trace.w_final.tobytes() == w_final.tobytes()
+
+
 class TestTrainBlock:
     @pytest.mark.parametrize("normalized,eta,init_scale", [
         pytest.param(True, 0.05, None, id="True-0.05"),
@@ -704,9 +829,7 @@ class TestTrainBlock:
             start, end = (np.max(att._scores(w[None], group), axis=(1, 2)) for w in (cfg.initial_w(4), alone[1].w_final))
             assert start[1] > att.SCORE_BOUND > end[1] and att.SCORE_BOUND > start[2] > 0.99 * att.SCORE_BOUND
         for trace, ds, r in zip(alone, datasets, refs):
-            rows, w_final = straight_train_gd(ds, cfg, r)
-            assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
-            assert trace.w_final.tobytes() == w_final.tobytes()
+            _assert_straight(trace, *straight_train_gd(ds, cfg, r))
         assert np.all(np.isnan(alone[1].corr_svm)) and np.all(np.isfinite(alone[1].dist_fin))
         assert np.all(alone[2].loss_bar == 0.0)
         assert np.all(alone[3].grad_norm <= att.GRAD_FLOOR)
@@ -888,8 +1011,7 @@ class TestTrainBlock:
             rows, w_final = straight_train_gd(ds, cfg, r)
             assert len(rows) == {"one-record": 1, "chunk-minus-one": att.RECORD_CHUNK - 1, "one-chunk": att.RECORD_CHUNK,
                                  "chunk-plus-one": att.RECORD_CHUNK + 1, "off-grid": att.RECORD_CHUNK + 2}[records]
-            assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
-            assert trace.w_final.tobytes() == w_final.tobytes()
+            _assert_straight(trace, rows, w_final)
         assert records != "off-grid" or list(block[0].iters[-2:]) == [cfg.iters - 1, cfg.iters]
 
     def test_a_trial_that_fails_mid_chunk_keeps_the_others_bits(self, monkeypatch):
@@ -903,14 +1025,11 @@ class TestTrainBlock:
         block = att.train_block(datasets, cfg, refs)
         monkeypatch.undo()
         assert type(block[1]) is NonFiniteLoss and str(block[1]) == "gradient became non-finite at iteration 13"
-        rows, _ = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=12), refs[1])
-        assert np.column_stack(block[1].trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+        _assert_straight(block[1].trace, straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=12), refs[1])[0])
         w_13 = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=13), refs[1])[1]
         assert block[1].trace.w_final.tobytes() == w_13.tobytes()
         for b in (0, 2, 3, 4, 5, 6):
-            rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
-            assert np.column_stack(block[b].columns()).astype(np.float64).tobytes() == rows.tobytes()
-            assert block[b].w_final.tobytes() == w_final.tobytes()
+            _assert_straight(block[b], *straight_train_gd(datasets[b], cfg, refs[b]))
 
     @pytest.mark.parametrize("case", ["normalized-failed", "local-squared", "plain-failed"])
     def test_frozen_and_floored_trials_train_as_alone(self, monkeypatch, case):
@@ -951,9 +1070,7 @@ class TestTrainBlock:
             assert _trace_bytes(block[1].trace) == _trace_bytes(alone.value.trace)
         for b, trace in enumerate(block):
             if not (faults and b == 1):
-                rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
-                assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
-                assert trace.w_final.tobytes() == w_final.tobytes()
+                _assert_straight(trace, *straight_train_gd(datasets[b], cfg, refs[b]))
 
     @pytest.mark.parametrize("case", ["clean", "failed-early", "all-failed"])
     def test_a_zero_filled_slot_reaches_no_trace_or_exception(self, monkeypatch, case):
@@ -1202,9 +1319,10 @@ class TestRecordAllocation:
     # Peak bytes (tracemalloc, numpy 2.4.6) of a plain step on the 20 desk
     # trials at seed 0 and the large-k trial, twice each the bound: the
     # scores of every group, the kernel call without the loss, then the
-    # normalized update.  The kernel's softmax
-    # divide and the update's divide by the (B, 1, 1) norms each take an
-    # iterator buffer the size of their output, so a copy of W or of a
+    # normalized update, g scaled by eta / ||g|| and subtracted from W.
+    # The kernel's softmax divide and the update's product with the
+    # (B, 1, 1) scales each take an iterator buffer the size of their
+    # output, so a copy of W or of a
     # reshaped score array shows in the scores' bound, and a copy of the
     # desk block's features or gradient in the kernel's.
     PLAIN_PEAKS = {"cyclic-global": (808, 5040, 11488), "large-k": (808, 9392, 1248)}
@@ -1275,10 +1393,10 @@ class TestRecordAllocation:
         datasets, _, packed, w = self._block(name)
         assert all((g.phi is not None) == (name == "cyclic-global") for g in packed.groups)
         g = att._loss_and_grad(w, packed, att.LOG, True, need_loss=False)[2]
-        gn = np.linalg.norm(g, axis=(1, 2))
+        scale = (0.01 / np.linalg.norm(g, axis=(1, 2)))[:, None, None]  # eta / ||g||, as `_train_stack` scales
         peaks = self._peaks((lambda: [att._scores(w, group) for group in packed.groups],
                              lambda: att._loss_and_grad(w, packed, att.LOG, True, need_loss=False),
-                             lambda: att._normalized_step(w, g, gn[:, None, None], 0.01)))
+                             lambda: np.subtract(w, np.multiply(g, scale, out=g), out=w)))
         assert all(peak <= 2 * bound for peak, bound in zip(peaks, self.PLAIN_PEAKS[name])), peaks
 
 

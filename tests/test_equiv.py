@@ -1,6 +1,6 @@
 """tools/equiv.py's `compare`, the verdict the artifact gate reports for each
-file: identical bytes, a numeric move with its largest relative difference,
-or DIFFERENT; that gate on the graph-SVM verdict files that
+file: identical bytes, a numeric move with its largest relative difference
+and where it sits, or DIFFERENT; that gate on the graph-SVM verdict files that
 tools/verdicts.py writes; its per-directory rollup of two output trees; and
 that its --smoke runs cross a full scoring chunk of training records."""
 
@@ -18,8 +18,8 @@ def compare():
 
 
 def test_identical_bytes(compare):
-    assert compare(b"iter,loss\n0,0.5\n", b"iter,loss\n0,0.5\n") == ("identical", 0.0)
-    assert compare(b"\xff\xfe", b"\xff\xfe") == ("identical", 0.0)
+    assert compare(b"iter,loss\n0,0.5\n", b"iter,loss\n0,0.5\n") == ("identical", 0.0, "")
+    assert compare(b"\xff\xfe", b"\xff\xfe") == ("identical", 0.0, "")
 
 
 @pytest.mark.parametrize("a,b,worst", [
@@ -33,7 +33,7 @@ def test_identical_bytes(compare):
     pytest.param(b"0.0,nan,inf\n", b"-0.0,nan,inf\n", 0.0, id="signed-zero"),
 ])
 def test_numeric_reports_the_largest_relative_difference(compare, a, b, worst):
-    verdict, got = compare(a, b)
+    verdict, got, _ = compare(a, b)
     assert verdict == "numeric" and math.isclose(got, worst, rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -47,8 +47,29 @@ def test_numeric_reports_the_largest_relative_difference(compare, a, b, worst):
     pytest.param(b"ok\n", b"\xff\n", id="not-utf8"),
 ])
 def test_different(compare, a, b):
-    verdict, worst = compare(a, b)
-    assert verdict == "DIFFERENT" and math.isnan(worst)
+    verdict, worst, where = compare(a, b)
+    assert verdict == "DIFFERENT" and math.isnan(worst) and where == ""
+
+
+@pytest.mark.parametrize("a,b,where", [
+    # A trace CSV: the line, the header's name for the cell's column, and
+    # both values as written.
+    pytest.param(b"iter,loss,dist_fin\n0,0.5,0.25\n10,0.4,0.0050\n", b"iter,loss,dist_fin\n0,0.5,0.25\n10,0.4,0.0055\n",
+                 "line 3, column dist_fin: 0.0050 -> 0.0055", id="csv-column"),
+    # A summary: the last key before the number, here inside a list of
+    # per-trial records, where a near-zero value changed sign.
+    pytest.param(b'{\n  "mean": 0.5,\n  "trials": [{"corr": 0.9, "w_fin_gap": -2e-15}]\n}\n',
+                 b'{\n  "mean": 0.5,\n  "trials": [{"corr": 0.9, "w_fin_gap": 3e-15}]\n}\n',
+                 "line 3, key w_fin_gap: -2e-15 -> 3e-15", id="json-key"),
+    # Any other text: the line alone.
+    pytest.param(b"trial 3 stopped\nmax grad 1.5e-3\n", b"trial 3 stopped\nmax grad 1.6e-3\n",
+                 "line 2: 1.5e-3 -> 1.6e-3", id="text-line"),
+    # The largest of several moves is the one located; a signed zero is no move.
+    pytest.param(b"a,b\n-0.0,1.0\n2.0,4.0\n", b"a,b\n0.0,1.0\n2.5,4.1\n", "line 3, column a: 2.0 -> 2.5",
+                 id="largest-of-several"),
+])
+def test_numeric_locates_its_largest_difference(compare, a, b, where):
+    assert compare(a, b)[0::2] == ("numeric", where)
 
 
 def test_verdict_files(compare):
@@ -60,10 +81,10 @@ def test_verdict_files(compare):
     assert all(v["status"] == "solved" for v in base.values())
     moved = {name: {**v, "w_svm": [list(row) for row in v["w_svm"]]} for name, v in base.items()}
     moved["refs-0"]["w_svm"][0][0] *= 1.0 + 1e-13
-    verdict, worst = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
-    assert verdict == "numeric" and 0.5e-13 <= worst <= 2e-13
+    verdict, worst, where = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
+    assert verdict == "numeric" and 0.5e-13 <= worst <= 2e-13 and ", key w_svm: " in where
     moved["refs-1"] = {**moved["refs-1"], "status": "infeasible"}
-    verdict, worst = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
+    verdict, worst, _ = compare(verdicts.dumps(base).encode(), verdicts.dumps(moved).encode())
     assert verdict == "DIFFERENT" and math.isnan(worst)
 
 
@@ -104,11 +125,14 @@ def test_rollup_of_two_trees(tmp_path):
                                      "selftest/seed0.stdout": "failed\n", "tools/train.json": "{}\n"})
     equiv = load_tool("equiv")
     verdicts = equiv.compare_trees(base, work)
-    assert verdicts["tools/train.json"][0] == "DIFFERENT" and verdicts["exp/a/w1/summary.json"] == ("numeric", 0.2)
+    assert verdicts["tools/train.json"][0] == "DIFFERENT"
+    assert verdicts["exp/a/w1/summary.json"] == ("numeric", 0.2, "line 1, key c: 1.0 -> 1.25")
     assert verdicts["exp/b/w1/exp.exit"][0] == "DIFFERENT"  # an exit code is not a number that may move
     assert equiv.rollup(verdicts) == [
-        "ROLLUP     exp/a: 1 identical, 1 numeric, 0 DIFFERENT, max rel diff 2.00e-01, every .exit identical",
-        "ROLLUP     exp/b: 0 identical, 1 numeric, 1 DIFFERENT, max rel diff 2.00e-01, every .exit NOT identical",
+        "ROLLUP     exp/a: 1 identical, 1 numeric, 0 DIFFERENT, max rel diff 2.00e-01 at exp/a/w1/summary.json "
+        "line 1, key c: 1.0 -> 1.25, every .exit identical",
+        "ROLLUP     exp/b: 0 identical, 1 numeric, 1 DIFFERENT, max rel diff 2.00e-01 at exp/b/w1/aggregate.csv "
+        "line 1: 4.0 -> 5.0, every .exit NOT identical",
         "ROLLUP     selftest: 1 identical, 0 numeric, 1 DIFFERENT, max rel diff 0.00e+00, every .exit identical",
         "ROLLUP     tools: 0 identical, 0 numeric, 1 DIFFERENT, max rel diff 0.00e+00, every .exit identical",
         "ROLLUP     verdicts: 1 identical, 0 numeric, 0 DIFFERENT, max rel diff 0.00e+00, every .exit identical",

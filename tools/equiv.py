@@ -18,10 +18,12 @@ its own ``src`` on PYTHONPATH:
 Each command's stdout, stderr and exit code are kept beside its files.
 Every file is then compared across the trees and reported on one line:
 ``identical``, ``numeric`` (only numbers differ; the largest relative
-difference is given) or ``DIFFERENT`` (text, layout or file set differ).
-A rollup line per top-level directory (``exp/<name>``, ``selftest``,
-``tools``, ``verdicts``) follows: its counts of each verdict, its largest
-relative difference, and whether every ``.exit`` file in it is identical.
+difference is given, with where it sits: its line, its CSV column or the
+JSON key before it, and both values) or ``DIFFERENT`` (text, layout or file
+set differ).  A rollup line per top-level directory (``exp/<name>``,
+``selftest``, ``tools``, ``verdicts``) follows: its counts of each verdict,
+its largest relative difference and the file and place it sits in, and
+whether every ``.exit`` file in it is identical.
 A changed ``.exit`` file, an exit code, reads DIFFERENT.  Within each
 tree, an experiment's ``--workers 1`` and ``--workers 2`` files must be
 byte-identical.  The exit status is 1 on a DIFFERENT file or a worker-count
@@ -81,6 +83,7 @@ TOOLS = (
     ("analyze", ["analyze", "--trace", "trace.csv", "--out", "report.json"]),
 )
 
+JSON_KEY = re.compile(r'"([^"\\]*)"\s*:')
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\binf\b|\bnan\b|-?Infinity|NaN)")
 
 
@@ -123,30 +126,49 @@ def files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-def compare(a: bytes, b: bytes) -> tuple[str, float]:
-    """('identical', 0), ('numeric', max relative difference) when only the
-    numbers differ, or ('DIFFERENT', nan)."""
+def compare(a: bytes, b: bytes) -> tuple[str, float, str]:
+    """('identical', 0, ''), ('numeric', max relative difference, where it
+    sits (`locate`)) when only the numbers differ, or ('DIFFERENT', nan,
+    '')."""
     if a == b:
-        return "identical", 0.0
+        return "identical", 0.0, ""
     try:
         pa, pb = NUMBER.split(a.decode()), NUMBER.split(b.decode())
     except UnicodeDecodeError:
-        return "DIFFERENT", math.nan
+        return "DIFFERENT", math.nan, ""
     # split with one group alternates text and number: numbers at odd indices.
     if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
-        return "DIFFERENT", math.nan
-    worst = 0.0
-    for x, y in zip(pa[1::2], pb[1::2]):
-        u, v = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
+        return "DIFFERENT", math.nan, ""
+    worst, at = 0.0, None
+    for i in range(1, len(pa), 2):
+        u, v = float(pa[i].replace("Infinity", "inf")), float(pb[i].replace("Infinity", "inf"))
         if u == v or (math.isnan(u) and math.isnan(v)):
             continue
         if not (math.isfinite(u) and math.isfinite(v)):
-            return "DIFFERENT", math.nan
-        worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
-    return "numeric", worst
+            return "DIFFERENT", math.nan, ""
+        rel = abs(u - v) / max(abs(u), abs(v))
+        if rel > worst:
+            worst, at = rel, i
+    return "numeric", worst, "" if at is None else locate(pa, pb, at)
 
 
-def compare_trees(base: Path, work: Path) -> dict[str, tuple[str, float]]:
+def locate(pa: list[str], pb: list[str], i: int) -> str:
+    """Where number i of two `NUMBER.split` texts of one layout sits, and
+    both its values: its line, then the CSV column its cell is in (a file
+    whose first line has a comma) or else the last JSON key before it."""
+    before = "".join(pa[:i])
+    line = before.count("\n") + 1
+    header = "".join(pa).split("\n", 1)[0].split(",")
+    place = f"line {line}"
+    if len(header) > 1 and line > 1:
+        column = before[before.rfind("\n") + 1:].count(",")
+        place += f", column {header[column] if column < len(header) else column}"
+    elif keys := JSON_KEY.findall(before):
+        place += f", key {keys[-1]}"
+    return f"{place}: {pa[i]} -> {pb[i]}"
+
+
+def compare_trees(base: Path, work: Path) -> dict[str, tuple[str, float, str]]:
     """`compare`'s verdict on every file of either output tree, by relative
     path.  A file missing from one tree is DIFFERENT, and so is a changed
     .exit file: an exit code is not a measurement that may move."""
@@ -156,29 +178,31 @@ def compare_trees(base: Path, work: Path) -> dict[str, tuple[str, float]]:
         if pa.is_file() and pb.is_file():
             verdicts[rel] = compare(pa.read_bytes(), pb.read_bytes())
         else:
-            verdicts[rel] = ("DIFFERENT", math.nan)
+            verdicts[rel] = ("DIFFERENT", math.nan, "")
         if rel.endswith(".exit") and verdicts[rel][0] == "numeric":
-            verdicts[rel] = ("DIFFERENT", math.nan)
+            verdicts[rel] = ("DIFFERENT", math.nan, "")
     return verdicts
 
 
-def rollup(verdicts: dict[str, tuple[str, float]]) -> list[str]:
+def rollup(verdicts: dict[str, tuple[str, float, str]]) -> list[str]:
     """One line per top-level directory of the outputs, an experiment's
     being exp/<name>: the count of each verdict, the largest relative
-    difference of its numeric files, and whether every .exit file in it is
-    identical."""
-    groups: dict[str, list[tuple[str, str, float]]] = {}
-    for rel, (verdict, rel_diff) in verdicts.items():
+    difference of its numeric files with the file and place it sits in,
+    and whether every .exit file in it is identical."""
+    groups: dict[str, list[tuple[str, str, float, str]]] = {}
+    for rel, (verdict, rel_diff, where) in verdicts.items():
         parts = rel.split("/")
         groups.setdefault("/".join(parts[:2]) if parts[0] == "exp" else parts[0], []).append(
-            (rel, verdict, rel_diff))
+            (rel, verdict, rel_diff, where))
     lines = []
     for name, rows in sorted(groups.items()):
-        counts = collections.Counter(verdict for _, verdict, _ in rows)
-        worst = max((rel_diff for _, verdict, rel_diff in rows if verdict == "numeric"), default=0.0)
-        exits = all(verdict == "identical" for rel, verdict, _ in rows if rel.endswith(".exit"))
+        counts = collections.Counter(verdict for _, verdict, _, _ in rows)
+        numeric = [(rel_diff, rel, where) for rel, verdict, rel_diff, where in rows if verdict == "numeric"]
+        worst, rel, where = max(numeric, default=(0.0, "", ""))
+        exits = all(verdict == "identical" for rel, verdict, _, _ in rows if rel.endswith(".exit"))
+        at = f" at {rel} {where}" if worst else ""
         lines.append(f"ROLLUP     {name}: {counts['identical']} identical, {counts['numeric']} numeric, "
-                     f"{counts['DIFFERENT']} DIFFERENT, max rel diff {worst:.2e}, "
+                     f"{counts['DIFFERENT']} DIFFERENT, max rel diff {worst:.2e}{at}, "
                      f"every .exit {'identical' if exits else 'NOT identical'}")
     return lines
 
@@ -222,9 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         run_all(ROOT, outs["work"], args.smoke)
 
         verdicts = compare_trees(outs["base"], outs["work"])
-        counts = collections.Counter(verdict for verdict, _ in verdicts.values())
-        for rel, (verdict, rel_diff) in verdicts.items():
-            note = f"  max rel diff {rel_diff:.2e}" if verdict == "numeric" else ""
+        counts = collections.Counter(verdict for verdict, _, _ in verdicts.values())
+        for rel, (verdict, rel_diff, where) in verdicts.items():
+            note = f"  max rel diff {rel_diff:.2e}" + (f" at {where}" if where else "") if verdict == "numeric" else ""
             note += "" if (outs["base"] / rel).is_file() else "  (only in the working tree)"
             note += "" if (outs["work"] / rel).is_file() else f"  (only in {args.base})"
             print(f"{verdict:<10} {rel}{note}")
