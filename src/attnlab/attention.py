@@ -90,45 +90,42 @@ def loss_deriv(kind: str, u: np.ndarray) -> np.ndarray:
 
 
 def softmax(h: np.ndarray) -> np.ndarray:
-    h = h.copy()
-    edge = np.empty_like(h[..., :1])
-    return _softmax_in_place(h, edge, _row_sums(h, edge))
+    return _softmax_in_place(h.copy(), np.empty_like(h[..., :1]), np.ones(h.shape[-1]))
 
 
-def _row_sums(h: np.ndarray, edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The operands of the one way a softmax sums its rows: a ones vector
-    and edge[..., 0], a view of h's (..., 1) edge, so that np.vecdot(h,
-    ones, out=view) writes each row's sum into edge, one BLAS dot product
-    a row.  Any order of summing T nonnegative terms has the same (T - 1) u
-    relative error bound.  A dot product sums its row alone, where a gemv
-    over many rows sums a row by a path that depends on its place among
-    them (OpenBLAS 0.3.31, rows of 8 or more), so a stacked trial would
-    lose the bits of its own pack."""
-    return np.ones(h.shape[-1], dtype=h.dtype), edge[..., 0]
-
-
-def _softmax_in_place(h: np.ndarray, edge: np.ndarray, sums: tuple, only: Optional[np.ndarray] = None) -> np.ndarray:
+def _softmax_in_place(h: np.ndarray, edge: np.ndarray, ones: np.ndarray,
+                      only: Optional[np.ndarray] = None) -> np.ndarray:
     """h overwritten with its softmax over the last axis, each row shifted
-    by its max first; edge (..., 1) holds the shift, then the row's sum,
-    through ``sums`` = `_row_sums` (h, edge).  With a mask ``only`` over
-    the trials of a (..., B, g, T) h, (B,) or (..., B), the rows of the
-    trials it leaves out are shifted by 0.0 instead, which keeps every
-    bit."""
+    by its max first; edge (..., 1) holds the shift, then the row's sum.
+    With a mask ``only`` over the trials of a (..., B, g, T) h, (B,) or
+    (..., B), the rows of the trials it leaves out are shifted by 0.0
+    instead, which keeps every bit."""
     np.maximum.reduce(h, axis=-1, keepdims=True, out=edge)
     if only is not None:
         np.copyto(edge, 0.0, where=~only[..., None, None])
     np.subtract(h, edge, out=h)
-    return _exp_normalized(h, edge, sums)
+    return _exp_normalized(h, edge, ones)
 
 
-def _exp_normalized(h: np.ndarray, edge: np.ndarray, sums: tuple) -> np.ndarray:
+def _exp_normalized(h: np.ndarray, edge: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """h overwritten with exp(h) over its row sums, which edge (..., 1)
-    holds, through ``sums`` = `_row_sums` (h, edge)."""
+    holds; ``ones`` as `_sum_rows` takes it."""
     np.exp(h, out=h)
-    ones, out = sums
-    np.vecdot(h, ones, out=out)
+    _sum_rows(h, edge, ones)
     np.divide(h, edge, out=h)
     return h
+
+
+def _sum_rows(h: np.ndarray, edge: np.ndarray, ones: np.ndarray) -> None:
+    """edge (..., 1) overwritten with the sums of h's rows, the one way a
+    softmax sums them: one BLAS dot product a row with ``ones``, a ones
+    vector of h's row length, which a caller makes once (np.ones costs
+    more than the sums of a small block).  Any order of summing T
+    nonnegative terms has the same (T - 1) u relative error bound.  A dot
+    product sums its row alone, where a gemv over many rows sums a row by
+    a path that depends on its place among them (OpenBLAS 0.3.31, rows of
+    8 or more), so a stacked trial would lose the bits of its own pack."""
+    np.vecdot(h, ones, out=edge[..., 0])
 
 
 def forward(x: np.ndarray, w: np.ndarray, xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +148,6 @@ class _SplitRows:
     hs: np.ndarray      # ([n,] m, T) the rows' scores, then their softmax
     ex: np.ndarray      # ([n,] m, T) exp of the scores on keep; 0.0 off it, never written
     edge: np.ndarray    # ([n,] m, 1) each row's sum of ex
-    sums: tuple         # `_row_sums` (ex, edge)
     u: np.ndarray       # ([n,] m) the rows' label masses
 
 
@@ -167,11 +163,11 @@ class _Scratch:
         self.q = None if features else np.empty(lead + (g, d))  # xbar W^T
         self.h = np.empty(lead + (g, t))     # scores, then their softmax s
         self.edge = np.empty(lead + (g, 1))  # each row's shift, then its sum
+        self.ones = np.ones(t)               # the row sums' operand (`_sum_rows`), also the split rows'
         self.u = np.empty(lead + (g,))       # label masses; without the gradient, then their losses
         self.loss = np.empty(lead + (g,)) if grad else None  # their losses
         self.q_col = None if features else self.q[..., None]
         self.h_col, self.h_flat = self.h[..., None], self.h.reshape(lead + (g * t, 1))
-        self.sums = _row_sums(self.h, self.edge)
         if grad:
             self.v = np.empty(lead + (g, t))     # s * (gamma - u)
             self.vec = np.empty(lead + (g, d))   # the gradient's rows before xbar
@@ -349,9 +345,9 @@ def _split_rows(held: np.ndarray, omask: np.ndarray) -> Optional[_SplitRows]:
 def _split_scratch(rows: np.ndarray, trials: np.ndarray, keep: np.ndarray, label: np.ndarray, lead: tuple,
                    ids: np.ndarray) -> _SplitRows:
     """Split rows with fresh scratch for ``lead`` = () or (n,) records."""
-    ex, edge = np.zeros(lead + keep.shape), np.empty(lead + (len(rows), 1))
     return _SplitRows(rows=rows, trials=trials, keep=keep, label=label, ids=ids, hs=np.empty(lead + keep.shape),
-                      ex=ex, edge=edge, sums=_row_sums(ex, edge), u=np.empty(lead + (len(rows),)))
+                      ex=np.zeros(lead + keep.shape), edge=np.empty(lead + (len(rows), 1)),
+                      u=np.empty(lead + (len(rows),)))
 
 
 def _records_pack(packed: _Packed, n: int) -> _Packed:
@@ -393,7 +389,7 @@ def _loss_and_grad(
     the sum of the samples' terms, n times the loss's gradient: each
     caller scales it once, `_one` by 1/n and a training step by its own
     scale (`_train_stack`).  Every softmax sums its rows through
-    `_row_sums`.
+    `_sum_rows`.
 
     The scores are the label-relative dx W xbar.  Every trial's values are
     bit for bit those of a pack of that trial alone.  ``reduced_log``
@@ -453,7 +449,7 @@ def _loss_and_grad(
         shift = _shift(h, g, bounded)
         if need_loss and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors, shift)
-        s = _exp_normalized(h, sc.edge, sc.sums) if shift is None else _softmax_in_place(h, sc.edge, sc.sums, shift)
+        s = _exp_normalized(h, sc.edge, sc.ones) if shift is None else _softmax_in_place(h, sc.edge, sc.ones, shift)
         if kind == CROSS_ENTROPY:
             label, c = g.labels[..., None], packed.c
             logits = np.matmul(np.matmul(s[..., None, :], g.x)[..., 0, :], c.mT)
@@ -550,8 +546,7 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
         np.copyto(top, 0.0, where=~shift[..., rows.trials, None])
         hs -= top
     ex = np.exp(hs, out=rows.ex, where=rows.keep)
-    ones, sums = rows.sums
-    np.vecdot(ex, ones, out=sums)
+    _sum_rows(ex, rows.edge, g.scratch.ones)
     s = np.divide(ex, rows.edge, out=hs)
     if kind == CROSS_ENTROPY:
         x = g.x.reshape(-1, *g.x.shape[-2:])[rows.rows]
@@ -738,26 +733,24 @@ class _StackRefs:
         self.svm_norm = _norms(self.w_svm)
         held = [r.s_fin is not None and r.w_fin is not None for r in refs]
         m = max((r.s_fin.dim for r, has in zip(refs, held) if has), default=0)
-        # Per trial: its basis rows, the coordinates z of W_fin in them, and
-        # ||W_fin - sum_k z_k B_k||^2, the square of W_fin's distance from
-        # S_fin; zero rows and z past its dim, and NaN without S_fin or W_fin.
+        # Per trial: its basis rows and `MatrixSubspace.anchor` (W_fin), the
+        # coordinates z of W_fin and the square of its distance from S_fin;
+        # zero rows and z past its dim, and NaN without S_fin or W_fin.
         flat, self.z = np.zeros((len(refs), m, d * d)), np.zeros((m, 1, len(refs)))
         self.off = np.full(len(refs), np.nan)
         for b in np.flatnonzero(held):
-            basis, w_fin = refs[b].s_fin.basis.reshape(-1, d * d), refs[b].w_fin.reshape(-1)
-            z = basis @ w_fin
-            rest = w_fin - z @ basis
-            flat[b, :len(basis)], self.z[:len(basis), 0, b], self.off[b] = basis, z, rest @ rest
+            s_fin = refs[b].s_fin
+            z, self.off[b] = s_fin.anchor(refs[b].w_fin)
+            flat[b, :s_fin.dim], self.z[:s_fin.dim, 0, b] = s_fin.basis.reshape(-1, d * d), z
         self.rows = flat.transpose(1, 0, 2)[:, None]  # (m, 1, B, d^2)
         self.coef, self.square = np.empty((m, n, len(refs))), np.tile(self.off, (n, 1))
         self.dist = np.empty((n, len(refs)))
 
     def dist_fin(self, w: np.ndarray) -> np.ndarray:
-        """(n, B) ||project_S_fin(W) - W_fin||, as sqrt(sum_k (B_k . W -
-        z_k)^2 + ||W_fin off S_fin||^2): the basis is orthonormal.  Each
-        coefficient is a dot product of its own and the sum over k a running
-        one, so a zero pad row changes no bit and each trial keeps the bits
-        of its own stack."""
+        """(n, B) ||project_S_fin(W) - W_fin||, each the bits of
+        `MatrixSubspace.distance`: sqrt(sum_k (B_k . W - z_k)^2 + off),
+        each coefficient a dot product of its own and the sum over k a
+        running one, so a zero pad row changes no bit."""
         if len(self.coef):
             np.vecdot(self.rows, w.reshape(w.shape[:2] + (-1,)), out=self.coef)
             np.subtract(self.coef, self.z, out=self.coef)

@@ -205,8 +205,8 @@ def _local_finish(built: tuple, trace: attention.TrainTrace) -> dict:
     return {
         "corr_global": attention.correlation(w_gd, pipe.w_svm),
         "corr_local": attention.correlation(w_gd, local.w_svm),
-        "dist_global": float(np.linalg.norm(pipe.s_fin.project(w_gd) - pipe.w_fin)),
-        "dist_local": float(np.linalg.norm(local.s_fin.project(w_gd) - local.w_fin)) if certified else np.nan,
+        "dist_global": pipe.s_fin.distance(w_gd, pipe.w_fin),
+        "dist_local": local.s_fin.distance(w_gd, local.w_fin) if certified else np.nan,
         "wfin_status": local.fin_result.status.value,
         "trace": trace.columns(),
     }
@@ -280,7 +280,7 @@ def _reg_path_finish(built: tuple, trace: None) -> dict:
         radii = list(np.geomspace(params["r_min"], params["r_max"], params["r_count"]))
     points = [p.require("ball solve") for p in attention.reg_path(ds, radii, pipe.s_fin, pipe.s_svm)]
     corr = [attention.correlation(p.w, refs.w_svm) for p in points]
-    dist = [float(np.linalg.norm(refs.s_fin.project(p.w) - refs.w_fin)) for p in points]
+    dist = [refs.s_fin.distance(p.w, refs.w_fin) for p in points]
     return {"radii": radii, "corr": corr, "dist": dist, "gap": [p.residuals["gap"] for p in points]}
 
 

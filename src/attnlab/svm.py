@@ -215,6 +215,30 @@ class MatrixSubspace:
     def project_out(self, w: np.ndarray) -> np.ndarray:
         return w - self.project(w)
 
+    def anchor(self, target: np.ndarray) -> tuple[np.ndarray, float]:
+        """target's coordinates z in the basis, z_k = B_k . target, and the
+        square of its distance from the subspace, ||target - sum_k z_k B_k||^2."""
+        flat, target = self.basis.reshape(self.dim, self.d * self.d), target.reshape(-1)
+        z = flat @ target
+        rest = target - z @ flat
+        return z, float(rest @ rest)
+
+    def distance(self, w: np.ndarray, target: np.ndarray) -> float:
+        """||project(w) - target||.  The basis is orthonormal, so its square
+        is sum_k (B_k . w - z_k)^2 plus off, with z and off those of
+        `anchor` (target).  Each B_k . w is a dot product of its own on
+        contiguous rows (a strided one sums in another order) and the sum
+        runs in order of k, the bits of each trial of the trace's dist_fin
+        (`attention._StackRefs`).  Like project, it rounds at the scale of
+        ||w||, so its relative error is about eps ||w|| over the
+        distance."""
+        z, off = self.anchor(target)
+        w, total = np.ascontiguousarray(w.reshape(-1)), 0.0
+        for row, z_k in zip(np.ascontiguousarray(self.basis.reshape(self.dim, self.d * self.d)), z):
+            c = np.vecdot(row, w) - z_k
+            total += c * c
+        return float(np.sqrt(total + off))
+
 
 def _generators(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Flattened (e_i - e_j) e_k^T rows of an (m, 3) triple array, shape (m, d * d)."""

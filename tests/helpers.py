@@ -565,7 +565,7 @@ def gd_oracle(dataset: dsm.Dataset, config) -> np.ndarray:
 def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, np.ndarray]:
     """One trial's GD loop written plainly: the kernel on one trial, whose
     call also gives loss_bar and the gradient g summed over the n samples,
-    then np.linalg.norm, attention.correlation and MatrixSubspace.project
+    then np.linalg.norm, attention.correlation and MatrixSubspace.distance
     at record steps.  The trace's grad_norm is ||g|| / n, and a step
     subtracts (eta / ||g||) g when ||g|| > n GRAD_FLOOR under normalized
     GD, else (eta / n) g.  Returns the trace rows as a float array, and
@@ -582,7 +582,7 @@ def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, n
         if tau % config.record_every == 0 or tau == config.iters:
             dist = np.nan
             if refs.s_fin is not None and refs.w_fin is not None:
-                dist = float(np.linalg.norm(refs.s_fin.project(w) - refs.w_fin))
+                dist = refs.s_fin.distance(w, refs.w_fin)
             rows.append((tau, loss[0], loss_bar[0], float(gn / n), float(np.linalg.norm(w)),
                          attention.correlation(w, refs.w_svm), dist))
         if tau == config.iters:

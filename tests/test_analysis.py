@@ -459,6 +459,23 @@ class TestLocalReferences:
             moved += local.w_svm.tobytes() != pipe.w_svm.tobytes()
         assert moved > 0 or not overrides
 
+    def test_the_global_summary_reads_the_traces_last_record(self):
+        # dist_global and corr_global take W_final's distance and cosine by
+        # the trace's own formulas, so they are its last dist_fin and
+        # corr_svm, bit for bit.  Trials 4, 5 and 6 of local-squared at seed
+        # 3 have S_fin of dims 1, 2 and 0; at trial 5 the old form,
+        # ||project(W) - W_fin||, reads other bits.
+        cfg = experiments.ExperimentConfig("local-squared", {"iters": 300}, {}, 3).resolved()
+        build = experiments._KINDS["local"].build
+        jobs = list(experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials))[4:7]
+        built = [build(params, seed) for params, seed in jobs]
+        traces = att.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
+        for b, trace in zip(built, traces):
+            row = experiments._local_finish(b, trace)
+            assert np.float64(row["dist_global"]).tobytes() == trace.dist_fin[-1].tobytes()
+            assert np.float64(row["corr_global"]).tobytes() == trace.corr_svm[-1].tobytes()
+        assert [b[3][0].s_fin.dim for b in built] == [1, 2, 0]
+
 
 class TestLocalWfinStatus:
     def test_certified_pseudo_split_has_a_distance(self):

@@ -494,7 +494,7 @@ def _rows(T, rng):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="the oracle needs an extended-precision long double")
 class TestRowSums:
-    # Every softmax sums its rows one way (`_row_sums`): one BLAS dot
+    # Every softmax sums its rows one way (`_sum_rows`): one BLAS dot
     # product with a ones vector a row.  Summing T nonnegative terms in any
     # order is within (T - 1) u of their exact sum (Blanchard, Higham and
     # Higham 2021), and the softmax's divide adds one rounding more.
@@ -504,7 +504,7 @@ class TestRowSums:
         terms = np.exp(h - np.max(h, axis=-1, keepdims=True))  # the terms the softmax sums, in float64
         exact = np.sum(terms.astype(np.longdouble), axis=-1)
         got, edge = h.copy(), np.empty((len(h), 1))
-        att._softmax_in_place(got, edge, att._row_sums(got, edge))
+        att._softmax_in_place(got, edge, np.ones(T))
         assert np.all(np.abs(edge[:, 0] - exact) <= (T - 1) * (U + ULD) * exact)
         want = terms.astype(np.longdouble) / exact[:, None]
         rel = T * U * (1.0 + T * U) + (T - 1) * ULD
@@ -515,18 +515,6 @@ class TestRowSums:
         want = terms / np.sum(terms, axis=-1, keepdims=True)
         assert np.all(np.abs(att.softmax(hl) - want) <= 2 * T * ULD * want)
 
-    def test_the_sums_are_written_through_views_of_edge(self):
-        # The row sums land in a view of each edge array made once with it;
-        # a copy in its place would leave edge holding the row maxima.
-        datasets, refs = _block_trials()[:2]
-        packed = att._pack(datasets, [r.split for r in refs])
-        packs = (packed, att._records_pack(packed, 3))
-        for group in (g for p in packs for g in p.groups):
-            assert np.shares_memory(group.scratch.sums[1], group.scratch.edge)
-            if group.split is not None:
-                assert np.shares_memory(group.split.sums[1], group.split.edge)
-        assert any(g.split is not None for p in packs for g in p.groups)
-
     @pytest.mark.parametrize("T", [4, 8, 64])
     def test_a_trials_rows_sum_as_alone(self, T):
         # The sums of 20 trials' rows, stacked, are each trial's own bits:
@@ -535,22 +523,22 @@ class TestRowSums:
         rng = seeded_rng(32, T)
         h = np.exp(rng.standard_normal((20, 6, T)) * 3)
         edge = np.empty((20, 6, 1))
-        att._exp_normalized(np.log(h), edge, att._row_sums(h, edge))
+        att._exp_normalized(np.log(h), edge, np.ones(T))
         for b in range(20):
             own, own_edge = np.log(h[b:b + 1]), np.empty((1, 6, 1))
-            att._exp_normalized(own, own_edge, att._row_sums(own, own_edge))
+            att._exp_normalized(own, own_edge, np.ones(T))
             assert own_edge.tobytes() == edge[b:b + 1].tobytes()
 
 
 class TestStackRefs:
-    def test_dist_fin_is_each_trials_projection(self):
+    def test_dist_fin_is_each_trials_distance(self):
         # Seven trials at d = 4 with S_fin of dims 6, 0, 12, 1 and 3, one
-        # without S_fin and one without W_fin, each against its own
-        # `MatrixSubspace.project` on 8 records.  One W_fin lies off its
-        # S_fin, as a caller's TrainRefs may.  In one padded stack every
-        # trial keeps the bits of a stack of its own: padded to 12, trials
-        # of dims 1 to 6 cross the lengths at which a pairwise sum would
-        # change its order.
+        # without S_fin and one without W_fin, on 8 records.  One W_fin lies
+        # off its S_fin, as a caller's TrainRefs may.  In one padded stack
+        # every trial keeps the bits of its own `MatrixSubspace.distance`:
+        # padded to 12, trials of dims 1 to 6 cross the lengths at which a
+        # pairwise sum would change its order.  Each is also held to
+        # `MatrixSubspace.project` and to a long-double oracle.
         d, n, rng = 4, 8, seeded_rng(33)
         refs = []
         for dim, has_fin in ((6, True), (0, True), (12, True), (1, True), (None, True), (3, False), (3, True)):
@@ -566,14 +554,14 @@ class TestStackRefs:
         w = 2.0 * rng.standard_normal((n, len(refs), d, d))
         got = att._StackRefs(refs, d, n).dist_fin(w).copy()
         for b, r in enumerate(refs):
-            alone = att._StackRefs([r], d, n).dist_fin(np.ascontiguousarray(w[:, b:b + 1]))
-            assert alone.tobytes() == np.ascontiguousarray(got[:, b:b + 1]).tobytes()
             for k in range(n):
                 if r.s_fin is None or r.w_fin is None:
                     assert np.isnan(got[k, b])
                     continue
-                want = np.linalg.norm(r.s_fin.project(w[k, b]) - r.w_fin)
-                assert abs(got[k, b] - want) <= 1e-12 * want
+                assert got[k, b].tobytes() == np.float64(r.s_fin.distance(w[k, b], r.w_fin)).tobytes()
+                for want in (np.linalg.norm(r.s_fin.project(w[k, b]) - r.w_fin),
+                             dist_fin_oracle(w[k, b], r.s_fin, r.w_fin)):
+                    assert abs(got[k, b] - want) <= 1e-12 * want
 
 
 class TestScratch:
@@ -787,25 +775,6 @@ def _trace_bytes(trace):
     return [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace) if f.name != "t_ms"]
 
 
-DIST_FIN = att.TrainTrace.csv_header().index("dist_fin")
-
-
-def _assert_straight(trace, rows, w_final=None):
-    """A trace, and its w_final when given, against `straight_train_gd`:
-    bit for bit, but dist_fin, which the trainer takes from the S_fin
-    coordinates of W and the loop from `MatrixSubspace.project`.  Both
-    round at the scale of W, so as plain GD brings W to W_fin the distance
-    cancels: it is held within 1e-12 of the larger of itself and ||W||,
-    and NaN where the loop reads NaN."""
-    got = np.column_stack(trace.columns()).astype(np.float64)
-    other = np.arange(got.shape[1]) != DIST_FIN
-    assert got.shape == rows.shape and got[:, other].tobytes() == rows[:, other].tobytes()
-    dist, want, scale = got[:, DIST_FIN], rows[:, DIST_FIN], np.fmax(rows[:, DIST_FIN], rows[:, DIST_FIN - 2])
-    assert np.array_equal(np.isnan(dist), np.isnan(want))
-    assert np.all(np.abs(dist - want)[~np.isnan(want)] <= 1e-12 * scale[~np.isnan(want)])
-    assert w_final is None or trace.w_final.tobytes() == w_final.tobytes()
-
-
 class TestTrainBlock:
     @pytest.mark.parametrize("normalized,eta,init_scale", [
         pytest.param(True, 0.05, None, id="True-0.05"),
@@ -829,7 +798,9 @@ class TestTrainBlock:
             start, end = (np.max(att._scores(w[None], group), axis=(1, 2)) for w in (cfg.initial_w(4), alone[1].w_final))
             assert start[1] > att.SCORE_BOUND > end[1] and att.SCORE_BOUND > start[2] > 0.99 * att.SCORE_BOUND
         for trace, ds, r in zip(alone, datasets, refs):
-            _assert_straight(trace, *straight_train_gd(ds, cfg, r))
+            rows, w_final = straight_train_gd(ds, cfg, r)
+            assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+            assert trace.w_final.tobytes() == w_final.tobytes()
         assert np.all(np.isnan(alone[1].corr_svm)) and np.all(np.isfinite(alone[1].dist_fin))
         assert np.all(alone[2].loss_bar == 0.0)
         assert np.all(alone[3].grad_norm <= att.GRAD_FLOOR)
@@ -1011,7 +982,8 @@ class TestTrainBlock:
             rows, w_final = straight_train_gd(ds, cfg, r)
             assert len(rows) == {"one-record": 1, "chunk-minus-one": att.RECORD_CHUNK - 1, "one-chunk": att.RECORD_CHUNK,
                                  "chunk-plus-one": att.RECORD_CHUNK + 1, "off-grid": att.RECORD_CHUNK + 2}[records]
-            _assert_straight(trace, rows, w_final)
+            assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+            assert trace.w_final.tobytes() == w_final.tobytes()
         assert records != "off-grid" or list(block[0].iters[-2:]) == [cfg.iters - 1, cfg.iters]
 
     def test_a_trial_that_fails_mid_chunk_keeps_the_others_bits(self, monkeypatch):
@@ -1025,11 +997,14 @@ class TestTrainBlock:
         block = att.train_block(datasets, cfg, refs)
         monkeypatch.undo()
         assert type(block[1]) is NonFiniteLoss and str(block[1]) == "gradient became non-finite at iteration 13"
-        _assert_straight(block[1].trace, straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=12), refs[1])[0])
+        rows, _ = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=12), refs[1])
+        assert np.column_stack(block[1].trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
         w_13 = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=13), refs[1])[1]
         assert block[1].trace.w_final.tobytes() == w_13.tobytes()
         for b in (0, 2, 3, 4, 5, 6):
-            _assert_straight(block[b], *straight_train_gd(datasets[b], cfg, refs[b]))
+            rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
+            assert np.column_stack(block[b].columns()).astype(np.float64).tobytes() == rows.tobytes()
+            assert block[b].w_final.tobytes() == w_final.tobytes()
 
     @pytest.mark.parametrize("case", ["normalized-failed", "local-squared", "plain-failed"])
     def test_frozen_and_floored_trials_train_as_alone(self, monkeypatch, case):
@@ -1070,7 +1045,9 @@ class TestTrainBlock:
             assert _trace_bytes(block[1].trace) == _trace_bytes(alone.value.trace)
         for b, trace in enumerate(block):
             if not (faults and b == 1):
-                _assert_straight(trace, *straight_train_gd(datasets[b], cfg, refs[b]))
+                rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
+                assert np.column_stack(trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
+                assert trace.w_final.tobytes() == w_final.tobytes()
 
     @pytest.mark.parametrize("case", ["clean", "failed-early", "all-failed"])
     def test_a_zero_filled_slot_reaches_no_trace_or_exception(self, monkeypatch, case):
