@@ -327,7 +327,9 @@ def _lipschitz(g: _Group) -> float:
 def _features(t: int, d: int) -> bool:
     """Whether a group of length t at dimension d takes the feature form:
     its extra multiply-adds per sample, t d^2 against t d + d^2, are at
-    most the two BLAS calls per sample it saves (CALL_MACS each)."""
+    most the two BLAS calls per sample it saves (CALL_MACS each).  The
+    cyclic-global, acyclic-global, local-*, feasibility, rate-check and
+    reg-path shapes take it; large-k and the refs benchmark shapes do not."""
     return t * d * d - (t * d + d * d) <= 2 * CALL_MACS
 
 
@@ -575,7 +577,8 @@ def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
-    """Analytical gradient; uses the reduced tied-head form for the log loss."""
+    """Analytical gradient; uses the reduced tied-head form for the log loss.
+    A new array: the kernel's own gradient is rewritten by its next call."""
     return _one(w, _pack([dataset]), kind, need_loss=False)[1]
 
 
@@ -604,6 +607,8 @@ class TrainConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.init not in ("zero", "gauss"):
             raise ValueError(f"unknown init {self.init!r}")
+        if self.loss not in (LOG, SQUARED, CROSS_ENTROPY):
+            raise ValueError(f"unknown loss {self.loss!r}; choose {LOG!r}, {SQUARED!r} or {CROSS_ENTROPY!r}")
         if not np.isfinite(self.init_scale):
             raise ValueError(f"init_scale must be a finite number, got {self.init_scale}")
 
@@ -822,14 +827,22 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     The norms are measured at each record step, which keeps them, and once
     more when the bound first passes its reach after a measurement; a
     measurement that leaves it out of reach waits for the next record
-    step.  While lip w_bound <= SCORE_BOUND no computed score
+    step, so `feasibility`, which records only at its first and last step,
+    is certified on every step.  While lip w_bound <= SCORE_BOUND no computed score
     passes SCORE_BOUND, so the kernel skips its reduction over the scores
     (``bounded``).  On the reduced tied log form the gradient is then a
     sum of n rows of norm at most lip under a finite softmax, and the pack
     certifies lip n finite, so it is finite and a normalized step skips the
     test for an infinite gradient norm (a finite gradient whose norm
     overflows takes the same zero step either way).  Both skipped tests
-    would have given the same verdict, so every bit is the same."""
+    would have given the same verdict, so every bit is the same.
+
+    The loop owns its buffers: the gradient norms, written through a flat
+    view of the pack's gradient, the per-trial scales, W's norms and the
+    (trials, records) columns, whose rows are the traces' arrays.  Neither
+    a plain step nor a record step allocates a stack-sized array of its
+    own; numpy's broadcasting divide and scale still take an iterator
+    buffer the size of their output."""
     trials, d = len(datasets), datasets[0].d
     packed = _pack(datasets, splits=[r.split for r in refs])
     grow = 1.0 + packed.slack
@@ -1086,7 +1099,9 @@ def train_wfin(split: CyclicSplit, s_fin: MatrixSubspace) -> Solution:
     Damped Newton (`_newton`) over the coordinates z of S_fin's orthonormal
     basis (W = sum_j z_j B_j), where the loss is strictly convex.  Every held
     sample sits in one feature stack padded to the longest (`_fin_features`),
-    so each gradient, Hessian and trial step is one pass over it.  Cholesky
+    so each gradient, Hessian, trial step and the certificate's Hessian
+    Lipschitz bound is one softmax, gemm or pairwise-distance pass over it,
+    with no loop over position counts.  Cholesky
     steps, Armijo backtracking, and a stop when the Newton decrement
     lambda^2 / 2 reaches WFIN_DECREMENT_TOL or a full step no longer lowers
     lambda^2 (the rounding floor).  The result is CERTIFIED when

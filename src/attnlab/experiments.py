@@ -149,15 +149,20 @@ def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
 
 
 def _pipeline_build(params: dict, ds: Dataset, loss: str) -> tuple:
-    """A trial trained against its own pipeline's references, kept as its state."""
-    pipe = build_pipeline(ds)
+    """A trial trained against its own pipeline's references, kept as its
+    state.  The TrainConfig comes first, so a bad setting stops the run
+    before any pipeline is built."""
     cfg = attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params["normalized"],
                                 loss=loss, record_every=params["record_every"])
+    pipe = build_pipeline(ds)
     return ds, cfg, pipe.refs(), pipe
 
 
 def _global_build(params: dict, tseed: int) -> tuple:
-    """A trial of cyclic-global, acyclic-global or large-k."""
+    """A trial of cyclic-global, acyclic-global or large-k: a tied head when
+    ``head`` is "tied" and the table has full row rank, else none."""
+    if params["head"] not in (TIED, "none"):
+        raise ValueError(f"parameter 'head' must be {TIED!r} or 'none', got {params['head']!r}")
     table = make_embeddings(params["K"], params["d"], UNIT_SPHERE, seed=tseed)
     head = make_head(table, TIED) if params["head"] == TIED and table.full_row_rank else None
     ds = gen_dataset(table, head, n=params["n"], T=params["T"], mode=params["mode"], seed=tseed)
@@ -294,6 +299,10 @@ def _scc_count_finish(built: tuple, trace: None) -> dict:
 
 
 class _TrialKind(NamedTuple):
+    """A trial kind of `run_trials`: every kind, global, local, feasibility,
+    rate-check, reg-path and scc-count, has its build and its finish in
+    one table, `_KINDS`, which `_trial_worker` reads."""
+
     build: Callable[[dict, int], tuple]
     finish: Callable[[tuple, attention.TrainTrace | None], dict]
     trains: bool  # its builds give a TrainConfig

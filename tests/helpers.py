@@ -10,7 +10,8 @@ differences on the loss alone, W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
 form, a ball minimizer's first-order terms from that gradient and a
-cancellation-free loss in long double, the record diagnostics corr_svm and
+cancellation-free loss in long double, the top label-relative score
+(`top_score`) from the embedding table row by row, the record diagnostics corr_svm and
 dist_fin from their definitions in long double, the cyclic-subdataset loss
 and gradient from each held sample's label-SCC rows read one by one from
 the embedding table, CSV bytes come
@@ -18,11 +19,18 @@ from a cell-by-cell formatter, pseudo graphs come from their own edge loop,
 the pseudo-graph references from the stage calls made one by one, and index
 sets position by position from each graph's mutual-reachability partition.
 Hand-written constraint sets go through the library's own graph chain
-(`constraints_from_edges`), since a constraint set is the graphs' closures.  Two
-helpers are plain kernel calls, not oracles: `loss`, the loss of one
-dataset, and `grad_general`, the softmax-chain gradient that the reduced
-tied-log form is checked against.  `load_tool` imports a script of tools/
-or perfbench/.
+(`constraints_from_edges`), since a constraint set is the graphs' closures.  
+This module is also the one adapter between the tests and the kernel's
+private entry points: only it, beside test_internals.py, may read a private
+attnlab name (tests/test_imports.py holds that), and it reads three,
+`attention._pack`, `_one` and `_loss_and_grad`.  `loss` is the loss of one
+dataset, `grad_general` the softmax-chain gradient that the reduced
+tied-log form is checked against, `kernel` the packed kernel on a block of
+trials and `extended` a pack in long double for the einsum oracles.  The
+draws the test modules share (`shape_dataset`, `block_trials`, `draw_trial` and
+the experiment blocks) are built from public calls alone; test_internals.py
+holds `draw_trial` to the experiments' own builds.  `load_tool` imports a script
+of tools/ or perfbench/.
 """
 
 import dataclasses
@@ -32,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from attnlab import attention, dataset as dsm, graph as gm, svm
+from attnlab import attention, dataset as dsm, experiments, graph as gm, svm
 
 
 def load_tool(name: str, folder: str = "tools"):
@@ -409,6 +417,18 @@ def grad_general(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> n
     return attention._one(w, attention._pack([ds]), kind, reduced_log=False, need_loss=False)[1]
 
 
+def kernel(w: np.ndarray, datasets, kind: str, reduced_log: bool = True, splits=None, need_grad: bool = True,
+           need_loss: bool = True) -> tuple:
+    """The packed kernel on a block of trials at w (B, d, d), datasets of one
+    structure, each with its own cyclic split or None: per-trial losses
+    (B,), loss_bar (B,), the gradients summed over the samples (B, d, d),
+    each None when not asked for, and {trial: exception}.  Every call packs
+    afresh, and the gradient is a copy."""
+    total, bar, g, errors = attention._loss_and_grad(w, attention._pack(datasets, splits), kind, reduced_log,
+                                                     need_grad, need_loss)
+    return total, bar, None if g is None else g.copy(), errors
+
+
 def csv_oracle(header, rows) -> bytes:
     """CSV bytes formatted cell by cell: a float (Python or numpy) as
     repr(float(x)), NaN as an empty cell, anything else through str."""
@@ -539,10 +559,10 @@ def einsum_grad(w: np.ndarray, packed, kind: str, reduced_log: bool) -> np.ndarr
     return grad / packed.n
 
 
-def extended(packed):
-    """The packed arrays in long double, so an einsum oracle's own rounding
-    stays far below the kernel's."""
-    ld = np.longdouble
+def extended(datasets, splits=None):
+    """The pack of datasets with its arrays in long double, so an einsum
+    oracle's own rounding stays far below the kernel's."""
+    packed, ld = attention._pack(datasets, splits), np.longdouble
     groups = tuple(dataclasses.replace(g, x=g.x.astype(ld), dx=g.dx.astype(ld), xbar=g.xbar.astype(ld))
                    for g in packed.groups)
     return dataclasses.replace(packed, groups=groups, c=None if packed.c is None else packed.c.astype(ld))
@@ -552,7 +572,7 @@ def gd_oracle(dataset: dsm.Dataset, config) -> np.ndarray:
     """W after config.iters normalized GD steps on the tied log loss, each
     along `einsum_grad`'s reduced form in long double and skipped when the
     gradient norm is at most GRAD_FLOOR."""
-    packed = extended(attention._pack([dataset]))
+    packed = extended([dataset])
     w = config.initial_w(dataset.d).astype(np.longdouble)
     for _ in range(config.iters):
         g = einsum_grad(w, packed, attention.LOG, reduced_log=True)
@@ -606,7 +626,7 @@ def ball_oracle(w: np.ndarray, ds: dsm.Dataset, radius: float) -> dict:
     (<g, W> + radius ||g||) / f."""
     ld = np.longdouble
     w = np.asarray(w, dtype=ld)
-    g = einsum_grad(w, extended(attention._pack([ds])), attention.LOG, reduced_log=True)
+    g = einsum_grad(w, extended([ds]), attention.LOG, reduced_log=True)
     every = gm.CyclicSplit(ds, tuple(range(ds.n)), tuple(tuple(range(s.T)) for s in ds.samples))
     x, real, at_label, ey, xbar, _ = held_rows(every, ld)
     h = np.einsum("mtd,de,me->mt", x - ey[:, None, :], w, xbar)
@@ -729,3 +749,191 @@ def hand_run_refs(ds: dsm.Dataset, tpgs: dict) -> tuple:
     s_fin = svm.fin_subspace(cons)
     split = gm.cyclic_split(ds, dsm.index_sets(ds, decomps))
     return sol, s_fin, attention.train_wfin(split, s_fin)
+
+
+def top_score(w: np.ndarray, ds: dsm.Dataset) -> float:
+    """The largest label-relative score (x_t - e_y)^T W xbar over every
+    position of every sample, read one sample at a time from the embedding
+    table: the score the kernel's SCORE_BOUND tests, as its softmax is that
+    of x_t^T W xbar."""
+    e = ds.embedding.e
+    return max(float(np.max((e[list(s.tokens)] - e[s.label]) @ (w @ e[s.last_token]))) for s in ds.samples)
+
+
+def split_top_score(w: np.ndarray, split: gm.CyclicSplit) -> float:
+    """`top_score` over the label-SCC positions of the split's held samples."""
+    x, real, _, ey, xbar, _ = held_rows(split)
+    return float(np.max(np.einsum("mtd,de,me->mt", x - ey[:, None, :], w, xbar)[real]))
+
+
+# (K, d, n, T, head) of the cyclic-global defaults, large-k, a local-* general
+# head and the smaller refs corpus instance.
+SHAPES = {
+    "desk": (6, 8, 6, 4, dsm.TIED),
+    "large-K": (1000, 32, 16, 64, None),
+    "local": (8, 8, 4, 6, dsm.GENERAL_ARGMAX),
+    "refs": (20, 10, 40, 8, None),
+}
+
+
+def shape_dataset(name: str, seed: int = 0) -> dsm.Dataset:
+    """A cyclic draw of one of SHAPES; a head has rows of unit norm."""
+    K, d, n, T, head_kind = SHAPES[name]
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    head = None if head_kind is None else dsm.make_head(table, head_kind, noise=0.1, seed=seed, unit_rows=True)
+    return dsm.gen_dataset(table, head, n=n, T=T, mode="cyclic", seed=seed)
+
+
+def last_tokens(ds: dsm.Dataset, lengths) -> dsm.Dataset:
+    """ds with sample i cut to its last lengths[i] tokens."""
+    samples = tuple(dsm.Sample(tokens=s.tokens[-t:], label=s.label) for s, t in zip(ds.samples, lengths))
+    return dataclasses.replace(ds, samples=samples)
+
+
+def split_and_fin(ds: dsm.Dataset) -> tuple:
+    """The cyclic split of ds and its S_fin."""
+    tpgs = gm.build_tpgs(ds)
+    decomps = gm.decompose_all(tpgs)
+    s_fin = svm.fin_subspace(svm.build_constraints(tpgs, decomps, ds.embedding))
+    return gm.cyclic_split(ds, dsm.index_sets(ds, decomps)), s_fin
+
+
+def refs_instance(i: int) -> dsm.Dataset:
+    """Instance i of the (20, 20, 60, 8) / (20, 10, 40, 8) cyclic corpus
+    that the refs benchmark workload runs."""
+    K, d, n, T = ((20, 20, 60, 8), (20, 10, 40, 8))[i % 2]
+    seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
+    table = dsm.make_embeddings(K, d, dsm.UNIT_SPHERE, seed=seed)
+    return dsm.gen_dataset(table, None, n=n, T=T, mode="cyclic", seed=seed)
+
+
+def assert_wfin_certified(res) -> None:
+    """A CERTIFIED W_fin whose bound meets WFIN_REL_BOUND."""
+    assert res.status is attention.WfinStatus.CERTIFIED
+    assert res.residuals["bound"] <= attention.WFIN_REL_BOUND * max(1.0, np.linalg.norm(res.w))
+
+
+def trace_bytes(trace) -> list:
+    """Every array of a TrainTrace but its wall times, as bytes."""
+    return [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace) if f.name != "t_ms"]
+
+
+def block_trials() -> tuple:
+    """Seven tied-head (K, d, n, T) = (3, 4, 3, 3) trials, one group
+    structure: a nonzero W_svm with a one-dimensional S_fin, a zero W_svm
+    (NaN corr_svm) with a two-dimensional S_fin, an empty split, a gradient
+    that stays exactly zero (under GRAD_FLOOR), the single-SCC dataset, and
+    two more cyclic draws.  Returns the datasets, their TrainRefs and their
+    pipelines."""
+    def drawn(seed):
+        table = dsm.make_embeddings(3, 4, dsm.UNIT_SPHERE, seed=seed)
+        return dsm.gen_dataset(table, dsm.make_head(table, dsm.TIED), n=3, T=3, mode="cyclic", seed=seed)
+
+    table = dsm.make_embeddings(3, 4, dsm.UNIT_SPHERE, seed=5)
+    all_label = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED),
+                            samples=tuple(dsm.Sample(tokens=(k, k, k), label=k) for k in range(3)))
+    datasets = [drawn(0), drawn(1), drawn(2), all_label, experiments.single_scc_dataset(seed=3), drawn(22), drawn(13)]
+    pipes = [experiments.build_pipeline(ds) for ds in datasets]
+    return datasets, [p.refs() for p in pipes], pipes
+
+
+def draw_trial(kind: str, params: dict, tseed: int) -> tuple:
+    """One trial of an experiment kind ("global", "local", "feasibility",
+    "rate-check" or "reg-path") drawn as its experiment draws it, from
+    public calls alone: the dataset, its TrainConfig (None for reg-path)
+    and its pipeline (None for feasibility)."""
+    table = dsm.make_embeddings(params["K"], params["d"], dsm.UNIT_SPHERE, seed=tseed)
+    mode, loss, head = "cyclic", attention.LOG, None
+    if kind == "global":
+        mode, loss = params["mode"], params["loss"]
+        if params["head"] == dsm.TIED and table.full_row_rank:
+            head = dsm.make_head(table, dsm.TIED)
+    elif kind == "local":
+        loss = params["loss"]
+        head = dsm.make_head(table, dsm.GENERAL_ARGMAX, noise=params["head_noise"], seed=tseed, unit_rows=True)
+    elif kind in ("rate-check", "reg-path"):
+        mode = params["mode"] if kind == "reg-path" else mode
+        head = dsm.make_head(table, dsm.TIED)
+    ds = dsm.gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
+    if kind == "feasibility":
+        iters = params["iters"]
+        return ds, attention.TrainConfig(eta=params["eta"], iters=iters, normalized=True,
+                                         record_every=max(1, iters)), None
+    pipe = experiments.build_pipeline(ds)
+    if kind == "reg-path":
+        return ds, None, pipe
+    return ds, attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params["normalized"],
+                                     loss=loss, record_every=params["record_every"]), pipe
+
+
+def _experiment_kind(name: str) -> str:
+    """The trial kind of an experiment."""
+    if name in ("cyclic-global", "acyclic-global", "large-k"):
+        return "global"
+    return "local" if name.startswith("local-") else name
+
+
+def experiment_block(name: str, trials: int, seed: int = 0, **overrides) -> tuple:
+    """The first trials of an experiment's block at a seed, its parameters
+    overridden: the datasets, the shared TrainConfig and each trial's
+    TrainRefs (None without a pipeline)."""
+    params = {**experiments.EXPERIMENTS[name].params, **overrides}
+    jobs = (experiments.rate_check_jobs if name == "rate-check" else experiments.seeded_jobs)(params, seed, trials)
+    built = [draw_trial(_experiment_kind(name), *job) for job in jobs]
+    return [b[0] for b in built], built[0][1], [None if b[2] is None else b[2].refs() for b in built]
+
+
+# Small cyclic-global parameters for blocks of trials.
+GLOBAL_PARAMS = {**experiments.EXPERIMENTS["cyclic-global"].params, "iters": 20, "record_every": 5}
+
+
+# The trial kinds of the experiments, and those that train.
+KINDS = ["global", "local", "feasibility", "rate-check", "reg-path", "scc-count"]
+TRAINING_KINDS = ["global", "local", "feasibility", "rate-check"]
+
+
+def gd_jobs(kind: str) -> list:
+    """Three to six small jobs of a trial kind, each with its seed;
+    feasibility mixes two d, scc-count two n and reg-path the acyclic and
+    the cyclic leg."""
+    if kind == "global":
+        return experiments.seeded_jobs(GLOBAL_PARAMS, 0, 5)
+    if kind == "local":
+        return experiments.seeded_jobs({**experiments.EXPERIMENTS["local-squared"].params, "iters": 20}, 0, 5)
+    if kind == "rate-check":  # the jobs carry their shared eta
+        return experiments.rate_check_jobs({**experiments.EXPERIMENTS["rate-check"].params, "iters": 200}, 0, 3)
+    if kind == "reg-path":
+        p = {**experiments.EXPERIMENTS["reg-path"].params, "r_count": 3}
+        cyc = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
+        return experiments.seeded_jobs({**p, "mode": "acyclic"}, 0, 2) + experiments.seeded_jobs(cyc, 0, 4)[2:]
+    if kind == "scc-count":
+        return [job for n in (4, 16) for job in experiments.seeded_jobs(dict(K=4, d=4, T=3, n=n), 0, 2)]
+    params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)
+    return [job for d in (2, 4) for job in experiments.seeded_jobs({**params, "d": d}, 0, 3)]
+
+
+def draw_key(job) -> tuple:
+    """What tells a job's dataset from the others of `gd_jobs`: a trial's
+    seed is the same at every grid point."""
+    params, seed = job
+    return params["d"], seed
+
+
+def sweep_rows(name: str, seed: int, trials: int, **params) -> list:
+    """Aggregate rows of a sweep experiment, one dict per grid point."""
+    cfg = experiments.ExperimentConfig(name, params, {}, seed, trials).resolved()
+    result = experiments.EXPERIMENTS[name].runner(cfg)
+    return [dict(zip(result.aggregate, row)) for row in zip(*result.aggregate.values())]
+
+
+def spelled(value) -> str:
+    """repr of a value with each array as its dtype and list: repr spells
+    every float exactly, NaN included, so equal strings are equal bits."""
+    def lists(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.tolist()
+        if isinstance(v, dict):
+            return {k: lists(x) for k, x in v.items()}
+        return [lists(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+    return repr(lists(value))

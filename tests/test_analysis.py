@@ -4,30 +4,16 @@ import numpy as np
 import pytest
 
 from attnlab import analysis, attention as att, dataset as dsm, experiments, graph as gm
-from attnlab.errors import NoConvergence, NonFiniteLoss, ZeroMatrix
+from attnlab.errors import ZeroMatrix
 from attnlab.util import seeded_rng
 
-from helpers import hand_run_refs, pseudo_tpgs_loop, tiny_instance
-
-
-def sweep_rows(name, seed, trials, **params):
-    """Aggregate rows of a sweep experiment, one dict per grid point."""
-    cfg = experiments.ExperimentConfig(name, params, {}, seed, trials).resolved()
-    result = experiments.EXPERIMENTS[name].runner(cfg)
-    return [dict(zip(result.aggregate, row)) for row in zip(*result.aggregate.values())]
-
-
-def spelled(value) -> str:
-    """repr of a value with each array as its dtype and list: repr spells
-    every float exactly, NaN included, so equal strings are equal bits."""
-    def lists(v):
-        if isinstance(v, np.ndarray):
-            return v.dtype.str, v.tolist()
-        if isinstance(v, dict):
-            return {k: lists(x) for k, x in v.items()}
-        return [lists(x) for x in v] if isinstance(v, (list, tuple)) else v
-
-    return repr(lists(value))
+from helpers import KINDS, draw_trial, gd_jobs, hand_run_refs, pseudo_tpgs_loop, spelled, sweep_rows, tiny_instance
+from test_internals import (
+    BlockPlan as TestBlockPlan,
+    GdBlocksCertificates,
+    GlobalBlocks as TestGlobalBlocks,
+    SweepFanOut as TestSweepFanOut,
+)
 
 
 class TestCorrelation:
@@ -234,47 +220,6 @@ class TestFeasibilityExperiment:
         assert abs(rows[0]["proportion"] - 1.0) <= 0.02
 
 
-def _serial_fan_out(fn, args, workers):
-    """`_fan_out` without the pool, whatever the worker count."""
-    return [fn(a) for a in args]
-
-
-class TestSweepFanOut:
-    # At --workers 2, one _trial_worker call per (grid point, trial): 3 trials each.
-    @pytest.mark.parametrize("name, params, calls", [
-        ("scc-count", dict(K=4, d=4, T=3, n_grid=[4, 8]), 2 * 3),
-    ], ids=["scc-count"])
-    def test_one_worker_call_per_trial(self, monkeypatch, name, params, calls):
-        seen = []
-        worker = experiments._trial_worker
-
-        def counting(args):
-            seen.append(args)
-            return worker(args)
-
-        monkeypatch.setattr(experiments, "_fan_out", _serial_fan_out)
-        monkeypatch.setattr(experiments, "_trial_worker", counting)
-        cfg = experiments.ExperimentConfig(name, params, {}, 0, 3, workers=2).resolved()
-        experiments.EXPERIMENTS[name].runner(cfg)
-        assert [len(jobs) for _, jobs in seen] == [1] * calls
-
-    def test_feasibility_trains_in_one_block(self, monkeypatch):
-        # All 3 x 3 (grid point, trial) jobs reach one _trial_worker call and
-        # one train_block call, whatever their d.
-        blocks, workers = [], []
-        train_block, worker = att.train_block, experiments._trial_worker
-
-        def counting_block(datasets, *args, **kwargs):
-            blocks.append(sorted(ds.d for ds in datasets))
-            return train_block(datasets, *args, **kwargs)
-
-        monkeypatch.setattr(att, "train_block", counting_block)
-        monkeypatch.setattr(experiments, "_trial_worker", lambda args: workers.append(args) or worker(args))
-        sweep_rows("feasibility", seed=0, trials=3, K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4])
-        assert blocks == [[2, 2, 2, 3, 3, 3, 4, 4, 4]]
-        assert [(kind, len(jobs)) for kind, jobs in workers] == [("feasibility", 9)]
-
-
 class TestSeedRule:
     # Consecutive grid points, where seeds that add the grid value to the
     # run's seed would give a seed-1 trial the draw of a seed-0 trial.
@@ -304,137 +249,19 @@ class TestSeedRule:
                 assert a[:m] != b[:m]
 
 
-class TestGlobalBlocks:
-    PARAMS = {**experiments.EXPERIMENTS["cyclic-global"].params, "iters": 20, "record_every": 5}
-
-    def test_first_error_in_trial_order_is_raised(self, monkeypatch):
-        # Trial 3's pipeline fails to build and trial 1's loss is infinite
-        # from the start; run one by one, trial 1 would raise first.
-        jobs = experiments.seeded_jobs(self.PARAMS, 0, 5)
-        build, kernel = experiments.build_pipeline, att._loss_and_grad
-
-        def failing_build(ds):
-            if ds.seed == jobs[3][1]:
-                raise NoConvergence("trial 3 has no pipeline")
-            return build(ds)
-
-        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
-            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
-            if need_loss and w.ndim == 4:  # a scoring of training's records, (record, trial)
-                value = value.copy()
-                value[:, 1] = np.inf
-            return value, bar, g, errors
-
-        monkeypatch.setattr(experiments, "build_pipeline", failing_build)
-        with pytest.raises(NoConvergence, match="trial 3"):
-            experiments.run_trials("global", jobs[2:], workers=1)
-        monkeypatch.setattr(att, "_loss_and_grad", infinite_trial_1)
-        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 0"):
-            experiments.run_trials("global", jobs, workers=1)
-
-
-def _gd_jobs(kind):
-    """Three to six small jobs of a trial kind, each with its seed;
-    feasibility mixes two d, scc-count two n and reg-path the acyclic and
-    the cyclic leg."""
-    if kind == "global":
-        return experiments.seeded_jobs(TestGlobalBlocks.PARAMS, 0, 5)
-    if kind == "local":
-        return experiments.seeded_jobs({**experiments.EXPERIMENTS["local-squared"].params, "iters": 20}, 0, 5)
-    if kind == "rate-check":  # the jobs carry their shared eta
-        return experiments.rate_check_jobs({**experiments.EXPERIMENTS["rate-check"].params, "iters": 200}, 0, 3)
-    if kind == "reg-path":
-        p = {**experiments.EXPERIMENTS["reg-path"].params, "r_count": 3}
-        cyc = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
-        return experiments.seeded_jobs({**p, "mode": "acyclic"}, 0, 2) + experiments.seeded_jobs(cyc, 0, 4)[2:]
-    if kind == "scc-count":
-        return [job for n in (4, 16) for job in experiments.seeded_jobs(dict(K=4, d=4, T=3, n=n), 0, 2)]
-    params = dict(K=4, T=3, n=4, eta=0.05, iters=20, eps=None)
-    return [job for d in (2, 4) for job in experiments.seeded_jobs({**params, "d": d}, 0, 3)]
-
-
-def _draw_key(job):
-    """What tells a job's dataset from the others of `_gd_jobs`: a trial's
-    seed is the same at every grid point."""
-    params, seed = job
-    return params["d"], seed
-
-
-KINDS = ["global", "local", "feasibility", "rate-check", "reg-path", "scc-count"]
-TRAINING_KINDS = ["global", "local", "feasibility", "rate-check"]
-
-
-class TestGdBlocks:
+class TestGdBlocks(GdBlocksCertificates):
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_equals_trials_alone(self, kind):
         # Equal bits in every result, trace column, radius and count.
-        jobs = _gd_jobs(kind)
+        jobs = gd_jobs(kind)
         block = experiments.run_trials(kind, jobs, workers=1)
         alone = [r for job in jobs for r in experiments.run_trials(kind, [job], workers=1)]
         assert spelled(block) == spelled(alone)
 
-    @pytest.mark.parametrize("kind", ["global", "local", "feasibility"])
-    @pytest.mark.parametrize("failure", ["training", "finish"])
-    def test_first_error_in_trial_order_is_raised(self, monkeypatch, kind, failure):
-        # Trial 3's dataset fails to build and trial 1 fails in training or
-        # in its finish; run one by one, trial 1 would raise first.
-        jobs = _gd_jobs(kind)
-        bad_build, bad_trial = _draw_key(jobs[3]), _draw_key(jobs[1])
-        gen, train_block = experiments.gen_dataset, att.train_block
-        finish = experiments._KINDS[kind].finish
-
-        def failing_gen(table, *args, seed, **kwargs):
-            if (table.d, seed) == bad_build:
-                raise NoConvergence("trial 3 has no dataset")
-            return gen(table, *args, seed=seed, **kwargs)
-
-        def failing_training(datasets, *args, **kwargs):
-            out = train_block(datasets, *args, **kwargs)
-            return [NonFiniteLoss("trial 1 diverged") if (ds.d, ds.seed) == bad_trial else r
-                    for ds, r in zip(datasets, out)]
-
-        def failing_finish(built, trace):
-            if (built[0].d, built[0].seed) == bad_trial:
-                raise NoConvergence("trial 1 did not finish")
-            return finish(built, trace)
-
-        monkeypatch.setattr(experiments, "gen_dataset", failing_gen)
-        if failure == "training":
-            monkeypatch.setattr(att, "train_block", failing_training)
-        else:
-            monkeypatch.setitem(experiments._KINDS, kind, experiments._KINDS[kind]._replace(finish=failing_finish))
-        with pytest.raises(NoConvergence, match="trial 3"):
-            experiments.run_trials(kind, jobs[2:], workers=1)
-        with pytest.raises((NoConvergence, NonFiniteLoss), match="trial 1"):
-            experiments.run_trials(kind, jobs, workers=1)
-
     def test_block_of_mixed_training_configs_is_rejected(self):
-        (params, seed), (_, other) = _gd_jobs("global")[:2]
+        (params, seed), (_, other) = gd_jobs("global")[:2]
         with pytest.raises(ValueError, match="one training config"):
             experiments.run_trials("global", [(params, seed), ({**params, "iters": 30}, other)], workers=1)
-
-
-class TestBlockPlan:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_jobs_reach_the_worker_in_planned_blocks(self, monkeypatch, kind):
-        # One block at one worker.  At three, a kind that trains gets three
-        # contiguous blocks and one that does not one job per block; the
-        # results are those of one block either way.
-        jobs, plans = _gd_jobs(kind), []
-
-        def recording(fn, args, workers):
-            plans.append((fn, args))
-            return _serial_fan_out(fn, args, workers)
-
-        monkeypatch.setattr(experiments, "_fan_out", recording)
-        one = experiments.run_trials(kind, jobs, workers=1)
-        three = experiments.run_trials(kind, jobs, workers=3)
-        assert all(fn is experiments._trial_worker for fn, _ in plans)
-        cuts = [0, len(jobs) // 3, 2 * len(jobs) // 3, len(jobs)]
-        planned = ([jobs[a:b] for a, b in zip(cuts, cuts[1:])] if kind in TRAINING_KINDS
-                   else [[job] for job in jobs])
-        assert [args for _, args in plans] == [[(kind, jobs)], [(kind, block) for block in planned]]
-        assert spelled(three) == spelled(one)
 
 
 class TestLocalReferences:
@@ -444,12 +271,12 @@ class TestLocalReferences:
         # graphs give the dataset's own W_svm in every trial; at n = 8 some
         # do not, so a pipeline that ignored its graphs would show there.
         cfg = experiments.ExperimentConfig("local-squared", overrides, {}, 0).resolved()
-        build = experiments._KINDS["local"].build
-        built = [build(params, seed) for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials)]
-        traces = att.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
+        built = [draw_trial("local", params, seed)
+                 for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials)]
+        traces = att.train_block([b[0] for b in built], built[0][1], [b[2].refs() for b in built])
         moved = 0
-        for (ds, _, _, (pipe, eps)), trace in zip(built, traces):
-            pseudo = analysis.pseudo_tpgs(trace.w_final, ds, eps=eps)
+        for (ds, _, pipe), trace in zip(built, traces):
+            pseudo = analysis.pseudo_tpgs(trace.w_final, ds, eps=cfg.params["eps"])
             local = experiments.Pipeline(ds, pseudo)
             sol, s_fin, fin = hand_run_refs(ds, pseudo)
             assert local.solution.status is sol.status and local.fin_result.status is fin.status
@@ -466,15 +293,13 @@ class TestLocalReferences:
         # 3 have S_fin of dims 1, 2 and 0; at trial 5 the old form,
         # ||project(W) - W_fin||, reads other bits.
         cfg = experiments.ExperimentConfig("local-squared", {"iters": 300}, {}, 3).resolved()
-        build = experiments._KINDS["local"].build
         jobs = list(experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials))[4:7]
-        built = [build(params, seed) for params, seed in jobs]
-        traces = att.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
-        for b, trace in zip(built, traces):
-            row = experiments._local_finish(b, trace)
-            assert np.float64(row["dist_global"]).tobytes() == trace.dist_fin[-1].tobytes()
-            assert np.float64(row["corr_global"]).tobytes() == trace.corr_svm[-1].tobytes()
-        assert [b[3][0].s_fin.dim for b in built] == [1, 2, 0]
+        for row in experiments.run_trials("local", jobs, workers=1):
+            iters, *columns = row["trace"]
+            trace = dict(zip(att.TrainTrace.csv_header()[1:], columns))
+            assert np.float64(row["dist_global"]).tobytes() == trace["dist_fin"][-1].tobytes()
+            assert np.float64(row["corr_global"]).tobytes() == trace["corr_svm"][-1].tobytes()
+        assert [draw_trial("local", *job)[2].s_fin.dim for job in jobs] == [1, 2, 0]
 
 
 class TestLocalWfinStatus:

@@ -435,6 +435,25 @@ class TestExitCodes:
                        "--workers", 1, "--set", override) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head", ["general_argmax", "tide"])
+    def test_unknown_global_head_is_config_error(self, tmp_path, capsys, head):
+        # A global experiment builds a tied head or none; any other value
+        # stops the run before it trains, where it had trained headless.
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 1, "--workers", 1,
+                       "--set", f"head={head}", "--set", "iters=50") == 2
+        assert f"parameter 'head' must be 'tied' or 'none', got '{head}'" in capsys.readouterr().err
+
+    def test_unknown_loss_is_config_error_before_any_pipeline(self, tmp_path, capsys, monkeypatch):
+        # TrainConfig refuses the loss itself, before the trial's pipeline
+        # is built or a training step runs.
+        def no_pipeline(ds):
+            raise AssertionError("a pipeline was built")
+
+        monkeypatch.setattr(experiments, "build_pipeline", no_pipeline)
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 2, "--workers", 1,
+                       "--set", "loss=bogus") == 2
+        assert "unknown loss 'bogus'; choose 'log', 'squared' or 'ce'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, flag, override, message", [
         ("cyclic-global", "--set", "iters=abc", "parameter 'iters' must be an integer, got 'abc'"),
         ("cyclic-global", "--set", "eta=abc", "parameter 'eta' must be a number, got 'abc'"),

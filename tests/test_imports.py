@@ -110,3 +110,94 @@ def test_unread_name_scanner_reports_an_unread_name(tmp_path):
         encoding="utf-8",
     )
     assert unread_public_names(tmp_path) == {"a.unused", "b.run"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(path) -> list[str]:
+    """Each read of a private attnlab name in one file, as "module._name":
+    an attribute of an attnlab module that the file imported (``att._pack``,
+    ``attnlab.svm._essential``), a private name imported from one, and a
+    string naming one in a setattr, getattr, delattr or hasattr call, after
+    such a module (``monkeypatch.setattr(att, "_loss_and_grad", ...)``) or
+    as a dotted path (``"attnlab.attention._pack"``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, found = {}, []  # local name -> attnlab module, "" for the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "attnlab":
+                    modules[alias.asname or "attnlab"] = ".".join(parts[1:]) if alias.asname else ""
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "attnlab":
+            sub = node.module.split(".")[1:]
+            for alias in node.names:
+                if not sub:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"{sub[0]}.{alias.name}")
+
+    def module_of(expr):
+        if isinstance(expr, ast.Name):
+            return modules.get(expr.id)
+        if isinstance(expr, ast.Attribute) and module_of(expr.value) == "":
+            return expr.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) and module_of(node.value) is not None:
+            found.append(f"{module_of(node.value) or 'attnlab'}.{node.attr}")
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name not in ("setattr", "getattr", "delattr", "hasattr"):
+                continue
+            args = node.args
+            for i, arg in enumerate(args):
+                if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+                    continue
+                parts = arg.value.split(".")
+                if i > 0 and module_of(args[i - 1]) is not None and _private(arg.value):
+                    found.append(f"{module_of(args[i - 1]) or 'attnlab'}.{arg.value}")
+                elif parts[0] == "attnlab" and any(map(_private, parts)):
+                    found.append(".".join(parts[1:]))
+    return found
+
+
+# The one adapter between the tests and the kernel's private entry points,
+# and the certificate tests, which must read internals.
+ADAPTER = "helpers.py"
+ADAPTED = {"attention._pack", "attention._one", "attention._loss_and_grad"}
+CERTIFICATES = "test_internals.py"
+
+
+def test_only_the_adapter_and_the_certificate_tests_read_private_names():
+    reads = {p.name: private_reads(p) for p in TESTS if p.name not in (ADAPTER, CERTIFICATES)}
+    assert {name: found for name, found in reads.items() if found} == {}
+    assert set(private_reads(ROOT / "tests" / ADAPTER)) == ADAPTED
+
+
+def test_private_read_scanner_catches_attributes_imports_and_strings(tmp_path):
+    (tmp_path / "test_a.py").write_text(
+        "import attnlab.svm\n"
+        "from attnlab import attention as att, experiments\n"
+        "from attnlab.graph import _closure, build_tpgs\n\n\n"
+        "def test_reads(monkeypatch, other):\n"
+        "    att.grad(att.__doc__, experiments.run_trials, other._hidden)\n"
+        "    att._pack([])\n"
+        "    attnlab.svm._essential(None)\n"
+        "    monkeypatch.setattr(experiments, \"_fan_out\", None)\n"
+        "    monkeypatch.setattr(att, \"grad\", getattr(att, \"_one\"))\n"
+        "    monkeypatch.setattr(\"attnlab.attention._loss_and_grad\", None)\n"
+        "    monkeypatch.setattr(other, \"_hidden\", None)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_b.py").write_text(
+        "from attnlab import svm\n\n\ndef test_public():\n    return svm.solve_graph_svm, svm.__name__\n",
+        encoding="utf-8",
+    )
+    assert sorted(private_reads(tmp_path / "test_a.py")) == [
+        "attention._loss_and_grad", "attention._one", "attention._pack", "experiments._fan_out", "graph._closure",
+        "svm._essential"]
+    assert private_reads(tmp_path / "test_b.py") == []

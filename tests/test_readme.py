@@ -30,3 +30,17 @@ def test_cli_walk_through_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv[1:]) == 0, argv
+
+
+ROW_WORDS = 80
+
+
+def test_each_module_row_states_its_contract_in_at_most_80_words():
+    # One row per library module in "What's inside", each a short
+    # statement of what the module computes and guarantees; mechanism
+    # lives in docstrings.
+    rows = re.findall(r"^\| `attnlab\.(\w+)` \|(.*)\|$", README.read_text(encoding="utf-8"), re.M)
+    modules = {p.stem for p in (README.parent / "src" / "attnlab").glob("*.py")} - {"__init__", "errors", "util"}
+    assert {name for name, _ in rows} == modules
+    # The words of a row: its module's name and its text.
+    assert {name: n for name, text in rows if (n := 1 + len(text.split())) > ROW_WORDS} == {}

@@ -17,12 +17,10 @@ from attnlab.experiments import Pipeline, build_pipeline
 from attnlab.util import seeded_rng
 
 from helpers import (
-    DenseGramRows,
     active_set_oracle,
     assert_certified,
     classify_pair,
     constraints_from_edges,
-    dense_svm_oracle,
     forbid_the_solver,
     generator_rows,
     load_tool,
@@ -30,8 +28,8 @@ from helpers import (
     projected_inequalities,
     random_tpg,
     tiny_instance,
-    transitive_reduction_rows,
 )
+from test_internals import GramCertificates, NnlsCertificates, Presolve as TestPresolve
 
 
 # The solver's verdict corpus is defined in tools/verdicts.py.
@@ -405,118 +403,11 @@ class TestSolver:
 _pinned = verdicts.constraints
 
 
-class TestNnls:
-    """The orthogonal-factor NNLS against the per-step LU Lawson-Hanson of
-    `helpers.nnls_gram_oracle`: the same verdict, the same nearest point
-    p = A~^T u / sum(u), and a returned u that is the LU solve of its own
-    passive set."""
-
-    @staticmethod
-    def _assert_matches_oracle(a):
-        gram = a @ a.T
-        gram += 1.0
-        u, _, converged = svm._nnls_gram(DenseGramRows(gram))
-        want_u, _, want_converged = nnls_gram_oracle(gram)
-        assert converged == want_converged
-        p, want = a.T @ (u / u.sum()), a.T @ (want_u / want_u.sum())
-        if np.linalg.norm(want) <= svm.FARKAS_TOL:
-            assert np.linalg.norm(p) <= svm.FARKAS_TOL
-        else:
-            assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(want)
-        if converged:
-            idx = np.flatnonzero(u)
-            assert np.all(u[idx] > 0)
-            assert u[idx].tobytes() == np.linalg.solve(gram[np.ix_(idx, idx)], np.ones(len(idx))).tobytes()
-
-    @staticmethod
-    def _assert_tracks_a_fresh_factor(factor, gram):
-        # M gram[P, P] M^T = I, and z, dinv and the dual gradient against a
-        # fresh LU solve and inverse of the same passive block.
-        idx, p = factor.idx, factor.p
-        block = gram[np.ix_(idx, idx)]
-        mat = factor.mat[:p, :p]
-        assert np.linalg.norm(mat @ block @ mat.T - np.eye(p)) <= 1e-10
-        z = np.linalg.solve(block, np.ones(p))
-        np.testing.assert_allclose(factor.z(), z, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(factor.dinv[:p], np.linalg.inv(block).diagonal(), rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(factor.grad(), 1.0 - z @ gram[idx], rtol=0.0, atol=1e-9)
-
-    def test_updates_track_a_fresh_factor(self):
-        # Appending, reflecting out and buffer growth.
-        rng = seeded_rng(44)
-        a = rng.standard_normal((100, 90)) + 0.3
-        gram = a @ a.T + 1.0
-        factor = svm._PassiveFactor(DenseGramRows(gram))
-        order = [int(j) for j in rng.permutation(100)]
-        for j in order[:70]:
-            factor.add(j, *factor.schur(j))
-        for pos in (5, 0, 67, 31):  # 67 is the last position by then
-            factor.drop(pos)
-        for j in order[70:75]:
-            factor.add(j, *factor.schur(j))
-        assert factor.p == 71 and len(factor.order) >= 71
-        self._assert_tracks_a_fresh_factor(factor, gram)
-
-    def test_many_updates_track_a_fresh_factor_on_a_rank_deficient_gram(self):
-        # 600 seeded adds and drops, no refactor, on a Gram of rank 25 with
-        # repeated rows: an index whose Schur complement fails the solver's
-        # ILL_CONDITIONED test is not added, as in the solve.  Drops cycle
-        # through the first, a middle and the last position.
-        rng = seeded_rng(46)
-        a = rng.standard_normal((80, 24)) + 0.5
-        gram = np.vstack([a, a[:40]]) @ np.vstack([a, a[:40]]).T + 1.0
-        factor = svm._PassiveFactor(DenseGramRows(gram))
-        adds = drops = skipped = 0
-        for step in range(600):
-            p = factor.p
-            if p < 6 or (p < 24 and rng.random() < 0.55):
-                j = int(rng.choice(np.setdiff1d(np.arange(len(gram)), factor.idx)))
-                w, s, zb = factor.schur(j)
-                if s * svm.ILL_CONDITIONED >= factor.diag[j]:
-                    factor.add(j, w, s, zb)
-                    adds += 1
-                else:
-                    skipped += 1
-            else:
-                factor.drop((0, p // 2, p - 1)[drops % 3])
-                drops += 1
-            if step % 50 == 49:
-                self._assert_tracks_a_fresh_factor(factor, gram)
-        assert adds + drops >= 500 and drops >= 200 and skipped >= 10
-
-    def test_random_grams_including_rank_deficient(self):
-        rng = seeded_rng(43)
-        deficient = 0
-        for trial in range(80):
-            dim = int(rng.integers(2, 10))
-            a = rng.standard_normal((int(rng.integers(2, 4 * dim)), dim)) + rng.choice([0.0, 0.5, 1.5])
-            if trial % 4 == 0:
-                a = np.vstack([a, a[: len(a) // 2]])  # repeated rows
-            deficient += len(a) > dim + 1
-            self._assert_matches_oracle(a)
-        assert deficient >= 40
-
-    def test_refs_shapes(self):
-        for i in range(8):
-            self._assert_matches_oracle(projected_inequalities(_pinned(*verdicts.refs_shape(i))))
-
+class TestNnls(NnlsCertificates):
     def test_refs_sweeps_do_not_grow(self):
         # The benchmark's `refs` corpus took 934 passive-set solves with an
         # updated inverse; the orthogonal factor takes 933.
         assert sum(svm.solve_graph_svm(_pinned(*verdicts.refs_shape(i))).residuals["sweeps"] for i in range(8)) <= 934
-
-    def test_near_degenerate_infeasible_instance_keeps_its_certificate(self):
-        # (K, d, n, T) = (10, 4, 19, 5), seed 1251: the passive sets grow
-        # nearly dependent on the way to a Farkas certificate.
-        # Rounding carried over from those sets must not cost extra solves.
-        cons = _pinned(10, 4, 19, 5, seed=1251)
-        sol = svm.solve_graph_svm(cons)
-        assert sol.status is svm.SolveStatus.INFEASIBLE
-        assert sol.residuals["farkas_residual"] <= svm.FARKAS_TOL
-        assert sol.residuals["converged"] is True
-        assert_certified(cons, sol)
-        gram = _dense(svm._GramRows(cons.inequalities[_kept(cons)], cons.embedding.e, cons.eq_basis))
-        assert sol.residuals["sweeps"] <= nnls_gram_oracle(gram)[1]
 
     def test_singular_entering_set_is_skipped_not_raised(self):
         # (10, 4, 19, 5), seed 1036: an index enters a passive set it is
@@ -547,20 +438,6 @@ class TestNnls:
                 assert sol.residuals["converged"] is True
 
 
-def _kept(cons):
-    return svm._essential(cons)
-
-
-def _dense(source, order=None):
-    """The Gram matrix of a row source, its rows written in the given order."""
-    gram = np.empty((source.m, source.m))
-    for j in range(source.m) if order is None else order:
-        source.write(int(j), gram[j])
-    return gram
-
-
-# The benchmark's `refs` corpus, `large-k` seeds 0-2 and the five pinned
-# seeds, by name.
 _UNREDUCED_CASES = verdicts.instances(smoke=True)
 
 
@@ -595,139 +472,7 @@ class TestFreshRefsDraws:
             assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(want)
 
 
-class TestPresolve:
-    """The rows the NNLS sees against `helpers.transitive_reduction_rows`,
-    and the verdicts on them against the unreduced dense solve of
-    `helpers.dense_svm_oracle`."""
-
-    def test_kept_rows_are_the_transitive_reduction(self):
-        rng = seeded_rng(45)
-        table = dsm.make_embeddings(14, 4, dsm.UNIT_SPHERE, seed=0)
-        reduced = tied = 0
-        for _ in range(40):
-            last = rng.choice(14, size=int(rng.integers(1, 4)), replace=False)
-            tpgs = {int(k): random_tpg(rng, int(rng.integers(2, 14)), float(rng.uniform(0.05, 0.4)), int(k))
-                    for k in last}
-            cons = svm.build_constraints(tpgs, gm.decompose_all(tpgs), table)
-            if not len(cons.inequalities):
-                continue
-            want = transitive_reduction_rows(cons.equalities, cons.inequalities)
-            assert _kept(cons).tolist() == want
-            assert svm.solve_graph_svm(cons).residuals["essential"] == len(want)
-            reduced += len(want) < len(cons.inequalities)
-            tied += len(cons.equalities) > 0 and len(want) < len(cons.inequalities)
-        assert reduced >= 20 and tied >= 10
-
-    @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
-    def test_kept_rows_are_the_transitive_reduction_at_scale(self, shape):
-        cons = _pinned(*shape)
-        want = transitive_reduction_rows(cons.equalities, cons.inequalities)
-        assert _kept(cons).tolist() == want
-
-    def test_build_pipeline_closes_each_graph_once(self, monkeypatch):
-        # The presolve and the feasibility certificate read the closures
-        # that decompose_all computed; neither closes a relation again.
-        calls = []
-        closure = gm._closure
-
-        def counted(adj):
-            calls.append(adj.shape)
-            return closure(adj)
-
-        # Also under the name a module importing the kernel would call.
-        monkeypatch.setattr(gm, "_closure", counted)
-        monkeypatch.setattr(svm, "_closure", counted, raising=False)
-        pipe = build_pipeline(tiny_instance(44, K=5, d=6, n=6, T=4))
-        assert len(pipe.constraints.inequalities) and pipe.solution.residuals["essential"]
-        assert pipe.feasibility.status is svm.SolveStatus.SOLVED
-        assert len(calls) == 1 and calls[0][0] == len(pipe.tpgs)
-
-    @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
-    def test_verdicts_match_the_unreduced_solve(self, shape):
-        cons = _pinned(*shape)
-        sol = svm.solve_graph_svm(cons)
-        status, w, _ = dense_svm_oracle(cons.equalities, cons.inequalities, cons.embedding.e,
-                                        svm.PRIMAL_TOL, svm.FARKAS_TOL, svm.KKT_TOL)
-        assert sol.status.value == status
-        kept = _kept(cons)
-        dropped = np.setdiff1d(np.arange(len(cons.inequalities)), kept)
-        assert sol.residuals["essential"] == len(kept)
-        assert len(sol.ineq_multipliers) == len(cons.inequalities)
-        assert not sol.ineq_multipliers[dropped].any()
-        if sol.status is svm.SolveStatus.SOLVED:
-            assert np.linalg.norm(sol.w - w) <= 1e-9 * np.linalg.norm(w)
-            rows = generator_rows(cons.inequalities[dropped], cons.embedding.e)
-            assert np.min(rows @ sol.w.ravel(), initial=np.inf) >= 1.0 - svm.PRIMAL_TOL
-        if sol.status is not svm.SolveStatus.MAX_ITER:
-            assert_certified(cons, sol)
-
-    # The presolve's traced peak (tracemalloc, numpy 2.4.6) at the large-k
-    # defaults: seed 0 holds 16 graphs of 59-64 nodes, and seed 28 holds 14
-    # of 60-64 nodes beside one of 121.  Padded to that one for a single
-    # product, the 15 graphs peaked at 3.08 MB.  The bound is twice each.
-    PEAKS = {0: 854_460, 28: 1_234_089}
-
-    @pytest.mark.parametrize("seed", list(PEAKS))
-    def test_a_large_graph_pads_no_other(self, seed):
-        cons = _pinned(1000, 32, 16, 64, seed)
-        assert cons.closures.shape == ((15, 121, 121) if seed == 28 else (16, 64, 64))
-        assert len(cons.inequalities)  # read off the closures outside the trace
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            kept = svm._essential(cons)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * self.PEAKS[seed], peak
-        assert kept.tolist() == transitive_reduction_rows(cons.equalities, cons.inequalities)
-
-    def test_checks_read_every_row(self, monkeypatch):
-        # A presolve that dropped a row no other implies would not go
-        # unseen: the margin check runs over every inequality.
-        table = dsm.make_embeddings(5, 5, dsm.ORTHONORMAL, seed=7)
-        cons = constraints_from_edges(table, {4: [(0, 1), (2, 3)]})
-        assert cons.inequalities.tolist() == [[0, 1, 4], [2, 3, 4]]
-        monkeypatch.setattr(svm, "_essential", lambda constraints: np.arange(1))
-        sol = svm.solve_graph_svm(cons)
-        assert sol.status is svm.SolveStatus.MAX_ITER
-        assert sol.residuals["min_ineq_margin"] <= 1e-12
-
-
-class TestGram:
-    """The NNLS Gram rows from the generators' factors against the dense
-    d^2-wide rows of `helpers.projected_inequalities`."""
-
-    @staticmethod
-    def _assert_matches_dense(cons, rows):
-        source = svm._GramRows(cons.inequalities[rows], cons.embedding.e, cons.eq_basis)
-        a = projected_inequalities(cons)[rows]
-        want = a @ a.T + 1.0
-        # Rows in any order: each is formed on its own, as indices enter.
-        gram = _dense(source, seeded_rng(0).permutation(len(rows)))
-        assert np.abs(gram - want).max() <= 1e-13 * want.diagonal().max()
-        assert np.abs(source.diag - want.diagonal()).max() <= 1e-13 * want.diagonal().max()
-
-    @pytest.mark.parametrize("shape", list(_UNREDUCED_CASES.values()), ids=list(_UNREDUCED_CASES))
-    def test_matches_the_dense_gram(self, shape):
-        cons = _pinned(*shape)
-        self._assert_matches_dense(cons, _kept(cons))
-
-    def test_rows_out_of_last_token_order_with_equalities(self):
-        # Rows taken with last tokens 4 and 5 alternating, so every row is
-        # its own run; the SCCs {0, 2} of token 4 and {1, 3} of token 5 put
-        # a coordinate on each token's rows.
-        table = dsm.make_embeddings(6, 4, dsm.UNIT_SPHERE, seed=9)
-        cons = constraints_from_edges(table, {
-            4: [(0, 2), (2, 0), (2, 1), (1, 3)],
-            5: [(1, 3), (3, 1), (3, 0), (0, 2)],
-        })
-        assert cons.equalities.tolist() == [[0, 2, 4], [1, 3, 5]]
-        assert cons.inequalities[:, 2].tolist() == [4] * 5 + [5] * 5
-        assert len(cons.eq_basis) == 2
-        self._assert_matches_dense(cons, np.array([0, 5, 1, 6, 2, 7, 3, 8, 4, 9]))
-        self._assert_matches_dense(cons, np.array([9, 1, 0, 5]))
-
+class TestGram(GramCertificates):
     # The solve's traced peak, in units of the m x m Gram matrix's 8 m^2
     # bytes.  With the passive rows in blocks of 64 that are never copied,
     # it was 0.340-0.351 at the large-k defaults (m = 971-982, seeds 0-2),
