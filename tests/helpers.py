@@ -22,15 +22,14 @@ Hand-written constraint sets go through the library's own graph chain
 (`constraints_from_edges`), since a constraint set is the graphs' closures.  
 This module is also the one adapter between the tests and the kernel's
 private entry points: only it, beside test_internals.py, may read a private
-attnlab name (tests/test_imports.py holds that), and it reads three,
-`attention._pack`, `_one` and `_loss_and_grad`.  `loss` is the loss of one
-dataset, `grad_general` the softmax-chain gradient that the reduced
-tied-log form is checked against, `kernel` the packed kernel on a block of
-trials and `extended` a pack in long double for the einsum oracles.  The
-draws the test modules share (`shape_dataset`, `block_trials`, `draw_trial` and
-the experiment blocks) are built from public calls alone; test_internals.py
-holds `draw_trial` to the experiments' own builds.  `load_tool` imports a script
-of tools/ or perfbench/.
+attnlab name (tests/test_imports.py holds that), and it reads four,
+`attention._pack`, `_one`, `_loss_and_grad` and `experiments._KINDS`.
+`loss` is the loss of one dataset, `grad_general` the softmax-chain gradient
+that the reduced tied-log form is checked against, `kernel` the packed kernel
+on a block of trials, `extended` a pack in long double for the einsum oracles
+and `trial_build` a trial built by its experiment's own build (`_KINDS`), so
+the experiment blocks train what the experiments train.  `load_tool` imports
+a script of tools/ or perfbench/.
 """
 
 import dataclasses
@@ -837,33 +836,11 @@ def block_trials() -> tuple:
     return datasets, [p.refs() for p in pipes], pipes
 
 
-def draw_trial(kind: str, params: dict, tseed: int) -> tuple:
-    """One trial of an experiment kind ("global", "local", "feasibility",
-    "rate-check" or "reg-path") drawn as its experiment draws it, from
-    public calls alone: the dataset, its TrainConfig (None for reg-path)
-    and its pipeline (None for feasibility)."""
-    table = dsm.make_embeddings(params["K"], params["d"], dsm.UNIT_SPHERE, seed=tseed)
-    mode, loss, head = "cyclic", attention.LOG, None
-    if kind == "global":
-        mode, loss = params["mode"], params["loss"]
-        if params["head"] == dsm.TIED and table.full_row_rank:
-            head = dsm.make_head(table, dsm.TIED)
-    elif kind == "local":
-        loss = params["loss"]
-        head = dsm.make_head(table, dsm.GENERAL_ARGMAX, noise=params["head_noise"], seed=tseed, unit_rows=True)
-    elif kind in ("rate-check", "reg-path"):
-        mode = params["mode"] if kind == "reg-path" else mode
-        head = dsm.make_head(table, dsm.TIED)
-    ds = dsm.gen_dataset(table, head, n=params["n"], T=params["T"], mode=mode, seed=tseed)
-    if kind == "feasibility":
-        iters = params["iters"]
-        return ds, attention.TrainConfig(eta=params["eta"], iters=iters, normalized=True,
-                                         record_every=max(1, iters)), None
-    pipe = experiments.build_pipeline(ds)
-    if kind == "reg-path":
-        return ds, None, pipe
-    return ds, attention.TrainConfig(eta=params["eta"], iters=params["iters"], normalized=params["normalized"],
-                                     loss=loss, record_every=params["record_every"]), pipe
+def trial_build(kind: str, params: dict, tseed: int) -> tuple:
+    """One trial of an experiment kind as its experiment builds it: the
+    dataset, its TrainConfig (None for reg-path and scc-count), its
+    TrainRefs (None without a pipeline) and the kind's own state."""
+    return experiments._KINDS[kind].build(params, tseed)
 
 
 def _experiment_kind(name: str) -> str:
@@ -879,8 +856,18 @@ def experiment_block(name: str, trials: int, seed: int = 0, **overrides) -> tupl
     TrainRefs (None without a pipeline)."""
     params = {**experiments.EXPERIMENTS[name].params, **overrides}
     jobs = (experiments.rate_check_jobs if name == "rate-check" else experiments.seeded_jobs)(params, seed, trials)
-    built = [draw_trial(_experiment_kind(name), *job) for job in jobs]
-    return [b[0] for b in built], built[0][1], [None if b[2] is None else b[2].refs() for b in built]
+    built = [trial_build(_experiment_kind(name), *job) for job in jobs]
+    return [b[0] for b in built], built[0][1], [b[2] for b in built]
+
+
+def log_or_local_block(kind: str) -> tuple:
+    """The block trials and their TrainRefs for the log loss; otherwise five
+    local-* trials of one structure at n = 8, two of which hold a split of
+    2 of their 8 samples and three an empty split."""
+    if kind == attention.LOG:
+        return block_trials()[:2]
+    datasets, _, refs = experiment_block("local-squared", 5, loss=kind, n=8)
+    return datasets, refs
 
 
 # Small cyclic-global parameters for blocks of trials.

@@ -7,7 +7,7 @@ from attnlab import analysis, attention as att, dataset as dsm, experiments, gra
 from attnlab.errors import ZeroMatrix
 from attnlab.util import seeded_rng
 
-from helpers import KINDS, draw_trial, gd_jobs, hand_run_refs, pseudo_tpgs_loop, spelled, sweep_rows, tiny_instance
+from helpers import KINDS, gd_jobs, hand_run_refs, pseudo_tpgs_loop, spelled, sweep_rows, tiny_instance, trial_build
 from test_internals import (
     BlockPlan as TestBlockPlan,
     GdBlocksCertificates,
@@ -271,11 +271,11 @@ class TestLocalReferences:
         # graphs give the dataset's own W_svm in every trial; at n = 8 some
         # do not, so a pipeline that ignored its graphs would show there.
         cfg = experiments.ExperimentConfig("local-squared", overrides, {}, 0).resolved()
-        built = [draw_trial("local", params, seed)
+        built = [trial_build("local", params, seed)
                  for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials)]
-        traces = att.train_block([b[0] for b in built], built[0][1], [b[2].refs() for b in built])
+        traces = att.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
         moved = 0
-        for (ds, _, pipe), trace in zip(built, traces):
+        for (ds, _, refs, _), trace in zip(built, traces):
             pseudo = analysis.pseudo_tpgs(trace.w_final, ds, eps=cfg.params["eps"])
             local = experiments.Pipeline(ds, pseudo)
             sol, s_fin, fin = hand_run_refs(ds, pseudo)
@@ -283,7 +283,7 @@ class TestLocalReferences:
             assert local.w_svm.tobytes() == sol.w.tobytes()
             assert local.s_fin.basis.tobytes() == s_fin.basis.tobytes()
             assert local.w_fin.tobytes() == fin.w.tobytes()
-            moved += local.w_svm.tobytes() != pipe.w_svm.tobytes()
+            moved += local.w_svm.tobytes() != refs.w_svm.tobytes()
         assert moved > 0 or not overrides
 
     def test_the_global_summary_reads_the_traces_last_record(self):
@@ -299,7 +299,7 @@ class TestLocalReferences:
             trace = dict(zip(att.TrainTrace.csv_header()[1:], columns))
             assert np.float64(row["dist_global"]).tobytes() == trace["dist_fin"][-1].tobytes()
             assert np.float64(row["corr_global"]).tobytes() == trace["corr_svm"][-1].tobytes()
-        assert [draw_trial("local", *job)[2].s_fin.dim for job in jobs] == [1, 2, 0]
+        assert [trial_build("local", *job)[2].s_fin.dim for job in jobs] == [1, 2, 0]
 
 
 class TestLocalWfinStatus:

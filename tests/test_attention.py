@@ -28,7 +28,6 @@ from helpers import (
     block_trials,
     corr_oracle,
     dist_fin_oracle,
-    draw_trial,
     einsum_grad,
     einsum_loss,
     experiment_block,
@@ -38,6 +37,7 @@ from helpers import (
     grad_general,
     kernel,
     last_tokens,
+    log_or_local_block,
     loss,
     refs_instance,
     shape_dataset,
@@ -49,6 +49,7 @@ from helpers import (
     tiny_instance,
     top_score,
     trace_bytes,
+    trial_build,
     wfin_gd_oracle,
     wfin_projected_grad,
 )
@@ -439,16 +440,6 @@ class TestTrainGd(TrainGdCertificates):
             assert trace.loss[t] == loss(w_t, ds, kind)
 
 
-def _log_or_local_block(kind):
-    """The block trials and their TrainRefs for the log loss; otherwise five
-    local-* trials of one structure at n = 8, two of which hold a split of
-    2 of their 8 samples and three an empty split."""
-    if kind == att.LOG:
-        return block_trials()[:2]
-    datasets, _, refs = experiment_block("local-squared", 5, loss=kind, n=8)
-    return datasets, refs
-
-
 class TestTrainBlock(TrainBlockCertificates):
     @pytest.mark.parametrize("normalized,eta,init_scale", [
         pytest.param(True, 0.05, None, id="True-0.05"),
@@ -487,7 +478,7 @@ class TestTrainBlock(TrainBlockCertificates):
     def test_record_loss_bar_is_its_definition(self, kind):
         # The block trials (log) and the local-* block each hold samples
         # outside their split; a trial without references reads NaN.
-        datasets, refs = _log_or_local_block(kind)
+        datasets, refs = log_or_local_block(kind)
         datasets, refs = datasets + datasets[:1], refs + [None]
         assert any(0 < len(r.split.idx_i) < ds.n for ds, r in zip(datasets, refs) if r is not None)
         assert any(r.split.empty for r in refs if r is not None)
@@ -509,7 +500,7 @@ class TestTrainBlock(TrainBlockCertificates):
         # Empty splits, samples outside a split, a trial without references
         # and a cross-entropy head, with every numpy floating-point error
         # and every warning turned into an exception.
-        datasets, refs = _log_or_local_block(kind)
+        datasets, refs = log_or_local_block(kind)
         cfg = att.TrainConfig(eta=0.05, iters=300, normalized=True, record_every=7, loss=kind)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -555,7 +546,7 @@ class TestTrainBlock(TrainBlockCertificates):
     def test_chunk_boundaries_keep_the_straight_loop_bits(self, kind, records):
         # The block trials (log) and the local-* block, every record scored
         # in chunks of RECORD_CHUNK, against each trial's plain loop.
-        datasets, refs = _log_or_local_block(kind)
+        datasets, refs = log_or_local_block(kind)
         cfg = att.TrainConfig(eta=0.05, iters=self.CHUNK_ITERS[records], normalized=True, record_every=3, loss=kind)
         block = att.train_block(datasets, cfg, refs)
         for trace, ds, r in zip(block, datasets, refs):
@@ -677,7 +668,7 @@ class TestCyclicLosses:
         # The head-scored label mass goes negative here, so the full-sample
         # log loss raises; loss_bar scores only the split's label-position
         # mass and matches the long-double reduced loss.
-        datasets, refs = _log_or_local_block(att.SQUARED)
+        datasets, refs = log_or_local_block(att.SQUARED)
         held = [(ds, r.split) for ds, r in zip(datasets, refs) if not r.split.empty]
         assert len(held) == 2
         for ds, split in held:
@@ -778,7 +769,7 @@ def test_reg_path_points_meet_the_ball_kkt_conditions(mode, trial):
     params = {**p, "mode": mode}
     if mode == "cyclic":
         params.update(K=p["cyc_K"], d=p["cyc_d"], n=p["cyc_n"], T=p["cyc_T"])
-    ds, _, pipe = draw_trial("reg-path", params, trial_seed(0, trial))
+    ds, _, _, (_, pipe) = trial_build("reg-path", params, trial_seed(0, trial))
     radii = list(np.geomspace(p["r_min"], p["r_max"], p["r_count"]))
     for point in att.reg_path(ds, radii, pipe.s_fin, pipe.s_svm):
         _assert_ball_kkt(point, ds)

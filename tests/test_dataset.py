@@ -10,7 +10,7 @@ from attnlab import dataset as dsm
 from attnlab import graph as gm
 from attnlab.errors import ArgmaxUnreachable, GraphMismatch, InvalidDims, RankDeficient, SchemaViolation
 
-from helpers import classify_pair, draw_trial, index_sets_oracle, partition_by_mutual_reachability, tiny_instance
+from helpers import classify_pair, index_sets_oracle, partition_by_mutual_reachability, tiny_instance, trial_build
 
 
 class TestEmbeddings:
@@ -168,10 +168,10 @@ class TestIndexSets:
         # Three local-squared trials after 50 steps: their pseudo graphs
         # merge labels into SCCs that the dataset's own graphs keep apart.
         cfg = experiments.ExperimentConfig("local-squared", {"iters": 50}, {}, 0).resolved()
-        built = [draw_trial("local", params, seed) for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, 3)]
-        traces = attention.train_block([b[0] for b in built], built[0][1], [b[2].refs() for b in built])
+        built = [trial_build("local", params, seed) for params, seed in experiments.seeded_jobs(cfg.params, cfg.seed, 3)]
+        traces = attention.train_block([b[0] for b in built], built[0][1], [b[2] for b in built])
         moved = 0
-        for (ds, _, _), trace in zip(built, traces):
+        for (ds, *_), trace in zip(built, traces):
             pseudo = analysis.pseudo_tpgs(trace.w_final, ds, eps=cfg.params["eps"])
             sets = dsm.index_sets(ds, gm.decompose_all(pseudo))
             assert sets == index_sets_oracle(ds, pseudo)

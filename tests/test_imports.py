@@ -165,10 +165,11 @@ def private_reads(path) -> list[str]:
     return found
 
 
-# The one adapter between the tests and the kernel's private entry points,
-# and the certificate tests, which must read internals.
+# The one adapter between the tests and the private entry points of the
+# kernel and of the experiments' trial builds, and the certificate tests,
+# which must read internals.
 ADAPTER = "helpers.py"
-ADAPTED = {"attention._pack", "attention._one", "attention._loss_and_grad"}
+ADAPTED = {"attention._pack", "attention._one", "attention._loss_and_grad", "experiments._KINDS"}
 CERTIFICATES = "test_internals.py"
 
 

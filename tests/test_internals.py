@@ -44,7 +44,6 @@ from helpers import (
     DenseGramRows,
     dist_fin_oracle,
     draw_key,
-    draw_trial,
     einsum_grad,
     einsum_loss,
     experiment_block,
@@ -53,6 +52,7 @@ from helpers import (
     generator_rows,
     held_rows,
     last_tokens,
+    log_or_local_block,
     load_tool,
     nnls_gram_oracle,
     projected_inequalities,
@@ -72,33 +72,6 @@ from helpers import (
 
 LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                                  reason="the oracle needs an extended-precision long double")
-
-
-class TestTrialDraws:
-    """`helpers.draw_trial` draws each experiment's trials from public calls, so
-    that contract tests train what the experiments train; only the
-    experiments' own builds (`_KINDS`) can show that it still does."""
-
-    @pytest.mark.parametrize("kind", ["global", "large-k", "local", "feasibility", "rate-check", "reg-path"])
-    def test_helpers_draw_what_the_experiment_builds(self, kind):
-        if kind == "large-k":
-            kind, jobs = "global", experiments.seeded_jobs(experiments.EXPERIMENTS["large-k"].params, 0, 1)
-        else:
-            jobs = gd_jobs(kind)
-        for params, tseed in jobs:
-            ds, cfg, refs, _ = experiments._KINDS[kind].build(params, tseed)
-            got, got_cfg, pipe = draw_trial(kind, params, tseed)
-            assert got.embedding.e.tobytes() == ds.embedding.e.tobytes()
-            assert (got.head is None) == (ds.head is None)
-            assert got.head is None or (got.head.c.tobytes() == ds.head.c.tobytes() and got.head.kind == ds.head.kind)
-            assert got.samples == ds.samples and got.seed == ds.seed
-            assert got_cfg == cfg
-            assert (pipe is None) == (refs is None)
-            if refs is not None:
-                have = pipe.refs()
-                assert have.w_svm.tobytes() == refs.w_svm.tobytes() and have.w_fin.tobytes() == refs.w_fin.tobytes()
-                assert have.s_fin.basis.tobytes() == refs.s_fin.basis.tobytes()
-                assert (have.split.idx_i, have.split.positions) == (refs.split.idx_i, refs.split.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +414,25 @@ class TrainGdCertificates:
         assert np.all(np.isfinite(exc.value.trace.loss))
 
 
+class TestStepZero:
+    """A run of no steps still takes step 0 through the kernel and scores
+    it once, under every loss and whatever a trial's references hold; only
+    the kernel's calls show that."""
+
+    @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
+    def test_step_zero_is_taken_and_scored_once(self, kind, monkeypatch):
+        # Trials whose splits hold some or none of their samples, and one
+        # trial without references.
+        datasets, refs = log_or_local_block(kind)
+        datasets, refs = datasets + datasets[:1], refs + [None]
+        assert any(0 < len(r.split.idx_i) < ds.n for ds, r in zip(datasets, refs) if r is not None)
+        assert any(r.split.empty for r in refs if r is not None)
+        cfg = att.TrainConfig(eta=0.01, iters=0, init="gauss", init_scale=0.7, init_seed=18, loss=kind)
+        calls = _kernel_calls(monkeypatch)
+        att.train_block(datasets, cfg, refs)
+        _assert_steps_and_scorings(calls, 0, [0])
+
+
 class TrainBlockCertificates:
     """The trainer defers the loss to chunked scorings of stored records and
     freezes a failed trial while the others go on.  Which failure stands,
@@ -451,16 +443,12 @@ class TrainBlockCertificates:
     def test_each_step_calls_the_kernel_once(self, monkeypatch):
         # A step that bypassed the kernel would escape every fault injected
         # through it; the loss is asked for only when the stored records are
-        # scored, and those calls hold the record steps' W's.  With no
-        # steps, step 0 is taken and scored once.
+        # scored, and those calls hold the record steps' W's.
         datasets = [shape_dataset("desk", seed) for seed in range(3)]
         cfg = att.TrainConfig(eta=0.01, iters=25, normalized=True, record_every=10)
         calls = _kernel_calls(monkeypatch)
         att.train_block(datasets, cfg)
         _assert_steps_and_scorings(calls, 25, [0, 10, 20, 25])
-        calls.clear()
-        att.train_block(datasets, dataclasses.replace(cfg, iters=0))
-        _assert_steps_and_scorings(calls, 0, [0])
 
     def test_failing_trial_raises_as_alone_and_leaves_the_rest(self, monkeypatch):
         datasets = [shape_dataset("desk", seed) for seed in range(4)]
