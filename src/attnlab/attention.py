@@ -31,7 +31,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -768,16 +768,6 @@ class _StackRefs:
 _COLUMNS = ("loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
 
 
-class _Failure(NamedTuple):
-    """How a trial of `_train_stack` failed."""
-
-    at: tuple          # (step, rank): of two failures, the smaller stands
-    error: Exception
-    rows: int          # the rows its trace keeps
-    w: np.ndarray      # W at that step
-    reach: int         # the stored rows a scoring must score for it
-
-
 # The records whose W a training loop stores between two scorings of their
 # diagnostics.  It sets how many per-call costs a record shares, and the
 # memory of the stored W's and the scoring scratch; it changes no value.
@@ -806,13 +796,11 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     RECORD_CHUNK slots: those past its records hold W = 0, finite under
     every loss, and their values and errors are dropped.
     A failure that only the loss finds, a loss_bar `DomainError` or a
-    non-finite loss, fails its trial at that record: the trace keeps the
-    rows before it and W of that step, and the steps the trial took since
-    are thrown away.  Of two failures of a trial, the one at the earlier
-    step stands; at one step the kernel's errors come first, then
-    loss_bar's, a non-finite gradient and a non-finite loss, the order of a
-    step that computes them all.  A scoring skips the records that no
-    trial's trace keeps.
+    non-finite loss, fails its trial at that record, and the steps the
+    trial took since are thrown away.  Of two failures of a trial, the one
+    at the earlier step stands; at one step the kernel's errors come first,
+    then loss_bar's, a non-finite gradient and a non-finite loss, the order
+    of a step that computes them all.
 
     The loop carries ``w_bound`` >= ||W_b||_F for every trial b, frozen
     ones too: the largest norm at each measurement, plus eta per normalized
@@ -859,7 +847,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     # The W of each record since the last scoring, and the scratch that scores them.
     stored = np.empty((min(RECORD_CHUNK, len(taus)), trials, d, d))
     records, stack_refs = _records_pack(packed, len(stored)), _StackRefs(refs, d, len(stored))
-    failures: dict[int, _Failure] = {}
+    failures: dict[int, tuple[tuple, Exception]] = {}  # b: ((step, rank), error); the smaller (step, rank) stands
     alive, all_alive = np.ones(trials, dtype=bool), True
     w = np.stack([config.initial_w(d) for _ in range(trials)])
     w_flat = w.reshape(trials, -1)
@@ -869,51 +857,36 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         np.sqrt(np.vecdot(w_flat, w_flat, out=out), out=out)
         return float(out[out.argmax()]) * grow
 
-    def finish(b: int) -> TrainTrace:
-        rows, w_b = (row, w[b]) if alive[b] else (failures[b].rows, failures[b].w)
-        return TrainTrace(
-            iters=iters[:rows],
-            **{name: cols[name][b, :rows] for name in _COLUMNS},
-            t_ms=t_ms[:rows],
-            w_final=w_b.copy(),
-        )
-
-    def fail(found: dict[int, Exception], tau: int, rank: int, r: int, ws: np.ndarray) -> None:
-        """Fail each trial of found at step tau, unless it failed earlier
-        (`_train_stack`), keeping its rows before r and its W in ws."""
+    def fail(found: dict[int, Exception], tau: int, rank: int) -> None:
+        """Fail each trial of found at step tau, unless it failed earlier (`_train_stack`)."""
         nonlocal all_alive
         for b, exc in found.items():
-            if b not in failures or (tau, rank) < failures[b].at:
-                # A failing gradient at a record step yields to loss_bar's error there.
-                reach = r + (rank == 2 and r < len(taus) and taus[r] == tau)
-                failures[b] = _Failure((tau, rank), exc, r, ws[b].copy(), reach)
+            if b not in failures or (tau, rank) < failures[b][0]:
+                failures[b] = ((tau, rank), exc)
                 alive[b] = all_alive = False
 
     def non_finite(what: str, tau: int, bad: np.ndarray) -> dict[int, Exception]:
         return {int(b): NonFiniteLoss(f"{what} became non-finite at iteration {tau}") for b in np.flatnonzero(bad)}
 
     def score() -> None:
-        """Score the stored records that a trace keeps: all of them while a
-        trial is alive, else those each failure needs.  The slots past them
-        hold W = 0, whose values and errors are dropped."""
+        """Score the stored records.  The slots past them hold W = 0, whose
+        values and errors are dropped."""
         nonlocal scored, stored_bounded
-        reach = row if all_alive or alive.any() else min(row, max(f.reach for f in failures.values()))
-        n = reach - scored
+        n = row - scored
         if n > 0:
             stored[n:] = 0.0
             loss, bar, _, errors = _loss_and_grad(stored, records, config.loss, reduced_log=True, need_grad=False,
                                                   need_loss=True, bounded=stored_bounded)
-            kept, loss = slice(scored, reach), loss[:n]
+            kept, loss = slice(scored, row), loss[:n]
             cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar[:n].T
             cols["dist_fin"][:, kept] = stack_refs.dist_fin(stored)[:n].T
             cols["corr_svm"][:, kept] = _cosine(stored[:n], stack_refs.w_svm, cols["w_norm"][:, kept].T,
                                                 stack_refs.svm_norm).T
             finite = np.isfinite(loss)
             if errors or not finite.all():
-                for k, r in enumerate(range(scored, reach)):
-                    found = {i - k * trials: exc for i, exc in errors.items() if i // trials == k}
-                    fail(found, taus[r], 1, r, stored[k])
-                    fail(non_finite("loss", taus[r], ~finite[k]), taus[r], 3, r, stored[k])
+                for k, step in enumerate(taus[scored:row]):
+                    fail({i - k * trials: exc for i, exc in errors.items() if i // trials == k}, step, 1)
+                    fail(non_finite("loss", step, ~finite[k]), step, 3)
         scored, stored_bounded = row, True
 
     t0, row, scored, remeasure, stored_bounded, w_bound = time.perf_counter(), 0, 0, True, True, math.inf
@@ -925,14 +898,14 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
             bounded = remeasure = packed.lip * w_bound <= SCORE_BOUND
         _, _, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=False, bounded=bounded)
         if errors:
-            fail(errors, tau, 0, row, w)
+            fail(errors, tau, 0)
         np.sqrt(np.vecdot(g_flat, g_flat, out=gn), out=gn)
         # Every norm finite and above the floor; a NaN fails both tests.
         # Read through argmin and argmax, as `svm._top` reads a max.
         top = None if bounded and finite_grad else float(gn[gn.argmax()])
         clean = gn[gn.argmin()] > floor and (top is None or top < np.inf)
         if not clean and not np.isfinite(gn).all():
-            fail(non_finite("gradient", tau, alive & ~np.isfinite(g).all(axis=(1, 2))), tau, 2, row, w)
+            fail(non_finite("gradient", tau, alive & ~np.isfinite(g).all(axis=(1, 2))), tau, 2)
         if record:
             np.divide(gn, packed.n, out=cols["grad_norm"][:, row])
             stored[row - scored] = w
@@ -959,10 +932,9 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         w_bound = (w_bound + (config.eta if config.normalized else plain_scale * top)) * grow
     score()
     records = stack_refs = stored = None  # freed before the traces are built
-    for b, failure in failures.items():
-        if isinstance(failure.error, NonFiniteLoss):
-            failure.error.trace = finish(b)
-    return [finish(b) if alive[b] else failures[b].error for b in range(trials)]
+    # A trial still alive ran every step, so its trace holds every record.
+    return [TrainTrace(iters=iters, **{name: cols[name][b] for name in _COLUMNS}, t_ms=t_ms, w_final=w[b].copy())
+            if alive[b] else failures[b][1] for b in range(trials)]
 
 
 WFIN_DECREMENT_TOL = 1e-30  # lambda^2 / 2 at which a step is rounding-sized

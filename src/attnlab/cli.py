@@ -142,19 +142,20 @@ def _read_trace(path: str) -> attention.TrainTrace:
             raise ValueError(f"{path}: trace has no {name!r} column")
     if not rows:
         raise ValueError(f"{path}: trace has a header but no rows")
+    iters = []
     for line, row in enumerate(rows, start=2):
         if None in row or None in row.values():
             raise ValueError(f"{path}: line {line} does not match the header's "
                              f"{len(reader.fieldnames)} columns")
+        try:
+            iters.append(np.int64(int(row["iter"])))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: line {line}: iter {row['iter']!r} is not a 64-bit whole number") from None
     cols = {
         name: np.array([np.nan if row[name] == "" else float(row[name]) for row in rows])
-        for name in attention.TrainTrace.csv_header()
+        for name in attention.TrainTrace.csv_header() if name != "iter"
     }
-    return attention.TrainTrace(
-        iters=cols.pop("iter").astype(np.int64),
-        t_ms=np.zeros(len(rows)),
-        **cols,
-    )
+    return attention.TrainTrace(iters=np.array(iters, dtype=np.int64), t_ms=np.zeros(len(rows)), **cols)
 
 
 def _cmd_analyze(args) -> int:

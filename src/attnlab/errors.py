@@ -34,11 +34,7 @@ class DomainError(AttnLabError):
 
 
 class NonFiniteLoss(AttnLabError):
-    """Training produced a non-finite loss; carries the trace so far."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """Training produced a non-finite loss or gradient."""
 
 
 class NoConvergence(AttnLabError):

@@ -109,6 +109,17 @@ class TestSubcommands:
         assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
         assert "'dist_fin'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, line", [("", 3), ("2.5", 4), (str(2**63), 3)],
+                             ids=["empty", "fraction", "overflow"])
+    def test_analyze_iter_that_is_not_a_whole_number_is_config_error(self, tmp_path, capsys, cell, line):
+        trace = tmp_path / "trace.csv"
+        iters = ["0", "1", "2"]
+        iters[line - 2] = cell
+        rows = "".join(f"{it},1.0,,0.5,{t + 1.0},,\n" for t, it in enumerate(iters))
+        trace.write_text("iter,loss,loss_bar,grad_norm,w_norm,corr_svm,dist_fin\n" + rows)
+        assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
+        assert f"trace.csv: line {line}: iter {cell!r} is not a 64-bit whole number" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_exp_writes_artifacts_and_passes(self, tmp_path):

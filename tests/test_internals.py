@@ -408,10 +408,8 @@ class TrainGdCertificates:
         # The loss turns infinite at step 7, between the records at 5 and 10.
         monkeypatch.setattr(att, "_loss_and_grad", _infinite_from_step_7(trial=0))
         cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
-        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10"):
             att.train_gd(shape_dataset("desk"), cfg)
-        assert list(exc.value.trace.iters) == [0, 5]
-        assert np.all(np.isfinite(exc.value.trace.loss))
 
 
 class TestStepZero:
@@ -461,7 +459,6 @@ class TrainBlockCertificates:
         monkeypatch.setattr(att, "_loss_and_grad", block_kernel)
         block = att.train_block(datasets, cfg)
         assert type(block[2]) is NonFiniteLoss and str(block[2]) == str(alone.value)
-        assert trace_bytes(block[2].trace) == trace_bytes(alone.value.trace)
         for b in (0, 1, 3):
             assert trace_bytes(block[b]) == trace_bytes(clean[b])
 
@@ -487,17 +484,17 @@ class TrainBlockCertificates:
 
         monkeypatch.setattr(att, "_loss_and_grad", broken)
         block = att.train_block(datasets, cfg)
-        for b, tau, iters in ((1, 7, [0, 5]), (3, 12, [0, 5, 10])):
+        for b, tau in ((1, 7), (3, 12)):
             assert type(block[b]) is NonFiniteLoss
             assert str(block[b]) == f"gradient became non-finite at iteration {tau}"
-            assert list(block[b].trace.iters) == iters
         for b in (0, 2, 4):
             assert trace_bytes(block[b]) == trace_bytes(clean[b])
 
     def test_a_block_stops_once_every_trial_has_failed(self, monkeypatch):
         # Two tied trials whose one sample lacks its label, one structure:
-        # both fail the underflow guard at step 0, so one kernel call is all
-        # 1,000 steps make, and each returns what it returns alone.
+        # both fail the underflow guard at step 0, so one step and one
+        # scoring of its record are all the kernel calls 1,000 steps make,
+        # and each trial returns what it returns alone.
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
         head = dsm.make_head(table, dsm.TIED)
         bad = [dsm.Dataset(embedding=table, head=head, samples=(dsm.Sample(tokens=tokens, label=0),))
@@ -507,45 +504,33 @@ class TrainBlockCertificates:
         monkeypatch.setattr(att, "_loss_and_grad", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
         with pytest.raises(DomainError) as alone:
             att.train_gd(bad[0], cfg)
-        assert len(calls) == 1
-        block = att.train_block(bad, cfg)
         assert len(calls) == 2
+        block = att.train_block(bad, cfg)
+        assert len(calls) == 4
         assert [type(b) for b in block] == [DomainError, DomainError]
         assert str(block[0]) == str(block[1]) == str(alone.value) == "log-loss argument underflow: min score 0.000e+00"
 
-    def test_a_failed_last_trial_keeps_its_trace(self, monkeypatch):
+    def test_a_failed_last_trial_is_found_by_the_last_scoring(self, monkeypatch):
         # The loss turns infinite at step 7 and fails at the record step 10,
-        # found when the records are scored after the last step; the steps
-        # taken after step 10 are thrown away.  The trace holds the records
-        # up to step 5 and the W of step 10.
+        # found only when the records are scored after the last step, so
+        # the trial takes every step and the failure still stands at 10.
         monkeypatch.setattr(att, "_loss_and_grad", _infinite_from_step_7(trial=0))
         calls = _kernel_calls(monkeypatch)
         cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
-        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10"):
             att.train_gd(shape_dataset("desk"), cfg)
         _assert_steps_and_scorings(calls, 20, [0, 5, 10, 15, 20])
-        monkeypatch.undo()
-        clean = att.train_gd(shape_dataset("desk"), dataclasses.replace(cfg, iters=5))
-        at_fail = att.train_gd(shape_dataset("desk"), dataclasses.replace(cfg, iters=10))
-        got = exc.value.trace
-        assert trace_bytes(dataclasses.replace(got, w_final=clean.w_final)) == trace_bytes(clean)
-        assert got.w_final.tobytes() == at_fail.w_final.tobytes()
 
     def test_a_trial_that_fails_mid_chunk_keeps_the_others_bits(self, monkeypatch):
         # Trial 1's gradient turns NaN at step 13, between the records at 12
-        # and 14 of the first chunk: it fails in the loop there, keeps the
-        # rows up to step 12 and W of step 13, and the other trials keep the
-        # bits of their plain loops, in every chunk.
+        # and 14 of the first chunk: it fails in the loop there, and the
+        # other trials keep the bits of their plain loops, in every chunk.
         datasets, refs = block_trials()[:2]
         cfg = att.TrainConfig(eta=0.05, iters=4 * att.RECORD_CHUNK + 1, normalized=True, record_every=2)
         monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(1, grad_from=13))
         block = att.train_block(datasets, cfg, refs)
         monkeypatch.undo()
         assert type(block[1]) is NonFiniteLoss and str(block[1]) == "gradient became non-finite at iteration 13"
-        rows, _ = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=12), refs[1])
-        assert np.column_stack(block[1].trace.columns()).astype(np.float64).tobytes() == rows.tobytes()
-        w_13 = straight_train_gd(datasets[1], dataclasses.replace(cfg, iters=13), refs[1])[1]
-        assert block[1].trace.w_final.tobytes() == w_13.tobytes()
         for b in (0, 2, 3, 4, 5, 6):
             rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
             assert np.column_stack(block[b].columns()).astype(np.float64).tobytes() == rows.tobytes()
@@ -560,8 +545,8 @@ class TrainBlockCertificates:
         # there on.  plain-failed: plain GD with trial 1's gradient NaN from
         # step 13.  local-squared: its two seed-0 trials reach the floor at
         # different steps, so one moves while the other stays put.  Each
-        # trace is that of its trial's plain loop, or of its trial alone
-        # under the same fault.
+        # trace is that of its trial's plain loop, and the failed trial
+        # raises what it raises alone under the same fault.
         faults = {}
         if case == "local-squared":
             datasets, cfg, refs = experiment_block("local-squared", 2, iters=1000)
@@ -585,7 +570,6 @@ class TrainBlockCertificates:
                 att.train_gd(datasets[1], cfg, refs[1])
             monkeypatch.undo()
             assert type(block[1]) is NonFiniteLoss and str(block[1]) == str(alone.value)
-            assert trace_bytes(block[1].trace) == trace_bytes(alone.value.trace)
         for b, trace in enumerate(block):
             if not (faults and b == 1):
                 rows, w_final = straight_train_gd(datasets[b], cfg, refs[b])
@@ -600,7 +584,8 @@ class TrainBlockCertificates:
         # must leave every trace and failure as it is.  RECORD_CHUNK + 1
         # records, so the last scoring is short; in failed-early trial 1's
         # gradient turns NaN at step 5, before it, and all-failed trains
-        # that trial alone, so the last scoring reaches only its failure.
+        # that trial alone, so the last scoring holds only the records
+        # before its failure.
         datasets, refs = block_trials()[:2]
         trial = 1
         if case == "all-failed":
@@ -630,15 +615,14 @@ class TrainBlockCertificates:
             assert type(a) is type(b)
             if isinstance(b, Exception):
                 assert str(a) == str(b) == "gradient became non-finite at iteration 5"
-                a, b = a.trace, b.trace
-            assert trace_bytes(a) == trace_bytes(b)
+            else:
+                assert trace_bytes(a) == trace_bytes(b)
         assert case == "clean" or isinstance(got[trial], NonFiniteLoss)
 
     def test_a_loss_failure_found_at_a_full_chunk_stops_its_trial_there(self, monkeypatch):
         # Every step is a record, so the infinite loss from step 7 on is
-        # found when the first chunk is scored, after step RECORD_CHUNK - 1:
-        # the trial keeps the rows up to step 6 and W of step 7, and the
-        # steps it took after step 7 are thrown away.
+        # found when the first chunk is scored, after step RECORD_CHUNK - 1,
+        # and the trial fails at step 7 while the others keep their bits.
         datasets = [shape_dataset("desk", seed) for seed in range(3)]
         cfg = att.TrainConfig(eta=0.01, iters=3 * att.RECORD_CHUNK, normalized=True, record_every=1)
         clean = att.train_block(datasets, cfg)
@@ -648,11 +632,6 @@ class TrainBlockCertificates:
         _assert_steps_and_scorings(calls, cfg.iters, list(range(cfg.iters + 1)))
         monkeypatch.undo()
         assert type(block[1]) is NonFiniteLoss and str(block[1]) == "loss became non-finite at iteration 7"
-        at_7 = att.train_gd(datasets[1], dataclasses.replace(cfg, iters=7))
-        got = block[1].trace
-        assert list(got.iters) == list(range(7))
-        assert trace_bytes(got) == trace_bytes(dataclasses.replace(
-            clean[1], **{f: getattr(clean[1], f)[:7] for f in ("iters", *att._COLUMNS)}, w_final=at_7.w_final))
         for b in (0, 2):
             assert trace_bytes(block[b]) == trace_bytes(clean[b])
 
@@ -660,24 +639,18 @@ class TrainBlockCertificates:
         # Trial 0's loss is infinite from the record at step 10 on, found
         # only when the first chunk is scored after step 35, and its
         # gradient turns NaN at step 20, which the loop sees first: the
-        # earlier failure stands, with its trace and W.
+        # earlier failure stands.
         cfg = att.TrainConfig(eta=0.01, iters=60, normalized=True, record_every=5)
-        ds = shape_dataset("desk")
         monkeypatch.setattr(att, "_loss_and_grad", _faulty_kernel(0, loss_from=10, grad_from=20))
-        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10") as exc:
-            att.train_gd(ds, cfg)
-        monkeypatch.undo()
-        got, at_5, at_10 = exc.value.trace, *(att.train_gd(ds, dataclasses.replace(cfg, iters=t)) for t in (5, 10))
-        assert trace_bytes(dataclasses.replace(got, w_final=at_5.w_final)) == trace_bytes(at_5)
-        assert got.w_final.tobytes() == at_10.w_final.tobytes()
+        with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 10"):
+            att.train_gd(shape_dataset("desk"), cfg)
 
     @pytest.mark.parametrize("loss_bar_fails", [False, True])
     def test_failures_at_one_record_step_keep_their_order(self, monkeypatch, loss_bar_fails):
         # At the record step 10 the gradient turns NaN, in the loop, and the
         # loss turns infinite or loss_bar fails, in the last scoring.  As in
         # a step that computes them all, loss_bar's error precedes the
-        # gradient's, which precedes the loss's; so that scoring must reach
-        # the record of the failing step.
+        # gradient's, which precedes the loss's.
         cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
         error = DomainError("log-loss argument underflow: min score 0.000e+00") if loss_bar_fails else None
         faults = {"error_at": 10, "error": error} if loss_bar_fails else {"loss_from": 10}
@@ -688,7 +661,6 @@ class TrainBlockCertificates:
             assert exc.value is error
         else:
             assert str(exc.value) == "gradient became non-finite at iteration 10"
-            assert list(exc.value.trace.iters) == [0, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +696,8 @@ def _certified_and_not(monkeypatch, datasets, cfg, refs=None):
         assert type(got) is type(want)
         if isinstance(want, Exception):
             assert str(got) == str(want)
-            got, want = getattr(got, "trace", None), getattr(want, "trace", None)
-        assert (got is None and want is None) or trace_bytes(got) == trace_bytes(want)
+        else:
+            assert trace_bytes(got) == trace_bytes(want)
     return flags[:calls]
 
 

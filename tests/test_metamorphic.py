@@ -34,6 +34,14 @@ permutation from seed 2000 + its seed and rotated by a Q from seed
 3000 + its seed, and plain GD for 1,000 steps at the smaller 1/L of the
 copies (two 1/L may differ in the last bit, and a step above one of them
 warns).
+
+Doubling the embeddings, x_k -> 2 x_k, multiplies every score
+x_t^T W xbar by 4, so the references of the doubled instance are a
+quarter of the original's: the statuses and dim S_fin are equal, 4 W_svm
+and 4 W_fin agree with the original's to 1e-11 relative, and so do the
+S_fin projectors.  A power of two scales the embeddings exactly.  The
+draws are headless, so no head row needs scaling with them: the desk
+shape at seeds 80-85 and the refs shape at seeds 80-82.
 """
 
 import dataclasses
@@ -133,10 +141,10 @@ TRAINED = ("loss", "loss_bar", "grad_norm", "w_norm")
 TRAIN_REL = 1e-12
 
 
-def _copy_draw(shape, seed):
+def _copy_draw(shape, seed, headless=False):
     k, d, n, t, head_kind = COPY_SHAPES[shape]
     table = dsm.make_embeddings(k, d, dsm.UNIT_SPHERE, seed=seed)
-    head = None if head_kind is None else dsm.make_head(table, head_kind)
+    head = None if head_kind is None or headless else dsm.make_head(table, head_kind)
     return dsm.gen_dataset(table, head, n=n, T=t, mode="cyclic", seed=seed)
 
 
@@ -227,3 +235,19 @@ def test_rotation_keeps_the_references_and_their_certificates(copies):
         _near(moved.w_svm, q @ pipe.w_svm @ q.T)
         _near(moved.w_fin, q @ pipe.w_fin @ q.T)
 
+
+SCALE_SEEDS = [("desk", seed) for seed in range(80, 86)] + [("refs", seed) for seed in range(80, 83)]
+
+
+@pytest.mark.parametrize("shape, seed", SCALE_SEEDS, ids=[f"{shape}-{seed}" for shape, seed in SCALE_SEEDS])
+def test_doubling_the_embeddings_quarters_the_references(shape, seed):
+    ds = _copy_draw(shape, seed, headless=True)
+    doubled = dataclasses.replace(ds, embedding=dataclasses.replace(ds.embedding, e=2.0 * ds.embedding.e))
+    pipe, moved = build_pipeline(ds), build_pipeline(doubled)
+    assert moved.solution.status == pipe.solution.status
+    assert moved.fin_result.status == pipe.fin_result.status
+    assert moved.s_fin.dim == pipe.s_fin.dim
+    _near(4.0 * moved.w_svm, pipe.w_svm)
+    _near(4.0 * moved.w_fin, pipe.w_fin)
+    if pipe.s_fin.dim:
+        _near(_projector(moved.s_fin), _projector(pipe.s_fin))

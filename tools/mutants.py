@@ -96,6 +96,14 @@ MUTANTS = [
            "            stored[n:] = 0.0",
            "            stored[n:] = stored[n:]",
            "no zero fill: a scoring's unused slots keep old W's"),
+    Mutant("src/attnlab/attention.py",
+           "            if b not in failures or (tau, rank) < failures[b][0]:",
+           "            if b not in failures:",
+           "no (step, rank) order in fail: the first failure found stands, not the earliest"),
+    Mutant("src/attnlab/attention.py",
+           "if i // trials == k}, step, 1)",
+           "if i // trials == k}, step, 2.5)",
+           "loss_bar ranked after the gradient: at one step a gradient failure stands over loss_bar's error"),
 ]
 
 
