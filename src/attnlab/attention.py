@@ -60,7 +60,7 @@ SCORE_BOUND = 600.0
 # decides a group's form (`_features`).  A batched gemv on in-cache operands
 # costs about 60-100 ns a call plus 0.13-0.2 ns a multiply-add (numpy 2.4.6,
 # OpenBLAS on one thread, a 2-core x86-64 machine), so a call is worth 300 to
-# 700 of them.  On the kernel without the loss, 20 trials of 6 samples, the
+# 700 of them.  On a kernel step of 20 trials of 6 samples, the
 # feature form was 6% faster at d = 10, T = 6 (440 extra multiply-adds a
 # sample) and 9% slower at d = 12, T = 6 (648); two calls at 256 each put the
 # crossover between them.  It also bounds the features' memory: T d^2 <=
@@ -164,8 +164,7 @@ class _Scratch:
         self.h = np.empty(lead + (g, t))     # scores, then their softmax s
         self.edge = np.empty(lead + (g, 1))  # each row's shift, then its sum
         self.ones = np.ones(t)               # the row sums' operand (`_sum_rows`), also the split rows'
-        self.u = np.empty(lead + (g,))       # label masses; without the gradient, then their losses
-        self.loss = np.empty(lead + (g,)) if grad else None  # their losses
+        self.u = np.empty(lead + (g,))       # label masses; in a scoring, then their losses
         self.q_col = None if features else self.q[..., None]
         self.h_col, self.h_flat = self.h[..., None], self.h.reshape(lead + (g * t, 1))
         if grad:
@@ -381,17 +380,17 @@ def _underflow(u: np.ndarray) -> DomainError:
 
 
 def _loss_and_grad(
-    w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, need_grad: bool = True,
-    need_loss: bool = True, bounded: bool = False,
+    w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, grad: bool, bounded: bool = False,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
-    """Per-trial losses (B,), cyclic-split losses loss_bar (B,) and
-    gradients (B, d, d) at w (B, d, d), from one softmax per group and matmul
-    contractions only.  On a `_records_pack` w is (n, B, d, d), n records of
-    each trial, and the losses and loss_bar are (n, B).  The gradient is
-    the sum of the samples' terms, n times the loss's gradient: each
-    caller scales it once, `_one` by 1/n and a training step by its own
-    scale (`_train_stack`).  Every softmax sums its rows through
-    `_sum_rows`.
+    """One job at w (B, d, d), from one softmax per group and matmul
+    contractions only: with ``grad`` a step, (None, None, gradients (B, d,
+    d), errors), else a scoring, (losses (B,), cyclic-split losses loss_bar
+    (B,), None, errors).  On a `_records_pack`, which only scores, w is (n,
+    B, d, d), n records of each trial, and the losses and loss_bar are (n,
+    B).  The gradient is the sum of the samples' terms, n times the loss's
+    gradient: each caller scales it once, `grad` by 1/n and a training
+    step by its own scale (`_train_stack`).  Every softmax sums its rows
+    through `_sum_rows`.
 
     The scores are the label-relative dx W xbar.  Every trial's values are
     bit for bit those of a pack of that trial alone.  ``reduced_log``
@@ -415,41 +414,38 @@ def _loss_and_grad(
     pack would be (`_shift`).  ``bounded`` is the caller's certificate that
     no score passes SCORE_BOUND (`_train_stack`): the test then reads the
     anchoring alone, with no reduction over the scores.  Without a shift
-    the label mass of a tied log loss stays above LOG_GUARD, so a call
-    without the loss on the reduced form then skips the label mass and its
-    guard.
+    the label mass of a tied log loss stays above LOG_GUARD, so a step on
+    the reduced form then skips the label mass and its guard.
 
-    Without ``need_grad`` the gradient is None and its contractions are
-    skipped; without ``need_loss`` the losses and loss_bar are None and
-    their terms are skipped, but the log-loss underflow guard still runs
-    wherever it can fire, so the errors are those of a call with the loss.
-    An error in one trial's data does not stop the others: it comes back in
-    {trial: exception}, and that trial's values are meaningless; on a
-    `_records_pack` the key of record k of trial b is k B + b.
+    A step runs the log-loss underflow guard wherever it can fire, so its
+    errors are a scoring's, less loss_bar's.  An error in one trial's data
+    does not stop the others: it comes back in {trial: exception}, and
+    that trial's values are meaningless; on a `_records_pack` the key of
+    record k of trial b is k B + b.
 
     The gradient is the pack's own array, valid until the next call on the
     pack.  The intermediates live in its groups' scratch, and the split
-    rows' in their `_SplitRows`, so a tied log-loss call without the loss
-    writes only arrays that `_pack` allocated, and one with it adds only
-    arrays of one entry per trial or per sample.
+    rows' in their `_SplitRows`, so a tied log-loss step writes only arrays
+    that `_pack` allocated, and a scoring adds only arrays of one entry per
+    trial or per sample.
     """
     lead, errors = packed.lead, {}
     if kind == CROSS_ENTROPY and packed.c is None:
         errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(math.prod(lead))}
-        total = np.full(lead, np.nan) if need_loss else None
-        if need_grad:
+        if grad:
             packed.grad.fill(0.0)
-        return total, total, packed.grad if need_grad else None, errors
-    total = np.zeros(lead) if need_loss else None
-    bar = np.where(np.broadcast_to(packed.splits, lead), 0.0, np.nan) if need_loss else None
+            return None, None, packed.grad, errors
+        total = np.full(lead, np.nan)
+        return total, total, None, errors
+    total = None if grad else np.zeros(lead)
+    bar = None if grad else np.where(np.broadcast_to(packed.splits, lead), 0.0, np.nan)
     bar_errors: dict[int, Exception] = {}
-    grad = packed.grad if need_grad else None
     reduced = kind == LOG and packed.tied and reduced_log
     for g in packed.groups:
         sc = g.scratch
         h = _scores(w, g)
         shift = _shift(h, g, bounded)
-        if need_loss and g.split is not None:
+        if not grad and g.split is not None:
             bar += _split_loss(h, g, packed, kind, bar_errors, shift)
         s = _exp_normalized(h, sc.edge, sc.ones) if shift is None else _softmax_in_place(h, sc.edge, sc.ones, shift)
         if kind == CROSS_ENTROPY:
@@ -458,9 +454,8 @@ def _loss_and_grad(
             shifted = logits - logits.max(axis=-1, keepdims=True)
             ex = np.exp(shifted)
             z = ex.sum(axis=-1)
-            if need_loss:
+            if not grad:
                 total += (np.log(z) - np.take_along_axis(shifted, label, -1)[..., 0]).sum(axis=-1)
-            if not need_grad:
                 continue
             p = ex / z[..., None]
             np.put_along_axis(p, label, np.take_along_axis(p, label, -1) - 1.0, -1)
@@ -468,14 +463,13 @@ def _loss_and_grad(
             dh = s * (back - (s * back).sum(axis=-1, keepdims=True))
             np.matmul(dh[..., None, :], g.x, out=sc.vec_row)
         else:
-            if need_loss or not reduced or shift is not None:
+            if not grad or not reduced or shift is not None:
                 u = np.vecdot(s, g.gamma, out=sc.u)
                 if kind == LOG:
                     u = _guarded(u, None, errors)
-                if need_loss:
-                    total += np.add.reduce(loss_value(kind, u, out=sc.loss if need_grad else u), axis=-1)
-            if not need_grad:
-                continue
+                if not grad:
+                    total += np.add.reduce(loss_value(kind, u, out=u), axis=-1)
+                    continue
             if not reduced:
                 v = np.subtract(g.gamma, u[..., None], out=sc.v)
                 np.multiply(s, v, out=v)
@@ -487,15 +481,16 @@ def _loss_and_grad(
         if reduced and g.phi is not None:
             np.matmul(sc.s_flat, g.phi, out=packed.grad_flat if first else packed.part_flat)
         else:
-            np.matmul(sc.vec_t, g.xbar, out=grad if first else packed.part)
+            np.matmul(sc.vec_t, g.xbar, out=packed.grad if first else packed.part)
         if not first:
-            grad += packed.part
+            np.add(packed.grad, packed.part, out=packed.grad)
+    if grad:
+        return None, None, packed.grad, errors
     for b, exc in bar_errors.items():
         errors.setdefault(b, exc)
-    if total is not None:
-        total /= packed.n
-        bar /= packed.n
-    return total, bar, grad, errors
+    total /= packed.n
+    bar /= packed.n
+    return total, bar, None, errors
 
 
 def _scores(w: np.ndarray, g: _Group) -> np.ndarray:
@@ -564,22 +559,25 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
     return np.bincount(rows.ids, weights=losses.reshape(-1), minlength=math.prod(lead)).reshape(lead)
 
 
-def _one(w: np.ndarray, packed: _Packed, kind: str, need_grad: bool = True,
-         reduced_log: bool = True, need_loss: bool = True) -> tuple[Optional[float], Optional[np.ndarray]]:
-    """Loss and gradient of a one-trial pack at a (d, d) w, each None when
-    not asked for; raises the trial's error.  The gradient is the kernel's
-    sum divided by n, a new array, so it outlives the next call on the
-    pack."""
-    total, _, grad, errors = _loss_and_grad(w[None], packed, kind, reduced_log, need_grad, need_loss)
+def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
+    """The loss of a dataset at a (d, d) w, from one scoring of its pack;
+    raises the dataset's error."""
+    total, _, _, errors = _loss_and_grad(w[None], _pack([dataset]), kind, reduced_log=True, grad=False)
     if errors:
         raise errors[0]
-    return None if total is None else float(total[0]), None if grad is None else grad[0] / packed.n
+    return float(total[0])
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
-    """Analytical gradient; uses the reduced tied-head form for the log loss.
-    A new array: the kernel's own gradient is rewritten by its next call."""
-    return _one(w, _pack([dataset]), kind, need_loss=False)[1]
+    """The loss's gradient at a (d, d) w, from one step of the dataset's
+    pack, the reduced tied-head form for the log loss; raises the
+    dataset's error.  The kernel's sum over the samples divided by n, a
+    new array: the kernel's own gradient is rewritten by its next call."""
+    packed = _pack([dataset])
+    _, _, g, errors = _loss_and_grad(w[None], packed, kind, reduced_log=True, grad=True)
+    if errors:
+        raise errors[0]
+    return g[0] / packed.n
 
 
 def lipschitz_log(dataset: Dataset) -> float:
@@ -788,19 +786,18 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
 
     A record step keeps what the loop itself needs, the gradient norms and
     the W norms, and a copy of W.  Each time RECORD_CHUNK of them are
-    stored, and once after the last step, one kernel call (`_records_pack`),
+    stored, and once after the last step, one kernel scoring (`_records_pack`),
     `_StackRefs.dist_fin` and `_cosine` score them all: the loss, loss_bar,
     corr_svm and dist_fin columns, each record's values the bits of its
     trial alone.  corr_svm divides by the record's w_norm and the stack's
     ||W_svm||, the bits `correlation` computes.  Every scoring takes all
     RECORD_CHUNK slots: those past its records hold W = 0, finite under
     every loss, and their values and errors are dropped.
-    A failure that only the loss finds, a loss_bar `DomainError` or a
+    A failure that only a scoring finds, a loss_bar `DomainError` or a
     non-finite loss, fails its trial at that record, and the steps the
     trial took since are thrown away.  Of two failures of a trial, the one
-    at the earlier step stands; at one step the kernel's errors come first,
-    then loss_bar's, a non-finite gradient and a non-finite loss, the order
-    of a step that computes them all.
+    at the earlier step stands; at one step the step's errors come first,
+    then the scoring's, a non-finite gradient and a non-finite loss.
 
     The loop carries ``w_bound`` >= ||W_b||_F for every trial b, frozen
     ones too: the largest norm at each measurement, plus eta per normalized
@@ -875,8 +872,8 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         n = row - scored
         if n > 0:
             stored[n:] = 0.0
-            loss, bar, _, errors = _loss_and_grad(stored, records, config.loss, reduced_log=True, need_grad=False,
-                                                  need_loss=True, bounded=stored_bounded)
+            loss, bar, _, errors = _loss_and_grad(stored, records, config.loss, reduced_log=True, grad=False,
+                                                  bounded=stored_bounded)
             kept, loss = slice(scored, row), loss[:n]
             cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar[:n].T
             cols["dist_fin"][:, kept] = stack_refs.dist_fin(stored)[:n].T
@@ -896,7 +893,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         if record or (remeasure and not bounded):
             w_bound = measure(cols["w_norm"][:, row] if record else w_norm)
             bounded = remeasure = packed.lip * w_bound <= SCORE_BOUND
-        _, _, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, need_loss=False, bounded=bounded)
+        _, _, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, grad=True, bounded=bounded)
         if errors:
             fail(errors, tau, 0)
         np.sqrt(np.vecdot(g_flat, g_flat, out=gn), out=gn)

@@ -143,6 +143,7 @@ def _read_trace(path: str) -> attention.TrainTrace:
     if not rows:
         raise ValueError(f"{path}: trace has a header but no rows")
     iters = []
+    cols = {name: np.empty(len(rows)) for name in attention.TrainTrace.csv_header() if name != "iter"}
     for line, row in enumerate(rows, start=2):
         if None in row or None in row.values():
             raise ValueError(f"{path}: line {line} does not match the header's "
@@ -151,10 +152,11 @@ def _read_trace(path: str) -> attention.TrainTrace:
             iters.append(np.int64(int(row["iter"])))
         except (ValueError, OverflowError):
             raise ValueError(f"{path}: line {line}: iter {row['iter']!r} is not a 64-bit whole number") from None
-    cols = {
-        name: np.array([np.nan if row[name] == "" else float(row[name]) for row in rows])
-        for name in attention.TrainTrace.csv_header() if name != "iter"
-    }
+        for name, col in cols.items():  # an empty cell is NaN
+            try:
+                col[line - 2] = np.nan if row[name] == "" else float(row[name])
+            except ValueError:
+                raise ValueError(f"{path}: line {line}: {name} {row[name]!r} is not a number") from None
     return attention.TrainTrace(iters=np.array(iters, dtype=np.int64), t_ms=np.zeros(len(rows)), **cols)
 
 

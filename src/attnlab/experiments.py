@@ -788,21 +788,14 @@ class SelftestResult:
     detail: str
 
 
-def _pack_loss(ds: Dataset, kind: str):
-    """The loss of ds as a function of W, with ds packed once."""
-    packed = attention._pack([ds])
-    return lambda w: attention._one(w, packed, kind, need_grad=False)[0]
-
-
 def _fd_grad(w: np.ndarray, ds: Dataset, kind: str, step: float = 1e-5) -> np.ndarray:
-    loss = _pack_loss(ds, kind)
     g = np.zeros_like(w)
     for a in range(w.shape[0]):
         for b in range(w.shape[1]):
             wp, wm = w.copy(), w.copy()
             wp[a, b] += step
             wm[a, b] -= step
-            g[a, b] = (loss(wp) - loss(wm)) / (2 * step)
+            g[a, b] = (attention.loss(wp, ds, kind) - attention.loss(wm, ds, kind)) / (2 * step)
     return g
 
 
@@ -877,14 +870,13 @@ def gradient_check(seed: int = 0) -> SelftestResult:
 def descent(seed: int = 0) -> SelftestResult:
     """Descent lemma along 200 gradient steps with eta = 1/L."""
     ds = _small_instance(seed + 11)
-    packed = attention._pack([ds])
     eta = 1.0 / attention.lipschitz_log(ds)
     w = np.zeros((ds.d, ds.d))
-    cur, g = attention._one(w, packed, attention.LOG)
+    cur, g = attention.loss(w, ds), attention.grad(w, ds)
     violations = 0
     for _ in range(200):
         w = w - eta * g
-        nxt, g_next = attention._one(w, packed, attention.LOG)
+        nxt, g_next = attention.loss(w, ds), attention.grad(w, ds)
         if nxt - cur > -(eta / 2) * np.linalg.norm(g) ** 2 + 1e-10:
             violations += 1
         cur, g = nxt, g_next
@@ -894,15 +886,14 @@ def descent(seed: int = 0) -> SelftestResult:
 def convexity_chords(seed: int = 0) -> SelftestResult:
     """Chord inequality of the tied log loss at 200 random pairs."""
     ds = _small_instance(seed + 12)
-    loss = _pack_loss(ds, attention.LOG)
     rng = seeded_rng(seed, 12)
     bad = 0
     for _ in range(200):
         w1 = rng.standard_normal((ds.d, ds.d))
         w2 = rng.standard_normal((ds.d, ds.d))
         lam = rng.uniform(0.05, 0.95)
-        lhs = loss(lam * w1 + (1 - lam) * w2)
-        rhs = lam * loss(w1) + (1 - lam) * loss(w2)
+        lhs = attention.loss(lam * w1 + (1 - lam) * w2, ds)
+        rhs = lam * attention.loss(w1, ds) + (1 - lam) * attention.loss(w2, ds)
         if lhs > rhs + 1e-9:
             bad += 1
     return SelftestResult("convexity_chords", bad == 0, f"{bad} chord violations over 200 draws")

@@ -22,11 +22,13 @@ Hand-written constraint sets go through the library's own graph chain
 (`constraints_from_edges`), since a constraint set is the graphs' closures.  
 This module is also the one adapter between the tests and the kernel's
 private entry points: only it, beside test_internals.py, may read a private
-attnlab name (tests/test_imports.py holds that), and it reads four,
-`attention._pack`, `_one`, `_loss_and_grad` and `experiments._KINDS`.
-`loss` is the loss of one dataset, `grad_general` the softmax-chain gradient
-that the reduced tied-log form is checked against, `kernel` the packed kernel
-on a block of trials, `extended` a pack in long double for the einsum oracles
+attnlab name (tests/test_imports.py holds that), and it reads three,
+`attention._pack`, `_loss_and_grad` and `experiments._KINDS`.  The kernel
+does one job a call, a step (the gradient) or a scoring (the losses and
+loss_bar).  `loss` is the loss of one dataset, `grad_general` the
+softmax-chain gradient that the reduced tied-log form is checked against,
+`kernel` a step and a scoring of the packed kernel on a block of trials,
+`extended` a pack in long double for the einsum oracles
 and `trial_build` a trial built by its experiment's own build (`_KINDS`), so
 the experiment blocks train what the experiments train.  `load_tool` imports
 a script of tools/ or perfbench/.
@@ -392,40 +394,52 @@ def forbid_the_solver(monkeypatch) -> None:
 
 def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the loss, entry by entry."""
-    packed = attention._pack([ds])
     g = np.zeros_like(w)
     for a in range(w.shape[0]):
         for b in range(w.shape[1]):
             wp, wm = w.copy(), w.copy()
             wp[a, b] += step
             wm[a, b] -= step
-            lp = attention._one(wp, packed, kind, need_grad=False)[0]
-            lm = attention._one(wm, packed, kind, need_grad=False)[0]
-            g[a, b] = (lp - lm) / (2 * step)
+            g[a, b] = (loss(wp, ds, kind) - loss(wm, ds, kind)) / (2 * step)
     return g
 
 
 def loss(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> float:
-    """The loss of one dataset at w, through the library's kernel."""
-    return attention._one(w, attention._pack([ds]), kind, need_grad=False)[0]
+    """The loss of one dataset at w, from one scoring of the library's
+    kernel."""
+    total, _, _, errors = attention._loss_and_grad(w[None], attention._pack([ds]), kind, True, grad=False)
+    if errors:
+        raise errors[0]
+    return float(total[0])
 
 
 def grad_general(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> np.ndarray:
     """The kernel's gradient by the generic softmax chain rule
-    (``reduced_log=False``), the reference for the reduced tied-log form."""
-    return attention._one(w, attention._pack([ds]), kind, reduced_log=False, need_loss=False)[1]
+    (``reduced_log=False``), the reference for the reduced tied-log form:
+    one step, divided by n."""
+    packed = attention._pack([ds])
+    _, _, g, errors = attention._loss_and_grad(w[None], packed, kind, False, grad=True)
+    if errors:
+        raise errors[0]
+    return g[0] / packed.n
 
 
-def kernel(w: np.ndarray, datasets, kind: str, reduced_log: bool = True, splits=None, need_grad: bool = True,
-           need_loss: bool = True) -> tuple:
+def kernel(w: np.ndarray, datasets, kind: str, reduced_log: bool = True, splits=None, score: bool = True) -> tuple:
     """The packed kernel on a block of trials at w (B, d, d), datasets of one
-    structure, each with its own cyclic split or None: per-trial losses
-    (B,), loss_bar (B,), the gradients summed over the samples (B, d, d),
-    each None when not asked for, and {trial: exception}.  Every call packs
-    afresh, and the gradient is a copy."""
-    total, bar, g, errors = attention._loss_and_grad(w, attention._pack(datasets, splits), kind, reduced_log,
-                                                     need_grad, need_loss)
-    return total, bar, None if g is None else g.copy(), errors
+    structure, each with its own cyclic split or None: a step, then with
+    ``score`` a scoring, on one pack.  Returns per-trial losses (B,) and
+    loss_bar (B,), each None without ``score``, the gradients summed over
+    the samples (B, d, d), a copy, and {trial: exception}, the step's
+    errors before the scoring's.  Every call packs afresh."""
+    packed = attention._pack(datasets, splits)
+    _, _, g, errors = attention._loss_and_grad(w, packed, kind, reduced_log, grad=True)
+    total = bar = None
+    g = g.copy()
+    if score:
+        total, bar, _, scored = attention._loss_and_grad(w, packed, kind, reduced_log, grad=False)
+        for b, exc in scored.items():
+            errors.setdefault(b, exc)
+    return total, bar, g, errors
 
 
 def csv_oracle(header, rows) -> bytes:
@@ -582,23 +596,27 @@ def gd_oracle(dataset: dsm.Dataset, config) -> np.ndarray:
 
 
 def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, np.ndarray]:
-    """One trial's GD loop written plainly: the kernel on one trial, whose
-    call also gives loss_bar and the gradient g summed over the n samples,
-    then np.linalg.norm, attention.correlation and MatrixSubspace.distance
-    at record steps.  The trace's grad_norm is ||g|| / n, and a step
-    subtracts (eta / ||g||) g when ||g|| > n GRAD_FLOOR under normalized
-    GD, else (eta / n) g.  Returns the trace rows as a float array, and
-    the final W."""
+    """One trial's GD loop written plainly: the kernel on one trial, a
+    step for the gradient g summed over the n samples at every step, and
+    at record steps a scoring for the loss and loss_bar, then
+    np.linalg.norm, attention.correlation and MatrixSubspace.distance.
+    The trace's grad_norm is ||g|| / n, and a step subtracts
+    (eta / ||g||) g when ||g|| > n GRAD_FLOOR under normalized GD, else
+    (eta / n) g.  Returns the trace rows as a float array, and the final W."""
     packed = attention._pack([dataset], splits=[refs.split])
     n = packed.n
     w = config.initial_w(dataset.d)
     rows = []
     for tau in range(config.iters + 1):
-        loss, loss_bar, g, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True)
+        _, _, g, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True, grad=True)
         if errors:
             raise errors[0]
         gn = np.linalg.norm(g[0])
         if tau % config.record_every == 0 or tau == config.iters:
+            loss, loss_bar, _, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True,
+                                                                 grad=False)
+            if errors:
+                raise errors[0]
             dist = np.nan
             if refs.s_fin is not None and refs.w_fin is not None:
                 dist = refs.s_fin.distance(w, refs.w_fin)

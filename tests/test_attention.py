@@ -290,7 +290,7 @@ class TestSkippedLoss:
         w = self.SCALES * seeded_rng(15).standard_normal((3, ds.d, ds.d))
         for reduced_log in (True, False):
             full_loss, _, full_grad, full_errors = kernel(w, [ds] * 3, kind, reduced_log)
-            loss, loss_bar, grad, errors = kernel(w, [ds] * 3, kind, reduced_log, need_loss=False)
+            loss, loss_bar, grad, errors = kernel(w, [ds] * 3, kind, reduced_log, score=False)
             assert loss is None and loss_bar is None and np.all(np.isfinite(full_loss[[0, 2]]))
             assert grad.tobytes() == full_grad.tobytes()
             assert _errors(errors) == _errors(full_errors)
@@ -313,11 +313,11 @@ class TestSkippedLoss:
         assert len({s.T for s in ds.samples}) == 1 and not split.empty and s0.label not in cut.tokens
         assert [top_score(w[b], datasets[b]) > att.SCORE_BOUND for b in range(4)] == [False, True, False, False]
         for reduced_log in (True, False):
-            for need_loss in (True, False):
-                *block, errors = kernel(w, datasets, kind, reduced_log, splits, need_loss=need_loss)
+            for score in (True, False):
+                *block, errors = kernel(w, datasets, kind, reduced_log, splits, score=score)
                 for b in range(4):
                     *alone, alone_errors = kernel(w[b:b + 1], datasets[b:b + 1], kind, reduced_log, splits[b:b + 1],
-                                                  need_loss=need_loss)
+                                                  score=score)
                     for got, want in zip(block, alone):
                         assert (got is None and want is None) or got[b].tobytes() == want[0].tobytes()
                     assert _errors({0: errors[b]} if b in errors else {}) == _errors(alone_errors)
@@ -328,15 +328,15 @@ class TestAnchoredSoftmax(AnchoredSoftmaxCertificates):
     @pytest.mark.parametrize("name", ["desk", "large-K"])
     def test_errors_at_the_bound_need_no_loss(self, name):
         # The top score just below SCORE_BOUND (no shift: the label mass and
-        # its guard are skipped without the loss), just above it, and at
+        # its guard are skipped in a step), just above it, and at
         # 1.2 SCORE_BOUND, where the label mass underflows LOG_GUARD.
         ds = shape_dataset(name)
         w = seeded_rng(15).standard_normal((ds.d, ds.d))
         top = top_score(w, ds)
         for factor, failing in ((0.999, False), (1.001, False), (1.2, True)):
             w_s = (factor * att.SCORE_BOUND / top) * w
-            with_loss, without = (_errors(kernel(w_s[None], [ds], att.LOG, True, need_loss=need_loss)[3])
-                                  for need_loss in (True, False))
+            with_loss, without = (_errors(kernel(w_s[None], [ds], att.LOG, True, score=score)[3])
+                                  for score in (True, False))
             assert with_loss == without and sorted(without) == ([0] if failing else [])
             if failing:
                 assert without[0][0] is DomainError and "underflow" in without[0][1]
@@ -362,11 +362,11 @@ class TestAnchoredSoftmax(AnchoredSoftmaxCertificates):
 
     def test_a_non_realizable_sample_fails_at_step_0(self):
         # A tied log loss whose sample lacks its label: its zero label mass
-        # fails the guard at W = 0, as the kernel without the loss reports.
+        # fails the guard at W = 0, as a kernel step reports.
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
         bad = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED),
                           samples=(dsm.Sample(tokens=(1, 2, 3), label=0), dsm.Sample(tokens=(0, 2, 1), label=0)))
-        errors = kernel(np.zeros((1, 4, 4)), [bad], att.LOG, True, need_loss=False)[3]
+        errors = kernel(np.zeros((1, 4, 4)), [bad], att.LOG, True, score=False)[3]
         assert list(errors) == [0]
         with pytest.raises(DomainError) as exc:
             att.train_gd(bad, att.TrainConfig(eta=0.1, iters=10, normalized=True))
@@ -494,6 +494,22 @@ class TestTrainBlock(TrainBlockCertificates):
             else:
                 want = split_loss(w.astype(np.longdouble), r.split, kind)
                 assert got > 0.0 and abs(got - want) <= 1e-15 * want
+
+    def test_a_loss_bar_underflow_fails_its_trial(self):
+        # The desk draw's sample 0 split on one non-label position alone:
+        # its split softmax gives the label no mass, so loss_bar's log loss
+        # underflows at step 0, where only a scoring looks.  That trial fails
+        # with the underflow, and the trial beside it trains as alone.
+        ds = shape_dataset("desk")
+        s0 = ds.samples[0]
+        position = next(i for i, token in enumerate(s0.tokens) if token != s0.label)
+        refs = att.TrainRefs(split=gm.CyclicSplit(dataset=ds, idx_i=(0,), positions=((position,),)))
+        cfg = att.TrainConfig(eta=0.01, iters=20, normalized=True, record_every=5)
+        with pytest.raises(DomainError, match="log-loss argument underflow: min score 0.000e"):
+            att.train_gd(ds, cfg, refs)
+        failed, alone = att.train_block([ds, ds], cfg, [refs, None])
+        assert isinstance(failed, DomainError) and "underflow" in str(failed)
+        assert trace_bytes(alone) == trace_bytes(att.train_gd(ds, cfg))
 
     @pytest.mark.parametrize("kind", [att.LOG, att.SQUARED, att.CROSS_ENTROPY])
     def test_training_raises_no_floating_point_exception(self, kind):

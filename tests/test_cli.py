@@ -121,6 +121,19 @@ class TestSubcommands:
         assert f"trace.csv: line {line}: iter {cell!r} is not a 64-bit whole number" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("column", ["loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin"])
+    def test_analyze_float_cell_that_is_not_a_number_is_config_error(self, tmp_path, capsys, column):
+        # Line 3's cell of the column reads "abc"; line 2's empty cells stay NaN.
+        trace = tmp_path / "trace.csv"
+        header = "iter,loss,loss_bar,grad_norm,w_norm,corr_svm,dist_fin"
+        rows = [dict(zip(header.split(","), ["0", "1.0", "", "0.5", "1.0", "", ""])),
+                dict(zip(header.split(","), ["1", "0.9", "0.8", "0.4", "2.0", "0.5", "0.1"]))]
+        rows[1][column] = "abc"
+        trace.write_text(header + "\n" + "".join(",".join(row.values()) + "\n" for row in rows))
+        assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
+        assert f"trace.csv: line 3: {column} 'abc' is not a number" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_exp_writes_artifacts_and_passes(self, tmp_path):
         out = tmp_path / "exp"
@@ -193,18 +206,12 @@ def _flipped_grad(grad):
     return lambda w, ds, kind=attention.LOG: -grad(w, ds, kind)
 
 
-def _tripled_grad(one):
-    def mutated(*args, **kwargs):
-        value, g = one(*args, **kwargs)
-        return value, None if g is None else 3.0 * g
-    return mutated
+def _tripled_grad(grad):
+    return lambda w, ds, kind=attention.LOG: 3.0 * grad(w, ds, kind)
 
 
-def _negated_loss(one):
-    def mutated(*args, **kwargs):
-        value, g = one(*args, **kwargs)
-        return None if value is None else -value, g
-    return mutated
+def _negated_loss(loss):
+    return lambda w, ds, kind=attention.LOG: -loss(w, ds, kind)
 
 
 def _scc_without_first_out_edges(decompose_all):
@@ -280,8 +287,8 @@ def _plain_gd(train_gd):
 # property must then report ok=False.
 CANARIES = [
     ("gradient_check", attention, "grad", _flipped_grad),
-    ("descent", attention, "_one", _tripled_grad),
-    ("convexity_chords", attention, "_one", _negated_loss),
+    ("descent", attention, "grad", _tripled_grad),
+    ("convexity_chords", attention, "loss", _negated_loss),
     ("kkt", svm, "solve_graph_svm", _svm_scaled_below_margin),
     ("kkt", svm, "solve_graph_svm", _svm_without_last_inequality),
     ("scc_oracle", graph, "decompose_all", _scc_without_first_out_edges),

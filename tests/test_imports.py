@@ -119,10 +119,13 @@ def _private(name: str) -> bool:
 def private_reads(path) -> list[str]:
     """Each read of a private attnlab name in one file, as "module._name":
     an attribute of an attnlab module that the file imported (``att._pack``,
-    ``attnlab.svm._essential``), a private name imported from one, and a
+    ``attnlab.svm._essential``, or in the package ``from . import svm``),
+    a private name imported from one (``from .graph import _levels``), a
     string naming one in a setattr, getattr, delattr or hasattr call, after
     such a module (``monkeypatch.setattr(att, "_loss_and_grad", ...)``) or
-    as a dotted path (``"attnlab.attention._pack"``)."""
+    as a dotted path (``"attnlab.attention._pack"``), and a string naming
+    one in a tuple or list that holds such a module, after the nearest one
+    before it (``("descent", att, "_pack", wrapper)``)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     modules, found = {}, []  # local name -> attnlab module, "" for the package
     for node in ast.walk(tree):
@@ -131,8 +134,9 @@ def private_reads(path) -> list[str]:
                 parts = alias.name.split(".")
                 if parts[0] == "attnlab":
                     modules[alias.asname or "attnlab"] = ".".join(parts[1:]) if alias.asname else ""
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "attnlab":
-            sub = node.module.split(".")[1:]
+        elif isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.level == 0
+                                                                        and node.module.split(".")[0] == "attnlab")):
+            sub = node.module.split(".")[1 - node.level:] if node.module else []
             for alias in node.names:
                 if not sub:
                     modules[alias.asname or alias.name] = alias.name
@@ -149,6 +153,13 @@ def private_reads(path) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _private(node.attr) and module_of(node.value) is not None:
             found.append(f"{module_of(node.value) or 'attnlab'}.{node.attr}")
+        elif isinstance(node, (ast.Tuple, ast.List)):
+            module = None
+            for elt in node.elts:
+                if module_of(elt) is not None:
+                    module = module_of(elt) or "attnlab"
+                elif module and isinstance(elt, ast.Constant) and isinstance(elt.value, str) and _private(elt.value):
+                    found.append(f"{module}.{elt.value}")
         elif isinstance(node, ast.Call):
             name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
             if name not in ("setattr", "getattr", "delattr", "hasattr"):
@@ -169,7 +180,7 @@ def private_reads(path) -> list[str]:
 # kernel and of the experiments' trial builds, and the certificate tests,
 # which must read internals.
 ADAPTER = "helpers.py"
-ADAPTED = {"attention._pack", "attention._one", "attention._loss_and_grad", "experiments._KINDS"}
+ADAPTED = {"attention._pack", "attention._loss_and_grad", "experiments._KINDS"}
 CERTIFICATES = "test_internals.py"
 
 
@@ -191,7 +202,8 @@ def test_private_read_scanner_catches_attributes_imports_and_strings(tmp_path):
         "    monkeypatch.setattr(experiments, \"_fan_out\", None)\n"
         "    monkeypatch.setattr(att, \"grad\", getattr(att, \"_one\"))\n"
         "    monkeypatch.setattr(\"attnlab.attention._loss_and_grad\", None)\n"
-        "    monkeypatch.setattr(other, \"_hidden\", None)\n",
+        "    monkeypatch.setattr(other, \"_hidden\", None)\n"
+        "    rows = [(\"kkt\", svm, \"solve_graph_svm\"), (\"descent\", att, \"_scores\", None), (\"_x\", other)]\n",
         encoding="utf-8",
     )
     (tmp_path / "test_b.py").write_text(
@@ -199,6 +211,33 @@ def test_private_read_scanner_catches_attributes_imports_and_strings(tmp_path):
         encoding="utf-8",
     )
     assert sorted(private_reads(tmp_path / "test_a.py")) == [
-        "attention._loss_and_grad", "attention._one", "attention._pack", "experiments._fan_out", "graph._closure",
-        "svm._essential"]
+        "attention._loss_and_grad", "attention._one", "attention._pack", "attention._scores", "experiments._fan_out",
+        "graph._closure", "svm._essential"]
     assert private_reads(tmp_path / "test_b.py") == []
+
+
+# The private names a library module reads from another, each with its
+# reason; every other cross-module read goes through a public name.
+LIBRARY_PRIVATE_READS = {
+    "svm.py": {
+        "graph._levels": "the d >= K construction reads each node's priority level off the closures that "
+                         "graph computed, by the one longest-path rule",
+        "graph._product": "the presolve's transitive reduction takes its boolean products as graph's closure "
+                          "does, the clipped float32 matmul",
+    },
+}
+
+
+def test_no_library_module_reads_another_modules_private_name():
+    reads = {p.name: set(private_reads(p)) for p in sorted((ROOT / "src" / "attnlab").glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == \
+        {name: set(allowed) for name, allowed in LIBRARY_PRIVATE_READS.items()}
+
+
+def test_private_read_scanner_reads_relative_imports(tmp_path):
+    (tmp_path / "svm.py").write_text(
+        "from . import attention\nfrom .graph import Graph, _levels\n\n\n"
+        "def solve(graph):\n    return attention._pack(graph._nodes), _levels, Graph\n",
+        encoding="utf-8",
+    )
+    assert sorted(private_reads(tmp_path / "svm.py")) == ["attention._pack", "graph._levels"]

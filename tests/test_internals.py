@@ -119,9 +119,9 @@ class KernelOracleCertificates:
         # Seeded draws of (K, d, n, T) whose samples are cut to lengths T,
         # T - 1 and T - 2, so a pack holds several length groups, some of
         # them on each side of the rule.  Each draw is a block of up to
-        # three trials that share tokens but not embeddings, scored at one
-        # broadcast w[None]; each trial is held to the long-double oracles
-        # of its own pack.
+        # three trials that share tokens but not embeddings, stepped and
+        # scored at one broadcast w[None]; each trial is held to the
+        # long-double oracles of its own pack.
         forms, mixed, held = set(), 0, 0
         for datasets, splits in _random_blocks(seeded_rng(23), kind == att.CROSS_ENTROPY):
             packed = att._pack(datasets, splits)
@@ -133,8 +133,9 @@ class KernelOracleCertificates:
             w = 0.5 * seeded_rng(24 + d).standard_normal((d, d))
             w_ext = w.astype(np.longdouble)
             for reduced_log in (True, False) if kind == att.LOG else (True,):
-                total, bar, grad, errors = att._loss_and_grad(w[None], packed, kind, reduced_log)
-                assert not errors
+                _, _, grad, errors = att._loss_and_grad(w[None], packed, kind, reduced_log, grad=True)
+                total, bar, _, scored = att._loss_and_grad(w[None], packed, kind, reduced_log, grad=False)
+                assert not errors and not scored
                 for b, (ds, split) in enumerate(zip(datasets, splits)):
                     own = extended([ds], [split])
                     want = einsum_loss(w_ext, own, kind)
@@ -185,7 +186,7 @@ class AnchoredSoftmaxCertificates:
         (group,) = packed.groups
         h = att._scores(w[None], group).copy()
         assert np.all(np.max(h, axis=-1) == 0.0) and np.any(h < 0.0)
-        att._loss_and_grad(w[None], packed, att.LOG, True, need_loss=False)
+        att._loss_and_grad(w[None], packed, att.LOG, True, grad=True)
         assert group.scratch.h.tobytes() == att.softmax(h).tobytes()
 
 
@@ -292,8 +293,8 @@ class StackRefs:
 
 class Scratch:
     """The kernel hands back its pack's own gradient array; only a pack
-    shows that the public `grad` and `_one` copy it before the next call
-    rewrites it."""
+    shows that the public `grad` copies it before the next call rewrites
+    it."""
 
     def test_a_returned_gradient_outlives_the_next_call(self):
         ds = shape_dataset("desk")
@@ -302,11 +303,8 @@ class Scratch:
         kept = first.tobytes()
         assert att.grad(2.0 * w, ds).tobytes() != kept and first.tobytes() == kept
         packed = att._pack([ds])
-        first = att._one(w, packed, att.LOG)[1]
-        kept = first.tobytes()
-        assert att._one(2.0 * w, packed, att.LOG)[1].tobytes() != kept and first.tobytes() == kept
-        g1 = att._loss_and_grad(w[None], packed, att.LOG, True)[2]
-        g2 = att._loss_and_grad(2.0 * w[None], packed, att.LOG, True)[2]
+        g1 = att._loss_and_grad(w[None], packed, att.LOG, True, grad=True)[2]
+        g2 = att._loss_and_grad(2.0 * w[None], packed, att.LOG, True, grad=True)[2]
         assert g1 is g2 is packed.grad
 
 
@@ -333,16 +331,16 @@ def _faulty_kernel(trial, loss_from=None, grad_from=None, error_at=None, error=N
     """The kernel with faults in one trial, by step: its loss infinite at
     every record from step loss_from on, its gradient NaN from step
     grad_from on, and error among the errors of its record at step
-    error_at.  A training step calls the kernel once without the loss; a
-    call with the loss scores n stored records of each trial, w (n, B, d,
-    d), and each record's step is the step whose W it holds.  An all-zero
+    error_at.  A training step calls the kernel once for a step; a scoring
+    scores n stored records of each trial, w (n, B, d, d), and each
+    record's step is the step whose W it holds.  An all-zero
     slot that no step held, a filled one past the records, takes no fault;
     any other W that no step held is a KeyError."""
     kernel, steps = att._loss_and_grad, {}
 
-    def patched(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
-        value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
-        if not need_loss:
+    def patched(w, packed, kind, reduced_log, grad, bounded=False):
+        value, bar, g, errors = kernel(w, packed, kind, reduced_log, grad, bounded)
+        if grad:
             tau = steps.setdefault(w.tobytes(), len(steps))
             if grad_from is not None and tau >= grad_from:
                 g[trial, 0, 0] = np.nan
@@ -367,11 +365,11 @@ def _infinite_from_step_7(trial):
 
 
 def _kernel_calls(monkeypatch):
-    """Every call of the kernel from now on, as (need_loss, a copy of w)."""
+    """Every call of the kernel from now on, as (grad, a copy of w)."""
     calls, kernel = [], att._loss_and_grad
 
     def recorded(w, *args, **kwargs):
-        calls.append((kwargs["need_loss"], w.copy()))
+        calls.append((kwargs["grad"], w.copy()))
         return kernel(w, *args, **kwargs)
 
     monkeypatch.setattr(att, "_loss_and_grad", recorded)
@@ -379,17 +377,17 @@ def _kernel_calls(monkeypatch):
 
 
 def _assert_steps_and_scorings(calls, iters, taus):
-    """Each of the steps 0..iters called the kernel once without the loss,
-    and the calls with the loss scored the W's of the record steps taus, in
-    order, each record after its step.  Every scoring passes all
+    """Each of the steps 0..iters called the kernel once for a step, and
+    the scorings scored the W's of the record steps taus, in order, each
+    record after its step.  Every scoring passes all
     min(RECORD_CHUNK, len(taus)) slots, and those past its records hold
     W = 0."""
-    steps = [w for need_loss, w in calls if not need_loss]
+    steps = [w for grad, w in calls if grad]
     assert len(steps) == iters + 1 and all(w.ndim == 3 for w in steps)
     scored, taken = [], 0
-    for need_loss, w in calls:
-        taken += not need_loss
-        if need_loss:
+    for grad, w in calls:
+        taken += grad
+        if not grad:
             assert w.ndim == 4 and len(w) == min(att.RECORD_CHUNK, len(taus))
             n = min(len(w), len(taus) - len(scored))
             assert n > 0 and not w[n:].any()
@@ -597,8 +595,8 @@ class TrainBlockCertificates:
         want = att.train_block(datasets, cfg, refs)
         kernel, zero_slots = att._loss_and_grad, []
 
-        def failing_zeros(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
-            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
+        def failing_zeros(w, packed, kind, reduced_log, grad, bounded=False):
+            value, bar, g, errors = kernel(w, packed, kind, reduced_log, grad, bounded)
             if w.ndim == 4:
                 zero = ~w.any(axis=(1, 2, 3))
                 zero_slots.append(int(zero.sum()))
@@ -803,7 +801,7 @@ class RecordAllocation:
 
     Peak bytes (tracemalloc, numpy 2.4.6) of a plain step on the 20 desk
     trials at seed 0 and the large-k trial, twice each the bound: the
-    scores of every group, the kernel call without the loss, then the
+    scores of every group, a kernel step, then the
     normalized update, g scaled by eta / ||g|| and subtracted from W.  The
     kernel's softmax divide and the update's product with the (B, 1, 1)
     scales each take an iterator buffer the size of their output, so a copy
@@ -860,8 +858,7 @@ class RecordAllocation:
 
         def scoring():  # as in training, but corr_svm; the values are not read
             records = att._records_pack(packed, n)
-            loss, bar, grad, errors = att._loss_and_grad(stored, records, att.LOG, True, need_grad=False,
-                                                         need_loss=True)
+            loss, bar, grad, errors = att._loss_and_grad(stored, records, att.LOG, True, grad=False)
             assert loss.shape == bar.shape == (n, len(datasets)) and grad is None and not errors
             stack_refs.dist_fin(stored)
             made[:] = [records]
@@ -877,10 +874,10 @@ class RecordAllocation:
     def test_a_plain_step_copies_nothing(self, name):
         datasets, _, packed, w = self._block(name)
         assert all((g.phi is not None) == (name == "cyclic-global") for g in packed.groups)
-        g = att._loss_and_grad(w, packed, att.LOG, True, need_loss=False)[2]
+        g = att._loss_and_grad(w, packed, att.LOG, True, grad=True)[2]
         scale = (0.01 / np.linalg.norm(g, axis=(1, 2)))[:, None, None]  # eta / ||g||, as `_train_stack` scales
         peaks = self._peaks((lambda: [att._scores(w, group) for group in packed.groups],
-                             lambda: att._loss_and_grad(w, packed, att.LOG, True, need_loss=False),
+                             lambda: att._loss_and_grad(w, packed, att.LOG, True, grad=True),
                              lambda: np.subtract(w, np.multiply(g, scale, out=g), out=w)))
         assert all(peak <= 2 * bound for peak, bound in zip(peaks, self.PLAIN_PEAKS[name])), peaks
 
@@ -1062,9 +1059,9 @@ class GlobalBlocks:
                 raise NoConvergence("trial 3 has no pipeline")
             return build(ds)
 
-        def infinite_trial_1(w, packed, kind, reduced_log, need_grad=True, need_loss=True, bounded=False):
-            value, bar, g, errors = kernel(w, packed, kind, reduced_log, need_grad, need_loss, bounded)
-            if need_loss and w.ndim == 4:  # a scoring of training's records, (record, trial)
+        def infinite_trial_1(w, packed, kind, reduced_log, grad, bounded=False):
+            value, bar, g, errors = kernel(w, packed, kind, reduced_log, grad, bounded)
+            if not grad and w.ndim == 4:  # a scoring of training's records, (record, trial)
                 value = value.copy()
                 value[:, 1] = np.inf
             return value, bar, g, errors

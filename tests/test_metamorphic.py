@@ -35,6 +35,16 @@ permutation from seed 2000 + its seed and rotated by a Q from seed
 copies (two 1/L may differ in the last bit, and a step above one of them
 warns).
 
+Rotation also maps every trained W by W -> Q W Q^T, so the trained traces
+of a draw and of its rotated copy agree: loss, loss_bar, grad_norm and
+w_norm to 1e-12 relative and Q w_final Q^T to 1e-12 relative in norm,
+corr_svm and dist_fin, which read each copy's own references, to 1e-11.
+Plain GD is checked over its full 1,000 steps at the smaller 1/L of the two
+copies, and normalized GD at eta = 0.01 over its first 1,000 steps only:
+later, its eta/2 orbit amplifies last-bit differences (up to 7.7e-4 by
+step 4,000 on the desk shape).  The draws are fixed: the desk shape at
+seeds 100-105, each rotated by a Q from seed 3000 + its seed.
+
 Doubling the embeddings, x_k -> 2 x_k, multiplies every score
 x_t^T W xbar by 4, so the references of the doubled instance are a
 quarter of the original's: the statuses and dim S_fin are equal, 4 W_svm
@@ -251,3 +261,37 @@ def test_doubling_the_embeddings_quarters_the_references(shape, seed):
     _near(4.0 * moved.w_fin, pipe.w_fin)
     if pipe.s_fin.dim:
         _near(_projector(moved.s_fin), _projector(pipe.s_fin))
+
+
+ROTATION_SEEDS = range(100, 106)
+
+
+@pytest.fixture(scope="module")
+def rotations():
+    """Per desk draw at ROTATION_SEEDS: its Q, then the dataset and pipeline
+    of the draw and of its rotated copy."""
+    out = []
+    for seed in ROTATION_SEEDS:
+        ds = _copy_draw("desk", seed)
+        q = _rotation(ds.d, seed)
+        moved = _rotated(ds, q)
+        out.append((q, (ds, build_pipeline(ds)), (moved, build_pipeline(moved))))
+    return out
+
+
+def test_the_rotated_draws_exercise_both_references(rotations):
+    pipes = [pipe for _, (_, pipe), _ in rotations]
+    assert sum(p.solution.norm > 0 for p in pipes) >= 3 and sum(p.s_fin.dim > 0 for p in pipes) >= 1
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+def test_rotation_maps_every_trained_w(rotations, normalized):
+    for q, (ds, pipe), (moved, moved_pipe) in rotations:
+        eta = 0.01 if normalized else min(1.0 / att.lipschitz_log(c) for c in (ds, moved))
+        cfg = att.TrainConfig(eta=eta, iters=ITERS, normalized=normalized, record_every=RECORD_EVERY)
+        got, want = att.train_gd(moved, cfg, moved_pipe.refs()), att.train_gd(ds, cfg, pipe.refs())
+        for name in TRAINED:
+            _close(getattr(got, name), getattr(want, name), TRAIN_REL)
+        _near(got.w_final, q @ want.w_final @ q.T, TRAIN_REL)
+        _close(got.corr_svm, want.corr_svm)
+        _close(got.dist_fin, want.dist_fin)

@@ -104,6 +104,14 @@ MUTANTS = [
            "if i // trials == k}, step, 1)",
            "if i // trials == k}, step, 2.5)",
            "loss_bar ranked after the gradient: at one step a gradient failure stands over loss_bar's error"),
+    Mutant("src/attnlab/attention.py",
+           "    for b, exc in bar_errors.items():\n        errors.setdefault(b, exc)\n",
+           "",
+           "loss_bar's errors dropped: a trial whose loss_bar underflows trains on with loss_bar 0"),
+    Mutant("src/attnlab/attention.py",
+           "                if kind == LOG:\n                    u = _guarded(u, None, errors)",
+           "                if kind == LOG and not grad:\n                    u = _guarded(u, None, errors)",
+           "a step skips the log underflow guard: training steps along a gradient of a zero label mass"),
 ]
 
 
