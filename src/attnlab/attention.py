@@ -380,7 +380,7 @@ def _underflow(u: np.ndarray) -> DomainError:
 
 
 def _loss_and_grad(
-    w: np.ndarray, packed: _Packed, kind: str, reduced_log: bool, grad: bool, bounded: bool = False,
+    w: np.ndarray, packed: _Packed, kind: str, grad: bool, bounded: bool = False,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], dict[int, Exception]]:
     """One job at w (B, d, d), from one softmax per group and matmul
     contractions only: with ``grad`` a step, (None, None, gradients (B, d,
@@ -393,11 +393,11 @@ def _loss_and_grad(
     through `_sum_rows`.
 
     The scores are the label-relative dx W xbar.  Every trial's values are
-    bit for bit those of a pack of that trial alone.  ``reduced_log``
-    takes the tied log loss through its reduced form, the gradient
-    sum_t s_t (x_t - e_y) xbar^T, whose terms vanish on label positions;
-    otherwise the generic softmax-chain formula applies.  A group in the
-    feature form scores through one gemv per trial, phi_b vec(W_b), and
+    bit for bit those of a pack of that trial alone.  The tied log loss
+    takes its reduced form, the gradient sum_t s_t (x_t - e_y) xbar^T,
+    whose terms vanish on label positions; every other loss and head
+    takes the generic softmax-chain formula.  A group in the feature
+    form scores through one gemv per trial, phi_b vec(W_b), and
     writes the reduced gradient s_b phi_b straight into the pack's
     gradient; the squared and cross-entropy chains, and every group in
     the per-sample form, take their rows from x or dx per sample and
@@ -440,7 +440,7 @@ def _loss_and_grad(
     total = None if grad else np.zeros(lead)
     bar = None if grad else np.where(np.broadcast_to(packed.splits, lead), 0.0, np.nan)
     bar_errors: dict[int, Exception] = {}
-    reduced = kind == LOG and packed.tied and reduced_log
+    reduced = kind == LOG and packed.tied
     for g in packed.groups:
         sc = g.scratch
         h = _scores(w, g)
@@ -562,7 +562,7 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
 def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
     """The loss of a dataset at a (d, d) w, from one scoring of its pack;
     raises the dataset's error."""
-    total, _, _, errors = _loss_and_grad(w[None], _pack([dataset]), kind, reduced_log=True, grad=False)
+    total, _, _, errors = _loss_and_grad(w[None], _pack([dataset]), kind, grad=False)
     if errors:
         raise errors[0]
     return float(total[0])
@@ -574,7 +574,7 @@ def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
     dataset's error.  The kernel's sum over the samples divided by n, a
     new array: the kernel's own gradient is rewritten by its next call."""
     packed = _pack([dataset])
-    _, _, g, errors = _loss_and_grad(w[None], packed, kind, reduced_log=True, grad=True)
+    _, _, g, errors = _loss_and_grad(w[None], packed, kind, grad=True)
     if errors:
         raise errors[0]
     return g[0] / packed.n
@@ -872,8 +872,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         n = row - scored
         if n > 0:
             stored[n:] = 0.0
-            loss, bar, _, errors = _loss_and_grad(stored, records, config.loss, reduced_log=True, grad=False,
-                                                  bounded=stored_bounded)
+            loss, bar, _, errors = _loss_and_grad(stored, records, config.loss, grad=False, bounded=stored_bounded)
             kept, loss = slice(scored, row), loss[:n]
             cols["loss"][:, kept], cols["loss_bar"][:, kept] = loss.T, bar[:n].T
             cols["dist_fin"][:, kept] = stack_refs.dist_fin(stored)[:n].T
@@ -893,7 +892,7 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
         if record or (remeasure and not bounded):
             w_bound = measure(cols["w_norm"][:, row] if record else w_norm)
             bounded = remeasure = packed.lip * w_bound <= SCORE_BOUND
-        _, _, g, errors = _loss_and_grad(w, packed, config.loss, reduced_log=True, grad=True, bounded=bounded)
+        _, _, g, errors = _loss_and_grad(w, packed, config.loss, grad=True, bounded=bounded)
         if errors:
             fail(errors, tau, 0)
         np.sqrt(np.vecdot(g_flat, g_flat, out=gn), out=gn)

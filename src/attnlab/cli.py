@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -168,7 +167,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_exp(args) -> int:
     params, thresholds = {}, {}
-    seed, trials, workers, out_dir, check = args.seed, args.trials, args.workers, args.out, not args.no_check
+    seed, trials, out_dir, check = args.seed, args.trials, args.out, not args.no_check
     if args.config:
         loaded = read_json(args.config)
         if not isinstance(loaded, dict):
@@ -193,7 +192,6 @@ def _cmd_exp(args) -> int:
         thresholds=thresholds,
         seed=default_seed() if seed is None else seed,
         trials=trials,
-        workers=workers,
         output_dir=out_dir,
         check=check,
     )
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--config", default=None, help="JSON config/manifest; flags override it")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a parameter")
     p.add_argument("--threshold", action="append", metavar="KEY=VALUE", help="override a threshold")

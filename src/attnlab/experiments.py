@@ -1,6 +1,6 @@
 """Named experiment pipelines, artifact writing, and the self-test suite.
 
-Each experiment resolves a parameter set, fans trials out over workers
+Each experiment resolves a parameter set, runs its trials in one process
 (trial t drawing from trial_seed(seed, t)), aggregates, writes a manifest plus
 CSV/JSON artifacts, and checks its embedded thresholds.  Threshold
 violations surface as a nonzero exit through the CLI.
@@ -305,16 +305,15 @@ class _TrialKind(NamedTuple):
 
     build: Callable[[dict, int], tuple]
     finish: Callable[[tuple, attention.TrainTrace | None], dict]
-    trains: bool  # its builds give a TrainConfig
 
 
 _KINDS: dict[str, _TrialKind] = {
-    "global": _TrialKind(_global_build, _global_finish, True),
-    "local": _TrialKind(_local_build, _local_finish, True),
-    "feasibility": _TrialKind(_feasibility_build, _feasibility_finish, True),
-    "rate-check": _TrialKind(_rate_check_build, _rate_check_finish, True),
-    "reg-path": _TrialKind(_reg_path_build, _reg_path_finish, False),
-    "scc-count": _TrialKind(_scc_count_build, _scc_count_finish, False),
+    "global": _TrialKind(_global_build, _global_finish),
+    "local": _TrialKind(_local_build, _local_finish),
+    "feasibility": _TrialKind(_feasibility_build, _feasibility_finish),
+    "rate-check": _TrialKind(_rate_check_build, _rate_check_finish),
+    "reg-path": _TrialKind(_reg_path_build, _reg_path_finish),
+    "scc-count": _TrialKind(_scc_count_build, _scc_count_finish),
 }
 
 
@@ -324,7 +323,7 @@ def _trial_worker(args: tuple) -> list[dict]:
     which they must share, and finished one by one.  Raises the first error
     in trial order, as running the trials one by one would."""
     kind, jobs = args
-    build, finish, _ = _KINDS[kind]
+    build, finish = _KINDS[kind]
     built, error = [], None
     for params, seed in jobs:
         try:
@@ -353,31 +352,10 @@ def seeded_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
     return [(params, trial_seed(seed, t)) for t in range(trials)]
 
 
-def _fan_out(fn: Callable, args: list, workers: int) -> list:
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    # Imported here: the pool's modules cost every CLI command ~20 ms of
-    # start-up, and only a run at --workers > 1 uses them.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-        return list(pool.map(fn, args))
-
-
-def run_trials(kind: str, jobs: list[tuple[dict, int]], workers: int) -> list[dict]:
-    """Run one `kind` trial per (params, seed) job; results come back in job
-    order whatever the worker count.
-
-    The jobs go to `_trial_worker` in blocks of job order: one block at one
-    worker.  At more, a kind that trains gets min(workers, jobs) contiguous
-    blocks, and a kind that does not gets one job per block, as its trial
-    times vary too much for contiguous blocks to balance.
-    """
-    one_per_job = workers > 1 and not _KINDS[kind].trains
-    count = len(jobs) if one_per_job else max(1, min(workers, len(jobs)))
-    cuts = [len(jobs) * k // count for k in range(count + 1)]
-    blocks = [(kind, jobs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return [r for block in _fan_out(_trial_worker, blocks, workers) for r in block]
+def run_trials(kind: str, jobs: list[tuple[dict, int]]) -> list[dict]:
+    """Run one `kind` trial per (params, seed) job, all in one
+    `_trial_worker` block; results come back in job order."""
+    return _trial_worker((kind, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +382,16 @@ class ExperimentConfig:
     thresholds: dict
     seed: int = 0
     trials: int = 0  # 0 means: use the experiment default
-    workers: int = 1
+    workers: int = 1  # kept for callers that pass workers=1; no other count is accepted
     output_dir: str = "out"
     check: bool = True
 
     def resolved(self) -> "ExperimentConfig":
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0 (0 uses the experiment default), got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1: every experiment runs in one process, "
+                             f"and the process pool is removed; got {self.workers}")
         spec = EXPERIMENTS[self.name]
         for kind, given, declared in (("parameter", self.params, spec.params),
                                       ("threshold", self.thresholds, spec.thresholds)):
@@ -471,7 +450,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _run_global(cfg: ExperimentConfig) -> ExperimentResult:
-    results = run_trials("global", seeded_jobs(cfg.params, cfg.seed, cfg.trials), cfg.workers)
+    results = run_trials("global", seeded_jobs(cfg.params, cfg.seed, cfg.trials))
     corr_mean, corr_std = _mean_std([r["final_corr"] for r in results if r["final_corr"] is not None])
     dist_mean, dist_std = _mean_std([r["final_dist"] for r in results if r["final_dist"] is not None])
     summary = {
@@ -499,7 +478,7 @@ def _run_global(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
-    results = run_trials("local", seeded_jobs(cfg.params, cfg.seed, cfg.trials), cfg.workers)
+    results = run_trials("local", seeded_jobs(cfg.params, cfg.seed, cfg.trials))
     cg, _ = _mean_std([r["corr_global"] for r in results])
     cl, _ = _mean_std([r["corr_local"] for r in results])
     dg, _ = _mean_std([r["dist_global"] for r in results])
@@ -537,15 +516,15 @@ def _run_local(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _grid_trials(cfg: ExperimentConfig, key: str) -> list[list[dict]]:
-    """Run one trial per (grid point, trial) in a single fan-out, the trial
-    kind being the experiment's name, trial t drawing from trial_seed(seed, t)
-    at every grid point; returns the results grouped by grid point, each
-    group in trial order."""
+    """Run one trial per (grid point, trial) in a single `run_trials` call,
+    the trial kind being the experiment's name, trial t drawing from
+    trial_seed(seed, t) at every grid point; returns the results grouped
+    by grid point, each group in trial order."""
     grid, trials = cfg.params[f"{key}_grid"], cfg.trials
     if not grid:
         raise ValueError(f"{key}_grid must list at least one point")
     jobs = [job for g in grid for job in seeded_jobs({**cfg.params, key: g}, cfg.seed, trials)]
-    results = run_trials(cfg.name, jobs, cfg.workers)
+    results = run_trials(cfg.name, jobs)
     return [results[i * trials:(i + 1) * trials] for i in range(len(grid))]
 
 
@@ -597,7 +576,7 @@ def rate_check_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, in
 def _run_rate_check(cfg: ExperimentConfig) -> ExperimentResult:
     """The bound at every recorded tau of every draw."""
     jobs = rate_check_jobs(cfg.params, cfg.seed, cfg.trials)
-    results = run_trials("rate-check", jobs, cfg.workers)
+    results = run_trials("rate-check", jobs)
     gap, bound = (np.concatenate([r[key] for r in results]) for key in ("gap", "bound"))
     worst = max([-np.inf] + (gap - bound).tolist())
     draws = [r["draw"] for r in results]
@@ -622,7 +601,7 @@ def _run_reg_path(cfg: ExperimentConfig) -> ExperimentResult:
     cyc_params = {**p, "mode": "cyclic", "K": p["cyc_K"], "d": p["cyc_d"], "n": p["cyc_n"], "T": p["cyc_T"]}
     jobs = seeded_jobs(acyc_params, cfg.seed, cfg.trials)
     jobs += seeded_jobs(cyc_params, cfg.seed, 2 * cfg.trials)[cfg.trials:]  # trials .. 2 trials - 1
-    results = run_trials("reg-path", jobs, cfg.workers)
+    results = run_trials("reg-path", jobs)
     acyc, cyc = results[:cfg.trials], results[cfg.trials:]
 
     violations = []

@@ -25,13 +25,13 @@ private entry points: only it, beside test_internals.py, may read a private
 attnlab name (tests/test_imports.py holds that), and it reads three,
 `attention._pack`, `_loss_and_grad` and `experiments._KINDS`.  The kernel
 does one job a call, a step (the gradient) or a scoring (the losses and
-loss_bar).  `loss` is the loss of one dataset, `grad_general` the
-softmax-chain gradient that the reduced tied-log form is checked against,
-`kernel` a step and a scoring of the packed kernel on a block of trials,
-`extended` a pack in long double for the einsum oracles
-and `trial_build` a trial built by its experiment's own build (`_KINDS`), so
-the experiment blocks train what the experiments train.  `load_tool` imports
-a script of tools/ or perfbench/.
+loss_bar).  `loss` is the loss of one dataset, `kernel` a step and a
+scoring of the packed kernel on a block of trials, `extended` a pack in
+long double for the einsum oracles, `trial_build` a trial built by its
+experiment's own build (`_KINDS`), so the experiment blocks train what the
+experiments train, and `edit_finish` a trial kind whose finished results
+pass through an edit, so a test can drive an experiment to a threshold
+violation.  `load_tool` imports a script of tools/ or perfbench/.
 """
 
 import dataclasses
@@ -407,24 +407,13 @@ def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np
 def loss(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> float:
     """The loss of one dataset at w, from one scoring of the library's
     kernel."""
-    total, _, _, errors = attention._loss_and_grad(w[None], attention._pack([ds]), kind, True, grad=False)
+    total, _, _, errors = attention._loss_and_grad(w[None], attention._pack([ds]), kind, grad=False)
     if errors:
         raise errors[0]
     return float(total[0])
 
 
-def grad_general(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> np.ndarray:
-    """The kernel's gradient by the generic softmax chain rule
-    (``reduced_log=False``), the reference for the reduced tied-log form:
-    one step, divided by n."""
-    packed = attention._pack([ds])
-    _, _, g, errors = attention._loss_and_grad(w[None], packed, kind, False, grad=True)
-    if errors:
-        raise errors[0]
-    return g[0] / packed.n
-
-
-def kernel(w: np.ndarray, datasets, kind: str, reduced_log: bool = True, splits=None, score: bool = True) -> tuple:
+def kernel(w: np.ndarray, datasets, kind: str, splits=None, score: bool = True) -> tuple:
     """The packed kernel on a block of trials at w (B, d, d), datasets of one
     structure, each with its own cyclic split or None: a step, then with
     ``score`` a scoring, on one pack.  Returns per-trial losses (B,) and
@@ -432,11 +421,11 @@ def kernel(w: np.ndarray, datasets, kind: str, reduced_log: bool = True, splits=
     the samples (B, d, d), a copy, and {trial: exception}, the step's
     errors before the scoring's.  Every call packs afresh."""
     packed = attention._pack(datasets, splits)
-    _, _, g, errors = attention._loss_and_grad(w, packed, kind, reduced_log, grad=True)
+    _, _, g, errors = attention._loss_and_grad(w, packed, kind, grad=True)
     total = bar = None
     g = g.copy()
     if score:
-        total, bar, _, scored = attention._loss_and_grad(w, packed, kind, reduced_log, grad=False)
+        total, bar, _, scored = attention._loss_and_grad(w, packed, kind, grad=False)
         for b, exc in scored.items():
             errors.setdefault(b, exc)
     return total, bar, g, errors
@@ -608,13 +597,12 @@ def straight_train_gd(dataset: dsm.Dataset, config, refs) -> tuple[np.ndarray, n
     w = config.initial_w(dataset.d)
     rows = []
     for tau in range(config.iters + 1):
-        _, _, g, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True, grad=True)
+        _, _, g, errors = attention._loss_and_grad(w[None], packed, config.loss, grad=True)
         if errors:
             raise errors[0]
         gn = np.linalg.norm(g[0])
         if tau % config.record_every == 0 or tau == config.iters:
-            loss, loss_bar, _, errors = attention._loss_and_grad(w[None], packed, config.loss, reduced_log=True,
-                                                                 grad=False)
+            loss, loss_bar, _, errors = attention._loss_and_grad(w[None], packed, config.loss, grad=False)
             if errors:
                 raise errors[0]
             dist = np.nan
@@ -861,6 +849,14 @@ def trial_build(kind: str, params: dict, tseed: int) -> tuple:
     return experiments._KINDS[kind].build(params, tseed)
 
 
+def edit_finish(monkeypatch, kind: str, edit) -> None:
+    """Every trial of a kind finishes as before, then its result dict
+    passes through edit, until the monkeypatch is undone."""
+    entry = experiments._KINDS[kind]
+    edited = entry._replace(finish=lambda built, trace: edit(entry.finish(built, trace)))
+    monkeypatch.setitem(experiments._KINDS, kind, edited)
+
+
 def _experiment_kind(name: str) -> str:
     """The trial kind of an experiment."""
     if name in ("cyclic-global", "acyclic-global", "large-k"):
@@ -892,9 +888,8 @@ def log_or_local_block(kind: str) -> tuple:
 GLOBAL_PARAMS = {**experiments.EXPERIMENTS["cyclic-global"].params, "iters": 20, "record_every": 5}
 
 
-# The trial kinds of the experiments, and those that train.
+# The trial kinds of the experiments.
 KINDS = ["global", "local", "feasibility", "rate-check", "reg-path", "scc-count"]
-TRAINING_KINDS = ["global", "local", "feasibility", "rate-check"]
 
 
 def gd_jobs(kind: str) -> list:

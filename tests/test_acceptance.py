@@ -12,18 +12,16 @@ from attnlab.util import seeded_rng
 
 from helpers import (
     active_set_oracle,
+    einsum_grad,
+    extended,
     fd_grad,
     forbid_the_solver,
     generator_rows,
-    grad_general,
     loss,
     partition_by_mutual_reachability,
     random_tpg,
     tiny_instance,
 )
-
-WORKERS = 4
-
 
 def _report(num, name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {name}: {detail}")
@@ -37,7 +35,6 @@ def _exp(tmp_path, name, seed, trials=0, **overrides):
         thresholds={},
         seed=seed,
         trials=trials,
-        workers=WORKERS,
         output_dir=str(tmp_path / name),
     )
     return experiments.run_experiment(config)
@@ -243,10 +240,8 @@ def test_criterion_09_gradient_correctness():
     for seed in range(20):
         ds = tiny_instance(seed + 900, K=4, d=5, n=4, T=4, head_kind=dsm.TIED)
         w = rng.standard_normal((5, 5))
-        worst_paths = max(
-            worst_paths,
-            float(np.max(np.abs(att.grad(w, ds, att.LOG) - grad_general(w, ds, att.LOG)))),
-        )
+        general = einsum_grad(w.astype(np.longdouble), extended([ds]), att.LOG, reduced_log=False)  # long double
+        worst_paths = max(worst_paths, float(np.max(np.abs(att.grad(w, ds, att.LOG) - general))))
     ok = worst_fd < 1e-5 and worst_paths <= 1e-12
     _report(9, "gradient correctness", ok,
             f"max FD rel err {worst_fd:.2e} (< 1e-5) over 50 cases; "

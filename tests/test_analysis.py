@@ -254,14 +254,14 @@ class TestGdBlocks(GdBlocksCertificates):
     def test_block_equals_trials_alone(self, kind):
         # Equal bits in every result, trace column, radius and count.
         jobs = gd_jobs(kind)
-        block = experiments.run_trials(kind, jobs, workers=1)
-        alone = [r for job in jobs for r in experiments.run_trials(kind, [job], workers=1)]
+        block = experiments.run_trials(kind, jobs)
+        alone = [r for job in jobs for r in experiments.run_trials(kind, [job])]
         assert spelled(block) == spelled(alone)
 
     def test_block_of_mixed_training_configs_is_rejected(self):
         (params, seed), (_, other) = gd_jobs("global")[:2]
         with pytest.raises(ValueError, match="one training config"):
-            experiments.run_trials("global", [(params, seed), ({**params, "iters": 30}, other)], workers=1)
+            experiments.run_trials("global", [(params, seed), ({**params, "iters": 30}, other)])
 
 
 class TestLocalReferences:
@@ -294,7 +294,7 @@ class TestLocalReferences:
         # ||project(W) - W_fin||, reads other bits.
         cfg = experiments.ExperimentConfig("local-squared", {"iters": 300}, {}, 3).resolved()
         jobs = list(experiments.seeded_jobs(cfg.params, cfg.seed, cfg.trials))[4:7]
-        for row in experiments.run_trials("local", jobs, workers=1):
+        for row in experiments.run_trials("local", jobs):
             iters, *columns = row["trace"]
             trace = dict(zip(att.TrainTrace.csv_header()[1:], columns))
             assert np.float64(row["dist_global"]).tobytes() == trace["dist_fin"][-1].tobytes()

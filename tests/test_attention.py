@@ -34,7 +34,6 @@ from helpers import (
     extended,
     fd_grad,
     gd_oracle,
-    grad_general,
     kernel,
     last_tokens,
     log_or_local_block,
@@ -201,12 +200,14 @@ class TestGrad:
         assert worst < 1e-5
 
     def test_reduced_and_general_log_paths_agree(self):
+        # The kernel's reduced tied-log gradient against the softmax chain
+        # rule, written with einsum in long double.
         rng = seeded_rng(7)
         for seed in range(10):
             ds = tiny_instance(seed + 60, K=4, d=5, n=4, T=4, head_kind=dsm.TIED)
             w = rng.standard_normal((5, 5))
             a = att.grad(w, ds, att.LOG)
-            b = grad_general(w, ds, att.LOG)
+            b = einsum_grad(w.astype(np.longdouble), extended([ds]), att.LOG, reduced_log=False)
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -241,7 +242,8 @@ class TestKernelOracle(KernelOracleCertificates):
             assert abs(loss(w_s, ds, kind) - want) <= 1e-15 * abs(want)
             if scale != 1.0 and kind != att.LOG:
                 continue
-            for got, reduced_log in ((att.grad(w_s, ds, kind), True), (grad_general(w_s, ds, kind), False)):
+            got = att.grad(w_s, ds, kind)
+            for reduced_log in (True, False) if kind == att.LOG else (True,):
                 want = einsum_grad(w_ext, packed, kind, reduced_log)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -257,7 +259,8 @@ class TestKernelOracle(KernelOracleCertificates):
         w = 0.5 * seeded_rng(14).standard_normal((ds.d, ds.d))
         packed = extended([ds])
         w_ext = w.astype(np.longdouble)
-        for got, reduced_log in ((att.grad(w, ds, kind), True), (grad_general(w, ds, kind), False)):
+        got = att.grad(w, ds, kind)
+        for reduced_log in (True, False) if kind == att.LOG else (True,):
             want = einsum_grad(w_ext, packed, kind, reduced_log)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -288,13 +291,12 @@ class TestSkippedLoss:
             head = dsm.ClassifierHead(c=seeded_rng(16).standard_normal((ds.K, ds.d)), kind=dsm.GENERAL_ARGMAX)
             ds = dataclasses.replace(ds, head=head)
         w = self.SCALES * seeded_rng(15).standard_normal((3, ds.d, ds.d))
-        for reduced_log in (True, False):
-            full_loss, _, full_grad, full_errors = kernel(w, [ds] * 3, kind, reduced_log)
-            loss, loss_bar, grad, errors = kernel(w, [ds] * 3, kind, reduced_log, score=False)
-            assert loss is None and loss_bar is None and np.all(np.isfinite(full_loss[[0, 2]]))
-            assert grad.tobytes() == full_grad.tobytes()
-            assert _errors(errors) == _errors(full_errors)
-            assert sorted(errors) == ([1] if kind == att.LOG else [])
+        full_loss, _, full_grad, full_errors = kernel(w, [ds] * 3, kind)
+        loss, loss_bar, grad, errors = kernel(w, [ds] * 3, kind, score=False)
+        assert loss is None and loss_bar is None and np.all(np.isfinite(full_loss[[0, 2]]))
+        assert grad.tobytes() == full_grad.tobytes()
+        assert _errors(errors) == _errors(full_errors)
+        assert sorted(errors) == ([1] if kind == att.LOG else [])
         if kind == att.LOG:
             assert "underflow" in str(errors[1])
 
@@ -312,16 +314,14 @@ class TestSkippedLoss:
         w = np.append(self.SCALES, 0.5)[:, None, None] * seeded_rng(15).standard_normal((4, ds.d, ds.d))
         assert len({s.T for s in ds.samples}) == 1 and not split.empty and s0.label not in cut.tokens
         assert [top_score(w[b], datasets[b]) > att.SCORE_BOUND for b in range(4)] == [False, True, False, False]
-        for reduced_log in (True, False):
-            for score in (True, False):
-                *block, errors = kernel(w, datasets, kind, reduced_log, splits, score=score)
-                for b in range(4):
-                    *alone, alone_errors = kernel(w[b:b + 1], datasets[b:b + 1], kind, reduced_log, splits[b:b + 1],
-                                                  score=score)
-                    for got, want in zip(block, alone):
-                        assert (got is None and want is None) or got[b].tobytes() == want[0].tobytes()
-                    assert _errors({0: errors[b]} if b in errors else {}) == _errors(alone_errors)
-                assert sorted(errors) == ([1, 3] if kind == att.LOG else [])
+        for score in (True, False):
+            *block, errors = kernel(w, datasets, kind, splits, score=score)
+            for b in range(4):
+                *alone, alone_errors = kernel(w[b:b + 1], datasets[b:b + 1], kind, splits[b:b + 1], score=score)
+                for got, want in zip(block, alone):
+                    assert (got is None and want is None) or got[b].tobytes() == want[0].tobytes()
+                assert _errors({0: errors[b]} if b in errors else {}) == _errors(alone_errors)
+            assert sorted(errors) == ([1, 3] if kind == att.LOG else [])
 
 
 class TestAnchoredSoftmax(AnchoredSoftmaxCertificates):
@@ -335,7 +335,7 @@ class TestAnchoredSoftmax(AnchoredSoftmaxCertificates):
         top = top_score(w, ds)
         for factor, failing in ((0.999, False), (1.001, False), (1.2, True)):
             w_s = (factor * att.SCORE_BOUND / top) * w
-            with_loss, without = (_errors(kernel(w_s[None], [ds], att.LOG, True, score=score)[3])
+            with_loss, without = (_errors(kernel(w_s[None], [ds], att.LOG, score=score)[3])
                                   for score in (True, False))
             assert with_loss == without and sorted(without) == ([0] if failing else [])
             if failing:
@@ -354,7 +354,7 @@ class TestAnchoredSoftmax(AnchoredSoftmaxCertificates):
             if kind == att.LOG and on == 1:
                 continue
             w_s = (factor * att.SCORE_BOUND / tops[on]) * w
-            got = kernel(w_s[None], [ds], kind, True, [split])[1][0]
+            got = kernel(w_s[None], [ds], kind, [split])[1][0]
             want = split_loss(w_s.astype(np.longdouble), split, kind)
             assert abs(got - want) <= 1e-15 * want
             if kind == att.LOG:
@@ -366,7 +366,7 @@ class TestAnchoredSoftmax(AnchoredSoftmaxCertificates):
         table = dsm.make_embeddings(4, 4, dsm.ORTHONORMAL, seed=0)
         bad = dsm.Dataset(embedding=table, head=dsm.make_head(table, dsm.TIED),
                           samples=(dsm.Sample(tokens=(1, 2, 3), label=0), dsm.Sample(tokens=(0, 2, 1), label=0)))
-        errors = kernel(np.zeros((1, 4, 4)), [bad], att.LOG, True, score=False)[3]
+        errors = kernel(np.zeros((1, 4, 4)), [bad], att.LOG, score=False)[3]
         assert list(errors) == [0]
         with pytest.raises(DomainError) as exc:
             att.train_gd(bad, att.TrainConfig(eta=0.1, iters=10, normalized=True))

@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from attnlab import attention, cli, experiments, graph, svm
+from attnlab import analysis, attention, cli, experiments, graph, svm
 from attnlab import dataset as dsm
 from attnlab.util import write_csv
+
+from helpers import edit_finish
 
 
 def run_cli(*argv):
@@ -138,7 +140,7 @@ class TestExperimentCommand:
     def test_exp_writes_artifacts_and_passes(self, tmp_path):
         out = tmp_path / "exp"
         code = run_cli("exp", "cyclic-global", "--out", out, "--seed", 0,
-                       "--trials", 2, "--workers", 1)
+                       "--trials", 2)
         assert code == 0
         assert (out / "manifest.json").exists()
         assert (out / "aggregate.csv").exists()
@@ -149,13 +151,13 @@ class TestExperimentCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             run_cli("exp", "scc-count", "--out", out, "--seed", 5, "--trials", 3,
-                    "--workers", 1, "--set", "n_grid=[32,64]")
+                    "--set", "n_grid=[32,64]")
         assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
     def test_manifest_roundtrip_reproduces_summary(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_cli("exp", "cyclic-global", "--out", a, "--seed", 9, "--trials", 2, "--workers", 1)
-        run_cli("exp", "cyclic-global", "--out", b, "--workers", 1, "--config", a / "manifest.json")
+        run_cli("exp", "cyclic-global", "--out", a, "--seed", 9, "--trials", 2)
+        run_cli("exp", "cyclic-global", "--out", b, "--config", a / "manifest.json")
         sa = json.loads((a / "summary.json").read_text())
         sb = json.loads((b / "summary.json").read_text())
         assert sa == sb
@@ -163,38 +165,37 @@ class TestExperimentCommand:
 
     def test_threshold_override_forces_violation(self, tmp_path):
         code = run_cli("exp", "cyclic-global", "--out", tmp_path / "w", "--seed", 0,
-                       "--trials", 2, "--workers", 1, "--threshold", "min_mean_corr=1.5")
+                       "--trials", 2, "--threshold", "min_mean_corr=1.5")
         assert code == 3
 
     def test_no_check_reports_but_passes(self, tmp_path):
         code = run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--seed", 0,
-                       "--trials", 2, "--workers", 1, "--threshold", "min_mean_corr=1.5",
+                       "--trials", 2, "--threshold", "min_mean_corr=1.5",
                        "--no-check")
         assert code == 0
         summary = json.loads((tmp_path / "x" / "summary.json").read_text())
         assert summary["violations"]
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        # GD trials run in min(workers, jobs) contiguous blocks: 5 trials (or
-        # 4 feasibility jobs) on 3 workers give blocks of unequal size.
+    def test_two_runs_write_the_same_bytes(self, tmp_path):
+        # Every experiment, at uneven trial counts (5 trials, 4 feasibility
+        # jobs), writes the same files with the same bytes when run twice
+        # with one config and seed.
         feasibility = ["--set", "d_grid=[2,4]", "--set", "K=4", "--set", "n=4", "--set", "iters=200"]
         runs = [
-            ("cyclic-global", 4, ["--trials", 4]),
-            ("scc-count", 2, ["--trials", 3, "--set", "n_grid=[8,16]"]),
-            ("feasibility", 2, ["--trials", 2, *feasibility]),
-            ("feasibility", 3, ["--trials", 2, *feasibility]),
-            ("acyclic-global", 2, ["--trials", 4, "--set", "iters=500"]),
-            ("large-k", 2, ["--trials", 3, "--set", "K=60", "--set", "d=8", "--set", "n=4",
-                            "--set", "T=8", "--set", "iters=200"]),
-            ("cyclic-global", 3, ["--trials", 5]),
-            ("local-squared", 3, ["--trials", 5, "--set", "iters=200"]),
-            ("local-ce", 3, ["--trials", 5, "--set", "iters=200"]),
-            ("reg-path", 2, ["--trials", 2, "--set", "r_count=3"]),
+            ("scc-count", ["--trials", 3, "--set", "n_grid=[8,16]"]),
+            ("feasibility", ["--trials", 2, *feasibility]),
+            ("acyclic-global", ["--trials", 4, "--set", "iters=500"]),
+            ("large-k", ["--trials", 3, "--set", "K=60", "--set", "d=8", "--set", "n=4",
+                         "--set", "T=8", "--set", "iters=200"]),
+            ("cyclic-global", ["--trials", 5]),
+            ("local-squared", ["--trials", 5, "--set", "iters=200"]),
+            ("local-ce", ["--trials", 5, "--set", "iters=200"]),
+            ("reg-path", ["--trials", 2, "--set", "r_count=3"]),
         ]
-        for k, (name, workers, extra) in enumerate(runs):
+        for k, (name, extra) in enumerate(runs):
             a, b = tmp_path / str(k) / "a", tmp_path / str(k) / "b"
-            run_cli("exp", name, "--out", a, "--seed", 4, "--workers", 1, *extra)
-            run_cli("exp", name, "--out", b, "--seed", 4, "--workers", workers, *extra)
+            codes = [run_cli("exp", name, "--out", out, "--seed", 4, *extra) for out in (a, b)]
+            assert codes[0] == codes[1], name
             files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
             assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file()), name
             assert {"aggregate.csv", "summary.json"} <= {str(f) for f in files}, name
@@ -382,13 +383,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(svm, "solve_graph_svm", capped_after_first)
         assert run_cli("exp", "local-squared", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
-                       "--workers", 1, "--set", "iters=50") == 4
+                       "--set", "iters=50") == 4
         assert "pseudo graph-SVM solve returned max_iter" in capsys.readouterr().err
 
     def test_undefined_local_means_name_their_trials(self, tmp_path, capsys):
         # After 50 steps both pseudo W_svm are zero and no pseudo W_fin is certified.
         assert run_cli("exp", "local-squared", "--out", tmp_path / "x", "--seed", 0, "--trials", 2,
-                       "--workers", 1, "--set", "iters=50") == 3
+                       "--set", "iters=50") == 3
         out = capsys.readouterr().out
         assert "mean corr_local undefined: 2 of 2 trials have a zero pseudo W_svm" in out
         assert "mean dist_local undefined: 2 of 2 trials have no certified pseudo W_fin" in out
@@ -429,7 +430,7 @@ class TestExitCodes:
     def test_empty_sweep_grid_is_config_error(self, tmp_path, capsys):
         for name, grid in (("scc-count", "n_grid"), ("feasibility", "d_grid")):
             assert run_cli("exp", name, "--out", tmp_path / name, "--trials", 1,
-                           "--workers", 1, "--set", f"{grid}=[]") == 2
+                           "--set", f"{grid}=[]") == 2
             assert grid in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -450,14 +451,14 @@ class TestExitCodes:
     ])
     def test_bad_experiment_setting_is_config_error(self, tmp_path, capsys, name, override, field):
         assert run_cli("exp", name, "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
-                       "--workers", 1, "--set", override) == 2
+                       "--set", override) == 2
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("head", ["general_argmax", "tide"])
     def test_unknown_global_head_is_config_error(self, tmp_path, capsys, head):
         # A global experiment builds a tied head or none; any other value
         # stops the run before it trains, where it had trained headless.
-        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 1, "--workers", 1,
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 1,
                        "--set", f"head={head}", "--set", "iters=50") == 2
         assert f"parameter 'head' must be 'tied' or 'none', got '{head}'" in capsys.readouterr().err
 
@@ -468,7 +469,7 @@ class TestExitCodes:
             raise AssertionError("a pipeline was built")
 
         monkeypatch.setattr(experiments, "build_pipeline", no_pipeline)
-        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 2, "--workers", 1,
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 2,
                        "--set", "loss=bogus") == 2
         assert "unknown loss 'bogus'; choose 'log', 'squared' or 'ce'" in capsys.readouterr().err
 
@@ -488,7 +489,7 @@ class TestExitCodes:
         ("cyclic-global", "--threshold", "min_mean_corr=abc", "threshold 'min_mean_corr' must be a number"),
     ])
     def test_wrongly_typed_value_is_config_error(self, tmp_path, capsys, name, flag, override, message):
-        assert run_cli("exp", name, "--out", tmp_path / "x", "--trials", 1, "--workers", 1, flag, override) == 2
+        assert run_cli("exp", name, "--out", tmp_path / "x", "--trials", 1, flag, override) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
@@ -502,11 +503,11 @@ class TestExitCodes:
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, content, message):
         path = tmp_path / "config.json"
         path.write_text(content)
-        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--workers", 1, "--config", path) == 2
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--config", path) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, outputs", [
-        (("exp", "cyclic-global", "--workers", 1), "--config", ("--out",)),
+        (("exp", "cyclic-global"), "--config", ("--out",)),
         (("solve-svm",), "--data", ("--out",)),
         (("build-graph",), "--data", ("--out",)),
         (("train",), "--data", ("--trace", "--summary")),
@@ -522,14 +523,14 @@ class TestExitCodes:
     def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"params": {"iters": 4000.5}}')
-        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--workers", 1, "--config", path) == 2
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--config", path) == 2
         assert "parameter 'iters' must be an integer, got 4000.5" in capsys.readouterr().err
 
     def test_null_trials_in_config_file_is_the_default(self, tmp_path):
         # As with "seed": null, a null trial count is absent from the file.
         path = tmp_path / "config.json"
         path.write_text('{"trials": null, "params": {"n_grid": [8]}}')
-        assert run_cli("exp", "scc-count", "--out", tmp_path / "x", "--seed", 0, "--workers", 1,
+        assert run_cli("exp", "scc-count", "--out", tmp_path / "x", "--seed", 0,
                        "--config", path) == 0
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
         assert manifest["trials"] == experiments.EXPERIMENTS["scc-count"].trials
@@ -538,33 +539,33 @@ class TestExitCodes:
     def test_reg_path_has_no_step_size_or_step_count(self, tmp_path, capsys, override):
         # Each ball is solved by certified Newton, not by a GD run.
         assert run_cli("exp", "reg-path", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
-                       "--workers", 1, "--set", override) == 2
+                       "--set", override) == 2
         assert f"reg-path has no parameter {override.split('=')[0]!r}" in capsys.readouterr().err
 
     def test_reg_path_seed_1_passes(self, tmp_path):
         # Its acyclic trial 4 stopped at corr 0.9424 under projected GD's
         # step cap; the ball minimizer reads 0.9999.
         out = tmp_path / "x"
-        assert run_cli("exp", "reg-path", "--out", out, "--seed", 1, "--workers", 1) == 0
+        assert run_cli("exp", "reg-path", "--out", out, "--seed", 1) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_gap"] <= attention.BALL_REL_GAP and not summary["violations"]
 
     def test_nonpositive_reg_path_radius_is_config_error(self, tmp_path, capsys):
         assert run_cli("exp", "reg-path", "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
-                       "--workers", 1, "--set", "r_min=-1") == 2
+                       "--set", "r_min=-1") == 2
         assert "radii must be finite and > 0" in capsys.readouterr().err
 
     def test_rate_check_runs_one_draw_per_trial(self, tmp_path):
-        # Three draws, one block at one worker and one block each at three,
-        # trained at the eta computed before the fan-out: equal bytes.
+        # Three draws in one block, trained at the eta computed before the
+        # block is built, run twice: equal bytes.
         outs = []
-        for workers in (1, 3):
-            out = tmp_path / f"w{workers}"
+        for run in (1, 2):
+            out = tmp_path / f"run{run}"
             assert run_cli("exp", "rate-check", "--out", out, "--seed", 0, "--trials", 3,
-                           "--workers", workers, "--set", "iters=300") == 0
+                           "--set", "iters=300") == 0
             outs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
         assert outs[0] == outs[1]
-        out = tmp_path / "w1"
+        out = tmp_path / "run1"
         assert sorted(p.name for p in (out / "traces").iterdir()) == [f"trial_{t:03d}.csv" for t in range(3)]
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["draws"]) == 3 and summary["checked_taus"] == 3 * 3
@@ -598,15 +599,22 @@ class TestExitCodes:
             assert path.read_bytes() == (out / "traces" / f"trial_{t:03d}.csv").read_bytes()
 
     def test_negative_trials_is_config_error(self, tmp_path, capsys):
-        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", -3,
-                       "--workers", 1) == 2
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", -3) == 2
         assert "trials" in capsys.readouterr().err
 
     def test_nonpositive_workers_is_config_error(self, tmp_path, capsys):
-        for workers in (0, -3):
-            assert run_cli("exp", "scc-count", "--out", tmp_path / "x", "--trials", 1,
-                           "--workers", workers) == 2
-            assert "workers" in capsys.readouterr().err
+        # Every experiment runs in one process: the CLI has no --workers,
+        # and a config refuses any worker count but 1, naming the removed
+        # process pool.
+        for workers in (0, -3, 2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("exp", "scc-count", "--out", tmp_path / "x", "--trials", 1, "--workers", workers)
+            assert exc.value.code == 2 and "unrecognized arguments: --workers" in capsys.readouterr().err
+            config = experiments.ExperimentConfig("scc-count", {}, {}, trials=1, workers=workers,
+                                                  output_dir=str(tmp_path / "x"))
+            with pytest.raises(ValueError, match="process pool is removed"):
+                config.resolved()
+        assert not (tmp_path / "x").exists()
 
     def test_rate_check_without_a_nonzero_w_fin_passes(self, tmp_path):
         # The floor on draws with a nonzero W_fin is criterion 11's, not the
@@ -645,6 +653,49 @@ class TestExitCodes:
         assert ds1.seed == 123
 
 
+class TestThresholdViolations:
+    """Each threshold check of an experiment fails its run: exit 3, with
+    its violation in summary.json.  A threshold override reaches the
+    check where one can; elsewhere the trials' results, or the rate bound,
+    are edited to fail it."""
+
+    @staticmethod
+    def violations(tmp_path, name, *extra):
+        assert run_cli("exp", name, "--out", tmp_path / "x", "--seed", 0, *extra) == 3
+        return json.loads((tmp_path / "x" / "summary.json").read_text())["violations"]
+
+    def test_local_dist_above_global_is_a_violation(self, tmp_path, monkeypatch):
+        edit_finish(monkeypatch, "local", lambda r: {**r, "dist_local": r["dist_global"] + 1.0})
+        found = self.violations(tmp_path, "local-squared", "--trials", 2, "--set", "iters=200")
+        assert any(v.startswith("mean dist_local ") and " > mean dist_global " in v for v in found), found
+
+    def test_a_gap_above_the_rate_bound_is_a_violation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "rate_bound", lambda inputs, tau, eta: -1.0)
+        found = self.violations(tmp_path, "rate-check", "--trials", 2, "--set", "iters=300")
+        assert len(found) == 1 and found[0].startswith("rate bound violated by "), found
+
+    def test_a_reg_path_corr_decrease_is_a_violation(self, tmp_path, monkeypatch):
+        # The last but one radius's corr lifted above the last one's: a
+        # decrease at radius index 7 of 8, past monotone_after = 3.
+        def dip(r):
+            corr = list(r["corr"])
+            corr[-2] = corr[-1] + 0.01
+            return {**r, "corr": corr}
+
+        edit_finish(monkeypatch, "reg-path", dip)
+        found = self.violations(tmp_path, "reg-path", "--trials", 2)
+        assert found == [f"acyclic trial {t}: corr decreased at radius index 7" for t in range(2)]
+
+    def test_a_reg_path_final_corr_below_its_threshold_is_a_violation(self, tmp_path):
+        found = self.violations(tmp_path, "reg-path", "--trials", 2, "--threshold", "min_final_corr=1.5")
+        assert len(found) == 2 and all(v.startswith(f"acyclic trial {t}: final corr ") for t, v in enumerate(found))
+
+    def test_a_reg_path_final_distance_above_its_threshold_is_a_violation(self, tmp_path):
+        found = self.violations(tmp_path, "reg-path", "--trials", 2, "--threshold", "max_final_dist=-1")
+        assert len(found) == 2 and all(v.startswith(f"cyclic trial {t}: final fin-distance ")
+                                       for t, v in enumerate(found))
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ)
@@ -656,12 +707,14 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert (tmp_path / "m.json").exists()
 
-    def test_import_loads_no_process_pool(self):
-        # Only a run at --workers > 1 imports the pool's modules.
-        code = ("import sys, attnlab.cli; "
+    def test_import_loads_no_process_pool(self, tmp_path):
+        # The library runs every experiment in one process: neither the
+        # import nor a run loads a process pool's modules.
+        run = ["exp", "scc-count", "--trials", "2", "--set", "n_grid=[8]", "--out", str(tmp_path)]
+        code = (f"import sys, attnlab.cli; attnlab.cli.main({run!r}); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0 and result.stdout.strip() == "[]"
+        assert result.returncode == 0 and result.stdout.strip().splitlines()[-1] == "[]"
 
     def test_argparse_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit) as exc:

@@ -116,22 +116,22 @@ def test_rollup_of_two_trees(tmp_path):
     # One experiment only moves a number, another changes its exit code,
     # the selftest changes text, a tool file exists in one tree only and
     # the verdicts keep their bytes.
-    common = {"exp/a/w1/exp.exit": "0\n", "exp/b/w1/exp.exit": "0\n", "selftest/seed0.exit": "0\n",
+    common = {"exp/a/run1/exp.exit": "0\n", "exp/b/run1/exp.exit": "0\n", "selftest/seed0.exit": "0\n",
               "verdicts/verdicts.json": '{"x": 1.5}\n'}
-    base = _tree(tmp_path / "base", {**common, "exp/a/w1/summary.json": '{"d": 2.0, "c": 1.0}\n',
-                                     "exp/b/w1/aggregate.csv": "0,4.0\n", "selftest/seed0.stdout": "ok\n"})
-    work = _tree(tmp_path / "work", {**common, "exp/a/w1/summary.json": '{"d": 2.0, "c": 1.25}\n',
-                                     "exp/b/w1/aggregate.csv": "0,5.0\n", "exp/b/w1/exp.exit": "1\n",
+    base = _tree(tmp_path / "base", {**common, "exp/a/run1/summary.json": '{"d": 2.0, "c": 1.0}\n',
+                                     "exp/b/run1/aggregate.csv": "0,4.0\n", "selftest/seed0.stdout": "ok\n"})
+    work = _tree(tmp_path / "work", {**common, "exp/a/run1/summary.json": '{"d": 2.0, "c": 1.25}\n',
+                                     "exp/b/run1/aggregate.csv": "0,5.0\n", "exp/b/run1/exp.exit": "1\n",
                                      "selftest/seed0.stdout": "failed\n", "tools/train.json": "{}\n"})
     equiv = load_tool("equiv")
     verdicts = equiv.compare_trees(base, work)
     assert verdicts["tools/train.json"][0] == "DIFFERENT"
-    assert verdicts["exp/a/w1/summary.json"] == ("numeric", 0.2, "line 1, key c: 1.0 -> 1.25")
-    assert verdicts["exp/b/w1/exp.exit"][0] == "DIFFERENT"  # an exit code is not a number that may move
+    assert verdicts["exp/a/run1/summary.json"] == ("numeric", 0.2, "line 1, key c: 1.0 -> 1.25")
+    assert verdicts["exp/b/run1/exp.exit"][0] == "DIFFERENT"  # an exit code is not a number that may move
     assert equiv.rollup(verdicts) == [
-        "ROLLUP     exp/a: 1 identical, 1 numeric, 0 DIFFERENT, max rel diff 2.00e-01 at exp/a/w1/summary.json "
+        "ROLLUP     exp/a: 1 identical, 1 numeric, 0 DIFFERENT, max rel diff 2.00e-01 at exp/a/run1/summary.json "
         "line 1, key c: 1.0 -> 1.25, every .exit identical",
-        "ROLLUP     exp/b: 0 identical, 1 numeric, 1 DIFFERENT, max rel diff 2.00e-01 at exp/b/w1/aggregate.csv "
+        "ROLLUP     exp/b: 0 identical, 1 numeric, 1 DIFFERENT, max rel diff 2.00e-01 at exp/b/run1/aggregate.csv "
         "line 1: 4.0 -> 5.0, every .exit NOT identical",
         "ROLLUP     selftest: 1 identical, 0 numeric, 1 DIFFERENT, max rel diff 0.00e+00, every .exit identical",
         "ROLLUP     tools: 0 identical, 0 numeric, 1 DIFFERENT, max rel diff 0.00e+00, every .exit identical",

@@ -199,7 +199,7 @@ def test_private_read_scanner_catches_attributes_imports_and_strings(tmp_path):
         "    att.grad(att.__doc__, experiments.run_trials, other._hidden)\n"
         "    att._pack([])\n"
         "    attnlab.svm._essential(None)\n"
-        "    monkeypatch.setattr(experiments, \"_fan_out\", None)\n"
+        "    monkeypatch.setattr(experiments, \"_trial_worker\", None)\n"
         "    monkeypatch.setattr(att, \"grad\", getattr(att, \"_one\"))\n"
         "    monkeypatch.setattr(\"attnlab.attention._loss_and_grad\", None)\n"
         "    monkeypatch.setattr(other, \"_hidden\", None)\n"
@@ -211,7 +211,7 @@ def test_private_read_scanner_catches_attributes_imports_and_strings(tmp_path):
         encoding="utf-8",
     )
     assert sorted(private_reads(tmp_path / "test_a.py")) == [
-        "attention._loss_and_grad", "attention._one", "attention._pack", "attention._scores", "experiments._fan_out",
+        "attention._loss_and_grad", "attention._one", "attention._pack", "attention._scores", "experiments._trial_worker",
         "graph._closure", "svm._essential"]
     assert private_reads(tmp_path / "test_b.py") == []
 

@@ -7,7 +7,7 @@ them.  The checks here cannot keep to the public seam, and each class says
 why in its docstring: the ||W|| score certificate, the order in which
 deferred failures land, the allocation bounds, the bits of a row sum,
 `_StackRefs`, the feature-form rule, `_fin_features`, the NNLS passive
-factor, the presolve and its closure count, and the trial fan-out.  A
+factor, the presolve and its closure count, and the trial blocks.  A
 refactor of those internals may rewrite this module and no other.
 
 A class without the Test prefix is collected in the module that binds it,
@@ -35,7 +35,6 @@ from attnlab.util import seeded_rng
 
 from helpers import (
     KINDS,
-    TRAINING_KINDS,
     assert_certified,
     assert_wfin_certified,
     block_trials,
@@ -132,16 +131,16 @@ class KernelOracleCertificates:
             d = datasets[0].d
             w = 0.5 * seeded_rng(24 + d).standard_normal((d, d))
             w_ext = w.astype(np.longdouble)
-            for reduced_log in (True, False) if kind == att.LOG else (True,):
-                _, _, grad, errors = att._loss_and_grad(w[None], packed, kind, reduced_log, grad=True)
-                total, bar, _, scored = att._loss_and_grad(w[None], packed, kind, reduced_log, grad=False)
-                assert not errors and not scored
-                for b, (ds, split) in enumerate(zip(datasets, splits)):
-                    own = extended([ds], [split])
-                    want = einsum_loss(w_ext, own, kind)
-                    assert abs(total[b] - want) <= 1e-15 * abs(want)
-                    want = 0.0 if split.empty else split_loss(w_ext, split, kind)
-                    assert abs(bar[b] - want) <= 1e-15 * want
+            _, _, grad, errors = att._loss_and_grad(w[None], packed, kind, grad=True)
+            total, bar, _, scored = att._loss_and_grad(w[None], packed, kind, grad=False)
+            assert not errors and not scored
+            for b, (ds, split) in enumerate(zip(datasets, splits)):
+                own = extended([ds], [split])
+                want = einsum_loss(w_ext, own, kind)
+                assert abs(total[b] - want) <= 1e-15 * abs(want)
+                want = 0.0 if split.empty else split_loss(w_ext, split, kind)
+                assert abs(bar[b] - want) <= 1e-15 * want
+                for reduced_log in (True, False) if kind == att.LOG else (True,):
                     want = einsum_grad(w_ext, own, kind, reduced_log)  # a mean; the kernel returns the sum
                     assert np.max(np.abs(grad[b] / packed.n - want)) <= 1e-15 * np.max(np.abs(want))
         assert forms == {True, False} and mixed and held
@@ -186,7 +185,7 @@ class AnchoredSoftmaxCertificates:
         (group,) = packed.groups
         h = att._scores(w[None], group).copy()
         assert np.all(np.max(h, axis=-1) == 0.0) and np.any(h < 0.0)
-        att._loss_and_grad(w[None], packed, att.LOG, True, grad=True)
+        att._loss_and_grad(w[None], packed, att.LOG, grad=True)
         assert group.scratch.h.tobytes() == att.softmax(h).tobytes()
 
 
@@ -303,8 +302,8 @@ class Scratch:
         kept = first.tobytes()
         assert att.grad(2.0 * w, ds).tobytes() != kept and first.tobytes() == kept
         packed = att._pack([ds])
-        g1 = att._loss_and_grad(w[None], packed, att.LOG, True, grad=True)[2]
-        g2 = att._loss_and_grad(2.0 * w[None], packed, att.LOG, True, grad=True)[2]
+        g1 = att._loss_and_grad(w[None], packed, att.LOG, grad=True)[2]
+        g2 = att._loss_and_grad(2.0 * w[None], packed, att.LOG, grad=True)[2]
         assert g1 is g2 is packed.grad
 
 
@@ -338,8 +337,8 @@ def _faulty_kernel(trial, loss_from=None, grad_from=None, error_at=None, error=N
     any other W that no step held is a KeyError."""
     kernel, steps = att._loss_and_grad, {}
 
-    def patched(w, packed, kind, reduced_log, grad, bounded=False):
-        value, bar, g, errors = kernel(w, packed, kind, reduced_log, grad, bounded)
+    def patched(w, packed, kind, grad, bounded=False):
+        value, bar, g, errors = kernel(w, packed, kind, grad, bounded)
         if grad:
             tau = steps.setdefault(w.tobytes(), len(steps))
             if grad_from is not None and tau >= grad_from:
@@ -595,8 +594,8 @@ class TrainBlockCertificates:
         want = att.train_block(datasets, cfg, refs)
         kernel, zero_slots = att._loss_and_grad, []
 
-        def failing_zeros(w, packed, kind, reduced_log, grad, bounded=False):
-            value, bar, g, errors = kernel(w, packed, kind, reduced_log, grad, bounded)
+        def failing_zeros(w, packed, kind, grad, bounded=False):
+            value, bar, g, errors = kernel(w, packed, kind, grad, bounded)
             if w.ndim == 4:
                 zero = ~w.any(axis=(1, 2, 3))
                 zero_slots.append(int(zero.sum()))
@@ -858,7 +857,7 @@ class RecordAllocation:
 
         def scoring():  # as in training, but corr_svm; the values are not read
             records = att._records_pack(packed, n)
-            loss, bar, grad, errors = att._loss_and_grad(stored, records, att.LOG, True, grad=False)
+            loss, bar, grad, errors = att._loss_and_grad(stored, records, att.LOG, grad=False)
             assert loss.shape == bar.shape == (n, len(datasets)) and grad is None and not errors
             stack_refs.dist_fin(stored)
             made[:] = [records]
@@ -874,10 +873,10 @@ class RecordAllocation:
     def test_a_plain_step_copies_nothing(self, name):
         datasets, _, packed, w = self._block(name)
         assert all((g.phi is not None) == (name == "cyclic-global") for g in packed.groups)
-        g = att._loss_and_grad(w, packed, att.LOG, True, grad=True)[2]
+        g = att._loss_and_grad(w, packed, att.LOG, grad=True)[2]
         scale = (0.01 / np.linalg.norm(g, axis=(1, 2)))[:, None, None]  # eta / ||g||, as `_train_stack` scales
         peaks = self._peaks((lambda: [att._scores(w, group) for group in packed.groups],
-                             lambda: att._loss_and_grad(w, packed, att.LOG, True, grad=True),
+                             lambda: att._loss_and_grad(w, packed, att.LOG, grad=True),
                              lambda: np.subtract(w, np.multiply(g, scale, out=g), out=w)))
         assert all(peak <= 2 * bound for peak, bound in zip(peaks, self.PLAIN_PEAKS[name])), peaks
 
@@ -994,42 +993,19 @@ class WfinOracles:
 
 
 # ---------------------------------------------------------------------------
-# The trial fan-out
+# The trial blocks
 # ---------------------------------------------------------------------------
 
 
-def _serial_fan_out(fn, args, workers):
-    """`_fan_out` without the pool, whatever the worker count."""
-    return [fn(a) for a in args]
-
-
 class SweepFanOut:
-    """How many jobs reach one `_trial_worker` call is the fan-out's plan,
-    which no result shows: the worker and the fan-out are replaced by
+    """How many jobs reach one `_trial_worker` call and one `train_block`
+    call is the block plan, which no result shows: both are replaced by
     counting ones."""
-
-    # At --workers 2, one _trial_worker call per (grid point, trial): 3 trials each.
-    @pytest.mark.parametrize("name, params, calls", [
-        ("scc-count", dict(K=4, d=4, T=3, n_grid=[4, 8]), 2 * 3),
-    ], ids=["scc-count"])
-    def test_one_worker_call_per_trial(self, monkeypatch, name, params, calls):
-        seen = []
-        worker = experiments._trial_worker
-
-        def counting(args):
-            seen.append(args)
-            return worker(args)
-
-        monkeypatch.setattr(experiments, "_fan_out", _serial_fan_out)
-        monkeypatch.setattr(experiments, "_trial_worker", counting)
-        cfg = experiments.ExperimentConfig(name, params, {}, 0, 3, workers=2).resolved()
-        experiments.EXPERIMENTS[name].runner(cfg)
-        assert [len(jobs) for _, jobs in seen] == [1] * calls
 
     def test_feasibility_trains_in_one_block(self, monkeypatch):
         # All 3 x 3 (grid point, trial) jobs reach one _trial_worker call and
         # one train_block call, whatever their d.
-        blocks, workers = [], []
+        blocks, calls = [], []
         train_block, worker = att.train_block, experiments._trial_worker
 
         def counting_block(datasets, *args, **kwargs):
@@ -1037,10 +1013,10 @@ class SweepFanOut:
             return train_block(datasets, *args, **kwargs)
 
         monkeypatch.setattr(att, "train_block", counting_block)
-        monkeypatch.setattr(experiments, "_trial_worker", lambda args: workers.append(args) or worker(args))
+        monkeypatch.setattr(experiments, "_trial_worker", lambda args: calls.append(args) or worker(args))
         sweep_rows("feasibility", seed=0, trials=3, K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4])
         assert blocks == [[2, 2, 2, 3, 3, 3, 4, 4, 4]]
-        assert [(kind, len(jobs)) for kind, jobs in workers] == [("feasibility", 9)]
+        assert [(kind, len(jobs)) for kind, jobs in calls] == [("feasibility", 9)]
 
 
 class GlobalBlocks:
@@ -1059,8 +1035,8 @@ class GlobalBlocks:
                 raise NoConvergence("trial 3 has no pipeline")
             return build(ds)
 
-        def infinite_trial_1(w, packed, kind, reduced_log, grad, bounded=False):
-            value, bar, g, errors = kernel(w, packed, kind, reduced_log, grad, bounded)
+        def infinite_trial_1(w, packed, kind, grad, bounded=False):
+            value, bar, g, errors = kernel(w, packed, kind, grad, bounded)
             if not grad and w.ndim == 4:  # a scoring of training's records, (record, trial)
                 value = value.copy()
                 value[:, 1] = np.inf
@@ -1068,15 +1044,15 @@ class GlobalBlocks:
 
         monkeypatch.setattr(experiments, "build_pipeline", failing_build)
         with pytest.raises(NoConvergence, match="trial 3"):
-            experiments.run_trials("global", jobs[2:], workers=1)
+            experiments.run_trials("global", jobs[2:])
         monkeypatch.setattr(att, "_loss_and_grad", infinite_trial_1)
         with pytest.raises(NonFiniteLoss, match="loss became non-finite at iteration 0"):
-            experiments.run_trials("global", jobs, workers=1)
+            experiments.run_trials("global", jobs)
 
 
 class GdBlocksCertificates:
     """A failure in a trial's finish is injected by replacing that finish in
-    `_KINDS`, the registry the fan-out reads."""
+    `_KINDS`, the registry `_trial_worker` reads."""
 
     @pytest.mark.parametrize("kind", ["global", "local", "feasibility"])
     @pytest.mark.parametrize("failure", ["training", "finish"])
@@ -1109,35 +1085,30 @@ class GdBlocksCertificates:
         else:
             monkeypatch.setitem(experiments._KINDS, kind, experiments._KINDS[kind]._replace(finish=failing_finish))
         with pytest.raises(NoConvergence, match="trial 3"):
-            experiments.run_trials(kind, jobs[2:], workers=1)
+            experiments.run_trials(kind, jobs[2:])
         with pytest.raises((NoConvergence, NonFiniteLoss), match="trial 1"):
-            experiments.run_trials(kind, jobs, workers=1)
+            experiments.run_trials(kind, jobs)
 
 
 class BlockPlan:
-    """The blocks `run_trials` cuts for the pool are read off its calls of
-    `_fan_out` with `_trial_worker`, which a recording fan-out replaces."""
+    """The block `run_trials` hands to `_trial_worker` is read off a
+    recording worker, as the benchmark's tracer reads it."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_jobs_reach_the_worker_in_planned_blocks(self, monkeypatch, kind):
-        # One block at one worker.  At three, a kind that trains gets three
-        # contiguous blocks and one that does not one job per block; the
-        # results are those of one block either way.
-        jobs, plans = gd_jobs(kind), []
+        # Every job, in job order, reaches one _trial_worker call, whose
+        # results come back unchanged.
+        jobs, plans, worker = gd_jobs(kind), [], experiments._trial_worker
 
-        def recording(fn, args, workers):
-            plans.append((fn, args))
-            return _serial_fan_out(fn, args, workers)
+        def recording(args):
+            results = worker(args)
+            plans.append((args, results))
+            return results
 
-        monkeypatch.setattr(experiments, "_fan_out", recording)
-        one = experiments.run_trials(kind, jobs, workers=1)
-        three = experiments.run_trials(kind, jobs, workers=3)
-        assert all(fn is experiments._trial_worker for fn, _ in plans)
-        cuts = [0, len(jobs) // 3, 2 * len(jobs) // 3, len(jobs)]
-        planned = ([jobs[a:b] for a, b in zip(cuts, cuts[1:])] if kind in TRAINING_KINDS
-                   else [[job] for job in jobs])
-        assert [args for _, args in plans] == [[(kind, jobs)], [(kind, block) for block in planned]]
-        assert spelled(three) == spelled(one)
+        monkeypatch.setattr(experiments, "_trial_worker", recording)
+        results = experiments.run_trials(kind, jobs)
+        assert [args for args, _ in plans] == [(kind, jobs)]
+        assert spelled(results) == spelled(plans[0][1])
 
 
 # ---------------------------------------------------------------------------

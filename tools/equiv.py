@@ -6,8 +6,7 @@ Checks BASE out of the local repository (``git archive``, no network) into
 a temporary directory, then runs the same commands on both trees, each with
 its own ``src`` on PYTHONPATH:
 
-- every ``attnlab exp`` at ``--seed 0``, once at ``--workers 1`` and once
-  at ``--workers 2``;
+- every ``attnlab exp`` at ``--seed 0``, run twice;
 - ``selftest --seed 0`` and ``--seed 1``;
 - ``gen-data``, ``build-graph``, ``solve-svm``, ``train`` and ``analyze``
   on a generated dataset;
@@ -25,14 +24,13 @@ set differ).  A rollup line per top-level directory (``exp/<name>``,
 its largest relative difference and the file and place it sits in, and
 whether every ``.exit`` file in it is identical.
 A changed ``.exit`` file, an exit code, reads DIFFERENT.  Within each
-tree, an experiment's ``--workers 1`` and ``--workers 2`` files must be
-byte-identical.  The exit status is 1 on a DIFFERENT file or a worker-count
-mismatch, else 0.
+tree, an experiment's two runs must write byte-identical files.  The exit
+status is 1 on a DIFFERENT file or a mismatch between two runs, else 0.
+Every command line is one that BASE's CLI accepts too.
 
-``--smoke`` runs two trials of each experiment with short training, so
-that ``--workers 2`` cuts two blocks for every experiment, and the verdict
-corpus without its 600 draws, so CI can run it against HEAD in about a
-minute.  ``train``'s ``wall_ms``, a wall-clock time, is dropped
+``--smoke`` runs two trials of each experiment with short training, and
+the verdict corpus without its 600 draws, so CI can run it against HEAD in
+about a minute.  ``train``'s ``wall_ms``, a wall-clock time, is dropped
 before comparing.
 """
 
@@ -88,6 +86,7 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\binf\b|\bnan
 
 
 CLI = ["-m", "attnlab.cli"]
+RUNS = ("run1", "run2")  # each experiment's two runs, which must write the same bytes
 
 
 def run(tree: Path, cwd: Path, name: str, args: list[str], program: list[str] = CLI) -> None:
@@ -106,9 +105,8 @@ def run(tree: Path, cwd: Path, name: str, args: list[str], program: list[str] = 
 def run_all(tree: Path, out: Path, smoke: bool) -> None:
     for name in EXPERIMENTS:
         extra = ["--trials", "2"] + [a for kv in SMOKE_SETS[name] for a in ("--set", kv)] if smoke else []
-        for workers in (1, 2):
-            run(tree, out / "exp" / name / f"w{workers}", "exp",
-                ["exp", name, "--seed", "0", "--workers", str(workers), "--out", ".", *extra])
+        for k in RUNS:
+            run(tree, out / "exp" / name / k, "exp", ["exp", name, "--seed", "0", "--out", ".", *extra])
     for seed in (0, 1):
         run(tree, out / "selftest", f"seed{seed}", ["selftest", "--seed", str(seed)])
     for name, args in TOOLS:
@@ -207,13 +205,13 @@ def rollup(verdicts: dict[str, tuple[str, float, str]]) -> list[str]:
     return lines
 
 
-def worker_mismatches(out: Path) -> list[str]:
-    """Experiment files whose --workers 1 and 2 runs differ in any byte."""
+def run_mismatches(out: Path) -> list[str]:
+    """Experiment files whose two runs differ in any byte."""
     bad = []
     for name in EXPERIMENTS:
-        w1, w2 = out / "exp" / name / "w1", out / "exp" / name / "w2"
-        for rel in sorted(files(w1) | files(w2)):
-            p1, p2 = w1 / rel, w2 / rel
+        r1, r2 = (out / "exp" / name / k for k in RUNS)
+        for rel in sorted(files(r1) | files(r2)):
+            p1, p2 = r1 / rel, r2 / rel
             if not (p1.is_file() and p2.is_file() and p1.read_bytes() == p2.read_bytes()):
                 bad.append(f"exp/{name}/{rel}")
     return bad
@@ -254,12 +252,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{verdict:<10} {rel}{note}")
         for line in rollup(verdicts):
             print(line)
-        mismatches = {tree: worker_mismatches(out) for tree, out in outs.items()}
+        mismatches = {tree: run_mismatches(out) for tree, out in outs.items()}
         for tree, bad in mismatches.items():
             for rel in bad:
-                print(f"WORKERS    {tree}: {rel} differs between --workers 1 and 2")
+                print(f"RERUN      {tree}: {rel} differs between two runs")
     print(f"{counts['identical']} identical, {counts['numeric']} numeric, {counts['DIFFERENT']} different; "
-          f"--workers 1 vs 2: {sum(map(len, mismatches.values()))} mismatched files")
+          f"two runs: {sum(map(len, mismatches.values()))} mismatched files")
     return 1 if counts["DIFFERENT"] or any(mismatches.values()) else 0
 
 

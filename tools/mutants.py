@@ -112,6 +112,58 @@ MUTANTS = [
            "                if kind == LOG:\n                    u = _guarded(u, None, errors)",
            "                if kind == LOG and not grad:\n                    u = _guarded(u, None, errors)",
            "a step skips the log underflow guard: training steps along a gradient of a zero label mass"),
+    Mutant("src/attnlab/svm.py",
+           "min_ineq >= 1.0 - PRIMAL_TOL and kkt_residual <= KKT_TOL:",
+           "kkt_residual <= KKT_TOL:",
+           "the graph-SVM margin check dropped: a W below the unit margin reads SOLVED"),
+    Mutant("src/attnlab/svm.py",
+           "    if farkas <= FARKAS_TOL:",
+           "    if farkas <= 1e3 * FARKAS_TOL:",
+           "the Farkas test 1000x looser: a nearly infeasible set reads INFEASIBLE"),
+    Mutant("src/attnlab/svm.py",
+           "    stationarity -= (eq_basis @ stationarity) @ eq_basis\n",
+           "",
+           "stationarity not taken modulo the equality span: a cyclic optimum fails its KKT check"),
+    Mutant("src/attnlab/svm.py",
+           "        cover[idx, :p, :p] = s & ~_product(s, s)",
+           "        cover[idx, :p, :p] = s",
+           "a presolve that keeps pairs outside the transitive reduction"),
+    Mutant("src/attnlab/graph.py",
+           "                if tok != src:",
+           "                if tok > src:",
+           "TPG edges only toward larger token ids"),
+    Mutant("src/attnlab/dataset.py",
+           "            if _argmax_margin(c, e_table.e) >= ARGMAX_MARGIN:",
+           "            if True:",
+           "an argmax head built without its margin check"),
+    Mutant("src/attnlab/experiments.py",
+           "        if self.workers != 1:",
+           "        if False:",
+           "a config accepts any worker count, though no pool runs them"),
+    Mutant("src/attnlab/experiments.py",
+           "    return _trial_worker((kind, jobs))",
+           "    return _trial_worker((kind, jobs[::-1]))[::-1]",
+           "run_trials runs its jobs in reverse order"),
+    Mutant("src/attnlab/experiments.py",
+           'violations.append(f"mean dist_local {dl:.4f} > mean dist_global {dg:.4f}")',
+           "pass",
+           "local-* drops its dist_local > dist_global violation"),
+    Mutant("src/attnlab/experiments.py",
+           'violations.append(f"rate bound violated by {worst:.3e}")',
+           "pass",
+           "rate-check drops its rate-bound violation"),
+    Mutant("src/attnlab/experiments.py",
+           'violations.append(f"acyclic trial {t}: corr decreased at radius index {j + 1}")',
+           "pass",
+           "reg-path drops its corr-decrease violation"),
+    Mutant("src/attnlab/experiments.py",
+           'violations.append(f"acyclic trial {t}: final corr {corr[-1]:.4f}")',
+           "pass",
+           "reg-path drops its final-corr violation"),
+    Mutant("src/attnlab/experiments.py",
+           'violations.append(f"cyclic trial {t}: final fin-distance {dv:.4f}")',
+           "pass",
+           "reg-path drops its final-distance violation"),
 ]
 
 
