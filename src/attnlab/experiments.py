@@ -1,4 +1,5 @@
-"""Named experiment pipelines, artifact writing, and the self-test suite.
+"""Named experiment pipelines, artifact writing, the self-test suite and
+the measures it shares with the acceptance criteria.
 
 Each experiment resolves a parameter set, runs its trials in one process
 (trial t drawing from trial_seed(seed, t)), aggregates, writes a manifest plus
@@ -317,12 +318,11 @@ _KINDS: dict[str, _TrialKind] = {
 }
 
 
-def _trial_worker(args: tuple) -> list[dict]:
+def _trial_worker(kind: str, jobs: list[tuple[dict, int]]) -> list[dict]:
     """A block of (params, seed) jobs of one kind: built one by one, trained
     together in one `train_block` call when the builds give a TrainConfig,
     which they must share, and finished one by one.  Raises the first error
     in trial order, as running the trials one by one would."""
-    kind, jobs = args
     build, finish = _KINDS[kind]
     built, error = [], None
     for params, seed in jobs:
@@ -355,7 +355,7 @@ def seeded_jobs(params: dict, seed: int, trials: int) -> list[tuple[dict, int]]:
 def run_trials(kind: str, jobs: list[tuple[dict, int]]) -> list[dict]:
     """Run one `kind` trial per (params, seed) job, all in one
     `_trial_worker` block; results come back in job order."""
-    return _trial_worker((kind, jobs))
+    return _trial_worker(kind, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +767,16 @@ class SelftestResult:
     detail: str
 
 
-def _fd_grad(w: np.ndarray, ds: Dataset, kind: str, step: float = 1e-5) -> np.ndarray:
-    g = np.zeros_like(w)
+def _small_instance(seed: int, K: int = 4, d: int = 5, n: int = 3, T: int = 3,
+                    head_kind: str = TIED) -> Dataset:
+    table = make_embeddings(K, d, UNIT_SPHERE, seed=seed)
+    head = make_head(table, head_kind, noise=0.1, seed=seed)
+    return gen_dataset(table, head, n=n, T=T, mode="cyclic", seed=seed)
+
+
+def fd_grad(w: np.ndarray, ds: Dataset, kind: str) -> np.ndarray:
+    """Central finite differences of the loss at w, entry by entry, at step 1e-5."""
+    g, step = np.zeros_like(w), 1e-5
     for a in range(w.shape[0]):
         for b in range(w.shape[1]):
             wp, wm = w.copy(), w.copy()
@@ -778,11 +786,59 @@ def _fd_grad(w: np.ndarray, ds: Dataset, kind: str, step: float = 1e-5) -> np.nd
     return g
 
 
-def _small_instance(seed: int, K: int = 4, d: int = 5, n: int = 3, T: int = 3,
-                    head_kind: str = TIED, mode: str = "cyclic") -> Dataset:
-    table = make_embeddings(K, d, UNIT_SPHERE, seed=seed)
-    head = make_head(table, head_kind, noise=0.1, seed=seed)
-    return gen_dataset(table, head, n=n, T=T, mode=mode, seed=seed)
+def descent_violations(ds: Dataset, steps: int) -> int:
+    """How many of ``steps`` log-loss GD steps from zero at eta = 1/L lower
+    the loss by less than the descent lemma's eta/2 ||g||^2 (slack 1e-10)."""
+    eta = 1.0 / attention.lipschitz_log(ds)
+    w = np.zeros((ds.d, ds.d))
+    cur, violations = attention.loss(w, ds, attention.LOG), 0
+    for _ in range(steps):
+        g = attention.grad(w, ds, attention.LOG)
+        w = w - eta * g
+        nxt = attention.loss(w, ds, attention.LOG)
+        if nxt - cur > -(eta / 2) * np.linalg.norm(g) ** 2 + 1e-10:
+            violations += 1
+        cur = nxt
+    return violations
+
+
+def chord_violations(ds: Dataset, rng: np.random.Generator, pairs: int, lams: tuple[float, float]) -> int:
+    """How many of ``pairs`` standard normal (W1, W2), with lambda uniform in
+    ``lams``, break the log loss's chord inequality by more than 1e-9."""
+    bad = 0
+    for _ in range(pairs):
+        w1 = rng.standard_normal((ds.d, ds.d))
+        w2 = rng.standard_normal((ds.d, ds.d))
+        lam = rng.uniform(*lams)
+        lhs = attention.loss(lam * w1 + (1 - lam) * w2, ds, attention.LOG)
+        rhs = lam * attention.loss(w1, ds, attention.LOG) + (1 - lam) * attention.loss(w2, ds, attention.LOG)
+        if lhs > rhs + 1e-9:
+            bad += 1
+    return bad
+
+
+def kkt_terms(cons: svm.ConstraintSet, sol: svm.Solution) -> tuple[float, float, float]:
+    """KKT terms of sol recomputed from its W, multipliers and embeddings:
+    stationarity modulo the equality span (inf without one multiplier per
+    inequality), largest equality violation, smallest inequality margin."""
+    e, w = cons.embedding.e, sol.w.ravel()
+    eqs = np.array([svm.constraint_matrix(t, e).ravel() for t in cons.equalities]).reshape(-1, w.size)
+    ineqs = np.array([svm.constraint_matrix(t, e).ravel() for t in cons.inequalities]).reshape(-1, w.size)
+    eq, margin = float(np.max(np.abs(eqs @ w), initial=0.0)), float(np.min(ineqs @ w, initial=np.inf))
+    if len(sol.ineq_multipliers) != len(ineqs):
+        return np.inf, eq, margin
+    stationarity = w - ineqs.T @ sol.ineq_multipliers
+    if len(eqs):
+        mu, *_ = np.linalg.lstsq(eqs.T, stationarity, rcond=None)
+        stationarity -= eqs.T @ mu
+    return float(np.linalg.norm(stationarity)), eq, margin
+
+
+def per_token_gap(ds: Dataset) -> float:
+    """||W_svm - sum_k W_k||: the joint graph-SVM solution against the sum
+    of the per-last-token ones, which it equals under orthonormal embeddings."""
+    cons = Pipeline(ds).constraints
+    return float(np.linalg.norm(svm.solve_graph_svm(cons).w - svm.solve_per_last_token(cons).w))
 
 
 def _wfin_certificate_terms(pipe: Pipeline) -> tuple[float, float, float]:
@@ -807,7 +863,7 @@ def _wfin_certificate_terms(pipe: Pipeline) -> tuple[float, float, float]:
     return float(np.linalg.norm(grad / n)), float(np.linalg.eigvalsh(hess / n)[0]), lip / n
 
 
-def wfin_certificate(seed: int = 0) -> SelftestResult:
+def wfin_certificate(seed: int) -> SelftestResult:
     """Re-derive W_fin's certificate: at every non-empty split of ten small
     cyclic draws, 8 M ||g|| <= mu^2 and 4 ||g|| / mu <= WFIN_REL_BOUND * max(1, ||W_fin||)."""
     checked, failures, worst = 0, [], 0.0
@@ -832,83 +888,46 @@ def wfin_certificate(seed: int = 0) -> SelftestResult:
     return SelftestResult(name="wfin_certificate", ok=ok, detail=detail)
 
 
-def gradient_check(seed: int = 0) -> SelftestResult:
+def gradient_check(seed: int) -> SelftestResult:
     """Analytic gradient against central finite differences, for each loss."""
     worst = 0.0
     rng = seeded_rng(seed, 10)
     for j, kind in enumerate([attention.LOG, attention.SQUARED, attention.CROSS_ENTROPY]):
         ds = _small_instance(seed + j, head_kind=GENERAL_ARGMAX if kind != attention.LOG else TIED)
         w = 0.5 * rng.standard_normal((ds.d, ds.d))
-        g = attention.grad(w, ds, kind)
-        fd = _fd_grad(w, ds, kind)
-        rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
-        worst = max(worst, rel)
+        fd = fd_grad(w, ds, kind)
+        worst = max(worst, float(np.linalg.norm(attention.grad(w, ds, kind) - fd) / max(np.linalg.norm(fd), 1e-12)))
     return SelftestResult("gradient_check", worst < 1e-5, f"max rel err {worst:.2e}")
 
 
-def descent(seed: int = 0) -> SelftestResult:
+def descent(seed: int) -> SelftestResult:
     """Descent lemma along 200 gradient steps with eta = 1/L."""
-    ds = _small_instance(seed + 11)
-    eta = 1.0 / attention.lipschitz_log(ds)
-    w = np.zeros((ds.d, ds.d))
-    cur, g = attention.loss(w, ds), attention.grad(w, ds)
-    violations = 0
-    for _ in range(200):
-        w = w - eta * g
-        nxt, g_next = attention.loss(w, ds), attention.grad(w, ds)
-        if nxt - cur > -(eta / 2) * np.linalg.norm(g) ** 2 + 1e-10:
-            violations += 1
-        cur, g = nxt, g_next
+    violations = descent_violations(_small_instance(seed + 11), 200)
     return SelftestResult("descent", violations == 0, f"{violations} violations over 200 steps")
 
 
-def convexity_chords(seed: int = 0) -> SelftestResult:
+def convexity_chords(seed: int) -> SelftestResult:
     """Chord inequality of the tied log loss at 200 random pairs."""
-    ds = _small_instance(seed + 12)
-    rng = seeded_rng(seed, 12)
-    bad = 0
-    for _ in range(200):
-        w1 = rng.standard_normal((ds.d, ds.d))
-        w2 = rng.standard_normal((ds.d, ds.d))
-        lam = rng.uniform(0.05, 0.95)
-        lhs = attention.loss(lam * w1 + (1 - lam) * w2, ds)
-        rhs = lam * attention.loss(w1, ds) + (1 - lam) * attention.loss(w2, ds)
-        if lhs > rhs + 1e-9:
-            bad += 1
+    bad = chord_violations(_small_instance(seed + 12), seeded_rng(seed, 12), 200, (0.05, 0.95))
     return SelftestResult("convexity_chords", bad == 0, f"{bad} chord violations over 200 draws")
 
 
-def kkt(seed: int = 0) -> SelftestResult:
+def kkt(seed: int) -> SelftestResult:
     """Primal feasibility and stationarity of W_svm on 20 draws, recomputed
-    from the solution matrix, its inequality multipliers and the embeddings."""
+    by `kkt_terms`."""
     worst_kkt, worst_eq, worst_ineq, solved = 0.0, 0.0, np.inf, True
     for j in range(20):
         pipe = Pipeline(_small_instance(seed + 100 + j))
-        sol, cons = pipe.solution, pipe.constraints
-        if sol.status is not svm.SolveStatus.SOLVED:
+        if pipe.solution.status is not svm.SolveStatus.SOLVED:
             solved = False
             continue
-        e, w = cons.embedding.e, sol.w.ravel()
-        eqs = np.array([svm.constraint_matrix(t, e).ravel() for t in cons.equalities]).reshape(-1, w.size)
-        ineqs = np.array([svm.constraint_matrix(t, e).ravel() for t in cons.inequalities]).reshape(-1, w.size)
-        worst_eq = max(worst_eq, float(np.max(np.abs(eqs @ w), initial=0.0)))
-        worst_ineq = min(worst_ineq, float(np.min(ineqs @ w, initial=np.inf)))
-        if len(sol.ineq_multipliers) != len(ineqs):
-            worst_kkt = np.inf  # not one multiplier per inequality
-            continue
-        stationarity = w - ineqs.T @ sol.ineq_multipliers
-        if len(eqs):
-            mu, *_ = np.linalg.lstsq(eqs.T, stationarity, rcond=None)
-            stationarity -= eqs.T @ mu
-        worst_kkt = max(worst_kkt, float(np.linalg.norm(stationarity)))
-    return SelftestResult(
-        "kkt",
-        solved and worst_kkt <= svm.KKT_TOL and worst_eq <= 1e-6 and worst_ineq >= 1 - 1e-6,
-        f"kkt {worst_kkt:.2e}, eq {worst_eq:.2e}, ineq margin {worst_ineq:.6f}",
-    )
+        stationarity, eq, margin = kkt_terms(pipe.constraints, pipe.solution)
+        worst_kkt, worst_eq, worst_ineq = max(worst_kkt, stationarity), max(worst_eq, eq), min(worst_ineq, margin)
+    ok = solved and worst_kkt <= svm.KKT_TOL and worst_eq <= 1e-6 and worst_ineq >= 1 - 1e-6
+    return SelftestResult("kkt", ok, f"kkt {worst_kkt:.2e}, eq {worst_eq:.2e}, ineq margin {worst_ineq:.6f}")
 
 
-def scc_oracle(seed: int = 0) -> SelftestResult:
+def scc_oracle(seed: int) -> SelftestResult:
     """The library's components against the mutual-reachability partition
     of 60 random graphs, found by a depth-first search from each node."""
     rng = seeded_rng(seed, 13)
@@ -938,7 +957,7 @@ def scc_oracle(seed: int = 0) -> SelftestResult:
     return SelftestResult("scc_oracle", mismatches == 0, f"{mismatches} pair mismatches over 60 graphs")
 
 
-def orthogonality(seed: int = 0) -> SelftestResult:
+def orthogonality(seed: int) -> SelftestResult:
     """W_svm is perpendicular to S_fin and lies in S_svm, on 10 draws."""
     worst_dot, worst_memb = 0.0, 0.0
     for j in range(10):
@@ -953,21 +972,18 @@ def orthogonality(seed: int = 0) -> SelftestResult:
                           f"max |<W,B>| {worst_dot:.2e}, membership residual {worst_memb:.2e}")
 
 
-def per_token_reduction(seed: int = 0) -> SelftestResult:
+def per_token_reduction(seed: int) -> SelftestResult:
     """Under orthonormal embeddings the joint W_svm is the sum of the
     per-last-token solutions, on 5 draws."""
     worst_red = 0.0
     for j in range(5):
         table = make_embeddings(5, 5, "orthonormal", seed=seed + 300 + j)
-        head = make_head(table, TIED)
-        ds = gen_dataset(table, head, n=4, T=3, mode="cyclic", seed=seed + 300 + j)
-        pipe = Pipeline(ds)
-        per_k = svm.solve_per_last_token(pipe.constraints)
-        worst_red = max(worst_red, float(np.linalg.norm(pipe.w_svm - per_k.w)))
+        ds = gen_dataset(table, make_head(table, TIED), n=4, T=3, mode="cyclic", seed=seed + 300 + j)
+        worst_red = max(worst_red, per_token_gap(ds))
     return SelftestResult("per_token_reduction", worst_red <= 1e-6, f"max |W_joint - sum W_k| {worst_red:.2e}")
 
 
-def zero_svm_stasis(seed: int = 0) -> SelftestResult:
+def zero_svm_stasis(seed: int) -> SelftestResult:
     """On a single-SCC dataset W_svm is zero and training never moves the
     component outside S_fin."""
     ds = single_scc_dataset(seed=seed)
@@ -985,7 +1001,7 @@ def zero_svm_stasis(seed: int = 0) -> SelftestResult:
                           f"w_svm norm {pipe.solution.norm:.2e}, perp drift {drift:.2e}")
 
 
-def normalized_step(seed: int = 0) -> SelftestResult:
+def normalized_step(seed: int) -> SelftestResult:
     """Normalized GD from zero over 50 recorded steps: ||W_1|| = eta, no step
     moves ||W|| by more than eta, and the loss falls over the first 5 steps."""
     ds = _small_instance(seed + 500)
@@ -1010,6 +1026,6 @@ PROPERTIES: tuple[Callable[[int], SelftestResult], ...] = (
 )
 
 
-def selftest(seed: int = 0) -> list[SelftestResult]:
+def selftest(seed: int) -> list[SelftestResult]:
     """Run every property at small sizes."""
     return [prop(seed) for prop in PROPERTIES]

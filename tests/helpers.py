@@ -5,8 +5,7 @@ enumerates active sets exhaustively, the graph SVM's presolve is checked
 against a transitive reduction read off those closures and its verdicts
 against an unreduced dense solve, its Gram rows against the dense
 d^2-wide projected rows (and its NNLS reads a dense Gram matrix through
-`DenseGramRows`), gradients come from central finite
-differences on the loss alone, W_fin comes from plain gradient descent, the
+`DenseGramRows`), W_fin comes from plain gradient descent, the
 packed loss and gradient have an einsum form beside the library's matmul
 kernel, normalized-GD trajectories come from a long-double loop over that
 form, a ball minimizer's first-order terms from that gradient and a
@@ -25,13 +24,12 @@ private entry points: only it, beside test_internals.py, may read a private
 attnlab name (tests/test_imports.py holds that), and it reads three,
 `attention._pack`, `_loss_and_grad` and `experiments._KINDS`.  The kernel
 does one job a call, a step (the gradient) or a scoring (the losses and
-loss_bar).  `loss` is the loss of one dataset, `kernel` a step and a
-scoring of the packed kernel on a block of trials, `extended` a pack in
-long double for the einsum oracles, `trial_build` a trial built by its
-experiment's own build (`_KINDS`), so the experiment blocks train what the
-experiments train, and `edit_finish` a trial kind whose finished results
-pass through an edit, so a test can drive an experiment to a threshold
-violation.  `load_tool` imports a script of tools/ or perfbench/.
+loss_bar).  `kernel` is a step and a scoring of the packed kernel on a
+block of trials, `extended` a pack in long double for the einsum oracles,
+`trial_build` a trial built by its experiment's own build (`_KINDS`), so
+the experiment blocks train what the experiments train, and `edit_finish`
+a trial kind whose finished results pass through an edit, so a test can
+drive an experiment to a threshold violation.  `load_tool` imports a script of tools/ or perfbench/.
 """
 
 import dataclasses
@@ -390,27 +388,6 @@ def forbid_the_solver(monkeypatch) -> None:
         raise AssertionError("the feasibility check called the solver")
 
     monkeypatch.setattr(svm, "solve_graph_svm", forbidden)
-
-
-def fd_grad(w: np.ndarray, ds: dsm.Dataset, kind: str, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the loss, entry by entry."""
-    g = np.zeros_like(w)
-    for a in range(w.shape[0]):
-        for b in range(w.shape[1]):
-            wp, wm = w.copy(), w.copy()
-            wp[a, b] += step
-            wm[a, b] -= step
-            g[a, b] = (loss(wp, ds, kind) - loss(wm, ds, kind)) / (2 * step)
-    return g
-
-
-def loss(w: np.ndarray, ds: dsm.Dataset, kind: str = attention.LOG) -> float:
-    """The loss of one dataset at w, from one scoring of the library's
-    kernel."""
-    total, _, _, errors = attention._loss_and_grad(w[None], attention._pack([ds]), kind, grad=False)
-    if errors:
-        raise errors[0]
-    return float(total[0])
 
 
 def kernel(w: np.ndarray, datasets, kind: str, splits=None, score: bool = True) -> tuple:

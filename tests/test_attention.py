@@ -32,12 +32,10 @@ from helpers import (
     einsum_loss,
     experiment_block,
     extended,
-    fd_grad,
     gd_oracle,
     kernel,
     last_tokens,
     log_or_local_block,
-    loss,
     refs_instance,
     shape_dataset,
     split_and_fin,
@@ -126,12 +124,12 @@ class TestLoss:
         head = dsm.make_head(table, dsm.TIED)
         ds = dsm.Dataset(embedding=table, head=head,
                          samples=(dsm.Sample(tokens=(1, 2, 3, 0), label=1),))
-        val = loss(np.zeros((4, 4)), ds, att.LOG)
+        val = att.loss(np.zeros((4, 4)), ds, att.LOG)
         assert abs(val - np.log(4.0)) <= 1e-12
         # Headless, the label twice among T = 4: label-position mass 1/2.
         ds = dsm.Dataset(embedding=table, head=None,
                          samples=(dsm.Sample(tokens=(2, 3, 2, 1), label=2),))
-        val = loss(np.zeros((4, 4)), ds, att.LOG)
+        val = att.loss(np.zeros((4, 4)), ds, att.LOG)
         assert abs(val - np.log(2.0)) <= 1e-12
 
     def test_all_label_tokens_zero_loss(self):
@@ -139,7 +137,7 @@ class TestLoss:
         head = dsm.make_head(table, dsm.TIED)
         ds = dsm.Dataset(embedding=table, head=head,
                          samples=(dsm.Sample(tokens=(2, 2, 2), label=2),))
-        assert abs(loss(np.zeros((3, 3)), ds, att.LOG)) <= 1e-12
+        assert abs(att.loss(np.zeros((3, 3)), ds, att.LOG)) <= 1e-12
 
     @pytest.mark.parametrize("kind,head_kind", [
         (att.LOG, dsm.TIED),
@@ -152,7 +150,7 @@ class TestLoss:
         for seed in range(8):
             ds = tiny_instance(seed, K=4, d=5, n=4, T=4, head_kind=head_kind)
             w = rng.standard_normal((5, 5))
-            got = loss(w, ds, kind)
+            got = att.loss(w, ds, kind)
             want = straight_line_loss(w, ds, kind)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -163,11 +161,11 @@ class TestLoss:
         ds = dsm.Dataset(embedding=table, head=head,
                          samples=(dsm.Sample(tokens=(1, 2, 3), label=0),))
         with pytest.raises(DomainError):
-            loss(np.zeros((4, 4)), ds, att.LOG)
+            att.loss(np.zeros((4, 4)), ds, att.LOG)
         with pytest.raises(DomainError):
             att.grad(np.zeros((4, 4)), ds, att.LOG)
         # The squared loss stays finite and the gradient vanishes.
-        assert abs(loss(np.zeros((4, 4)), ds, att.SQUARED) - 1.0) <= 1e-12
+        assert abs(att.loss(np.zeros((4, 4)), ds, att.SQUARED) - 1.0) <= 1e-12
         np.testing.assert_allclose(att.grad(np.zeros((4, 4)), ds, att.SQUARED), 0.0, atol=1e-15)
 
 
@@ -183,20 +181,15 @@ class TestGrad:
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(6)
-        cases = []
+        worst = 0.0
         for seed in range(50):
             kind = [att.LOG, att.SQUARED, att.CROSS_ENTROPY][seed % 3]
             # Log scores must stay positive, which the tied head guarantees.
             head_kind = dsm.TIED if (seed % 2 == 0 or kind == att.LOG) else dsm.GENERAL_ARGMAX
-            cases.append((seed, kind, head_kind))
-        worst = 0.0
-        for seed, kind, head_kind in cases:
             ds = tiny_instance(seed, K=3, d=4, n=3, T=3, head_kind=head_kind)
             w = 0.6 * rng.standard_normal((4, 4))
-            g = att.grad(w, ds, kind)
-            fd = fd_grad(w, ds, kind)
-            rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-10)
-            worst = max(worst, rel)
+            fd = experiments.fd_grad(w, ds, kind)
+            worst = max(worst, np.linalg.norm(att.grad(w, ds, kind) - fd) / max(np.linalg.norm(fd), 1e-10))
         assert worst < 1e-5
 
     def test_reduced_and_general_log_paths_agree(self):
@@ -239,7 +232,7 @@ class TestKernelOracle(KernelOracleCertificates):
             w_s = scale * w
             w_ext = w_s.astype(np.longdouble)
             want = einsum_loss(w_ext, packed, kind)
-            assert abs(loss(w_s, ds, kind) - want) <= 1e-15 * abs(want)
+            assert abs(att.loss(w_s, ds, kind) - want) <= 1e-15 * abs(want)
             if scale != 1.0 and kind != att.LOG:
                 continue
             got = att.grad(w_s, ds, kind)
@@ -396,15 +389,7 @@ class TestLipschitz:
 
 class TestTrainGd(TrainGdCertificates):
     def test_descent_with_inverse_lipschitz_step(self):
-        ds = tiny_instance(13, K=4, d=5, n=4, T=4)
-        eta = 1.0 / att.lipschitz_log(ds)
-        w = np.zeros((5, 5))
-        for _ in range(300):
-            g = att.grad(w, ds, att.LOG)
-            new = w - eta * g
-            drop = loss(new, ds, att.LOG) - loss(w, ds, att.LOG)
-            assert drop <= -(eta / 2.0) * np.linalg.norm(g) ** 2 + 1e-10
-            w = new
+        assert experiments.descent_violations(tiny_instance(13, K=4, d=5, n=4, T=4), 300) == 0
 
     def test_all_label_dataset_never_moves(self):
         table = dsm.make_embeddings(3, 3, dsm.ORTHONORMAL, seed=0)
@@ -437,7 +422,7 @@ class TestTrainGd(TrainGdCertificates):
         assert list(trace.iters) == list(range(21))
         for t in range(21):
             w_t = att.train_gd(ds, dataclasses.replace(cfg, iters=t)).w_final
-            assert trace.loss[t] == loss(w_t, ds, kind)
+            assert trace.loss[t] == att.loss(w_t, ds, kind)
 
 
 class TestTrainBlock(TrainBlockCertificates):
@@ -690,7 +675,7 @@ class TestCyclicLosses:
         for ds, split in held:
             w = 3.0 * seeded_rng(21).standard_normal((ds.d, ds.d))
             with pytest.raises(DomainError, match="underflow"):
-                loss(w, ds, att.LOG)
+                att.loss(w, ds, att.LOG)
             want = split_loss(w.astype(np.longdouble), split, att.LOG)
             assert abs(att.loss_bar(w, split) - want) <= 1e-15 * want
 
@@ -707,7 +692,7 @@ class TestCyclicLosses:
         pipe = cyclic_pipeline
         inf_val = att.loss_inf(pipe.split, pipe.w_fin)
         ray = pipe.w_fin + 50.0 * pipe.w_svm
-        val = loss(ray, pipe.dataset, att.LOG)
+        val = att.loss(ray, pipe.dataset, att.LOG)
         assert abs(val - inf_val) <= 1e-4
         assert val >= inf_val - 1e-12
 

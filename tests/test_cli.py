@@ -147,13 +147,6 @@ class TestExperimentCommand:
         assert (out / "summary.json").exists()
         assert (out / "traces" / "trial_000.csv").exists()
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            run_cli("exp", "scc-count", "--out", out, "--seed", 5, "--trials", 3,
-                    "--set", "n_grid=[32,64]")
-        assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
-
     def test_manifest_roundtrip_reproduces_summary(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("exp", "cyclic-global", "--out", a, "--seed", 9, "--trials", 2)
@@ -243,6 +236,14 @@ def _svm_scaled_below_margin(solve):
     return mutated
 
 
+def _svm_scaled_above_margin(solve):
+    # Every margin holds, but W is no longer its multipliers' combination.
+    def mutated(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, w=1.1 * sol.w)
+    return mutated
+
+
 def _svm_without_last_inequality(solve):
     # The last graph's closure loses its last strict pair, so the solve
     # sees one inequality fewer.
@@ -291,6 +292,7 @@ CANARIES = [
     ("descent", attention, "grad", _tripled_grad),
     ("convexity_chords", attention, "loss", _negated_loss),
     ("kkt", svm, "solve_graph_svm", _svm_scaled_below_margin),
+    ("kkt", svm, "solve_graph_svm", _svm_scaled_above_margin),
     ("kkt", svm, "solve_graph_svm", _svm_without_last_inequality),
     ("scc_oracle", graph, "decompose_all", _scc_without_first_out_edges),
     ("orthogonality", svm, "solve_graph_svm", _svm_shifted_into_s_fin),

@@ -1013,7 +1013,7 @@ class SweepFanOut:
             return train_block(datasets, *args, **kwargs)
 
         monkeypatch.setattr(att, "train_block", counting_block)
-        monkeypatch.setattr(experiments, "_trial_worker", lambda args: calls.append(args) or worker(args))
+        monkeypatch.setattr(experiments, "_trial_worker", lambda *args: calls.append(args) or worker(*args))
         sweep_rows("feasibility", seed=0, trials=3, K=4, T=3, n=3, iters=50, d_grid=[2, 3, 4])
         assert blocks == [[2, 2, 2, 3, 3, 3, 4, 4, 4]]
         assert [(kind, len(jobs)) for kind, jobs in calls] == [("feasibility", 9)]
@@ -1100,8 +1100,8 @@ class BlockPlan:
         # results come back unchanged.
         jobs, plans, worker = gd_jobs(kind), [], experiments._trial_worker
 
-        def recording(args):
-            results = worker(args)
+        def recording(*args):
+            results = worker(*args)
             plans.append((args, results))
             return results
 
