@@ -35,6 +35,7 @@ ACYCLIC = "acyclic"
 
 RANK_CUTOFF = 1e-10
 UNIT_NORM_TOL = 1e-9  # loaded unit_sphere / orthonormal rows
+ORTHONORMAL_TOL = 1e-10  # max |E E^T - I| of an orthonormal table
 ARGMAX_MARGIN = 1e-6
 
 
@@ -63,9 +64,9 @@ class EmbeddingTable:
         """Largest row norm (1 for unit-norm constructions, kept explicit)."""
         return float(np.max(np.linalg.norm(self.e, axis=1)))
 
-    def is_orthonormal(self, tol: float = 1e-10) -> bool:
+    def is_orthonormal(self) -> bool:
         gram = self.e @ self.e.T
-        return float(np.max(np.abs(gram - np.eye(self.K)))) <= tol
+        return float(np.max(np.abs(gram - np.eye(self.K)))) <= ORTHONORMAL_TOL
 
 
 @dataclass(frozen=True)

@@ -834,6 +834,11 @@ def kkt_terms(cons: svm.ConstraintSet, sol: svm.Solution) -> tuple[float, float,
     return float(np.linalg.norm(stationarity)), eq, margin
 
 
+def fin_overlap(fin: svm.MatrixSubspace, w: np.ndarray) -> float:
+    """max |<B, W>| over the basis B of S_fin, 0 when S_fin = {0}: W_svm is orthogonal to S_fin."""
+    return float(np.max(np.abs(fin.anchor(w)[0]), initial=0.0))
+
+
 def per_token_gap(ds: Dataset) -> float:
     """||W_svm - sum_k W_k||: the joint graph-SVM solution against the sum
     of the per-last-token ones, which it equals under orthonormal embeddings."""
@@ -964,9 +969,7 @@ def orthogonality(seed: int) -> SelftestResult:
         pipe = Pipeline(_small_instance(seed + 200 + j, K=4, d=4, n=4, T=3))
         if pipe.solution.norm == 0:
             continue
-        if pipe.s_fin.dim:
-            dots = np.abs(pipe.s_fin.basis.reshape(pipe.s_fin.dim, -1) @ pipe.w_svm.ravel())
-            worst_dot = max(worst_dot, float(np.max(dots)))
+        worst_dot = max(worst_dot, fin_overlap(pipe.s_fin, pipe.w_svm))
         worst_memb = max(worst_memb, float(np.linalg.norm(pipe.w_svm - pipe.s_svm.project(pipe.w_svm))))
     return SelftestResult("orthogonality", worst_dot <= 1e-8 and worst_memb <= 1e-7,
                           f"max |<W,B>| {worst_dot:.2e}, membership residual {worst_memb:.2e}")

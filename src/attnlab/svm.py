@@ -8,8 +8,7 @@ Frobenius norm subject to those constraints exactly, by an active-set NNLS
 after eliminating the equalities; an INFEASIBLE verdict carries convex
 weights whose combination of the inequality matrices lies in the equality
 span (a Farkas certificate).  The NNLS keeps an orthogonal factor of its
-passive set, never an inverse: an entering index costs two gemvs and
-O(p), a leaving one a Householder reflection, O(p^2), for p passive rows.
+passive set, never an inverse (`_PassiveFactor`).
 
 Before the NNLS, an exact presolve drops the inequalities that others imply:
 per last token, those tied to an earlier one through the equalities (same two
@@ -526,19 +525,15 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
 
     Only gram = E^T E is needed, with E^T f = 1 (the all-ones vector), so
     the dual gradient is 1 - gram u, and u is 0 off the passive set P, so
-    only the rows gram[P] are read.  Each is formed by the row source when
-    its index enters, and no array is m x m: the memory is O(p m) for the
-    passive rows and their factor, besides the source's O(m (d + q + r)).
-    The passive-set solve is kept by an orthogonal factor of P's
-    generators (`_PassiveFactor`): an entering index costs two gemvs and
-    O(p), a leaving one a reflection, O(p^2), and the dual gradient O(p m),
-    where a fresh solve would cost O(p^3) and the gradient O(m^2).  Where
-    the updates cannot be trusted (an entering index whose Schur complement
-    is below 1 / ILL_CONDITIONED of its diagonal, a nearly dependent P, or a
-    residual above tol) a step is the textbook one, an LU solve of
-    gram[P, P], and the factor is rebuilt from scratch.  An entering index
-    that is non-improving (its new weight is not positive) or degenerate
-    (the LU solve finds P with it singular) is skipped until u moves.
+    only the rows gram[P] are read, each formed when its index enters.  The
+    passive-set solve is kept by an orthogonal factor of P's generators
+    (`_PassiveFactor`), which holds those rows.  Where the updates cannot
+    be trusted (an entering index whose Schur complement is below
+    1 / ILL_CONDITIONED of its diagonal or whose weight would not be
+    positive, a nearly dependent P, or a residual above tol) a step is the
+    textbook one, an LU solve of gram[P, P], and the factor is rebuilt from
+    scratch.  An entering index that the LU solve gives no positive weight,
+    or finds P with it singular, is skipped until u moves.
 
     Convergence is decided on an exact solve, never on the updates: the
     final passive set is solved afresh by LU, np.linalg.solve(gram[P, P], 1),
@@ -546,9 +541,20 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
     1 - gram u = 1 - z gram[P] <= tol off P.  A set that fails is
     refactored, and the iteration goes on from that solve.
 
-    Returns (u, iterations, converged), where an iteration is one
-    passive-set solve (by the updates or by LU; the accepted check is not
-    counted) and the cap is 3m.
+    Each fallback branch has a test in tests/test_internals.py's
+    NnlsCertificates that fails if the branch stops running:
+
+    - the LU step: test_lu_step_for_a_nearly_dependent_index;
+    - its skip of an index with a weight <= 0 or a singular P:
+      test_staged_index_without_a_positive_weight_is_skipped and
+      test_singular_staged_block_is_skipped;
+    - the final check's refactor: test_failed_final_check_refactors;
+    - Cholesky's refusal in `_PassiveFactor.reset`:
+      test_cholesky_refusal_untrusts_the_factor;
+    - the 3m cap: test_inner_cap and test_outer_cap.
+
+    Returns (u, iterations, converged); an iteration is one passive-set
+    solve, by the updates or by LU, and the accepted check is not counted.
     """
     m = source.m
     cap = 3 * m
@@ -595,13 +601,8 @@ def _nnls_gram(source: _GramRows) -> tuple[np.ndarray, int, bool]:
             fast = factor.trusted
             if fast:
                 w, s, zb = factor.schur(j)
-                fast = s * ILL_CONDITIONED >= factor.diag[j]
-                if fast and zb >= 1.0:
-                    # The weight of j, (1 - z . gram[P, j]) / s, would not
-                    # be positive: skip it until u moves.
-                    iters += 1
-                    grad[j] = 0.0
-                    continue
+                # Its weight (1 - zb) / s must be positive too; else LU decides.
+                fast = s * ILL_CONDITIONED >= factor.diag[j] and zb < 1.0
             if fast:
                 factor.add(j, w, s, zb)
                 z, grad = solve()
@@ -702,14 +703,9 @@ def solve_graph_svm(constraints: ConstraintSet) -> Solution:
     inequality, 0 on every dropped one.
 
     No generator is written out as a d^2-wide row, and no m x m Gram matrix
-    is formed.  A Gram row of the m kept rows is formed from their
-    d-dimensional factors (`_GramRows`) when its index enters the NNLS's
-    passive set, since <(e_i - e_j) e_k^T, (e_i' - e_j') e_k'^T> =
-    ((e_i - e_j) . (e_i' - e_j')) (e_k . e_k'), less the products of their
-    coordinates on the q rows of the equality basis.  A row takes
-    O(m (d + q)) flops, where a d^2-wide row took O(m d^2), and the solve
-    holds O(p m + m (d + q + r)) for p passive rows and r last tokens.  p is
-    the passive rows' combination as one d x d matrix, projected
+    is formed: a Gram row is formed from the generators' d-dimensional
+    factors (`_GramRows`) when its index enters the NNLS's passive set.  p
+    is the passive rows' combination as one d x d matrix, projected
     afterwards.
 
     The status is SOLVED when the NNLS converged and W passes the primal,

@@ -127,12 +127,7 @@ def test_criterion_06_svm_correctness():
         n_solved += 1
         stationarity, eq, margin = experiments.kkt_terms(cons, sol)
         worst_kkt, worst_eq, worst_ineq = max(worst_kkt, stationarity), max(worst_eq, eq), min(worst_ineq, margin)
-        fin = svm.fin_subspace(cons)
-        if fin.dim:
-            worst_orth = max(
-                worst_orth,
-                float(np.max(np.abs(fin.basis.reshape(fin.dim, -1) @ sol.w.ravel()))),
-            )
+        worst_orth = max(worst_orth, experiments.fin_overlap(svm.fin_subspace(cons), sol.w))
         if cons.n_constraints <= 20:
             e = ds.embedding.e
             eq_vecs = generator_rows(cons.equalities, e)

@@ -192,17 +192,6 @@ class TestGrad:
             worst = max(worst, np.linalg.norm(att.grad(w, ds, kind) - fd) / max(np.linalg.norm(fd), 1e-10))
         assert worst < 1e-5
 
-    def test_reduced_and_general_log_paths_agree(self):
-        # The kernel's reduced tied-log gradient against the softmax chain
-        # rule, written with einsum in long double.
-        rng = seeded_rng(7)
-        for seed in range(10):
-            ds = tiny_instance(seed + 60, K=4, d=5, n=4, T=4, head_kind=dsm.TIED)
-            w = rng.standard_normal((5, 5))
-            a = att.grad(w, ds, att.LOG)
-            b = einsum_grad(w.astype(np.longdouble), extended([ds]), att.LOG, reduced_log=False)
-            assert np.max(np.abs(a - b)) <= 1e-12
-
 
 # Log scores need a tied or absent head, and cross-entropy needs a head.
 ORACLE_CASES = [

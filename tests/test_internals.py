@@ -1132,6 +1132,93 @@ def _dense(source, order=None):
     return gram
 
 
+class _FactorCalls:
+    """The calls that NNLS solves make to their `_PassiveFactor`, recorded by
+    wrapping its methods, and the fallback branches they show:
+
+    - ("exact", 0 or 1, z or the LinAlgError): an LU solve of P, or of P
+      and a staged index, which only the slow path takes;
+    - ("reset", z, singular): a refactor at z, and whether Cholesky refused
+      the block, which leaves dinv infinite;
+    - ("grad", at_z): a dual gradient, at an exact z only in the final check;
+    - ("z", z): the factor's own solution.
+
+    The last z that a reset or the factor gave is the one the iteration
+    goes on from (``committed``)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        cls = svm._PassiveFactor
+        exact, reset, grad, own = cls.exact, cls.reset, cls.grad, cls.z
+
+        def recorded_exact(factor, n):
+            staged = n - factor.p
+            try:
+                z = exact(factor, n)
+            except np.linalg.LinAlgError as exc:
+                self.calls.append(("exact", staged, exc))
+                raise
+            self.calls.append(("exact", staged, z.copy()))
+            return z
+
+        def recorded_reset(factor, z):
+            reset(factor, z)
+            self.calls.append(("reset", z.copy(), bool(np.isinf(factor.dinv[: len(z)]).all())))
+
+        def recorded_grad(factor, z=None):
+            self.calls.append(("grad", z is not None))
+            return grad(factor, z)
+
+        def recorded_z(factor):
+            z = own(factor)
+            self.calls.append(("z", z.copy()))
+            return z
+
+        for name, method in (("exact", recorded_exact), ("reset", recorded_reset), ("grad", recorded_grad),
+                             ("z", recorded_z)):
+            monkeypatch.setattr(cls, name, method)
+
+    def _followed(self, first, then):
+        return sum(first(a) and then(b) for a, b in zip(self.calls, self.calls[1:] + [("end",)]))
+
+    @property
+    def entering(self) -> int:
+        """Slow-path steps whose staged index entered: a refactor follows."""
+        return self._followed(lambda a: a[:2] == ("exact", 1), lambda b: b[0] == "reset")
+
+    @property
+    def not_entering(self) -> int:
+        """Slow-path steps whose staged index did not enter."""
+        return self._followed(lambda a: a[:2] == ("exact", 1), lambda b: b[0] != "reset")
+
+    @property
+    def singular_staged(self) -> int:
+        return sum(c[:2] == ("exact", 1) and isinstance(c[2], np.linalg.LinAlgError) for c in self.calls)
+
+    @property
+    def final_refactors(self) -> int:
+        """Final checks that failed: a refactor follows the gradient at z."""
+        return self._followed(lambda a: a == ("grad", True), lambda b: b[0] == "reset")
+
+    @property
+    def singular_resets(self) -> int:
+        return sum(c[0] == "reset" and c[2] for c in self.calls)
+
+    @property
+    def committed(self) -> np.ndarray:
+        return next(c[1] for c in reversed(self.calls) if c[0] in ("reset", "z"))
+
+
+def _assert_capped(sol, calls, inner):
+    """A solve that stopped at the 3m cap, MAX_ITER and undecided, at the
+    inner cap, while a passive weight is not positive, or at the outer one,
+    once every weight is."""
+    assert sol.status is svm.SolveStatus.MAX_ITER
+    assert sol.residuals["converged"] is False
+    assert sol.residuals["sweeps"] == 3 * sol.residuals["essential"]
+    assert bool((calls.committed <= 0).any()) is inner
+
+
 class NnlsCertificates:
     """The orthogonal-factor NNLS against the per-step LU Lawson-Hanson of
     `helpers.nnls_gram_oracle`: the same verdict, the same nearest point
@@ -1241,6 +1328,81 @@ class NnlsCertificates:
         assert_certified(cons, sol)
         gram = _dense(svm._GramRows(cons.inequalities[_kept(cons)], cons.embedding.e, cons.eq_basis))
         assert sol.residuals["sweeps"] <= nnls_gram_oracle(gram)[1]
+
+    # Each fallback branch of `_nnls_gram`, reached by a draw of
+    # tools/verdicts.py's `neardup` (a table whose rows 0 and 1 nearly
+    # coincide) and, where a crafted Gram reaches it exactly, by that too:
+    # a draw's path rests on its rounding, which another BLAS may change.
+
+    @staticmethod
+    def _neardup(monkeypatch, seed):
+        cons = verdicts.neardup(seed)
+        calls = _FactorCalls(monkeypatch)
+        return cons, svm.solve_graph_svm(cons), calls
+
+    def test_lu_step_for_a_nearly_dependent_index(self, monkeypatch):
+        # Seed 2: the Schur complement of an index is half of 1 /
+        # ILL_CONDITIONED of its diagonal, so LU decides, and it enters.
+        cons, sol, calls = self._neardup(monkeypatch, 2)
+        assert calls.entering >= 1
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+    def test_failed_final_check_refactors(self, monkeypatch):
+        # Seed 129: the exact solve of the last passive set refutes the
+        # updates, and the iteration goes on from it.
+        cons, sol, calls = self._neardup(monkeypatch, 129)
+        assert calls.final_refactors >= 1
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+    def test_staged_index_without_a_positive_weight_is_skipped(self, monkeypatch):
+        # Seed 852: LU gives the staged index a weight <= 0 (no singular
+        # block), 25 times, and the solve cycles between those skips and
+        # failed final checks until the outer cap.
+        _, sol, calls = self._neardup(monkeypatch, 852)
+        assert calls.not_entering >= 1 and calls.singular_staged == 0
+        assert calls.final_refactors >= 1
+        _assert_capped(sol, calls, inner=False)
+
+    def test_cholesky_refusal_untrusts_the_factor(self, monkeypatch):
+        # Seed 1472: LU solves a passive block that Cholesky finds not
+        # positive definite; dinv is left infinite, and LU solves on.
+        cons, sol, calls = self._neardup(monkeypatch, 1472)
+        assert calls.singular_resets >= 1
+        assert sol.status is svm.SolveStatus.INFEASIBLE
+        assert_certified(cons, sol)
+
+    def test_inner_cap(self, monkeypatch):
+        # Seed 1631: the 3m-th passive-set solve leaves a weight <= 0.
+        _, sol, calls = self._neardup(monkeypatch, 1631)
+        _assert_capped(sol, calls, inner=True)
+
+    def test_singular_staged_block_is_skipped(self, monkeypatch):
+        # Generator 1 is half of generator 0, so P = {0} with 1 staged is
+        # exactly singular (an LU pivot of 1 - 0.5 * 2 = 0); generator 2
+        # enters next, 0 and then 2 leave, and 1 enters alone.  The
+        # minimizer of u^T gram u / 2 - 1^T u over u >= 0 is e_1.
+        gram = np.array([[4.0, 2.0, 3.0], [2.0, 1.0, 1.5], [3.0, 1.5, 2.5]])
+        calls = _FactorCalls(monkeypatch)
+        u, iters, converged = svm._nnls_gram(DenseGramRows(gram))
+        assert calls.singular_staged == 1 and calls.not_entering == 1
+        assert converged and iters == 6
+        np.testing.assert_allclose(u, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
+        grad = 1.0 - gram @ u
+        assert np.all(u >= 0) and np.max(grad) <= 1e-15 and np.max(np.abs(grad[u > 0])) <= 1e-15
+
+    def test_outer_cap(self, monkeypatch):
+        # Generator 1 is half of generator 0, whose weight it would take,
+        # but it cannot enter beside 0, and 0 never leaves: each skip is
+        # refuted by the final check until 3m = 6 solves, and the
+        # minimizer e_1 is not reached.
+        gram = np.array([[4.0, 2.0], [2.0, 1.0]])
+        calls = _FactorCalls(monkeypatch)
+        u, iters, converged = svm._nnls_gram(DenseGramRows(gram))
+        assert calls.singular_staged == calls.not_entering == 3 and calls.final_refactors == 2
+        assert not converged and iters == 6 and u.tolist() == [0.25, 0.0]
+        assert np.all(calls.committed > 0)  # the outer cap
 
 
 class Presolve:

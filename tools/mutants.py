@@ -134,6 +134,34 @@ BY_FILE = {
          "        cover[idx, :p, :p] = s",
          "a presolve that keeps pairs outside the transitive reduction",
          "tests/test_svm.py::TestPresolve::test_kept_rows_are_the_transitive_reduction"),
+        ("                fast = s * ILL_CONDITIONED >= factor.diag[j] and zb < 1.0",
+         "                fast = zb < 1.0",
+         "no Schur-complement test in the NNLS: the updates add a nearly dependent index",
+         "tests/test_svm.py::TestNnls::test_lu_step_for_a_nearly_dependent_index"),
+        ("                    enters = z[-1] > 0",
+         "                    enters = True",
+         "a staged index enters whatever weight LU gives it",
+         "tests/test_svm.py::TestNnls::test_staged_index_without_a_positive_weight_is_skipped"),
+        ("  # degenerate: j lies in the span of P\n                    enters = False",
+         "  # degenerate: j lies in the span of P\n                    raise",
+         "a singular staged block raises out of the NNLS",
+         "tests/test_svm.py::TestNnls::test_singular_staged_block_is_skipped"),
+        ("            iters += 1\n            refactor(z)\n",
+         "            iters += 1\n",
+         "a failed final check goes on from the refuted factor",
+         "tests/test_svm.py::TestNnls::test_failed_final_check_refactors"),
+        ("            self.dinv[:p] = np.inf",
+         "            self.dinv[:p] = 0.0",
+         "a block Cholesky refuses leaves dinv 0: the stale factor is trusted",
+         "tests/test_svm.py::TestNnls::test_cholesky_refusal_untrusts_the_factor"),
+        ("            if iters >= cap:",
+         "            if iters > cap:",
+         "the NNLS's inner cap one solve late",
+         "tests/test_svm.py::TestNnls::test_inner_cap"),
+        ("    while iters < cap:",
+         "    while iters <= cap:",
+         "the NNLS's outer cap one solve late",
+         "tests/test_svm.py::TestNnls::test_outer_cap"),
     ],
     "src/attnlab/graph.py": [
         ("                if tok != src:",
