@@ -22,10 +22,17 @@ per-sample form scores dx (W xbar) and takes the gradient's rows s dx before
 xbar, one gemv per sample each.  The feature form does T d^2 multiply-adds
 a sample against T d + d^2, so a group takes it while the difference is at
 most the two calls a sample it saves, CALL_MACS multiply-adds each.
+
+Every float64 buffer that a training step or a record scoring reads or
+writes, the packs' rows, features, scratch and gradients, the reference
+stack and the trainer's W, norms and stored records, starts on a
+CACHE_LINE boundary (`_aligned`), so no buffer's place in the heap decides
+how fast a step runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 import warnings
@@ -66,6 +73,38 @@ SCORE_BOUND = 600.0
 # crossover between them.  It also bounds the features' memory: T d^2 <=
 # T d + d^2 + 512 floats a sample.
 CALL_MACS = 256
+
+# The boundary every kernel buffer starts on (`_aligned`).  numpy aligns its
+# allocations to 16 bytes, so a small array starts wherever the heap's
+# history puts it within a 64-byte line, and an AVX-512 load that crosses a
+# cache line costs twice one that does not.  Moving every kernel buffer 8 to
+# 48 bytes off a line slowed the desk block's training by 6-36% and the
+# large-k trial's by 6-30%, with the same bits (two sweeps, one BLAS
+# thread, a 2-core AVX-512 x86-64 machine, OpenBLAS 0.3.31).
+CACHE_LINE = 64
+
+
+def _aligned(shape: tuple, fill: Optional[float] = None) -> np.ndarray:
+    """An uninitialized float64 array of ``shape``, or one filled with
+    ``fill``, whose data starts on a CACHE_LINE boundary: a view into a
+    float64 buffer one line longer, from its first line boundary on (numpy
+    aligns a float64 buffer to 8 bytes at least, so that boundary is a
+    whole float in).  The address comes through ctypes.addressof, a third
+    of raw.ctypes.data's cost, which a small pack pays once a buffer."""
+    size = math.prod(shape)
+    raw = np.empty(size + CACHE_LINE // 8)
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % CACHE_LINE // 8
+    out = raw[start:start + size].reshape(shape)
+    if fill is not None:
+        out.fill(fill)
+    return out
+
+
+def _aligned_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Arrays stacked on a new leading axis into an `_aligned` array, a
+    lone array too."""
+    out = _aligned((len(arrays),) + np.shape(arrays[0]))
+    return np.stack(arrays, out=out)
 
 
 def loss_value(kind: str, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -160,16 +199,16 @@ class _Scratch:
     per-sample form (`_features`)."""
 
     def __init__(self, lead: tuple, g: int, t: int, d: int, features: bool, grad: bool = True):
-        self.q = None if features else np.empty(lead + (g, d))  # xbar W^T
-        self.h = np.empty(lead + (g, t))     # scores, then their softmax s
-        self.edge = np.empty(lead + (g, 1))  # each row's shift, then its sum
-        self.ones = np.ones(t)               # the row sums' operand (`_sum_rows`), also the split rows'
-        self.u = np.empty(lead + (g,))       # label masses; in a scoring, then their losses
+        self.q = None if features else _aligned(lead + (g, d))  # xbar W^T
+        self.h = _aligned(lead + (g, t))     # scores, then their softmax s
+        self.edge = _aligned(lead + (g, 1))  # each row's shift, then its sum
+        self.ones = _aligned((t,), 1.0)      # the row sums' operand (`_sum_rows`), also the split rows'
+        self.u = _aligned(lead + (g,))       # label masses; in a scoring, then their losses
         self.q_col = None if features else self.q[..., None]
         self.h_col, self.h_flat = self.h[..., None], self.h.reshape(lead + (g * t, 1))
         if grad:
-            self.v = np.empty(lead + (g, t))     # s * (gamma - u)
-            self.vec = np.empty(lead + (g, d))   # the gradient's rows before xbar
+            self.v = _aligned(lead + (g, t))     # s * (gamma - u)
+            self.vec = _aligned(lead + (g, d))   # the gradient's rows before xbar
             self.s_row, self.s_flat = self.h[..., None, :], self.h.reshape(lead + (1, g * t))
             self.v_row, self.vec_row, self.vec_t = self.v[..., None, :], self.vec[..., None, :], self.vec.mT
 
@@ -244,7 +283,8 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
     the kernel's values are bit for bit the same.  Each sample is stored
     with its label-relative rows dx = x - e_y beside x, a group in the
     feature form (`_features`) also with its rows' phi, and the groups and
-    the pack hold the kernel's scratch arrays.
+    the pack hold the kernel's scratch arrays.  Every float array is
+    `_aligned` and written in place, one trial's rows at a time.
 
     ``splits`` holds each dataset's own cyclic split, or None; the groups
     then mark the samples each split holds and their label-SCC positions,
@@ -256,14 +296,12 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
                          "and the sample count at each length")
     splits = [None] * len(datasets) if splits is None else splits
     first = datasets[0]
-    headed = first.head is not None
+    headed, d = first.head is not None, first.d
     tied = not headed or first.tied_head()
     per_trial = []
     for ds, split in zip(datasets, splits):
         if split is not None and split.dataset.samples != ds.samples:
             raise ValueError("a cyclic split of another dataset does not fit this one")
-        e = ds.embedding.e
-        c = ds.head.c if headed else None
         kept = {} if split is None else dict(zip(split.idx_i, split.positions))
         by_len: dict[int, list[int]] = {}
         for i, s in enumerate(ds.samples):
@@ -273,32 +311,41 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
             idx = by_len[t_len]
             toks = np.array([ds.samples[i].tokens for i in idx])
             labels = np.array([ds.samples[i].label for i in idx])
-            x = e[toks]
-            xbar = x[:, -1, :].copy()
             omask = toks == labels[:, None]
-            gamma = omask.astype(np.float64) if tied else np.einsum("gtd,gd->gt", x, c[labels])
             held = np.zeros(toks.shape, dtype=bool)  # the label-SCC positions of the split's samples
             for r, i in enumerate(idx):
                 held[r, list(kept.get(i, ()))] = True
             anchored = np.all(omask.any(axis=1) & ((held & omask).any(axis=1) | ~held.any(axis=1)))
-            groups.append((x, x - e[labels][:, None, :], xbar, labels, omask, gamma, held, anchored))
+            groups.append((toks, labels, omask, held, anchored))
         per_trial.append(groups)
     groups = []
     for trial_groups in zip(*per_trial):
-        x, dx, xbar, labels, omask, gamma, held, anchored = map(_stack, zip(*trial_groups))
-        b, g, t, d = x.shape
-        phi = (dx[..., :, None] * xbar[:, :, None, None, :]).reshape(b, g * t, d * d) if _features(t, d) else None
+        toks, labels, omask, held, anchored = map(_stack, zip(*trial_groups))
+        b, g, t = toks.shape
+        x, dx, xbar, gamma = _aligned((b, g, t, d)), _aligned((b, g, t, d)), _aligned((b, g, d)), _aligned((b, g, t))
+        for k, ds in enumerate(datasets):
+            e = ds.embedding.e
+            np.take(e, toks[k], axis=0, out=x[k])
+            np.subtract(x[k], e[labels[k]][:, None, :], out=dx[k])
+            if not tied:
+                np.einsum("gtd,gd->gt", x[k], ds.head.c[labels[k]], out=gamma[k])
+        np.copyto(xbar, x[:, :, -1])
+        if tied:
+            np.copyto(gamma, omask)
+        phi = _aligned((b, g * t, d * d)) if _features(t, d) else None
+        if phi is not None:
+            np.multiply(dx[..., :, None], xbar[:, :, None, None, :], out=phi.reshape(b, g, t, d, d))
         groups.append(_Group(x, dx, xbar, phi, labels, omask, gamma, split=_split_rows(held, omask),
                              anchored=anchored, all_anchored=bool(anchored.all()),
                              scratch=_Scratch((b,), g, t, d, phi is not None)))
-    grad, part = np.empty((len(datasets), first.d, first.d)), np.empty((len(datasets), first.d, first.d))
-    slack = (first.d * first.d + 8) * float(np.finfo(np.float64).eps)
+    grad, part = _aligned((len(datasets), d, d)), _aligned((len(datasets), d, d))
+    slack = (d * d + 8) * float(np.finfo(np.float64).eps)
     lip = max(_lipschitz(g) for g in groups) * (1.0 + slack)
     return _Packed(
         groups=tuple(groups),
         n=float(first.n),
-        d=first.d,
-        c=_stack([ds.head.c for ds in datasets]) if headed else None,
+        d=d,
+        c=_aligned_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
         splits=np.array([s is not None for s in splits]),
         grad=grad,
@@ -340,15 +387,17 @@ def _split_rows(held: np.ndarray, omask: np.ndarray) -> Optional[_SplitRows]:
     if not len(rows):
         return None
     trials = rows // held.shape[1]
-    return _split_scratch(rows, trials, flat[rows], omask.reshape(flat.shape)[rows].astype(np.float64), (), trials)
+    label = _aligned((len(rows), flat.shape[1]))
+    np.copyto(label, omask.reshape(flat.shape)[rows])
+    return _split_scratch(rows, trials, flat[rows], label, (), trials)
 
 
 def _split_scratch(rows: np.ndarray, trials: np.ndarray, keep: np.ndarray, label: np.ndarray, lead: tuple,
                    ids: np.ndarray) -> _SplitRows:
     """Split rows with fresh scratch for ``lead`` = () or (n,) records."""
-    return _SplitRows(rows=rows, trials=trials, keep=keep, label=label, ids=ids, hs=np.empty(lead + keep.shape),
-                      ex=np.zeros(lead + keep.shape), edge=np.empty(lead + (len(rows), 1)),
-                      u=np.empty(lead + (len(rows),)))
+    return _SplitRows(rows=rows, trials=trials, keep=keep, label=label, ids=ids, hs=_aligned(lead + keep.shape),
+                      ex=_aligned(lead + keep.shape, 0.0), edge=_aligned(lead + (len(rows), 1)),
+                      u=_aligned(lead + (len(rows),)))
 
 
 def _records_pack(packed: _Packed, n: int) -> _Packed:
@@ -559,13 +608,22 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
     return np.bincount(rows.ids, weights=losses.reshape(-1), minlength=math.prod(lead)).reshape(lead)
 
 
-def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float:
-    """The loss of a dataset at a (d, d) w, from one scoring of its pack;
-    raises the dataset's error."""
-    total, _, _, errors = _loss_and_grad(w[None], _pack([dataset]), kind, grad=False)
+def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float | np.ndarray:
+    """The loss of a dataset at a (d, d) w, a float, from one scoring of
+    its pack, or at each W of a stack (..., d, d), an array of the stack's
+    leading shape, from one scoring of the whole stack (`_records_pack`),
+    where each W keeps the bits of a call on it alone.  Raises the error
+    of the first W, in C order, that has one."""
+    d = dataset.d
+    if w.shape[-2:] != (d, d):
+        raise ValueError(f"w must be ({d}, {d}) or a stack of them, got shape {w.shape}")
+    packed = _pack([dataset])
+    if w.ndim > 2:
+        packed = _records_pack(packed, math.prod(w.shape[:-2]))
+    total, _, _, errors = _loss_and_grad(w.reshape(packed.lead + (d, d)), packed, kind, grad=False)
     if errors:
-        raise errors[0]
-    return float(total[0])
+        raise errors[min(errors)]
+    return float(total[0]) if w.ndim == 2 else total.reshape(w.shape[:-2])
 
 
 def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
@@ -732,22 +790,24 @@ class _StackRefs:
     next call."""
 
     def __init__(self, refs: list[TrainRefs], d: int, n: int):
-        self.w_svm = _stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
-        self.svm_norm = _norms(self.w_svm)
+        trials = len(refs)
+        self.w_svm = _aligned_stack([np.zeros((d, d)) if r.w_svm is None else r.w_svm for r in refs])
+        self.svm_norm = _aligned((trials,))
+        np.copyto(self.svm_norm, _norms(self.w_svm))
         held = [r.s_fin is not None and r.w_fin is not None for r in refs]
         m = max((r.s_fin.dim for r, has in zip(refs, held) if has), default=0)
         # Per trial: its basis rows and `MatrixSubspace.anchor` (W_fin), the
         # coordinates z of W_fin and the square of its distance from S_fin;
         # zero rows and z past its dim, and NaN without S_fin or W_fin.
-        flat, self.z = np.zeros((len(refs), m, d * d)), np.zeros((m, 1, len(refs)))
-        self.off = np.full(len(refs), np.nan)
+        flat, self.z = _aligned((trials, m, d * d), 0.0), _aligned((m, 1, trials), 0.0)
+        self.off = _aligned((trials,), np.nan)
         for b in np.flatnonzero(held):
             s_fin = refs[b].s_fin
             z, self.off[b] = s_fin.anchor(refs[b].w_fin)
             flat[b, :s_fin.dim], self.z[:s_fin.dim, 0, b] = s_fin.basis.reshape(-1, d * d), z
         self.rows = flat.transpose(1, 0, 2)[:, None]  # (m, 1, B, d^2)
-        self.coef, self.square = np.empty((m, n, len(refs))), np.tile(self.off, (n, 1))
-        self.dist = np.empty((n, len(refs)))
+        self.coef, self.square, self.dist = _aligned((m, n, trials)), _aligned((n, trials)), _aligned((n, trials))
+        np.copyto(self.square, self.off)
 
     def dist_fin(self, w: np.ndarray) -> np.ndarray:
         """(n, B) ||project_S_fin(W) - W_fin||, each the bits of
@@ -822,9 +882,10 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     overflows takes the same zero step either way).  Both skipped tests
     would have given the same verdict, so every bit is the same.
 
-    The loop owns its buffers: the gradient norms, written through a flat
-    view of the pack's gradient, the per-trial scales, W's norms and the
-    (trials, records) columns, whose rows are the traces' arrays.  Neither
+    The loop owns its buffers: W, the gradient norms, written through a
+    flat view of the pack's gradient, the per-trial scales, W's norms, the
+    stored records, all `_aligned`, and the (trials, records) columns,
+    whose rows are the traces' arrays.  Neither
     a plain step nor a record step allocates a stack-sized array of its
     own; numpy's broadcasting divide and scale still take an iterator
     buffer the size of their output."""
@@ -834,19 +895,19 @@ def _train_stack(datasets: list[Dataset], config: TrainConfig, refs: list[TrainR
     finite_grad = config.normalized and config.loss == LOG and packed.tied  # may skip the infinity test
     # The kernel returns packed.grad; its norms and W's are written through
     # flat views, and a normalized step scales it by c's (B, 1, 1) view.
-    g_flat, gn, floor = packed.grad.reshape(trials, -1), np.empty(trials), packed.n * GRAD_FLOOR
-    scale, w_norm = np.empty(trials), np.empty(trials)
+    g_flat, gn, floor = packed.grad.reshape(trials, -1), _aligned((trials,)), packed.n * GRAD_FLOOR
+    scale, w_norm = _aligned((trials,)), _aligned((trials,))
     scale_col, plain_scale = scale[:, None, None], config.eta / packed.n
     taus = [t for t in range(config.iters + 1) if t % config.record_every == 0 or t == config.iters]
     # Each trial's row of a column is its trace's array, a view.
     cols = {name: np.full((trials, len(taus)), np.nan) for name in _COLUMNS}
     iters, t_ms = np.array(taus, dtype=np.int64), np.zeros(len(taus))
     # The W of each record since the last scoring, and the scratch that scores them.
-    stored = np.empty((min(RECORD_CHUNK, len(taus)), trials, d, d))
+    stored = _aligned((min(RECORD_CHUNK, len(taus)), trials, d, d))
     records, stack_refs = _records_pack(packed, len(stored)), _StackRefs(refs, d, len(stored))
     failures: dict[int, tuple[tuple, Exception]] = {}  # b: ((step, rank), error); the smaller (step, rank) stands
     alive, all_alive = np.ones(trials, dtype=bool), True
-    w = np.stack([config.initial_w(d) for _ in range(trials)])
+    w = _aligned_stack([config.initial_w(d) for _ in range(trials)])
     w_flat = w.reshape(trials, -1)
 
     def measure(out: np.ndarray) -> float:

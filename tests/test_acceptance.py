@@ -117,6 +117,7 @@ def test_criterion_06_svm_correctness():
     oracle_checked = 0
     worst_oracle_norm = 0.0
     worst_oracle_cons = 0.0
+    worst_oracle_w = 0.0
     for seed in range(200):
         ds = tiny_instance(seed, K=4, d=4 + seed % 3, n=3, T=3)
         cons = experiments.Pipeline(ds).constraints
@@ -139,6 +140,7 @@ def test_criterion_06_svm_correctness():
             worst_oracle_cons = max(
                 worst_oracle_cons, float(np.max(np.abs(np.vstack([eq_vecs, in_vecs]) @ (sol.w - w_oracle).ravel())))
             )
+            worst_oracle_w = max(worst_oracle_w, float(np.linalg.norm(sol.w - w_oracle)))
             oracle_checked += 1
     ok = (
         worst_kkt <= 1e-5
@@ -147,13 +149,14 @@ def test_criterion_06_svm_correctness():
         and worst_orth <= 1e-8
         and worst_oracle_norm <= 1e-5
         and worst_oracle_cons <= 1e-5
+        and worst_oracle_w <= 1e-4
         and oracle_checked >= 100
     )
     _report(6, "svm correctness", ok,
             f"{n_solved} instances solved; kkt {worst_kkt:.1e} (<= 1e-5), "
             f"eq {worst_eq:.1e}, ineq {worst_ineq:.6f}, orth {worst_orth:.1e} (<= 1e-8); "
             f"oracle on {oracle_checked}: |norm diff| {worst_oracle_norm:.1e}, "
-            f"|cons diff| {worst_oracle_cons:.1e} (<= 1e-5)")
+            f"|cons diff| {worst_oracle_cons:.1e} (<= 1e-5), ||W - W_oracle|| {worst_oracle_w:.1e} (<= 1e-4)")
 
 
 def test_criterion_07_feasibility(tmp_path, monkeypatch):

@@ -5,10 +5,11 @@ the adapters of helpers.py (tests/test_imports.py holds that), so a change
 of the kernel or the trainer that keeps their contracts rewrites none of
 them.  The checks here cannot keep to the public seam, and each class says
 why in its docstring: the ||W|| score certificate, the order in which
-deferred failures land, the allocation bounds, the bits of a row sum,
-`_StackRefs`, the feature-form rule, `_fin_features`, the NNLS passive
-factor, the presolve and its closure count, and the trial blocks.  A
-refactor of those internals may rewrite this module and no other.
+deferred failures land, the allocation bounds, the buffers' cache-line
+alignment, the bits of a row sum, `_StackRefs`, the feature-form rule,
+`_fin_features`, the NNLS passive factor, the presolve and its closure
+count, and the trial blocks.  A refactor of those internals may rewrite
+this module and no other.
 
 A class without the Test prefix is collected in the module that binds it,
 under the id the suite has always reported for it: test_attention.py
@@ -19,6 +20,8 @@ certificate test is a Test class of its own here.
 
 import dataclasses
 import functools
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -832,12 +835,20 @@ class RecordAllocation:
 
     @staticmethod
     def _scratch_bytes(records):
-        """The bytes of the arrays a scoring of records owns: the kernel
-        scratch of its groups and split rows."""
+        """The bytes of the allocations a scoring of records owns: the
+        kernel scratch of its groups and split rows, each buffer's owning
+        array counted once.  An `_aligned` buffer is a view into an array
+        a cache line longer, and a matmul view shares its buffer's."""
         arrays = [a for g in records.groups for a in vars(g.scratch).values()]
         arrays += [getattr(g.split, f) for g in records.groups if g.split is not None
                    for f in ("ids", "hs", "ex", "edge", "u")]
-        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
+        owners = {}
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                owners[id(a)] = a.nbytes
+        return sum(owners.values())
 
     @pytest.mark.parametrize("name", ["cyclic-global", "large-k"])
     def test_a_scoring_copies_no_stack(self, name):
@@ -879,6 +890,75 @@ class RecordAllocation:
                              lambda: att._loss_and_grad(w, packed, att.LOG, grad=True),
                              lambda: np.subtract(w, np.multiply(g, scale, out=g), out=w)))
         assert all(peak <= 2 * bound for peak, bound in zip(peaks, self.PLAIN_PEAKS[name])), peaks
+
+
+def _kernel_buffers(monkeypatch):
+    """A kernel spy: at every call from the trainer, each float buffer the
+    call can read or write, by name.  The pack's and the record pack's
+    arrays come with the call; W, its norms, the gradient norms, the
+    scales, the stored records and the reference stack are locals of
+    `_train_stack`, read from its frame."""
+    calls, kernel = [], att._loss_and_grad
+
+    def spied(w, packed, kind, grad, bounded=False):
+        frame = sys._getframe(1)
+        while frame.f_code is not att._train_stack.__code__:
+            frame = frame.f_back
+        trainer = frame.f_locals
+        arrays = {"kernel w": w, "grad": packed.grad, "part": packed.part, "c": packed.c}
+        for i, g in enumerate(packed.groups):
+            arrays.update({f"group {i} {name}": getattr(g, name) for name in ("x", "dx", "xbar", "gamma", "phi")})
+            arrays.update({f"group {i} scratch {name}": a for name, a in vars(g.scratch).items()})
+            if g.split is not None:
+                arrays.update({f"group {i} split {name}": getattr(g.split, name)
+                               for name in ("label", "hs", "ex", "edge", "u")})
+        arrays.update({name: trainer[name] for name in ("w", "gn", "scale", "w_norm", "stored")})
+        arrays.update({f"refs {name}": a for name, a in vars(trainer["stack_refs"]).items()})
+        calls.append((grad, {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}))
+        return kernel(w, packed, kind, grad, bounded)
+
+    monkeypatch.setattr(att, "_loss_and_grad", spied)
+    return calls
+
+
+class TestAlignment:
+    """Every float buffer of a training step and a record scoring starts on
+    a cache line (`_aligned`), so the speed of a step does not follow where
+    the heap put its buffers; and a run writes the same bytes wherever they
+    start.  Only the pack, the trainer's locals and a patched `_aligned`
+    show either."""
+
+    @pytest.mark.parametrize("name", ["cyclic-global", "large-k"])
+    def test_every_kernel_buffer_starts_on_a_cache_line(self, name, monkeypatch):
+        # The 20 desk trials take the feature form and score split rows;
+        # the large-k trial takes the per-sample form, with an empty split.
+        datasets, cfg, refs = experiment_block(name, experiments.EXPERIMENTS[name].trials)
+        calls = _kernel_buffers(monkeypatch)
+        att.train_block(datasets, dataclasses.replace(cfg, iters=25, record_every=10), refs)
+        assert {grad for grad, _ in calls} == {True, False}
+        names = set()
+        for _, arrays in calls:
+            names |= arrays.keys()
+            # An empty array holds no bytes to load: the large-k trial's S_fin is {0}.
+            off = {name: a.ctypes.data % att.CACHE_LINE for name, a in arrays.items() if a.size}
+            assert not any(off.values()), {name: o for name, o in off.items() if o}
+        assert {"group 0 x", "group 0 dx", "group 0 xbar", "group 0 gamma", "refs coef", "stored", "gn"} <= names
+        assert ("group 0 phi" in names) == any(" split " in n for n in names) == (name == "cyclic-global")
+
+    @pytest.mark.parametrize("name", ["cyclic-global", "large-k"])
+    def test_traces_keep_their_bytes_off_a_cache_line(self, name, monkeypatch):
+        # Every buffer `_aligned` makes starts 16, then 48 bytes past a
+        # line; each trial's trace keeps every byte of the aligned run.
+        datasets, cfg, refs = experiment_block(name, experiments.EXPERIMENTS[name].trials)
+        want = [trace_bytes(trace) for trace in att.train_block(datasets, cfg, refs)]
+        aligned = att._aligned
+        for offset in (16, 48):
+            def shifted(shape, fill=None, skip=offset // 8):
+                return aligned((math.prod(shape) + skip,), fill)[skip:].reshape(shape)
+
+            monkeypatch.setattr(att, "_aligned", shifted)
+            assert att._pack(datasets).grad.ctypes.data % att.CACHE_LINE == offset
+            assert [trace_bytes(trace) for trace in att.train_block(datasets, cfg, refs)] == want
 
 
 # ---------------------------------------------------------------------------

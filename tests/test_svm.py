@@ -17,12 +17,10 @@ from attnlab.experiments import Pipeline, build_pipeline
 from attnlab.util import seeded_rng
 
 from helpers import (
-    active_set_oracle,
     assert_certified,
     classify_pair,
     constraints_from_edges,
     forbid_the_solver,
-    generator_rows,
     load_tool,
     nnls_gram_oracle,
     projected_inequalities,
@@ -296,25 +294,6 @@ class TestSolver:
         want = np.outer(table.e[0] - table.e[1], table.e[2]) / 2.0
         np.testing.assert_allclose(sol.w, want, atol=1e-9)
         assert abs(sol.norm - 1.0 / np.sqrt(2.0)) < 1e-9
-
-    def test_matches_active_set_oracle(self):
-        checked = 0
-        for seed in range(40):
-            ds, cons, _, _ = _random_instance_constraints(seed, K=4, d=int(4 + seed % 3))
-            if cons.n_constraints == 0 or cons.n_constraints > 20 or len(cons.inequalities) > 12:
-                continue
-            sol = svm.solve_graph_svm(cons)
-            assert sol.status is svm.SolveStatus.SOLVED
-            eq_vecs = generator_rows(cons.equalities, ds.embedding.e)
-            ineq_vecs = generator_rows(cons.inequalities, ds.embedding.e)
-            w_oracle = active_set_oracle(eq_vecs, ineq_vecs).reshape(ds.d, ds.d)
-            assert abs(sol.norm - np.linalg.norm(w_oracle)) <= 1e-5
-            rows = np.vstack([eq_vecs, ineq_vecs])
-            assert len(rows) == cons.n_constraints
-            assert np.abs(rows @ sol.w.ravel() - rows @ w_oracle.ravel()).max() <= 1e-5
-            assert np.linalg.norm(sol.w - w_oracle) <= 1e-4
-            checked += 1
-        assert checked >= 20
 
     def test_kkt_residuals_across_corpus(self):
         for seed in range(25):

@@ -59,8 +59,8 @@ BY_FILE = {
          "    np.matmul(h.reshape(-1, h.shape[-1]), ones, out=edge.reshape(-1))",
          "row sums by a 2-D gemv: a stacked trial loses the bits of its own pack",
          "tests/test_attention.py::TestRowSums::test_a_trials_rows_sum_as_alone[8]"),
-        ("np.empty(trials), packed.n * GRAD_FLOOR",
-         "np.empty(trials), GRAD_FLOOR",
+        ("_aligned((trials,)), packed.n * GRAD_FLOOR",
+         "_aligned((trials,)), GRAD_FLOOR",
          "the floor test without n: the summed gradient is held to the mean's floor",
          "tests/test_attention.py::TestTrainBlock::test_frozen_and_floored_trials_train_as_alone[local-squared]"),
         ("            np.divide(gn, packed.n, out=cols[\"grad_norm\"][:, row])",
@@ -116,6 +116,10 @@ BY_FILE = {
          "                if kind == LOG and not grad:\n                    u = _guarded(u, None, errors)",
          "a step skips the log underflow guard: training steps along a gradient of a zero label mass",
          "tests/test_attention.py::TestLoss::test_log_domain_guard"),
+        ("    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % CACHE_LINE // 8",
+         "    start = (8 - ctypes.addressof(ctypes.c_char.from_buffer(raw))) % CACHE_LINE // 8",
+         "kernel buffers 8 bytes off a cache line: a step's speed follows the heap again",
+         "tests/test_internals.py::TestAlignment::test_every_kernel_buffer_starts_on_a_cache_line[cyclic-global]"),
     ],
     "src/attnlab/svm.py": [
         ("min_ineq >= 1.0 - PRIMAL_TOL and kkt_residual <= KKT_TOL:",
@@ -204,8 +208,8 @@ BY_FILE = {
          "pass",
          "reg-path drops its final-distance violation",
          "tests/test_cli.py::TestThresholdViolations::test_a_reg_path_final_distance_above_its_threshold_is_a_violation"),
-        ("/ (2 * step)\n    return g\n",
-         "/ (2 * step)\n    return attention.grad(w, ds, kind)\n",
+        ("    return (losses[..., 0] - losses[..., 1]) / (2 * step)\n",
+         "    return attention.grad(w, ds, kind)\n",
          "fd_grad returns the analytic gradient: the gradient check compares it with itself",
          "tests/test_cli.py::TestSelftest::test_canary_fails_property[gradient_check-flipped_grad]"),
         ("            violations += 1",
