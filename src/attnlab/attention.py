@@ -277,7 +277,9 @@ def _structure(dataset: Dataset) -> tuple:
 def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[CyclicSplit]]] = None) -> _Packed:
     """Stack datasets of one `_structure`, or raise ValueError, into one
     group per sequence length, in ascending order, each with a leading axis
-    over the trials.
+    over the trials.  The structure gives d, head use, tiedness and each
+    group's (length, count); one pass over the samples, trial by trial,
+    fills the groups, whose rows of a length reshape to (B, g, T).
 
     Each trial's groups hold the rows a pack of that trial alone holds, so
     the kernel's values are bit for bit the same.  Each sample is stored
@@ -291,37 +293,30 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
     which the kernel's loss_bar scores.  A split of another dataset raises
     ValueError.
     """
-    if len({_structure(ds) for ds in datasets}) != 1:
+    structures = {_structure(ds) for ds in datasets}
+    if len(structures) != 1:
         raise ValueError("stacked datasets must share table and head shapes, head use "
                          "and the sample count at each length")
-    splits = [None] * len(datasets) if splits is None else splits
-    first = datasets[0]
-    headed, d = first.head is not None, first.d
-    tied = not headed or first.tied_head()
-    per_trial = []
+    _, d, headed, tied, lengths = structures.pop()
+    b = len(datasets)
+    splits = [None] * b if splits is None else splits
+    rows: dict[int, list] = {t: [] for t, _ in lengths}  # per length, (sample, its label-SCC positions)
     for ds, split in zip(datasets, splits):
         if split is not None and split.dataset.samples != ds.samples:
             raise ValueError("a cyclic split of another dataset does not fit this one")
         kept = {} if split is None else dict(zip(split.idx_i, split.positions))
-        by_len: dict[int, list[int]] = {}
         for i, s in enumerate(ds.samples):
-            by_len.setdefault(s.T, []).append(i)
-        groups = []
-        for t_len in sorted(by_len):
-            idx = by_len[t_len]
-            toks = np.array([ds.samples[i].tokens for i in idx])
-            labels = np.array([ds.samples[i].label for i in idx])
-            omask = toks == labels[:, None]
-            held = np.zeros(toks.shape, dtype=bool)  # the label-SCC positions of the split's samples
-            for r, i in enumerate(idx):
-                held[r, list(kept.get(i, ()))] = True
-            anchored = np.all(omask.any(axis=1) & ((held & omask).any(axis=1) | ~held.any(axis=1)))
-            groups.append((toks, labels, omask, held, anchored))
-        per_trial.append(groups)
+            rows[s.T].append((s, kept.get(i, ())))
     groups = []
-    for trial_groups in zip(*per_trial):
-        toks, labels, omask, held, anchored = map(_stack, zip(*trial_groups))
-        b, g, t = toks.shape
+    for t, g in lengths:
+        toks = np.array([s.tokens for s, _ in rows[t]]).reshape(b, g, t)
+        labels = np.array([s.label for s, _ in rows[t]]).reshape(b, g)
+        omask = toks == labels[..., None]
+        held = np.zeros((b * g, t), dtype=bool)  # the label-SCC positions of the split's samples
+        for r, (_, positions) in enumerate(rows[t]):
+            held[r, list(positions)] = True
+        held = held.reshape(b, g, t)
+        anchored = np.all(omask.any(axis=2) & ((held & omask).any(axis=2) | ~held.any(axis=2)), axis=1)
         x, dx, xbar, gamma = _aligned((b, g, t, d)), _aligned((b, g, t, d)), _aligned((b, g, d)), _aligned((b, g, t))
         for k, ds in enumerate(datasets):
             e = ds.embedding.e
@@ -338,25 +333,25 @@ def _pack(datasets: Sequence[Dataset], splits: Optional[Sequence[Optional[Cyclic
         groups.append(_Group(x, dx, xbar, phi, labels, omask, gamma, split=_split_rows(held, omask),
                              anchored=anchored, all_anchored=bool(anchored.all()),
                              scratch=_Scratch((b,), g, t, d, phi is not None)))
-    grad, part = _aligned((len(datasets), d, d)), _aligned((len(datasets), d, d))
+    grad, part, n = _aligned((b, d, d)), _aligned((b, d, d)), datasets[0].n
     slack = (d * d + 8) * float(np.finfo(np.float64).eps)
     lip = max(_lipschitz(g) for g in groups) * (1.0 + slack)
     return _Packed(
         groups=tuple(groups),
-        n=float(first.n),
+        n=float(n),
         d=d,
         c=_aligned_stack([ds.head.c for ds in datasets]) if headed else None,
         tied=tied,
         splits=np.array([s is not None for s in splits]),
         grad=grad,
         part=part,
-        grad_flat=grad.reshape(len(grad), 1, -1),
-        part_flat=part.reshape(len(part), 1, -1),
+        grad_flat=grad.reshape(b, 1, -1),
+        part_flat=part.reshape(b, 1, -1),
         # A gradient term sums at most n rows of size lip; past overflow
         # nothing is certified (inf times a zero bound is NaN).
-        lip=lip if math.isfinite(lip * first.n) else math.inf,
+        lip=lip if math.isfinite(lip * n) else math.inf,
         slack=slack,
-        lead=(len(datasets),),
+        lead=(b,),
     )
 
 
@@ -419,11 +414,6 @@ def _records_pack(packed: _Packed, n: int) -> _Packed:
     return replace(packed, groups=tuple(groups), lead=(n, b))
 
 
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Arrays stacked on a new leading axis; a lone array is not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _underflow(u: np.ndarray) -> DomainError:
     return DomainError(f"log-loss argument underflow: min score {np.min(u):.3e}")
 
@@ -466,7 +456,8 @@ def _loss_and_grad(
     the label mass of a tied log loss stays above LOG_GUARD, so a step on
     the reduced form then skips the label mass and its guard.
 
-    A step runs the log-loss underflow guard wherever it can fire, so its
+    Cross-entropy on a headless pack raises ValueError before any work.  A
+    step runs the log-loss underflow guard wherever it can fire, so its
     errors are a scoring's, less loss_bar's.  An error in one trial's data
     does not stop the others: it comes back in {trial: exception}, and
     that trial's values are meaningless; on a `_records_pack` the key of
@@ -478,14 +469,9 @@ def _loss_and_grad(
     that `_pack` allocated, and a scoring adds only arrays of one entry per
     trial or per sample.
     """
-    lead, errors = packed.lead, {}
     if kind == CROSS_ENTROPY and packed.c is None:
-        errors = {b: ValueError("cross-entropy loss requires a classifier head") for b in range(math.prod(lead))}
-        if grad:
-            packed.grad.fill(0.0)
-            return None, None, packed.grad, errors
-        total = np.full(lead, np.nan)
-        return total, total, None, errors
+        raise ValueError("cross-entropy loss requires a classifier head")
+    lead, errors = packed.lead, {}
     total = None if grad else np.zeros(lead)
     bar = None if grad else np.where(np.broadcast_to(packed.splits, lead), 0.0, np.nan)
     bar_errors: dict[int, Exception] = {}
@@ -608,7 +594,7 @@ def _split_loss(h: np.ndarray, g: _Group, packed: _Packed, kind: str, errors: di
     return np.bincount(rows.ids, weights=losses.reshape(-1), minlength=math.prod(lead)).reshape(lead)
 
 
-def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float | np.ndarray:
+def loss(w: np.ndarray, dataset: Dataset, kind: str) -> float | np.ndarray:
     """The loss of a dataset at a (d, d) w, a float, from one scoring of
     its pack, or at each W of a stack (..., d, d), an array of the stack's
     leading shape, from one scoring of the whole stack (`_records_pack`),
@@ -626,7 +612,7 @@ def loss(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> float | np.ndarray
     return float(total[0]) if w.ndim == 2 else total.reshape(w.shape[:-2])
 
 
-def grad(w: np.ndarray, dataset: Dataset, kind: str = LOG) -> np.ndarray:
+def grad(w: np.ndarray, dataset: Dataset, kind: str) -> np.ndarray:
     """The loss's gradient at a (d, d) w, from one step of the dataset's
     pack, the reduced tied-head form for the log loss; raises the
     dataset's error.  The kernel's sum over the samples divided by n, a
@@ -702,7 +688,7 @@ class TrainTrace:
 
     @staticmethod
     def csv_header() -> tuple[str, ...]:
-        return ("iter", "loss", "loss_bar", "grad_norm", "w_norm", "corr_svm", "dist_fin")
+        return ("iter", *_COLUMNS)
 
 
 def correlation(w: np.ndarray, ref: Optional[np.ndarray]) -> float | np.ndarray:
@@ -745,7 +731,8 @@ def train_block(
     and records: its trace is bit for bit the one `train_gd` gives it alone.
     A trial that fails stops there while the others go on; its entry in the
     returned list is the exception `train_gd` would raise, in place of its
-    TrainTrace.
+    TrainTrace.  Cross-entropy on a headless dataset is a config error, which
+    `_loss_and_grad` raises, as ValueError, before the first step.
     """
     refs = [r or TrainRefs() for r in (refs or [None] * len(datasets))]
     if not config.normalized and config.loss == LOG:

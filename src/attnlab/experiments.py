@@ -130,17 +130,17 @@ def build_pipeline(dataset: Dataset) -> Pipeline:
     return pipe
 
 
-def single_scc_dataset(K: int = 3, d: int = 4, seed: int = 0) -> Dataset:
+def single_scc_dataset(seed: int) -> Dataset:
     """Dataset whose only graph is one strongly connected component, so the
-    SVM solution is zero and training never leaves S_fin."""
-    table = make_embeddings(K, d, UNIT_SPHERE, seed=seed)
+    SVM solution is zero and training never leaves S_fin: tokens 0-2 of a
+    (3, 4) unit-sphere table, with a tied head."""
+    table = make_embeddings(3, 4, UNIT_SPHERE, seed=seed)
     samples = (
         Sample(tokens=(0, 1, 2), label=0),
         Sample(tokens=(1, 0, 2), label=1),
         Sample(tokens=(2, 0, 2), label=2),
     )
-    head = make_head(table, TIED) if d >= K else None
-    return Dataset(embedding=table, head=head, samples=samples, seed=seed)
+    return Dataset(embedding=table, head=make_head(table, TIED), samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,23 @@ class TestLoss:
         assert abs(att.loss(np.zeros((4, 4)), ds, att.SQUARED) - 1.0) <= 1e-12
         np.testing.assert_allclose(att.grad(np.zeros((4, 4)), ds, att.SQUARED), 0.0, atol=1e-15)
 
+    def test_cross_entropy_without_a_head_is_refused(self):
+        # Cross-entropy reads the classifier head, so a headless dataset is
+        # a config error: loss, grad and train_gd raise it, not a value.
+        ds = tiny_instance(0, K=4, d=5, n=4, T=4, head_kind="none")
+        w = np.zeros((5, 5))
+        config = att.TrainConfig(eta=0.1, iters=3, loss=att.CROSS_ENTROPY)
+        for call in (lambda: att.loss(w, ds, att.CROSS_ENTROPY), lambda: att.grad(w, ds, att.CROSS_ENTROPY),
+                     lambda: att.train_gd(ds, config)):
+            with pytest.raises(ValueError, match="cross-entropy loss requires a classifier head"):
+                call()
+
+    @pytest.mark.parametrize("evaluate", [att.loss, att.grad], ids=["loss", "grad"])
+    def test_an_unknown_kind_is_refused(self, evaluate):
+        ds = tiny_instance(0, K=4, d=5, n=4, T=4)
+        with pytest.raises(ValueError, match="undefined for kind 'bogus'"):
+            evaluate(np.zeros((5, 5)), ds, "bogus")
+
 
 class TestGrad:
     def test_all_label_dataset_zero_gradient(self):

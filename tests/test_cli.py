@@ -66,7 +66,7 @@ class TestSubcommands:
         # One SCC, so no inequality: the minimum margin over none is +inf,
         # which strict JSON has no token for and which is written as null.
         path, out = tmp_path / "scc.json", tmp_path / "svm.json"
-        dsm.save_dataset(experiments.single_scc_dataset(), str(path))
+        dsm.save_dataset(experiments.single_scc_dataset(0), str(path))
         assert run_cli("solve-svm", "--data", path, "--out", out) == 0
 
         def refuse(token):
@@ -134,6 +134,24 @@ class TestSubcommands:
         trace.write_text(header + "\n" + "".join(",".join(row.values()) + "\n" for row in rows))
         assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
         assert f"trace.csv: line 3: {column} 'abc' is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells", ["0,1.0,,0.5,1.0,,,7", "0,1.0,,0.5,1.0,"], ids=["more", "fewer"])
+    def test_analyze_row_that_does_not_match_the_header_is_config_error(self, tmp_path, capsys, cells):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iter,loss,loss_bar,grad_norm,w_norm,corr_svm,dist_fin\n" + cells + "\n")
+        assert run_cli("analyze", "--trace", trace, "--out", tmp_path / "r.json") == 2
+        assert "trace.csv: line 2 does not match the header's 7 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("records", [1, 2])
+    def test_analyze_too_few_records_for_a_slope_writes_null(self, tmp_path, records):
+        # The norm slope is fit to the later half of the records, which
+        # needs two of them: three records at least.
+        trace, report = tmp_path / "trace.csv", tmp_path / "r.json"
+        rows = "".join(f"{t},1.0,,0.5,{t + 1.0},,\n" for t in range(records))
+        trace.write_text("iter,loss,loss_bar,grad_norm,w_norm,corr_svm,dist_fin\n" + rows)
+        assert run_cli("analyze", "--trace", trace, "--out", report) == 0
+        rep = json.loads(report.read_text())
+        assert rep["records"] == records and rep["norm_slope"] is None
 
 
 class TestExperimentCommand:
@@ -455,6 +473,15 @@ class TestExitCodes:
         assert run_cli("exp", name, "--out", tmp_path / "x", "--seed", 0, "--trials", 1,
                        "--set", override) == 2
         assert field in capsys.readouterr().err
+
+    def test_a_setting_without_a_value_is_config_error(self, tmp_path, capsys):
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--trials", 1, "--set", "foo") == 2
+        assert "expected key=value, got 'foo'" in capsys.readouterr().err
+
+    def test_cross_entropy_without_a_head_is_config_error(self, tmp_path, capsys):
+        assert run_cli("exp", "cyclic-global", "--out", tmp_path / "x", "--seed", 0, "--trials", 2,
+                       "--set", "head=none", "--set", "loss=ce") == 2
+        assert "cross-entropy loss requires a classifier head" in capsys.readouterr().err
 
     @pytest.mark.parametrize("head", ["general_argmax", "tide"])
     def test_unknown_global_head_is_config_error(self, tmp_path, capsys, head):

@@ -301,9 +301,9 @@ class Scratch:
     def test_a_returned_gradient_outlives_the_next_call(self):
         ds = shape_dataset("desk")
         w = seeded_rng(17).standard_normal((ds.d, ds.d))
-        first = att.grad(w, ds)
+        first = att.grad(w, ds, att.LOG)
         kept = first.tobytes()
-        assert att.grad(2.0 * w, ds).tobytes() != kept and first.tobytes() == kept
+        assert att.grad(2.0 * w, ds, att.LOG).tobytes() != kept and first.tobytes() == kept
         packed = att._pack([ds])
         g1 = att._loss_and_grad(w[None], packed, att.LOG, grad=True)[2]
         g2 = att._loss_and_grad(2.0 * w[None], packed, att.LOG, grad=True)[2]

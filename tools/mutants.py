@@ -71,11 +71,16 @@ BY_FILE = {
          "            np.copyto(self.square, self.coef[-1])",
          "dist_fin without W_fin's off-S_fin part",
          "tests/test_attention.py::TestStackRefs::test_dist_fin_is_each_trials_distance"),
-        ("        for i, s in enumerate(ds.samples):\n            by_len.setdefault(s.T, []).append(i)",
+        ("        for i, s in enumerate(ds.samples):\n            rows[s.T].append((s, kept.get(i, ())))",
          "        for i, s in sorted(enumerate(ds.samples), key=lambda item: item[1].label):\n"
-         "            by_len.setdefault(s.T, []).append(i)",
+         "            rows[s.T].append((s, kept.get(i, ())))",
          "samples ordered by label id: a relabeled vocabulary sums in another order",
          "tests/test_metamorphic.py::test_relabeling_keeps_every_trained_bit[plain]"),
+        ("    if kind == CROSS_ENTROPY and packed.c is None:\n"
+         "        raise ValueError(\"cross-entropy loss requires a classifier head\")\n",
+         "",
+         "no refusal of cross-entropy without a head: the kernel reads a head that is not there",
+         "tests/test_attention.py::TestLoss::test_cross_entropy_without_a_head_is_refused"),
         ("    offset = np.full(toks.shape, -np.inf)",
          "    offset = np.zeros(toks.shape)",
          "W_fin's pad rows at offset 0: they carry softmax mass",
